@@ -33,6 +33,7 @@ are bit-identical across engines.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from ..obs import runtime as _obs
 from ..par import check_parallel_mode, run_jobs
-from ..secure.batched import apply_divide_noise, draw_divide_noise
+from ..secure.batched import draw_divide_noise, fused_subtotals
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from ..simnet import Network, Simulator
 from ..simnet.network import DEFAULT_DELAY_MS, LatencyModel
@@ -110,18 +111,14 @@ class _ShareChunk:
 
 
 def _share_chunk_subtotals(chunk: _ShareChunk) -> np.ndarray:
-    """Shares + per-index subtotals for one chunk: ``(G_c, n, d)``.
+    """Per-index subtotals for one chunk: ``(G_c, n, d)``.
 
     Pure function of the pre-drawn noise — safe to fan across workers,
-    and only the subtotals (not the ``n``-times-larger share tensor)
-    cross the process boundary.
+    and only the subtotals cross the process boundary.
+    ``sub[g, j] = sum over owners i of share_{i -> j}``, owners in index
+    order, same as the per-group path.
     """
-    shares = apply_divide_noise(chunk.vals, chunk.rn, chunk.totals)
-    g_c = chunk.vals.shape[0] // chunk.n
-    d = chunk.vals.shape[1]
-    # sub[g, j] = sum over owners i of share_{i -> j}; summing axis 1
-    # reduces the owner axis in index order, same as the per-group path.
-    return shares.reshape(g_c, chunk.n, chunk.n, d).sum(axis=1)
+    return fused_subtotals(chunk.vals, chunk.rn, chunk.totals, chunk.n)
 
 
 def _landed(times: np.ndarray) -> np.ndarray:
@@ -141,8 +138,6 @@ def _layer_subtotals(
     vals: np.ndarray, n: int, rng: np.random.Generator, parallel: str
 ) -> np.ndarray:
     """SAC subtotals for a whole layer: ``(G*n, d) -> (G, n, d)``."""
-    import os
-
     rows, d = vals.shape
     g = rows // n
     rn, totals = draw_divide_noise(rows, n, rng)

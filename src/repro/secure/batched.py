@@ -22,6 +22,12 @@ property tests in ``tests/secure/test_batched.py``):
   divergence is the measure-zero resample guard: when a row's random sum
   is below the conditioning threshold, only that row is redrawn (the
   sequential path would have interleaved the redraw mid-stream).
+- ``fused_subtotals`` (and :func:`sum_dense_shares`, its per-index
+  form over :class:`DenseShare` handles) equals "materialise the
+  ``batched_divide`` shares, then reduce the owner axis" bit for bit:
+  the same normalised fractions, one multiply per (owner, index), owners
+  added left to right.  Only the traversal differs — cache-sized blocks,
+  so the share tensor never exists.
 - ``batched_zero_sum`` and both seeded kernels are bitwise identical to
   the sequential loops for every batch size: normal variates fill
   row-major, 128-bit share seeds are two full-range ``uint64`` draws per
@@ -37,6 +43,8 @@ property tests in ``tests/secure/test_batched.py``):
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +55,10 @@ from .seedshare import FLOAT_CODEC, SeedShare
 _MIN_SUM = 1e-3
 
 _RING_HIGH = 2**64
+
+#: Elements per accumulation block of the fused subtotal kernel (256 KB of
+#: float64): accumulator, scratch and one model block stay cache-resident.
+_FUSED_BLOCK = 32_768
 
 
 def _as_batch(stack: np.ndarray, dtype=None) -> np.ndarray:
@@ -135,6 +147,131 @@ def batched_divide(
     stack = _as_batch(stack)
     rn, totals = draw_divide_noise(stack.shape[0], n, rng, max_resample)
     return apply_divide_noise(stack, rn, totals)
+
+
+@dataclass(frozen=True)
+class DenseShare:
+    """One Alg. 1 share held as its two factors: ``fraction * model``.
+
+    What a dense share *is* on the simulated wire: the recipient gets a
+    ``|w|``-sized payload (``size`` parameters, accounted exactly like
+    the array it stands for), but the host keeps only a reference to the
+    owner's model and one float.  :meth:`materialize` (or
+    ``np.asarray``) yields the array :func:`batched_divide` would have
+    produced, bit for bit; :func:`sum_dense_shares` aggregates handles
+    without ever building it.
+    """
+
+    model: np.ndarray
+    fraction: float
+
+    @property
+    def size(self) -> int:
+        return self.model.size
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.model.shape
+
+    def materialize(self) -> np.ndarray:
+        return np.asarray(self.fraction * self.model)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self.materialize()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def divide_handles(
+    w: np.ndarray, n: int, rng: np.random.Generator, max_resample: int = 100
+) -> list[DenseShare]:
+    """Alg. 1 split of one secret as ``n`` :class:`DenseShare` handles.
+
+    Same RNG draws and fractions as :func:`repro.secure.additive.divide`;
+    ``handles[j].materialize()`` equals ``divide(w, n, rng)[j]`` bitwise.
+    """
+    w = np.asarray(w)
+    rn, totals = draw_divide_noise(1, n, rng, max_resample)
+    return [DenseShare(w, f) for f in rn[0] / totals[0]]
+
+
+def _accumulate_scaled(
+    out: np.ndarray,
+    owners: Sequence[np.ndarray],
+    fractions: Sequence[np.ndarray],
+) -> None:
+    """``out[g, j] = sum_i fractions[i][g, j] * owners[i][g]``, blocked.
+
+    ``owners[i]`` is ``(G, d)``, ``fractions[i]`` is ``(G, m)``, ``out``
+    is ``(G, m, d)``.  Owners are added left to right and every product
+    is rounded before its add (scratch buffer, no FMA), so each output
+    element sees exactly the operations of a materialised
+    ``(owners, m, d)`` tensor reduced over its owner axis.
+    """
+    g, m, d = out.shape
+    cb = max(1, min(d, _FUSED_BLOCK // m))
+    gb = max(1, _FUSED_BLOCK // (m * cb))
+    scratch = np.empty((min(gb, g), m, cb), dtype=out.dtype)
+    for g0 in range(0, g, gb):
+        g1 = min(g0 + gb, g)
+        for c0 in range(0, d, cb):
+            c1 = min(c0 + cb, d)
+            acc = out[g0:g1, :, c0:c1]
+            tmp = scratch[: g1 - g0, :, : c1 - c0]
+            np.multiply(
+                fractions[0][g0:g1, :, None], owners[0][g0:g1, None, c0:c1],
+                out=acc,
+            )
+            for frac, owner in zip(fractions[1:], owners[1:]):
+                np.multiply(
+                    frac[g0:g1, :, None], owner[g0:g1, None, c0:c1], out=tmp
+                )
+                np.add(acc, tmp, out=acc)
+
+
+def fused_subtotals(
+    stack: np.ndarray, rn: np.ndarray, totals: np.ndarray, n: int
+) -> np.ndarray:
+    """Per-index SAC subtotals of whole groups, without the share tensor.
+
+    ``stack`` is ``(G*n, *shape)`` — ``G`` groups of ``n`` owners,
+    group-major — and ``(rn, totals)`` its :func:`draw_divide_noise`
+    material.  Returns ``(G, n, *shape)`` with
+    ``out[g, j] = sum_i share_{i -> j}`` over group ``g``'s owners:
+    bitwise equal to
+    ``apply_divide_noise(stack, rn, totals).reshape(G, n, n, *shape).sum(axis=1)``
+    but each model is streamed once per cache block instead of an
+    ``n``-times-larger tensor being written to and re-read from DRAM.
+    """
+    _check_n(n)
+    stack = _as_batch(stack)
+    rows, shape = stack.shape[0], stack.shape[1:]
+    if rows % n:
+        raise ValueError(f"{rows} owners do not form groups of n={n}")
+    g = rows // n
+    prn = (rn / totals[:, None]).reshape(g, n, n)
+    vals = stack.reshape(g, n, math.prod(shape))
+    out = np.empty(vals.shape, dtype=np.result_type(prn, vals))
+    _accumulate_scaled(
+        out, [vals[:, i] for i in range(n)], [prn[:, i] for i in range(n)]
+    )
+    return out.reshape((g, n) + shape)
+
+
+def sum_dense_shares(shares: Sequence[DenseShare]) -> np.ndarray:
+    """One subtotal from its owners' handles: ``sum_i f_i * model_i``.
+
+    The per-index form of :func:`fused_subtotals` for callers that hold
+    handles rather than a stacked batch (the protocol actors): owners in
+    sequence order, same bits as summing the materialised shares.
+    """
+    first = shares[0]
+    owners = [s.model.reshape(1, first.size) for s in shares]
+    fractions = [np.full((1, 1), s.fraction) for s in shares]
+    out = np.empty(
+        (1, 1, first.size), dtype=np.result_type(np.float64, *owners)
+    )
+    _accumulate_scaled(out, owners, fractions)
+    return out.reshape(first.shape)
 
 
 def batched_zero_sum(

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..obs import runtime as _obs
 from .additive import divide
-from .batched import batched_divide, batched_seeded_zero_sum_dense
 from .errors import SacReconstructionError
 from .replicated import (
     holders_of_share,
@@ -32,7 +31,7 @@ from .replicated import (
     seeded_exchange_entry_counts,
     shares_held_by,
 )
-from .sac import DEFAULT_BITS_PER_PARAM, _check_codec
+from .sac import DEFAULT_BITS_PER_PARAM, _check_codec, exchange_subtotals
 from .seedshare import SEED_SHARE_BITS
 
 
@@ -120,26 +119,13 @@ def fault_tolerant_sac(
         raise SacReconstructionError(lost, crashed)
 
     # Phase 1 — share exchange (everyone participates; crashes happen
-    # later).  shares[i, j] = par_wt_{i j}: share j of peer i's model.
+    # later) — and phase 2, subtotals: ps[j] = sum_i par_wt_{i j}; any
+    # alive holder of index j can compute it (Alg. 4 lines 11-13).  Under
+    # the seed codecs the residual sits at the owner's own index: one
+    # seed serves a whole replica group, so only the n-k residual
+    # *copies* stay dense.
     with _obs.OBS.span("ftsac.share_exchange", n=n, k=k):
-        # Batched kernels: one RNG pass for the whole subgroup's splits,
-        # bitwise identical to the per-owner loop.
-        stack = np.stack([np.asarray(m, dtype=np.float64) for m in models])
-        if share_codec == "dense":
-            if divide_fn is divide:
-                shares = batched_divide(stack, n, rng)
-            else:
-                shares = np.empty((n, n) + first.shape, dtype=np.float64)
-                for i, model in enumerate(models):
-                    shares[i] = divide_fn(
-                        np.asarray(model, dtype=np.float64), n, rng
-                    )
-        else:
-            # Residual at the owner's own index: one seed serves a whole
-            # replica group, so only the n-k residual *copies* stay dense.
-            shares = batched_seeded_zero_sum_dense(
-                stack, n, rng, residual_indices=range(n)
-            )
+        subtotals = exchange_subtotals(models, rng, divide_fn, share_codec)
     # Peer j receives a bundle of n-k+1 shares from each of the other
     # n-1 peers: n(n-1)(n-k+1) share-sized payloads in total (dense);
     # under the seed codec only residual copies travel as full vectors.
@@ -151,10 +137,6 @@ def fault_tolerant_sac(
         )
     else:
         phase1_bits = n * (n - 1) * (n - k + 1) * w_bits
-
-    # Phase 2 — subtotals.  ps[j] = sum_i shares[i, j]; any alive holder
-    # of index j can compute it (Alg. 4 lines 11-13).
-    subtotals = shares.sum(axis=0)
 
     # Phase 3 — the leader assembles all n subtotals:
     #   - indices it holds itself (leader .. leader+n-k, mod n): free;

@@ -12,12 +12,20 @@ Timeline of one round (k-out-of-n, leader ``L``):
 
 1. ``t=0``: every peer splits its model and sends each peer ``j`` the
    bundle of share indices ``j .. j+n-k (mod n)``.
-2. On receiving all ``n-1`` bundles a peer computes the subtotals for its
-   held indices; non-leaders send their *primary* subtotal to ``L``.
+2. On receiving all ``n-1`` bundles a peer *can supply* the subtotals of
+   its held indices; the ``k-1`` non-leaders whose primary ``L`` does not
+   hold itself compute theirs and send it to ``L``.
 3. ``L`` assembles all ``n`` subtotals.  If some are still missing after
    ``subtotal_timeout_ms`` (crashed primaries), it fetches them from
-   surviving replica holders.
-4. ``L`` averages and the round completes.
+   surviving replica holders, which compute them on request.
+4. ``L`` sums its own held subtotals with the received ones, averages,
+   and the round completes.
+
+A subtotal is computed only where the protocol consumes it (steps 2-4);
+bundles are kept for the whole round, so every replica stays
+recoverable.  Dense shares travel as :class:`~.batched.DenseShare`
+handles — ``|w|`` bits on the simulated wire, two references in host
+memory — and are summed by the fused kernel without being materialised.
 
 A peer that crashes *before* its bundles go out makes the round
 unrecoverable (its model's shares are gone); the leader reports failure
@@ -47,7 +55,7 @@ from ..simnet import (
     TraceRecorder,
     check_transport,
 )
-from .additive import divide
+from .batched import divide_handles, sum_dense_shares
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..chaos.schedule import FaultSchedule
@@ -59,7 +67,8 @@ from .seedshare import SeedShare, seeded_zero_sum_shares
 @dataclass(frozen=True)
 class SharesBundle:
     origin: int
-    #: share index -> np.ndarray (materialized) or SeedShare (compressed)
+    #: share index -> DenseShare / np.ndarray (a full ``|w|`` vector on
+    #: the wire) or SeedShare (compressed)
     shares: dict
 
     def size_bits(self) -> float:
@@ -68,7 +77,7 @@ class SharesBundle:
             if isinstance(v, SeedShare):
                 total += v.size_bits()
             else:
-                total += float(np.asarray(v).size * DEFAULT_BITS_PER_PARAM)
+                total += float(v.size * DEFAULT_BITS_PER_PARAM)
         return total
 
 
@@ -156,9 +165,15 @@ class SacProtocolPeer(SimNode):
         self.rng = rng
         self.subtotal_timeout_ms = subtotal_timeout_ms
         self.held = set(shares_held_by(self.position, n, k))
+        # Alg. 4 lines 14-16: only the k-1 peers whose primary subtotal
+        # the leader does not hold itself send theirs.
+        self._sends_primary = (
+            self.position != self.leader_pos
+            and self.position not in shares_held_by(self.leader_pos, n, k)
+        )
         self._bundles: dict[int, dict] = {}
-        self._subtotals: dict[int, np.ndarray] = {}
-        self._sent_primary = False
+        #: subtotals that arrived over the wire (leader only)
+        self._received: dict[int, np.ndarray] = {}
         self._recovery_pending: set[int] = set()
         self._recovery_attempts: dict[int, int] = {}
         self.recovered: set[int] = set()
@@ -182,7 +197,7 @@ class SacProtocolPeer(SimNode):
         if _obs.OBS.enabled:
             self._emit("sac.shares_out", n=self.n, k=self.k)
         if self.share_codec == "dense":
-            shares = divide(self.model, self.n, self.rng)
+            shares = divide_handles(self.model, self.n, self.rng)
 
             def entry(idx: int, wire: bool):
                 return shares[idx]
@@ -222,30 +237,45 @@ class SacProtocolPeer(SimNode):
         if len(self._bundles) == self.n:
             if _obs.OBS.enabled:
                 self._emit("sac.bundles_complete")
-            self._compute_subtotals()
+            self._on_bundles_complete()
 
     # ------------------------------------------------------------- phase 2
-    def _compute_subtotals(self) -> None:
-        for idx in self.held:
-            total = None
-            for origin in range(self.n):
-                part = self._bundles[origin][idx]
-                if isinstance(part, SeedShare):
-                    part = part.expand()
-                total = part.copy() if total is None else total + part
-            self._subtotals[idx] = total
-        leader_holds = set(shares_held_by(self.leader_pos, self.n, self.k))
-        if (
-            self.position != self.leader_pos
-            and not self._sent_primary
-            and self.position not in leader_holds
-        ):
-            # Alg. 4 lines 14-16: only the k-1 peers whose primary
-            # subtotal the leader does not hold itself send theirs.
-            self._sent_primary = True
+    def can_supply(self, idx: int) -> bool:
+        """Whether this peer can produce subtotal ``idx`` right now.
+
+        True when the subtotal arrived over the wire, or when ``idx`` is
+        one of this peer's held indices and all ``n`` bundles are in (it
+        is then computed on demand, never stored).
+        """
+        return idx in self._received or (
+            idx in self.held and len(self._bundles) == self.n
+        )
+
+    def _subtotal(self, idx: int) -> np.ndarray:
+        """Subtotal ``idx``: the received copy, else summed from the
+        bundles, origins left to right (requires :meth:`can_supply`)."""
+        value = self._received.get(idx)
+        if value is not None:
+            return value
+        parts = [self._bundles[origin][idx] for origin in range(self.n)]
+        if self.share_codec == "dense":
+            return sum_dense_shares(parts)
+        total = None
+        for part in parts:
+            if isinstance(part, SeedShare):
+                part = part.expand()
+            if total is None:
+                # A copy: the first term may be another peer's residual.
+                total = part.copy()
+            else:
+                np.add(total, part, out=total)
+        return total
+
+    def _on_bundles_complete(self) -> None:
+        if self._sends_primary:
             if _obs.OBS.enabled:
                 self._emit("sac.subtotal_sent", index=self.position)
-            msg = Subtotal(self.position, self._subtotals[self.position])
+            msg = Subtotal(self.position, self._subtotal(self.position))
             self.send(self.leader, msg, size_bits=msg.size_bits(), kind="sac.subtotal")
         if self.position == self.leader_pos:
             # Arm the dropout detector (Alg. 4 line 17) and finish right
@@ -257,8 +287,8 @@ class SacProtocolPeer(SimNode):
     def _check_missing(self) -> None:
         if self.average is not None:
             return
-        missing = set(range(self.n)) - set(self._subtotals)
-        for idx in sorted(missing):
+        missing = [idx for idx in range(self.n) if not self.can_supply(idx)]
+        for idx in missing:
             holders = [
                 h
                 for h in holders_of_share(idx, self.n, self.k)
@@ -299,12 +329,15 @@ class SacProtocolPeer(SimNode):
     def _maybe_finish(self) -> None:
         if self.position != self.leader_pos or self.average is not None:
             return
-        if len(self._subtotals) < self.n:
+        if not all(self.can_supply(idx) for idx in range(self.n)):
             return
-        total = None
-        for idx in range(self.n):
-            v = self._subtotals[idx]
-            total = v.copy() if total is None else total + v
+        # In place, so on a copy where the first term was received: a
+        # ``Subtotal.value`` is its sender's array and must not be mutated.
+        total = self._subtotal(0)
+        if 0 in self._received:
+            total = total.copy()
+        for idx in range(1, self.n):
+            np.add(total, self._subtotal(idx), out=total)
         total /= self.n
         self.average = total
         self.finish_time = self.sim.now
@@ -342,11 +375,12 @@ class SacProtocolPeer(SimNode):
                 self._recovery_pending.discard(msg.index)
                 if _obs.OBS.enabled:
                     self._emit("sac.recover.fetched", index=msg.index, holder=src)
-            self._subtotals[msg.index] = msg.value
+            self._received[msg.index] = msg.value
             self._maybe_finish()
         elif isinstance(msg, RecoveryRequest):
-            if msg.index in self._subtotals:
-                reply = Subtotal(msg.index, self._subtotals[msg.index])
+            if self.can_supply(msg.index):
+                # Alg. 4 lines 17-18: the replica is computed on request.
+                reply = Subtotal(msg.index, self._subtotal(msg.index))
                 self.send(src, reply, size_bits=reply.size_bits(), kind="sac.subtotal")
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown SAC message {type(msg).__name__}")
@@ -367,7 +401,8 @@ def classify_sac_failure(
     Returns a typed failure only when completion is provably impossible
     from crash permanence alone — the simulated stand-in for the perfect
     failure detector a real deployment approximates with timeouts.  It
-    inspects peer state (bundles, subtotals) with god's-eye access;
+    inspects peer state (bundles, :meth:`~SacProtocolPeer.can_supply`)
+    with god's-eye access;
     transient causes (loss, partitions that may heal) never trigger it,
     so a ``None`` here just means "keep running".
     """
@@ -383,14 +418,14 @@ def classify_sac_failure(
             ),
         )
     for idx in range(n):
-        if idx in leader_peer._subtotals:
+        if leader_peer.can_supply(idx):
             continue
         supply_possible = False
         for h in holders_of_share(idx, n, k):
             if _gone_for_good(network, members[h]):
                 continue
             holder_peer = peers[h]
-            if idx in holder_peer._subtotals:
+            if holder_peer.can_supply(idx):
                 supply_possible = True
                 break
             # The holder can still compute subtotal ``idx`` iff every
@@ -467,7 +502,9 @@ def classify_sac_timeout(
                 f" {ex.src}->{ex.dst} with the destination alive"
             ),
         )
-    missing = sorted(set(range(leader_peer.n)) - set(leader_peer._subtotals))
+    missing = [
+        idx for idx in range(leader_peer.n) if not leader_peer.can_supply(idx)
+    ]
     return RoundOutcome(
         TIMED_OUT,
         reason=f"round timeout with subtotals missing for indices {missing}",

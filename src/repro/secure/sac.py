@@ -20,7 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .additive import divide
-from .batched import batched_divide, batched_seeded_zero_sum_dense
+from .batched import (
+    batched_seeded_zero_sum_dense,
+    draw_divide_noise,
+    fused_subtotals,
+)
 from .errors import SacAbort
 from .seedshare import SEED_SHARE_BITS
 
@@ -56,6 +60,37 @@ class SacResult:
     @property
     def gigabits(self) -> float:
         return self.bits_sent / 1e9
+
+
+def exchange_subtotals(
+    models: Sequence[np.ndarray],
+    rng: np.random.Generator,
+    divide_fn: Callable[..., np.ndarray] = divide,
+    share_codec: str = "dense",
+) -> np.ndarray:
+    """Share exchange + per-index subtotals of one group: ``(n, *shape)``.
+
+    ``out[j] = sum_i par_wt_{i j}``, owners added left to right.  The
+    whole subgroup's splits consume the RNG as one batched pass (bitwise
+    identical to the per-owner loop).  Alg. 1 shares are ``fraction * w``,
+    so the dense default never builds them (:func:`fused_subtotals`); a
+    custom ``divide_fn`` and the seed-derived masks have no such form and
+    are materialised, then reduced.
+    """
+    n = len(models)
+    stack = np.stack([np.asarray(m, dtype=np.float64) for m in models])
+    if share_codec == "dense" and divide_fn is divide:
+        rn, totals = draw_divide_noise(n, n, rng)
+        return fused_subtotals(stack, rn, totals, n)[0]
+    if share_codec == "dense":
+        shares = np.stack(
+            [np.asarray(divide_fn(w, n, rng), dtype=np.float64) for w in stack]
+        )
+    else:
+        shares = batched_seeded_zero_sum_dense(
+            stack, n, rng, residual_indices=range(n)
+        )
+    return shares.sum(axis=0)
 
 
 def sac_average(
@@ -111,35 +146,16 @@ def sac_average(
     w_bits = float(first.size * bits_per_param)
 
     # Phase 1 — every peer i splits wt_i into N shares and sends share j
-    # to peer j (keeping share i).  shares[i, j] = par_wt_{i j}.  The
-    # whole subgroup's splits run as one batched kernel (single RNG pass,
-    # bitwise identical to the per-owner loop).
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in models])
-    if share_codec == "dense":
-        if divide_fn is divide:
-            shares = batched_divide(stack, n, rng)
-        else:
-            shares = np.empty((n, n) + first.shape, dtype=np.float64)
-            for i, model in enumerate(models):
-                shares[i] = divide_fn(
-                    np.asarray(model, dtype=np.float64), n, rng
-                )
-        phase1_bits = n * (n - 1) * w_bits
+    # to peer j (keeping share i).  Phase 2 — peer j computes
+    # ps_wt_j = sum_i par_wt_{i j} and broadcasts it.
+    subtotals = exchange_subtotals(models, rng, divide_fn, share_codec)
+    if share_codec == "seed":
+        # The residual stays at the owner's index, so an n-out-of-n
+        # exchange transmits seeds only.
+        phase1_bits = n * (n - 1) * SEED_SHARE_BITS
     else:
-        # Seed-derived zero-sum masks; the residual stays at the owner's
-        # index, so an n-out-of-n exchange transmits seeds only.
-        shares = batched_seeded_zero_sum_dense(
-            stack, n, rng, residual_indices=range(n)
-        )
-        per_share = (
-            SEED_SHARE_BITS if share_codec == "seed" else w_bits
-        )
-        phase1_bits = n * (n - 1) * per_share
+        phase1_bits = n * (n - 1) * w_bits
     phase1_msgs = n * (n - 1)
-
-    # Phase 2 — peer j computes ps_wt_j = sum_i par_wt_{i j} and
-    # broadcasts it.  Vectorized: sum over the "owner" axis.
-    subtotals = shares.sum(axis=0)
     phase2_msgs = n * (n - 1)
 
     # Phase 3 — every peer averages the subtotals (Eq. 1–3).

@@ -104,15 +104,14 @@ class TestObsScaleScenario:
             ids = [s.id for s in bench.build_suite(smoke=smoke, seed=0)]
             assert "obs_scale" in ids
 
-    def test_obs_scale_pins_sublinear_telemetry(self):
-        # One run of the (smoke-sized) scenario: the sublinearity
-        # assertion is inside the scenario fn, and the sim block carries
-        # the deterministic telemetry byte counts the gate compares.
-        art = bench.run_suite(
-            smoke=True, seed=0, repeats=1, warmup=0,
-            only=["obs_scale"], resources=False,
-        )
-        (sc,) = art["scenarios"]
+    def test_obs_scale_pins_sublinear_telemetry(self, smoke_artifact):
+        # The (smoke-sized) scenario's record in the shared run: the
+        # sublinearity assertion is inside the scenario fn, and the sim
+        # block carries the deterministic telemetry byte counts the gate
+        # compares.
+        (sc,) = [
+            s for s in smoke_artifact["scenarios"] if s["id"] == "obs_scale"
+        ]
         sim = sc["sim"]
         assert sc["params"]["n"] >= 2000
         peer_ratio = sc["params"]["n"] / sc["params"]["baseline_n"]

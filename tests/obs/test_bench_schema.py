@@ -1,25 +1,11 @@
 """Smoke-run the canonical suite; validate every artifact against the
 schema; assert same-seed sim metrics are bit-identical across runs."""
 
-import json
-
 import pytest
 
-from repro.__main__ import main
 from repro.obs import bench
 
 pytestmark = pytest.mark.bench_smoke
-
-
-@pytest.fixture(scope="module")
-def smoke_artifact(tmp_path_factory):
-    out = tmp_path_factory.mktemp("bench") / "BENCH_suite.json"
-    rc = main([
-        "bench", "--smoke", "--repeats", "1", "--warmup", "0",
-        "--bench-out", str(out), "--log-level", "warning",
-    ])
-    assert rc == 0
-    return json.loads(out.read_text())
 
 
 def test_artifact_is_schema_valid(smoke_artifact):
@@ -71,10 +57,13 @@ def test_wall_stats_present_but_not_fingerprinted(smoke_artifact):
     assert "created_wall_s" not in fingerprint
 
 
-def test_same_seed_runs_are_bit_identical_sim_side():
-    """Two back-to-back smoke runs with one seed: identical sim metrics."""
-    first = bench.run_suite(smoke=True, seed=3, repeats=1, warmup=0)
-    second = bench.run_suite(smoke=True, seed=3, repeats=1, warmup=0)
+def test_same_seed_runs_are_bit_identical_sim_side(smoke_artifact):
+    """A second smoke run with the shared artifact's seed: identical sim
+    metrics."""
+    first = smoke_artifact
+    second = bench.run_suite(
+        smoke=True, seed=first["seed"], repeats=1, warmup=0
+    )
     assert bench.sim_fingerprint(first) == bench.sim_fingerprint(second)
     # The fingerprint covers sim/params/phases; spot-check raw equality
     # of the sim blocks too (bit-identical floats, not approx).

@@ -7,19 +7,29 @@ exactly that, for the float codec (multiplicative and zero-sum masks,
 dense and seeded) and the ring64 fixed-point codec.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.secure import batched
 from repro.secure.additive import divide, divide_zero_sum, reconstruct
 from repro.secure.batched import (
+    apply_divide_noise,
     batched_divide,
     batched_divide_ring,
     batched_seeded_ring_dense,
     batched_seeded_zero_sum_dense,
     batched_zero_sum,
+    divide_handles,
+    draw_divide_noise,
+    fused_subtotals,
+    sum_dense_shares,
 )
 from repro.secure.fixed_point import divide_ring, reconstruct_ring
+from repro.secure.sac import sac_average
 from repro.secure.seedshare import seeded_ring_shares, seeded_zero_sum_shares
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -155,3 +165,133 @@ class TestRingBatched:
                 qstack[i], n, rng, residual_index=i % n
             ).materialize()
             assert np.array_equal(got[i], ref)
+
+
+def _bits_equal(a, b):
+    """Stricter than ``array_equal``: dtype, shape and every bit (so a
+    ``-0.0`` for a ``0.0`` fails too)."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _materialise_and_reduce(stack, rn, totals, n):
+    """The pre-fusion expression ``fused_subtotals`` replaced."""
+    shares = apply_divide_noise(stack, rn, totals)
+    g = stack.shape[0] // n
+    return shares.reshape((g, n, n) + stack.shape[1:]).sum(axis=1)
+
+
+@contextmanager
+def _fused_block(elements):
+    """Run the fused kernel with another block size (restored on exit;
+    hypothesis re-enters the test body, so no ``monkeypatch`` fixture)."""
+    shipped = batched._FUSED_BLOCK
+    batched._FUSED_BLOCK = elements
+    try:
+        yield
+    finally:
+        batched._FUSED_BLOCK = shipped
+
+
+model_shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 200)),
+    st.lists(st.integers(1, 6), min_size=2, max_size=3).map(tuple),
+)
+layouts = st.sampled_from(["contiguous", "strided", "reversed", "float32"])
+# 32_768 is the shipped block; the small ones put block edges inside
+# (and off the end of) the tiny models hypothesis draws.
+blocks = st.sampled_from([7, 64, 32_768])
+
+
+class TestFusedSubtotals:
+    @given(g=st.integers(1, 4), n=peers, shape=model_shapes, layout=layouts,
+           block=blocks, seed=seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_materialise_and_reduce(
+        self, g, n, shape, layout, block, seed
+    ):
+        rng = RNG(seed)
+        if layout == "strided":
+            stack = rng.normal(size=(g * n,) + shape + (2,))[..., 0]
+        elif layout == "reversed":
+            stack = rng.normal(size=(g * n,) + shape)[::-1]
+        else:
+            stack = rng.normal(size=(g * n,) + shape)
+        if layout == "float32":
+            stack = stack.astype(np.float32)
+        rn, totals = draw_divide_noise(g * n, n, rng)
+        expect = _materialise_and_reduce(stack, rn, totals, n)
+        with _fused_block(block):
+            got = fused_subtotals(stack, rn, totals, n)
+        assert got.shape == (g, n) + shape
+        assert _bits_equal(got, expect)
+
+    @pytest.mark.parametrize("rows,d,n", [
+        (5, 70_001, 5),    # paper-like: column blocks, ragged last block
+        (12, 8_192, 4),    # whole groups per block, d below the block
+        (4_004, 8, 4),     # xlayer-like: many groups per block, ragged tail
+        (3, 1, 3),
+    ])
+    def test_shipped_block_size_at_realistic_shapes(self, rows, d, n):
+        rng = RNG(rows)
+        stack = rng.random((rows, d))
+        rn, totals = draw_divide_noise(rows, n, rng)
+        assert _bits_equal(
+            fused_subtotals(stack, rn, totals, n),
+            _materialise_and_reduce(stack, rn, totals, n),
+        )
+
+    def test_rejects_ragged_groups(self):
+        rn, totals = draw_divide_noise(5, 3, RNG())
+        with pytest.raises(ValueError):
+            fused_subtotals(np.ones((5, 4)), rn, totals, 3)
+
+    @given(n=peers, d=dims, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_fused_callers_draw_exactly_the_batched_divide_stream(
+        self, n, d, seed
+    ):
+        """No RNG is consumed by the kernel, and none is added or dropped
+        by the callers that switched to it."""
+        stack = _stack(n, d, seed)
+        rng_new, rng_old = RNG(seed), RNG(seed)
+        result = sac_average(list(stack), rng_new)
+        shares = batched_divide(stack, n, rng_old)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        expect = shares.sum(axis=0).sum(axis=0)
+        expect /= n
+        assert _bits_equal(result.average, expect)
+
+
+class TestDenseShareHandles:
+    @given(n=peers, shape=model_shapes, seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_handles_are_the_divide_rows(self, n, shape, seed):
+        w = RNG(seed).normal(size=shape)
+        rng_h, rng_d = RNG(seed), RNG(seed)
+        handles = divide_handles(w, n, rng_h)
+        shares = divide(w, n, rng_d)
+        assert rng_h.bit_generator.state == rng_d.bit_generator.state
+        assert len(handles) == n
+        for handle, share in zip(handles, shares):
+            assert handle.size == share.size and handle.shape == share.shape
+            assert _bits_equal(handle.materialize(), share)
+            assert _bits_equal(np.asarray(handle), share)
+
+    @given(n=peers, shape=model_shapes, block=blocks, seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_sum_equals_left_to_right_sum_of_materialised(
+        self, n, shape, block, seed
+    ):
+        rng = RNG(seed)
+        # One subtotal: share j of each of n owners.
+        handles = [
+            divide_handles(rng.normal(size=shape), n, rng)[i % n]
+            for i in range(n)
+        ]
+        expect = handles[0].materialize()
+        for handle in handles[1:]:
+            expect = expect + handle.materialize()
+        with _fused_block(block):
+            got = sum_dense_shares(handles)
+        assert _bits_equal(got, expect)

@@ -1,5 +1,7 @@
 """Tests for the message-passing SAC protocol on the simulated network."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,35 @@ class TestDropouts:
         assert not result.completed
         assert result.average is None
 
+    @pytest.mark.parametrize("share_codec", ["dense", "seed"])
+    @pytest.mark.parametrize("transport,bits_over_clean,retransmits", [
+        # The replica's reply (|w|) stands in for the primary that died
+        # on the wire; the fetch itself adds the 64-bit request.
+        ("fire_and_forget", 64.0, 0),
+        # Reliable: 4 retransmissions to the dead peer, fewer ACKs.
+        ("reliable", -256.0, 4),
+    ])
+    def test_replica_computed_on_request_is_bit_identical(
+        self, share_codec, transport, bits_over_clean, retransmits
+    ):
+        """Peer 3 sends its primary and dies; the leader fetches index 3
+        from a replica holder that never computed it before the request
+        arrived.  Same average bits as the fault-free round, and the
+        wire totals the eager implementation had."""
+        models = make_models(5, size=64)
+        kw = dict(k=3, seed=3, transport=transport, share_codec=share_codec)
+        clean = run_sac_protocol(models, **kw)
+        dirty = run_sac_protocol(
+            models, crash_at={3: 20.0}, subtotal_timeout_ms=50.0, **kw
+        )
+        assert dirty.outcome.ok
+        assert dirty.recovered_shares == (3,)
+        np.testing.assert_array_equal(dirty.average, clean.average)
+        assert dirty.bits_sent == clean.bits_sent + bits_over_clean
+        assert dirty.messages_sent == (23 if transport != "reliable" else 37)
+        assert dirty.retransmits == retransmits
+        assert dirty.finish_time_ms == 95.0
+
     def test_crashing_leader_rejected(self):
         with pytest.raises(ValueError):
             run_sac_protocol(make_models(3), k=2, leader=1, crash_at={1: 5.0})
@@ -121,3 +152,25 @@ class TestValidation:
         b = run_sac_protocol(make_models(4), k=2, seed=5)
         np.testing.assert_array_equal(a.average, b.average)
         assert a.bits_sent == b.bits_sent
+
+
+class TestMemory:
+    def test_round_never_materialises_the_share_tensor(self):
+        """One 3-of-5 round at d = 2^18 stays within 10 model-sized
+        arrays beyond its inputs (two primaries in flight, the leader's
+        running subtotal and total, block scratch: ~4).  Building the
+        n x (n-k+1) dense shares per peer, or every replica's subtotal,
+        costs ~40 and fails this."""
+        d = 2**18
+        models = list(np.random.default_rng(0).random((5, d)))
+        run_sac_protocol([m[:8] for m in models], k=3)  # warm caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sac_protocol(models, k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.outcome.ok
+        np.testing.assert_allclose(result.average, np.mean(models, axis=0))
+        assert peak - before <= 10 * d * 8
