@@ -58,15 +58,14 @@ def scale_schedule(
         LossWindow(50.0, 250.0, min(0.95, DEFAULT_LOSS_RATE + loss_bump)),
         DelaySpike(100.0, 300.0, 10.0),
     ]
-    leaders = {g.leader for g in topology.groups}
-    node = topology.n_peers - 1
-    picked = 0
-    while picked < n_crashes and node > 0:
-        if node not in leaders:
-            events.append(Crash(_CRASH_MS, node))
-            events.append(Recover(_RECOVER_MS, node))
-            picked += 1
-        node -= 1
+    # Every peer above the deepest layer leads a group there (and peer 0
+    # the top group), so with breadth-first ids the non-leaders are the
+    # ids from ``n_groups - 1`` up.
+    first_leaf = max(topology.n_groups - 1, 1)
+    leaves = range(topology.n_peers - 1, first_leaf - 1, -1)
+    for node in leaves[:max(n_crashes, 0)]:
+        events.append(Crash(_CRASH_MS, node))
+        events.append(Recover(_RECOVER_MS, node))
     return FaultSchedule(events)
 
 
@@ -113,8 +112,11 @@ def run_scale_trial(
     engine-specific heap telemetry excluded).  With the default
     8-attempt budget a 20 % loss round at 10^5+ peers almost surely
     sees a handful of exhausted sends (0.2^8 per message) and degrades
-    to a typed timeout; raise ``max_attempts`` (12 is plenty) to make
-    completion the expected outcome.
+    to a typed timeout; raise ``max_attempts`` to make completion the
+    expected outcome.  At 118,096 peers 12 attempts still leave about
+    one seed in 75 with an undelivered send (seed 156) and 16 still
+    does for seed 37; at 32 none of seeds 1-159 degrades, which is what
+    the repo benchmark's ``xlayer_lossy`` workload uses.
     """
     topology = scale_topology(target_peers, depth)
     models = np.random.default_rng([seed, 7]).normal(

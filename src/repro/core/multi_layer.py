@@ -25,6 +25,7 @@ import numpy as np
 
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from ..secure.additive import divide
+from .costs import multi_layer_total_peers
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class MultiLayerTopology:
 
     Peer ids are assigned breadth-first: the topmost subgroup is
     ``0..n-1``, each subsequent layer appends its new peers in order.
+    The layer-``k`` leaders (``k >= 2``) are therefore the peers
+    introduced at layer ``k - 1`` in id order, and every group's
+    followers are a contiguous id range — so sizes and
+    :meth:`member_matrix` are closed-form, and the per-group objects
+    (``groups``) are only built for callers that walk them.
     """
 
     def __init__(self, n: int, depth: int) -> None:
@@ -48,53 +54,61 @@ class MultiLayerTopology:
             raise ValueError("depth must be >= 1")
         self.n = n
         self.depth = depth
-        self.groups: list[_Group] = []
-        next_id = n
-        # Topmost subgroup: peers 0..n-1, leader 0.
-        top = tuple(range(n))
-        self.groups.append(_Group(layer=1, leader=0, members=top))
-        # Who may lead a group in the next layer: all members of the top
-        # group for layer 2 (the topmost leader doubles as a second-layer
-        # leader); for deeper layers only the peers newly introduced in
-        # the previous layer (nobody leads more than two layers).
-        eligible_leaders: list[int] = list(top)
-        for layer in range(2, depth + 1):
-            new_peers: list[int] = []
-            for peer in eligible_leaders:
-                followers = tuple(range(next_id, next_id + n - 1))
-                next_id += n - 1
-                self.groups.append(
-                    _Group(layer=layer, leader=peer, members=(peer,) + followers)
-                )
-                new_peers.extend(followers)
-            eligible_leaders = new_peers
-        self._n_peers = next_id
+        # _first[k]: peers in layers 1..k (Eq. 6), which is also the id of
+        # the first peer introduced at layer k + 1.
+        self._first = [
+            multi_layer_total_peers(n, k) for k in range(depth + 1)
+        ]
+        self._groups: list[_Group] | None = None
         self._member_matrix_cache: dict[int, np.ndarray] = {}
 
     @property
     def n_peers(self) -> int:
-        return self._n_peers
+        return self._first[-1]
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        # The top group, plus one led by every peer above the last layer.
+        return 1 + self._first[self.depth - 1]
+
+    @property
+    def groups(self) -> list[_Group]:
+        """Every subgroup, top layer first (built on first use)."""
+        if self._groups is None:
+            self._groups = [
+                g for layer in range(1, self.depth + 1)
+                for g in self.groups_at(layer)
+            ]
+        return self._groups
 
     def groups_at(self, layer: int) -> list[_Group]:
-        return [g for g in self.groups if g.layer == layer]
+        return [
+            _Group(layer=layer, leader=row[0], members=tuple(row))
+            for row in self.member_matrix(layer).tolist()
+        ]
 
     def member_matrix(self, layer: int) -> np.ndarray:
         """All layer-``layer`` subgroups as one ``(groups, n)`` id array.
 
         Row ``g`` is ``groups_at(layer)[g].members`` (leader in column
         0), the shape the vectorized X-layer wire round consumes.
-        Cached per layer — at 10^5+ peers rebuilding it per call would
-        dominate the round.
+        Cached per layer.
         """
+        if not 1 <= layer <= self.depth:
+            raise ValueError(f"layer must be in 1..{self.depth}")
         cached = self._member_matrix_cache.get(layer)
         if cached is None:
-            cached = np.array(
-                [g.members for g in self.groups_at(layer)], dtype=np.int64
-            ).reshape(-1, self.n)
+            n, first = self.n, self._first
+            if layer == 1:  # peer 0 leads the rest of the top group
+                lead0, foll0, g = 0, 1, 1
+            else:
+                lead0, foll0 = first[layer - 2], first[layer - 1]
+                g = foll0 - lead0
+            cached = np.empty((g, n), dtype=np.int64)
+            cached[:, 0] = np.arange(lead0, lead0 + g)
+            cached[:, 1:] = np.arange(
+                foll0, foll0 + g * (n - 1)
+            ).reshape(g, n - 1)
             self._member_matrix_cache[layer] = cached
         return cached
 

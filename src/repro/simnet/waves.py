@@ -24,6 +24,15 @@ that:
   re-queues at its next pending key.  Foreign events (other waves,
   chaos fault events, timers armed by message handlers) therefore
   interleave exactly where per-message scheduling would have put them.
+  Finding the run's end (:func:`_cut`) is three binary searches,
+  however many messages share the head's instant.
+
+Reliable transport and fault timelines go through :class:`ItemWave`
+(second half of this module): the same single heap entry replaying a
+precomputed schedule of typed *items*.  A firing there costs O(1)
+Python work plus numpy passes over the run — one ``bincount``, one
+slice of an assembly-time gauge prefix — so a round costs O(firings),
+and firings are the distinct (instant, wave) pairs, not the items.
 
 Accounting: a pure accounting wave (``msgs=None``) publishes one
 aggregate :class:`~repro.simnet.trace.WaveRecord` and one ``net.deliver``
@@ -67,6 +76,25 @@ def check_engine(engine: str) -> str:
     return engine
 
 
+def _cut(times: np.ndarray, seqs: np.ndarray, i: int, head) -> int:
+    """Largest ``j >= i`` such that entries ``i..j-1`` all precede ``head``.
+
+    ``times`` ascends and ``seqs`` ascends within every equal-time run
+    (both wave classes guarantee it), so the cut is three binary
+    searches however many entries tie with the head's time.  Counting
+    from ``i`` matters when the tie block started before it: a handler
+    that schedules a zero-delay event mid-block leaves the block's tail
+    ahead of that event.
+    """
+    if head is None:
+        return len(times)
+    j = max(i, int(times.searchsorted(head.time, "left")))
+    end = int(times.searchsorted(head.time, "right"))
+    if end > j:
+        j += int(seqs[j:end].searchsorted(head.seq, "left"))
+    return j
+
+
 class DeliveryWave:
     """One batch of same-kind messages moving through the simulated wire.
 
@@ -107,43 +135,32 @@ class DeliveryWave:
         return self._pos >= self.count
 
     # -------------------------------------------------------------- firing
-    def _cut(self, i: int, head) -> int:
-        """Largest ``j`` such that messages ``i..j-1`` all precede ``head``."""
-        times, seqs = self._times, self._seqs
-        n = len(times)
-        if head is None:
-            return n
-        ht, hs = head.time, head.seq
-        j = int(np.searchsorted(times, ht, side="left"))
-        if j < i:
-            return i
-        # Equal-time run: seqs ascend within it, admit those before hs.
-        end = int(np.searchsorted(times, ht, side="right"))
-        while j < end and seqs[j] < hs:
-            j += 1
-        return j
-
     def _fire(self) -> None:
         net = self.net
         queue = net.sim._queue
-        n = len(self._times)
+        times, seqs = self._times, self._seqs
+        n = len(times)
         i = self._pos
         while i < n:
-            head = queue.peek_event()
-            j = self._cut(i, head)
-            if j <= i:
-                self._pos = i
-                queue.push_at(self._times[i], int(self._seqs[i]), self._fire)
-                return
-            if self._msgs is None and net._fault_free:
+            j = _cut(times, seqs, i, queue.peek_event())
+            if j > i:
+                if self._msgs is not None or not net._fault_free:
+                    # Actor deliveries (or degraded links) go one message
+                    # at a time: a handler may schedule new events or
+                    # crash nodes, changing what precedes the rest of
+                    # the run — so peek again.
+                    self._deliver_one(i)
+                    i += 1
+                    continue
+                # A bulk run pushes nothing, so the head is unchanged and
+                # the next cut is ``j`` itself: re-queue there directly.
                 self._bulk_run(i, j)
                 i = j
-            else:
-                # Actor deliveries (or degraded links) go one message at
-                # a time: a handler may schedule new events or crash
-                # nodes, changing what precedes the rest of the run.
-                self._deliver_one(i)
-                i += 1
+                if i == n:
+                    break
+            self._pos = i
+            queue.push_at(float(times[i]), int(seqs[i]), self._fire)
+            return
         self._pos = n
 
     def _bulk_run(self, i: int, j: int) -> None:
@@ -456,8 +473,11 @@ def _serialized_times(
 # replay the *same* sorted item list against the same contiguous
 # reserved seq block: ``engine="scalar"`` pushes one heap entry per item
 # (the honest per-event reference), ``engine="wave"`` replays maximal
-# runs from a single self-re-queuing entry — identical ``(time, seq)``
-# order, counters and trace totals by construction.
+# runs — of mixed types, up to the next live heap head — from a single
+# self-re-queuing entry: identical ``(time, seq)`` order, counters and
+# trace totals by construction.  The schedule is four arrays in that
+# order (time, int8 type, int32 message index, first-arrival flag) plus
+# the in-flight gauge prefix ``ItemWave._cum`` built from them.
 #
 # Fate/RNG contract (shared by both engines since they share one
 # schedule): per epoch, in message-enumeration order — (1) one Bernoulli
@@ -492,7 +512,7 @@ _N_TYPES = 11
 #: net in-flight gauge delta per item type.  ``_T_ARR_ACKUP`` is a wash
 #: (frame lands -1, ACK departs +1 at the same instant — the dip never
 #: raises the peak), so it contributes 0.
-_IF_DELTA = np.zeros(_N_TYPES, dtype=np.int64)
+_IF_DELTA = np.zeros(_N_TYPES, dtype=np.int8)
 _IF_DELTA[_T_DEPART] = 1
 for _t in (_T_FRAME_MID, _T_ARR_ACKLOST, _T_ACK_MID, _T_ACK_ARR,
            _T_ARR_PLAIN):
@@ -579,25 +599,25 @@ def _send_batch_items(
                 (net.is_crashed(int(s)) for s in src), dtype=bool, count=m,
             )
 
-    buf_t: list[np.ndarray] = []
-    buf_type: list[np.ndarray] = []
-    buf_idx: list[np.ndarray] = []
-    buf_flag: list[np.ndarray] = []
-    buf_aux: list[np.ndarray] = []
+    # Item blocks in creation order; the empty seeds fix the dtypes and
+    # keep an empty batch concatenable.
+    buf_t = [np.empty(0, dtype=np.float64)]
+    buf_type = [np.empty(0, dtype=np.int8)]
+    buf_idx = [np.empty(0, dtype=np.int32)]
+    emitted = 0
+    #: creation index of each message's first frame arrival so far.
+    first_item = np.full(m, -1, dtype=np.int64)
 
-    def emit(t, typ, idx, flag=None, aux=0):
-        n = len(idx)
-        if n == 0:
-            return
-        buf_t.append(np.asarray(t, dtype=np.float64))
-        t8 = np.asarray(typ, dtype=np.int8)
-        buf_type.append(np.full(n, t8) if t8.ndim == 0 else t8)
-        buf_idx.append(np.asarray(idx, dtype=np.int64))
-        buf_flag.append(
-            np.zeros(n, dtype=bool) if flag is None
-            else np.asarray(flag, dtype=bool)
-        )
-        buf_aux.append(np.full(n, aux, dtype=np.int32))
+    def emit(t, typ, idx):
+        nonlocal emitted
+        if len(idx):
+            buf_t.append(t)
+            buf_type.append(
+                typ if isinstance(typ, np.ndarray)
+                else np.full(len(idx), typ, dtype=np.int8)
+            )
+            buf_idx.append(idx)
+            emitted += len(idx)
 
     def loss_mask(t_send, count):
         """One uniform per message under a positive loss rate, in order."""
@@ -620,7 +640,7 @@ def _send_batch_items(
         t_k = attempt_t[idx_k]
         attempts[idx_k] = k
         if k >= 2:
-            emit(t_k, _T_RETRANS, idx_k, aux=k)
+            emit(t_k, _T_RETRANS, idx_k)
         if tl is None:
             up = up_static[idx_k]
         else:
@@ -632,17 +652,25 @@ def _send_batch_items(
         emit(t_up[lost], _T_LOST, fly_idx[lost])
         go_idx = fly_idx[~lost]
         t_go = t_up[~lost]
-        lat = net.latency.sample_batch(src[go_idx], dst[go_idx], net.rng)
+        s_go, d_go = src[go_idx], dst[go_idx]
+        lat = net.latency.sample_batch(s_go, d_go, net.rng)
         if tl is not None:
-            lat = lat + tl.extra_delay_at(src[go_idx], dst[go_idx], t_go)
+            lat = lat + tl.extra_delay_at(s_go, d_go, t_go)
         t_arr = t_go + lat + frame_tx
         emit(t_go, _T_DEPART, go_idx)
         if tl is not None:
-            arr_up = tl.link_up_at(src[go_idx], dst[go_idx], t_arr)
+            arr_up = tl.link_up_at(s_go, d_go, t_arr)
             emit(t_arr[~arr_up], _T_FRAME_MID, go_idx[~arr_up])
             go_idx = go_idx[arr_up]
             t_arr = t_arr[arr_up]
-        first_arr[go_idx] = np.fmin(first_arr[go_idx], t_arr)
+        # The first arrival per message in global (time, creation) order
+        # carries the payload, later ones are transport duplicates; the
+        # strict ``<`` keeps the earlier epoch on a time tie, as the
+        # stable sort below does.  The arrival block is emitted next.
+        prev = first_arr[go_idx]
+        earlier = ~(t_arr >= prev)
+        first_item[go_idx[earlier]] = emitted + np.flatnonzero(earlier)
+        first_arr[go_idx] = np.fmin(prev, t_arr)
         if rel is None:
             emit(t_arr, _T_ARR_PLAIN, go_idx)
             continue
@@ -658,12 +686,13 @@ def _send_batch_items(
              go_idx)
         af_idx = go_idx[~ack_lost]
         t_af = t_arr[~ack_lost]
-        alat = net.latency.sample_batch(dst[af_idx], src[af_idx], net.rng)
+        s_af, d_af = src[af_idx], dst[af_idx]
+        alat = net.latency.sample_batch(d_af, s_af, net.rng)
         if tl is not None:
-            alat = alat + tl.extra_delay_at(dst[af_idx], src[af_idx], t_af)
+            alat = alat + tl.extra_delay_at(d_af, s_af, t_af)
         t_ack = t_af + alat + ack_tx
         if tl is not None:
-            ack_up = tl.link_up_at(dst[af_idx], src[af_idx], t_ack)
+            ack_up = tl.link_up_at(d_af, s_af, t_ack)
             emit(t_ack[~ack_up], _T_ACK_MID, af_idx[~ack_up])
             af_idx = af_idx[ack_up]
             t_ack = t_ack[ack_up]
@@ -676,7 +705,7 @@ def _send_batch_items(
         # at t_k, the ACK's at its later arrival), so ``>=`` continues —
         # one extra epoch whose own timer then never fires.
         rto_k = base_rto * backoff ** (k - 1)
-        t_next = attempt_t[idx_k] + rto_k
+        t_next = t_k + rto_k
         cont = min_ack[idx_k] >= t_next
         if tl is None:
             cont &= ~src_crashed[idx_k]
@@ -706,46 +735,23 @@ def _send_batch_items(
                 t_fin, abandoned = _apply_holds(tl, src[idx_e], t_fin, rto_f)
                 idx_e = idx_e[~abandoned]
                 t_fin = t_fin[~abandoned]
-            delivered = ~np.isnan(first_arr[idx_e]) & (
-                first_arr[idx_e] <= t_fin
-            )
-            emit(t_fin, _T_EXHAUST, idx_e, flag=delivered, aux=max_att)
+            emit(t_fin, _T_EXHAUST, idx_e)
 
     # ---------------------------------------------------------- assembly
-    if buf_t:
-        it_t = np.concatenate(buf_t)
-        it_type = np.concatenate(buf_type)
-        it_idx = np.concatenate(buf_idx)
-        it_flag = np.concatenate(buf_flag)
-        it_aux = np.concatenate(buf_aux)
-    else:
-        it_t = np.empty(0, dtype=np.float64)
-        it_type = np.empty(0, dtype=np.int8)
-        it_idx = np.empty(0, dtype=np.int64)
-        it_flag = np.empty(0, dtype=bool)
-        it_aux = np.empty(0, dtype=np.int32)
+    it_t = np.concatenate(buf_t)
     # Stable sort on time; creation order (= epoch order, categories in
     # scalar decision order within an epoch) breaks ties, and the
     # contiguous reserved seq block makes that order the global one.
     order = np.argsort(it_t, kind="stable")
-    it_t = it_t[order]
-    it_type = it_type[order]
-    it_idx = it_idx[order]
-    it_flag = it_flag[order]
-    it_aux = it_aux[order]
-    # First arrival per message (in global order) carries the payload;
-    # later arrivals are transport duplicates.
-    arr_sel = np.isin(it_type, _ARR_TYPES)
-    arr_pos = np.flatnonzero(arr_sel)
-    if arr_pos.size:
-        _, first_pos = np.unique(it_idx[arr_pos], return_index=True)
-        it_flag[arr_pos] = False
-        it_flag[arr_pos[first_pos]] = True
+    it_flag = np.zeros(len(it_t), dtype=bool)
+    it_flag[first_item[first_item >= 0]] = True
 
     delivered_msgs = ~np.isnan(first_arr)
     wave = ItemWave(
         net, kind, size_bits, frame_bits, engine, first_arr, delivered_msgs,
-        attempts, src, dst, msgs, it_t, it_type, it_idx, it_flag, it_aux,
+        attempts, src, dst, msgs, it_t[order],
+        np.concatenate(buf_type, dtype=np.int8)[order],
+        np.concatenate(buf_idx, dtype=np.int32)[order], it_flag[order],
     )
     obs = _obs.OBS
     if obs.enabled:
@@ -760,10 +766,10 @@ def _send_batch_items(
     if engine == "scalar":
         for p in range(n_items):
             sim._queue.push_at(
-                float(it_t[p]), int(wave._seqs[p]), _ScalarItem(wave, p)
+                float(wave._it_t[p]), seq0 + p, _ScalarItem(wave, p)
             )
         return wave
-    sim._queue.push_at(float(it_t[0]), int(wave._seqs[0]), wave._fire)
+    sim._queue.push_at(float(wave._it_t[0]), seq0, wave._fire)
     return wave
 
 
@@ -782,12 +788,12 @@ class ItemWave:
         "net", "kind", "size_bits", "frame_bits", "engine",
         "delivery_times", "delivered", "count", "dropped", "attempts",
         "_src", "_dst", "_msgs", "_it_t", "_it_type", "_it_idx",
-        "_it_flag", "_it_aux", "_seqs", "_pos",
+        "_it_flag", "_cum", "_by_type", "_sent", "_seqs", "_pos",
     )
 
     def __init__(self, net, kind, size_bits, frame_bits, engine,
                  delivery_times, delivered, attempts, src, dst, msgs,
-                 it_t, it_type, it_idx, it_flag, it_aux):
+                 it_t, it_type, it_idx, it_flag):
         self.net = net
         self.kind = kind
         self.size_bits = size_bits
@@ -803,9 +809,16 @@ class ItemWave:
         self._msgs = msgs
         self._it_t = it_t
         self._it_type = it_type
-        self._it_idx = it_idx
-        self._it_flag = it_flag
-        self._it_aux = it_aux
+        self._it_idx = it_idx      # message index per item (int32)
+        self._it_flag = it_flag    # the message's first frame arrival
+        # In-flight gauge after each item, relative to the wave's start
+        # (``_cum[p + 1]`` is the sum through item ``p``): a run's peak
+        # and net movement are then a slice max and two lookups.
+        self._cum = np.zeros(len(it_t) + 1, dtype=np.int32)
+        np.cumsum(_IF_DELTA.take(it_type), dtype=np.int32,
+                  out=self._cum[1:])
+        self._by_type = None  # per-type position index, built on demand
+        self._sent = None     # per-message transmissions replayed so far
         self._seqs = np.empty(0, dtype=np.int64)
         self._pos = 0
 
@@ -814,41 +827,27 @@ class ItemWave:
         return self._pos >= len(self._it_t)
 
     # ------------------------------------------------------------- firing
-    def _cut(self, i: int, head) -> int:
+    def _fire(self) -> None:
+        queue = self.net.sim._queue
         times, seqs = self._it_t, self._seqs
         n = len(times)
-        if head is None:
-            return n
-        ht, hs = head.time, head.seq
-        j = int(np.searchsorted(times, ht, side="left"))
-        if j < i:
-            return i
-        end = int(np.searchsorted(times, ht, side="right"))
-        while j < end and seqs[j] < hs:
-            j += 1
-        return j
-
-    def _fire(self) -> None:
-        net = self.net
-        queue = net.sim._queue
-        n = len(self._it_t)
         i = self._pos
         while i < n:
-            head = queue.peek_event()
-            j = self._cut(i, head)
-            if j <= i:
-                self._pos = i
-                queue.push_at(
-                    float(self._it_t[i]), int(self._seqs[i]), self._fire
-                )
-                return
-            if self._msgs is None:
+            j = _cut(times, seqs, i, queue.peek_event())
+            if j > i:
+                if self._msgs is not None:
+                    # Payload handlers may schedule events mid-run.
+                    self._apply_item(i)
+                    self._pos = i = i + 1
+                    continue
+                # As in DeliveryWave._fire: the head cannot have moved.
                 self._bulk_run(i, j)
                 i = j
-            else:
-                # Payload handlers may schedule events mid-run.
-                self._apply_item(i)
-                self._pos = i = i + 1
+                if i == n:
+                    break
+            self._pos = i
+            queue.push_at(float(times[i]), int(seqs[i]), self._fire)
+            return
         self._pos = n
 
     # -------------------------------------------------- per-item semantics
@@ -868,9 +867,15 @@ class ItemWave:
                 net.peak_in_flight = net.in_flight
         elif typ == _T_RETRANS:
             rel.retransmits += 1
+            # Per-item replay sees a message's retransmissions in attempt
+            # order (bulk runs never come here), so a counter recovers
+            # the attempt number the obs event reports.
+            if self._sent is None:
+                self._sent = np.ones(len(self.attempts), dtype=np.int32)
+            self._sent[i] += 1
             if obs.enabled:
                 obs.emit("net.retransmit", t_ms=t, node=src, dst=dst,
-                         kind=self.kind, attempt=int(self._it_aux[p]))
+                         kind=self.kind, attempt=int(self._sent[i]))
                 obs.metrics.counter(
                     "net_retransmits_total",
                     "Data-frame retransmissions by kind.", labels=("kind",),
@@ -936,14 +941,15 @@ class ItemWave:
                     labels=("kind",),
                 ).labels(kind="net.ack").inc(ACK_BITS)
         else:  # _T_EXHAUST
-            delivered = bool(self._it_flag[p])
+            # NaN (the payload never landed) compares False.
+            delivered = bool(self.delivery_times[i] <= t)
             rel.exhausted.append(
                 ExhaustedSend(src, dst, self.kind, delivered=delivered)
             )
             if obs.enabled:
                 obs.emit("net.retransmit_exhausted", t_ms=t, node=src,
                          dst=dst, kind=self.kind,
-                         attempts=int(self._it_aux[p]), delivered=delivered)
+                         attempts=int(self.attempts[i]), delivered=delivered)
                 obs.metrics.counter(
                     "net_retransmit_exhausted_total",
                     "Frames abandoned after the retransmit budget.",
@@ -951,10 +957,22 @@ class ItemWave:
                 ).labels(kind=self.kind).inc()
 
     # ------------------------------------------------------ bulk semantics
-    def _links(self, sel: np.ndarray, swap: bool = False):
-        """Aggregate (src, dst, count) triples for one run category."""
-        s = self._src[self._it_idx[sel]]
-        d = self._dst[self._it_idx[sel]]
+    def _positions(self, typs, a: int, b: int) -> np.ndarray:
+        """Positions in ``a..b-1`` of the items whose type is in ``typs``."""
+        if self._by_type is None:
+            ends = np.cumsum(np.bincount(self._it_type, minlength=_N_TYPES))
+            self._by_type = np.split(
+                np.argsort(self._it_type, kind="stable"), ends[:-1]
+            )
+        parts = [self._by_type[typ] for typ in typs]
+        return np.concatenate(
+            [p[p.searchsorted(a):p.searchsorted(b)] for p in parts]
+        )
+
+    def _links(self, pos: np.ndarray, swap: bool = False):
+        """Aggregate (src, dst, count) triples for the items at ``pos``."""
+        s = self._src[self._it_idx[pos]]
+        d = self._dst[self._it_idx[pos]]
         if swap:
             s, d = d, s
         pairs = np.stack([s, d])
@@ -962,140 +980,116 @@ class ItemWave:
         return uniq[0], uniq[1], counts
 
     def _bulk_run(self, a: int, b: int) -> None:
-        """Replay items ``a..b-1`` as aggregate accounting steps."""
+        """Replay items ``a..b-1`` as aggregate accounting steps.
+
+        One ``bincount`` of the run's types and the assembly-time gauge
+        prefix drive everything; per-type positions are looked up
+        (``_positions``) only for a run spanning several instants, for
+        link accounting and for exhaustions.
+        """
         net = self.net
         rel = net.reliable
         t_end = float(self._it_t[b - 1])
         net.sim.advance_to(t_end)
-        types = self._it_type[a:b]
-        tt = self._it_t[a:b]
-        flags = self._it_flag[a:b]
+        one_instant = self._it_t[a] == t_end
         obs = _obs.OBS
         links = obs.enabled and net.link_accounting
 
-        deltas = _IF_DELTA[types]
-        cum = np.cumsum(deltas)
-        peak = net.in_flight + int(cum.max())
+        cum = self._cum
+        base = int(cum[a])
+        peak = net.in_flight + int(cum[a + 1:b + 1].max()) - base
         if peak > net.peak_in_flight:
             net.peak_in_flight = peak
-        net.in_flight += int(cum[-1])
+        net.in_flight += int(cum[b]) - base
 
-        counts = np.bincount(types, minlength=_N_TYPES)
+        counts = np.bincount(self._it_type[a:b], minlength=_N_TYPES).tolist()
 
-        def slice_sel(local):
-            sel = np.zeros(len(self._it_t), dtype=bool)
-            sel[a:b] = local
-            return sel
+        def when(typs):
+            """Time of the run's last item of ``typs`` (some present)."""
+            if one_instant:
+                return t_end
+            return float(self._it_t[self._positions(typs, a, b).max()])
 
-        def drop(mask, count, dkind, bits, reason, silent=False):
-            t = float(tt[mask][-1])
+        def emit(name, typs, swap=False, **fields):
+            if links:
+                fields["links"] = self._links(
+                    self._positions(typs, a, b), swap=swap
+                )
+            obs.emit(name, **fields)
+
+        def drop(typ, dkind, bits, reason, silent=False):
+            count = counts[typ]
+            if not count:
+                return
+            t = when((typ,))
             if not silent:
                 net.bus.publish_message(
                     WaveRecord(t, dkind, count, count * bits,
                                delivered=False)
                 )
             if obs.enabled:
-                fields = dict(t_ms=t, kind=dkind, bits=count * bits,
-                              count=count, reason=reason)
-                if links:
-                    swap = dkind == "net.ack"
-                    fields["links"] = self._links(slice_sel(mask), swap=swap)
-                obs.emit("net.drop", **fields)
+                emit("net.drop", (typ,), dkind == "net.ack", t_ms=t,
+                     kind=dkind, bits=count * bits, count=count,
+                     reason=reason)
                 obs.metrics.counter(
                     "net_dropped_total",
                     "Dropped messages by reason and kind.",
                     labels=("reason", "kind"),
                 ).labels(reason=reason, kind=dkind).inc(count)
 
-        n_re = int(counts[_T_RETRANS])
+        def deliver(count, typs, dkind, bits):
+            if not count:
+                return
+            t = when(typs)
+            net.bus.publish_message(
+                WaveRecord(t, dkind, count, count * bits, delivered=True)
+            )
+            if obs.enabled:
+                emit("net.deliver", typs, dkind == "net.ack", t_ms=t,
+                     kind=dkind, bits=count * bits, count=count)
+                obs.metrics.counter(
+                    "net_messages_total", "Delivered messages by kind.",
+                    labels=("kind",),
+                ).labels(kind=dkind).inc(count)
+                obs.metrics.counter(
+                    "net_bits_total", "Delivered bits by kind.",
+                    labels=("kind",),
+                ).labels(kind=dkind).inc(count * bits)
+
+        n_re = counts[_T_RETRANS]
         if n_re:
             rel.retransmits += n_re
             if obs.enabled:
-                mask = types == _T_RETRANS
-                fields = dict(t_ms=float(tt[mask][-1]), kind=self.kind,
-                              count=n_re)
-                if links:
-                    fields["links"] = self._links(slice_sel(mask))
-                obs.emit("net.retransmit", **fields)
+                emit("net.retransmit", (_T_RETRANS,),
+                     t_ms=when((_T_RETRANS,)), kind=self.kind, count=n_re)
                 obs.metrics.counter(
                     "net_retransmits_total",
                     "Data-frame retransmissions by kind.", labels=("kind",),
                 ).labels(kind=self.kind).inc(n_re)
-        if counts[_T_LINKDOWN]:
-            drop(types == _T_LINKDOWN, int(counts[_T_LINKDOWN]), self.kind,
-                 self.frame_bits, "link_down")
-        if counts[_T_LOST]:
-            drop(types == _T_LOST, int(counts[_T_LOST]), self.kind,
-                 self.frame_bits, "loss")
-        if counts[_T_FRAME_MID]:
-            drop(types == _T_FRAME_MID, int(counts[_T_FRAME_MID]), self.kind,
-                 self.frame_bits, "in_flight", silent=True)
-
-        n_arr = int(counts[_T_ARR_ACKUP] + counts[_T_ARR_ACKLOST]
-                    + counts[_T_ARR_PLAIN])
-        if n_arr:
-            arr_mask = np.isin(types, _ARR_TYPES)
-            t = float(tt[arr_mask][-1])
-            net.bus.publish_message(
-                WaveRecord(t, self.kind, n_arr, n_arr * self.frame_bits,
-                           delivered=True)
-            )
+        drop(_T_LINKDOWN, self.kind, self.frame_bits, "link_down")
+        drop(_T_LOST, self.kind, self.frame_bits, "loss")
+        drop(_T_FRAME_MID, self.kind, self.frame_bits, "in_flight",
+             silent=True)
+        n_acked = counts[_T_ARR_ACKUP] + counts[_T_ARR_ACKLOST]
+        deliver(n_acked + counts[_T_ARR_PLAIN], _ARR_TYPES, self.kind,
+                self.frame_bits)
+        if n_acked:
+            rel.acks_sent += n_acked
             if obs.enabled:
-                fields = dict(t_ms=t, kind=self.kind,
-                              bits=n_arr * self.frame_bits, count=n_arr)
-                if links:
-                    fields["links"] = self._links(slice_sel(arr_mask))
-                obs.emit("net.deliver", **fields)
                 obs.metrics.counter(
-                    "net_messages_total", "Delivered messages by kind.",
-                    labels=("kind",),
-                ).labels(kind=self.kind).inc(n_arr)
-                obs.metrics.counter(
-                    "net_bits_total", "Delivered bits by kind.",
-                    labels=("kind",),
-                ).labels(kind=self.kind).inc(n_arr * self.frame_bits)
-            n_ack_sent = int(counts[_T_ARR_ACKUP] + counts[_T_ARR_ACKLOST])
-            if n_ack_sent:
-                rel.acks_sent += n_ack_sent
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "net_acks_total", "Transport ACK frames sent.",
-                    ).inc(n_ack_sent)
-                dup = n_arr - int(flags[arr_mask].sum())
-                if rel is not None and dup:
-                    rel.duplicates_suppressed += dup
-            if counts[_T_ARR_ACKLOST]:
-                drop(types == _T_ARR_ACKLOST, int(counts[_T_ARR_ACKLOST]),
-                     "net.ack", ACK_BITS, "loss")
-        if counts[_T_ACK_MID]:
-            drop(types == _T_ACK_MID, int(counts[_T_ACK_MID]), "net.ack",
-                 ACK_BITS, "in_flight", silent=True)
-        n_ack = int(counts[_T_ACK_ARR])
-        if n_ack:
-            mask = types == _T_ACK_ARR
-            t = float(tt[mask][-1])
-            net.bus.publish_message(
-                WaveRecord(t, "net.ack", n_ack, n_ack * ACK_BITS,
-                           delivered=True)
+                    "net_acks_total", "Transport ACK frames sent.",
+                ).inc(n_acked)
+            # Flags mark first arrivals only, and ACKed arrivals never
+            # share a wave with fire-and-forget ones.
+            rel.duplicates_suppressed += n_acked - int(
+                np.count_nonzero(self._it_flag[a:b])
             )
-            if obs.enabled:
-                fields = dict(t_ms=t, kind="net.ack",
-                              bits=n_ack * ACK_BITS, count=n_ack)
-                if links:
-                    fields["links"] = self._links(slice_sel(mask), swap=True)
-                obs.emit("net.deliver", **fields)
-                obs.metrics.counter(
-                    "net_messages_total", "Delivered messages by kind.",
-                    labels=("kind",),
-                ).labels(kind="net.ack").inc(n_ack)
-                obs.metrics.counter(
-                    "net_bits_total", "Delivered bits by kind.",
-                    labels=("kind",),
-                ).labels(kind="net.ack").inc(n_ack * ACK_BITS)
+        drop(_T_ARR_ACKLOST, "net.ack", ACK_BITS, "loss")
+        drop(_T_ACK_MID, "net.ack", ACK_BITS, "in_flight", silent=True)
+        deliver(counts[_T_ACK_ARR], (_T_ACK_ARR,), "net.ack", ACK_BITS)
         if counts[_T_EXHAUST]:
-            for p in range(a, b):
-                if self._it_type[p] == _T_EXHAUST:
-                    self._apply_item(p)
+            for p in self._positions((_T_EXHAUST,), a, b).tolist():
+                self._apply_item(p)
 
 
 class _ScalarItem:

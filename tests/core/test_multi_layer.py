@@ -138,6 +138,37 @@ class TestDeepTrees:
             # Cached: same object on repeat calls.
             assert topo.member_matrix(layer) is mat
 
+    def test_closed_form_matches_constructive_build(self):
+        """The arithmetic ``member_matrix`` against the paper's
+        construction done literally: walk the layers, give every
+        eligible leader the next ``n - 1`` fresh ids."""
+        for n in range(2, 7):
+            for depth in range(1, 8):
+                layers = [[tuple(range(n))]]
+                next_id, eligible = n, list(range(n))
+                for _ in range(2, depth + 1):
+                    groups, new_peers = [], []
+                    for leader in eligible:
+                        followers = range(next_id, next_id + n - 1)
+                        next_id += n - 1
+                        groups.append((leader, *followers))
+                        new_peers.extend(followers)
+                    layers.append(groups)
+                    eligible = new_peers
+                topo = MultiLayerTopology(n, depth)
+                assert topo.n_peers == next_id
+                assert topo.n_groups == sum(len(g) for g in layers)
+                for layer, groups in enumerate(layers, start=1):
+                    mat = topo.member_matrix(layer)
+                    assert mat.dtype == np.int64
+                    np.testing.assert_array_equal(mat, np.array(groups))
+
+    def test_layer_out_of_range_rejected(self):
+        topo = MultiLayerTopology(3, 2)
+        for layer in (0, 3):
+            with pytest.raises(ValueError):
+                topo.member_matrix(layer)
+
     def test_groups_at_matches_closed_form(self):
         topo = MultiLayerTopology(3, 5)
         for layer in range(1, 6):
