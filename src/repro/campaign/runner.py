@@ -22,6 +22,11 @@
 - the global model threads through checkpoints
   (:mod:`repro.core.checkpoint`) between rounds, with the topology and
   stable membership snapshotted into the checkpoint metadata;
+- every feasible round is simulated exactly once.  A round with faults
+  that completes is held to the fault-free aggregate computed without a
+  simulator (:func:`~repro.core.wire_round.two_layer_reference_average`);
+  a round without faults *is* its fault-free run and has nothing to be
+  compared with;
 - every round is classified with the existing
   :class:`~repro.simnet.RoundOutcome` and graded by the chaos
   invariants; the cross-round invariants
@@ -63,7 +68,10 @@ from ..core.resharding import (
     plan_reshard,
 )
 from ..core.topology import Topology
-from ..core.wire_round import run_two_layer_wire_round
+from ..core.wire_round import (
+    run_two_layer_wire_round,
+    two_layer_reference_average,
+)
 from ..obs import runtime as _obs
 from ..simnet import UNRECOVERABLE_DROPOUT, RoundOutcome
 from .schedule import CampaignSchedule, Join, Leave, Rejoin, sample_campaign_schedule
@@ -366,9 +374,6 @@ def run_campaign(
                 fault_plan is not None and bool(fault_plan.schedule.events)
             )
             quiesced = quiesced and not has_faults
-            reference = run_two_layer_wire_round(
-                topology, models, k=k, seed=seed + index,
-            )
             if has_faults:
                 result = run_two_layer_wire_round(
                     topology, models, k=k, seed=seed + index,
@@ -378,12 +383,19 @@ def run_campaign(
                     if transport == "reliable" else None,
                     round_timeout_ms=8_000.0,
                 )
+                status, detail = _grade(
+                    result,
+                    lambda: two_layer_reference_average(
+                        topology, models, seed=seed + index
+                    ),
+                )
             else:
                 result = run_two_layer_wire_round(
                     topology, models, k=k, seed=seed + index,
                     parallel=parallel,
                 )
-            status, detail = _grade(result, reference)
+                # A fault-free round is its own reference.
+                status, detail = _grade(result, lambda: result.average)
             outcome = result.outcome
             bits, messages = result.bits_sent, result.messages_sent
             if outcome.ok:

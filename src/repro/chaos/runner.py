@@ -6,7 +6,9 @@ has its own node ids, protected leaders and crash budget), the layer's
 round/deployment runs under it, and the invariants grade the result:
 
 - **pass** — the round completed; for SAC/two-layer the aggregate is
-  bit-identical to the fault-free reference run.
+  bit-identical to the fault-free reference (computed without a
+  simulator, and only for rounds that completed: every trial pays for
+  one simulation).
 - **degrade** — the round did not complete but failed *typed* (an
   explained :class:`~repro.simnet.RoundOutcome`, or a Raft deployment
   that kept election safety but had not restabilized in time).
@@ -23,9 +25,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.topology import Topology
-from ..core.wire_round import run_two_layer_wire_round
+from ..core.wire_round import (
+    run_two_layer_wire_round,
+    two_layer_reference_average,
+)
 from ..obs import runtime as _obs
-from ..secure.protocol import run_sac_protocol
+from ..secure.protocol import run_sac_protocol, sac_reference_average
 from ..twolayer_raft.scenarios import chaos_raft_trial
 from .invariants import check_liveness, check_safety
 from .plan import PROFILES, ChaosPlan, ChaosProfile
@@ -56,7 +61,10 @@ class TrialReport:
 
 
 def _grade(result, reference) -> tuple[str, str]:
-    safety = check_safety(result, reference)
+    """Grade a round; ``reference()`` is evaluated only if it completed."""
+    safety = check_safety(
+        result, reference() if result.outcome.ok else None
+    )
     if not safety.ok:
         obs = _obs.OBS
         if obs.enabled:
@@ -91,7 +99,6 @@ def run_sac_trial(
         np.random.default_rng([seed, i]).normal(size=model_params)
         for i in range(n)
     ]
-    reference = run_sac_protocol(models, k=k, seed=seed)
     result = run_sac_protocol(
         models, k=k, seed=seed, schedule=plan.schedule,
         transport=transport,
@@ -99,7 +106,9 @@ def run_sac_trial(
         if transport == "reliable" else None,
         round_timeout_ms=5_000.0,
     )
-    status, detail = _grade(result, reference)
+    status, detail = _grade(
+        result, lambda: sac_reference_average(models, seed=seed)
+    )
     return TrialReport(
         layer="sac", profile=plan.profile, seed=seed,
         plan=plan.schedule.describe(), status=status, detail=detail,
@@ -127,7 +136,6 @@ def run_two_layer_trial(
         np.random.default_rng([seed, i]).normal(size=model_params)
         for i in range(n_peers)
     ]
-    reference = run_two_layer_wire_round(topology, models, k=k, seed=seed)
     result = run_two_layer_wire_round(
         topology, models, k=k, seed=seed, schedule=plan.schedule,
         transport=transport,
@@ -135,7 +143,10 @@ def run_two_layer_trial(
         if transport == "reliable" else None,
         round_timeout_ms=8_000.0,
     )
-    status, detail = _grade(result, reference)
+    status, detail = _grade(
+        result,
+        lambda: two_layer_reference_average(topology, models, seed=seed),
+    )
     return TrialReport(
         layer="two_layer", profile=plan.profile, seed=seed,
         plan=plan.schedule.describe(), status=status, detail=detail,

@@ -54,7 +54,11 @@ from .resharding import (
 from .session import SessionConfig, run_session
 from .topology import Topology
 from .two_layer import AggregateResult, TwoLayerAggregator
-from .wire_round import WireRoundResult, run_two_layer_wire_round
+from .wire_round import (
+    WireRoundResult,
+    run_two_layer_wire_round,
+    two_layer_reference_average,
+)
 from .xlayer_wire import (
     XLayerLayerStats,
     XLayerWireResult,
@@ -98,6 +102,7 @@ __all__ = [
     "enumerate_plans",
     "recommend",
     "run_two_layer_wire_round",
+    "two_layer_reference_average",
     "WireRoundResult",
     "run_xlayer_wire_round",
     "XLayerWireResult",

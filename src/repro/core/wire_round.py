@@ -24,10 +24,14 @@ from ..obs import causal as _causal
 from ..obs import runtime as _obs
 from ..par import SubgroupTask, check_parallel_mode, run_jobs, run_subgroup_round
 from ..secure.protocol import (
+    FatalWatch,
     SacProtocolPeer,
+    _exhausted_outcome,
     _gone_for_good,
     classify_sac_failure,
+    reference_group_average,
     reliable_transport_opts,
+    spawn_peer_seeds,
 )
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from ..simnet import (
@@ -139,7 +143,7 @@ class _TwoLayerPeer(SacProtocolPeer):
         if self.global_model is None:
             self.global_model = average
             self.global_model_time = self.sim.now
-            self.round_ctx.done_peers.add(self.node_id)
+            self.round_ctx.remaining.discard(self.node_id)
 
     def on_message(self, src: int, msg) -> None:
         if isinstance(msg, _Upload):
@@ -158,7 +162,9 @@ class _RoundContext:
     fed_leader: int
     leaders: tuple[int, ...]
     n_groups: int
-    done_peers: set
+    #: peers that never crash (``crash_at``) still missing the global
+    #: model; ``_adopt_global`` drains it, so "round complete" is O(1).
+    remaining: set
 
 
 @dataclass(frozen=True)
@@ -257,8 +263,7 @@ def _classify_wire_timeout(
     """Name the most likely cause after the round idled to its timeout."""
     undone_alive = sorted(
         p.node_id for p in peers
-        if p.node_id not in ctx.done_peers
-        and not network.is_crashed(p.node_id)
+        if p.global_model is None and not network.is_crashed(p.node_id)
     )
     partition = network._partition
     if partition is not None:
@@ -274,19 +279,9 @@ def _classify_wire_timeout(
                     f" from alive peers {cut_off}"
                 ),
             )
-    reliable = network.reliable
-    if reliable is not None and reliable.exhausted_undelivered:
-        ex = next(
-            e for e in reliable.exhausted
-            if not e.delivered and not network.is_crashed(e.dst)
-        )
-        return RoundOutcome(
-            TIMED_OUT,
-            reason=(
-                f"retransmit budget exhausted for {ex.kind!r}"
-                f" {ex.src}->{ex.dst} with the destination alive"
-            ),
-        )
+    exhausted = _exhausted_outcome(network)
+    if exhausted is not None:
+        return exhausted
     return RoundOutcome(
         TIMED_OUT,
         reason=(
@@ -385,9 +380,10 @@ def run_two_layer_wire_round(
         fed_leader=topology.leaders[0],
         leaders=tuple(topology.leaders),
         n_groups=topology.n_groups,
-        done_peers=set(),
+        remaining=set(range(topology.n_peers)) - set(crash_at),
     )
     peers: list[_TwoLayerPeer] = []
+    peer_seeds = iter(spawn_peer_seeds(rng, topology.n_peers))
     for gi, group in enumerate(topology.groups):
         n = len(group)
         k_eff = min(k, n) if k is not None else n
@@ -396,7 +392,7 @@ def run_two_layer_wire_round(
                 _TwoLayerPeer(
                     pid, sim, network, n, k_eff, topology.leaders[gi],
                     models[pid],
-                    np.random.default_rng(rng.integers(2**63)),
+                    np.random.default_rng(next(peer_seeds)),
                     subtotal_timeout_ms,
                     members=list(group),
                     share_codec=share_codec,
@@ -419,64 +415,39 @@ def run_two_layer_wire_round(
     ]
     # Crashed peers never adopt the global model; the round is complete
     # once every *surviving* peer holds it.  Without a chaos schedule the
-    # survivor set is known up front (seed semantics, zero per-event
-    # cost); under chaos, crashes and recoveries move it, so membership
-    # is evaluated live.
-    everyone = set(range(topology.n_peers)) - set(crash_at)
+    # survivor set is known up front, so completion is "``remaining`` has
+    # drained"; under chaos, crashes and recoveries move it, so
+    # membership is evaluated live — once the FedAvg leader is done.
     if schedule is None:
         def _done() -> bool:
-            return everyone.issubset(ctx.done_peers)
+            return not ctx.remaining
     else:
         def _done() -> bool:
-            return ctx.fed_leader in ctx.done_peers and all(
-                p.node_id in ctx.done_peers
-                or network.is_crashed(p.node_id)
+            return fed_leader_peer.global_model is not None and all(
+                p.global_model is not None or network.is_crashed(p.node_id)
                 for p in peers
             )
 
-    # Periodic god's-eye liveness check (timer-only: no messages, no
-    # randomness — fault-free runs stay bit-identical to the seed).
-    fatal: list[RoundOutcome] = []
-
-    def _check_fatal() -> None:
-        if _done() or fatal:
-            return
-        out: Optional[RoundOutcome] = None
-        reliable = network.reliable
-        if reliable is not None and reliable.exhausted_undelivered:
-            ex = next(
-                e for e in reliable.exhausted
-                if not e.delivered and not network.is_crashed(e.dst)
-            )
-            out = RoundOutcome(
-                TIMED_OUT,
-                reason=(
-                    f"retransmit budget exhausted for {ex.kind!r}"
-                    f" {ex.src}->{ex.dst} with the destination alive"
-                ),
-            )
-        elif not network._fault_free:
-            out = _classify_wire_failure(
-                peers_by_group, ctx, fed_leader_peer, network
-            )
-        if out is not None:
-            fatal.append(out)
-        else:
-            sim.schedule(subtotal_timeout_ms, _check_fatal)
-
-    sim.schedule(subtotal_timeout_ms, _check_fatal)
+    watch = FatalWatch(
+        sim, network, subtotal_timeout_ms, done=_done,
+        classify=lambda: _classify_wire_failure(
+            peers_by_group, ctx, fed_leader_peer, network
+        ),
+    )
     with _obs.OBS.span(
         "round.two_layer", clock=lambda: sim.now,
         peers=topology.n_peers, groups=topology.n_groups,
     ):
         sim.run_while(
-            lambda: not _done() and sim.now < round_timeout_ms and not fatal
+            lambda: not _done()
+            and sim.now < round_timeout_ms
+            and watch.outcome is None
         )
     completed = _done()
     if completed:
         outcome = OUTCOME_COMPLETED
-    elif fatal:
-        outcome = fatal[0]
+    elif watch.outcome is not None:
+        outcome = watch.outcome
     else:
         outcome = _classify_wire_timeout(peers, ctx, network)
     if _obs.OBS.enabled:
@@ -487,7 +458,7 @@ def run_two_layer_wire_round(
         )
     times = [p.global_model_time for p in peers if p.global_model_time is not None]
     finish = max(times) if completed and times else None
-    return WireRoundResult(
+    result = WireRoundResult(
         average=fed_leader_peer.global_model,
         outcome=outcome,
         finish_time_ms=finish,
@@ -497,6 +468,44 @@ def run_two_layer_wire_round(
         retransmits=network.reliable.retransmits if network.reliable else 0,
         drops=trace.total_dropped,
         heap_stats=sim.heap_stats(),
+    )
+    network.close()
+    return result
+
+
+def two_layer_reference_average(
+    topology: Topology,
+    models: Sequence[np.ndarray],
+    seed: int = 0,
+    share_codec: str = "dense",
+) -> np.ndarray:
+    """Fault-free aggregate of :func:`run_two_layer_wire_round` at ``seed``.
+
+    Alg. 3 with no simulator in it: per-peer seeds fan out of the round
+    seed group-major (the creation order of the actors), each subgroup's
+    SAC average is :func:`~repro.secure.protocol.reference_group_average`,
+    and the FedAvg leader's step is the same :func:`fedavg` call over the
+    groups in index order with their sizes as weights.  Bit-identical to
+    ``.average`` of every wire round that completes at this seed — any
+    ``k``, ``parallel=`` mode, transport, loss rate or tolerated fault
+    schedule — which is the paper's Alg. 4 claim and what
+    :func:`repro.chaos.invariants.check_safety` holds faulted rounds to.
+    """
+    if len(models) != topology.n_peers:
+        raise ValueError(f"expected {topology.n_peers} models")
+    peer_seeds = iter(
+        spawn_peer_seeds(np.random.default_rng(seed), topology.n_peers)
+    )
+    return fedavg(
+        [
+            reference_group_average(
+                [models[pid] for pid in group],
+                [next(peer_seeds) for _ in group],
+                share_codec,
+            )
+            for group in topology.groups
+        ],
+        weights=[float(len(group)) for group in topology.groups],
     )
 
 
@@ -538,17 +547,17 @@ def _run_parallel_round(
         fed_leader=topology.leaders[0],
         leaders=tuple(topology.leaders),
         n_groups=topology.n_groups,
-        done_peers=set(),
+        remaining=set(range(topology.n_peers)) - set(crash_at),
     )
     peers: list[_TwoLayerPeer] = []
     leader_peers: list[_TwoLayerPeer] = []
     tasks: list[SubgroupTask] = []
     dummy_rng = np.random.default_rng(0)  # parent peers never draw
+    all_seeds = iter(spawn_peer_seeds(rng, topology.n_peers))
     for gi, group in enumerate(topology.groups):
         n = len(group)
         k_eff = min(k, n) if k is not None else n
-        # Same draw order as the sequential path -> same per-peer seeds.
-        peer_seeds = tuple(int(rng.integers(2**63)) for _ in group)
+        peer_seeds = tuple(next(all_seeds) for _ in group)
         for pid in group:
             peer = _TwoLayerPeer(
                 pid, sim, network, n, k_eff, topology.leaders[gi],
@@ -581,7 +590,6 @@ def _run_parallel_round(
             )
         )
 
-    everyone = set(range(topology.n_peers)) - set(crash_at)
     with _obs.OBS.span(
         "round.two_layer", clock=lambda: sim.now,
         peers=topology.n_peers, groups=topology.n_groups,
@@ -608,10 +616,9 @@ def _run_parallel_round(
             # peer drop exactly as they do sequentially.
             sim.schedule(t, lambda pid=pid: network.crash(pid, quiet=True))
         sim.run_while(
-            lambda: not everyone.issubset(ctx.done_peers)
-            and sim.now < round_timeout_ms
+            lambda: bool(ctx.remaining) and sim.now < round_timeout_ms
         )
-    completed = everyone.issubset(ctx.done_peers)
+    completed = not ctx.remaining
     bits = trace.total_bits + sum(o.bits_sent for o in outcomes)
     messages = trace.total_messages + sum(o.messages_sent for o in outcomes)
     by_kind = trace.by_kind()
@@ -631,7 +638,7 @@ def _run_parallel_round(
         )
     times = [p.global_model_time for p in peers if p.global_model_time is not None]
     finish = max(times) if completed and times else None
-    return WireRoundResult(
+    result = WireRoundResult(
         average=fed_leader_peer.global_model,
         outcome=round_outcome,
         finish_time_ms=finish,
@@ -642,3 +649,5 @@ def _run_parallel_round(
         drops=trace.total_dropped + sum(o.dropped for o in outcomes),
         heap_stats=sim.heap_stats(),
     )
+    network.close()
+    return result

@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..secure.batched import _FUSED_BLOCK
+
 
 def fedavg(
     models: Sequence[np.ndarray],
@@ -29,6 +31,11 @@ def fedavg(
     out:
         Optional preallocated output buffer (in-place accumulation; no
         ``(len(models), |w|)`` temporary is created).
+
+    Accumulates in cache-sized blocks along the first axis through one
+    scratch buffer: every element sees the products and adds of
+    ``out += model * (w_k / total)`` taken over the models in order — the
+    same bits — without a ``|w|``-sized product per model.
     """
     if len(models) == 0:
         raise ValueError("need at least one model")
@@ -46,18 +53,28 @@ def fedavg(
     if total <= 0:
         raise ValueError("weights must not all be zero")
 
+    models = [np.asarray(model) for model in models]
+    for model in models:
+        if model.shape != first.shape:
+            raise ValueError(
+                f"model shape mismatch: {model.shape} vs {first.shape}"
+            )
     if out is None:
         out = np.zeros_like(first)
     else:
         if out.shape != first.shape:
             raise ValueError(f"out must have shape {first.shape}")
         out[...] = 0.0
-    for model, wk in zip(models, w):
-        model = np.asarray(model)
-        if model.shape != first.shape:
-            raise ValueError(
-                f"model shape mismatch: {model.shape} vs {first.shape}"
-            )
-        # out += (wk/total) * model, without allocating scaled copies.
-        out += model * (wk / total)
+    # Blocks run along the first axis (a 0-d "model" is lent one).
+    outs = out if out.ndim else out[None]
+    srcs = [model if model.ndim else model[None] for model in models]
+    rows = max(1, _FUSED_BLOCK * len(outs) // max(1, outs.size))
+    tmp = np.empty(outs[:rows].shape, dtype=np.float64)
+    scales = w / total
+    for r in range(0, len(outs), rows):
+        acc = outs[r:r + rows]
+        scratch = tmp[:len(acc)]
+        for src, scale in zip(srcs, scales):
+            np.multiply(src[r:r + rows], scale, out=scratch)
+            np.add(acc, scratch, out=acc)
     return out

@@ -112,7 +112,7 @@ def run_subgroup_round(task: SubgroupTask) -> SubgroupOutcome:
         lambda: leader_peer.average is None
         and sim.now < task.round_timeout_ms
     )
-    return SubgroupOutcome(
+    outcome = SubgroupOutcome(
         group=task.group,
         average=leader_peer.average,
         finish_time_ms=leader_peer.finish_time,
@@ -123,6 +123,8 @@ def run_subgroup_round(task: SubgroupTask) -> SubgroupOutcome:
         dropped=trace.total_dropped,
         finish_ctx=leader_peer.finish_ctx,
     )
+    network.close()
+    return outcome
 
 
 @dataclass(frozen=True)

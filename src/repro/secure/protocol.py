@@ -55,7 +55,12 @@ from ..simnet import (
     TraceRecorder,
     check_transport,
 )
-from .batched import divide_handles, sum_dense_shares
+from .batched import (
+    divide_handles,
+    draw_divide_noise,
+    fused_subtotals,
+    sum_dense_shares,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..chaos.schedule import FaultSchedule
@@ -391,6 +396,54 @@ def _gone_for_good(network: Network, node_id: int) -> bool:
     return network.is_crashed(node_id) and not network.may_recover(node_id)
 
 
+def _exhausted_outcome(network: Network) -> Optional[RoundOutcome]:
+    """Typed timeout once a retransmit budget ran out on an alive peer."""
+    reliable = network.reliable
+    if reliable is None or not reliable.exhausted_undelivered:
+        return None
+    ex = next(
+        e for e in reliable.exhausted
+        if not e.delivered and not network.is_crashed(e.dst)
+    )
+    return RoundOutcome(
+        TIMED_OUT,
+        reason=(
+            f"retransmit budget exhausted for {ex.kind!r}"
+            f" {ex.src}->{ex.dst} with the destination alive"
+        ),
+    )
+
+
+class FatalWatch:
+    """Periodic god's-eye liveness check of one round.
+
+    Detects provably unrecoverable rounds (and exhausted retransmit
+    budgets) early instead of idling to the round timeout; the verdict
+    lands in ``outcome``.  Timer-only — it sends no messages and draws no
+    randomness, so fault-free runs stay bit-identical to the seed.  An
+    object re-arming a bound method, not a closure re-arming itself: a
+    function that names itself is a reference cycle, and this one would
+    pin every peer of the round until the cyclic collector ran.
+    """
+
+    def __init__(self, sim, network, period_ms, done, classify) -> None:
+        self.outcome: Optional[RoundOutcome] = None
+        self._sim, self._network, self._period_ms = sim, network, period_ms
+        self._done, self._classify = done, classify
+        sim.schedule(period_ms, self._check)
+
+    def _check(self) -> None:
+        if self._done():
+            return
+        out = _exhausted_outcome(self._network)
+        if out is None and not self._network._fault_free:
+            out = self._classify()
+        if out is not None:
+            self.outcome = out
+        else:
+            self._sim.schedule(self._period_ms, self._check)
+
+
 def classify_sac_failure(
     peers: Sequence[SacProtocolPeer],
     leader_pos: int,
@@ -489,19 +542,9 @@ def classify_sac_timeout(
                     f" peers {cut_off}"
                 ),
             )
-    reliable = network.reliable
-    if reliable is not None and reliable.exhausted_undelivered:
-        ex = next(
-            e for e in reliable.exhausted
-            if not e.delivered and not network.is_crashed(e.dst)
-        )
-        return RoundOutcome(
-            TIMED_OUT,
-            reason=(
-                f"retransmit budget exhausted for {ex.kind!r}"
-                f" {ex.src}->{ex.dst} with the destination alive"
-            ),
-        )
+    exhausted = _exhausted_outcome(network)
+    if exhausted is not None:
+        return exhausted
     missing = [
         idx for idx in range(leader_peer.n) if not leader_peer.can_supply(idx)
     ]
@@ -518,6 +561,72 @@ def reliable_transport_opts(
     opts = dict(transport_opts or {})
     opts.setdefault("base_rto_ms", 4.0 * delay_ms)
     return opts
+
+
+def spawn_peer_seeds(
+    rng: np.random.Generator, count: int
+) -> tuple[int, ...]:
+    """Seeds of ``count`` per-peer generators, in peer-creation order.
+
+    The one place a round seed fans out to its peers: the actor rounds,
+    their ``parallel=`` workers and the no-simulator references all call
+    it, so their share streams cannot drift apart.
+    """
+    return tuple(int(rng.integers(2**63)) for _ in range(count))
+
+
+def reference_group_average(
+    models: Sequence[np.ndarray],
+    peer_seeds: Sequence[int],
+    share_codec: str = "dense",
+) -> np.ndarray:
+    """What one fault-free dense-codec SAC group agrees on, computed directly.
+
+    No simulator, no messages: each peer's Alg. 1 fractions are drawn
+    from its own generator exactly as :meth:`SacProtocolPeer.start_round`
+    draws them, the fused kernel adds each index's shares in owner order
+    (what :func:`~.batched.sum_dense_shares` does at the actors), and the
+    leader's sum runs over the indices in order before the divide by
+    ``n``.  Same operands, same operations, same order — so the result is
+    bit-identical to ``leader.average`` of any round that *completes*,
+    however many replicas Alg. 4 had to fetch on the way (``k`` decides
+    who supplies a subtotal, never its value).  The seed codecs round
+    differently (residual = model − Σ masks) and are rejected.
+    """
+    if share_codec != "dense":
+        raise ValueError(
+            "the no-simulator reference is defined for share_codec='dense'"
+            f" only, got {share_codec!r}"
+        )
+    n = len(models)
+    noise = [
+        draw_divide_noise(1, n, np.random.default_rng(s)) for s in peer_seeds
+    ]
+    subtotals = fused_subtotals(
+        np.stack([np.asarray(m, dtype=np.float64) for m in models]),
+        np.concatenate([rn for rn, _ in noise]),
+        np.concatenate([totals for _, totals in noise]),
+        n,
+    )[0]
+    total = subtotals[0]
+    for idx in range(1, n):
+        np.add(total, subtotals[idx], out=total)
+    total /= n
+    return total
+
+
+def sac_reference_average(
+    models: Sequence[np.ndarray], seed: int = 0, share_codec: str = "dense"
+) -> np.ndarray:
+    """Fault-free aggregate of :func:`run_sac_protocol` at ``seed``.
+
+    See :func:`reference_group_average`; this is the reference the chaos
+    invariants hold a completed faulted round to.
+    """
+    rng = np.random.default_rng(seed)
+    return reference_group_average(
+        models, spawn_peer_seeds(rng, len(models)), share_codec
+    )
 
 
 def run_sac_protocol(
@@ -592,11 +701,10 @@ def run_sac_protocol(
     peers = [
         SacProtocolPeer(
             i, sim, network, n, k, leader, models[i],
-            np.random.default_rng(rng.integers(2**63)),
-            subtotal_timeout_ms,
+            np.random.default_rng(peer_seed), subtotal_timeout_ms,
             share_codec=share_codec,
         )
-        for i in range(n)
+        for i, peer_seed in enumerate(spawn_peer_seeds(rng, n))
     ]
     for peer in peers:
         sim.schedule(0.0, peer.start_round)
@@ -607,50 +715,24 @@ def run_sac_protocol(
         schedule.arm(sim, network)
 
     leader_peer = peers[leader]
-    # Periodic god's-eye liveness check: detects provably unrecoverable
-    # rounds (and exhausted retransmit budgets) early instead of idling
-    # to round_timeout_ms.  Timer-only — it sends no messages and draws
-    # no randomness, so fault-free runs stay bit-identical to the seed.
-    fatal: list[RoundOutcome] = []
-
-    def _check_fatal() -> None:
-        if leader_peer.average is not None or fatal:
-            return
-        out: Optional[RoundOutcome] = None
-        reliable = network.reliable
-        if reliable is not None and reliable.exhausted_undelivered:
-            ex = next(
-                e for e in reliable.exhausted
-                if not e.delivered and not network.is_crashed(e.dst)
-            )
-            out = RoundOutcome(
-                TIMED_OUT,
-                reason=(
-                    f"retransmit budget exhausted for {ex.kind!r}"
-                    f" {ex.src}->{ex.dst} with the destination alive"
-                ),
-            )
-        elif not network._fault_free:
-            out = classify_sac_failure(peers, leader, network)
-        if out is not None:
-            fatal.append(out)
-        else:
-            sim.schedule(subtotal_timeout_ms, _check_fatal)
-
-    sim.schedule(subtotal_timeout_ms, _check_fatal)
+    watch = FatalWatch(
+        sim, network, subtotal_timeout_ms,
+        done=lambda: leader_peer.average is not None,
+        classify=lambda: classify_sac_failure(peers, leader, network),
+    )
     sim.run_while(
         lambda: leader_peer.average is None
         and sim.now < round_timeout_ms
-        and not fatal
+        and watch.outcome is None
     )
     if leader_peer.average is not None:
         outcome = OUTCOME_COMPLETED
-    elif fatal:
-        outcome = fatal[0]
+    elif watch.outcome is not None:
+        outcome = watch.outcome
     else:
         outcome = classify_sac_timeout(leader_peer, network)
     recovered = tuple(sorted(leader_peer.recovered))
-    return ProtocolResult(
+    result = ProtocolResult(
         average=leader_peer.average,
         outcome=outcome,
         finish_time_ms=leader_peer.finish_time,
@@ -660,3 +742,5 @@ def run_sac_protocol(
         retransmits=network.reliable.retransmits if network.reliable else 0,
         drops=trace.total_dropped,
     )
+    network.close()
+    return result

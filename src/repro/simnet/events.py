@@ -1,10 +1,13 @@
 """Virtual clock and cancellable event heap.
 
-The simulator is a plain binary-heap event loop: events are ``(time, seq,
-callback)`` triples, with ``seq`` (a monotonically increasing counter)
-breaking ties deterministically.  Cancellation is lazy — a cancelled event
-stays in the heap and is skipped when popped — which keeps ``cancel`` O(1)
-and matches how election timers are constantly reset in Raft.
+The simulator is a plain binary-heap event loop: heap entries are
+``(time, seq, event)`` tuples, with ``seq`` (a monotonically increasing
+counter) breaking ties deterministically.  ``seq`` is unique, so
+``heapq`` orders entries by comparing two floats and two ints in C and
+never reaches the :class:`Event` behind them.  Cancellation is lazy — a
+cancelled event stays in the heap and is skipped when popped — which
+keeps ``cancel`` O(1) and matches how election timers are constantly
+reset in Raft.
 
 Two additions serve scale:
 
@@ -28,7 +31,7 @@ _COMPACT_MIN_HEAP = 64
 
 
 class Event:
-    """A scheduled callback.  Ordered by ``(time, seq)``.
+    """A scheduled callback; its queue orders it by ``(time, seq)``.
 
     ``cancelled`` is a property so that flipping it (from a
     :class:`TimerHandle` or directly, as some callers do) keeps the
@@ -66,13 +69,15 @@ class Event:
             # give it a chance to compact away the dead weight).
             queue._on_cancel_toggled(cancelled=value)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    def _release(self) -> None:
+        """Leave the heap for good without firing: drop the callback.
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
+        A node timer's callback closes over its own handle (and the
+        node), so an event that kept it would keep that cycle alive for
+        the cyclic collector; without it refcounting frees the lot.
+        """
+        self._queue = None
+        self.callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self._cancelled else ""
@@ -102,10 +107,10 @@ class TimerHandle:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` ordered by ``(time, seq)``."""
+    """Min-heap of ``(time, seq, event)`` entries, one per :class:`Event`."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         #: high-water mark of heap entries (cancelled included — that is
@@ -143,7 +148,7 @@ class EventQueue:
 
     def _push_event(self, event: Event) -> None:
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         self._live += 1
         if len(self._heap) > self.peak_pending:
             self.peak_pending = len(self._heap)
@@ -161,28 +166,39 @@ class EventQueue:
             return
         if len(self._heap) - self._live <= self._live:
             return
-        for e in self._heap:
-            if e._cancelled:
-                e._queue = None
-        self._heap = [e for e in self._heap if not e._cancelled]
-        heapq.heapify(self._heap)
+        live = []
+        for entry in self._heap:
+            if entry[2]._cancelled:
+                entry[2]._release()
+            else:
+                live.append(entry)
+        self._heap = live
+        heapq.heapify(live)
         self.compactions += 1
 
     def pop(self) -> Optional[Event]:
         """Pop the next non-cancelled event, or ``None`` if the heap is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
-            event._queue = None
+            event = heapq.heappop(self._heap)[2]
             if not event._cancelled:
+                event._queue = None
                 self._live -= 1
                 return event
+            event._release()
         return None
+
+    def clear(self) -> None:
+        """Discard every pending event (counters and seq are kept)."""
+        for entry in self._heap:
+            entry[2]._release()
+        self._heap = []
+        self._live = 0
 
     def peek_event(self) -> Optional[Event]:
         """The next live event without popping it (``None`` when empty)."""
-        while self._heap and self._heap[0]._cancelled:
-            heapq.heappop(self._heap)._queue = None
-        return self._heap[0] if self._heap else None
+        while self._heap and self._heap[0][2]._cancelled:
+            heapq.heappop(self._heap)[2]._release()
+        return self._heap[0][2] if self._heap else None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without popping it."""
@@ -253,6 +269,10 @@ class Simulator:
         stats["events_processed"] = self.events_processed
         return stats
 
+    def clear(self) -> None:
+        """Discard every pending event (end of a run; stats stay readable)."""
+        self._queue.clear()
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` to run ``delay`` ms from now.
 
@@ -287,7 +307,9 @@ class Simulator:
         assert event.time >= self._now, "time ran backwards"
         self._now = event.time
         self.events_processed += 1
-        event.callback()
+        # A fired event keeps nothing alive (see ``Event._release``).
+        callback, event.callback = event.callback, None
+        callback()
         return True
 
     def run(self, max_events: int = 10_000_000) -> None:

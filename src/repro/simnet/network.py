@@ -322,6 +322,24 @@ class Network:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._nodes
 
+    def close(self) -> None:
+        """Release the actor graph once a run's results have been read.
+
+        Nodes hold their network and the node table holds them; pending
+        deliveries and timers close over both; the reliable channel and
+        an armed fault schedule point back here.  Dropping the table,
+        those two and the simulator's pending events leaves no reference
+        cycle, so refcounting frees the run's state — peers, bundles,
+        every payload array — as soon as the caller lets go, with no
+        cyclic-collector pass.  Counters and the trace stay readable;
+        nothing can be sent afterwards.
+        """
+        self.sim.clear()
+        self._nodes.clear()
+        self._node_ids_cache = self._alive_ids_cache = None
+        self.reliable = None
+        self.fault_oracle = None
+
     # ----------------------------------------------------------------- faults
     def crash(self, node_id: int, quiet: bool = False) -> None:
         """Crash a node: it stops sending and receiving until recovered.

@@ -40,6 +40,40 @@ class TestDeterminism:
         assert np.array_equal(base.final_weights, other.final_weights)
 
 
+class TestOneSimulationPerRound:
+    def test_each_feasible_round_is_simulated_exactly_once(self, monkeypatch):
+        from repro.campaign import runner
+
+        calls = {"round": [], "reference": 0}
+        run_round = runner.run_two_layer_wire_round
+        reference = runner.two_layer_reference_average
+
+        def counted_round(*args, **kw):
+            calls["round"].append("schedule" in kw)
+            return run_round(*args, **kw)
+
+        def counted_reference(*args, **kw):
+            calls["reference"] += 1
+            return reference(*args, **kw)
+
+        monkeypatch.setattr(runner, "run_two_layer_wire_round", counted_round)
+        monkeypatch.setattr(
+            runner, "two_layer_reference_average", counted_reference
+        )
+        report = run_campaign(seed=11, profile="mixed", rounds=8, raft=False)
+        feasible = [r for r in report.rounds if r.messages > 0]
+        assert len(feasible) == len(report.rounds)  # seed 11 never collapses
+        assert len(calls["round"]) == len(feasible)
+        # The no-simulator reference is computed for faulted rounds that
+        # completed, and for nothing else.
+        faulted_ok = sum(
+            1 for faulted, rec in zip(calls["round"], feasible)
+            if faulted and rec.outcome.ok
+        )
+        assert 0 < faulted_ok == calls["reference"]
+        assert report.safety_failures == 0
+
+
 class TestInvariants:
     def test_no_safety_violations_across_profiles(self):
         reports = run_campaign_matrix(

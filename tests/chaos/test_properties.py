@@ -51,7 +51,7 @@ class TestSacUnderChaos:
             transport="reliable", transport_opts=dict(TRANSPORT_OPTS),
             round_timeout_ms=5_000.0,
         )
-        assert check_safety(result, reference).ok, result.outcome
+        assert check_safety(result, reference.average).ok, result.outcome
         assert check_liveness(result).ok, result.outcome
         if result.finish_time_ms is not None:
             assert result.finish_time_ms <= 5_000.0
@@ -98,7 +98,7 @@ class TestTwoLayerUnderChaos:
             transport="reliable", transport_opts=dict(TRANSPORT_OPTS),
             round_timeout_ms=8_000.0,
         )
-        assert check_safety(result, reference).ok, result.outcome
+        assert check_safety(result, reference.average).ok, result.outcome
         assert check_liveness(result).ok, result.outcome
         if result.finish_time_ms is not None:
             assert result.finish_time_ms <= 8_000.0

@@ -1,12 +1,17 @@
 """End-to-end tests of the on-the-wire two-layer round."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.chaos import Crash, FaultSchedule, LossWindow
 from repro.core import Topology, two_layer_cost_from_topology
 from repro.core.costs import two_layer_ft_cost_from_topology
 from repro.core.latency import two_layer_round_latency_ms
 from repro.core.wire_round import run_two_layer_wire_round
+from repro.secure.protocol import SacProtocolPeer, run_sac_protocol
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -175,3 +180,65 @@ class TestLatencyValidation:
         topo = Topology.by_group_size(9, 3)
         result = run_two_layer_wire_round(topo, make_models(9), k=2, delay_ms=15.0)
         assert result.finish_time_ms == pytest.approx(5 * 15.0)
+
+
+class TestRoundStateIsReleased:
+    """A returned round leaves nothing for the cyclic collector.
+
+    ``sim <-> network <-> peers <-> delivery closures`` used to be one
+    reference cycle that kept every peer (bundles, subtotals, ``|w|``
+    arrays) alive until ``gc`` ran; ``Network.close`` breaks it on the
+    way out, so refcounting frees the round as it returns.
+    """
+
+    @pytest.fixture
+    def peer_refs(self, monkeypatch):
+        refs = []
+        init = SacProtocolPeer.__init__
+
+        def tracking_init(self, *args, **kw):
+            init(self, *args, **kw)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(SacProtocolPeer, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        yield refs
+        gc.enable()
+
+    @staticmethod
+    def assert_released(refs, expected):
+        assert len(refs) == expected
+        assert all(ref() is None for ref in refs)
+        assert not any(
+            isinstance(obj, SacProtocolPeer) for obj in gc.get_objects()
+        )
+
+    @pytest.mark.parametrize("kw, peers", [
+        ({}, 12),
+        ({"parallel": "threads"}, 24),  # parent shells + worker actors
+        ({"transport": "reliable", "loss_rate": 0.2}, 12),
+        ({"crash_at": {5: 20.0}}, 12),
+        ({"transport": "reliable",
+          "schedule": FaultSchedule([Crash(20.0, 5), LossWindow(0, 90, 0.2)])},
+         12),
+        # Unrecoverable (3 of 4 in one group die before share-out): the
+        # liveness watch ends the round, and is released like the rest.
+        ({"crash_at": {1: 0.0, 2: 0.0, 3: 0.0}}, 12),
+    ])
+    def test_two_layer_round(self, peer_refs, kw, peers):
+        topo = Topology.by_group_size(12, 4)
+        result = run_two_layer_wire_round(
+            topo, make_models(12, size=64), k=3, seed=1, **kw
+        )
+        assert result.outcome.ok == (len(kw.get("crash_at", ())) < 3)
+        self.assert_released(peer_refs, peers)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"crash_at": {4: 20.0}},
+        {"transport": "reliable", "loss_rate": 0.2},
+    ])
+    def test_sac_round(self, peer_refs, kw):
+        result = run_sac_protocol(make_models(5, size=64), k=3, seed=1, **kw)
+        assert result.outcome.ok
+        self.assert_released(peer_refs, 5)

@@ -95,3 +95,70 @@ class TestFedAvg:
         sizes = [len(g) for g in groups]
         two_layer = fedavg(group_means, weights=sizes)
         np.testing.assert_allclose(two_layer, np.mean(models, axis=0), rtol=1e-12)
+
+
+def _fedavg_unblocked(models, weights, out=None):
+    """``out += model * (w_k / total)`` per model: what the blocks replace."""
+    w = np.asarray(weights, dtype=np.float64)
+    if out is None:
+        out = np.zeros_like(np.asarray(models[0], dtype=np.float64))
+    else:
+        out[...] = 0.0
+    for model, wk in zip(models, w):
+        out += np.asarray(model) * (wk / w.sum())
+    return out
+
+
+class TestBlockedAccumulation:
+    """Same products, same adds, same bits as the one-pass loop."""
+
+    @given(
+        # sizes on both sides of the 32,768-element block
+        shape=st.sampled_from(
+            [(), (0,), (1,), (5,), (32_768,), (32_769,), (70_001,),
+             (3, 4), (9, 20_000), (2, 3, 5)]
+        ),
+        n=st.integers(1, 5),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+        strided=st.booleans(),
+        zero_weight=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_unblocked_loop(
+        self, shape, n, dtype, strided, zero_weight, seed
+    ):
+        rng = np.random.default_rng(seed)
+        models = [(10 * rng.normal(size=shape)).astype(dtype) for _ in range(n)]
+        if strided and shape and shape[0] > 1:
+            models = [np.concatenate([m, m])[::2] for m in models]
+        weights = rng.random(n) + 0.01
+        if zero_weight and n > 1:
+            weights[rng.integers(n)] = 0.0
+        want = _fedavg_unblocked(models, weights)
+        got = fedavg(models, weights)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # ... including into a caller's buffer, contiguous or not
+        buf_want = np.full((2,) + shape, 7.0)
+        buf_got = buf_want.copy()
+        _fedavg_unblocked(models, weights, out=buf_want[1, ...])
+        fedavg(models, weights, out=buf_got[1, ...])
+        assert buf_got.tobytes() == buf_want.tobytes()
+        if len(shape) == 1 and shape[0] > 1:
+            wide_want = np.full(2 * shape[0], 7.0)
+            wide_got = wide_want.copy()
+            _fedavg_unblocked(models, weights, out=wide_want[::2])
+            fedavg(models, weights, out=wide_got[::2])
+            assert wide_got.tobytes() == wide_want.tobytes()
+
+    def test_no_model_sized_temporary(self):
+        import tracemalloc
+
+        models = [np.ones(1 << 20) for _ in range(4)]
+        out = np.empty(1 << 20)
+        tracemalloc.start()
+        fedavg(models, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < models[0].nbytes // 4  # one 256 KB scratch block
