@@ -38,7 +38,7 @@ def main() -> None:
     result = run_sac_protocol(
         models, k=2, leader=1, crash_at={0: 20.0}, subtotal_timeout_ms=50.0
     )
-    assert result.completed
+    assert result.outcome.ok
     print("Fault-tolerant 2-out-of-3 SAC with Alice crashing mid-round:")
     print(f"  reconstructed average: {np.round(result.average, 3)}")
     print(f"  matches the true average: "

@@ -323,7 +323,7 @@ def _run_prof(args: argparse.Namespace) -> int:
         report = profile_events(obs.events)
         print(report.format_table(limit=args.top))
         print()
-        print(f"wire round: {'completed' if result.completed else 'FAILED'} "
+        print(f"wire round: {'completed' if result.outcome.ok else 'FAILED'} "
               f"in {result.finish_time_ms:.1f} sim-ms, "
               f"{result.messages_sent} messages, "
               f"{result.bits_sent / 1e6:.2f} Mb")

@@ -25,19 +25,14 @@ away; :func:`check_liveness` flags it as a hang.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ..simnet import TIMED_OUT, RoundOutcome
 
-
-@runtime_checkable
-class RoundResult(Protocol):
-    """Duck type shared by ProtocolResult and WireRoundResult."""
-
-    average: Optional[np.ndarray]
-    outcome: RoundOutcome
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..secure.protocol import ActorRoundResult
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class InvariantVerdict:
 
 
 def check_safety(
-    result: RoundResult, reference: Optional[np.ndarray]
+    result: "ActorRoundResult", reference: Optional[np.ndarray]
 ) -> InvariantVerdict:
     """A completed chaos round must equal the fault-free reference exactly.
 
@@ -88,7 +83,7 @@ def check_safety(
 _HANG_PREFIX = "round timeout"
 
 
-def check_liveness(result: RoundResult) -> InvariantVerdict:
+def check_liveness(result: "ActorRoundResult") -> InvariantVerdict:
     """The round completed, or failed with a *typed* cause — not a hang."""
     outcome = result.outcome
     if outcome.ok:

@@ -55,7 +55,6 @@ from .session import SessionConfig, run_session
 from .topology import Topology
 from .two_layer import AggregateResult, TwoLayerAggregator
 from .wire_round import (
-    WireRoundResult,
     run_two_layer_wire_round,
     two_layer_reference_average,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "recommend",
     "run_two_layer_wire_round",
     "two_layer_reference_average",
-    "WireRoundResult",
     "run_xlayer_wire_round",
     "XLayerWireResult",
     "XLayerLayerStats",

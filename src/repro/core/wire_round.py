@@ -6,6 +6,12 @@ leader, the FedAvg leader computes the subgroup-size-weighted mean
 (Alg. 3 line 10), pushes it back through the leaders, and the round
 completes when every alive peer holds the global model.
 
+The round is one body on the actor harness of
+:mod:`repro.secure.protocol`.  ``parallel`` decides only how the SAC
+phase is produced — ``start_round`` in the shared simulator, or
+:func:`~repro.par.run_subgroup_round` workers whose results are replayed
+at their finish times — everything after it is the same code.
+
 This is the end-to-end validation piece: the measured traffic equals
 :func:`repro.core.costs.two_layer_ft_cost_from_topology` bit-for-bit,
 and with ``serialize_uplink=True`` the measured completion time tracks
@@ -14,8 +20,9 @@ and with ``serialize_uplink=True`` the measured completion time tracks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,28 +31,16 @@ from ..obs import causal as _causal
 from ..obs import runtime as _obs
 from ..par import SubgroupTask, check_parallel_mode, run_jobs, run_subgroup_round
 from ..secure.protocol import (
-    FatalWatch,
+    ActorRound,
+    ActorRoundResult,
     SacProtocolPeer,
-    _exhausted_outcome,
     _gone_for_good,
     classify_sac_failure,
     reference_group_average,
-    reliable_transport_opts,
     spawn_peer_seeds,
 )
-from ..secure.sac import DEFAULT_BITS_PER_PARAM
-from ..simnet import (
-    LEADER_ISOLATED,
-    OUTCOME_COMPLETED,
-    TIMED_OUT,
-    UNRECOVERABLE_DROPOUT,
-    FixedLatency,
-    Network,
-    RoundOutcome,
-    Simulator,
-    TraceRecorder,
-    check_transport,
-)
+from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
+from ..simnet import TIMED_OUT, UNRECOVERABLE_DROPOUT, Network, RoundOutcome
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -75,16 +70,27 @@ class _GlobalModel:
 class _TwoLayerPeer(SacProtocolPeer):
     """SAC actor extended with the FedAvg layer's upload/broadcast roles."""
 
-    def __init__(self, *args, round_ctx: "_RoundContext", group: int, **kw):
+    def __init__(self, *args, round_ctx: "_RoundContext", **kw):
         super().__init__(*args, **kw)
         self.round_ctx = round_ctx
-        self.group = group
         self.global_model: Optional[np.ndarray] = None
         self.global_model_time: Optional[float] = None
         # FedAvg-leader state
         self._uploads: dict[int, _Upload] = {}
 
     # ----------------------------------------------------- subgroup -> fed
+    def adopt_sac_result(self, result: ActorRoundResult) -> None:
+        """Take over the finished SAC state of this leader's worker twin.
+
+        Fired at the worker's finish time with its final SAC delivery as
+        the causal parent, so the fed layer continues — and chains its
+        upload — exactly as after a local ``_maybe_finish``.
+        """
+        self.average, self.finish_time = result.average, self.sim.now
+        self.recovered.update(result.recovered_shares)
+        with _causal.use(result.finish_ctx):
+            self.on_average(result.average)
+
     def on_average(self, average: np.ndarray) -> None:
         ctx = self.round_ctx
         if _obs.OBS.enabled:
@@ -167,128 +173,47 @@ class _RoundContext:
     remaining: set
 
 
-@dataclass(frozen=True)
-class WireRoundResult:
-    """Outcome of one on-the-wire two-layer round.
-
-    ``outcome`` is the typed verdict (see
-    :class:`repro.simnet.RoundOutcome`); degraded rounds carry a
-    ``reason`` naming the cause instead of a bare ``False``.
-    """
-
-    average: Optional[np.ndarray]
-    outcome: RoundOutcome
-    finish_time_ms: Optional[float]
-    bits_sent: float
-    messages_sent: int
-    bits_by_kind: dict
-    #: transport-level retransmissions this round (0 under fire-and-forget).
-    retransmits: int = 0
-    #: messages the network failed to deliver (link down or random loss).
-    drops: int = 0
-    #: simulator heap telemetry at round end (see ``Simulator.heap_stats``).
-    heap_stats: dict = field(default_factory=dict)
-
-    @property
-    def completed(self) -> bool:
-        """Deprecated: pre-outcome boolean; use ``outcome`` instead."""
-        return self.outcome.ok
-
-
-def _check_crash_at(
-    topology: Topology, crash_at: dict[int, float] | None
-) -> dict[int, float]:
-    crash_at = dict(crash_at or {})
-    bad = [p for p in crash_at if not 0 <= p < topology.n_peers]
-    if bad:
-        raise ValueError(f"crash_at peer ids out of range: {sorted(bad)}")
-    leaders = set(topology.leaders)
-    crashed_leaders = sorted(p for p in crash_at if p in leaders)
-    if crashed_leaders:
-        raise ValueError(
-            f"crashing subgroup leaders {crashed_leaders} needs Raft "
-            "re-election (see repro.twolayer_raft), not the wire round"
-        )
-    return crash_at
-
-
 def _classify_wire_failure(
-    peers_by_group: list[list["_TwoLayerPeer"]],
-    ctx: "_RoundContext",
-    fed_leader_peer: "_TwoLayerPeer",
+    leader_peers: list["_TwoLayerPeer"],
+    sac_verdict: Callable[[int], Optional[RoundOutcome]],
     network: Network,
 ) -> Optional[RoundOutcome]:
     """Early, *sound* unrecoverability check for the two-layer round.
 
     Crash-permanence based, like :func:`classify_sac_failure`; transient
-    causes (loss, healable partitions) never trigger it.
+    causes (loss, healable partitions) never trigger it.  Subgroups are
+    asked in index order through ``sac_verdict``, so of the failures
+    detected at one watch tick the lowest group is reported.
     """
-    if _gone_for_good(network, ctx.fed_leader):
+    fed_leader_peer = leader_peers[0]
+    if _gone_for_good(network, fed_leader_peer.node_id):
         return RoundOutcome(
             UNRECOVERABLE_DROPOUT,
             reason=(
-                f"FedAvg leader {ctx.fed_leader} crashed with no recovery"
-                " scheduled"
+                f"FedAvg leader {fed_leader_peer.node_id} crashed with no"
+                " recovery scheduled"
             ),
         )
-    for gi, group_peers in enumerate(peers_by_group):
-        leader_pos = group_peers[0].leader_pos
-        group_leader = group_peers[0].leader
-        if group_peers[leader_pos].average is None:
-            out = classify_sac_failure(group_peers, leader_pos, network)
+    for gi, leader_peer in enumerate(leader_peers):
+        if leader_peer.average is None:
+            out = sac_verdict(gi)
             if out is not None:
                 return RoundOutcome(
                     out.status, reason=f"subgroup {gi}: {out.reason}"
                 )
         elif (
             gi not in fed_leader_peer._uploads
-            and _gone_for_good(network, group_leader)
+            and _gone_for_good(network, leader_peer.node_id)
         ):
             return RoundOutcome(
                 UNRECOVERABLE_DROPOUT,
                 reason=(
-                    f"subgroup {gi} leader {group_leader} crashed after"
-                    " aggregating but before its upload reached the"
+                    f"subgroup {gi} leader {leader_peer.node_id} crashed"
+                    " after aggregating but before its upload reached the"
                     " FedAvg leader"
                 ),
             )
     return None
-
-
-def _classify_wire_timeout(
-    peers: list["_TwoLayerPeer"],
-    ctx: "_RoundContext",
-    network: Network,
-) -> RoundOutcome:
-    """Name the most likely cause after the round idled to its timeout."""
-    undone_alive = sorted(
-        p.node_id for p in peers
-        if p.global_model is None and not network.is_crashed(p.node_id)
-    )
-    partition = network._partition
-    if partition is not None:
-        leader_group = partition.get(ctx.fed_leader)
-        cut_off = [
-            pid for pid in undone_alive if partition.get(pid) != leader_group
-        ]
-        if cut_off or network.is_crashed(ctx.fed_leader):
-            return RoundOutcome(
-                LEADER_ISOLATED,
-                reason=(
-                    f"partition separates FedAvg leader {ctx.fed_leader}"
-                    f" from alive peers {cut_off}"
-                ),
-            )
-    exhausted = _exhausted_outcome(network)
-    if exhausted is not None:
-        return exhausted
-    return RoundOutcome(
-        TIMED_OUT,
-        reason=(
-            f"round timeout with alive peers {undone_alive} still missing"
-            " the global model"
-        ),
-    )
 
 
 def run_two_layer_wire_round(
@@ -309,7 +234,7 @@ def run_two_layer_wire_round(
     transport_opts: dict | None = None,
     schedule: "FaultSchedule | None" = None,
     trace_id: str | None = None,
-) -> WireRoundResult:
+) -> ActorRoundResult:
     """Execute one full two-layer aggregation round as network actors.
 
     The FedAvg leader is the first subgroup's leader.  The round is
@@ -330,7 +255,11 @@ def run_two_layer_wire_round(
     finish times, traffic totals and observability stream are
     bit-identical to the default sequential execution (event *ordering*
     on the bus is subgroup-major rather than time-interleaved; every
-    timestamp is identical, so profiles and exports agree).
+    timestamp is identical, so profiles and exports agree).  A degraded
+    round reports the same typed outcome in every mode: a worker's
+    liveness verdict surfaces at the watch tick that detected it, as
+    ``subgroup g: <reason>`` (``docs/performance.md`` has the one limit
+    on its traffic totals).
 
     ``loss_rate``/``transport``/``transport_opts``/``schedule`` mirror
     :func:`repro.secure.protocol.run_sac_protocol`: random loss, the
@@ -341,11 +270,8 @@ def run_two_layer_wire_round(
     if len(models) != topology.n_peers:
         raise ValueError(f"expected {topology.n_peers} models")
     check_parallel_mode(parallel)
-    check_transport(transport)
-    crash_at = _check_crash_at(topology, crash_at)
-    if transport == "reliable":
-        transport_opts = reliable_transport_opts(delay_ms, transport_opts)
-    if parallel != "off":
+    fan_out = parallel != "off"
+    if fan_out:
         if serialize_uplink:
             raise ValueError(
                 "serialize_uplink shares one uplink schedule across all "
@@ -357,120 +283,132 @@ def run_two_layer_wire_round(
                 "couples the subgroups through shared network state and "
                 "cannot be decomposed; use parallel='off'"
             )
-        return _run_parallel_round(
-            topology, models, k=k, delay_ms=delay_ms, seed=seed,
-            bandwidth_bps=bandwidth_bps,
-            subtotal_timeout_ms=subtotal_timeout_ms,
-            round_timeout_ms=round_timeout_ms, share_codec=share_codec,
-            parallel=parallel, crash_at=crash_at, trace_id=trace_id,
-        )
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    trace = TraceRecorder()
-    network = Network(
-        sim, latency=FixedLatency(delay_ms), rng=rng, trace=trace,
-        loss_rate=loss_rate,
+    if trace_id is None:
+        trace_id = f"two_layer:s{seed}"
+    rnd = ActorRound(
+        models, range(topology.n_peers), topology.leaders, crash_at, schedule,
+        seed, delay_ms, trace_id, loss_rate=loss_rate,
         bandwidth_bps=bandwidth_bps, serialize_uplink=serialize_uplink,
         transport=transport, transport_opts=transport_opts,
     )
-    network.trace_id = (
-        trace_id if trace_id is not None else f"two_layer:s{seed}"
-    )
+    sim, network = rnd.sim, rnd.network
     ctx = _RoundContext(
         fed_leader=topology.leaders[0],
         leaders=tuple(topology.leaders),
         n_groups=topology.n_groups,
-        remaining=set(range(topology.n_peers)) - set(crash_at),
+        remaining=set(range(topology.n_peers)) - set(rnd.crash_at),
     )
-    peers: list[_TwoLayerPeer] = []
-    peer_seeds = iter(spawn_peer_seeds(rng, topology.n_peers))
-    for gi, group in enumerate(topology.groups):
-        n = len(group)
+    groups: list[list[_TwoLayerPeer]] = []
+    tasks: list[SubgroupTask] = []
+    peer_seeds = iter(spawn_peer_seeds(rnd.rng, topology.n_peers))
+    for gi, members in enumerate(topology.groups):
+        n, leader = len(members), topology.leaders[gi]
         k_eff = min(k, n) if k is not None else n
-        for pid in group:
-            peers.append(
-                _TwoLayerPeer(
-                    pid, sim, network, n, k_eff, topology.leaders[gi],
-                    models[pid],
-                    np.random.default_rng(next(peer_seeds)),
-                    subtotal_timeout_ms,
-                    members=list(group),
-                    share_codec=share_codec,
-                    round_ctx=ctx,
-                    group=gi,
-                )
+        seeds = tuple(next(peer_seeds) for _ in members)
+        groups.append([
+            _TwoLayerPeer(
+                pid, sim, network, members, k_eff, leader, models[pid],
+                np.random.default_rng(peer_seed), subtotal_timeout_ms,
+                share_codec=share_codec, group=gi, round_ctx=ctx,
             )
-    for peer in peers:
-        sim.schedule(0.0, peer.start_round)
-    for pid, t in crash_at.items():
-        sim.schedule(t, lambda pid=pid: network.crash(pid))
-    if schedule is not None:
-        schedule.validate_nodes(range(topology.n_peers))
-        schedule.arm(sim, network)
-
-    fed_leader_peer = next(p for p in peers if p.node_id == ctx.fed_leader)
-    peers_by_group: list[list[_TwoLayerPeer]] = [
-        [p for p in peers if p.group == gi]
-        for gi in range(topology.n_groups)
-    ]
+            for pid, peer_seed in zip(members, seeds)
+        ])
+        if fan_out:
+            tasks.append(SubgroupTask(
+                group=gi, members=tuple(members), leader=leader, k=k_eff,
+                models=tuple(models[pid] for pid in members),
+                peer_seeds=seeds, share_codec=share_codec,
+                delay_ms=delay_ms, bandwidth_bps=bandwidth_bps,
+                subtotal_timeout_ms=subtotal_timeout_ms,
+                round_timeout_ms=round_timeout_ms,
+                crash_at={
+                    pid: rnd.crash_at[pid]
+                    for pid in members if pid in rnd.crash_at
+                },
+                trace_id=trace_id,
+            ))
+    peers = [peer for group_peers in groups for peer in group_peers]
+    leader_peers = [gp[gp[0].leader_pos] for gp in groups]
+    fed_leader_peer = leader_peers[0]
     # Crashed peers never adopt the global model; the round is complete
     # once every *surviving* peer holds it.  Without a chaos schedule the
     # survivor set is known up front, so completion is "``remaining`` has
     # drained"; under chaos, crashes and recoveries move it, so
     # membership is evaluated live — once the FedAvg leader is done.
     if schedule is None:
-        def _done() -> bool:
+        def done() -> bool:
             return not ctx.remaining
     else:
-        def _done() -> bool:
+        def done() -> bool:
             return fed_leader_peer.global_model is not None and all(
                 p.global_model is not None or network.is_crashed(p.node_id)
                 for p in peers
             )
 
-    watch = FatalWatch(
-        sim, network, subtotal_timeout_ms, done=_done,
-        classify=lambda: _classify_wire_failure(
-            peers_by_group, ctx, fed_leader_peer, network
-        ),
-    )
+    def stalled() -> tuple:
+        undone_alive = sorted(
+            p.node_id for p in peers
+            if p.global_model is None and not network.is_crashed(p.node_id)
+        )
+        return (
+            f"FedAvg leader {ctx.fed_leader}", ctx.fed_leader, undone_alive,
+            f"alive peers {undone_alive} still missing the global model",
+        )
+
     with _obs.OBS.span(
         "round.two_layer", clock=lambda: sim.now,
         peers=topology.n_peers, groups=topology.n_groups,
     ):
-        sim.run_while(
-            lambda: not _done()
-            and sim.now < round_timeout_ms
-            and watch.outcome is None
+        if fan_out:
+            # Worker events/metrics are merged into this pipeline in
+            # subgroup order by run_jobs, worker traffic into this trace.
+            sac = run_jobs(run_subgroup_round, tasks, parallel)
+            rnd.trace.merge(result.trace for result in sac)
+            for result, leader_peer in zip(sac, leader_peers):
+                if result.outcome.ok:
+                    sim.schedule(
+                        result.finish_time_ms,
+                        partial(leader_peer.adopt_sac_result, result),
+                    )
+
+            def sac_verdict(gi: int) -> Optional[RoundOutcome]:
+                # A worker's blunt timeout is no verdict: this round's
+                # own timeout classifier names who is still waiting.
+                result = sac[gi]
+                if (
+                    result.outcome.status != TIMED_OUT
+                    and result.end_time_ms <= sim.now
+                ):
+                    return result.outcome
+                return None
+        else:
+            def sac_verdict(gi: int) -> Optional[RoundOutcome]:
+                return classify_sac_failure(
+                    groups[gi], leader_peers[gi].position, network
+                )
+        outcome = rnd.drive(
+            () if fan_out else peers, done,
+            classify=lambda: _classify_wire_failure(
+                leader_peers, sac_verdict, network
+            ),
+            stalled=stalled,
+            period_ms=subtotal_timeout_ms,
+            round_timeout_ms=round_timeout_ms,
+            replayed=fan_out,
         )
-    completed = _done()
-    if completed:
-        outcome = OUTCOME_COMPLETED
-    elif watch.outcome is not None:
-        outcome = watch.outcome
-    else:
-        outcome = _classify_wire_timeout(peers, ctx, network)
     if _obs.OBS.enabled:
         _obs.OBS.emit(
-            "round.complete", t_ms=sim.now, completed=completed,
+            "round.complete", t_ms=sim.now, completed=outcome.ok,
             outcome=outcome.status,
-            bits=trace.total_bits, messages=trace.total_messages,
+            bits=rnd.trace.total_bits, messages=rnd.trace.total_messages,
         )
     times = [p.global_model_time for p in peers if p.global_model_time is not None]
-    finish = max(times) if completed and times else None
-    result = WireRoundResult(
-        average=fed_leader_peer.global_model,
-        outcome=outcome,
-        finish_time_ms=finish,
-        bits_sent=trace.total_bits,
-        messages_sent=trace.total_messages,
-        bits_by_kind=trace.by_kind(),
-        retransmits=network.reliable.retransmits if network.reliable else 0,
-        drops=trace.total_dropped,
-        heap_stats=sim.heap_stats(),
+    return rnd.result(
+        outcome,
+        fed_leader_peer.global_model,
+        max(times) if outcome.ok and times else None,
+        (p.members[i] for p in leader_peers for i in p.recovered),
     )
-    network.close()
-    return result
 
 
 def two_layer_reference_average(
@@ -493,6 +431,7 @@ def two_layer_reference_average(
     """
     if len(models) != topology.n_peers:
         raise ValueError(f"expected {topology.n_peers} models")
+    check_same_shape(models)
     peer_seeds = iter(
         spawn_peer_seeds(np.random.default_rng(seed), topology.n_peers)
     )
@@ -507,147 +446,3 @@ def two_layer_reference_average(
         ],
         weights=[float(len(group)) for group in topology.groups],
     )
-
-
-def _run_parallel_round(
-    topology: Topology,
-    models: Sequence[np.ndarray],
-    k: int | None,
-    delay_ms: float,
-    seed: int,
-    bandwidth_bps: float | None,
-    subtotal_timeout_ms: float,
-    round_timeout_ms: float,
-    share_codec: str,
-    parallel: str,
-    crash_at: dict[int, float],
-    trace_id: str | None = None,
-) -> WireRoundResult:
-    """Parallel variant: subgroup SACs fan out, the fed layer replays.
-
-    Bit-identity with the sequential path rests on three facts: (1) the
-    per-peer generator seeds are drawn from the round seed in the same
-    group-major order, so every share — and hence every subgroup average
-    and completion time — is identical; (2) each subgroup's private
-    simulator starts at the same ``t=0`` origin it has inside the shared
-    simulator, so all timestamps agree; (3) the parent schedules each
-    leader's ``on_average`` at the worker-computed completion time, so
-    the fed layer sees the exact event sequence of the sequential run.
-    """
-    sim = Simulator()
-    rng = np.random.default_rng(seed)
-    trace = TraceRecorder()
-    network = Network(
-        sim, latency=FixedLatency(delay_ms), rng=rng, trace=trace,
-        bandwidth_bps=bandwidth_bps,
-    )
-    tid = trace_id if trace_id is not None else f"two_layer:s{seed}"
-    network.trace_id = tid
-    ctx = _RoundContext(
-        fed_leader=topology.leaders[0],
-        leaders=tuple(topology.leaders),
-        n_groups=topology.n_groups,
-        remaining=set(range(topology.n_peers)) - set(crash_at),
-    )
-    peers: list[_TwoLayerPeer] = []
-    leader_peers: list[_TwoLayerPeer] = []
-    tasks: list[SubgroupTask] = []
-    dummy_rng = np.random.default_rng(0)  # parent peers never draw
-    all_seeds = iter(spawn_peer_seeds(rng, topology.n_peers))
-    for gi, group in enumerate(topology.groups):
-        n = len(group)
-        k_eff = min(k, n) if k is not None else n
-        peer_seeds = tuple(next(all_seeds) for _ in group)
-        for pid in group:
-            peer = _TwoLayerPeer(
-                pid, sim, network, n, k_eff, topology.leaders[gi],
-                models[pid], dummy_rng, subtotal_timeout_ms,
-                members=list(group), share_codec=share_codec,
-                round_ctx=ctx, group=gi,
-            )
-            peers.append(peer)
-            if pid == topology.leaders[gi]:
-                leader_peers.append(peer)
-        tasks.append(
-            SubgroupTask(
-                group=gi,
-                members=tuple(group),
-                leader=topology.leaders[gi],
-                k=k_eff,
-                models=tuple(
-                    np.asarray(models[pid], dtype=np.float64) for pid in group
-                ),
-                peer_seeds=peer_seeds,
-                share_codec=share_codec,
-                delay_ms=delay_ms,
-                bandwidth_bps=bandwidth_bps,
-                subtotal_timeout_ms=subtotal_timeout_ms,
-                round_timeout_ms=round_timeout_ms,
-                crash_at=tuple(
-                    (pid, crash_at[pid]) for pid in group if pid in crash_at
-                ),
-                trace_id=tid,
-            )
-        )
-
-    with _obs.OBS.span(
-        "round.two_layer", clock=lambda: sim.now,
-        peers=topology.n_peers, groups=topology.n_groups,
-    ):
-        # Fan the m independent SAC rounds out; worker events/metrics are
-        # merged into this pipeline in subgroup order by run_jobs.
-        outcomes = run_jobs(run_subgroup_round, tasks, parallel)
-        for outcome, leader_peer in zip(outcomes, leader_peers):
-            if outcome.average is not None:
-                def _replay(p=leader_peer, a=outcome.average,
-                            c=outcome.finish_ctx):
-                    # Re-activate the worker's final SAC delivery as the
-                    # causal parent, so the fed-layer upload chains to
-                    # it exactly as on the sequential path.
-                    if c is not None:
-                        with _causal.use(c):
-                            p.on_average(a)
-                    else:
-                        p.on_average(a)
-                sim.schedule(outcome.finish_time_ms, _replay)
-        for pid, t in crash_at.items():
-            # The worker already simulated (and reported) this crash; the
-            # parent replays it quietly so fed-layer sends to the dead
-            # peer drop exactly as they do sequentially.
-            sim.schedule(t, lambda pid=pid: network.crash(pid, quiet=True))
-        sim.run_while(
-            lambda: bool(ctx.remaining) and sim.now < round_timeout_ms
-        )
-    completed = not ctx.remaining
-    bits = trace.total_bits + sum(o.bits_sent for o in outcomes)
-    messages = trace.total_messages + sum(o.messages_sent for o in outcomes)
-    by_kind = trace.by_kind()
-    for outcome in outcomes:
-        for kind, b in outcome.bits_by_kind.items():
-            by_kind[kind] = by_kind.get(kind, 0.0) + b
-    fed_leader_peer = next(p for p in peers if p.node_id == ctx.fed_leader)
-    if completed:
-        round_outcome = OUTCOME_COMPLETED
-    else:
-        round_outcome = _classify_wire_timeout(peers, ctx, network)
-    if _obs.OBS.enabled:
-        _obs.OBS.emit(
-            "round.complete", t_ms=sim.now, completed=completed,
-            outcome=round_outcome.status,
-            bits=bits, messages=messages,
-        )
-    times = [p.global_model_time for p in peers if p.global_model_time is not None]
-    finish = max(times) if completed and times else None
-    result = WireRoundResult(
-        average=fed_leader_peer.global_model,
-        outcome=round_outcome,
-        finish_time_ms=finish,
-        bits_sent=bits,
-        messages_sent=messages,
-        bits_by_kind=by_kind,
-        retransmits=0,
-        drops=trace.total_dropped + sum(o.dropped for o in outcomes),
-        heap_stats=sim.heap_stats(),
-    )
-    network.close()
-    return result

@@ -42,6 +42,7 @@ import numpy as np
 from ..obs import runtime as _obs
 from ..par import check_parallel_mode, run_jobs
 from ..secure.batched import draw_divide_noise, fused_subtotals
+from ..secure.protocol import reliable_transport_opts
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from ..simnet import Network, Simulator
 from ..simnet.network import DEFAULT_DELAY_MS, LatencyModel
@@ -212,10 +213,9 @@ def run_xlayer_wire_round(
     net_rng = np.random.default_rng([seed, 1])
     sim = Simulator()
     if transport == "reliable":
-        delay = getattr(latency, "delay_ms", DEFAULT_DELAY_MS)
-        opts = dict(transport_opts or {})
-        opts.setdefault("base_rto_ms", 4.0 * delay)
-        transport_opts = opts
+        transport_opts = reliable_transport_opts(
+            getattr(latency, "delay_ms", DEFAULT_DELAY_MS), transport_opts
+        )
     net = Network(sim, latency=latency, rng=net_rng, loss_rate=loss_rate,
                   transport=transport, transport_opts=transport_opts)
     timeline = None

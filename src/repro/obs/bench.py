@@ -87,7 +87,7 @@ def _run_sac_round(params: dict, seed: int) -> dict:
         models, k=params["k"], seed=seed,
         share_codec=params.get("share_codec", "dense"),
     )
-    assert result.completed
+    assert result.outcome.ok
     return {
         "sim_time_ms": result.finish_time_ms,
         "bits": result.bits_sent,
@@ -115,7 +115,7 @@ def _run_ftsac_dropout(params: dict, seed: int) -> dict:
         models, k=k, seed=seed, crash_at=crash_at,
         share_codec=params.get("share_codec", "dense"),
     )
-    assert result.completed
+    assert result.outcome.ok
     assert len(result.recovered_shares) == n - k
     return {
         "sim_time_ms": result.finish_time_ms,
@@ -267,7 +267,7 @@ def _run_obs_scale(params: dict, seed: int) -> dict:
                     topo, models, k=k, seed=seed,
                     trace_id=f"obs_scale:n{n}:s{seed}",
                 )
-        assert result.completed
+        assert result.outcome.ok
         return result, obs_self_accounting(inner)
 
     small_n, small_m = params["baseline_n"], params["baseline_m"]
@@ -419,7 +419,7 @@ def _run_two_layer(params: dict, seed: int) -> dict:
         topo, models, k=k, seed=seed,
         parallel=params.get("parallel", "off"),
     )
-    assert result.completed
+    assert result.outcome.ok
     return {
         "sim_time_ms": result.finish_time_ms,
         "bits": result.bits_sent,

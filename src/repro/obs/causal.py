@@ -64,7 +64,8 @@ class TraceContext:
     """One message send's identity in the causal DAG.
 
     Frozen and field-picklable so it can cross the process-pool
-    boundary inside :class:`~repro.par.subgroup.SubgroupOutcome`.
+    boundary inside a worker's
+    :class:`~repro.secure.protocol.ActorRoundResult`.
     """
 
     trace_id: str

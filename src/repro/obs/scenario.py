@@ -82,7 +82,7 @@ def run_trace_scenario(
         with obs.span("scenario.wire_round", peers=n_peers, k=k):
             result = run_two_layer_wire_round(topology, models, k=k, seed=seed)
         expected_bits = two_layer_ft_cost_from_topology(topology, k, MODEL_PARAMS)
-        bits_exact = result.completed and result.bits_sent == expected_bits
+        bits_exact = result.outcome.ok and result.bits_sent == expected_bits
 
         # Phase 3 — SAC round with a mid-round dropout (recovery fetch).
         # The victim is the last peer: with leader 0 holding subtotal
@@ -109,11 +109,11 @@ def run_trace_scenario(
         summary = {
             "elections_won": elections,
             "messages_dropped": drops,
-            "wire_round_completed": result.completed,
+            "wire_round_completed": result.outcome.ok,
             "wire_round_bits": result.bits_sent,
             "expected_bits": expected_bits,
             "bits_exact": bits_exact,
-            "dropout_round_completed": dropout.completed,
+            "dropout_round_completed": dropout.outcome.ok,
             "recovered_shares": list(dropout.recovered_shares),
             "events": len(obs.events),
             "critical_path_ms": (

@@ -10,7 +10,6 @@ from .executor import PARALLEL_MODES, check_parallel_mode, run_jobs
 from .subgroup import (
     FtSacJob,
     FtSacOutcome,
-    SubgroupOutcome,
     SubgroupTask,
     run_ftsac_job,
     run_subgroup_round,
@@ -22,7 +21,6 @@ __all__ = [
     "run_jobs",
     "FtSacJob",
     "FtSacOutcome",
-    "SubgroupOutcome",
     "SubgroupTask",
     "run_ftsac_job",
     "run_subgroup_round",

@@ -3,16 +3,18 @@
 Two job shapes mirror the two execution styles in the repo:
 
 - :class:`SubgroupTask` / :func:`run_subgroup_round` — one subgroup's
-  k-out-of-n SAC **protocol** round on its own private simulator
-  (:class:`~repro.secure.protocol.SacProtocolPeer` actors, crashes,
-  timeouts, byte-accounted wire).  Used by
+  k-out-of-n SAC **protocol** round on its own private simulator.  The
+  task is the keyword arguments of
+  :func:`repro.secure.protocol.run_sac_group` — the single-group runner
+  ``run_sac_protocol`` also is — made picklable; the worker adds
+  nothing to it.  Used by
   :func:`repro.core.wire_round.run_two_layer_wire_round`.
 - :class:`FtSacJob` / :func:`run_ftsac_job` — one subgroup's
   **functional** fault-tolerant SAC (paper Alg. 4).  Used by
   :class:`repro.core.two_layer.TwoLayerAggregator` and therefore
   :meth:`repro.p2pfl.P2PFLSystem.run_round`.
 
-Both carry an explicit RNG seed spawned deterministically by the caller,
+Both carry explicit RNG seeds spawned deterministically by the caller,
 so the computed shares — and hence every downstream value — are
 bit-identical whether the job runs inline, on a thread, or in a worker
 process.
@@ -20,21 +22,23 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..obs.causal import TraceContext
 from ..secure.errors import SacReconstructionError
 from ..secure.fault_tolerant import FtSacResult, fault_tolerant_sac
-from ..secure.protocol import SacProtocolPeer
-from ..simnet import FixedLatency, Network, Simulator, TraceRecorder
+from ..secure.protocol import ActorRoundResult, run_sac_group
 
 
 @dataclass(frozen=True)
 class SubgroupTask:
-    """Everything one subgroup's wire-level SAC round needs, picklable."""
+    """Everything one subgroup's wire-level SAC round needs, picklable.
+
+    Field names are :func:`~repro.secure.protocol.run_sac_group`'s
+    parameter names.
+    """
 
     group: int
     members: tuple[int, ...]
@@ -47,84 +51,15 @@ class SubgroupTask:
     bandwidth_bps: float | None
     subtotal_timeout_ms: float
     round_timeout_ms: float
-    #: ``(global peer id, crash time ms)`` pairs within this subgroup
-    crash_at: tuple[tuple[int, float], ...] = ()
+    #: ``{global peer id: crash time ms}`` within this subgroup
+    crash_at: dict = field(default_factory=dict)
     #: round trace id stamped on causal spans (matches the parent's)
     trace_id: str = "trace"
 
 
-@dataclass(frozen=True)
-class SubgroupOutcome:
-    """What the parent round needs back from one subgroup worker."""
-
-    group: int
-    average: Optional[np.ndarray]
-    finish_time_ms: Optional[float]
-    recovered: tuple[int, ...]
-    bits_sent: float
-    messages_sent: int
-    bits_by_kind: dict
-    dropped: int = 0
-    #: causal context of the delivery that completed the aggregate
-    #: (picklable; ``None`` when causal tracing is off)
-    finish_ctx: Optional[TraceContext] = None
-
-
-def run_subgroup_round(task: SubgroupTask) -> SubgroupOutcome:
-    """Simulate one subgroup's SAC round in isolation.
-
-    The private simulator starts at ``t=0`` — the same origin the
-    subgroup has inside the sequential all-peers simulation — so every
-    timestamp (events, finish time) matches the sequential path exactly.
-    The run stops once the leader holds the average: at that instant no
-    intra-subgroup message is still in flight (the leader's average
-    requires every subtotal/recovery reply it was waiting for), so the
-    traced bits and messages equal the sequential path's share.
-    """
-    sim = Simulator()
-    trace = TraceRecorder()
-    network = Network(
-        sim, latency=FixedLatency(task.delay_ms),
-        rng=np.random.default_rng(0), trace=trace,
-        bandwidth_bps=task.bandwidth_bps,
-    )
-    network.trace_id = task.trace_id
-    n = len(task.members)
-    peers = []
-    for pos, pid in enumerate(task.members):
-        peer = SacProtocolPeer(
-            pid, sim, network, n, task.k, task.leader,
-            np.asarray(task.models[pos], dtype=np.float64),
-            np.random.default_rng(task.peer_seeds[pos]),
-            task.subtotal_timeout_ms,
-            members=list(task.members),
-            share_codec=task.share_codec,
-        )
-        peer.group = task.group  # labels sac.* events like the embedded peer
-        peers.append(peer)
-    for peer in peers:
-        sim.schedule(0.0, peer.start_round)
-    for pid, t in task.crash_at:
-        sim.schedule(t, lambda pid=pid: network.crash(pid))
-
-    leader_peer = peers[task.members.index(task.leader)]
-    sim.run_while(
-        lambda: leader_peer.average is None
-        and sim.now < task.round_timeout_ms
-    )
-    outcome = SubgroupOutcome(
-        group=task.group,
-        average=leader_peer.average,
-        finish_time_ms=leader_peer.finish_time,
-        recovered=tuple(sorted(leader_peer.recovered)),
-        bits_sent=trace.total_bits,
-        messages_sent=trace.total_messages,
-        bits_by_kind=trace.by_kind(),
-        dropped=trace.total_dropped,
-        finish_ctx=leader_peer.finish_ctx,
-    )
-    network.close()
-    return outcome
+def run_subgroup_round(task: SubgroupTask) -> ActorRoundResult:
+    """Simulate one subgroup's SAC round in isolation."""
+    return run_sac_group(**vars(task))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .fixed_point import (
     reconstruct_ring,
     sac_average_fixed_point,
 )
-from .protocol import ProtocolResult, run_sac_protocol, sac_reference_average
+from .protocol import ActorRoundResult, run_sac_protocol, sac_reference_average
 from .replicated import (
     holders_of_share,
     peers_covering_all_shares,
@@ -79,7 +79,7 @@ __all__ = [
     "shamir_cost_bits",
     "run_sac_protocol",
     "sac_reference_average",
-    "ProtocolResult",
+    "ActorRoundResult",
     "SHARE_CODECS",
     "SEED_SHARE_BITS",
     "SeedShare",

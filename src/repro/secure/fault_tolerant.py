@@ -31,7 +31,12 @@ from .replicated import (
     seeded_exchange_entry_counts,
     shares_held_by,
 )
-from .sac import DEFAULT_BITS_PER_PARAM, _check_codec, exchange_subtotals
+from .sac import (
+    DEFAULT_BITS_PER_PARAM,
+    _check_codec,
+    check_same_shape,
+    exchange_subtotals,
+)
 from .seedshare import SEED_SHARE_BITS
 
 
@@ -109,9 +114,7 @@ def fault_tolerant_sac(
         raise ValueError(f"leader index {leader} out of range for n={n}")
 
     first = np.asarray(models[0], dtype=np.float64)
-    shapes = {np.asarray(m).shape for m in models}
-    if len(shapes) != 1:
-        raise ValueError(f"all models must share a shape, got {shapes}")
+    check_same_shape(models)
     w_bits = float(first.size * bits_per_param)
 
     lost = missing_shares(crashed, n, k)

@@ -34,6 +34,7 @@ from .batched import (
     batched_divide_ring,
     batched_seeded_ring_dense,
 )
+from .sac import check_same_shape
 from .seedshare import SeededShares, seeded_ring_shares
 
 _RING_BITS = 64
@@ -130,9 +131,7 @@ def sac_average_fixed_point(
     n = len(models)
     if n < 1:
         raise ValueError("need at least one peer")
-    shapes = {np.asarray(m).shape for m in models}
-    if len(shapes) != 1:
-        raise ValueError(f"all models must share a shape, got {shapes}")
+    check_same_shape(models)
     qstack = encode_fixed_point(
         np.stack([np.asarray(m, dtype=np.float64) for m in models]), frac_bits
     )

@@ -28,15 +28,22 @@ handles — ``|w|`` bits on the simulated wire, two references in host
 memory — and are summed by the fused kernel without being materialised.
 
 A peer that crashes *before* its bundles go out makes the round
-unrecoverable (its model's shares are gone); the leader reports failure
-after ``round_timeout_ms`` — the caller restarts with the survivors, as
-in the plain-SAC abort path.
+unrecoverable (its model's shares are gone); the liveness watch reports
+that as a typed ``unrecoverable_dropout`` — the caller restarts with the
+survivors, as in the plain-SAC abort path.
+
+Every actor round — :func:`run_sac_protocol`, the ``parallel=`` subgroup
+worker and :func:`repro.core.wire_round.run_two_layer_wire_round` — goes
+through one harness, :class:`ActorRound`: open, arm and drive, classify,
+result.  The first two are the same single-group runner,
+:func:`run_sac_group`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +72,7 @@ from .batched import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..chaos.schedule import FaultSchedule
 from .replicated import holders_of_share, shares_held_by
-from .sac import DEFAULT_BITS_PER_PARAM, _check_codec
+from .sac import DEFAULT_BITS_PER_PARAM, _check_codec, check_same_shape
 from .seedshare import SeedShare, seeded_zero_sum_shares
 
 
@@ -104,8 +111,8 @@ class RecoveryRequest:
 
 
 @dataclass(frozen=True)
-class ProtocolResult:
-    """Outcome of one simulated SAC round.
+class ActorRoundResult:
+    """What one actor round reports: a SAC group or a whole two-layer round.
 
     ``outcome`` is the typed verdict: ``completed`` on success,
     otherwise a degradation status with a human-readable ``reason``
@@ -114,19 +121,32 @@ class ProtocolResult:
 
     average: Optional[np.ndarray]
     outcome: RoundOutcome
+    #: when the aggregate (SAC) / the last surviving peer's global model
+    #: (two-layer) landed; ``None`` unless the round completed.
     finish_time_ms: Optional[float]
+    #: virtual time the round stopped at — for a typed failure, the
+    #: watch tick that detected it.
+    end_time_ms: float
     bits_sent: float
     messages_sent: int
+    bits_by_kind: dict
+    #: subtotals fetched from replica holders (Alg. 4 lines 17-18), by
+    #: share index in a single-group round and by the owning peer's
+    #: global id in a two-layer round (index ``i`` of a group belongs to
+    #: its ``i``-th member).
     recovered_shares: tuple[int, ...]
     #: transport-level retransmissions this round (0 under fire-and-forget).
-    retransmits: int = 0
+    retransmits: int
     #: messages the network failed to deliver (link down or random loss).
-    drops: int = 0
-
-    @property
-    def completed(self) -> bool:
-        """Deprecated: pre-outcome boolean; use ``outcome`` instead."""
-        return self.outcome.ok
+    drops: int
+    #: simulator heap telemetry at round end (see ``Simulator.heap_stats``).
+    heap_stats: dict
+    #: the recorder behind the totals above, for a parent round to
+    #: :meth:`~TraceRecorder.merge` its workers' traffic from.
+    trace: TraceRecorder = field(repr=False)
+    #: causal context of the delivery that completed a SAC aggregate
+    #: (picklable; ``None`` when causal tracing is off).
+    finish_ctx: Optional[_causal.TraceContext] = None
 
     @property
     def gigabits(self) -> float:
@@ -136,9 +156,10 @@ class ProtocolResult:
 class SacProtocolPeer(SimNode):
     """One subgroup member executing Alg. 4 on the wire.
 
-    ``members`` lists the global network ids of the subgroup (defaulting
-    to ``0..n-1``); share indices are member *positions*, so the same
-    actor works standalone or embedded in a larger multi-group network.
+    ``members`` lists the global network ids of the subgroup; share
+    indices are member *positions*, so the same actor works standalone
+    or embedded in a larger multi-group network, where ``group`` labels
+    its ``sac.*`` events.
     """
 
     def __init__(
@@ -146,23 +167,22 @@ class SacProtocolPeer(SimNode):
         node_id: int,
         sim: Simulator,
         network: Network,
-        n: int,
+        members: Sequence[int],
         k: int,
         leader: int,
         model: np.ndarray,
         rng: np.random.Generator,
         subtotal_timeout_ms: float,
-        members: list[int] | None = None,
         share_codec: str = "dense",
+        group: int | None = None,
     ) -> None:
         super().__init__(node_id, sim, network)
         _check_codec(share_codec)
         self.share_codec = share_codec
-        self.n = n
+        self.group = group
+        self.members = list(members)
+        self.n = n = len(self.members)
         self.k = k
-        self.members = list(members) if members is not None else list(range(n))
-        if len(self.members) != n:
-            raise ValueError("members must list exactly n peers")
         self.position = self.members.index(node_id)
         self.leader = leader  # global id
         self.leader_pos = self.members.index(leader)
@@ -186,14 +206,14 @@ class SacProtocolPeer(SimNode):
         self.finish_time: Optional[float] = None
         self._round_start: Optional[float] = None
         #: causal context active when the round finished (the delivery
-        #: that completed the aggregate) — lets the parallel runner
-        #: re-parent the fed-layer upload on the worker's last SAC hop.
+        #: that completed the aggregate) — lets a parent round re-parent
+        #: the fed-layer upload on its worker's last SAC hop.
         self.finish_ctx = None
 
     def _emit(self, name: str, **fields) -> None:
         _obs.OBS.emit(
             name, t_ms=self.sim.now, node=self.node_id,
-            group=getattr(self, "group", None), **fields,
+            group=self.group, **fields,
         )
 
     # ------------------------------------------------------------- phase 1
@@ -356,15 +376,14 @@ class SacProtocolPeer(SimNode):
             # round as a [start, start+dur] bar.
             _obs.OBS.emit(
                 "sac.complete", t_ms=start, node=self.node_id,
-                dur_ms=dur, group=getattr(self, "group", None),
+                dur_ms=dur, group=self.group,
                 n=self.n, k=self.k, recovered=sorted(self.recovered),
             )
-            group = getattr(self, "group", None)
             _obs.OBS.metrics.histogram(
                 "sac_round_ms",
                 "Virtual-time duration of SAC rounds, share-out to average.",
                 labels=("group",),
-            ).labels(group=str(group)).observe(dur)
+            ).labels(group=str(self.group)).observe(dur)
         self.on_average(total)
 
     def on_average(self, average: np.ndarray) -> None:
@@ -518,40 +537,34 @@ def classify_sac_failure(
     return None
 
 
-def classify_sac_timeout(
-    leader_peer: SacProtocolPeer,
+def classify_timeout(
     network: Network,
+    leader: str,
+    leader_id: int,
+    waiting: Sequence[int],
+    stalled: str,
 ) -> RoundOutcome:
-    """Name the most likely cause after a round idled to its timeout."""
-    members = leader_peer.members
-    leader_id = leader_peer.node_id
+    """Name the most likely cause after a round idled to its timeout.
+
+    ``leader`` is how the reason names peer ``leader_id`` (``"leader 2"``,
+    ``"FedAvg leader 0"``), ``waiting`` the alive peers it still needs or
+    that still need it, ``stalled`` what the round was left waiting for.
+    """
     partition = network._partition
     if partition is not None:
-        leader_group = partition.get(leader_id)
-        cut_off = [
-            m for m in members
-            if m != leader_id
-            and not network.is_crashed(m)
-            and partition.get(m) != leader_group
-        ]
-        if cut_off:
+        side = partition.get(leader_id)
+        cut_off = [p for p in waiting if partition.get(p) != side]
+        if cut_off or network.is_crashed(leader_id):
             return RoundOutcome(
                 LEADER_ISOLATED,
                 reason=(
-                    f"partition separates leader {leader_id} from alive"
-                    f" peers {cut_off}"
+                    f"partition separates {leader} from alive peers {cut_off}"
                 ),
             )
     exhausted = _exhausted_outcome(network)
     if exhausted is not None:
         return exhausted
-    missing = [
-        idx for idx in range(leader_peer.n) if not leader_peer.can_supply(idx)
-    ]
-    return RoundOutcome(
-        TIMED_OUT,
-        reason=f"round timeout with subtotals missing for indices {missing}",
-    )
+    return RoundOutcome(TIMED_OUT, reason=f"round timeout with {stalled}")
 
 
 def reliable_transport_opts(
@@ -629,6 +642,218 @@ def sac_reference_average(
     )
 
 
+def check_crash_at(
+    crash_at: dict[int, float] | None,
+    peer_ids: Iterable[int],
+    leaders: Iterable[int],
+) -> dict[int, float]:
+    """The one ``crash_at`` check of every actor round: ids, leaders, times."""
+    crash_at = dict(crash_at or {})
+    bad = sorted(set(crash_at) - set(peer_ids))
+    if bad:
+        raise ValueError(f"crash_at peer ids out of range: {bad}")
+    crashed_leaders = sorted(set(crash_at) & set(leaders))
+    if crashed_leaders:
+        raise ValueError(
+            f"crashing leaders {crashed_leaders} needs Raft re-election"
+            " (see repro.twolayer_raft), not a SAC round"
+        )
+    negative = {p: t for p, t in crash_at.items() if not t >= 0}
+    if negative:
+        raise ValueError(f"crash_at times must be >= 0, got {negative}")
+    return crash_at
+
+
+class ActorRound:
+    """One actor round, open to result — the path every entry point takes.
+
+    *Open* is the constructor: the inputs that would otherwise die
+    mid-simulation are rejected (ragged model shapes, ``crash_at`` ids,
+    leaders and times, a ``schedule`` touching unknown peers), then the
+    simulator and the traced network are built from the seed;
+    ``link_opts`` (``loss_rate``, ``bandwidth_bps``, ``serialize_uplink``)
+    reach :class:`Network` as given.  ``rng`` is the network's generator,
+    from which callers spawn their peer seeds.
+    """
+
+    def __init__(
+        self,
+        models: Sequence[np.ndarray],
+        peer_ids: Sequence[int],
+        leaders: Sequence[int],
+        crash_at: dict[int, float] | None,
+        schedule: "FaultSchedule | None",
+        seed: int,
+        delay_ms: float,
+        trace_id: str,
+        transport: str = "fire_and_forget",
+        transport_opts: dict | None = None,
+        **link_opts,
+    ) -> None:
+        check_same_shape(models)
+        self.crash_at = check_crash_at(crash_at, peer_ids, leaders)
+        if schedule is not None:
+            schedule.validate_nodes(peer_ids)
+        self.schedule = schedule
+        check_transport(transport)
+        if transport == "reliable":
+            transport_opts = reliable_transport_opts(delay_ms, transport_opts)
+        self.sim = Simulator()
+        self.trace = TraceRecorder()
+        self.rng = np.random.default_rng(seed)
+        self.network = Network(
+            self.sim, latency=FixedLatency(delay_ms), rng=self.rng,
+            trace=self.trace, transport=transport,
+            transport_opts=transport_opts, **link_opts,
+        )
+        self.network.trace_id = trace_id
+
+    def drive(
+        self,
+        starters: Iterable[SacProtocolPeer],
+        done: Callable[[], bool],
+        classify: Callable[[], Optional[RoundOutcome]],
+        stalled: Callable[[], tuple],
+        period_ms: float,
+        round_timeout_ms: float,
+        replayed: bool = False,
+    ) -> RoundOutcome:
+        """Arm the round, run it, and say how it ended.
+
+        Armed, in this order: the ``starters``' t=0 share-out, the
+        ``crash_at`` injections, the chaos schedule, and the
+        :class:`FatalWatch` running ``classify`` — the round's early
+        unrecoverability check — every ``period_ms``.  The simulator then
+        runs to ``done()``, the round timeout or a fatal verdict;
+        ``stalled()`` supplies the :func:`classify_timeout` arguments if
+        the round idles out.  ``replayed`` crashes were already simulated
+        (and reported) by a subgroup worker: the parent applies them
+        quietly, so fed-layer sends to a dead peer drop exactly as they
+        do sequentially.
+        """
+        sim, network = self.sim, self.network
+        for peer in starters:
+            sim.schedule(0.0, peer.start_round)
+        for pid, t in self.crash_at.items():
+            sim.schedule(t, partial(network.crash, pid, replayed))
+        if self.schedule is not None:
+            self.schedule.arm(sim, network)
+        watch = FatalWatch(sim, network, period_ms, done, classify)
+        sim.run_while(
+            lambda: not done()
+            and sim.now < round_timeout_ms
+            and watch.outcome is None
+        )
+        if done():
+            return OUTCOME_COMPLETED
+        if watch.outcome is not None:
+            return watch.outcome
+        return classify_timeout(network, *stalled())
+
+    def result(
+        self,
+        outcome: RoundOutcome,
+        average: Optional[np.ndarray],
+        finish_time_ms: Optional[float],
+        recovered: Iterable[int],
+        finish_ctx: Optional[_causal.TraceContext] = None,
+    ) -> ActorRoundResult:
+        """Read the round's results off, then release its actor graph."""
+        network, trace = self.network, self.trace
+        result = ActorRoundResult(
+            average=average,
+            outcome=outcome,
+            finish_time_ms=finish_time_ms,
+            end_time_ms=self.sim.now,
+            bits_sent=trace.total_bits,
+            messages_sent=trace.total_messages,
+            bits_by_kind=trace.by_kind(),
+            recovered_shares=tuple(sorted(recovered)),
+            retransmits=network.reliable.retransmits if network.reliable else 0,
+            drops=trace.total_dropped,
+            heap_stats=self.sim.heap_stats(),
+            trace=trace,
+            finish_ctx=finish_ctx,
+        )
+        network.close()
+        return result
+
+
+def run_sac_group(
+    models: Sequence[np.ndarray],
+    k: int,
+    leader: int,
+    members: Sequence[int],
+    peer_seeds: Sequence[int] | None,
+    group: int | None,
+    *,
+    delay_ms: float,
+    crash_at: dict[int, float] | None,
+    subtotal_timeout_ms: float,
+    round_timeout_ms: float,
+    share_codec: str,
+    trace_id: str,
+    seed: int = 0,
+    schedule: "FaultSchedule | None" = None,
+    **network_opts,
+) -> ActorRoundResult:
+    """One SAC group's round on a simulator of its own.
+
+    The runner behind :func:`run_sac_protocol` (``members`` is
+    ``0..n-1``, no ``peer_seeds``: they spawn from ``seed``) and behind the
+    ``parallel=`` worker of the two-layer round, which passes the
+    subgroup's global ``members``, the ``peer_seeds`` the parent spawned
+    for them and its ``group`` index.  The simulator starts at ``t=0`` —
+    the origin the subgroup has inside the all-peers simulation — and
+    stops once the leader holds the average, when no intra-group message
+    is still in flight; so a worker's timestamps, traffic and liveness
+    verdict equal the subgroup's share of the sequential round.
+    ``network_opts`` are :class:`ActorRound`'s transport and link options.
+    """
+    members = list(members)
+    n = len(members)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if leader not in members:
+        raise ValueError("leader out of range")
+    rnd = ActorRound(
+        models, members, (leader,), crash_at, schedule, seed, delay_ms,
+        trace_id, **network_opts,
+    )
+    network = rnd.network
+    if peer_seeds is None:
+        peer_seeds = spawn_peer_seeds(rnd.rng, n)
+    peers = [
+        SacProtocolPeer(
+            pid, rnd.sim, network, members, k, leader, model,
+            np.random.default_rng(peer_seed), subtotal_timeout_ms,
+            share_codec=share_codec, group=group,
+        )
+        for pid, model, peer_seed in zip(members, models, peer_seeds)
+    ]
+    leader_peer = peers[members.index(leader)]
+    outcome = rnd.drive(
+        peers,
+        done=lambda: leader_peer.average is not None,
+        classify=lambda: classify_sac_failure(
+            peers, leader_peer.position, network
+        ),
+        stalled=lambda: (
+            f"leader {leader}", leader,
+            [m for m in members
+             if m != leader and not network.is_crashed(m)],
+            "subtotals missing for indices "
+            f"{[i for i in range(n) if not leader_peer.can_supply(i)]}",
+        ),
+        period_ms=subtotal_timeout_ms,
+        round_timeout_ms=round_timeout_ms,
+    )
+    return rnd.result(
+        outcome, leader_peer.average, leader_peer.finish_time,
+        leader_peer.recovered, leader_peer.finish_ctx,
+    )
+
+
 def run_sac_protocol(
     models: Sequence[np.ndarray],
     k: int,
@@ -646,7 +871,7 @@ def run_sac_protocol(
     transport_opts: dict | None = None,
     schedule: "FaultSchedule | None" = None,
     trace_id: str | None = None,
-) -> ProtocolResult:
+) -> ActorRoundResult:
     """Execute one k-out-of-n SAC round on the simulated network.
 
     Parameters
@@ -677,70 +902,12 @@ def run_sac_protocol(
         simulator — crashes/recoveries, partition windows, loss windows
         and delay spikes all land mid-flight.
     """
-    n = len(models)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0 <= leader < n:
-        raise ValueError("leader out of range")
-    if crash_at and leader in crash_at:
-        raise ValueError("crashing the leader needs Raft re-election, not SAC")
-    check_transport(transport)
-    if transport == "reliable":
-        transport_opts = reliable_transport_opts(delay_ms, transport_opts)
-
-    sim = Simulator()
-    trace = TraceRecorder()
-    rng = np.random.default_rng(seed)
-    network = Network(
-        sim, latency=FixedLatency(delay_ms), rng=rng, trace=trace,
-        loss_rate=loss_rate,
-        bandwidth_bps=bandwidth_bps, serialize_uplink=serialize_uplink,
-        transport=transport, transport_opts=transport_opts,
+    return run_sac_group(
+        models, k, leader, range(len(models)), None, None, seed=seed,
+        delay_ms=delay_ms, crash_at=crash_at, subtotal_timeout_ms=subtotal_timeout_ms,
+        round_timeout_ms=round_timeout_ms, bandwidth_bps=bandwidth_bps,
+        serialize_uplink=serialize_uplink, share_codec=share_codec,
+        loss_rate=loss_rate, transport=transport,
+        transport_opts=transport_opts, schedule=schedule,
+        trace_id=trace_id if trace_id is not None else f"sac:s{seed}",
     )
-    network.trace_id = trace_id if trace_id is not None else f"sac:s{seed}"
-    peers = [
-        SacProtocolPeer(
-            i, sim, network, n, k, leader, models[i],
-            np.random.default_rng(peer_seed), subtotal_timeout_ms,
-            share_codec=share_codec,
-        )
-        for i, peer_seed in enumerate(spawn_peer_seeds(rng, n))
-    ]
-    for peer in peers:
-        sim.schedule(0.0, peer.start_round)
-    for pid, t in (crash_at or {}).items():
-        sim.schedule(t, lambda pid=pid: network.crash(pid))
-    if schedule is not None:
-        schedule.validate_nodes(range(n))
-        schedule.arm(sim, network)
-
-    leader_peer = peers[leader]
-    watch = FatalWatch(
-        sim, network, subtotal_timeout_ms,
-        done=lambda: leader_peer.average is not None,
-        classify=lambda: classify_sac_failure(peers, leader, network),
-    )
-    sim.run_while(
-        lambda: leader_peer.average is None
-        and sim.now < round_timeout_ms
-        and watch.outcome is None
-    )
-    if leader_peer.average is not None:
-        outcome = OUTCOME_COMPLETED
-    elif watch.outcome is not None:
-        outcome = watch.outcome
-    else:
-        outcome = classify_sac_timeout(leader_peer, network)
-    recovered = tuple(sorted(leader_peer.recovered))
-    result = ProtocolResult(
-        average=leader_peer.average,
-        outcome=outcome,
-        finish_time_ms=leader_peer.finish_time,
-        bits_sent=trace.total_bits,
-        messages_sent=trace.total_messages,
-        recovered_shares=recovered,
-        retransmits=network.reliable.retransmits if network.reliable else 0,
-        drops=trace.total_dropped,
-    )
-    network.close()
-    return result

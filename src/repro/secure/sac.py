@@ -48,6 +48,13 @@ def _check_codec(share_codec: str) -> None:
         )
 
 
+def check_same_shape(models: Sequence[np.ndarray]) -> None:
+    """Reject ragged inputs before any share math touches them."""
+    shapes = {m.shape for m in map(np.asarray, models)}
+    if len(shapes) != 1:
+        raise ValueError(f"all models must share a shape, got {shapes}")
+
+
 @dataclass(frozen=True)
 class SacResult:
     """Outcome of one SAC round."""
@@ -133,9 +140,7 @@ def sac_average(
     n = len(models)
     if n < 1:
         raise ValueError("need at least one peer")
-    shapes = {m.shape for m in map(np.asarray, models)}
-    if len(shapes) != 1:
-        raise ValueError(f"all models must share a shape, got {shapes}")
+    check_same_shape(models)
     if crashed:
         bad = {c for c in crashed if not 0 <= c < n}
         if bad:

@@ -16,8 +16,9 @@ free-form reason string:
 - ``leader_isolated`` — a partition separates the leader from peers it
   still needs.
 
-Results keep a deprecated ``completed`` property so pre-existing callers
-and benchmarks are untouched.
+Every actor round reports it as ``result.outcome``
+(:class:`repro.secure.protocol.ActorRoundResult`); ``outcome.ok`` is the
+success test.
 """
 
 from __future__ import annotations

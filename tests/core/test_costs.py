@@ -269,5 +269,5 @@ class TestSeededClosedForms:
             )
             assert fn.bits_sent == expected
             proto = run_sac_protocol(models, k=k, share_codec="seed")
-            assert proto.completed
+            assert proto.outcome.ok
             assert proto.bits_sent == expected

@@ -10,7 +10,7 @@ transport under loss, and crash schedules recovered by Alg. 4.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import Crash, FaultSchedule
@@ -19,14 +19,13 @@ from repro.core import (
     run_two_layer_wire_round,
     two_layer_reference_average,
 )
+from repro.par import PARALLEL_MODES, SubgroupTask, run_subgroup_round
 from repro.secure import run_sac_protocol, sac_reference_average
+from repro.secure.protocol import spawn_peer_seeds
 
 
-@st.composite
-def rounds(draw):
-    """A ragged grouping (as a dense topology), models, k and a seed."""
-    sizes = draw(st.lists(st.integers(2, 7), min_size=1, max_size=5))
-    seed = draw(st.integers(0, 2**31 - 1))
+def build_round(sizes, seed, d, k):
+    """A ragged grouping (as a dense topology), models, k and the seed."""
     rng = np.random.default_rng(seed)
     # Stable ids are sparse and shuffled, as after campaign churn.
     stable = rng.permutation(3 * sum(sizes))[: sum(sizes)]
@@ -34,10 +33,19 @@ def rounds(draw):
     topology = dense_topology(
         tuple(tuple(int(p) for p in g) for g in np.split(stable, cuts))
     )
-    d = draw(st.sampled_from([1, 7, 4096]))
     models = [rng.normal(size=d) for _ in range(topology.n_peers)]
-    k = draw(st.integers(1, min(sizes)))
     return topology, models, k, seed
+
+
+@st.composite
+def rounds(draw):
+    sizes = draw(st.lists(st.integers(2, 7), min_size=1, max_size=5))
+    return build_round(
+        sizes,
+        seed=draw(st.integers(0, 2**31 - 1)),
+        d=draw(st.sampled_from([1, 7, 4096])),
+        k=draw(st.integers(1, min(sizes))),
+    )
 
 
 def tolerated_crashes(topology, k, rng):
@@ -58,11 +66,12 @@ def tolerated_crashes(topology, k, rng):
 
 class TestTwoLayerReference:
     @given(rounds())
+    @example(build_round([4], seed=7, d=7, k=2))  # m = 1: no fan-out at all
     @settings(max_examples=25, deadline=None)
     def test_equals_fault_free_round_in_every_parallel_mode(self, case):
         topology, models, k, seed = case
         reference = two_layer_reference_average(topology, models, seed=seed)
-        for mode in ("off", "threads"):
+        for mode in PARALLEL_MODES:
             result = run_two_layer_wire_round(
                 topology, models, k=k, seed=seed, parallel=mode
             )
@@ -122,10 +131,14 @@ class TestTwoLayerReference:
         with pytest.raises(ValueError, match="codec"):
             two_layer_reference_average(topology, models, share_codec=codec)
 
-    def test_model_count_is_checked(self):
+    def test_model_count_and_shapes_are_checked(self):
         topology = dense_topology(((0, 1), (2, 3)))
         with pytest.raises(ValueError, match="expected 4 models"):
             two_layer_reference_average(topology, [np.ones(4)] * 3)
+        with pytest.raises(ValueError, match="all models must share a shape"):
+            two_layer_reference_average(
+                topology, [np.ones(4)] * 3 + [np.ones(5)]
+            )
 
 
 class TestSacReference:
@@ -156,6 +169,50 @@ class TestSacReference:
             )
             assert result.outcome.ok, (kw, result.outcome)
             assert np.array_equal(result.average, reference), kw
+
+    @given(
+        n=st.integers(1, 7),
+        d=st.sampled_from([1, 7, 4096]),
+        seed=st.integers(0, 2**31 - 1),
+        codec=st.sampled_from(["dense", "seed"]),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_the_subgroup_worker_is_the_protocol_round(
+        self, n, d, seed, codec, data
+    ):
+        # ``run_subgroup_round`` must stay the runner ``run_sac_protocol``
+        # is, never again a second implementation: same members and peer
+        # seeds, same round — recoveries and unrecoverable dropouts too.
+        k = data.draw(st.integers(1, n))
+        leader = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        models = [rng.normal(size=d) for _ in range(n)]
+        followers = [p for p in range(n) if p != leader]
+        victims = data.draw(st.lists(st.sampled_from(followers), unique=True)
+                            if followers else st.just([]))
+        crash_at = {p: float(rng.choice([1.0, 20.0])) for p in victims}
+        task = SubgroupTask(
+            group=3, members=tuple(range(n)), leader=leader, k=k,
+            models=tuple(models),
+            peer_seeds=spawn_peer_seeds(np.random.default_rng(seed), n),
+            share_codec=codec, delay_ms=15.0, bandwidth_bps=None,
+            subtotal_timeout_ms=100.0, round_timeout_ms=10_000.0,
+            crash_at=crash_at,
+        )
+        worker = run_subgroup_round(task)
+        direct = run_sac_protocol(
+            models, k=k, leader=leader, seed=seed, share_codec=codec,
+            crash_at=crash_at,
+        )
+        assert worker.outcome == direct.outcome
+        assert (worker.average is None) == (direct.average is None)
+        if direct.outcome.ok:
+            assert np.array_equal(worker.average, direct.average)
+        for field in ("finish_time_ms", "end_time_ms", "bits_sent",
+                      "messages_sent", "bits_by_kind", "drops",
+                      "recovered_shares", "heap_stats"):
+            assert getattr(worker, field) == getattr(direct, field), field
 
     def test_recovered_round_is_the_fault_free_aggregate(self):
         # A concrete Alg. 4 recovery (not just a tolerated crash): the

@@ -75,7 +75,7 @@ class TestProtocolProperties:
             models, k=k, leader=leader, crash_at=crash_at,
             subtotal_timeout_ms=40.0, round_timeout_ms=5_000.0,
         )
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-8, atol=1e-8
         )

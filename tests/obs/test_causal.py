@@ -88,7 +88,7 @@ class TestCriticalPath:
             result = run_sac_protocol(
                 _models(4), k=3, seed=1, crash_at={3: 20.0},
             )
-        assert result.completed
+        assert result.outcome.ok
         cp = critical_path(obs.events)
         assert cp.latency_ms == result.finish_time_ms
         assert any(h.kind == "sac.recover" for h in cp.hops)
@@ -100,7 +100,7 @@ class TestCriticalPath:
         result, obs = _wire(
             seed=0, schedule=schedule, transport="reliable",
         )
-        assert result.completed
+        assert result.outcome.ok
         cp = critical_path(obs.events)
         assert cp.latency_ms == result.finish_time_ms
         # The loss window forced at least one retransmission somewhere.

@@ -204,7 +204,7 @@ def test_profiler_on_real_wire_round_is_deterministic():
         models = [rng.normal(size=32) for _ in range(6)]
         with rt.observe() as obs:
             result = run_two_layer_wire_round(topo, models, k=2, seed=7)
-        assert result.completed
+        assert result.outcome.ok
         report = profile_events(obs.events)
         # Strip wall fields: only the sim side must be reproducible.
         phases = []

@@ -215,7 +215,7 @@ class TestResourceAccounting:
         models = _models(topo)
         with _runtime.observe():
             result = run_two_layer_wire_round(topo, models, k=2, seed=0)
-        assert result.completed
+        assert result.outcome.ok
         # The accounting is wired into Network.physical_send/deliver;
         # peaks are visible on the sim heap too.
         from repro.simnet.events import Simulator

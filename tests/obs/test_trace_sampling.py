@@ -74,7 +74,7 @@ def _run_rounds(mode, rate):
                 topo, _models(topo, i), k=3, seed=i, parallel=mode,
                 trace_id=trace_id,
             )
-            assert result.completed
+            assert result.outcome.ok
             finishes[trace_id] = result.finish_time_ms
     return obs, finishes
 

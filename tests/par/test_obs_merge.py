@@ -112,7 +112,7 @@ class TestProcessParity:
     def test_process_bit_identical_across_seeds(self, seed):
         r_off, o_off = _run("off", seed)
         r_proc, o_proc = _run("process", seed)
-        assert r_proc.completed == r_off.completed
+        assert r_proc.outcome.ok == r_off.outcome.ok
         assert np.array_equal(r_proc.average, r_off.average)
         assert r_proc.finish_time_ms == r_off.finish_time_ms
         assert _event_set(o_proc) == _event_set(o_off)

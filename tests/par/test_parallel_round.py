@@ -5,8 +5,9 @@ The :mod:`repro.par` determinism contract: ``parallel="threads"`` and
 (averages, finish times, traffic totals, observability stream) equals
 the ``"off"`` path exactly.  These tests assert that for the wire round
 (both share codecs, with and without mid-round crashes — including a
-forced Alg. 4 replica recovery under ``process``), the functional
-aggregator, and the integrated ``P2PFLSystem``.
+forced Alg. 4 replica recovery under ``process`` and a dropout no mode
+can recover, which all must grade alike), the functional aggregator,
+and the integrated ``P2PFLSystem``.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import check_liveness
 from repro.core.topology import Topology
 from repro.core.two_layer import TwoLayerAggregator
 from repro.core.wire_round import run_two_layer_wire_round
@@ -54,12 +56,13 @@ def _event_set(obs):
 
 
 def _assert_identical(a, b):
-    assert b.completed == a.completed
+    assert b.outcome.ok == a.outcome.ok
     assert np.array_equal(b.average, a.average)
     assert b.finish_time_ms == a.finish_time_ms
     assert b.bits_sent == a.bits_sent
     assert b.messages_sent == a.messages_sent
     assert b.bits_by_kind == a.bits_by_kind
+    assert b.recovered_shares == a.recovered_shares
 
 
 class TestWireRoundParity:
@@ -117,12 +120,50 @@ class TestWireRoundParity:
                 tuple(e.fields.get("recovered", ()))
                 for e in obs.events if e.name == "sac.complete"
             ]
-        assert results["off"].completed
+        assert results["off"].outcome.ok
         # The crashed peer's subtotal share really was recovered.
         assert any(rec for rec in recovered["off"])
+        assert results["off"].recovered_shares == (victim,)
         for mode in ("process", "threads"):
             _assert_identical(results["off"], results[mode])
             assert sorted(recovered[mode]) == sorted(recovered["off"])
+
+    @pytest.mark.parametrize("crash_ms, lost", [
+        (1.0, 0),   # before the share bundles land
+        (20.0, 3),  # after: every holder of index 3 is among the victims
+    ])
+    def test_unrecoverable_dropout_grades_alike(self, crash_ms, lost):
+        # 3-of-5 FT-SAC tolerates two dropouts; three non-leaders of
+        # group 1 go.  The parallel fork used to have no liveness watch,
+        # so it idled to the round timeout and reported a hang where the
+        # sequential round names the lost share index.
+        topo = Topology.by_group_size(15, 5)
+        models = _models(topo, 13)
+        victims = [p for p in topo.groups[1] if p != topo.leaders[1]][:3]
+        results, events = {}, {}
+        for mode in PARALLEL_MODES:
+            obs = _runtime.Observability(enabled=True, keep_events=True)
+            with _runtime.observe(obs):
+                results[mode] = run_two_layer_wire_round(
+                    topo, models, k=3, seed=13, parallel=mode,
+                    crash_at={p: crash_ms for p in victims},
+                )
+            events[mode] = _event_set(obs)
+        off = results["off"]
+        assert off.outcome.status == "unrecoverable_dropout"
+        assert off.outcome.reason.startswith(
+            f"subgroup 1: share index {lost} is lost"
+        )
+        for mode, result in results.items():
+            assert check_liveness(result).ok, (mode, result.outcome)
+            assert result.outcome == off.outcome, mode
+            assert result.average is None and result.finish_time_ms is None
+            assert result.end_time_ms == off.end_time_ms == 100.0
+            assert result.bits_sent == off.bits_sent
+            assert result.messages_sent == off.messages_sent
+            assert result.bits_by_kind == off.bits_by_kind
+            assert result.recovered_shares == off.recovered_shares
+            assert events[mode] == events["off"], mode
 
     def test_crashed_leader_rejected(self):
         topo = Topology.by_group_size(9, 3)
@@ -219,7 +260,10 @@ class TestRunJobs:
         obs = _runtime.Observability(enabled=True, keep_events=True)
         with _runtime.observe(obs):
             outcomes = run_jobs(run_subgroup_round, tasks, "threads")
-        assert [o.group for o in outcomes] == [0, 1, 2]
+        for outcome, group in zip(outcomes, topo.groups):  # item order
+            np.testing.assert_allclose(
+                outcome.average, np.mean([models[p] for p in group], axis=0)
+            )
         groups = [e.fields["group"] for e in obs.events
                   if e.name == "sac.complete"]
         assert groups == sorted(groups)  # merged in subgroup order

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import Topology, run_two_layer_wire_round
 from repro.secure.fault_tolerant import expected_ft_sac_bits
 from repro.secure.protocol import run_sac_protocol
 
@@ -18,7 +19,7 @@ class TestFailureFree:
     def test_result_equals_mean(self):
         models = make_models(5)
         result = run_sac_protocol(models, k=3)
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-10
         )
@@ -30,7 +31,7 @@ class TestFailureFree:
             size = 50
             models = make_models(n, size=size)
             result = run_sac_protocol(models, k=k)
-            assert result.completed
+            assert result.outcome.ok
             payload = expected_ft_sac_bits(n, k, size)
             assert result.bits_sent == payload  # no recovery -> no overhead
 
@@ -42,7 +43,7 @@ class TestFailureFree:
     def test_k1_leader_self_sufficient_after_one_hop(self):
         # k=1: everyone holds every share; the leader needs no subtotals.
         result = run_sac_protocol(make_models(4), k=1, delay_ms=15.0)
-        assert result.completed
+        assert result.outcome.ok
         assert result.finish_time_ms == pytest.approx(15.0)
 
     def test_different_leader(self):
@@ -60,7 +61,7 @@ class TestDropouts:
         result = run_sac_protocol(
             models, k=2, leader=1, crash_at={0: 20.0}, subtotal_timeout_ms=50.0
         )
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-10
         )
@@ -88,7 +89,7 @@ class TestDropouts:
             models, k=3, leader=2, crash_at={0: 20.0, 4: 20.0},
             subtotal_timeout_ms=50.0, round_timeout_ms=5_000.0,
         )
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(result.average, np.mean(models, axis=0))
 
     def test_crash_before_share_phase_fails_round(self):
@@ -99,7 +100,7 @@ class TestDropouts:
             models, k=2, leader=1, crash_at={0: 0.0},
             subtotal_timeout_ms=50.0, round_timeout_ms=1_000.0,
         )
-        assert not result.completed
+        assert not result.outcome.ok
         assert result.average is None
 
     @pytest.mark.parametrize("share_codec", ["dense", "seed"])
@@ -146,6 +147,30 @@ class TestValidation:
     def test_bad_leader(self):
         with pytest.raises(ValueError):
             run_sac_protocol(make_models(3), k=2, leader=7)
+
+    @pytest.mark.parametrize("crash_at, message", [
+        ({99: 1.0}, r"crash_at peer ids out of range: \[99\]"),
+        ({-1: 1.0}, "crash_at peer ids out of range"),
+        ({2: -5.0}, "crash_at times must be >= 0"),
+        ({2: float("nan")}, "crash_at times must be >= 0"),
+        ({0: 5.0}, "leader"),
+    ])
+    def test_crash_at_is_checked_once_for_both_entry_points(
+        self, crash_at, message
+    ):
+        # Peer 0 leads the SAC round and subgroup 0 of the wire round.
+        with pytest.raises(ValueError, match=message):
+            run_sac_protocol(make_models(6), k=2, crash_at=crash_at)
+        with pytest.raises(ValueError, match=message):
+            run_two_layer_wire_round(
+                Topology.by_group_size(6, 3), make_models(6), k=2,
+                crash_at=crash_at,
+            )
+
+    def test_ragged_models_rejected_before_the_simulation(self):
+        models = make_models(4) + [np.ones(3)]
+        with pytest.raises(ValueError, match="all models must share a shape"):
+            run_sac_protocol(models, k=3)
 
     def test_deterministic(self):
         a = run_sac_protocol(make_models(4), k=2, seed=5)

@@ -210,7 +210,7 @@ class TestCodecEquivalence:
         models = [RNG(i).normal(size=96) for i in range(4)]
         a = run_sac_protocol(models, k=3, share_codec="seed")
         b = run_sac_protocol(models, k=3, share_codec="seed-dense")
-        assert a.completed and b.completed
+        assert a.outcome.ok and b.outcome.ok
         np.testing.assert_array_equal(a.average, b.average)
         assert a.bits_sent < b.bits_sent
 
@@ -225,7 +225,7 @@ class TestDropoutRecovery:
         result = run_sac_protocol(
             models, k=k, crash_at={4: 20.0}, share_codec="seed"
         )
-        assert result.completed
+        assert result.outcome.ok
         assert result.recovered_shares == (4,)
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), atol=1e-9

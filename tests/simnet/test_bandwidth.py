@@ -58,6 +58,6 @@ class TestBandwidth:
         models = [np.random.default_rng(i).normal(size=1000) for i in range(5)]
         fast = run_sac_protocol(models, k=3)
         slow = run_sac_protocol(models, k=3, bandwidth_bps=10_000_000.0)
-        assert slow.completed and fast.completed
+        assert slow.outcome.ok and fast.outcome.ok
         assert slow.finish_time_ms > fast.finish_time_ms
         np.testing.assert_allclose(slow.average, fast.average, rtol=1e-9)

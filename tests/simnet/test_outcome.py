@@ -35,21 +35,28 @@ class TestRoundOutcome:
         assert str(OUTCOME_COMPLETED) == "completed"
 
 
-class TestDeprecatedCompletedCompat:
-    def test_protocol_result_completed_mirrors_outcome(self):
-        from repro.secure.protocol import run_sac_protocol
+class TestOneResultType:
+    """Both actor entry points report through the same dataclass."""
 
-        models = [np.random.default_rng(i).normal(size=8) for i in range(4)]
-        good = run_sac_protocol(models, k=3, seed=0)
-        assert good.outcome.ok and good.completed is True
-        bad = run_sac_protocol(models, k=3, seed=0, crash_at={1: 0.0, 2: 0.0})
-        assert bad.outcome.degraded and bad.completed is False
-
-    def test_wire_round_result_completed_mirrors_outcome(self):
+    def test_sac_and_wire_rounds_return_actor_round_results(self):
         from repro.core.topology import Topology
         from repro.core.wire_round import run_two_layer_wire_round
+        from repro.secure import ActorRoundResult, run_sac_protocol
 
-        topo = Topology.by_group_count(6, 2)
         models = [np.random.default_rng(i).normal(size=8) for i in range(6)]
-        result = run_two_layer_wire_round(topo, models, k=2, seed=0)
-        assert result.outcome.ok and result.completed is True
+        good = run_sac_protocol(models[:4], k=3, seed=0)
+        bad = run_sac_protocol(
+            models[:4], k=3, seed=0, crash_at={1: 0.0, 2: 0.0}
+        )
+        wire = run_two_layer_wire_round(
+            Topology.by_group_count(6, 2), models, k=2, seed=0
+        )
+        for result in (good, bad, wire):
+            assert type(result) is ActorRoundResult
+            # The pre-outcome boolean is gone; ``outcome.ok`` is the test.
+            assert not hasattr(result, "completed")
+            assert result.bits_sent == sum(result.bits_by_kind.values())
+            assert result.heap_stats["events_processed"] > 0
+        assert good.outcome.ok and wire.outcome.ok
+        assert bad.outcome.degraded and bad.average is None
+        assert bad.end_time_ms == 100.0  # the first liveness-watch tick

@@ -86,6 +86,6 @@ class TestLatencyModelValidation:
             models, k=k, bandwidth_bps=bandwidth, serialize_uplink=True,
             delay_ms=15.0,
         )
-        assert result.completed
+        assert result.outcome.ok
         predicted = ft_sac_latency_ms(n, k, size, bandwidth, delay_ms=15.0)
         assert result.finish_time_ms == pytest.approx(predicted, rel=0.15)
