@@ -22,12 +22,12 @@ property tests in ``tests/secure/test_batched.py``):
   divergence is the measure-zero resample guard: when a row's random sum
   is below the conditioning threshold, only that row is redrawn (the
   sequential path would have interleaved the redraw mid-stream).
-- ``fused_subtotals`` (and :func:`sum_dense_shares`, its per-index
-  form over :class:`DenseShare` handles) equals "materialise the
-  ``batched_divide`` shares, then reduce the owner axis" bit for bit:
-  the same normalised fractions, one multiply per (owner, index), owners
-  added left to right.  Only the traversal differs — cache-sized blocks,
-  so the share tensor never exists.
+- ``fused_subtotals`` (and :func:`sum_dense_shares` /
+  :func:`mean_of_subtotals`, its per-index and whole-group forms over
+  handles) equals "materialise the ``batched_divide`` shares, then
+  reduce the owner axis" bit for bit: the same normalised fractions, one
+  multiply per (owner, index), owners added left to right.  Only the
+  traversal differs — cache-sized blocks, so the share tensor never exists.
 - ``batched_zero_sum`` and both seeded kernels are bitwise identical to
   the sequential loops for every batch size: normal variates fill
   row-major, 128-bit share seeds are two full-range ``uint64`` draws per
@@ -149,6 +149,12 @@ def batched_divide(
     return apply_divide_noise(stack, rn, totals)
 
 
+def _handle_array(self, dtype=None, copy=None) -> np.ndarray:
+    """``__array__`` of a lazy handle: ``np.asarray`` materialises it."""
+    out = self.materialize()
+    return out if dtype is None else out.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class DenseShare:
     """One Alg. 1 share held as its two factors: ``fraction * model``.
@@ -176,9 +182,7 @@ class DenseShare:
     def materialize(self) -> np.ndarray:
         return np.asarray(self.fraction * self.model)
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self.materialize()
-        return out if dtype is None else out.astype(dtype, copy=False)
+    __array__ = _handle_array
 
 
 def divide_handles(
@@ -272,6 +276,71 @@ def sum_dense_shares(shares: Sequence[DenseShare]) -> np.ndarray:
     )
     _accumulate_scaled(out, owners, fractions)
     return out.reshape(first.shape)
+
+
+@dataclass(frozen=True)
+class DenseSubtotal:
+    """One SAC subtotal held as its owners' shares, in origin order:
+    ``|w|`` parameters on the simulated wire, ``n`` references on the
+    host.  No round materialises it — the leader's
+    :func:`mean_of_subtotals` evaluates all its terms in one pass."""
+
+    shares: Sequence[DenseShare]
+
+    @property
+    def size(self) -> int:
+        return self.shares[0].size
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.shares[0].shape
+
+    def materialize(self) -> np.ndarray:
+        return sum_dense_shares(self.shares)
+
+    __array__ = _handle_array
+
+
+def mean_of_subtotals(terms: Sequence, n: int) -> np.ndarray:
+    """Alg. 2's ``(terms[0] + terms[1] + ...) / n`` in one blocked pass.
+
+    Each term is a :class:`DenseSubtotal` or a ready array.  Per cache
+    block a handle is evaluated as :func:`sum_dense_shares` would, the
+    terms are added in sequence order and the block is divided by ``n``:
+    per element the operations of "materialise each term, add them in
+    order, ``/= n``", so the same bits, but a model block is read from
+    memory once for all terms and no term is allocated.  Returns a new
+    array; no input is written.
+    """
+    d, shape = terms[0].size, terms[0].shape
+    # A term is its (fraction, flat model) recipe; a ready array has none.
+    recipes = [
+        [(s.fraction, s.model.reshape(d)) for s in t.shares]
+        if isinstance(t, DenseSubtotal) else [(None, np.asarray(t).reshape(d))]
+        for t in terms
+    ]
+    out = np.empty(d)
+    scratch = np.empty((2, min(d, _FUSED_BLOCK)))
+    for c0 in range(0, d, _FUSED_BLOCK):
+        c1 = c0 + _FUSED_BLOCK
+        acc = out[c0:c1]
+        held, tmp = scratch[:, : acc.size]
+        for j, ((fraction, vec), *rest) in enumerate(recipes):
+            if fraction is None:
+                part = vec[c0:c1]
+            else:
+                # The first term is evaluated straight into the output.
+                part = held if j else acc
+                np.multiply(fraction, vec[c0:c1], out=part)
+                for fraction, vec in rest:
+                    np.multiply(fraction, vec[c0:c1], out=tmp)
+                    np.add(part, tmp, out=part)
+            if j:
+                np.add(acc, part, out=acc)
+            elif part is not acc:
+                np.copyto(acc, part)
+        np.divide(acc, n, out=acc)
+    return out.reshape(shape)
 
 
 def batched_zero_sum(

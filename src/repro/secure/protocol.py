@@ -14,18 +14,20 @@ Timeline of one round (k-out-of-n, leader ``L``):
    bundle of share indices ``j .. j+n-k (mod n)``.
 2. On receiving all ``n-1`` bundles a peer *can supply* the subtotals of
    its held indices; the ``k-1`` non-leaders whose primary ``L`` does not
-   hold itself compute theirs and send it to ``L``.
+   hold itself send theirs to ``L``.
 3. ``L`` assembles all ``n`` subtotals.  If some are still missing after
    ``subtotal_timeout_ms`` (crashed primaries), it fetches them from
-   surviving replica holders, which compute them on request.
+   surviving replica holders, which supply them on request.
 4. ``L`` sums its own held subtotals with the received ones, averages,
    and the round completes.
 
-A subtotal is computed only where the protocol consumes it (steps 2-4);
-bundles are kept for the whole round, so every replica stays
-recoverable.  Dense shares travel as :class:`~.batched.DenseShare`
-handles — ``|w|`` bits on the simulated wire, two references in host
-memory — and are summed by the fused kernel without being materialised.
+Bundles are kept for the whole round, so every replica stays
+recoverable.  Dense shares and subtotals travel as
+:class:`~.batched.DenseShare` / :class:`~.batched.DenseSubtotal` handles
+— ``|w|`` bits on the simulated wire, a few references in host memory —
+and step 4 is their only arithmetic: one blocked pass of
+:func:`~.batched.mean_of_subtotals`.  The seed codecs have no
+``fraction * model`` form and sum a subtotal where it is supplied.
 
 A peer that crashes *before* its bundles go out makes the round
 unrecoverable (its model's shares are gone); the liveness watch reports
@@ -63,10 +65,11 @@ from ..simnet import (
     check_transport,
 )
 from .batched import (
+    DenseSubtotal,
+    _accumulate_scaled,
     divide_handles,
     draw_divide_noise,
-    fused_subtotals,
-    sum_dense_shares,
+    mean_of_subtotals,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -96,10 +99,11 @@ class SharesBundle:
 @dataclass(frozen=True)
 class Subtotal:
     index: int
-    value: np.ndarray
+    #: a DenseSubtotal handle under the dense codec; ``|w|`` on the wire
+    value: np.ndarray | DenseSubtotal
 
     def size_bits(self) -> float:
-        return float(np.asarray(self.value).size * DEFAULT_BITS_PER_PARAM)
+        return float(self.value.size * DEFAULT_BITS_PER_PARAM)
 
 
 @dataclass(frozen=True)
@@ -270,21 +274,22 @@ class SacProtocolPeer(SimNode):
 
         True when the subtotal arrived over the wire, or when ``idx`` is
         one of this peer's held indices and all ``n`` bundles are in (it
-        is then computed on demand, never stored).
+        is then produced on demand, never stored).
         """
         return idx in self._received or (
             idx in self.held and len(self._bundles) == self.n
         )
 
-    def _subtotal(self, idx: int) -> np.ndarray:
-        """Subtotal ``idx``: the received copy, else summed from the
-        bundles, origins left to right (requires :meth:`can_supply`)."""
+    def _subtotal(self, idx: int) -> np.ndarray | DenseSubtotal:
+        """Subtotal ``idx``: the received copy, else from the bundles,
+        origins left to right (requires :meth:`can_supply`) — a handle
+        under the dense codec, summed here under the seed codecs."""
         value = self._received.get(idx)
         if value is not None:
             return value
         parts = [self._bundles[origin][idx] for origin in range(self.n)]
         if self.share_codec == "dense":
-            return sum_dense_shares(parts)
+            return DenseSubtotal(parts)
         total = None
         for part in parts:
             if isinstance(part, SeedShare):
@@ -356,14 +361,9 @@ class SacProtocolPeer(SimNode):
             return
         if not all(self.can_supply(idx) for idx in range(self.n)):
             return
-        # In place, so on a copy where the first term was received: a
-        # ``Subtotal.value`` is its sender's array and must not be mutated.
-        total = self._subtotal(0)
-        if 0 in self._received:
-            total = total.copy()
-        for idx in range(1, self.n):
-            np.add(total, self._subtotal(idx), out=total)
-        total /= self.n
+        total = mean_of_subtotals(
+            [self._subtotal(idx) for idx in range(self.n)], self.n
+        )
         self.average = total
         self.finish_time = self.sim.now
         obs = _obs.OBS
@@ -403,7 +403,7 @@ class SacProtocolPeer(SimNode):
             self._maybe_finish()
         elif isinstance(msg, RecoveryRequest):
             if self.can_supply(msg.index):
-                # Alg. 4 lines 17-18: the replica is computed on request.
+                # Alg. 4 lines 17-18: the replica is supplied on request.
                 reply = Subtotal(msg.index, self._subtotal(msg.index))
                 self.send(src, reply, size_bits=reply.size_bits(), kind="sac.subtotal")
         else:  # pragma: no cover - defensive
@@ -597,10 +597,12 @@ def reference_group_average(
 
     No simulator, no messages: each peer's Alg. 1 fractions are drawn
     from its own generator exactly as :meth:`SacProtocolPeer.start_round`
-    draws them, the fused kernel adds each index's shares in owner order
-    (what :func:`~.batched.sum_dense_shares` does at the actors), and the
-    leader's sum runs over the indices in order before the divide by
-    ``n``.  Same operands, same operations, same order — so the result is
+    draws them, the blocked core of :func:`~.batched.fused_subtotals`
+    adds each index's shares in owner order, and the leader's sum runs
+    over the indices in order before the divide by ``n`` — full-length
+    passes over stored subtotals where the leader's
+    :func:`~.batched.mean_of_subtotals` works block by block.  Same
+    operands, same operations, same order per element — so the result is
     bit-identical to ``leader.average`` of any round that *completes*,
     however many replicas Alg. 4 had to fetch on the way (``k`` decides
     who supplies a subtotal, never its value).  The seed codecs round
@@ -612,15 +614,15 @@ def reference_group_average(
             f" only, got {share_codec!r}"
         )
     n = len(models)
-    noise = [
-        draw_divide_noise(1, n, np.random.default_rng(s)) for s in peer_seeds
-    ]
-    subtotals = fused_subtotals(
-        np.stack([np.asarray(m, dtype=np.float64) for m in models]),
-        np.concatenate([rn for rn, _ in noise]),
-        np.concatenate([totals for _, totals in noise]),
-        n,
-    )[0]
+    owners = [np.asarray(m, dtype=np.float64) for m in models]
+    fractions = []
+    for s in peer_seeds:
+        rn, totals = draw_divide_noise(1, n, np.random.default_rng(s))
+        fractions.append(rn / totals[:, None])
+    # The models go in as (1, d) views, not as a stacked copy.
+    subtotals = np.empty((1, n, owners[0].size))
+    _accumulate_scaled(subtotals, [m.reshape(1, -1) for m in owners], fractions)
+    subtotals = subtotals.reshape((n,) + owners[0].shape)
     total = subtotals[0]
     for idx in range(1, n):
         np.add(total, subtotals[idx], out=total)

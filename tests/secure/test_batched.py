@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.secure import batched
 from repro.secure.additive import divide, divide_zero_sum, reconstruct
 from repro.secure.batched import (
+    DenseSubtotal,
     apply_divide_noise,
     batched_divide,
     batched_divide_ring,
@@ -26,6 +27,7 @@ from repro.secure.batched import (
     divide_handles,
     draw_divide_noise,
     fused_subtotals,
+    mean_of_subtotals,
     sum_dense_shares,
 )
 from repro.secure.fixed_point import divide_ring, reconstruct_ring
@@ -295,3 +297,63 @@ class TestDenseShareHandles:
         with _fused_block(block):
             got = sum_dense_shares(handles)
         assert _bits_equal(got, expect)
+
+
+def _term_is_lazy(mix, j):
+    """Whether term ``j`` of the leader's sum is a handle: every term
+    (dense codec), none (seed codecs), or alternating from either kind
+    — an array in first position is the case the eager leader had to
+    copy before accumulating in place."""
+    return {"handles": True, "arrays": False,
+            "array_first": j % 2 == 1, "handle_first": j % 2 == 0}[mix]
+
+
+class TestMeanOfSubtotals:
+    @given(n=peers, shape=model_shapes, block=blocks, seed=seeds,
+           mix=st.sampled_from(
+               ["handles", "arrays", "array_first", "handle_first"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_materialise_reduce_add_divide(
+        self, n, shape, block, seed, mix
+    ):
+        models = RNG(seed).normal(size=(n,) + shape)
+        rng_h, rng_d = RNG(seed + 1), RNG(seed + 1)
+        handles = [divide_handles(w, n, rng_h) for w in models]
+        # The oracle: every share as an array, owners reduced, indices
+        # added in order, one divide.
+        subtotals = batched_divide(models, n, rng_d).sum(axis=0)
+        expect = np.array(subtotals[0])
+        for j in range(1, n):
+            np.add(expect, subtotals[j], out=expect)
+        expect /= n
+
+        # handles[owner][index] -> one subtotal per index, owners in order
+        lazy = [DenseSubtotal(column) for column in zip(*handles)]
+        terms = [lazy[j] if _term_is_lazy(mix, j) else np.array(subtotals[j])
+                 for j in range(n)]
+        inputs = [models] + [t for t in terms if isinstance(t, np.ndarray)]
+        before = [a.tobytes() for a in inputs]
+        with _fused_block(block):
+            got = mean_of_subtotals(terms, n)
+            for j, handle in enumerate(lazy):
+                assert handle.size == subtotals[j].size
+                assert handle.shape == shape
+                assert _bits_equal(
+                    handle.materialize(), sum_dense_shares(handle.shares)
+                )
+                assert _bits_equal(np.asarray(handle), np.array(subtotals[j]))
+        assert _bits_equal(got, expect)
+        assert [a.tobytes() for a in inputs] == before
+        assert not any(np.shares_memory(got, a) for a in inputs)
+
+    @pytest.mark.parametrize("d", [1, 32_768, 32_769, 70_001])
+    def test_shipped_block_size_across_block_edges(self, d):
+        n, rng = 5, RNG(d)
+        models = rng.random((n, d))
+        handles = [divide_handles(w, n, rng) for w in models]
+        terms = [DenseSubtotal(column) for column in zip(*handles)]
+        expect = terms[0].materialize()
+        for term in terms[1:]:
+            np.add(expect, term.materialize(), out=expect)
+        expect /= n
+        assert _bits_equal(mean_of_subtotals(terms, n), expect)
