@@ -7,18 +7,16 @@ series it reproduces (run with ``-s`` to see the tables).  Scale knobs:
 - ``REPRO_TRIALS`` — Raft trials per timeout for Figs. 10-12
   (default 25; paper 1000)
 - ``REPRO_PEERS``  — peers for Figs. 6-9 (defaults 10 / 20, as in the paper)
-- ``REPRO_BENCH_DIR`` — directory for BENCH-schema artifacts emitted by
-  the timing benchmarks (default ``bench_out``)
 
 Timing benchmarks use :func:`measure` — warmup iterations plus
 median-of-repeats, so a scheduler hiccup in one repetition cannot flip a
-result — and record their wall numbers as ``repro.bench/v1`` artifacts
-via :func:`write_bench` instead of asserting on raw wall time.
+result — and print their wall numbers via :func:`emit` instead of
+asserting on raw wall time (cross-commit wall and memory comparisons are
+``bench/run.py``'s job).
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 from typing import Callable
@@ -34,9 +32,9 @@ def measure(
 ) -> tuple[object, dict]:
     """Run ``fn`` ``warmup + repeats`` times; return (last result, stats).
 
-    The stats dict is a BENCH-schema ``wall_ms`` block: the median is
-    the headline number (robust to one slow repetition), min/mean/max
-    ride along.  Warmup runs are executed but not measured.
+    The stats dict is in milliseconds: the median is the headline
+    number (robust to one slow repetition), min/mean/max ride along.
+    Warmup runs are executed but not measured.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -57,17 +55,3 @@ def measure(
         "max": max(walls),
     }
 
-
-def write_bench(name: str, scenarios: list[dict]) -> str:
-    """Write scenario records as a validated BENCH artifact.
-
-    Lands in ``$REPRO_BENCH_DIR`` (default ``bench_out/``) as
-    ``BENCH_<name>.json`` so ``python -m repro bench --compare`` can
-    gate benchmark runs against each other.
-    """
-    from repro.obs import bench
-
-    out_dir = os.environ.get("REPRO_BENCH_DIR", "bench_out")
-    path = os.path.join(out_dir, f"BENCH_{name}.json")
-    artifact = bench.make_artifact(scenarios, mode="benchmark")
-    return bench.write_artifact(path, artifact)

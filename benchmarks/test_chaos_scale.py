@@ -9,8 +9,9 @@ per-message.  Every sim-side :class:`~repro.chaos.scale.ScaleReport`
 field — finish time, aggregate checksum, bit/message totals,
 retransmit/ACK/duplicate/exhausted/drop counters, typed outcome — must
 be byte-identical across engines at the same seed, and the wave engine
-must beat the scalar replay by >= 10x wall-clock.  Wall numbers land in
-``bench_out/BENCH_chaos_scale.json`` for cross-PR comparison.
+must beat the scalar replay by >= 10x wall-clock.  Wall numbers are
+printed; the cross-PR comparison is the ``xlayer_lossy`` workload of
+``bench/run.py``.
 
 Not part of tier-1 (``testpaths`` excludes ``benchmarks/``): the scalar
 leg schedules one heap event per attempt item (~4M at this scale) and
@@ -19,7 +20,7 @@ takes a minute or two.
 
 from dataclasses import fields
 
-from conftest import emit, write_bench
+from conftest import emit
 
 from repro.chaos.scale import run_scale_trial
 
@@ -73,37 +74,6 @@ def test_chaos_wave_vs_scalar_at_1e5_peers():
         f"  speedup {speedup:.1f}x  "
         f"({wave.n_peers / wave.wall_s:,.0f} peers/s)"
     )
-    write_bench("chaos_scale", [{
-        "id": "chaos_wave_vs_scalar",
-        "seed": SEED,
-        "params": {"target_peers": TARGET_PEERS, "depth": DEPTH,
-                   "loss_rate": LOSS_RATE, "max_attempts": MAX_ATTEMPTS},
-        "sim": {
-            "sim_time_ms": wave.finish_ms,
-            "bits": wave.bits_sent,
-            "messages": wave.messages_sent,
-            "n_peers": wave.n_peers,
-            "retransmits": wave.retransmits,
-            "acks": wave.acks,
-            "duplicates": wave.duplicates,
-            "exhausted": wave.exhausted,
-            "dropped": wave.dropped,
-            "wave_heap_events": wave.heap["events_processed"],
-            "scalar_heap_events": scalar.heap["events_processed"],
-        },
-        "wall_ms": {
-            "repeats": 1, "warmup": 0,
-            "min": wave.wall_s * 1e3, "median": wave.wall_s * 1e3,
-            "mean": wave.wall_s * 1e3, "max": wave.wall_s * 1e3,
-        },
-        "phases": [],
-        "resources": {
-            "wall_wave_ms": wave.wall_s * 1e3,
-            "wall_scalar_ms": scalar.wall_s * 1e3,
-            "scalar_over_wave": speedup,
-            "peers_per_sec": wave.n_peers / wave.wall_s,
-        },
-    }])
     assert speedup >= MIN_SPEEDUP, (
         f"wave engine only {speedup:.1f}x faster than scalar "
         f"(need >= {MIN_SPEEDUP}x)"

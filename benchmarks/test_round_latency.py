@@ -6,12 +6,10 @@ links, the Fig. 5 CNN) and sweeps the subgroup count m at N = 30.
 
 The *modeled* latencies are closed-form and deterministic — those carry
 the assertions.  The wall clock of computing the sweep is measured with
-warmup + median-of-repeats and recorded in a BENCH-schema artifact
-(``bench_out/BENCH_round_latency.json``) for ``--compare`` gating, not
-asserted here.
+warmup + median-of-repeats and printed, not asserted.
 """
 
-from conftest import emit, measure, write_bench
+from conftest import emit, measure
 
 from repro.core import Topology
 from repro.core.latency import one_layer_sac_latency_ms, two_layer_round_latency_ms
@@ -41,6 +39,7 @@ def test_round_latency_vs_m():
         sac = f"{lat.sac_ms / 1e3:8.2f}" if lat else f"{'-':>8}"
         bc = f"{lat.broadcast_ms / 1e3:8.2f}" if lat else f"{'-':>8}"
         lines.append(f"  {label:<22}{total / 1e3:>9.2f}{sac:>8}{bc:>9}")
+    lines.append(f"  sweep wall: median {wall['median']:.2f} ms")
     emit("\n".join(lines))
 
     one = rows[0][1]
@@ -50,15 +49,3 @@ def test_round_latency_vs_m():
     # at the FedAvg leader while tiny m inflates SAC — a real trade-off.
     totals = {label: total for label, total, _ in rows[1:]}
     assert totals["two-layer m=10 (k=3)"] < totals["two-layer m=2 (k=3)"]
-
-    path = write_bench("round_latency", [{
-        "id": "round_latency_sweep",
-        "seed": 0,
-        "params": {"n": 30, "bandwidth_bps": BANDWIDTH,
-                   "model_params": PAPER_CNN_PARAMS},
-        # The modeled latencies are the deterministic (exact-gated) side.
-        "sim": {label: total for label, total, _ in rows},
-        "wall_ms": wall,
-        "phases": [],
-    }])
-    emit(f"BENCH artifact: {path}")

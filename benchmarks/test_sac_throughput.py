@@ -5,15 +5,14 @@ HPC guides' "measure before optimizing").  One SAC round over the
 1.25M-parameter weight vector, functional and fault-tolerant forms.
 
 Correctness (the reconstructed average) is asserted; wall-clock numbers
-are measured with warmup + median-of-repeats and recorded in a
-BENCH-schema artifact (``bench_out/BENCH_sac_throughput.json``) so
-``python -m repro bench --compare`` gates throughput across PRs instead
-of a flaky in-test threshold.
+are measured with warmup + median-of-repeats and printed — the
+``paper_round`` workload of ``bench/run.py`` gates this throughput
+across PRs, not a flaky in-test threshold.
 """
 
 import numpy as np
 import pytest
-from conftest import emit, measure, write_bench
+from conftest import emit, measure
 
 from repro.fl import fedavg
 from repro.nn.zoo import PAPER_CNN_PARAMS
@@ -30,26 +29,7 @@ def peer_models():
     return [rng.normal(size=PAPER_CNN_PARAMS) for _ in range(N_PEERS)]
 
 
-@pytest.fixture(scope="module")
-def bench_rows():
-    rows: list[dict] = []
-    yield rows
-    if rows:
-        emit(f"BENCH artifact: {write_bench('sac_throughput', rows)}")
-
-
-def _row(name: str, params: dict, wall: dict) -> dict:
-    return {
-        "id": name,
-        "seed": 0,
-        "params": params,
-        "sim": {"n_peers": N_PEERS, "model_params": PAPER_CNN_PARAMS},
-        "wall_ms": wall,
-        "phases": [],
-    }
-
-
-def test_sac_round_throughput(peer_models, bench_rows):
+def test_sac_round_throughput(peer_models):
     result, wall = measure(
         lambda: sac_average(peer_models, np.random.default_rng(1)),
         warmup=1, repeats=REPEATS,
@@ -59,10 +39,9 @@ def test_sac_round_throughput(peer_models, bench_rows):
     )
     emit(f"one-layer SAC round, {N_PEERS} peers x {PAPER_CNN_PARAMS:,} "
          f"params: median {wall['median']:.1f} ms")
-    bench_rows.append(_row("sac_round", {"k": N_PEERS}, wall))
 
 
-def test_ft_sac_round_throughput(peer_models, bench_rows):
+def test_ft_sac_round_throughput(peer_models):
     result, wall = measure(
         lambda: fault_tolerant_sac(peer_models, 3, np.random.default_rng(2)),
         warmup=1, repeats=REPEATS,
@@ -72,10 +51,9 @@ def test_ft_sac_round_throughput(peer_models, bench_rows):
     )
     emit(f"3-out-of-{N_PEERS} SAC round at {PAPER_CNN_PARAMS:,} params: "
          f"median {wall['median']:.1f} ms")
-    bench_rows.append(_row("ft_sac_round", {"k": 3}, wall))
 
 
-def test_fedavg_throughput(peer_models, bench_rows):
+def test_fedavg_throughput(peer_models):
     weights = [float(i + 1) for i in range(N_PEERS)]
     out, wall = measure(
         lambda: fedavg(peer_models, weights), warmup=1, repeats=REPEATS,
@@ -83,4 +61,3 @@ def test_fedavg_throughput(peer_models, bench_rows):
     assert out.shape == (PAPER_CNN_PARAMS,)
     emit(f"FedAvg over {N_PEERS} x {PAPER_CNN_PARAMS:,}-param models: "
          f"median {wall['median']:.1f} ms")
-    bench_rows.append(_row("fedavg", {"weighted": True}, wall))

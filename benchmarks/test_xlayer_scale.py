@@ -4,9 +4,8 @@ The acceptance benchmark of the vectorized delivery-wave core: one
 X-layer round at depth 10 (n=4, N=118,096 peers, ~708k wire messages)
 through both engines.  Sim-side results must be bit-identical and pinned
 to the Eq. 10 closed forms; the wave engine must beat the per-message
-scalar replay by >= 10x wall-clock.  Wall numbers land in a BENCH
-artifact (``bench_out/BENCH_xlayer_scale.json``) for cross-PR
-comparison.
+scalar replay by >= 10x wall-clock.  Wall numbers are printed; the
+cross-PR comparison is the ``xlayer_wide`` workload of ``bench/run.py``.
 
 Not part of tier-1 (``testpaths`` excludes ``benchmarks/``): the
 speedup assertion compares two in-process measurements, which is robust
@@ -17,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import emit, write_bench
+from conftest import emit
 
 from repro.core import (
     MultiLayerTopology,
@@ -72,33 +71,6 @@ def test_wave_vs_scalar_at_1e5_peers():
         f"({topo.n_peers / wall_wave:,.0f} peers/s, "
         f"{wave.messages_sent / wall_wave:,.0f} msgs/s)"
     )
-    write_bench("xlayer_scale", [{
-        "id": "xlayer_wave_vs_scalar",
-        "seed": 0,
-        "params": {"n": N, "depth": DEPTH, "model_params": DIM,
-                   "delay_ms": DELAY_MS},
-        "sim": {
-            "sim_time_ms": wave.finish_time_ms,
-            "bits": wave.bits_sent,
-            "messages": wave.messages_sent,
-            "n_peers": wave.n_peers,
-            "wave_heap_events": wave.heap_stats["events_processed"],
-            "scalar_heap_events": scalar.heap_stats["events_processed"],
-        },
-        "wall_ms": {
-            "repeats": 1, "warmup": 0,
-            "min": wall_wave * 1e3, "median": wall_wave * 1e3,
-            "mean": wall_wave * 1e3, "max": wall_wave * 1e3,
-        },
-        "phases": [],
-        "resources": {
-            "wall_wave_ms": wall_wave * 1e3,
-            "wall_scalar_ms": wall_scalar * 1e3,
-            "scalar_over_wave": speedup,
-            "peers_per_sec": topo.n_peers / wall_wave,
-            "events_per_sec": wave.messages_sent / wall_wave,
-        },
-    }])
     assert speedup >= MIN_SPEEDUP, (
         f"wave engine only {speedup:.1f}x faster than scalar "
         f"(need >= {MIN_SPEEDUP}x)"

@@ -10,21 +10,19 @@ paper's whole pitch in one script.
 Run:  python examples/full_system_failover.py
 
 Besides the console narrative, the script writes ``BENCH_round.json``
-next to the working directory — a ``repro.bench/v1`` artifact (the same
-schema as ``python -m repro bench``, see ``docs/observability.md``) with
-one scenario whose ``series`` lists a machine-readable record per round
-(wall latency, bits by protocol kind, election count, accuracy), so
-``python -m repro bench --compare`` can diff runs without scraping
-stdout.
+into the working directory: the run's seed-exact totals under ``sim``
+and, under ``series``, one machine-readable record per round (wall
+latency, bits by protocol kind, election count, accuracy), so runs can
+be diffed without scraping stdout.
 """
 
+import json
 import time
 
 import numpy as np
 
 from repro.data import synthetic_blobs
 from repro.nn import mlp_classifier
-from repro.obs import bench
 from repro.p2pfl import P2PFLConfig, P2PFLSystem
 
 BENCH_PATH = "BENCH_round.json"
@@ -106,14 +104,13 @@ def main() -> None:
           f"{sorted(system.crashed_peers())}")
     print(f"FedAvg leader now: peer {system.raft.fed_leader()}")
 
-    latencies = [r["latency_ms"] for r in rows]
-    scenario = {
+    record = {
         "id": "full_system_failover",
         "seed": SEED,
         "params": {"n_peers": 15, "group_size": 3, "threshold": 2,
                    "rounds_per_phase": 4},
-        # Sim-side metrics: deterministic for a fixed seed, exact-gated
-        # by `python -m repro bench --compare`.
+        # Deterministic for a fixed seed; ``latency_ms`` in the series is
+        # the only measurement.
         "sim": {
             "rounds": len(rows),
             "comm_bits": sum(r["comm_bits"] for r in rows),
@@ -121,21 +118,12 @@ def main() -> None:
             "final_accuracy": final_accuracy,
             "crashed_peers": len(system.crashed_peers()),
         },
-        # Wall stats over the per-round latencies (no warmup rounds).
-        "wall_ms": {
-            "repeats": len(latencies),
-            "warmup": 0,
-            "min": min(latencies),
-            "median": sorted(latencies)[len(latencies) // 2],
-            "mean": sum(latencies) / len(latencies),
-            "max": max(latencies),
-        },
-        "phases": [],
         "series": rows,
     }
-    artifact = bench.make_artifact([scenario], mode="example", seed=SEED)
-    bench.write_artifact(BENCH_PATH, artifact)
-    print(f"\nPer-round benchmark artifact ({bench.SCHEMA}): {BENCH_PATH}")
+    with open(BENCH_PATH, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"\nPer-round record: {BENCH_PATH}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ optionally dumps the raw series to CSV::
     python -m repro fig13
     python -m repro all   --csv out/
     python -m repro trace --trace-out out/trace.json
-    python -m repro bench --bench-out BENCH_suite.json
-    python -m repro bench --compare OLD.json NEW.json
     python -m repro prof --resources
     python -m repro chaos --plans 25
     python -m repro chaos --scale 100000 --loss 0.2
@@ -23,11 +21,6 @@ writes a JSONL event log, a Prometheus metrics dump, and a Chrome
 ``trace_event`` timeline (see ``docs/observability.md``).  The artifact
 flags also work with any other figure: ``--events-out``/``--metrics-out``
 capture the run's events and metrics as a side effect.
-
-``bench`` runs the canonical profiled benchmark suite
-(``repro.obs.bench``) and writes a schema-validated ``BENCH_suite.json``;
-with ``--compare`` it instead diffs two artifacts and exits non-zero on
-any regression — the gate future perf PRs cite for before/after numbers.
 
 ``prof`` runs the failover + wire-round workload under the phase
 profiler and prints the span call tree; with ``--resources`` it also
@@ -81,15 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[
             "env", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "multilayer", "xlayer", "all",
-            "report", "plan", "trace", "bench", "prof", "chaos",
+            "report", "plan", "trace", "prof", "chaos",
             "campaign", "serve-metrics",
         ],
         help="which table/figure to regenerate ('report' writes everything "
         "to a markdown file; 'plan' runs the deployment planner; 'trace' "
         "runs the observability scenario and writes event/metric/timeline "
-        "artifacts; 'bench' runs the profiled benchmark suite or, with "
-        "--compare, gates two BENCH artifacts against each other; 'chaos' "
-        "runs seeded fault-injection campaigns and exits non-zero on any "
+        "artifacts; 'chaos' runs seeded fault-injection campaigns and "
+        "exits non-zero on any "
         "safety violation; 'campaign' runs multi-round churn campaigns "
         "with re-sharding and cross-round invariants; 'serve-metrics' "
         "runs a live chaos campaign "
@@ -116,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", metavar="DIR", default=None,
                         help="also write raw series as CSV into DIR")
     parser.add_argument("--seed", type=int, default=0,
-                        help="'trace'/'bench': scenario RNG seed")
+                        help="'trace'/'prof'/'xlayer'/'chaos --scale': "
+                        "scenario RNG seed")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome trace_event JSON timeline "
                         "(open in https://ui.perfetto.dev)")
@@ -127,39 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"],
                         help="status-line verbosity (default: info)")
-    parser.add_argument("--bench-out", metavar="PATH",
-                        default="BENCH_suite.json",
-                        help="'bench': artifact output path")
-    parser.add_argument("--smoke", action="store_true",
-                        help="'bench': tiny scenario sizes (CI smoke mode)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="'bench': measured wall-clock repeats per "
-                        "scenario (default: 3)")
-    parser.add_argument("--warmup", type=int, default=1,
-                        help="'bench': unmeasured warmup runs per scenario "
-                        "(default: 1)")
-    parser.add_argument("--only", metavar="IDS", default=None,
-                        help="'bench': comma-separated scenario ids to run")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        default=None,
-                        help="'bench': diff two BENCH artifacts and exit "
-                        "non-zero on regression instead of running the suite")
-    parser.add_argument("--wall-tolerance", type=float, default=1.5,
-                        help="'bench --compare': allowed wall-time median "
-                        "ratio NEW/OLD (default: 1.5)")
-    parser.add_argument("--mem-tolerance", type=float, default=2.0,
-                        help="'bench --compare': allowed peak-allocation "
-                        "ratio NEW/OLD (default: 2.0)")
     parser.add_argument("--resources", action="store_true",
                         help="'prof': wrap each phase in the live resource "
                         "profiler and print the memory/simnet snapshot")
     parser.add_argument("--top", type=int, default=12,
-                        help="'bench': rows in the printed top-phases table")
+                        help="'prof': rows in the printed phase table")
     parser.add_argument("--parallel", default=None,
                         choices=["off", "threads", "process"],
-                        help="'bench': execution mode for the "
-                        "two_layer_parallel scenario (default: threads); "
-                        "sim metrics are mode-independent")
+                        help="'xlayer'/'chaos --scale'/'campaign': fan the "
+                        "subgroup work out across workers (default: off); "
+                        "results are mode-independent")
     parser.add_argument("--plans", type=int, default=25,
                         help="'chaos': seeded fault plans per layer "
                         "(default: 25)")
@@ -237,45 +207,6 @@ def _trace_paths(args: argparse.Namespace) -> tuple[str, str, str]:
         if parent:
             os.makedirs(parent, exist_ok=True)
     return events, metrics, chrome
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from .obs import bench
-
-    if args.compare is not None:
-        old = bench.load_artifact(args.compare[0])
-        new = bench.load_artifact(args.compare[1])
-        ok, deltas = bench.compare_artifacts(
-            old, new, wall_tolerance=args.wall_tolerance,
-            mem_tolerance=args.mem_tolerance,
-        )
-        print(bench.format_compare_report(
-            ok, deltas, wall_tolerance=args.wall_tolerance,
-            mem_tolerance=args.mem_tolerance,
-        ))
-        return 0 if ok else 1
-
-    only = args.only.split(",") if args.only else None
-    artifact = bench.run_suite(
-        smoke=args.smoke, seed=args.seed,
-        repeats=args.repeats, warmup=args.warmup, only=only,
-        parallel=args.parallel,
-    )
-    path = bench.write_artifact(args.bench_out, artifact)
-    print(bench.format_suite_summary(artifact))
-    for sc in artifact["scenarios"]:
-        top = sorted(
-            sc["phases"], key=lambda p: p["self_ms"], reverse=True
-        )[: args.top]
-        if top:
-            print(f"\n  top phases — {sc['id']}:")
-            for ph in top:
-                print(f"    {'/'.join(ph['path']):<46}"
-                      f"self {ph['self_ms']:>9.2f} ms  "
-                      f"total {ph['total_ms']:>9.2f} ms  "
-                      f"{ph['bits'] / 1e6:>7.2f} Mb")
-    log.info("artifact -> %s", path)
-    return 0
 
 
 def _run_prof(args: argparse.Namespace) -> int:
@@ -611,9 +542,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     set_level(args.log_level)
-
-    if args.figure == "bench":
-        return _run_bench(args)
 
     if args.figure == "prof":
         return _run_prof(args)

@@ -8,7 +8,7 @@ reliable transport and an optional fault schedule — the configuration
 that is only tractable because the wave engine vectorizes the
 ACK/retransmit state machine into per-attempt cohorts (see
 ``docs/performance.md``).  ``python -m repro chaos --scale N`` and the
-``chaos_scale`` bench scenario both drive :func:`run_scale_trial`.
+``chaos_scale`` sim pin both drive :func:`run_scale_trial`.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ Everything is vectorized per *layer*, not per group:
 Peers are modelled by their ids alone (accounting waves, no actor
 objects), which is what makes 10^5-10^6 simulated peers tractable.
 ``engine="scalar"`` replays the identical schedule through per-message
-heap events — the honest pre-wave baseline the ``xlayer_scale`` bench
+heap events — the honest pre-wave baseline the ``xlayer_scale`` sim pin
 compares against; delivery times, trace totals and the final average
 are bit-identical across engines.
 """

@@ -17,8 +17,6 @@ This package is that instrumentation as a first-class subsystem:
 - :mod:`.logging` — a leveled logger that doubles as an event source;
 - :mod:`.prof` — phase-attributed profiler over the span stream: call
   tree with self/total time, per-phase byte counts, straggler stats;
-- :mod:`.bench` — the canonical benchmark suite, the versioned BENCH
-  artifact schema, and the ``--compare`` regression gate;
 - :mod:`.causal` — trace contexts attached to every simnet message
   (``observe(causal=True)``), the causal DAG they form, and the
   critical-path extractor over it;
@@ -33,21 +31,11 @@ This package is that instrumentation as a first-class subsystem:
   accounting for the 10⁵-peer scale push.
 
 ``repro.obs.scenario`` (the ``python -m repro trace`` scenario) is
-imported lazily, not here, because it depends on ``repro.core``
-(:mod:`.bench` also touches ``repro.core``, but only from inside its
-scenario functions, so importing it here is cycle-free).
+imported lazily, not here, because it depends on ``repro.core``.
 
 See ``docs/observability.md`` for the event taxonomy and metric names.
 """
 
-from .bench import (
-    compare_artifacts,
-    load_artifact,
-    run_suite,
-    sim_fingerprint,
-    validate_artifact,
-    write_artifact,
-)
 from .bus import Event, EventBus
 from .causal import (
     CausalDag,
@@ -113,12 +101,6 @@ __all__ = [
     "MetricsServer",
     "StatusBoard",
     "FlightRecorder",
-    "compare_artifacts",
-    "load_artifact",
-    "run_suite",
-    "sim_fingerprint",
-    "validate_artifact",
-    "write_artifact",
     "PhaseStats",
     "ProfileReport",
     "StragglerStats",

@@ -19,9 +19,9 @@ reconstructs:
 
 Everything sim-side (total/self sim ms, bits, message counts, straggler
 gaps) is a pure function of the event stream, so two runs with the same
-seed produce bit-identical reports — the property the BENCH determinism
-gate relies on.  Wall-clock fields ride along for humans and are
-excluded from determinism comparisons.
+seed produce bit-identical reports — the property the seed-exact pins in
+``tests/integration/test_sim_pins.py`` rely on.  Wall-clock fields ride
+along for humans and are excluded from determinism comparisons.
 
 Call-tree reconstruction rules (deterministic, documented here because
 spans from concurrent simulated actors genuinely overlap):
@@ -413,12 +413,12 @@ class ResourceProfiler:
     wrap each workload phase in :meth:`phase` and it records, per
     phase, the allocated-bytes delta, the in-phase ``tracemalloc``
     peak, and any growth of the process peak RSS.  Used by
-    ``python -m repro prof --resources`` and the bench resource pass.
+    ``python -m repro prof --resources``.
 
     ``tracemalloc`` is started on entry to the first phase if it is not
     already tracing (and stopped again by :meth:`close` only if this
-    profiler started it).  Tracing costs real wall time, so the bench
-    harness runs its resource pass separately from the timed repeats.
+    profiler started it).  Tracing costs real wall time, so never time a
+    run that is also being resource-profiled.
     """
 
     def __init__(self) -> None:

@@ -82,7 +82,7 @@ class Observability:
         #: opt-in causal tracing: when True (``observe(causal=True)``),
         #: ``Network.send`` allocates a TraceContext per message and
         #: emits span-carrying ``net.send`` events.  Off by default so
-        #: the baseline event stream (and the bench sim fingerprint)
+        #: the baseline event stream (and every seed-exact sim pin)
         #: is unchanged.
         self.causal = bool(causal)
         self.retention = retention

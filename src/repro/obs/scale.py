@@ -26,7 +26,7 @@ Selection is a constructor policy on
     obs.rollup.snapshot()
 
 Default retention stays ``"full"`` — nothing changes for existing
-paths, and the bench sim fingerprints are byte-identical.
+paths, and the seed-exact sim pins are byte-identical.
 """
 
 from __future__ import annotations

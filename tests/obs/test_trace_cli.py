@@ -91,3 +91,20 @@ def test_global_pipeline_left_disabled(artifacts):
     from repro.obs import runtime
 
     assert not runtime.get().enabled
+
+
+def test_bench_subcommand_and_its_flags_are_gone(capsys):
+    """The in-program harness was retired: argparse rejects it cleanly."""
+    with pytest.raises(SystemExit) as err:
+        main(["bench"])
+    assert err.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    listed = capsys.readouterr().out
+    # "-tolerance" covers both the wall and the memory tolerance flag.
+    for flag in ("--bench-out", "--smoke", "--repeats", "--warmup", "--only",
+                 "--compare", "-tolerance"):
+        assert flag not in listed
