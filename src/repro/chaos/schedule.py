@@ -29,6 +29,7 @@ detector a real deployment would build from timeouts and NACKs).
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -263,9 +264,13 @@ class FaultSchedule:
         return " ".join(parts) if parts else "(fault-free)"
 
     def validate_nodes(self, node_ids: Iterable[int]) -> None:
-        """Raise if the schedule touches a node outside ``node_ids``."""
-        known = set(node_ids)
-        unknown = sorted(self.touched_nodes() - known)
+        """Raise if the schedule touches a node outside ``node_ids``.
+
+        Membership is asked of ``node_ids`` itself when it can answer
+        (a ``range`` over 10^5 peers is never expanded into a set).
+        """
+        known = node_ids if isinstance(node_ids, Container) else set(node_ids)
+        unknown = sorted(n for n in self.touched_nodes() if n not in known)
         if unknown:
             raise ValueError(f"schedule touches unknown nodes {unknown}")
 

@@ -135,6 +135,7 @@ class FaultTimeline:
             node: np.array(sorted(times), dtype=np.float64)
             for node, times in recoveries.items()
         }
+        self._crash_nodes = np.array(sorted(self._crash), dtype=np.int64)
 
         self._partitions = [
             _PartitionSpan(e)
@@ -172,6 +173,15 @@ class FaultTimeline:
                 hit |= (t >= s) & (t < e)
             out[sel] = hit
         return out
+
+    def can_go_down(self, nodes: np.ndarray) -> np.ndarray:
+        """Whether the script can ever take ``nodes[i]`` down: it crashes
+        at some time, or a partition is scripted (outsiders are isolated).
+        Between other nodes :meth:`link_up_at` is ``True`` at any time."""
+        nodes = np.asarray(nodes)
+        if self._partitions:
+            return np.ones(len(nodes), dtype=bool)
+        return np.isin(nodes, self._crash_nodes)
 
     def recovery_at_or_after(
         self, nodes: np.ndarray, times: np.ndarray

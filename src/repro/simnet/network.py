@@ -300,6 +300,10 @@ class Network:
         #: to stay inside the disabled-path overhead budget.
         self.in_flight = 0
         self.peak_in_flight = 0
+        #: the pending :class:`repro.simnet.waves._ItemLedger`: accounting
+        #: item batches issued before the first of them is due replay
+        #: merged, from one heap entry.
+        self._ledger: Any = None
 
     # ------------------------------------------------------------------ nodes
     def register(self, node: Any) -> None:
@@ -326,19 +330,21 @@ class Network:
         """Release the actor graph once a run's results have been read.
 
         Nodes hold their network and the node table holds them; pending
-        deliveries and timers close over both; the reliable channel and
-        an armed fault schedule point back here.  Dropping the table,
-        those two and the simulator's pending events leaves no reference
-        cycle, so refcounting frees the run's state — peers, bundles,
-        every payload array — as soon as the caller lets go, with no
-        cyclic-collector pass.  Counters and the trace stay readable;
-        nothing can be sent afterwards.
+        deliveries and timers close over both; the reliable channel, an
+        armed fault schedule and a pending wave ledger point back here.
+        Dropping the table, those three and the simulator's pending
+        events (a half-replayed ledger lives only in one of them) leaves
+        no reference cycle, so refcounting frees the run's state —
+        peers, bundles, every payload array — as soon as the caller lets
+        go, with no cyclic-collector pass.  Counters and the trace stay
+        readable; nothing can be sent afterwards.
         """
         self.sim.clear()
         self._nodes.clear()
         self._node_ids_cache = self._alive_ids_cache = None
         self.reliable = None
         self.fault_oracle = None
+        self._ledger = None
 
     # ----------------------------------------------------------------- faults
     def crash(self, node_id: int, quiet: bool = False) -> None:
@@ -513,7 +519,9 @@ class Network:
         batch becomes an *item wave*: the whole stop-and-wait
         ACK/retransmit state machine (attempt cohorts, backoff epochs,
         ACK traffic, budget exhaustion) is precomputed vectorized and
-        replayed by either engine.  Without a timeline, fault state is
+        replayed by either engine — under ``"wave"``, accounting item
+        batches pending on a network share a single heap entry between
+        them.  Without a timeline, fault state is
         frozen at issue time for the whole wave.  Causal spans are not
         allocated for wave messages.
 

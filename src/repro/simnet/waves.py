@@ -27,20 +27,22 @@ that:
   Finding the run's end (:func:`_cut`) is three binary searches,
   however many messages share the head's instant.
 
-Reliable transport and fault timelines go through :class:`ItemWave`
-(second half of this module): the same single heap entry replaying a
-precomputed schedule of typed *items*.  A firing there costs O(1)
-Python work plus numpy passes over the run — one ``bincount``, one
-slice of an assembly-time gauge prefix — so a round costs O(firings),
-and firings are the distinct (instant, wave) pairs, not the items.
+Reliable transport and fault timelines (second half of this module)
+precompute a schedule of typed *items* per batch.  Accounting batches
+(``msgs=None``) are not heap participants at all: they run no handler,
+so a network's pending batches share one :class:`_ItemLedger` entry,
+are merged by one stable time sort at its first firing, and each firing
+replays everything up to the next *foreign* heap head.  Firings are the
+cuts by events that can observe the network — one for a whole X-layer
+round — not (instant, wave) pairs, let alone items.
 
-Accounting: a pure accounting wave (``msgs=None``) publishes one
-aggregate :class:`~repro.simnet.trace.WaveRecord` and one ``net.deliver``
-obs event (with a ``count`` field) per delivered run — totals match the
-scalar engine's per-message records exactly, at O(runs) cost.  Waves
-carrying actor messages (``msgs=...``) fall back to per-message records
-and events inside the run, because handlers observe the network
-mid-wave.
+Accounting: a pure accounting wave publishes one aggregate
+:class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
+(with a ``count`` field) per category per run — per batch too, on the
+ledger — and totals match the scalar engine's per-message records
+exactly.  Waves carrying actor messages (``msgs=...``) replay message
+by message (:meth:`ItemWave._apply_item` is also the scalar engine's
+per-item reference), because handlers observe the network mid-wave.
 
 Determinism contract (see ``docs/performance.md``): for the same
 ``send_batch`` call the two engines consume the RNG identically — loss
@@ -54,11 +56,13 @@ and in skipping per-message causal span allocation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
 from ..obs import runtime as _obs
+from .events import Event
 from .reliable import ACK_BITS, FRAME_HEADER_BITS, ExhaustedSend
 from .trace import MessageRecord, WaveRecord
 
@@ -79,12 +83,12 @@ def check_engine(engine: str) -> str:
 def _cut(times: np.ndarray, seqs: np.ndarray, i: int, head) -> int:
     """Largest ``j >= i`` such that entries ``i..j-1`` all precede ``head``.
 
-    ``times`` ascends and ``seqs`` ascends within every equal-time run
-    (both wave classes guarantee it), so the cut is three binary
-    searches however many entries tie with the head's time.  Counting
-    from ``i`` matters when the tie block started before it: a handler
-    that schedules a zero-delay event mid-block leaves the block's tail
-    ahead of that event.
+    ``times`` ascends and ``seqs`` never descends within an equal-time
+    run (both wave classes and the ledger's batch column guarantee it),
+    so the cut is three binary searches however many entries tie with
+    the head's time.  Counting from ``i`` matters when the tie block
+    started before it: a handler that schedules a zero-delay event
+    mid-block leaves the block's tail ahead of that event.
     """
     if head is None:
         return len(times)
@@ -465,19 +469,18 @@ def _serialized_times(
 #
 # With ``transport="reliable"`` (or a chaos fault timeline) a message is
 # no longer one delivery: it is a stop-and-wait state machine of
-# attempts, drops, ACKs and timers.  ``_item_schedule`` unrolls that
+# attempts, drops, ACKs and timers.  ``_send_batch_items`` unrolls that
 # machine for the whole batch in one numpy pass per backoff epoch,
 # producing a flat list of *items* — atomic accounting steps (a
 # departure, a frame arrival, an ACK arrival, a drop, a retransmission,
-# a budget exhaustion), each with an absolute time.  Both engines then
-# replay the *same* sorted item list against the same contiguous
-# reserved seq block: ``engine="scalar"`` pushes one heap entry per item
-# (the honest per-event reference), ``engine="wave"`` replays maximal
-# runs — of mixed types, up to the next live heap head — from a single
-# self-re-queuing entry: identical ``(time, seq)`` order, counters and
-# trace totals by construction.  The schedule is four arrays in that
-# order (time, int8 type, int32 message index, first-arrival flag) plus
-# the in-flight gauge prefix ``ItemWave._cum`` built from them.
+# a budget exhaustion), each with an absolute time — as four columns
+# (time, int8 type, int32 message index, first-arrival flag).  Both
+# engines replay the *same* stable-sorted items against the same
+# contiguous reserved seq block: ``engine="scalar"`` pushes one heap
+# entry per item, ``engine="wave"`` replays a payload batch item by item
+# from one self-re-queuing entry and accounting batches in bulk runs
+# from the network's ``_ItemLedger`` — identical ``(time, seq)`` order,
+# counters and trace totals by construction.
 #
 # Fate/RNG contract (shared by both engines since they share one
 # schedule): per epoch, in message-enumeration order — (1) one Bernoulli
@@ -598,6 +601,27 @@ def _send_batch_items(
             src_crashed = np.fromiter(
                 (net.is_crashed(int(s)) for s in src), dtype=bool, count=m,
             )
+    else:
+        # Fault reach: the script can only ever take down the links of
+        # the nodes it names, so each epoch asks it about those messages
+        # alone — every other link is up, every other sender never held.
+        reach = tl.can_go_down(src) | tl.can_go_down(dst)
+
+        def link_up(idx, s, d, t):  # tl.link_up_at over cohort ``idx``
+            sel = np.flatnonzero(reach[idx])
+            up = np.ones(len(idx), dtype=bool)
+            if sel.size:
+                up[sel] = tl.link_up_at(s[sel], d[sel], t[sel])
+            return up
+
+        def holds(idx, t, rto):  # _apply_holds over cohort ``idx``
+            sel = np.flatnonzero(reach[idx])
+            abandoned = np.zeros(len(idx), dtype=bool)
+            if sel.size:
+                t[sel], abandoned[sel] = _apply_holds(
+                    tl, src[idx[sel]], t[sel], rto
+                )
+            return t, abandoned
 
     # Item blocks in creation order; the empty seeds fix the dtypes and
     # keep an empty batch concatenable.
@@ -644,7 +668,7 @@ def _send_batch_items(
         if tl is None:
             up = up_static[idx_k]
         else:
-            up = tl.link_up_at(src[idx_k], dst[idx_k], t_k)
+            up = link_up(idx_k, src[idx_k], dst[idx_k], t_k)
         emit(t_k[~up], _T_LINKDOWN, idx_k[~up])
         fly_idx = idx_k[up]
         t_up = t_k[up]
@@ -659,7 +683,7 @@ def _send_batch_items(
         t_arr = t_go + lat + frame_tx
         emit(t_go, _T_DEPART, go_idx)
         if tl is not None:
-            arr_up = tl.link_up_at(s_go, d_go, t_arr)
+            arr_up = link_up(go_idx, s_go, d_go, t_arr)
             emit(t_arr[~arr_up], _T_FRAME_MID, go_idx[~arr_up])
             go_idx = go_idx[arr_up]
             t_arr = t_arr[arr_up]
@@ -692,7 +716,7 @@ def _send_batch_items(
             alat = alat + tl.extra_delay_at(d_af, s_af, t_af)
         t_ack = t_af + alat + ack_tx
         if tl is not None:
-            ack_up = tl.link_up_at(d_af, s_af, t_ack)
+            ack_up = link_up(af_idx, d_af, s_af, t_ack)
             emit(t_ack[~ack_up], _T_ACK_MID, af_idx[~ack_up])
             af_idx = af_idx[ack_up]
             t_ack = t_ack[ack_up]
@@ -713,7 +737,7 @@ def _send_batch_items(
             keep = idx_k[cont]
         else:
             ci = idx_k[cont]
-            new_t, abandoned = _apply_holds(tl, src[ci], t_next[cont], rto_k)
+            new_t, abandoned = holds(ci, t_next[cont], rto_k)
             keep = ci[~abandoned]
             attempt_t[keep] = new_t[~abandoned]
         active[:] = False
@@ -732,26 +756,31 @@ def _send_batch_items(
                 idx_e = idx_e[alive_src]
                 t_fin = t_fin[alive_src]
             else:
-                t_fin, abandoned = _apply_holds(tl, src[idx_e], t_fin, rto_f)
+                t_fin, abandoned = holds(idx_e, t_fin, rto_f)
                 idx_e = idx_e[~abandoned]
                 t_fin = t_fin[~abandoned]
             emit(t_fin, _T_EXHAUST, idx_e)
 
     # ---------------------------------------------------------- assembly
     it_t = np.concatenate(buf_t)
-    # Stable sort on time; creation order (= epoch order, categories in
-    # scalar decision order within an epoch) breaks ties, and the
-    # contiguous reserved seq block makes that order the global one.
-    order = np.argsort(it_t, kind="stable")
+    it_type = np.concatenate(buf_type, dtype=np.int8)
+    it_idx = np.concatenate(buf_idx, dtype=np.int32)
     it_flag = np.zeros(len(it_t), dtype=bool)
     it_flag[first_item[first_item >= 0]] = True
+    # Replay order is a stable sort on time: creation order (= epoch
+    # order, categories in scalar decision order within an epoch) breaks
+    # ties, and the contiguous reserved seq block makes that order the
+    # global one.  An accounting batch leaves the sort to its ledger.
+    merged = engine == "wave" and msgs is None
+    if not merged:
+        order = np.argsort(it_t, kind="stable")
+        it_t, it_type = it_t[order], it_type[order]
+        it_idx, it_flag = it_idx[order], it_flag[order]
 
-    delivered_msgs = ~np.isnan(first_arr)
     wave = ItemWave(
-        net, kind, size_bits, frame_bits, engine, first_arr, delivered_msgs,
-        attempts, src, dst, msgs, it_t[order],
-        np.concatenate(buf_type, dtype=np.int8)[order],
-        np.concatenate(buf_idx, dtype=np.int32)[order], it_flag[order],
+        net, kind, size_bits, frame_bits, engine, first_arr,
+        ~np.isnan(first_arr), attempts, src, dst, msgs,
+        it_t, it_type, it_idx, it_flag,
     )
     obs = _obs.OBS
     if obs.enabled:
@@ -762,15 +791,33 @@ def _send_batch_items(
     if n_items == 0:
         return wave
     seq0 = sim._queue.reserve(n_items)
+    if merged:
+        ledger = net._ledger
+        # None pending — or ``sim.clear()`` took its entry off the heap.
+        if ledger is None or ledger._event._queue is None:
+            ledger = net._ledger = _ItemLedger(net)
+        ledger.add(wave, seq0)
+        return wave
     wave._seqs = seq0 + np.arange(n_items, dtype=np.int64)
     if engine == "scalar":
+        # One heap entry per item: the honest per-event reference.
         for p in range(n_items):
             sim._queue.push_at(
-                float(wave._it_t[p]), seq0 + p, _ScalarItem(wave, p)
+                float(it_t[p]), seq0 + p, _ScalarItem(wave, p)
             )
         return wave
-    sim._queue.push_at(float(wave._it_t[0]), seq0, wave._fire)
+    sim._queue.push_at(float(it_t[0]), seq0, wave._fire)
     return wave
+
+
+def _count_delivered(obs, kind: str, count: int, bits: float) -> None:
+    """Bump the delivered-message and delivered-bit counters of ``kind``."""
+    obs.metrics.counter(
+        "net_messages_total", "Delivered messages by kind.", labels=("kind",),
+    ).labels(kind=kind).inc(count)
+    obs.metrics.counter(
+        "net_bits_total", "Delivered bits by kind.", labels=("kind",),
+    ).labels(kind=kind).inc(bits)
 
 
 class ItemWave:
@@ -781,14 +828,17 @@ class ItemWave:
     payload never landed; ``count``/``dropped``/``done``) and adds
     ``attempts`` (transmissions per message).  Unlike the fire-and-forget
     wave, the in-flight gauge moves at item times (departures/arrivals),
-    not at issue.
+    not at issue.  The item columns are in ``(time, seq)`` order when
+    the wave replays itself (scalar engine, payload waves); an accounting
+    batch holds them in creation order until its :class:`_ItemLedger`
+    merges them away.
     """
 
     __slots__ = (
         "net", "kind", "size_bits", "frame_bits", "engine",
         "delivery_times", "delivered", "count", "dropped", "attempts",
         "_src", "_dst", "_msgs", "_it_t", "_it_type", "_it_idx",
-        "_it_flag", "_cum", "_by_type", "_sent", "_seqs", "_pos",
+        "_it_flag", "_n_items", "_sent", "_seqs", "_pos",
     )
 
     def __init__(self, net, kind, size_bits, frame_bits, engine,
@@ -811,47 +861,32 @@ class ItemWave:
         self._it_type = it_type
         self._it_idx = it_idx      # message index per item (int32)
         self._it_flag = it_flag    # the message's first frame arrival
-        # In-flight gauge after each item, relative to the wave's start
-        # (``_cum[p + 1]`` is the sum through item ``p``): a run's peak
-        # and net movement are then a slice max and two lookups.
-        self._cum = np.zeros(len(it_t) + 1, dtype=np.int32)
-        np.cumsum(_IF_DELTA.take(it_type), dtype=np.int32,
-                  out=self._cum[1:])
-        self._by_type = None  # per-type position index, built on demand
+        self._n_items = len(it_t)
         self._sent = None     # per-message transmissions replayed so far
         self._seqs = np.empty(0, dtype=np.int64)
-        self._pos = 0
+        self._pos = 0         # items replayed so far
 
     @property
     def done(self) -> bool:
-        return self._pos >= len(self._it_t)
+        """Whether every item of the wave has been replayed."""
+        return self._pos >= self._n_items
 
     # ------------------------------------------------------------- firing
     def _fire(self) -> None:
+        """Replay a payload wave's run, peeking before every item: a
+        handler may schedule events that precede the rest of the run."""
         queue = self.net.sim._queue
-        times, seqs = self._it_t, self._seqs
-        n = len(times)
-        i = self._pos
-        while i < n:
-            j = _cut(times, seqs, i, queue.peek_event())
-            if j > i:
-                if self._msgs is not None:
-                    # Payload handlers may schedule events mid-run.
-                    self._apply_item(i)
-                    self._pos = i = i + 1
-                    continue
-                # As in DeliveryWave._fire: the head cannot have moved.
-                self._bulk_run(i, j)
-                i = j
-                if i == n:
-                    break
-            self._pos = i
-            queue.push_at(float(times[i]), int(seqs[i]), self._fire)
-            return
-        self._pos = n
+        while (i := self._pos) < self._n_items:
+            if _cut(self._it_t, self._seqs, i, queue.peek_event()) == i:
+                queue.push_at(float(self._it_t[i]), int(self._seqs[i]),
+                              self._fire)
+                return
+            self._apply_item(i)
 
     # -------------------------------------------------- per-item semantics
     def _apply_item(self, p: int) -> None:
+        """Replay item ``p``: the per-item reference (one scalar-engine
+        heap entry) that bulk runs must add up to."""
         net = self.net
         rel = net.reliable
         t = float(self._it_t[p])
@@ -898,14 +933,7 @@ class ItemWave:
             if obs.enabled:
                 obs.emit("net.deliver", t_ms=t, node=src, dst=dst,
                          kind=self.kind, bits=self.frame_bits)
-                obs.metrics.counter(
-                    "net_messages_total", "Delivered messages by kind.",
-                    labels=("kind",),
-                ).labels(kind=self.kind).inc()
-                obs.metrics.counter(
-                    "net_bits_total", "Delivered bits by kind.",
-                    labels=("kind",),
-                ).labels(kind=self.kind).inc(self.frame_bits)
+                _count_delivered(obs, self.kind, 1, self.frame_bits)
             if typ != _T_ARR_PLAIN:
                 rel.acks_sent += 1
                 if obs.enabled:
@@ -932,68 +960,147 @@ class ItemWave:
             if obs.enabled:
                 obs.emit("net.deliver", t_ms=t, node=dst, dst=src,
                          kind="net.ack", bits=ACK_BITS)
-                obs.metrics.counter(
-                    "net_messages_total", "Delivered messages by kind.",
-                    labels=("kind",),
-                ).labels(kind="net.ack").inc()
-                obs.metrics.counter(
-                    "net_bits_total", "Delivered bits by kind.",
-                    labels=("kind",),
-                ).labels(kind="net.ack").inc(ACK_BITS)
+                _count_delivered(obs, "net.ack", 1, ACK_BITS)
         else:  # _T_EXHAUST
-            # NaN (the payload never landed) compares False.
-            delivered = bool(self.delivery_times[i] <= t)
-            rel.exhausted.append(
-                ExhaustedSend(src, dst, self.kind, delivered=delivered)
-            )
-            if obs.enabled:
-                obs.emit("net.retransmit_exhausted", t_ms=t, node=src,
-                         dst=dst, kind=self.kind,
-                         attempts=int(self.attempts[i]), delivered=delivered)
-                obs.metrics.counter(
-                    "net_retransmit_exhausted_total",
-                    "Frames abandoned after the retransmit budget.",
-                    labels=("kind",),
-                ).labels(kind=self.kind).inc()
+            self._exhaust(t, i)
+        self._pos += 1
+
+    def _exhaust(self, t: float, i: int) -> None:
+        """Message ``i`` spent its retransmit budget without an ACK."""
+        src, dst = int(self._src[i]), int(self._dst[i])
+        # NaN (the payload never landed) compares False.
+        delivered = bool(self.delivery_times[i] <= t)
+        self.net.reliable.exhausted.append(
+            ExhaustedSend(src, dst, self.kind, delivered=delivered)
+        )
+        obs = _obs.OBS
+        if obs.enabled:
+            obs.emit("net.retransmit_exhausted", t_ms=t, node=src,
+                     dst=dst, kind=self.kind,
+                     attempts=int(self.attempts[i]), delivered=delivered)
+            obs.metrics.counter(
+                "net_retransmit_exhausted_total",
+                "Frames abandoned after the retransmit budget.",
+                labels=("kind",),
+            ).labels(kind=self.kind).inc()
+
+
+class _ItemLedger:
+    """Merged replay of one network's accounting item batches.
+
+    An accounting batch runs no handler, so only *foreign* events —
+    timers, fault callbacks, payload waves, a later ledger — can observe
+    where its replay stands.  The batches issued on a network before the
+    first of them is due therefore share one heap entry, at their
+    earliest pending ``(time, seq)`` (a batch due before the pending
+    entry adds its own; the replay meets the older one at its batch's
+    first key and resumes from it).  The first firing merges their
+    creation-order blocks with one stable sort on time: blocks are
+    concatenated in issue order and seq blocks were reserved in that
+    order, so ties fall in ascending seq — the scalar engine's order.
+    Every firing replays the maximal run up to the next heap head in
+    O(run) numpy work and re-queues at the key the scalar engine gives
+    the next item.  A batch issued after the merge opens the next ledger.
+    """
+
+    def __init__(self, net: "Network") -> None:
+        self.net = net
+        self.waves: list[ItemWave] = []  # batches, in issue order
+        self.seq0: list[int] = []        # their reserved block starts
+        self._event = None    # the earliest heap entry, until the merge
+        self._own = set()     # keys ``add`` queued, fired or not
+        self._t = None        # merged columns, in (time, seq) order
+        self._by_key = None   # per-(batch, type) positions, built on demand
+        self._pos = 0
+
+    def add(self, wave: ItemWave, seq0: int) -> None:
+        self.waves.append(wave)
+        self.seq0.append(seq0)
+        # The batch's earliest item holds seq ``seq0``, above every earlier
+        # batch's, so only an earlier time precedes the pending entry.
+        t0 = float(wave._it_t.min())
+        if self._event is None or t0 < self._event.time:
+            self._event = self.net.sim._queue.push_at(t0, seq0, self._fire)
+            self._own.add((t0, seq0))
+
+    def _merge(self) -> None:
+        waves = self.waves
+        self.net._ledger = self._event = None
+
+        def column(name):
+            # Each batch's block is released as it is merged.
+            parts = [getattr(wave, name) for wave in waves]
+            for wave in waves:
+                setattr(wave, name, None)
+            return np.concatenate(parts)
+
+        t = column("_it_t")
+        order = np.argsort(t, kind="stable")
+        self._t = t[order]
+        del t
+        self._wave = np.repeat(np.arange(len(waves), dtype=np.int32),
+                               [wave._n_items for wave in waves])[order]
+        self._type = column("_it_type")[order]
+        self._idx = column("_it_idx")[order]
+        self._flag = column("_it_flag")[order]
+        # In-flight gauge after each item, relative to the ledger's start
+        # (``_cum[p + 1]`` is the sum through item ``p``): a run's peak
+        # and net movement are then a slice max and two lookups.
+        self._cum = np.zeros(len(order) + 1, dtype=np.int32)
+        np.cumsum(_IF_DELTA.take(self._type), dtype=np.int32,
+                  out=self._cum[1:])
+
+    def _fire(self) -> None:
+        if self._t is None:
+            self._merge()
+        queue = self.net.sim._queue
+        head = queue.peek_event()
+        if head is not None:
+            # A foreign seq never falls inside a reserved block, so a
+            # tied head has each batch wholly before or after it: cut on
+            # the batch column (ascending inside a tie) at the number of
+            # blocks that start below the head's seq.
+            head = Event(head.time, bisect_left(self.seq0, head.seq), None)
+        # The entry fired at item ``_pos``'s own key, so the run is never
+        # empty; a bulk run pushes nothing, so the head cannot move.
+        a, b = self._pos, _cut(self._t, self._wave, self._pos, head)
+        self._bulk_run(a, b)
+        self._pos = b
+        if b < len(self._t):
+            w = int(self._wave[b])
+            key = float(self._t[b]), self.seq0[w] + self.waves[w]._pos
+            # An entry ``add`` left at a batch's first key is still queued.
+            if key not in self._own:
+                queue.push_at(*key, self._fire)
 
     # ------------------------------------------------------ bulk semantics
-    def _positions(self, typs, a: int, b: int) -> np.ndarray:
-        """Positions in ``a..b-1`` of the items whose type is in ``typs``."""
-        if self._by_type is None:
-            ends = np.cumsum(np.bincount(self._it_type, minlength=_N_TYPES))
-            self._by_type = np.split(
-                np.argsort(self._it_type, kind="stable"), ends[:-1]
+    def _links(self, w: int, typs, a: int, b: int, swap: bool):
+        """Aggregate (src, dst, count) triples over batch ``w``'s items
+        of ``typs`` in ``a..b-1`` (link accounting only)."""
+        if self._by_key is None:
+            key = self._wave * _N_TYPES + self._type
+            ends = np.cumsum(
+                np.bincount(key, minlength=len(self.waves) * _N_TYPES)
             )
-        parts = [self._by_type[typ] for typ in typs]
-        return np.concatenate(
+            self._by_key = np.split(np.argsort(key, kind="stable"), ends[:-1])
+        parts = [self._by_key[w * _N_TYPES + typ] for typ in typs]
+        idx = self._idx[np.concatenate(
             [p[p.searchsorted(a):p.searchsorted(b)] for p in parts]
-        )
-
-    def _links(self, pos: np.ndarray, swap: bool = False):
-        """Aggregate (src, dst, count) triples for the items at ``pos``."""
-        s = self._src[self._it_idx[pos]]
-        d = self._dst[self._it_idx[pos]]
-        if swap:
-            s, d = d, s
-        pairs = np.stack([s, d])
+        )]
+        s, d = self.waves[w]._src[idx], self.waves[w]._dst[idx]
+        pairs = np.stack([d, s] if swap else [s, d])
         uniq, counts = np.unique(pairs, axis=1, return_counts=True)
         return uniq[0], uniq[1], counts
 
     def _bulk_run(self, a: int, b: int) -> None:
-        """Replay items ``a..b-1`` as aggregate accounting steps.
-
-        One ``bincount`` of the run's types and the assembly-time gauge
-        prefix drive everything; per-type positions are looked up
-        (``_positions``) only for a run spanning several instants, for
-        link accounting and for exhaustions.
-        """
+        """Replay items ``a..b-1`` as aggregate accounting steps: the
+        gauge prefix, one ``bincount`` over the run's (batch, type) keys
+        and one ``maximum.at`` for each key's last instant drive it all;
+        positions are looked up only for links and exhaustions."""
         net = self.net
         rel = net.reliable
-        t_end = float(self._it_t[b - 1])
-        net.sim.advance_to(t_end)
-        one_instant = self._it_t[a] == t_end
-        obs = _obs.OBS
-        links = obs.enabled and net.link_accounting
+        t = self._t[a:b]
+        net.sim.advance_to(float(t[-1]))
 
         cum = self._cum
         base = int(cum[a])
@@ -1002,94 +1109,93 @@ class ItemWave:
             net.peak_in_flight = peak
         net.in_flight += int(cum[b]) - base
 
-        counts = np.bincount(self._it_type[a:b], minlength=_N_TYPES).tolist()
-
-        def when(typs):
-            """Time of the run's last item of ``typs`` (some present)."""
-            if one_instant:
-                return t_end
-            return float(self._it_t[self._positions(typs, a, b).max()])
-
-        def emit(name, typs, swap=False, **fields):
-            if links:
-                fields["links"] = self._links(
-                    self._positions(typs, a, b), swap=swap
+        key = self._wave[a:b] * _N_TYPES + self._type[a:b]
+        shape = (len(self.waves), _N_TYPES)
+        counts = np.bincount(key, minlength=shape[0] * _N_TYPES).reshape(shape)
+        last = np.full(shape, -np.inf)
+        np.maximum.at(last.reshape(-1), key, t)
+        for w in np.flatnonzero(counts.any(axis=1)).tolist():
+            self._account(w, counts[w].tolist(), last[w].tolist(), a, b)
+        if rel is not None:
+            # Flags mark first arrivals only, and ACKed arrivals never
+            # share a network with fire-and-forget ones.
+            rel.duplicates_suppressed += int(
+                counts[:, (_T_ARR_ACKUP, _T_ARR_ACKLOST)].sum()
+            ) - int(np.count_nonzero(self._flag[a:b]))
+        if counts[:, _T_EXHAUST].any():
+            at = a + np.flatnonzero(self._type[a:b] == _T_EXHAUST)
+            for p in at.tolist():
+                self.waves[self._wave[p]]._exhaust(
+                    float(self._t[p]), int(self._idx[p])
                 )
-            obs.emit(name, **fields)
 
-        def drop(typ, dkind, bits, reason, silent=False):
-            count = counts[typ]
+    def _account(self, w: int, counts: list, last: list, a: int,
+                 b: int) -> None:
+        """Batch ``w``'s share of run ``a..b-1``: ``counts`` items per
+        type, the ``last`` of each at that time (``-inf`` when absent)."""
+        net = self.net
+        rel = net.reliable
+        wave = self.waves[w]
+        wave._pos += sum(counts)
+        obs = _obs.OBS
+        links = obs.enabled and net.link_accounting
+
+        def account(typs, dkind, bits, reason=None, silent=False):
+            """One aggregate record and obs event for the items of
+            ``typs``: delivered, or dropped for ``reason``."""
+            count = sum(counts[typ] for typ in typs)
             if not count:
                 return
-            t = when((typ,))
+            t = max(last[typ] for typ in typs)
             if not silent:
                 net.bus.publish_message(
                     WaveRecord(t, dkind, count, count * bits,
-                               delivered=False)
+                               delivered=reason is None)
                 )
-            if obs.enabled:
-                emit("net.drop", (typ,), dkind == "net.ack", t_ms=t,
-                     kind=dkind, bits=count * bits, count=count,
-                     reason=reason)
+            if not obs.enabled:
+                return
+            fields = {} if reason is None else {"reason": reason}
+            if links:
+                fields["links"] = self._links(w, typs, a, b,
+                                              swap=dkind == "net.ack")
+            obs.emit("net.deliver" if reason is None else "net.drop", t_ms=t,
+                     kind=dkind, bits=count * bits, count=count, **fields)
+            if reason is None:
+                _count_delivered(obs, dkind, count, count * bits)
+            else:
                 obs.metrics.counter(
                     "net_dropped_total",
                     "Dropped messages by reason and kind.",
                     labels=("reason", "kind"),
                 ).labels(reason=reason, kind=dkind).inc(count)
 
-        def deliver(count, typs, dkind, bits):
-            if not count:
-                return
-            t = when(typs)
-            net.bus.publish_message(
-                WaveRecord(t, dkind, count, count * bits, delivered=True)
-            )
-            if obs.enabled:
-                emit("net.deliver", typs, dkind == "net.ack", t_ms=t,
-                     kind=dkind, bits=count * bits, count=count)
-                obs.metrics.counter(
-                    "net_messages_total", "Delivered messages by kind.",
-                    labels=("kind",),
-                ).labels(kind=dkind).inc(count)
-                obs.metrics.counter(
-                    "net_bits_total", "Delivered bits by kind.",
-                    labels=("kind",),
-                ).labels(kind=dkind).inc(count * bits)
-
         n_re = counts[_T_RETRANS]
         if n_re:
             rel.retransmits += n_re
             if obs.enabled:
-                emit("net.retransmit", (_T_RETRANS,),
-                     t_ms=when((_T_RETRANS,)), kind=self.kind, count=n_re)
+                fields = {"links": self._links(w, (_T_RETRANS,), a, b,
+                                               swap=False)} if links else {}
+                obs.emit("net.retransmit", t_ms=last[_T_RETRANS],
+                         kind=wave.kind, count=n_re, **fields)
                 obs.metrics.counter(
                     "net_retransmits_total",
                     "Data-frame retransmissions by kind.", labels=("kind",),
-                ).labels(kind=self.kind).inc(n_re)
-        drop(_T_LINKDOWN, self.kind, self.frame_bits, "link_down")
-        drop(_T_LOST, self.kind, self.frame_bits, "loss")
-        drop(_T_FRAME_MID, self.kind, self.frame_bits, "in_flight",
-             silent=True)
+                ).labels(kind=wave.kind).inc(n_re)
+        account((_T_LINKDOWN,), wave.kind, wave.frame_bits, "link_down")
+        account((_T_LOST,), wave.kind, wave.frame_bits, "loss")
+        account((_T_FRAME_MID,), wave.kind, wave.frame_bits, "in_flight",
+                silent=True)
+        account(_ARR_TYPES, wave.kind, wave.frame_bits)
         n_acked = counts[_T_ARR_ACKUP] + counts[_T_ARR_ACKLOST]
-        deliver(n_acked + counts[_T_ARR_PLAIN], _ARR_TYPES, self.kind,
-                self.frame_bits)
         if n_acked:
             rel.acks_sent += n_acked
             if obs.enabled:
                 obs.metrics.counter(
                     "net_acks_total", "Transport ACK frames sent.",
                 ).inc(n_acked)
-            # Flags mark first arrivals only, and ACKed arrivals never
-            # share a wave with fire-and-forget ones.
-            rel.duplicates_suppressed += n_acked - int(
-                np.count_nonzero(self._it_flag[a:b])
-            )
-        drop(_T_ARR_ACKLOST, "net.ack", ACK_BITS, "loss")
-        drop(_T_ACK_MID, "net.ack", ACK_BITS, "in_flight", silent=True)
-        deliver(counts[_T_ACK_ARR], (_T_ACK_ARR,), "net.ack", ACK_BITS)
-        if counts[_T_EXHAUST]:
-            for p in self._positions((_T_EXHAUST,), a, b).tolist():
-                self._apply_item(p)
+        account((_T_ARR_ACKLOST,), "net.ack", ACK_BITS, "loss")
+        account((_T_ACK_MID,), "net.ack", ACK_BITS, "in_flight", silent=True)
+        account((_T_ACK_ARR,), "net.ack", ACK_BITS)
 
 
 class _ScalarItem:
@@ -1103,4 +1209,3 @@ class _ScalarItem:
 
     def __call__(self) -> None:
         self.wave._apply_item(self.p)
-        self.wave._pos += 1

@@ -89,9 +89,13 @@ class TestScheduleValidation:
         assert sched.touched_nodes() == frozenset({1, 2, 3})
         assert sched.end_ms() == 90.0
         assert "crash(1)@10" in sched.describe()
-        sched.validate_nodes(range(4))
-        with pytest.raises(ValueError, match="unknown nodes"):
-            sched.validate_nodes(range(3))
+        # Any iterable: asked for membership when it can answer (a range
+        # is never expanded), consumed once otherwise.
+        for known in (lambda n: range(n), lambda n: set(range(n)),
+                      lambda n: (i for i in range(n))):
+            sched.validate_nodes(known(4))
+            with pytest.raises(ValueError, match=r"unknown nodes \[3\]"):
+                sched.validate_nodes(known(3))
 
     def test_shifted_translates_everything(self):
         sched = FaultSchedule([

@@ -13,6 +13,8 @@ Two layers of contract:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     Crash,
@@ -133,6 +135,88 @@ class TestPartitionsAndSpikes:
             tl.extra_delay_at(_ids(5, 2, 2), _ids(1, 5, 3), _ts(1.0, 1.0, 1.0)),
             [7.0, 7.0, 0.0],
         )
+
+
+# -------------------------------------------------------------- fault reach
+
+@st.composite
+def _scripts(draw):
+    """Crashes with and without a ``Recover`` on nodes 0..11, sometimes
+    a partition; times chosen so RTO holds both end and are abandoned."""
+    events = []
+    for node in draw(st.sets(st.integers(0, 11), max_size=4)):
+        t = draw(st.sampled_from([0.0, 5.0, 45.0, 130.0]))
+        events.append(Crash(t, node))
+        if draw(st.booleans()):
+            events.append(Recover(t + draw(st.sampled_from([20.0, 150.0,
+                                                           2000.0])), node))
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, 10))
+        events.append(PartitionWindow(
+            40.0, draw(st.sampled_from([90.0, 400.0])),
+            (tuple(range(cut)), tuple(range(cut, 11))),  # 11: an outsider
+        ))
+    return FaultSchedule(events)
+
+
+class TestFaultReach:
+    """``can_go_down`` bounds what ``send_batch`` asks the script about:
+    wrong, it would silently keep a dead link up."""
+
+    @given(_scripts(), st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_unreached_nodes_are_never_down(self, schedule, seed):
+        tl = schedule.timeline()
+        rng = np.random.default_rng(seed)
+        src, dst = rng.integers(0, 14, size=(2, 300))
+        t = rng.choice([0.0, 5.0, 44.9, 45.0, 89.9, 90.0, 130.0, 500.0, 1e4],
+                       size=300)
+        safe = ~tl.can_go_down(src)
+        assert not tl.crashed_at(src, t)[safe].any()
+        assert tl.link_up_at(src, dst, t)[safe & ~tl.can_go_down(dst)].all()
+        if any(isinstance(e, PartitionWindow) for e in schedule.events):
+            assert tl.can_go_down(src).all()  # outsiders are isolated
+        else:
+            np.testing.assert_array_equal(
+                tl.can_go_down(src),
+                [n in {c.node for c in schedule.crashes()} for n in src],
+            )
+
+    @given(_scripts(), st.integers(0, 2**16), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_asking_about_reached_links_only_changes_nothing(
+            self, schedule, seed, reliable):
+        """The batch that asks ``link_up_at`` / ``_apply_holds`` about
+        reachable messages only == the one that asks about them all."""
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, 12, size=80)
+        dst = (src + 1 + rng.integers(0, 11, size=80)) % 12
+        got = []
+        for everything in (False, True):
+            sim = Simulator()
+            net = Network(
+                sim, latency=FixedLatency(10.0),
+                rng=np.random.default_rng(seed),
+                **(dict(loss_rate=0.3, transport="reliable",
+                        transport_opts={"base_rto_ms": 40.0,
+                                        "max_attempts": 4})
+                   if reliable else {}),
+            )
+            tl = net.fault_timeline = schedule.timeline(net.loss_rate)
+            if everything:
+                tl.can_go_down = lambda nodes: np.ones(len(nodes), dtype=bool)
+            wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
+            sim.run()
+            rel = net.reliable
+            got.append((
+                wave.delivery_times.tobytes(), wave.attempts.tolist(),
+                sim.now, sim.heap_stats()["scheduled_total"],
+                net.trace.total_bits, net.trace.total_messages,
+                net.trace.total_dropped, net.peak_in_flight,
+                rel and (rel.retransmits, rel.acks_sent,
+                         rel.duplicates_suppressed, list(rel.exhausted)),
+            ))
+        assert got[0] == got[1]
 
 
 # ------------------------------------------------------------------ engines
