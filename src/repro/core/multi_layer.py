@@ -23,16 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..secure.sac import DEFAULT_BITS_PER_PARAM
-from ..secure.additive import divide
+from ..secure.batched import batched_divide
+from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
 from .costs import multi_layer_total_peers
-
-
-@dataclass(frozen=True)
-class _Group:
-    layer: int
-    leader: int
-    members: tuple[int, ...]  # peer ids; members[0] == leader
 
 
 class MultiLayerTopology:
@@ -43,8 +36,7 @@ class MultiLayerTopology:
     The layer-``k`` leaders (``k >= 2``) are therefore the peers
     introduced at layer ``k - 1`` in id order, and every group's
     followers are a contiguous id range — so sizes and
-    :meth:`member_matrix` are closed-form, and the per-group objects
-    (``groups``) are only built for callers that walk them.
+    :meth:`member_matrix` are closed-form.
     """
 
     def __init__(self, n: int, depth: int) -> None:
@@ -59,7 +51,6 @@ class MultiLayerTopology:
         self._first = [
             multi_layer_total_peers(n, k) for k in range(depth + 1)
         ]
-        self._groups: list[_Group] | None = None
         self._member_matrix_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -71,28 +62,11 @@ class MultiLayerTopology:
         # The top group, plus one led by every peer above the last layer.
         return 1 + self._first[self.depth - 1]
 
-    @property
-    def groups(self) -> list[_Group]:
-        """Every subgroup, top layer first (built on first use)."""
-        if self._groups is None:
-            self._groups = [
-                g for layer in range(1, self.depth + 1)
-                for g in self.groups_at(layer)
-            ]
-        return self._groups
-
-    def groups_at(self, layer: int) -> list[_Group]:
-        return [
-            _Group(layer=layer, leader=row[0], members=tuple(row))
-            for row in self.member_matrix(layer).tolist()
-        ]
-
     def member_matrix(self, layer: int) -> np.ndarray:
         """All layer-``layer`` subgroups as one ``(groups, n)`` id array.
 
-        Row ``g`` is ``groups_at(layer)[g].members`` (leader in column
-        0), the shape the vectorized X-layer wire round consumes.
-        Cached per layer.
+        Row ``g`` lists group ``g``'s members, leader in column 0, then
+        its followers.  Cached per layer.
         """
         if not 1 <= layer <= self.depth:
             raise ValueError(f"layer must be in 1..{self.depth}")
@@ -141,63 +115,68 @@ def multi_layer_aggregate(
     used instead of SAC"* (a FedAvg group costs ``(n-1)|w|`` instead of
     ``(n^2-1)|w|``, at the price of exposing members' subtree aggregates
     to the group leader).
-    """
-    n = topology.n
-    if len(models) != topology.n_peers:
-        raise ValueError(
-            f"expected {topology.n_peers} models, got {len(models)}"
-        )
-    if method_for_layer is None:
-        method_for_layer = lambda layer: "sac"
-    first = np.asarray(models[0], dtype=np.float64)
-    w_bits = float(first.size * bits_per_param)
 
+    This is the reference :func:`~repro.core.xlayer_wire.run_xlayer_wire_round`
+    is held to bit for bit, so it shares nothing with it: a layer at a
+    time over :meth:`~MultiLayerTopology.member_matrix`, every share
+    materialised, owners then indices added with explicit full-slab adds.
+    """
+    n, n_peers = topology.n, topology.n_peers
+    if len(models) != n_peers:
+        raise ValueError(f"expected {n_peers} models, got {len(models)}")
+    layers = range(topology.depth, 0, -1)  # bottom-up: deepest first
+    methods = {
+        layer: "sac" if method_for_layer is None else method_for_layer(layer)
+        for layer in layers
+    }
+    for method in methods.values():
+        if method not in ("sac", "fedavg"):
+            raise ValueError(f"unknown aggregation method {method!r}")
+    check_same_shape(models)
+    models = np.array(models, dtype=np.float64)  # a private copy
     # (sum, count) carried by each peer; leaders of deeper groups replace
     # theirs with the subtree aggregate before their own group runs.
-    sums: dict[int, np.ndarray] = {
-        p: np.asarray(m, dtype=np.float64).copy() for p, m in enumerate(models)
-    }
-    counts: dict[int, int] = {p: 1 for p in range(topology.n_peers)}
+    sums = models.reshape(n_peers, -1)
+    counts = np.ones(n_peers, dtype=np.int64)
+    w_bits = float(sums.shape[1] * bits_per_param)
 
     bits = 0.0
     n_aggregations = 0
-    # Bottom-up: deepest layer first.
-    for layer in range(topology.depth, 0, -1):
-        method = method_for_layer(layer)
-        if method not in ("sac", "fedavg"):
-            raise ValueError(f"unknown aggregation method {method!r}")
-        for group in topology.groups_at(layer):
-            members = group.members
-            size = len(members)
-            stacked = np.stack([sums[p] for p in members])
-            if method == "sac":
-                # SAC over the members' sums: each member splits its
-                # value into `size` shares, exchanges them
-                # (size*(size-1) transfers) and the followers send
-                # subtotals to the leader (size-1): (size^2 - 1)
-                # share-sized messages per aggregation.
-                shares = np.stack(
-                    [divide(row, size, rng) for row in stacked]
-                )  # exercises the real share math
-                subtotals = shares.sum(axis=0)
-                agg_sum = subtotals.sum(axis=0)
-                bits += (size * size - 1) * w_bits
-            else:
-                # Plain FedAvg: followers upload their value to the
-                # leader, (size - 1) transfers.
-                agg_sum = stacked.sum(axis=0)
-                bits += (size - 1) * w_bits
-            agg_count = sum(counts[p] for p in members)
-            n_aggregations += 1
-            leader = group.leader
-            sums[leader] = agg_sum
-            counts[leader] = agg_count
+    for layer in layers:
+        members = topology.member_matrix(layer)  # (G, n)
+        g = len(members)
+        vals = sums[members]  # (G, n, d)
+        if methods[layer] == "sac":
+            # SAC over the members' sums: each member splits its value
+            # into n shares (the plain materialised Alg. 1 split, drawn
+            # group by group, member by member), exchanges them
+            # (n (n-1) transfers) and the followers send subtotals to
+            # the leader (n-1): (n^2 - 1) share-sized messages per group.
+            shares = batched_divide(vals.reshape(g * n, -1), n, rng)
+            vals = _add_in_order(shares.reshape(g, n, n, -1))  # subtotals
+            bits += g * (n * n - 1) * w_bits
+        else:
+            # Plain FedAvg: followers upload their value to the leader,
+            # (n - 1) transfers per group.
+            bits += g * (n - 1) * w_bits
+        leaders = members[:, 0]
+        sums[leaders] = _add_in_order(vals)
+        counts[leaders] = counts[members].sum(axis=1)
+        n_aggregations += g
 
-    total = topology.n_peers
     # Distribute the final model to every other peer: (N - 1) |w|.
-    bits += (total - 1) * w_bits
-    average = sums[0] / counts[0]
-    assert counts[0] == total
+    bits += (n_peers - 1) * w_bits
+    assert counts[0] == n_peers
     return MultiLayerResult(
-        average=average, bits_sent=bits, n_aggregations=n_aggregations
+        average=(sums[0] / counts[0]).reshape(models.shape[1:]),
+        bits_sent=bits,
+        n_aggregations=n_aggregations,
     )
+
+
+def _add_in_order(slabs: np.ndarray) -> np.ndarray:
+    """``slabs[:, 0] + slabs[:, 1] + ...``, left to right, as a new array."""
+    total = slabs[:, 0].copy()
+    for i in range(1, slabs.shape[1]):
+        np.add(total, slabs[:, i], out=total)
+    return total

@@ -16,7 +16,7 @@ round to simulate slow subgroups missing the FedAvg leader's timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -102,21 +102,7 @@ def run_session(
     aggregation — the natural place to write checkpoints.
     """
     rng = np.random.default_rng(config.seed)
-    shards = peer_datasets(dataset, config.n_peers, config.distribution, rng)
-
-    peers = [
-        FLPeer(
-            pid,
-            model_factory(rng),
-            x,
-            y,
-            np.random.default_rng(rng.integers(2**63)),
-            lr=config.lr,
-            batch_size=config.batch_size,
-        )
-        for pid, (x, y) in enumerate(shards)
-    ]
-    eval_model = model_factory(rng)
+    peers, eval_model = build_peers(model_factory, dataset, config, rng)
 
     # Common initialization (or a checkpointed global model).
     if initial_weights is not None:
@@ -153,18 +139,16 @@ def run_session(
     history = MetricsHistory()
     for rnd in range(start_round, config.rounds):
         # ---- local update on every peer
-        train_losses = []
-        for peer in peers:
-            peer.set_weights(global_weights)
-            train_losses.append(peer.local_update(epochs=config.epochs))
-        models = [peer.get_weights() for peer in peers]
+        train_losses, models = local_updates(
+            peers, global_weights, config.epochs
+        )
         if mechanism is not None:
             models = [mechanism.privatize(m) for m in models]
 
         # ---- aggregation
         if config.aggregator == "two-layer":
             assert aggregator is not None and topology is not None
-            participating = _select_groups(topology.n_groups, config.fraction, rng)
+            participating = select_groups(topology.n_groups, config.fraction, rng)
             dropouts = None
             if config.dropout_schedule is not None:
                 dropouts = config.dropout_schedule.get(rnd)
@@ -203,14 +187,8 @@ def run_session(
             on_weights(rnd, global_weights)
 
         # ---- evaluation of the new global model
-        set_flat_params(eval_model, global_weights)
-        test_loss, test_acc = eval_model.evaluate(dataset.x_test, dataset.y_test)
-        metrics = RoundMetrics(
-            round=rnd,
-            test_accuracy=test_acc,
-            test_loss=test_loss,
-            train_loss=float(np.mean(train_losses)),
-            comm_bits=comm_bits,
+        metrics = evaluate_round(
+            eval_model, dataset, global_weights, rnd, train_losses, comm_bits
         )
         history.append(metrics)
         if on_round is not None:
@@ -218,7 +196,77 @@ def run_session(
     return history
 
 
-def _select_groups(
+def build_peers(
+    model_factory: Callable[[np.random.Generator], Sequential],
+    dataset: Dataset,
+    config,
+    rng: np.random.Generator,
+) -> tuple[list[FLPeer], Sequential]:
+    """The FL peers of a run and its evaluation model.
+
+    ``config`` supplies ``n_peers``, ``distribution``, ``lr`` and
+    ``batch_size`` (a :class:`SessionConfig` or a
+    :class:`repro.p2pfl.P2PFLConfig`).  Draw order on ``rng``: the
+    shards, then per peer its model and its generator's seed, then the
+    evaluation model.
+    """
+    shards = peer_datasets(dataset, config.n_peers, config.distribution, rng)
+    peers = [
+        FLPeer(
+            pid,
+            model_factory(rng),
+            x,
+            y,
+            np.random.default_rng(rng.integers(2**63)),
+            lr=config.lr,
+            batch_size=config.batch_size,
+        )
+        for pid, (x, y) in enumerate(shards)
+    ]
+    return peers, model_factory(rng)
+
+
+def local_updates(
+    peers: Sequence[FLPeer],
+    global_weights: np.ndarray,
+    epochs: int,
+    down: Collection[int] = (),
+) -> tuple[list[float], list[np.ndarray]]:
+    """One local-update pass: ``(train losses, every peer's weights)``.
+
+    Every peer not in ``down`` adopts the global weights and trains; a
+    peer that is down keeps (and reports) the weights it had.
+    """
+    train_losses = []
+    for peer in peers:
+        if peer.peer_id in down:
+            continue
+        peer.set_weights(global_weights)
+        train_losses.append(peer.local_update(epochs=epochs))
+    return train_losses, [peer.get_weights() for peer in peers]
+
+
+def evaluate_round(
+    eval_model: Sequential,
+    dataset: Dataset,
+    global_weights: np.ndarray,
+    rnd: int,
+    train_losses: Sequence[float],
+    comm_bits: float,
+) -> RoundMetrics:
+    """Score the round's global model on the shared test set."""
+    set_flat_params(eval_model, global_weights)
+    test_loss, test_acc = eval_model.evaluate(dataset.x_test, dataset.y_test)
+    return RoundMetrics(
+        round=rnd,
+        test_accuracy=test_acc,
+        test_loss=test_loss,
+        train_loss=float(np.mean(train_losses)) if train_losses else float("nan"),
+        comm_bits=comm_bits,
+    )
+
+
+def select_groups(
     n_groups: int, fraction: float, rng: np.random.Generator
 ) -> list[int] | None:
     """Pick the subgroups that make the FedAvg deadline this round."""

@@ -21,8 +21,8 @@ import numpy as np
 
 from ..fl.fedavg import fedavg
 from ..obs import runtime as _obs
-from ..par import FtSacJob, check_parallel_mode, run_ftsac_job, run_jobs
-from ..secure.errors import SacAbort
+from ..secure.errors import SacAbort, SacReconstructionError
+from ..secure.fault_tolerant import fault_tolerant_sac
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from .topology import Topology
 
@@ -59,11 +59,6 @@ class TwoLayerAggregator:
         then aborts and is excluded from the round, like a slow subgroup).
     bits_per_param:
         Wire width per weight scalar, for cost accounting.
-    parallel:
-        ``"off"`` (default), ``"threads"`` or ``"process"`` — run the
-        per-subgroup SAC rounds concurrently (see :mod:`repro.par`).
-        Each subgroup draws a child seed from the round generator in
-        group order, so the result is bit-identical across all modes.
     """
 
     def __init__(
@@ -71,7 +66,6 @@ class TwoLayerAggregator:
         topology: Topology,
         k: int | None = None,
         bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-        parallel: str = "off",
     ) -> None:
         if k is not None:
             smallest = min(topology.group_sizes)
@@ -83,7 +77,6 @@ class TwoLayerAggregator:
         self.topology = topology
         self.k = k
         self.bits_per_param = bits_per_param
-        self.parallel = check_parallel_mode(parallel)
 
     @staticmethod
     def _group_failed(group: int, reason: str) -> None:
@@ -110,6 +103,11 @@ class TwoLayerAggregator:
         ----------
         models:
             One flat weight vector per peer, indexed by peer id.
+        rng:
+            The round generator: every subgroup that runs SAC draws its
+            members' seeds from it, in group order — at full
+            participation the fan-out of the wire round, so with
+            ``default_rng(seed)`` the average is that round's bit for bit.
         participating_groups:
             Subgroup indices whose SAC result reaches the FedAvg leader in
             time (Fig. 8's fraction p); default all.
@@ -155,14 +153,6 @@ class TwoLayerAggregator:
         messages = 0
 
         with _obs.OBS.span("agg.two_layer", groups=len(groups), k=self.k):
-            # Precheck pass (group order): decide which subgroups run SAC
-            # and give each survivor a child seed drawn from the round
-            # generator *in group order* — the per-group streams are then
-            # independent, so the SAC rounds can run inline or fanned out
-            # (threads/process) with bit-identical results.
-            jobs: list[FtSacJob] = []
-            job_members: dict[int, tuple[int, ...]] = {}
-            job_k_eff: dict[int, int] = {}
             for gi in groups:
                 members = tuple(p for p in topo.groups[gi] if p not in absent)
                 if not members:
@@ -176,7 +166,7 @@ class TwoLayerAggregator:
                         f"dropout peers {sorted(bad)} are not present members "
                         f"of group {gi}"
                     )
-                crashed_pos = frozenset(members.index(p) for p in crashed_ids)
+                crashed_pos = {members.index(p) for p in crashed_ids}
                 if leaders[gi] not in members:
                     # No (alive) leader: the subgroup sits this round out.
                     self._group_failed(gi, "no_leader")
@@ -196,37 +186,21 @@ class TwoLayerAggregator:
                     self._group_failed(gi, "leader_crashed")
                     failed.append(gi)
                     continue
-                jobs.append(
-                    FtSacJob(
-                        group=gi,
-                        models=tuple(models[p] for p in members),
-                        k=k_eff,
-                        leader=leader_pos,
-                        crashed=crashed_pos,
+                try:
+                    res = fault_tolerant_sac(
+                        [models[p] for p in members], k_eff, rng,
+                        leader=leader_pos, crashed=crashed_pos,
                         bits_per_param=self.bits_per_param,
-                        child_seed=int(rng.integers(2**63)),
                     )
-                )
-                job_members[gi] = members
-                job_k_eff[gi] = k_eff
-
-            outcomes = run_jobs(run_ftsac_job, jobs, self.parallel)
-
-            for outcome in outcomes:
-                gi = outcome.group
-                members = job_members[gi]
-                n = len(members)
-                if outcome.failed:
+                except SacReconstructionError:
                     # The subgroup misses this round; the share-exchange phase
                     # had already been paid before the failure was detected.
-                    k_eff = job_k_eff[gi]
                     w_bits_wasted = models[0].size * self.bits_per_param
                     bits += n * (n - 1) * (n - k_eff + 1) * w_bits_wasted
                     messages += n * (n - 1)
                     self._group_failed(gi, "reconstruction")
                     failed.append(gi)
                     continue
-                res = outcome.result
                 subgroup_means.append(res.average)
                 subgroup_weights.append(float(n))
                 # Dropouts' shares were already distributed, so their models

@@ -36,10 +36,13 @@ from ..secure.protocol import (
     SacProtocolPeer,
     _gone_for_good,
     classify_sac_failure,
+)
+from ..secure.sac import (
+    DEFAULT_BITS_PER_PARAM,
+    check_same_shape,
     reference_group_average,
     spawn_peer_seeds,
 )
-from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
 from ..simnet import TIMED_OUT, UNRECOVERABLE_DROPOUT, Network, RoundOutcome
 from .topology import Topology
 
@@ -421,17 +424,17 @@ def two_layer_reference_average(
 
     Alg. 3 with no simulator in it: per-peer seeds fan out of the round
     seed group-major (the creation order of the actors), each subgroup's
-    SAC average is :func:`~repro.secure.protocol.reference_group_average`,
+    SAC average is :func:`~repro.secure.sac.reference_group_average`,
     and the FedAvg leader's step is the same :func:`fedavg` call over the
     groups in index order with their sizes as weights.  Bit-identical to
     ``.average`` of every wire round that completes at this seed — any
-    ``k``, ``parallel=`` mode, transport, loss rate or tolerated fault
-    schedule — which is the paper's Alg. 4 claim and what
+    ``k``, share codec, ``parallel=`` mode, transport, loss rate or
+    tolerated fault schedule — which is the paper's Alg. 4 claim and what
     :func:`repro.chaos.invariants.check_safety` holds faulted rounds to.
     """
     if len(models) != topology.n_peers:
         raise ValueError(f"expected {topology.n_peers} models")
-    check_same_shape(models)
+    check_same_shape(models)  # across groups too: fedavg would broadcast
     peer_seeds = iter(
         spawn_peer_seeds(np.random.default_rng(seed), topology.n_peers)
     )

@@ -11,8 +11,8 @@ Everything is vectorized per *layer*, not per group:
 
 - the share math for all ``G`` subgroups of a layer is one
   ``(G x n, d)`` pass through the :mod:`repro.secure.batched` kernels,
-  consuming the RNG stream exactly as :func:`multi_layer_aggregate`'s
-  per-member :func:`~repro.secure.additive.divide` calls do — the
+  consuming the RNG stream exactly as the materialised splits of the
+  no-simulator reference :func:`multi_layer_aggregate` do — the
   aggregate it computes is identical;
 - the wire traffic of a layer is a handful of
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
@@ -43,7 +43,7 @@ from ..obs import runtime as _obs
 from ..par import check_parallel_mode, run_jobs
 from ..secure.batched import draw_divide_noise, fused_subtotals
 from ..secure.protocol import reliable_transport_opts
-from ..secure.sac import DEFAULT_BITS_PER_PARAM
+from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
 from ..simnet import Network, Simulator
 from ..simnet.network import DEFAULT_DELAY_MS, LatencyModel
 from ..simnet.outcome import OUTCOME_COMPLETED, TIMED_OUT, RoundOutcome
@@ -203,6 +203,7 @@ def run_xlayer_wire_round(
         method_for_layer = lambda layer: "sac"
     n = topology.n
     n_peers = topology.n_peers
+    check_same_shape(models)
     sums = np.array(models, dtype=np.float64)
     if sums.ndim != 2 or sums.shape[0] != n_peers:
         raise ValueError(

@@ -26,15 +26,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core.session import _select_groups
+from .core.session import (
+    build_peers,
+    evaluate_round,
+    local_updates,
+    select_groups,
+)
 from .core.topology import Topology
 from .core.two_layer import TwoLayerAggregator
-from .data.partition import peer_datasets
 from .data.synthetic import Dataset
 from .fl.metrics import MetricsHistory, RoundMetrics
-from .fl.peer import FLPeer
 from .nn.model import Sequential
-from .nn.serialize import get_flat_params, set_flat_params
+from .nn.serialize import get_flat_params
 from .secure.errors import SacAbort
 from .secure.sac import DEFAULT_BITS_PER_PARAM
 from .twolayer_raft.system import TwoLayerRaftSystem
@@ -57,9 +60,6 @@ class P2PFLConfig:
     round_interval_ms: float = 1_000.0
     timeout_base_ms: float = 50.0
     seed: int = 0
-    #: run the per-subgroup SAC rounds concurrently ("threads"/"process");
-    #: bit-identical to "off" by the repro.par determinism contract
-    parallel: str = "off"
 
 
 class P2PFLSystem:
@@ -84,27 +84,13 @@ class P2PFLSystem:
         )
         self.raft.stabilize()
 
-        # FL peers.
-        shards = peer_datasets(
-            dataset, config.n_peers, config.distribution, self.rng
+        self.peers, self._eval_model = build_peers(
+            model_factory, dataset, config, self.rng
         )
-        self.peers = [
-            FLPeer(
-                pid,
-                model_factory(self.rng),
-                x,
-                y,
-                np.random.default_rng(self.rng.integers(2**63)),
-                lr=config.lr,
-                batch_size=config.batch_size,
-            )
-            for pid, (x, y) in enumerate(shards)
-        ]
-        self._eval_model = model_factory(self.rng)
         self.global_weights = get_flat_params(self.peers[0].model).copy()
         self.aggregator = TwoLayerAggregator(
             self.topology, k=config.threshold,
-            bits_per_param=config.bits_per_param, parallel=config.parallel,
+            bits_per_param=config.bits_per_param,
         )
         self.history = MetricsHistory()
         self._round = 0
@@ -139,14 +125,9 @@ class P2PFLSystem:
         crashed = self.crashed_peers()
         leaders = self.current_leaders()
 
-        # Local update on every alive peer.
-        train_losses = []
-        for peer in self.peers:
-            if peer.peer_id in crashed:
-                continue
-            peer.set_weights(self.global_weights)
-            train_losses.append(peer.local_update(epochs=cfg.epochs))
-        models = [peer.get_weights() for peer in self.peers]
+        train_losses, models = local_updates(
+            self.peers, self.global_weights, cfg.epochs, down=crashed
+        )
 
         # Subgroups whose Raft leader is up (and matching fraction p).
         ready = [
@@ -155,7 +136,7 @@ class P2PFLSystem:
             if leader is not None and leader not in crashed
         ]
         if ready:
-            selected = _select_groups(len(ready), cfg.fraction, self.rng)
+            selected = select_groups(len(ready), cfg.fraction, self.rng)
             if selected is not None:
                 ready = [ready[i] for i in selected]
         effective_leaders = [
@@ -178,16 +159,9 @@ class P2PFLSystem:
             except SacAbort:
                 pass  # every subgroup failed; keep the old global model
 
-        set_flat_params(self._eval_model, self.global_weights)
-        test_loss, test_acc = self._eval_model.evaluate(
-            self.dataset.x_test, self.dataset.y_test
-        )
-        metrics = RoundMetrics(
-            round=self._round,
-            test_accuracy=test_acc,
-            test_loss=test_loss,
-            train_loss=float(np.mean(train_losses)) if train_losses else float("nan"),
-            comm_bits=comm_bits,
+        metrics = evaluate_round(
+            self._eval_model, self.dataset, self.global_weights, self._round,
+            train_losses, comm_bits,
         )
         self.history.append(metrics)
         self._round += 1

@@ -28,12 +28,11 @@ property tests in ``tests/secure/test_batched.py``):
   reduce the owner axis" bit for bit: the same normalised fractions, one
   multiply per (owner, index), owners added left to right.  Only the
   traversal differs — cache-sized blocks, so the share tensor never exists.
-- ``batched_zero_sum`` and both seeded kernels are bitwise identical to
-  the sequential loops for every batch size: normal variates fill
+- ``batched_zero_sum`` and the seeded ring kernel are bitwise identical
+  to the sequential loops for every batch size: normal variates fill
   row-major, 128-bit share seeds are two full-range ``uint64`` draws per
-  seed (one ``next64`` each), and the float residual accumulations keep
-  the sequential left-to-right order (float addition is not
-  associative).
+  seed (one ``next64`` each), and the float residuals keep the per-owner
+  reduction (float addition is not associative).
 - ``batched_divide_ring`` collapses the per-owner pair of ``integers``
   draws into two batch draws; for ``b == 1`` the stream is unchanged,
   for ``b > 1`` the drawn masks differ from the sequential path but the
@@ -50,7 +49,6 @@ from typing import Sequence
 import numpy as np
 
 from .philox import expand_ring_batch
-from .seedshare import FLOAT_CODEC, SeedShare
 
 _MIN_SUM = 1e-3
 
@@ -382,53 +380,6 @@ def batched_seed_keys(
     :func:`repro.secure.seedshare.draw_seed` calls bit for bit.
     """
     return rng.integers(0, _RING_HIGH, size=(count, 2), dtype=np.uint64)
-
-
-def _seed_int(words: np.ndarray) -> int:
-    return (int(words[0]) << 64) | int(words[1])
-
-
-def batched_seeded_zero_sum_dense(
-    stack: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    residual_indices: int | Sequence[int] | None = None,
-    mask_scale: float = 1.0,
-) -> np.ndarray:
-    """Materialized seeded zero-sum splits for a whole batch.
-
-    Equivalent to ``seeded_zero_sum_shares(..., residual_index=r_i)
-    .materialize()`` per owner, but the ``(n-1) * b`` seeds come from one
-    RNG pass and each mask is expanded exactly once (the per-peer path
-    expands every mask twice).  Bitwise identical for every batch size.
-    """
-    _check_n(n)
-    stack = _as_batch(stack, dtype=np.float64)
-    b = stack.shape[0]
-    shape = stack.shape[1:]
-    res = _residual_indices(b, n, residual_indices)
-    out = np.empty((b, n) + shape, dtype=np.float64)
-    keys = batched_seed_keys(b * (n - 1), rng).reshape(b, max(n - 1, 0), 2)
-    for i in range(b):
-        acc: np.ndarray | None = None
-        slot = 0
-        for j in range(n):
-            if j == res[i]:
-                continue
-            mask = SeedShare(
-                _seed_int(keys[i, slot]), shape, FLOAT_CODEC,
-                mask_scale=mask_scale,
-            ).expand()
-            out[i, j] = mask
-            # Sequential accumulation: float addition is order-sensitive
-            # and the per-peer path adds masks left to right.
-            acc = mask if acc is None else acc + mask
-            slot += 1
-        if acc is None:
-            out[i, res[i]] = stack[i]
-        else:
-            np.subtract(stack[i], acc, out=out[i, res[i]])
-    return out
 
 
 def batched_divide_ring(

@@ -18,12 +18,11 @@ Communication accounting matches Sec. VII-B:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..obs import runtime as _obs
-from .additive import divide
 from .errors import SacReconstructionError
 from .replicated import (
     holders_of_share,
@@ -33,9 +32,8 @@ from .replicated import (
 )
 from .sac import (
     DEFAULT_BITS_PER_PARAM,
-    _check_codec,
-    check_same_shape,
-    exchange_subtotals,
+    reference_group_average,
+    spawn_peer_seeds,
 )
 from .seedshare import SEED_SHARE_BITS
 
@@ -65,7 +63,6 @@ def fault_tolerant_sac(
     leader: int = 0,
     crashed: set[int] | None = None,
     bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    divide_fn: Callable[..., np.ndarray] = divide,
     share_codec: str = "dense",
 ) -> FtSacResult:
     """Run one k-out-of-n SAC round (paper Alg. 4) at the ``leader``.
@@ -77,6 +74,9 @@ def fault_tolerant_sac(
         exchange).
     k:
         Reconstruction threshold, ``1 <= k <= n``.
+    rng:
+        Randomness for the share splits: exactly ``n`` draws, the peers'
+        seeds (:func:`~.sac.spawn_peer_seeds`).
     leader:
         The peer that reconstructs the average (a subgroup leader in the
         two-layer system).  Must not be in ``crashed``.
@@ -98,10 +98,7 @@ def fault_tolerant_sac(
         If some subtotal index has no surviving holder (more than
         ``n - k`` adversarially placed crashes).
     """
-    _check_codec(share_codec)
     n = len(models)
-    if n < 1:
-        raise ValueError("need at least one peer")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     crashed = set(crashed or ())
@@ -113,25 +110,26 @@ def fault_tolerant_sac(
     if not 0 <= leader < n:
         raise ValueError(f"leader index {leader} out of range for n={n}")
 
-    first = np.asarray(models[0], dtype=np.float64)
-    check_same_shape(models)
-    w_bits = float(first.size * bits_per_param)
-
     lost = missing_shares(crashed, n, k)
     if lost:
         raise SacReconstructionError(lost, crashed)
 
     # Phase 1 — share exchange (everyone participates; crashes happen
     # later) — and phase 2, subtotals: ps[j] = sum_i par_wt_{i j}; any
-    # alive holder of index j can compute it (Alg. 4 lines 11-13).  Under
-    # the seed codecs the residual sits at the owner's own index: one
-    # seed serves a whole replica group, so only the n-k residual
-    # *copies* stay dense.
+    # alive holder of index j can compute it (Alg. 4 lines 11-13).  ``k``
+    # and the crashes decide who supplies a subtotal, never its value, so
+    # the group kernel yields the average the leader will hold and the
+    # rest of this function is the accounting of how it got there.
     with _obs.OBS.span("ftsac.share_exchange", n=n, k=k):
-        subtotals = exchange_subtotals(models, rng, divide_fn, share_codec)
+        average = reference_group_average(
+            models, spawn_peer_seeds(rng, n), share_codec
+        )
+    w_bits = float(average.size * bits_per_param)
     # Peer j receives a bundle of n-k+1 shares from each of the other
-    # n-1 peers: n(n-1)(n-k+1) share-sized payloads in total (dense);
-    # under the seed codec only residual copies travel as full vectors.
+    # n-1 peers: n(n-1)(n-k+1) share-sized payloads in total (dense).
+    # Under the seed codec the residual sits at the owner's own index and
+    # one seed serves a whole replica group, so only the n-k residual
+    # *copies* travel as full vectors.
     phase1_msgs = n * (n - 1)
     if share_codec == "seed":
         dense_entries, seed_entries = seeded_exchange_entry_counts(n, k)
@@ -169,9 +167,6 @@ def fault_tolerant_sac(
                     )
             messages += 1
             bits += w_bits
-
-        average = subtotals.sum(axis=0)
-        average /= n
     if _obs.OBS.enabled:
         _obs.OBS.emit(
             "ftsac.complete", node=leader, n=n, k=k,

@@ -64,18 +64,18 @@ from ..simnet import (
     TraceRecorder,
     check_transport,
 )
-from .batched import (
-    DenseSubtotal,
-    _accumulate_scaled,
-    divide_handles,
-    draw_divide_noise,
-    mean_of_subtotals,
-)
+from .batched import DenseSubtotal, divide_handles, mean_of_subtotals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..chaos.schedule import FaultSchedule
 from .replicated import holders_of_share, shares_held_by
-from .sac import DEFAULT_BITS_PER_PARAM, _check_codec, check_same_shape
+from .sac import (
+    DEFAULT_BITS_PER_PARAM,
+    _check_codec,
+    check_same_shape,
+    reference_group_average,
+    spawn_peer_seeds,
+)
 from .seedshare import SeedShare, seeded_zero_sum_shares
 
 
@@ -576,67 +576,14 @@ def reliable_transport_opts(
     return opts
 
 
-def spawn_peer_seeds(
-    rng: np.random.Generator, count: int
-) -> tuple[int, ...]:
-    """Seeds of ``count`` per-peer generators, in peer-creation order.
-
-    The one place a round seed fans out to its peers: the actor rounds,
-    their ``parallel=`` workers and the no-simulator references all call
-    it, so their share streams cannot drift apart.
-    """
-    return tuple(int(rng.integers(2**63)) for _ in range(count))
-
-
-def reference_group_average(
-    models: Sequence[np.ndarray],
-    peer_seeds: Sequence[int],
-    share_codec: str = "dense",
-) -> np.ndarray:
-    """What one fault-free dense-codec SAC group agrees on, computed directly.
-
-    No simulator, no messages: each peer's Alg. 1 fractions are drawn
-    from its own generator exactly as :meth:`SacProtocolPeer.start_round`
-    draws them, the blocked core of :func:`~.batched.fused_subtotals`
-    adds each index's shares in owner order, and the leader's sum runs
-    over the indices in order before the divide by ``n`` — full-length
-    passes over stored subtotals where the leader's
-    :func:`~.batched.mean_of_subtotals` works block by block.  Same
-    operands, same operations, same order per element — so the result is
-    bit-identical to ``leader.average`` of any round that *completes*,
-    however many replicas Alg. 4 had to fetch on the way (``k`` decides
-    who supplies a subtotal, never its value).  The seed codecs round
-    differently (residual = model − Σ masks) and are rejected.
-    """
-    if share_codec != "dense":
-        raise ValueError(
-            "the no-simulator reference is defined for share_codec='dense'"
-            f" only, got {share_codec!r}"
-        )
-    n = len(models)
-    owners = [np.asarray(m, dtype=np.float64) for m in models]
-    fractions = []
-    for s in peer_seeds:
-        rn, totals = draw_divide_noise(1, n, np.random.default_rng(s))
-        fractions.append(rn / totals[:, None])
-    # The models go in as (1, d) views, not as a stacked copy.
-    subtotals = np.empty((1, n, owners[0].size))
-    _accumulate_scaled(subtotals, [m.reshape(1, -1) for m in owners], fractions)
-    subtotals = subtotals.reshape((n,) + owners[0].shape)
-    total = subtotals[0]
-    for idx in range(1, n):
-        np.add(total, subtotals[idx], out=total)
-    total /= n
-    return total
-
-
 def sac_reference_average(
     models: Sequence[np.ndarray], seed: int = 0, share_codec: str = "dense"
 ) -> np.ndarray:
     """Fault-free aggregate of :func:`run_sac_protocol` at ``seed``.
 
-    See :func:`reference_group_average`; this is the reference the chaos
-    invariants hold a completed faulted round to.
+    The seed fan-out and the group kernel of :mod:`.sac`, nothing of its
+    own; this is the reference the chaos invariants hold a completed
+    faulted round to.
     """
     rng = np.random.default_rng(seed)
     return reference_group_average(

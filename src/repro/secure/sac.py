@@ -10,23 +10,27 @@ deployment would and *counts* the messages/bits it would have sent, so
 the measured cost can be checked against the closed form
 ``2 N (N-1) |w|`` (Sec. III-B).  The message-passing variant lives in
 :mod:`repro.secure.protocol`.
+
+Alg. 1–4 define one aggregate, and this module holds the one way to
+compute it with no simulator: :func:`spawn_peer_seeds` fans a round seed
+out to the peers and :func:`reference_group_average` is the group
+arithmetic.  :func:`sac_average`,
+:func:`~repro.secure.fault_tolerant.fault_tolerant_sac`, the two-layer
+aggregator and the ``*_reference_average`` oracles are callers of that
+pair, so at one seed they equal each other and every actor round bit for
+bit, on every share codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .additive import divide
-from .batched import (
-    batched_seeded_zero_sum_dense,
-    draw_divide_noise,
-    fused_subtotals,
-)
+from .batched import _accumulate_scaled, draw_divide_noise
 from .errors import SacAbort
-from .seedshare import SEED_SHARE_BITS
+from .seedshare import SEED_SHARE_BITS, seeded_zero_sum_shares
 
 #: Weights travel as 32-bit floats (PyTorch default), matching the
 #: paper's Gb figures.
@@ -50,6 +54,8 @@ def _check_codec(share_codec: str) -> None:
 
 def check_same_shape(models: Sequence[np.ndarray]) -> None:
     """Reject ragged inputs before any share math touches them."""
+    if isinstance(models, np.ndarray):
+        return  # the rows of one array share a shape by construction
     shapes = {m.shape for m in map(np.asarray, models)}
     if len(shapes) != 1:
         raise ValueError(f"all models must share a shape, got {shapes}")
@@ -69,35 +75,79 @@ class SacResult:
         return self.bits_sent / 1e9
 
 
-def exchange_subtotals(
+def spawn_peer_seeds(
+    rng: np.random.Generator, count: int
+) -> tuple[int, ...]:
+    """Seeds of ``count`` per-peer generators, in peer-creation order.
+
+    The one place a round seed fans out to its peers: the functional
+    aggregators, the no-simulator references, the actor rounds and their
+    ``parallel=`` workers all call it, so their share streams cannot
+    drift apart.
+    """
+    return tuple(int(rng.integers(2**63)) for _ in range(count))
+
+
+def reference_group_average(
     models: Sequence[np.ndarray],
-    rng: np.random.Generator,
-    divide_fn: Callable[..., np.ndarray] = divide,
+    peer_seeds: Sequence[int],
     share_codec: str = "dense",
 ) -> np.ndarray:
-    """Share exchange + per-index subtotals of one group: ``(n, *shape)``.
+    """What one fault-free SAC group agrees on, computed directly.
 
-    ``out[j] = sum_i par_wt_{i j}``, owners added left to right.  The
-    whole subgroup's splits consume the RNG as one batched pass (bitwise
-    identical to the per-owner loop).  Alg. 1 shares are ``fraction * w``,
-    so the dense default never builds them (:func:`fused_subtotals`); a
-    custom ``divide_fn`` and the seed-derived masks have no such form and
-    are materialised, then reduced.
+    The only share arithmetic outside the simulator: :func:`sac_average`,
+    :func:`~.fault_tolerant.fault_tolerant_sac` and the ``*_reference_average``
+    functions all end here.  Each peer's shares are drawn from its own
+    generator exactly as :meth:`~.protocol.SacProtocolPeer.start_round`
+    draws them — Alg. 1 fractions (dense), or
+    :func:`~.seedshare.seeded_zero_sum_shares` with the residual at the
+    owner's index (seed codecs) — each index's shares are added in owner
+    order, and the leader's sum runs over the indices in order before the
+    divide by ``n``: full-length passes over stored subtotals where the
+    leader's :func:`~.batched.mean_of_subtotals` works block by block, so
+    the two kernels check each other.  Same operands, same operations,
+    same order per element — the result is bit-identical to
+    ``leader.average`` of any round that *completes*, however many
+    replicas Alg. 4 had to fetch on the way (``k`` decides who supplies a
+    subtotal, never its value).  Returns a new float64 array that owns
+    its memory.
     """
+    _check_codec(share_codec)
     n = len(models)
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in models])
-    if share_codec == "dense" and divide_fn is divide:
-        rn, totals = draw_divide_noise(n, n, rng)
-        return fused_subtotals(stack, rn, totals, n)[0]
+    if n < 1:
+        raise ValueError("need at least one peer")
+    if len(peer_seeds) != n:
+        raise ValueError(f"need one seed per peer: {len(peer_seeds)} for n={n}")
+    check_same_shape(models)
+    owners = [np.asarray(m, dtype=np.float64) for m in models]
+    rngs = [np.random.default_rng(s) for s in peer_seeds]
+    shape, d = owners[0].shape, owners[0].size
     if share_codec == "dense":
-        shares = np.stack(
-            [np.asarray(divide_fn(w, n, rng), dtype=np.float64) for w in stack]
+        fractions = []
+        for rng in rngs:
+            rn, totals = draw_divide_noise(1, n, rng)
+            fractions.append(rn / totals[:, None])
+        # The models go in as (1, d) views, not as a stacked copy.
+        subtotals = np.empty((n, d))
+        _accumulate_scaled(
+            subtotals[None], [m.reshape(1, d) for m in owners], fractions
         )
+        subtotals = subtotals.reshape((n,) + shape)
     else:
-        shares = batched_seeded_zero_sum_dense(
-            stack, n, rng, residual_indices=range(n)
-        )
-    return shares.sum(axis=0)
+        for i, (model, rng) in enumerate(zip(owners, rngs)):
+            shares = seeded_zero_sum_shares(
+                model, n, rng, residual_index=i
+            ).materialize()
+            # Origins left to right, into owner 0's (n, *shape) array.
+            subtotals = shares if i == 0 else np.add(
+                subtotals, shares, out=subtotals
+            )
+    total = subtotals[0]
+    for idx in range(1, n):
+        np.add(total, subtotals[idx], out=total)
+    # The divide writes a new array, so the result owns its memory and
+    # the (n, |w|) scratch is freed on return.
+    return total / n
 
 
 def sac_average(
@@ -105,7 +155,6 @@ def sac_average(
     rng: np.random.Generator,
     crashed: set[int] | None = None,
     bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    divide_fn: Callable[..., np.ndarray] = divide,
     share_codec: str = "dense",
 ) -> SacResult:
     """Run one n-out-of-n SAC round over ``models`` (paper Alg. 2).
@@ -115,7 +164,10 @@ def sac_average(
     models:
         One weight tensor per peer; all the same shape.
     rng:
-        Randomness for the share splits.
+        Randomness for the share splits: exactly ``n`` draws, the peers'
+        seeds (:func:`spawn_peer_seeds`), so with
+        ``rng = default_rng(seed)`` the average is bit for bit that of
+        ``run_sac_protocol(models, k, seed=seed)``.
     crashed:
         Peers that drop out during the round.  Plain SAC cannot tolerate
         any: a non-empty set raises :class:`SacAbort` (the caller restarts
@@ -123,8 +175,8 @@ def sac_average(
     bits_per_param:
         Wire width of one weight scalar, for cost accounting.
     share_codec:
-        Phase-1 wire representation.  ``"dense"`` (default) splits with
-        ``divide_fn`` and ships full vectors; ``"seed"`` derives each
+        Phase-1 wire representation.  ``"dense"`` (default) ships Alg. 1
+        splits as full vectors; ``"seed"`` derives each
         peer's n-1 mask shares from PRG seeds and ships ~32-byte seeds
         (the residual stays with the sender); ``"seed-dense"`` uses the
         same masks but materialized on the wire.  ``"seed"`` and
@@ -136,24 +188,21 @@ def sac_average(
     SacResult
         The exact average of ``models`` plus measured communication cost.
     """
-    _check_codec(share_codec)
     n = len(models)
-    if n < 1:
-        raise ValueError("need at least one peer")
-    check_same_shape(models)
     if crashed:
         bad = {c for c in crashed if not 0 <= c < n}
         if bad:
             raise ValueError(f"crashed peer ids out of range: {sorted(bad)}")
         raise SacAbort(set(crashed))
 
-    first = np.asarray(models[0], dtype=np.float64)
-    w_bits = float(first.size * bits_per_param)
-
     # Phase 1 — every peer i splits wt_i into N shares and sends share j
     # to peer j (keeping share i).  Phase 2 — peer j computes
-    # ps_wt_j = sum_i par_wt_{i j} and broadcasts it.
-    subtotals = exchange_subtotals(models, rng, divide_fn, share_codec)
+    # ps_wt_j = sum_i par_wt_{i j} and broadcasts it.  Phase 3 — every
+    # peer averages the subtotals (Eq. 1–3).
+    average = reference_group_average(
+        models, spawn_peer_seeds(rng, n), share_codec
+    )
+    w_bits = float(average.size * bits_per_param)
     if share_codec == "seed":
         # The residual stays at the owner's index, so an n-out-of-n
         # exchange transmits seeds only.
@@ -162,10 +211,6 @@ def sac_average(
         phase1_bits = n * (n - 1) * w_bits
     phase1_msgs = n * (n - 1)
     phase2_msgs = n * (n - 1)
-
-    # Phase 3 — every peer averages the subtotals (Eq. 1–3).
-    average = subtotals.sum(axis=0)
-    average /= n
 
     messages = phase1_msgs + phase2_msgs
     return SacResult(

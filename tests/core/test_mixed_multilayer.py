@@ -23,7 +23,7 @@ class TestGroupsAt:
     def test_matches_topology(self):
         topo = MultiLayerTopology(3, 3)
         for layer in (1, 2, 3):
-            assert len(topo.groups_at(layer)) == multi_layer_groups_at(3, layer)
+            assert len(topo.member_matrix(layer)) == multi_layer_groups_at(3, layer)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ class TestTopology:
     def test_depth1_single_group(self):
         topo = MultiLayerTopology(3, 1)
         assert topo.n_groups == 1
-        assert topo.groups[0].members == (0, 1, 2)
+        assert topo.member_matrix(1).tolist() == [[0, 1, 2]]
 
     def test_group_count_matches_paper(self):
         # Number of aggregations: sum_{k=1}^{X-1} n(n-1)^{k-1} + 1.
@@ -44,26 +44,26 @@ class TestTopology:
         nobody leads in two layers except the topmost leader, who also
         leads a second-layer group."""
         topo = MultiLayerTopology(3, 3)
+        top, layer2, layer3 = (topo.member_matrix(k) for k in (1, 2, 3))
         # Layer-2 leaders are exactly the members of the top group.
-        layer2_leaders = {g.leader for g in topo.groups_at(2)}
-        assert layer2_leaders == set(topo.groups[0].members)
+        assert set(layer2[:, 0]) == set(top[0])
         # Layer-3 leaders are exactly the layer-2 followers (new peers).
-        layer3_leaders = sorted(g.leader for g in topo.groups_at(3))
-        layer2_followers = sorted(
-            p for g in topo.groups_at(2) for p in g.members[1:]
-        )
-        assert layer3_leaders == layer2_followers
+        assert sorted(layer3[:, 0]) == sorted(layer2[:, 1:].ravel())
         # No peer leads more than two groups, and only peer 0 (top leader)
         # leads two.
         from collections import Counter
 
-        lead_counts = Counter(g.leader for g in topo.groups)
+        lead_counts = Counter(
+            int(leader) for mat in (top, layer2, layer3) for leader in mat[:, 0]
+        )
         assert lead_counts[0] == 2
         assert all(c == 1 for p, c in lead_counts.items() if p != 0)
 
     def test_all_groups_have_n_members(self):
         topo = MultiLayerTopology(4, 3)
-        assert all(len(g.members) == 4 for g in topo.groups)
+        rows = sum(len(topo.member_matrix(k)) for k in (1, 2, 3))
+        assert rows == topo.n_groups
+        assert all(topo.member_matrix(k).shape[1] == 4 for k in (1, 2, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,16 +127,16 @@ class TestDeepTrees:
 
     def test_member_matrix_matches_groups(self):
         topo = MultiLayerTopology(3, 4)
+        seen = []
         for layer in range(1, 5):
             mat = topo.member_matrix(layer)
-            groups = topo.groups_at(layer)
-            assert mat.shape == (len(groups), 3)
+            assert mat.shape == (multi_layer_groups_at(3, layer), 3)
             assert mat.dtype == np.int64
-            for row, g in zip(mat, groups):
-                assert tuple(row) == g.members
-                assert row[0] == g.leader
+            seen.extend(mat[:, 1:].ravel())
             # Cached: same object on repeat calls.
             assert topo.member_matrix(layer) is mat
+        # Every peer but the root follows in exactly one group.
+        assert sorted(seen) == list(range(1, topo.n_peers))
 
     def test_closed_form_matches_constructive_build(self):
         """The arithmetic ``member_matrix`` against the paper's
@@ -172,7 +172,7 @@ class TestDeepTrees:
     def test_groups_at_matches_closed_form(self):
         topo = MultiLayerTopology(3, 5)
         for layer in range(1, 6):
-            assert len(topo.groups_at(layer)) == multi_layer_groups_at(3, layer)
+            assert len(topo.member_matrix(layer)) == multi_layer_groups_at(3, layer)
 
 
 class TestMixedSchedules:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import Topology, TwoLayerAggregator, two_layer_cost_from_topology
 from repro.core.costs import two_layer_ft_cost_from_topology
-from repro.secure import SacAbort
+from repro.secure import SacAbort, expected_ft_sac_bits
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -143,6 +143,14 @@ class TestDropouts:
             models, RNG(0), dropouts={1: {group1[1], group1[2]}}
         )
         assert result.failed_groups == (1,)
+        # The failed group's share exchange was paid before the loss was
+        # detected: n (n-1) (n-k+1) |w| wasted, on top of the surviving
+        # group's round and its (n-1) |w| broadcast (m' = 1: no FedAvg hop).
+        w = 10 * 32
+        assert result.bits_sent == (
+            expected_ft_sac_bits(5, 4, 10) + 5 * 4 * 2 * w + 4 * w
+        )
+        assert result.messages_sent == (5 * 4 + 3) + 5 * 4 + 4
 
     def test_crashed_leader_fails_group(self):
         models = make_models(9)

@@ -104,6 +104,23 @@ class TestValueEquality:
         )
         np.testing.assert_array_equal(ref.average, result.average)
 
+    def test_reference_flattens_and_restores_model_shape(self):
+        # The wire round takes d-vectors; the reference takes any shape.
+        topo = MultiLayerTopology(3, 3)
+        models = _models(topo, d=6, seed=3)
+        method = lambda layer: "fedavg" if layer == 2 else "sac"
+        ref = multi_layer_aggregate(
+            topo, [m.reshape(2, 3) for m in models],
+            np.random.default_rng(8), method_for_layer=method,
+        )
+        result = run_xlayer_wire_round(
+            topo, models, seed=8, method_for_layer=method
+        )
+        assert ref.average.shape == (2, 3)
+        np.testing.assert_array_equal(ref.average.ravel(), result.average)
+        assert ref.bits_sent == result.bits_sent
+        assert ref.n_aggregations == topo.n_groups
+
 
 class TestEngines:
     @pytest.mark.parametrize("latency", [
@@ -230,6 +247,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_xlayer_wire_round(topo, np.zeros((5, 2)))
 
+    def test_ragged_rows_raise_the_shared_shape_error(self):
+        topo = MultiLayerTopology(2, 2)
+        rows = [np.zeros(3)] * 3 + [np.zeros(4)]
+        for run in (
+            lambda: run_xlayer_wire_round(topo, rows),
+            lambda: multi_layer_aggregate(topo, rows, np.random.default_rng(0)),
+        ):
+            with pytest.raises(ValueError, match="must share a shape"):
+                run()
+
     def test_bad_engine_and_method(self):
         topo = MultiLayerTopology(2, 1)
         models = _models(topo)
@@ -258,3 +285,7 @@ class TestScale:
         np.testing.assert_allclose(
             result.average, models.mean(axis=0), rtol=1e-6
         )
+        # ...and the aggregate bit-identical to the no-simulator reference.
+        ref = multi_layer_aggregate(topo, models, np.random.default_rng(0))
+        np.testing.assert_array_equal(ref.average, result.average)
+        assert ref.bits_sent == result.bits_sent

@@ -6,8 +6,7 @@ The :mod:`repro.par` determinism contract: ``parallel="threads"`` and
 the ``"off"`` path exactly.  These tests assert that for the wire round
 (both share codecs, with and without mid-round crashes — including a
 forced Alg. 4 replica recovery under ``process`` and a dropout no mode
-can recover, which all must grade alike), the functional aggregator,
-and the integrated ``P2PFLSystem``.
+can recover, which all must grade alike).
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.chaos import check_liveness
 from repro.core.topology import Topology
-from repro.core.two_layer import TwoLayerAggregator
 from repro.core.wire_round import run_two_layer_wire_round
 from repro.obs import runtime as _runtime
 from repro.par import (
@@ -187,49 +185,6 @@ class TestWireRoundParity:
         topo = Topology.by_group_size(6, 3)
         with pytest.raises(ValueError):
             run_two_layer_wire_round(topo, _models(topo, 0), parallel="no")
-
-
-class TestAggregatorParity:
-    @pytest.mark.parametrize("mode", [m for m in PARALLEL_MODES if m != "off"])
-    def test_aggregate_bitwise_identical(self, mode):
-        topo = Topology.by_group_size(12, 4)
-        models = _models(topo, 3, d=40)
-
-        def run(parallel):
-            agg = TwoLayerAggregator(topo, k=2, parallel=parallel)
-            return agg.aggregate(
-                models, RNG(7), dropouts={1: {topo.groups[1][3]}},
-                absent={topo.groups[2][1]},
-            )
-
-        a, b = run("off"), run(mode)
-        assert np.array_equal(b.average, a.average)
-        assert b.bits_sent == a.bits_sent
-        assert b.messages_sent == a.messages_sent
-        assert b.participating_groups == a.participating_groups
-        assert b.included_peers == a.included_peers
-        assert b.failed_groups == a.failed_groups
-
-    def test_reconstruction_failure_accounted_identically(self):
-        # Crash n - k + 1 = 3 peers in one group: that subgroup fails
-        # reconstruction and its wasted traffic must be charged the same
-        # in every mode.
-        topo = Topology.by_group_size(8, 4)
-        doomed = set(topo.groups[1][1:])
-
-        def run(parallel):
-            agg = TwoLayerAggregator(topo, k=2, parallel=parallel)
-            return agg.aggregate(
-                _models(topo, 6, d=16), RNG(2), dropouts={1: doomed}
-            )
-
-        a = run("off")
-        assert a.failed_groups == (1,)
-        for mode in ("threads", "process"):
-            b = run(mode)
-            assert np.array_equal(b.average, a.average)
-            assert b.bits_sent == a.bits_sent
-            assert b.failed_groups == a.failed_groups
 
 
 class TestRunJobs:

@@ -3,8 +3,8 @@
 The batched core (:mod:`repro.secure.batched`) must be a pure
 vectorisation: fed the same generator stream, its rows are **bitwise**
 the shares the per-peer loops produce.  These hypothesis suites assert
-exactly that, for the float codec (multiplicative and zero-sum masks,
-dense and seeded) and the ring64 fixed-point codec.
+exactly that, for the float codec (multiplicative and zero-sum masks)
+and the ring64 fixed-point codec (dense and seeded).
 """
 
 from contextlib import contextmanager
@@ -22,7 +22,6 @@ from repro.secure.batched import (
     batched_divide,
     batched_divide_ring,
     batched_seeded_ring_dense,
-    batched_seeded_zero_sum_dense,
     batched_zero_sum,
     divide_handles,
     draw_divide_noise,
@@ -31,8 +30,8 @@ from repro.secure.batched import (
     sum_dense_shares,
 )
 from repro.secure.fixed_point import divide_ring, reconstruct_ring
-from repro.secure.sac import sac_average
-from repro.secure.seedshare import seeded_ring_shares, seeded_zero_sum_shares
+from repro.secure.sac import reference_group_average, sac_average
+from repro.secure.seedshare import seeded_ring_shares
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -112,20 +111,6 @@ class TestFloatBatched:
         w = RNG(seed).normal(size=d)
         shares = divide(w, n, RNG(seed))
         assert np.allclose(reconstruct(list(shares)), w)
-
-    @given(b=batch, n=peers, d=dims, seed=seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_batched_seeded_dense_matches_sequential(self, b, n, d, seed):
-        stack = _stack(b, d, seed)
-        got = batched_seeded_zero_sum_dense(
-            stack, n, RNG(seed), residual_indices=[i % n for i in range(b)]
-        )
-        rng = RNG(seed)
-        for i in range(b):
-            ref = seeded_zero_sum_shares(
-                stack[i], n, rng, residual_index=i % n
-            ).materialize()
-            assert np.array_equal(got[i], ref)
 
 
 class TestRingBatched:
@@ -248,21 +233,43 @@ class TestFusedSubtotals:
         with pytest.raises(ValueError):
             fused_subtotals(np.ones((5, 4)), rn, totals, 3)
 
-    @given(n=peers, d=dims, seed=seeds)
+
+class TestGroupKernel:
+    """``reference_group_average`` against Alg. 1–2 spelled out in plain
+    NumPy — the independent check of the one no-simulator kernel."""
+
+    @given(n=peers, seed=seeds,
+           d=st.sampled_from([1, 7, 32_767, 32_768, 32_769, 70_001]))
     @settings(max_examples=40, deadline=None)
-    def test_fused_callers_draw_exactly_the_batched_divide_stream(
+    def test_equals_per_owner_shares_added_owners_then_indices(
         self, n, d, seed
     ):
-        """No RNG is consumed by the kernel, and none is added or dropped
-        by the callers that switched to it."""
-        stack = _stack(n, d, seed)
-        rng_new, rng_old = RNG(seed), RNG(seed)
-        result = sac_average(list(stack), rng_new)
-        shares = batched_divide(stack, n, rng_old)
-        assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        expect = shares.sum(axis=0).sum(axis=0)
-        expect /= n
-        assert _bits_equal(result.average, expect)
+        models = RNG(seed).normal(size=(n, d))
+        peer_seeds = [seed + 17 * i for i in range(n)]
+        subtotals = None
+        for model, peer_seed in zip(models, peer_seeds):
+            # One owner's n materialised Alg. 1 shares, from its own
+            # generator.
+            rn, totals = draw_divide_noise(1, n, RNG(peer_seed))
+            shares = apply_divide_noise(model[np.newaxis], rn, totals)[0]
+            subtotals = shares if subtotals is None else subtotals + shares
+        expect = subtotals[0]
+        for j in range(1, n):
+            expect = expect + subtotals[j]
+        expect = expect / n
+        got = reference_group_average(list(models), peer_seeds)
+        assert _bits_equal(got, expect)
+        assert got.base is None
+
+    @given(n=peers, d=dims, seed=seeds,
+           codec=st.sampled_from(["dense", "seed", "seed-dense"]))
+    @settings(max_examples=40, deadline=None)
+    def test_sac_average_draws_exactly_n_peer_seeds(self, n, d, seed, codec):
+        rng_sac, rng_seeds = RNG(seed), RNG(seed)
+        sac_average(list(_stack(n, d, seed)), rng_sac, share_codec=codec)
+        for _ in range(n):
+            rng_seeds.integers(2**63)
+        assert rng_sac.bit_generator.state == rng_seeds.bit_generator.state
 
 
 class TestDenseShareHandles:
