@@ -184,9 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "dump directory (default: incident_out)")
     parser.add_argument("--depth", type=int, default=6,
                         help="'xlayer': tree depth X (default: 6)")
-    parser.add_argument("--engine", default="wave",
-                        choices=["wave", "scalar"],
-                        help="'xlayer': delivery engine (default: wave)")
     parser.add_argument("--delay-ms", type=float, default=15.0,
                         help="'xlayer': fixed per-hop latency in "
                         "virtual ms (default: 15)")
@@ -308,13 +305,12 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     )
     print(f"X-layer wire round: n={n}, depth={depth}, "
           f"N={n_peers:,} peers (requested {target:,}), "
-          f"d={d}, engine={args.engine}, transport={transport}, "
+          f"d={d}, transport={transport}, "
           f"loss={loss:g}")
     t0 = time.perf_counter()
     result = run_xlayer_wire_round(
         topology, models, seed=args.seed,
-        latency=FixedLatency(args.delay_ms), engine=args.engine,
-        parallel=args.parallel or "off",
+        latency=FixedLatency(args.delay_ms), parallel=args.parallel or "off",
         loss_rate=loss, transport=transport, transport_opts=opts,
     )
     wall = time.perf_counter() - t0
@@ -382,12 +378,12 @@ def _run_chaos_scale(args: argparse.Namespace) -> int:
     loss = DEFAULT_LOSS_RATE if args.loss is None else args.loss
     report = run_scale_trial(
         args.scale, depth=args.depth,
-        loss_rate=loss, seed=args.seed, engine=args.engine,
+        loss_rate=loss, seed=args.seed,
         parallel=args.parallel or "off", max_attempts=args.max_attempts,
     )
     print(f"chaos at scale: n={report.n}, depth={report.depth}, "
           f"N={report.n_peers:,} peers (requested {args.scale:,}), "
-          f"loss={report.loss_rate:g}, engine={report.engine}")
+          f"loss={report.loss_rate:g}")
     print(f"wall:     {report.wall_s:.2f} s — "
           f"{report.n_peers / report.wall_s:,.0f} peers/s")
     print(f"round:    {report.messages_sent:,} messages, "

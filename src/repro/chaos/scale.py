@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.costs import multi_layer_total_peers
 from ..core.multi_layer import MultiLayerTopology
-from ..core.xlayer_wire import run_xlayer_wire_round
+from ..core.xlayer_wire import run_xlayer_wire_round, wave_engine_only
 from .schedule import Crash, DelaySpike, FaultSchedule, LossWindow, Recover
 
 #: default random frame-loss probability for scale trials.
@@ -71,18 +71,17 @@ def scale_schedule(
 
 @dataclass(frozen=True)
 class ScaleReport:
-    """One chaos-at-scale trial (one engine)."""
+    """One chaos-at-scale trial."""
 
     n: int
     depth: int
     n_peers: int
-    engine: str
     loss_rate: float
     chaos: bool
     wall_s: float
     finish_ms: float
     outcome: str
-    average_sum: float  #: aggregate checksum for cross-engine identity
+    average_sum: float  #: aggregate checksum for wave == per-item identity
     bits_sent: float
     messages_sent: int
     retransmits: int
@@ -106,10 +105,10 @@ def run_scale_trial(
 ) -> ScaleReport:
     """One lossy reliable X-layer round at ``target_peers`` scale.
 
-    Identical arguments produce an identical delivery schedule whichever
-    ``engine`` runs it — the acceptance benchmark asserts the wave and
-    scalar reports byte-identical (``wall_s``, ``engine`` and the
-    engine-specific heap telemetry excluded).  With the default
+    The acceptance benchmark replays the same round one heap entry per
+    item (``tests/simnet/per_item.py``) and asserts the two reports
+    byte-identical (``wall_s`` and the heap telemetry excluded);
+    ``engine`` accepts only ``"wave"``.  With the default
     8-attempt budget a 20 % loss round at 10^5+ peers almost surely
     sees a handful of exhausted sends (0.2^8 per message) and degrades
     to a typed timeout; raise ``max_attempts`` to make completion the
@@ -118,6 +117,7 @@ def run_scale_trial(
     does for seed 37; at 32 none of seeds 1-159 degrades, which is what
     the repo benchmark's ``xlayer_lossy`` workload uses.
     """
+    wave_engine_only(engine)
     topology = scale_topology(target_peers, depth)
     models = np.random.default_rng([seed, 7]).normal(
         size=(topology.n_peers, dim)
@@ -126,14 +126,14 @@ def run_scale_trial(
     opts = None if max_attempts is None else {"max_attempts": max_attempts}
     t0 = time.perf_counter()
     result = run_xlayer_wire_round(
-        topology, models, seed=seed, engine=engine, parallel=parallel,
+        topology, models, seed=seed, parallel=parallel,
         loss_rate=loss_rate, transport="reliable", transport_opts=opts,
         schedule=schedule,
     )
     wall = time.perf_counter() - t0
     return ScaleReport(
         n=topology.n, depth=depth, n_peers=topology.n_peers,
-        engine=engine, loss_rate=loss_rate, chaos=chaos,
+        loss_rate=loss_rate, chaos=chaos,
         wall_s=wall, finish_ms=result.finish_time_ms,
         outcome=result.outcome.status,
         average_sum=float(result.average.sum()),

@@ -25,10 +25,10 @@ Everything is vectorized per *layer*, not per group:
 
 Peers are modelled by their ids alone (accounting waves, no actor
 objects), which is what makes 10^5-10^6 simulated peers tractable.
-``engine="scalar"`` replays the identical schedule through per-message
-heap events — the honest pre-wave baseline the ``xlayer_scale`` sim pin
-compares against; delivery times, trace totals and the final average
-are bit-identical across engines.
+Determinism contract: wave == per-item replay
+(``tests/simnet/per_item.py``) — the ``xlayer_scale`` and
+``chaos_scale`` sim pins run every round both ways and hold delivery
+times, trace totals and the final average bit-identical.
 """
 
 from __future__ import annotations
@@ -48,11 +48,19 @@ from ..simnet import Network, Simulator
 from ..simnet.network import DEFAULT_DELAY_MS, LatencyModel
 from ..simnet.outcome import OUTCOME_COMPLETED, TIMED_OUT, RoundOutcome
 from ..simnet.reliable import check_transport
-from ..simnet.waves import check_engine
 from .multi_layer import MultiLayerTopology
 
 #: message kinds an X-layer round puts on the wire.
 XLAYER_KINDS = ("xl.share", "xl.subtotal", "xl.upload", "xl.bcast")
+
+
+def wave_engine_only(requested: str) -> None:
+    """Accept the ``engine="wave"`` that ``bench/workloads.py`` passes."""
+    if requested != "wave":
+        raise ValueError(
+            f"engine={requested!r}: the scalar delivery engine was removed; "
+            "its per-item replay model is tests/simnet/per_item.py"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,6 @@ class XLayerWireResult:
     messages_sent: int
     n_peers: int
     n_groups: int
-    engine: str
     layer_stats: tuple[XLayerLayerStats, ...]
     bits_by_kind: dict
     heap_stats: dict
@@ -196,7 +203,7 @@ def run_xlayer_wire_round(
     receiver down) propagates ``inf`` through the dependency dataflow
     and the round degrades to a typed ``timed_out`` outcome.
     """
-    check_engine(engine)
+    wave_engine_only(engine)
     check_parallel_mode(parallel)
     check_transport(transport)
     if method_for_layer is None:
@@ -242,7 +249,7 @@ def run_xlayer_wire_round(
     pair_i, pair_j = np.where(~np.eye(n, dtype=bool))
 
     with obs.span("xlayer.round", clock=lambda: sim.now,
-                  peers=n_peers, depth=topology.depth, engine=engine):
+                  peers=n_peers, depth=topology.depth):
         # ---------------------------------------------- bottom-up layers
         for layer in range(topology.depth, 0, -1):
             method = method_for_layer(layer)
@@ -263,7 +270,6 @@ def run_xlayer_wire_round(
                     members[:, pair_j].reshape(-1),
                     size_bits=w_bits, kind="xl.share",
                     at_times=np.repeat(start, n * (n - 1)),
-                    engine=engine,
                 )
                 arrivals = _landed(share_wave.delivery_times).reshape(
                     g, n * (n - 1)
@@ -280,7 +286,6 @@ def run_xlayer_wire_round(
                     np.repeat(leaders, n - 1),
                     size_bits=w_bits, kind="xl.subtotal",
                     at_times=bundle[:, 1:].reshape(-1),
-                    engine=engine,
                 )
                 sub_arrivals = _landed(sub_wave.delivery_times).reshape(
                     g, n - 1
@@ -295,7 +300,6 @@ def run_xlayer_wire_round(
                     np.repeat(leaders, n - 1),
                     size_bits=w_bits, kind="xl.upload",
                     at_times=np.repeat(start, n - 1),
-                    engine=engine,
                 )
                 up_arrivals = _landed(up_wave.delivery_times).reshape(
                     g, n - 1
@@ -328,7 +332,6 @@ def run_xlayer_wire_round(
                 followers,
                 size_bits=w_bits, kind="xl.bcast",
                 at_times=np.repeat(dist[members[:, 0]], n - 1),
-                engine=engine,
             )
             dist[followers] = _landed(bcast_wave.delivery_times)
         finish = float(dist.max())
@@ -367,7 +370,6 @@ def run_xlayer_wire_round(
         messages_sent=net.trace.total_messages,
         n_peers=n_peers,
         n_groups=topology.n_groups,
-        engine=engine,
         layer_stats=tuple(layer_stats),
         bits_by_kind=net.trace.by_kind(),
         heap_stats=sim.heap_stats(),

@@ -41,7 +41,7 @@ from .reliable import (
     check_transport,
 )
 from .trace import MessageRecord, TraceRecorder, WaveRecord
-from .waves import ENGINES, DeliveryWave, ItemWave, check_engine
+from .waves import DeliveryWave, ItemWave
 
 __all__ = [
     "Event",
@@ -60,8 +60,6 @@ __all__ = [
     "WaveRecord",
     "DeliveryWave",
     "ItemWave",
-    "ENGINES",
-    "check_engine",
     "ReliableTransport",
     "TRANSPORTS",
     "ACK_BITS",

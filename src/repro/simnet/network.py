@@ -497,7 +497,6 @@ class Network:
         kind: str = "msg",
         msgs: Any = None,
         at_times: Any = None,
-        engine: str = "wave",
     ) -> Any:
         """Send a whole batch of same-kind messages as one delivery wave.
 
@@ -511,19 +510,17 @@ class Network:
         alone, which is what lets X-layer rounds run at 10^5+ simulated
         peers.
 
-        ``engine="wave"`` schedules one heap entry for the whole batch
-        (see :mod:`repro.simnet.waves`); ``engine="scalar"`` schedules
-        one per message/item — the reference path, bit-identical in
-        delivery times, ``(time, seq)`` order and trace totals.  Under
+        The batch takes one heap entry (see :mod:`repro.simnet.waves`)
+        and replays exactly as one entry per message would: wave ==
+        per-item replay (``tests/simnet/per_item.py``).  Under
         ``transport="reliable"`` or an installed ``fault_timeline`` the
         batch becomes an *item wave*: the whole stop-and-wait
         ACK/retransmit state machine (attempt cohorts, backoff epochs,
-        ACK traffic, budget exhaustion) is precomputed vectorized and
-        replayed by either engine — under ``"wave"``, accounting item
-        batches pending on a network share a single heap entry between
-        them.  Without a timeline, fault state is
-        frozen at issue time for the whole wave.  Causal spans are not
-        allocated for wave messages.
+        ACK traffic, budget exhaustion) is precomputed vectorized;
+        accounting item batches pending on a network share one heap
+        entry.  Without a timeline, fault state is frozen at issue time
+        for the whole wave.  Causal spans are not allocated for wave
+        messages.
 
         Returns the :class:`~repro.simnet.waves.DeliveryWave`, whose
         ``delivery_times`` gives each message's arrival (NaN if dropped
@@ -533,7 +530,7 @@ class Network:
 
         return _send_batch(
             self, src_ids, dst_ids, size_bits=size_bits, kind=kind,
-            msgs=msgs, at_times=at_times, engine=engine,
+            msgs=msgs, at_times=at_times,
         )
 
     def alloc_context(

@@ -16,8 +16,8 @@ that:
 - delivered messages get a **contiguous reserved seq block**
   (:meth:`EventQueue.reserve`), message ``i`` taking ``seq0 + i`` — the
   very numbers per-message ``send`` calls would have consumed — so the
-  global ``(time, seq)`` delivery order is bit-identical to the scalar
-  engine;
+  global ``(time, seq)`` delivery order is that of one heap entry per
+  message;
 - one :class:`DeliveryWave` object re-pushes itself through the heap: at
   each firing it delivers the maximal *run* of its pending messages
   whose ``(time, seq)`` keys precede the next live heap entry, then
@@ -39,19 +39,18 @@ round — not (instant, wave) pairs, let alone items.
 Accounting: a pure accounting wave publishes one aggregate
 :class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
 (with a ``count`` field) per category per run — per batch too, on the
-ledger — and totals match the scalar engine's per-message records
-exactly.  Waves carrying actor messages (``msgs=...``) replay message
-by message (:meth:`ItemWave._apply_item` is also the scalar engine's
-per-item reference), because handlers observe the network mid-wave.
+ledger — and totals match per-message records exactly.  Waves carrying
+actor messages (``msgs=...``) replay message by message, because
+handlers observe the network mid-wave.
 
-Determinism contract (see ``docs/performance.md``): for the same
-``send_batch`` call the two engines consume the RNG identically — loss
-uniforms for link-up messages first (one batch draw), then latency draws
-for surviving messages in enumeration order — and produce identical
-``delivery_times``, identical trace totals and identical ``(time, seq)``
-event keys.  ``send_batch`` differs from a loop of scalar ``send`` calls
-only in RNG interleaving (``send`` draws loss and latency alternately)
-and in skipping per-message causal span allocation.
+Determinism contract (see ``docs/performance.md``): wave == per-item
+replay (``tests/simnet/per_item.py``, which swaps each wave class's
+``_launch`` for one heap entry per message or item at its reserved key).
+The RNG is consumed before launch — loss uniforms for link-up messages
+first (one batch draw), then latency draws for surviving messages in
+enumeration order.  ``send_batch`` differs from a loop of scalar
+``send`` calls only in RNG interleaving (``send`` draws loss and latency
+alternately) and in skipping per-message causal span allocation.
 """
 
 from __future__ import annotations
@@ -68,17 +67,6 @@ from .trace import MessageRecord, WaveRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .network import Network
-
-ENGINES = ("wave", "scalar")
-
-
-def check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown delivery engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
 
 def _cut(times: np.ndarray, seqs: np.ndarray, i: int, head) -> int:
     """Largest ``j >= i`` such that entries ``i..j-1`` all precede ``head``.
@@ -104,12 +92,12 @@ class DeliveryWave:
 
     Returned by ``Network.send_batch``; ``delivery_times[i]`` is the
     absolute arrival time of message ``i`` (``NaN`` if it was dropped at
-    issue).  Under ``engine="wave"`` the object is also the live heap
-    participant that replays the deliveries.
+    issue).  The object is also the live heap participant that replays
+    the deliveries.
     """
 
     __slots__ = (
-        "net", "kind", "size_bits", "engine", "delivery_times", "delivered",
+        "net", "kind", "size_bits", "delivery_times", "delivered",
         "count", "dropped", "_src", "_dst", "_msgs", "_times", "_seqs",
         "_order", "_pos",
     )
@@ -119,14 +107,12 @@ class DeliveryWave:
         net: "Network",
         kind: str,
         size_bits: float,
-        engine: str,
         delivery_times: np.ndarray,
         delivered: np.ndarray,
     ) -> None:
         self.net = net
         self.kind = kind
         self.size_bits = size_bits
-        self.engine = engine
         self.delivery_times = delivery_times
         self.delivered = delivered
         self.count = int(delivered.sum())
@@ -139,6 +125,11 @@ class DeliveryWave:
         return self._pos >= self.count
 
     # -------------------------------------------------------------- firing
+    def _launch(self) -> None:
+        """Queue the replay at the first pending ``(time, seq)`` key."""
+        self.net.sim._queue.push_at(float(self._times[0]),
+                                    int(self._seqs[0]), self._fire)
+
     def _fire(self) -> None:
         net = self.net
         queue = net.sim._queue
@@ -202,7 +193,7 @@ class DeliveryWave:
         dst = int(self._dst[idx])
         if not net.link_up(src, dst):
             # Mid-flight crash: same silent-drop semantics as the
-            # scalar path (obs event + counter, no MessageRecord).
+            # scalar ``send`` path (obs event + counter, no MessageRecord).
             net._drop(src, dst, self.kind, self.size_bits, "in_flight",
                       silent=True)
             return
@@ -259,10 +250,8 @@ def send_batch(
     kind: str = "msg",
     msgs: Optional[Sequence[Any]] = None,
     at_times: Optional[np.ndarray] = None,
-    engine: str = "wave",
 ) -> DeliveryWave:
     """Issue one delivery wave (the body of ``Network.send_batch``)."""
-    check_engine(engine)
     src = np.ascontiguousarray(src_ids, dtype=np.int64)
     dst = np.ascontiguousarray(dst_ids, dtype=np.int64)
     if src.shape != dst.shape or src.ndim != 1:
@@ -287,20 +276,17 @@ def send_batch(
     if net.reliable is not None or net.fault_timeline is not None:
         # Reliable transport and/or time-varying faults: the per-message
         # fate is a whole attempt/ACK state machine, precomputed as a
-        # flat *item* schedule and replayed by either engine.
+        # flat *item* schedule and replayed from it.
         if net.serialize_uplink:
             raise ValueError(
                 "send_batch cannot combine serialize_uplink with the "
                 "reliable transport or a fault timeline"
             )
-        return _send_batch_items(
-            net, src, dst, dep, size_bits, kind, msgs, engine
-        )
+        return _send_batch_items(net, src, dst, dep, size_bits, kind, msgs)
 
     # Issue-time fate, in the scalar path's decision order: link state
     # first, then one loss uniform per link-up message, then one latency
-    # draw per surviving message — a single batch draw each, consuming
-    # the RNG stream identically under both engines.
+    # draw per surviving message — a single batch draw each.
     if net._fault_free:
         up = np.ones(m, dtype=bool)
     else:
@@ -330,84 +316,26 @@ def send_batch(
 
     delivery_times = np.full(m, np.nan, dtype=np.float64)
     delivery_times[alive] = times_alive
-    wave = DeliveryWave(net, kind, size_bits, engine, delivery_times, alive)
+    wave = DeliveryWave(net, kind, size_bits, delivery_times, alive)
     obs = _obs.OBS
     if obs.enabled:
         obs.emit("net.wave", t_ms=sim.now, kind=kind, count=n_alive,
-                 bits=n_alive * size_bits, dropped=m - n_alive, engine=engine)
+                 bits=n_alive * size_bits, dropped=m - n_alive)
     net.in_flight += n_alive
     if net.in_flight > net.peak_in_flight:
         net.peak_in_flight = net.in_flight
-
-    alive_idx = np.flatnonzero(alive)
-    if engine == "scalar" or n_alive == 0:
-        # Per-message heap entries: the honest pre-wave hot path.  Seqs
-        # are assigned in enumeration order, exactly the block the wave
-        # engine would have reserved.
-        wave._src, wave._dst, wave._msgs = src, dst, msgs
-        wave._order = alive_idx
-        wave._times = times_alive
-        wave._seqs = np.empty(n_alive, dtype=np.int64)
-        for i in range(n_alive):
-            idx = int(alive_idx[i])
-            t = float(times_alive[i])
-            event = sim._queue.push(
-                t, _ScalarDelivery(net, wave, int(src[idx]), int(dst[idx]),
-                                   None if msgs is None else msgs[idx], t)
-            )
-            wave._seqs[i] = event.seq
+    if n_alive == 0:
+        # Every message dropped at issue: a done wave, nothing to replay.
         return wave
 
     seq0 = sim._queue.reserve(n_alive)
     order = np.argsort(times_alive, kind="stable")
     wave._src, wave._dst, wave._msgs = src, dst, msgs
-    wave._order = alive_idx[order]
+    wave._order = np.flatnonzero(alive)[order]
     wave._times = times_alive[order]
     wave._seqs = seq0 + order.astype(np.int64)
-    sim._queue.push_at(float(wave._times[0]), int(wave._seqs[0]), wave._fire)
+    wave._launch()
     return wave
-
-
-class _ScalarDelivery:
-    """Per-message delivery callback for the scalar reference engine."""
-
-    __slots__ = ("net", "wave", "src", "dst", "msg", "time")
-
-    def __init__(self, net, wave, src, dst, msg, time):
-        self.net = net
-        self.wave = wave
-        self.src = src
-        self.dst = dst
-        self.msg = msg
-        self.time = time
-
-    def __call__(self) -> None:
-        net = self.net
-        net.in_flight -= 1
-        self.wave._pos += 1
-        if not net.link_up(self.src, self.dst):
-            net._drop(self.src, self.dst, self.wave.kind, self.wave.size_bits,
-                      "in_flight", silent=True)
-            return
-        net.bus.publish_message(
-            MessageRecord(self.time, self.src, self.dst, self.wave.kind,
-                          self.wave.size_bits, delivered=True)
-        )
-        obs = _obs.OBS
-        if obs.enabled:
-            obs.emit("net.deliver", t_ms=self.time, node=self.src,
-                     dst=self.dst, kind=self.wave.kind,
-                     bits=self.wave.size_bits)
-            obs.metrics.counter(
-                "net_messages_total", "Delivered messages by kind.",
-                labels=("kind",),
-            ).labels(kind=self.wave.kind).inc()
-            obs.metrics.counter(
-                "net_bits_total", "Delivered bits by kind.",
-                labels=("kind",),
-            ).labels(kind=self.wave.kind).inc(self.wave.size_bits)
-        if self.msg is not None:
-            net.deliver_to_node(self.src, self.dst, self.msg)
 
 
 # --------------------------------------------------------------------------
@@ -474,21 +402,19 @@ def _serialized_times(
 # producing a flat list of *items* — atomic accounting steps (a
 # departure, a frame arrival, an ACK arrival, a drop, a retransmission,
 # a budget exhaustion), each with an absolute time — as four columns
-# (time, int8 type, int32 message index, first-arrival flag).  Both
-# engines replay the *same* stable-sorted items against the same
-# contiguous reserved seq block: ``engine="scalar"`` pushes one heap
-# entry per item, ``engine="wave"`` replays a payload batch item by item
-# from one self-re-queuing entry and accounting batches in bulk runs
-# from the network's ``_ItemLedger`` — identical ``(time, seq)`` order,
-# counters and trace totals by construction.
+# (time, int8 type, int32 message index, first-arrival flag), item ``p``
+# of the stable time order taking seq ``seq0 + p`` of one reserved block.
+# A payload batch replays item by item from one self-re-queuing entry,
+# accounting batches in bulk runs from the network's ``_ItemLedger`` —
+# the ``(time, seq)`` order, counters and trace totals of the per-item
+# replay (``tests/simnet/per_item.py``).
 #
-# Fate/RNG contract (shared by both engines since they share one
-# schedule): per epoch, in message-enumeration order — (1) one Bernoulli
-# uniform per link-up frame under a positive loss rate, (2) one
-# ``sample_batch`` latency draw per flying frame, (3) one uniform per
-# ACK issued under a positive loss rate, (4) one ``sample_batch`` draw
-# per flying ACK.  Link-down attempts consume no randomness (matching
-# ``physical_send``).
+# Fate/RNG contract, fixed before replay: per epoch, in message-
+# enumeration order — (1) one Bernoulli uniform per link-up frame under
+# a positive loss rate, (2) one ``sample_batch`` latency draw per flying
+# frame, (3) one uniform per ACK issued under a positive loss rate,
+# (4) one ``sample_batch`` draw per flying ACK.  Link-down attempts
+# consume no randomness (matching ``physical_send``).
 #
 # Without a fault timeline, link state and crash flags are frozen at
 # issue time: item waves never observe *live* ``crash()`` /
@@ -563,7 +489,6 @@ def _send_batch_items(
     size_bits: float,
     kind: str,
     msgs: Optional[Sequence[Any]],
-    engine: str,
 ) -> "ItemWave":
     """Compute and launch an item wave (reliable and/or timeline mode)."""
     sim = net.sim
@@ -771,42 +696,23 @@ def _send_batch_items(
     # order, categories in scalar decision order within an epoch) breaks
     # ties, and the contiguous reserved seq block makes that order the
     # global one.  An accounting batch leaves the sort to its ledger.
-    merged = engine == "wave" and msgs is None
-    if not merged:
+    if msgs is not None:
         order = np.argsort(it_t, kind="stable")
         it_t, it_type = it_t[order], it_type[order]
         it_idx, it_flag = it_idx[order], it_flag[order]
 
     wave = ItemWave(
-        net, kind, size_bits, frame_bits, engine, first_arr,
+        net, kind, size_bits, frame_bits, first_arr,
         ~np.isnan(first_arr), attempts, src, dst, msgs,
         it_t, it_type, it_idx, it_flag,
     )
     obs = _obs.OBS
     if obs.enabled:
         obs.emit("net.wave", t_ms=sim.now, kind=kind, count=m,
-                 bits=m * size_bits, dropped=0, engine=engine,
+                 bits=m * size_bits, dropped=0,
                  transport=net.transport_mode)
-    n_items = len(it_t)
-    if n_items == 0:
-        return wave
-    seq0 = sim._queue.reserve(n_items)
-    if merged:
-        ledger = net._ledger
-        # None pending — or ``sim.clear()`` took its entry off the heap.
-        if ledger is None or ledger._event._queue is None:
-            ledger = net._ledger = _ItemLedger(net)
-        ledger.add(wave, seq0)
-        return wave
-    wave._seqs = seq0 + np.arange(n_items, dtype=np.int64)
-    if engine == "scalar":
-        # One heap entry per item: the honest per-event reference.
-        for p in range(n_items):
-            sim._queue.push_at(
-                float(it_t[p]), seq0 + p, _ScalarItem(wave, p)
-            )
-        return wave
-    sim._queue.push_at(float(it_t[0]), seq0, wave._fire)
+    if len(it_t):
+        wave._launch(sim._queue.reserve(len(it_t)))
     return wave
 
 
@@ -829,26 +735,25 @@ class ItemWave:
     ``attempts`` (transmissions per message).  Unlike the fire-and-forget
     wave, the in-flight gauge moves at item times (departures/arrivals),
     not at issue.  The item columns are in ``(time, seq)`` order when
-    the wave replays itself (scalar engine, payload waves); an accounting
-    batch holds them in creation order until its :class:`_ItemLedger`
-    merges them away.
+    the wave replays itself (payload waves); an accounting batch holds
+    them in creation order until its :class:`_ItemLedger` merges them
+    away.
     """
 
     __slots__ = (
-        "net", "kind", "size_bits", "frame_bits", "engine",
+        "net", "kind", "size_bits", "frame_bits",
         "delivery_times", "delivered", "count", "dropped", "attempts",
         "_src", "_dst", "_msgs", "_it_t", "_it_type", "_it_idx",
         "_it_flag", "_n_items", "_sent", "_seqs", "_pos",
     )
 
-    def __init__(self, net, kind, size_bits, frame_bits, engine,
+    def __init__(self, net, kind, size_bits, frame_bits,
                  delivery_times, delivered, attempts, src, dst, msgs,
                  it_t, it_type, it_idx, it_flag):
         self.net = net
         self.kind = kind
         self.size_bits = size_bits
         self.frame_bits = frame_bits
-        self.engine = engine
         self.delivery_times = delivery_times
         self.delivered = delivered
         self.count = int(delivered.sum())
@@ -872,6 +777,20 @@ class ItemWave:
         return self._pos >= self._n_items
 
     # ------------------------------------------------------------- firing
+    def _launch(self, seq0: int) -> None:
+        """Queue the replay of items at seqs ``seq0...``: an accounting
+        batch joins its network's ledger, a payload wave queues itself."""
+        if self._msgs is None:
+            net = self.net
+            ledger = net._ledger
+            # None pending — or ``sim.clear()`` took its entry off the heap.
+            if ledger is None or ledger._event._queue is None:
+                ledger = net._ledger = _ItemLedger(net)
+            ledger.add(self, seq0)
+            return
+        self._seqs = seq0 + np.arange(self._n_items, dtype=np.int64)
+        self.net.sim._queue.push_at(float(self._it_t[0]), seq0, self._fire)
+
     def _fire(self) -> None:
         """Replay a payload wave's run, peeking before every item: a
         handler may schedule events that precede the rest of the run."""
@@ -885,8 +804,8 @@ class ItemWave:
 
     # -------------------------------------------------- per-item semantics
     def _apply_item(self, p: int) -> None:
-        """Replay item ``p``: the per-item reference (one scalar-engine
-        heap entry) that bulk runs must add up to."""
+        """Replay item ``p``: the per-item semantics that bulk runs must
+        add up to (one heap entry each under ``tests/simnet/per_item.py``)."""
         net = self.net
         rel = net.reliable
         t = float(self._it_t[p])
@@ -997,10 +916,10 @@ class _ItemLedger:
     first key and resumes from it).  The first firing merges their
     creation-order blocks with one stable sort on time: blocks are
     concatenated in issue order and seq blocks were reserved in that
-    order, so ties fall in ascending seq — the scalar engine's order.
+    order, so ties fall in ascending seq — the per-item replay's order.
     Every firing replays the maximal run up to the next heap head in
-    O(run) numpy work and re-queues at the key the scalar engine gives
-    the next item.  A batch issued after the merge opens the next ledger.
+    O(run) numpy work and re-queues at the next item's own key.  A
+    batch issued after the merge opens the next ledger.
     """
 
     def __init__(self, net: "Network") -> None:
@@ -1196,16 +1115,3 @@ class _ItemLedger:
         account((_T_ARR_ACKLOST,), "net.ack", ACK_BITS, "loss")
         account((_T_ACK_MID,), "net.ack", ACK_BITS, "in_flight", silent=True)
         account((_T_ACK_ARR,), "net.ack", ACK_BITS)
-
-
-class _ScalarItem:
-    """Per-item heap callback for the scalar reference engine."""
-
-    __slots__ = ("wave", "p")
-
-    def __init__(self, wave: ItemWave, p: int) -> None:
-        self.wave = wave
-        self.p = p
-
-    def __call__(self) -> None:
-        self.wave._apply_item(self.p)

@@ -7,8 +7,9 @@ Two layers of contract:
   callbacks' closed-start / open-end windows exactly;
 - **engine equivalence** — under ``FixedLatency`` (no per-draw RNG) the
   armed per-message actor loop, the timeline-driven item wave and the
-  scalar replay of the same items produce bit-identical delivery order,
-  finish time and transport counters for one faulty reliable round.
+  per-item replay of the same items (``tests/simnet/per_item.py``)
+  produce bit-identical delivery order, finish time and transport
+  counters for one faulty reliable round.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.chaos import (
     Recover,
 )
 from repro.simnet import FixedLatency, Network, Simulator
+from tests.simnet.per_item import REPLAYS
 
 
 def _ids(*xs):
@@ -232,7 +234,7 @@ SCHEDULE = FaultSchedule([
 #: No crashes: a crash *hold* moves an attempt to the recovery instant,
 #: where the actor loop draws its loss uniform — but the wave draws the
 #: whole epoch cohort in enumeration order regardless of per-message
-#: holds, so the two streams decouple.  Wave == scalar stays exact
+#: holds, so the two streams decouple.  Wave == per-item stays exact
 #: either way (shared item precompute); the bitwise *actor* pin is only
 #: defined for hold-free schedules.
 SOFT_SCHEDULE = FaultSchedule([
@@ -289,18 +291,18 @@ def _fingerprint(sim, net, nodes):
 
 
 def test_engines_bitwise_identical_under_crash_schedule():
-    """Crashes + partition + spike: wave and scalar replay the same
-    precomputed items, so every observable agrees bit for bit (the
-    actor loop is *not* comparable here — see ``SOFT_SCHEDULE``)."""
+    """Crashes + partition + spike: the wave and the per-item model replay
+    the same precomputed items, so every observable agrees bit for bit
+    (the actor loop is *not* comparable here — see ``SOFT_SCHEDULE``)."""
     src, dst, msgs = _workload()
     results = {}
-    for engine in ("wave", "scalar"):
-        sim, net, nodes = _faulty_net(SCHEDULE, arm=False)
-        net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs,
-                       engine=engine)
-        sim.run()
-        results[engine] = _fingerprint(sim, net, nodes)
-    assert results["wave"] == results["scalar"]
+    for side, replay in REPLAYS:
+        with replay():
+            sim, net, nodes = _faulty_net(SCHEDULE, arm=False)
+            net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
+            sim.run()
+        results[side] = _fingerprint(sim, net, nodes)
+    assert results["wave"] == results["per_item"]
     # The schedule actually bit.
     assert results["wave"][2] > 0  # retransmits
     assert results["wave"][5] > 0  # exhausted (node 7 never comes back)
@@ -308,7 +310,7 @@ def test_engines_bitwise_identical_under_crash_schedule():
 
 def test_armed_actor_matches_timeline_wave_without_crash_holds():
     """One faulty reliable round, three executions: armed actor loop,
-    timeline item wave, scalar replay.  FixedLatency draws nothing and
+    timeline item wave, per-item replay.  FixedLatency draws nothing and
     the hold-free schedule keeps the per-message and per-epoch loss
     streams aligned, so all three agree bit for bit."""
     src, dst, msgs = _workload()
@@ -320,14 +322,14 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds():
     actor = _fingerprint(sim, net, nodes)
 
     results = {}
-    for engine in ("wave", "scalar"):
-        sim, net, nodes = _faulty_net(SOFT_SCHEDULE, arm=False)
-        net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs,
-                       engine=engine)
-        sim.run()
-        results[engine] = _fingerprint(sim, net, nodes)
+    for side, replay in REPLAYS:
+        with replay():
+            sim, net, nodes = _faulty_net(SOFT_SCHEDULE, arm=False)
+            net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
+            sim.run()
+        results[side] = _fingerprint(sim, net, nodes)
 
-    assert results["wave"] == results["scalar"]
+    assert results["wave"] == results["per_item"]
     assert actor == results["wave"]
     assert actor[2] > 0  # the loss window actually bit
 

@@ -1,9 +1,12 @@
 """X-layer rounds over the simulated wire, pinned to the Eq. 10 closed
-forms and to the in-memory :func:`multi_layer_aggregate` reference."""
+forms, to the in-memory :func:`multi_layer_aggregate` reference and to
+the per-item replay model (``tests/simnet/per_item.py``)."""
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
+from repro.chaos.scale import run_scale_trial
 from repro.core import (
     MultiLayerTopology,
     multi_layer_aggregate,
@@ -14,6 +17,7 @@ from repro.core import (
     run_xlayer_wire_round,
 )
 from repro.simnet import FixedLatency, GaussianLatency, UniformLatency
+from tests.simnet.per_item import per_item
 
 
 def _models(topo, d=5, seed=1):
@@ -127,12 +131,12 @@ class TestEngines:
         FixedLatency(8.0), UniformLatency(2.0, 30.0), GaussianLatency(20.0, 5.0),
     ])
     def test_wave_and_scalar_bit_identical(self, latency):
+        """Wave vs the per-item model, one heap entry per message."""
         topo = MultiLayerTopology(3, 3)
         models = _models(topo)
-        a = run_xlayer_wire_round(topo, models, seed=4, latency=latency,
-                                  engine="wave")
-        b = run_xlayer_wire_round(topo, models, seed=4, latency=latency,
-                                  engine="scalar")
+        a = run_xlayer_wire_round(topo, models, seed=4, latency=latency)
+        with per_item():
+            b = run_xlayer_wire_round(topo, models, seed=4, latency=latency)
         assert a.finish_time_ms == b.finish_time_ms
         assert a.agg_done_ms == b.agg_done_ms
         assert a.bits_sent == b.bits_sent
@@ -143,8 +147,9 @@ class TestEngines:
     def test_wave_engine_uses_fewer_heap_events(self):
         topo = MultiLayerTopology(4, 4)
         models = _models(topo)
-        a = run_xlayer_wire_round(topo, models, engine="wave")
-        b = run_xlayer_wire_round(topo, models, engine="scalar")
+        a = run_xlayer_wire_round(topo, models)
+        with per_item():
+            b = run_xlayer_wire_round(topo, models)
         assert b.heap_stats["events_processed"] == b.messages_sent
         assert a.heap_stats["events_processed"] < b.messages_sent / 10
 
@@ -163,7 +168,8 @@ class TestParallel:
 
 class TestChaosRound:
     """Lossy + reliable + fault schedule: the full item-wave path in
-    ``run_xlayer_wire_round``, identical across engine x parallel."""
+    ``run_xlayer_wire_round``, identical across parallel modes and under
+    the per-item model."""
 
     def _schedule(self, topo):
         from repro.chaos import Crash, DelaySpike, FaultSchedule, LossWindow, Recover
@@ -191,23 +197,24 @@ class TestChaosRound:
             seed=2, latency=FixedLatency(10.0), loss_rate=0.2,
             transport="reliable", schedule=schedule,
         )
-        base = run_xlayer_wire_round(topo, models, engine="wave",
-                                     parallel="off", **kw)
+        base = run_xlayer_wire_round(topo, models, parallel="off", **kw)
         assert base.outcome.ok
         assert base.retransmits > 0 and base.acks > 0
+        # Loss and faults move the wire, never the aggregate.
+        ref = multi_layer_aggregate(topo, models, np.random.default_rng(2))
+        np.testing.assert_array_equal(base.average, ref.average)
         # Parallel modes only move the share math; the wire schedule is
         # precomputed on the parent RNG stream either way.
-        for engine in ("wave", "scalar"):
-            for mode in ("off", "threads", "process"):
-                if (engine, mode) == ("wave", "off"):
-                    continue
-                other = run_xlayer_wire_round(topo, models, engine=engine,
-                                              parallel=mode, **kw)
-                np.testing.assert_array_equal(base.average, other.average)
-                assert self._fingerprint(other) == self._fingerprint(base), (
-                    f"chaos round diverged under engine={engine}, "
-                    f"parallel={mode}"
-                )
+        for mode in ("threads", "process"):
+            other = run_xlayer_wire_round(topo, models, parallel=mode, **kw)
+            np.testing.assert_array_equal(base.average, other.average)
+            assert self._fingerprint(other) == self._fingerprint(base), (
+                f"chaos round diverged under parallel={mode}"
+            )
+        with per_item():
+            other = run_xlayer_wire_round(topo, models, **kw)
+        np.testing.assert_array_equal(base.average, other.average)
+        assert self._fingerprint(other) == self._fingerprint(base)
 
     def test_off_lattice_round_drains_in_a_handful_of_firings(self):
         """The cliff, as a count.  Under ``UniformLatency`` no two items
@@ -222,18 +229,37 @@ class TestChaosRound:
         assert big.n_peers == 13_120 and big.retransmits > 10_000
         assert big.heap_stats["events_processed"] <= 30
         assert big.heap_stats["peak_pending"] <= 2
-        topo = MultiLayerTopology(4, 6)  # 1,456 peers: scalar is affordable
-        wave, scalar = (
-            run_xlayer_wire_round(topo, _models(topo), engine=engine, **kw)
-            for engine in ("wave", "scalar")
-        )
-        assert self._fingerprint(wave) == self._fingerprint(scalar)
-        assert wave.bits_by_kind == scalar.bits_by_kind
-        assert wave.layer_stats == scalar.layer_stats
-        np.testing.assert_array_equal(wave.average, scalar.average)
+        topo = MultiLayerTopology(4, 6)  # 1,456 peers: per-item affordable
+        wave = run_xlayer_wire_round(topo, _models(topo), **kw)
+        with per_item():
+            item = run_xlayer_wire_round(topo, _models(topo), **kw)
+        assert self._fingerprint(wave) == self._fingerprint(item)
+        assert wave.bits_by_kind == item.bits_by_kind
+        assert wave.layer_stats == item.layer_stats
+        np.testing.assert_array_equal(wave.average, item.average)
         assert (wave.heap_stats["scheduled_total"]
-                == scalar.heap_stats["scheduled_total"])
+                == item.heap_stats["scheduled_total"])
         assert wave.heap_stats["events_processed"] <= 30
+
+    def test_accounting_batches_replay_from_one_ledger_entry(self):
+        """The ``xlayer_lossy`` smoke shape as a count: 1,456 peers,
+        20 % loss and the scale fault script, 18 ``send_batch`` calls
+        and nothing else on the heap.  The merged ledger drains them in
+        one firing (at most one per batch, else a wave is back in the
+        heap) for the same exact item count, and the per-item model pays
+        one firing per item."""
+        kw = dict(depth=6, loss_rate=0.2, chaos=True, dim=8,
+                  max_attempts=32, seed=11)
+        wave = run_scale_trial(1000, **kw)
+        assert wave.n_peers == 1456 and wave.outcome == "completed"
+        assert wave.heap["events_processed"] == 1  # bound: 18, one per batch
+        assert wave.heap["scheduled_total"] == 40_856
+        with per_item():
+            item = run_scale_trial(1000, **kw)
+        assert (item.heap["events_processed"]
+                == item.heap["scheduled_total"] == 40_856)
+        assert item.average_sum == wave.average_sum
+        assert item.finish_ms == wave.finish_ms
 
     def test_lossy_round_requires_reliable_transport(self):
         topo = MultiLayerTopology(2, 2)
@@ -258,10 +284,19 @@ class TestValidation:
                 run()
 
     def test_bad_engine_and_method(self):
+        """``engine`` survives on the two benchmark entry points as a
+        keyword that accepts only ``"wave"``; the CLI flag is gone."""
         topo = MultiLayerTopology(2, 1)
         models = _models(topo)
-        with pytest.raises(ValueError):
-            run_xlayer_wire_round(topo, models, engine="warp")
+        removed = "scalar delivery engine was removed.*tests/simnet/per_item"
+        for engine in ("scalar", "warp"):
+            with pytest.raises(ValueError, match=removed):
+                run_xlayer_wire_round(topo, models, engine=engine)
+            with pytest.raises(ValueError, match=removed):
+                run_scale_trial(40, depth=3, engine=engine)
+        with pytest.raises(SystemExit) as exc:
+            main(["xlayer", "--engine", "scalar"])
+        assert exc.value.code == 2
         with pytest.raises(ValueError):
             run_xlayer_wire_round(
                 topo, models, method_for_layer=lambda layer: "median"

@@ -46,11 +46,12 @@ from repro.secure.protocol import run_sac_protocol
 from repro.secure.replicated import shares_held_by
 from repro.simnet import FixedLatency
 from repro.twolayer_raft.system import TwoLayerRaftSystem
+from tests.simnet.per_item import per_item
 
 SEED = 0
 PIN_PATH = Path(__file__).with_name("sim_pins.json")
 REBLESS = (
-    "PYTHONPATH=src python tests/integration/test_sim_pins.py > /tmp/pins.json"
+    "PYTHONPATH=src python -m tests.integration.test_sim_pins > /tmp/pins.json"
     " && mv /tmp/pins.json tests/integration/sim_pins.json"
 )
 
@@ -286,21 +287,20 @@ def _obs_scale(p: dict, seed: int) -> dict:
 
 def _xlayer_scale(p: dict, seed: int) -> dict:
     # One X-layer round through the wave engine, then the same schedule
-    # replayed per-message: identical across engines and pinned to the
-    # Eq. 10 closed forms (10^5 peers: benchmarks/test_xlayer_scale.py).
+    # replayed per message (tests/simnet/per_item.py): identical and
+    # pinned to the Eq. 10 closed forms (10^5 peers:
+    # benchmarks/test_xlayer_scale.py).
     n, depth, d = p["n"], p["depth"], p["model_params"]
     topo = MultiLayerTopology(n, depth)
     models = np.random.default_rng(seed).normal(size=(topo.n_peers, d))
     latency = FixedLatency(p["delay_ms"])
-    wave = run_xlayer_wire_round(
-        topo, models, seed=seed, latency=latency, engine="wave",
-    )
-    # The scalar replay emits one telemetry event per message; a nested
+    wave = run_xlayer_wire_round(topo, models, seed=seed, latency=latency)
+    # The per-item replay emits one telemetry event per message; a nested
     # rollup pipeline keeps it out of the profiled collector.
     with runtime.OBS.span("bench.xlayer_scalar", peers=topo.n_peers):
-        with runtime.observe(retention="rollup"):
+        with runtime.observe(retention="rollup"), per_item():
             scalar = run_xlayer_wire_round(
-                topo, models, seed=seed, latency=latency, engine="scalar",
+                topo, models, seed=seed, latency=latency,
             )
     assert scalar.finish_time_ms == wave.finish_time_ms
     assert scalar.bits_sent == wave.bits_sent
@@ -324,23 +324,22 @@ def _xlayer_scale(p: dict, seed: int) -> dict:
 def _chaos_scale(p: dict, seed: int) -> dict:
     # One lossy reliable X-layer round under the deterministic scale
     # fault schedule (loss window + delay spike + leaf crash/recover
-    # pairs), wave engine vs per-message replay: every sim-side
-    # ScaleReport field must agree (10^5 peers:
-    # benchmarks/test_chaos_scale.py).
+    # pairs), wave engine vs per-item replay: every sim-side ScaleReport
+    # field must agree (10^5 peers: benchmarks/test_chaos_scale.py).
     kw = dict(
         target_peers=p["target_peers"], depth=p["depth"],
         loss_rate=p["loss_rate"], seed=seed, max_attempts=p["max_attempts"],
     )
-    wave = run_scale_trial(engine="wave", **kw)
+    wave = run_scale_trial(**kw)
     with runtime.OBS.span("bench.chaos_scale_scalar", peers=wave.n_peers):
-        with runtime.observe(retention="rollup"):
-            scalar = run_scale_trial(engine="scalar", **kw)
+        with runtime.observe(retention="rollup"), per_item():
+            scalar = run_scale_trial(**kw)
     for name in ("n_peers", "finish_ms", "outcome", "average_sum",
                  "bits_sent", "messages_sent", "retransmits", "acks",
                  "duplicates", "exhausted", "dropped"):
         assert getattr(wave, name) == getattr(scalar, name), (
-            f"engine mismatch on {name}: "
-            f"wave={getattr(wave, name)!r} scalar={getattr(scalar, name)!r}"
+            f"per-item mismatch on {name}: "
+            f"wave={getattr(wave, name)!r} per_item={getattr(scalar, name)!r}"
         )
     assert wave.outcome == "completed"
     return {

@@ -5,8 +5,8 @@ routes through the item-wave path: the whole stop-and-wait
 ACK/retransmit state machine is precomputed as per-attempt cohorts in
 numpy, then replayed through the heap.  The contract under test:
 
-- **engine equality** — for any loss rate, latency model and seed, the
-  ``wave`` and ``scalar`` engines consume the RNG identically and
+- **wave == per-item replay** — for any loss rate, latency model and
+  seed, the wave and the per-item model (``tests/simnet/per_item.py``)
   produce bit-identical delivery times, per-node ``(time, src, msg)``
   arrival order, transport counters and trace totals (property-based
   below);
@@ -15,7 +15,7 @@ numpy, then replayed through the heap.  The contract under test:
   uniform stream) the item wave reproduces the live
   ``net.send``-per-message transport bit for bit;
 - **serialized uplinks** — the per-destination busy-time prefix scan is
-  shared by both engines (exact) and matches the actor path's
+  shared by the wave and the model (exact) and matches the actor path's
   sequential recurrence to IEEE rounding order (rtol 1e-12 — see
   ``docs/performance.md``).
 """
@@ -32,6 +32,8 @@ from repro.simnet import (
     Simulator,
     UniformLatency,
 )
+
+from .per_item import REPLAYS
 
 LATENCIES = {
     "fixed": lambda: FixedLatency(10.0),
@@ -88,28 +90,29 @@ def _pairs(rng, n_nodes, m):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_engines_bit_identical_under_loss(loss, lat, seed):
-    """Any loss in (0, 0.3] x latency model x seed: wave == scalar."""
+    """Any loss in (0, 0.3] x latency model x seed: wave == per-item."""
     m, n_nodes = 120, 12
     rng = np.random.default_rng(seed)
     src, dst = _pairs(rng, n_nodes, m)
     msgs = [f"m{i}" for i in range(m)]
     results = {}
     times = {}
-    for engine in ("wave", "scalar"):
-        sim, net, nodes = _reliable_net(
-            seed=seed + 1, latency=LATENCIES[lat](), loss=loss,
-            n_nodes=n_nodes, max_attempts=6,
-        )
-        wave = net.send_batch(src, dst, size_bits=64.0, kind="x",
-                              msgs=msgs, engine=engine)
-        sim.run()
-        times[engine] = wave.delivery_times
-        results[engine] = (
+    for side, replay in REPLAYS:
+        with replay():
+            sim, net, nodes = _reliable_net(
+                seed=seed + 1, latency=LATENCIES[lat](), loss=loss,
+                n_nodes=n_nodes, max_attempts=6,
+            )
+            wave = net.send_batch(src, dst, size_bits=64.0, kind="x",
+                                  msgs=msgs)
+            sim.run()
+        times[side] = wave.delivery_times
+        results[side] = (
             [nd.received for nd in nodes], sim.now, _counters(net),
         )
     # NaN marks never-delivered; equal_nan compares those slots too.
-    np.testing.assert_array_equal(times["wave"], times["scalar"])
-    assert results["wave"] == results["scalar"]
+    np.testing.assert_array_equal(times["wave"], times["per_item"])
+    assert results["wave"] == results["per_item"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -123,18 +126,21 @@ def test_bulk_accounting_identical_under_loss(loss, seed):
     src, dst = _pairs(rng, 20, 400)
     results = {}
     times = {}
-    for engine in ("wave", "scalar"):
-        sim, net, _ = _reliable_net(
-            seed=seed, latency=UniformLatency(4.0, 30.0), loss=loss,
-            max_attempts=6,
-        )
-        wave = net.send_batch(src, dst, size_bits=32.0, kind="bulk",
-                              engine=engine)
-        sim.run()
-        times[engine] = wave.delivery_times
-        results[engine] = (sim.now, _counters(net), net.in_flight)
-    np.testing.assert_array_equal(times["wave"], times["scalar"])
-    assert results["wave"] == results["scalar"]
+    for side, replay in REPLAYS:
+        with replay():
+            sim, net, _ = _reliable_net(
+                seed=seed, latency=UniformLatency(4.0, 30.0), loss=loss,
+                max_attempts=6,
+            )
+            wave = net.send_batch(src, dst, size_bits=32.0, kind="bulk")
+            sim.run()
+        times[side] = wave.delivery_times
+        results[side] = (sim.now, _counters(net), net.in_flight)
+        if side == "per_item":  # the model's self-check: one event per item
+            heap = sim.heap_stats()
+            assert heap["events_processed"] == heap["scheduled_total"]
+    np.testing.assert_array_equal(times["wave"], times["per_item"])
+    assert results["wave"] == results["per_item"]
     assert results["wave"][2] == 0  # in-flight gauge drained
 
 
@@ -160,8 +166,7 @@ def test_item_wave_matches_actor_loop_under_fixed_latency():
     sim_w, net_w, nodes_w = _reliable_net(
         seed=3, latency=FixedLatency(10.0), loss=0.2, n_nodes=n_nodes,
     )
-    net_w.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs,
-                     engine="wave")
+    net_w.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
     sim_w.run()
 
     assert [nd.received for nd in nodes_a] == [nd.received for nd in nodes_w]
@@ -172,21 +177,22 @@ def test_item_wave_matches_actor_loop_under_fixed_latency():
 
 def test_exhaustion_identical_and_marked_nan():
     """A 1-attempt budget at heavy loss: exhaustion counters and the
-    NaN never-delivered markers agree across engines."""
+    NaN never-delivered markers agree with the per-item model."""
     rng = np.random.default_rng(5)
     src, dst = _pairs(rng, 10, 300)
     results = {}
     times = {}
-    for engine in ("wave", "scalar"):
-        sim, net, _ = _reliable_net(
-            seed=5, latency=FixedLatency(10.0), loss=0.5, max_attempts=1,
-        )
-        wave = net.send_batch(src, dst, size_bits=8.0, engine=engine)
-        sim.run()
-        times[engine] = wave.delivery_times
-        results[engine] = _counters(net)
-    np.testing.assert_array_equal(times["wave"], times["scalar"])
-    assert results["wave"] == results["scalar"]
+    for side, replay in REPLAYS:
+        with replay():
+            sim, net, _ = _reliable_net(
+                seed=5, latency=FixedLatency(10.0), loss=0.5, max_attempts=1,
+            )
+            wave = net.send_batch(src, dst, size_bits=8.0)
+            sim.run()
+        times[side] = wave.delivery_times
+        results[side] = _counters(net)
+    np.testing.assert_array_equal(times["wave"], times["per_item"])
+    assert results["wave"] == results["per_item"]
     assert len(times["wave"]) == 300
     n_lost = int(np.isnan(times["wave"]).sum())
     assert n_lost > 0  # ~50% frame loss, single attempt
@@ -197,18 +203,19 @@ def test_wave_uses_fewer_heap_events_under_reliable():
     rng = np.random.default_rng(2)
     src, dst = _pairs(rng, 20, 1000)
     counts = {}
-    for engine in ("wave", "scalar"):
-        sim, net, _ = _reliable_net(
-            seed=9, latency=GaussianLatency(15.0, 4.0), loss=0.2,
-            max_attempts=6,
-        )
-        net.send_batch(src, dst, size_bits=8.0, engine=engine)
-        sim.run()
-        counts[engine] = sim.heap_stats()["events_processed"]
-    # Scalar pays one heap event per attempt item (>= 2 per message:
+    for side, replay in REPLAYS:
+        with replay():
+            sim, net, _ = _reliable_net(
+                seed=9, latency=GaussianLatency(15.0, 4.0), loss=0.2,
+                max_attempts=6,
+            )
+            net.send_batch(src, dst, size_bits=8.0)
+            sim.run()
+        counts[side] = sim.heap_stats()["events_processed"]
+    # The model pays one heap event per attempt item (>= 2 per message:
     # departure + arrival, plus retransmit/ACK traffic).
-    assert counts["scalar"] > 2000
-    assert counts["wave"] < counts["scalar"] / 10
+    assert counts["per_item"] > 2000
+    assert counts["wave"] < counts["per_item"] / 10
 
 
 class TestSerializedUplinks:
@@ -233,13 +240,13 @@ class TestSerializedUplinks:
     def test_prefix_scan_identical_across_engines(self):
         src, dst = self._workload()
         times = {}
-        for engine in ("wave", "scalar"):
-            sim, net, _ = self._net()
-            wave = net.send_batch(src, dst, size_bits=400.0, kind="s",
-                                  engine=engine)
-            sim.run()
-            times[engine] = wave.delivery_times
-        np.testing.assert_array_equal(times["wave"], times["scalar"])
+        for side, replay in REPLAYS:
+            with replay():
+                sim, net, _ = self._net()
+                wave = net.send_batch(src, dst, size_bits=400.0, kind="s")
+                sim.run()
+            times[side] = wave.delivery_times
+        np.testing.assert_array_equal(times["wave"], times["per_item"])
 
     def test_prefix_scan_matches_actor_recurrence(self):
         """The actor path computes ``end = fl(max(dep, busy) + T)``
@@ -255,8 +262,7 @@ class TestSerializedUplinks:
         sim_a.run()
 
         sim_w, net_w, nodes_w = self._net()
-        net_w.send_batch(src, dst, size_bits=400.0, kind="s", msgs=msgs,
-                         engine="wave")
+        net_w.send_batch(src, dst, size_bits=400.0, kind="s", msgs=msgs)
         sim_w.run()
 
         for a, w in zip(nodes_a, nodes_w):
@@ -270,20 +276,20 @@ class TestSerializedUplinks:
 
     def test_busy_state_carries_across_batches(self):
         """`_uplink_free` must persist: a second batch on the same
-        uplink queues behind the first, identically across engines."""
+        uplink queues behind the first, identically under the model."""
         times = {}
-        for engine in ("wave", "scalar"):
-            sim, net, _ = self._net()
-            w1 = net.send_batch([0, 0, 0], [1, 2, 3], size_bits=400.0,
-                                engine=engine)
-            sim.run()
-            w2 = net.send_batch([0], [4], size_bits=400.0, engine=engine)
-            sim.run()
-            times[engine] = (w1.delivery_times, w2.delivery_times)
+        for side, replay in REPLAYS:
+            with replay():
+                sim, net, _ = self._net()
+                w1 = net.send_batch([0, 0, 0], [1, 2, 3], size_bits=400.0)
+                sim.run()
+                w2 = net.send_batch([0], [4], size_bits=400.0)
+                sim.run()
+            times[side] = (w1.delivery_times, w2.delivery_times)
             # Three 4ms transfers serialized: the 4th leaves at >= 12ms.
             assert w2.delivery_times[0] >= 12.0
-        np.testing.assert_array_equal(times["wave"][0], times["scalar"][0])
-        np.testing.assert_array_equal(times["wave"][1], times["scalar"][1])
+        np.testing.assert_array_equal(times["wave"][0], times["per_item"][0])
+        np.testing.assert_array_equal(times["wave"][1], times["per_item"][1])
 
 
 def test_in_flight_gauge_under_reliable_waves():

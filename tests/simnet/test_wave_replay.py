@@ -1,13 +1,14 @@
 """What one wave *firing* does: the run cut, the bulk run, the ledger.
 
 ``tests/simnet/test_waves.py`` and ``test_reliable_waves.py`` pin the
-wave engine end to end (wave == scalar == actor).  The tests here pin
-the pieces a firing is made of against their obvious references —
-``_cut`` against a linear scan of ``(time, seq)`` keys, the item
-ledger's ``_bulk_run`` against replaying ``_apply_item`` item by item in
-``(time, batch, creation)`` order, and the merged replay of several
-accounting batches against the per-item scalar engine at every instant
-a foreign event can observe — plus the ledger's lifecycle and a
+wave engine end to end (wave == per-item replay == actor).  The tests
+here pin the pieces a firing is made of against their obvious
+references — ``_cut`` against a linear scan of ``(time, seq)`` keys,
+the item ledger's ``_bulk_run`` against replaying ``_apply_item`` item
+by item in ``(time, batch, creation)`` order, and the merged replay of
+several accounting batches against the per-item model
+(``tests/simnet/per_item.py``) at every instant a foreign event can
+observe — plus the ledger's lifecycle and a
 same-process timing ratio showing that cuts inside a tie cost no more
 than cuts between instants.
 """
@@ -40,6 +41,8 @@ from repro.simnet import (
 )
 from repro.simnet import waves as W
 from repro.simnet.reliable import ACK_BITS
+
+from .per_item import REPLAYS
 
 
 # ---------------------------------------------------------------- the cut
@@ -102,11 +105,11 @@ def test_zero_delay_timer_inside_an_equal_time_run():
     equal-time run is half delivered: the rest of the run still precedes
     that event (lower seqs), exactly as under per-message scheduling."""
     logs = {}
-    for engine in ("wave", "scalar"):
+    for side, replay in REPLAYS:
         sim = Simulator()
         net = Network(sim, latency=FixedLatency(5.0),
                       rng=np.random.default_rng(0))
-        log = logs[engine] = []
+        log = logs[side] = []
 
         class Echo(SimNode):
             def on_message(self, src, msg):
@@ -115,10 +118,10 @@ def test_zero_delay_timer_inside_an_equal_time_run():
 
         for node_id in range(4):
             Echo(node_id, sim, net)
-        net.send_batch([0, 1, 2], [1, 2, 3], msgs=["a", "b", "c"],
-                       engine=engine)
-        sim.run(max_events=100)
-    assert logs["wave"] == logs["scalar"]
+        with replay():
+            net.send_batch([0, 1, 2], [1, 2, 3], msgs=["a", "b", "c"])
+            sim.run(max_events=100)
+    assert logs["wave"] == logs["per_item"]
     assert [kind for kind, _ in logs["wave"]] == ["msg"] * 3 + ["timer"] * 3
 
 
@@ -166,7 +169,7 @@ def _random_batches(seed, reliable, sizes, n_instants, merged):
             it_t, it_type = it_t[order], it_type[order]
             it_idx, it_flag = it_idx[order], it_flag[order]
         wave = W.ItemWave(
-            net, f"k{w}", 64.0, 128.0 + w, "wave", first_arr,
+            net, f"k{w}", 64.0, 128.0 + w, first_arr,
             ~np.isnan(first_arr), rng.integers(1, 9, size=m), src, dst, None,
             it_t, it_type, it_idx, it_flag,
         )
@@ -266,7 +269,7 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
         else:
             ref = waves
         # Each batch's columns are in replay order, so sorting on
-        # (time, batch, position) is the scalar engine's global order.
+        # (time, batch, position) is the per-item replay's global order.
         order = sorted((float(t), w, p) for w, wave in enumerate(ref)
                        for p, t in enumerate(wave._it_t))
         order = [(w, p) for _, w, p in order]
@@ -296,7 +299,7 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
         assert _link_totals(obs_bulk) == _link_totals(obs_item)
 
 
-# ------------------------------------------------------ ledger == scalar
+# ---------------------------------------------------- ledger == per-item
 _SCRIPT = FaultSchedule([
     LossWindow(15.0, 60.0, 0.4),
     DelaySpike(20.0, 90.0, 5.0),
@@ -322,8 +325,9 @@ _timers = st.tuples(
 )
 
 
-def _play(engine, reliable, timeline, lat, steps, seed):
-    """Issue ``steps`` at t=0 on a fresh network and drain it.
+def _play(replay, reliable, timeline, lat, steps, seed):
+    """Issue ``steps`` at t=0 on a fresh network and drain it, inside
+    ``replay()`` (a :data:`REPLAYS` column).
 
     A timer *looks* (snapshots what an event can observe), *chains* (a
     zero-delay timer armed from a timer, looking again) or *sends* (a
@@ -358,7 +362,7 @@ def _play(engine, reliable, timeline, lat, steps, seed):
         dst = (src + 1 + rng.integers(0, 7, size=m)) % 8
         at = None if offsets is None else sim.now + rng.choice(offsets, size=m)
         waves.append(net.send_batch(src, dst, size_bits=64.0, kind=kind,
-                                    at_times=at, engine=engine))
+                                    at_times=at))
 
     def look():
         looks.append((_state(net), [wave.done for wave in waves]))
@@ -370,12 +374,13 @@ def _play(engine, reliable, timeline, lat, steps, seed):
         elif action == "send":
             send(5, "late")
 
-    for step in steps:
-        if step[0] == "batch":
-            send(*step[1:])
-        else:
-            sim.schedule(step[1], lambda action=step[2]: fire(action))
-    sim.run(max_events=100_000)
+    with replay():
+        for step in steps:
+            if step[0] == "batch":
+                send(*step[1:])
+            else:
+                sim.schedule(step[1], lambda action=step[2]: fire(action))
+        sim.run(max_events=100_000)
     look()
     assert all(wave.done for wave in waves) and net._ledger is None
     # Bytes, not lists: never-delivered slots are NaN.
@@ -402,29 +407,29 @@ def test_merged_replay_equals_scalar_engine(mode, lat, steps, seed):
     event can observe — each timer, each zero-delay timer a timer arms,
     the drained end — the merged replay has the clock, gauge, peak,
     trace totals by kind, transport counters and ``exhausted`` list of
-    the per-item scalar engine, and unique heap keys that are item keys;
-    under obs, the same metrics and per-link totals."""
+    the per-item model, and unique heap keys that are item keys; under
+    obs, the same metrics and per-link totals."""
     reliable, timeline = mode
     keys, got = {}, {}
-    for engine in ("wave", "scalar"):
+    for side, replay in REPLAYS:
         with _runtime.observe() as obs:
-            keys[engine], got[engine] = _play(engine, reliable, timeline, lat,
-                                              steps, seed)
-        got[engine] += (obs.metrics.snapshot(), _link_totals(obs))
-    assert got["wave"] == got["scalar"]
-    # The ledger only ever queues at keys the scalar engine gives items.
-    assert keys["wave"] <= keys["scalar"]
+            keys[side], got[side] = _play(replay, reliable, timeline, lat,
+                                          steps, seed)
+        got[side] += (obs.metrics.snapshot(), _link_totals(obs))
+    assert got["wave"] == got["per_item"]
+    # The ledger only ever queues at keys the model gives items.
+    assert keys["wave"] <= keys["per_item"]
 
 
 def test_batch_issued_after_replay_began_opens_the_next_ledger():
     """A timer between two lattice instants issues a batch mid-replay:
     it cannot join the merged ledger, so it opens the network's next
-    one, and the two cut each other as the scalar engine orders them."""
+    one, and the two cut each other as the per-item model orders them."""
     steps = [("batch", 30, "a", None), ("batch", 30, "b", (0.0, 10.0, 20.0)),
              ("timer", 15.0, "send"), ("timer", 60.0, "look")]
-    got = {engine: _play(engine, True, True, "fixed", steps, seed=5)[1]
-           for engine in ("wave", "scalar")}
-    assert got["wave"] == got["scalar"]
+    got = {side: _play(replay, True, True, "fixed", steps, seed=5)[1]
+           for side, replay in REPLAYS}
+    assert got["wave"] == got["per_item"]
     sim = Simulator()
     net = Network(sim, latency=FixedLatency(10.0), transport="reliable",
                   rng=np.random.default_rng(0))
@@ -454,11 +459,11 @@ def test_batch_due_before_the_pending_entry():
     for timers in ([], [("timer", 15.0, "look")], [("timer", 20.0, "chain")]):
         for mode in ((True, False), (False, True)):
             keys, got = {}, {}
-            for engine in ("wave", "scalar"):
-                keys[engine], got[engine] = _play(
-                    engine, *mode, "fixed", [a, *timers, b], seed=2)
-            assert got["wave"] == got["scalar"]
-            assert keys["wave"] <= keys["scalar"]
+            for side, replay in REPLAYS:
+                keys[side], got[side] = _play(
+                    replay, *mode, "fixed", [a, *timers, b], seed=2)
+            assert got["wave"] == got["per_item"]
+            assert keys["wave"] <= keys["per_item"]
     sim = Simulator()
     net = Network(sim, latency=FixedLatency(10.0), transport="reliable",
                   rng=np.random.default_rng(0))

@@ -1,10 +1,10 @@
-"""The vectorized delivery-wave engine vs the scalar reference engine.
+"""The vectorized delivery-wave engine vs the per-item replay model.
 
 The contract under test (``repro.simnet.waves``): for the same
-``send_batch`` call the two engines consume the RNG identically and
-produce identical delivery times, trace totals, and global event
-ordering — the wave engine just does it with one heap entry per run
-instead of one per message.
+``send_batch`` call a wave and the per-item replay
+(``tests/simnet/per_item.py``) produce identical delivery times, trace
+totals and global event ordering — the wave just does it with one heap
+entry per run instead of one per message.
 """
 
 import numpy as np
@@ -18,9 +18,10 @@ from repro.simnet import (
     Simulator,
     UniformLatency,
     WaveRecord,
-    check_engine,
 )
 from repro.simnet.trace import MessageRecord
+
+from .per_item import REPLAYS, per_item
 
 
 def _net(seed=0, latency=None, loss_rate=0.0, **kw):
@@ -56,17 +57,17 @@ class TestEngineEquality:
         rng = np.random.default_rng(42)
         src, dst = _pair_batch(rng, 50, 4000)
         results = {}
-        for engine in ("wave", "scalar"):
-            sim, net = _net(seed=7, latency=latency, loss_rate=loss)
-            wave = net.send_batch(src, dst, size_bits=64.0, kind="x",
-                                  engine=engine)
-            sim.run()
-            results[engine] = (
+        for side, replay in REPLAYS:
+            with replay():
+                sim, net = _net(seed=7, latency=latency, loss_rate=loss)
+                wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
+                sim.run()
+            results[side] = (
                 wave.delivery_times, wave.count, wave.dropped,
                 net.trace.total_bits, net.trace.total_messages,
                 net.trace.total_dropped, sim.now,
             )
-        w, s = results["wave"], results["scalar"]
+        w, s = results["wave"], results["per_item"]
         np.testing.assert_array_equal(w[0], s[0])
         assert w[1:] == s[1:]
 
@@ -74,31 +75,33 @@ class TestEngineEquality:
         rng = np.random.default_rng(1)
         src, dst = _pair_batch(rng, 20, 2000)
         counts = {}
-        for engine in ("wave", "scalar"):
-            sim, net = _net(seed=3, latency=GaussianLatency(15.0, 4.0))
-            net.send_batch(src, dst, size_bits=8.0, engine=engine)
-            sim.run()
-            counts[engine] = sim.heap_stats()["events_processed"]
-        assert counts["scalar"] == 2000
-        assert counts["wave"] < counts["scalar"] / 10
+        for side, replay in REPLAYS:
+            with replay():
+                sim, net = _net(seed=3, latency=GaussianLatency(15.0, 4.0))
+                net.send_batch(src, dst, size_bits=8.0)
+                sim.run()
+            counts[side] = sim.heap_stats()["events_processed"]
+        assert counts["per_item"] == 2000
+        assert counts["wave"] < counts["per_item"] / 10
 
     def test_interleaved_waves_share_global_order(self):
         """Two overlapping waves + a timer: the merged delivery order is
-        the same (time, seq) order under both engines."""
+        the same (time, seq) order under the wave and the model."""
         order = {}
-        for engine in ("wave", "scalar"):
-            sim, net = _net(seed=5, latency=UniformLatency(1.0, 30.0))
-            log = []
-            rng = np.random.default_rng(9)
-            s1, d1 = _pair_batch(rng, 10, 300)
-            s2, d2 = _pair_batch(rng, 10, 300)
-            net.send_batch(s1, d1, kind="a", engine=engine)
-            net.send_batch(s2, d2, kind="b", engine=engine)
-            sim.schedule(15.0, lambda: log.append(("timer", sim.now)))
-            net.trace.keep_records = True
-            sim.run()
-            order[engine] = sim.now
-        assert order["wave"] == order["scalar"]
+        for side, replay in REPLAYS:
+            with replay():
+                sim, net = _net(seed=5, latency=UniformLatency(1.0, 30.0))
+                log = []
+                rng = np.random.default_rng(9)
+                s1, d1 = _pair_batch(rng, 10, 300)
+                s2, d2 = _pair_batch(rng, 10, 300)
+                net.send_batch(s1, d1, kind="a")
+                net.send_batch(s2, d2, kind="b")
+                sim.schedule(15.0, lambda: log.append(("timer", sim.now)))
+                net.trace.keep_records = True
+                sim.run()
+            order[side] = sim.now
+        assert order["wave"] == order["per_item"]
 
 
 class TestWaveAccounting:
@@ -114,10 +117,13 @@ class TestWaveAccounting:
         assert net.trace.total_messages == 3
 
     def test_scalar_engine_publishes_message_records(self):
-        sim, net = _net(latency=FixedLatency(5.0))
-        net.trace.keep_records = True
-        net.send_batch([0, 1], [2, 3], size_bits=16.0, engine="scalar")
-        sim.run()
+        """The per-item model replays through ``_deliver_one``: one
+        ``MessageRecord`` per message."""
+        with per_item():
+            sim, net = _net(latency=FixedLatency(5.0))
+            net.trace.keep_records = True
+            net.send_batch([0, 1], [2, 3], size_bits=16.0)
+            sim.run()
         recs = [r for r in net.trace.records if isinstance(r, MessageRecord)]
         assert len(recs) == 2
 
@@ -131,6 +137,28 @@ class TestWaveAccounting:
         assert net.trace.total_dropped == wave.dropped
         assert np.isnan(wave.delivery_times).sum() == wave.dropped
 
+    def test_all_dropped_batch_is_done_at_issue(self):
+        """m > 0 messages, every one dropped at issue (the destination
+        crashed, or all lost — ``loss_rate`` < 1, so the seed is picked
+        to lose all four): a done wave, no heap entry, an empty gauge
+        and each drop counted once."""
+        for loss, crash in ((0.9, False), (0.0, True)):
+            sim, net = _net(seed=0, loss_rate=loss)
+            if crash:
+                for node in range(3):
+                    Recorder(node, sim, net)
+                net.crash(2)
+            before = sim.heap_stats()
+            wave = net.send_batch([0, 1, 0, 1], [2, 2, 2, 2], size_bits=8.0)
+            assert wave.done and wave.count == 0 and wave.dropped == 4
+            assert np.isnan(wave.delivery_times).all()
+            assert sim.heap_stats() == before
+            assert net.in_flight == 0
+            assert net.trace.total_dropped == 4
+            assert net.trace.total_messages == 0
+            sim.run()
+            assert sim.now == 0.0 and sim.events_processed == 0
+
     def test_link_down_drops_at_issue(self):
         sim, net = _net()
         Recorder(0, sim, net)
@@ -143,13 +171,14 @@ class TestWaveAccounting:
 
     def test_mid_flight_crash_drops_wave_message(self):
         """A crash scheduled between issue and arrival kills the message
-        under both engines (per-message link re-check)."""
-        for engine in ("wave", "scalar"):
-            sim, net = _net(latency=FixedLatency(10.0))
-            a, b = Recorder(0, sim, net), Recorder(1, sim, net)
-            net.send_batch([0], [1], msgs=["hello"], engine=engine)
-            sim.schedule(5.0, lambda: net.crash(1, quiet=True))
-            sim.run()
+        under the wave and the model (per-message link re-check)."""
+        for _, replay in REPLAYS:
+            with replay():
+                sim, net = _net(latency=FixedLatency(10.0))
+                a, b = Recorder(0, sim, net), Recorder(1, sim, net)
+                net.send_batch([0], [1], msgs=["hello"])
+                sim.schedule(5.0, lambda: net.crash(1, quiet=True))
+                sim.run()
             assert b.received == []
             # In-flight drops are silent in the trace (same as the
             # scalar ``send`` path): no record either way.
@@ -170,12 +199,13 @@ class TestWaveAccounting:
 
 class TestActorWaves:
     def test_messages_reach_nodes_in_order(self):
-        for engine in ("wave", "scalar"):
-            sim, net = _net(seed=8, latency=UniformLatency(1.0, 20.0))
-            nodes = [Recorder(i, sim, net) for i in range(4)]
-            net.send_batch([0, 0, 1, 2], [1, 2, 3, 3],
-                           msgs=["a", "b", "c", "d"], engine=engine)
-            sim.run()
+        for _, replay in REPLAYS:
+            with replay():
+                sim, net = _net(seed=8, latency=UniformLatency(1.0, 20.0))
+                nodes = [Recorder(i, sim, net) for i in range(4)]
+                net.send_batch([0, 0, 1, 2], [1, 2, 3, 3],
+                               msgs=["a", "b", "c", "d"])
+                sim.run()
             got = [
                 (t, src, m) for nd in nodes for (t, src, m) in nd.received
             ]
@@ -202,9 +232,14 @@ class TestActorWaves:
 
 class TestValidation:
     def test_engine_names(self):
-        assert check_engine("wave") == "wave"
-        with pytest.raises(ValueError):
-            check_engine("warp")
+        """Waves are the only delivery engine: no ``engine`` keyword."""
+        import repro.simnet as simnet
+
+        sim, net = _net()
+        with pytest.raises(TypeError):
+            net.send_batch([0], [1], engine="scalar")
+        assert not hasattr(simnet, "ENGINES")
+        assert not hasattr(simnet, "check_engine")
 
     def test_reliable_transport_runs_in_item_mode(self):
         # Historically rejected; now routed through the item-wave path.
