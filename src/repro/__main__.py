@@ -24,7 +24,7 @@ capture the run's events and metrics as a side effect.
 
 ``prof`` runs the failover + wire-round workload under the phase
 profiler and prints the span call tree; with ``--resources`` it also
-wraps each phase in the live :class:`~repro.obs.prof.ResourceProfiler`
+wraps each phase in the live :class:`~repro.obs.scale.ResourceProfiler`
 (tracemalloc deltas, peak RSS) and prints the process/simnet/obs
 resource snapshot.
 
@@ -213,8 +213,12 @@ def _run_prof(args: argparse.Namespace) -> int:
     from .core.topology import Topology
     from .core.wire_round import run_two_layer_wire_round
     from .obs import runtime as _runtime
-    from .obs.prof import ResourceProfiler, profile_events
-    from .obs.scale import format_resource_report, resource_snapshot
+    from .obs.prof import profile_events
+    from .obs.scale import (
+        ResourceProfiler,
+        format_resource_report,
+        resource_snapshot,
+    )
     from .twolayer_raft.system import TwoLayerRaftSystem
 
     n_peers = args.peers or 12

@@ -4,11 +4,12 @@ The paper's entire evaluation (Figs. 6–14) is built on *observing* the
 system — per-round traffic, election downtime, recovery timelines.
 This package is that instrumentation as a first-class subsystem:
 
-- :mod:`.bus` — typed events with sim-time + wall-time and a hot-path
-  message-record plane that :class:`~repro.simnet.trace.TraceRecorder`
-  subscribes to (byte accounting and tracing share one pipeline);
-- :mod:`.metrics` — counters, gauges, and exact-quantile histograms
-  with labels, rendered in Prometheus text exposition format;
+- :mod:`.bus` — typed events with sim-time + wall-time (per-message
+  byte accounting stays on each network's own
+  :class:`~repro.simnet.trace.TraceRecorder`);
+- :mod:`.metrics` — counters, gauges, and one histogram type (exact, or
+  bounded by a capacity under rollup retention) with labels, rendered
+  in Prometheus text exposition format;
 - :mod:`.spans` — phase timers over the virtual and wall clocks;
 - :mod:`.export` — JSONL event logs and Chrome ``trace_event`` JSON
   (renders as a timeline in ``about://tracing`` / Perfetto);
@@ -27,8 +28,9 @@ This package is that instrumentation as a first-class subsystem:
 - :mod:`.flight` — a bounded flight-recorder ring that dumps the events
   leading up to safety violations and typed failures;
 - :mod:`.scale` — bounded-memory rollup retention
-  (``observe(retention="rollup")``) and process/simnet/obs resource
-  accounting for the 10⁵-peer scale push.
+  (``observe(retention="rollup")``), process/simnet/obs resource
+  accounting and the live per-phase resource profiler for the
+  10⁵-peer scale push.
 
 ``repro.obs.scenario`` (the ``python -m repro trace`` scenario) is
 imported lazily, not here, because it depends on ``repro.core``.
@@ -60,18 +62,11 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QuantileSketch,
-    SketchHistogram,
 )
-from .prof import (
-    PhaseStats,
-    ProfileReport,
-    ResourceProfiler,
-    StragglerStats,
-    profile_events,
-)
+from .prof import PhaseStats, ProfileReport, StragglerStats, profile_events
 from .runtime import Observability, get, install, observe, uninstall
 from .scale import (
+    ResourceProfiler,
     RollupCollector,
     format_resource_report,
     obs_self_accounting,
@@ -85,8 +80,6 @@ __all__ = [
     "CriticalPath",
     "TraceContext",
     "TraceSampler",
-    "QuantileSketch",
-    "SketchHistogram",
     "RollupCollector",
     "ResourceProfiler",
     "MetricsPortInUseError",

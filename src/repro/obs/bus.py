@@ -1,17 +1,13 @@
 """Typed event bus: the spine of the observability pipeline.
 
 Every instrumented subsystem publishes :class:`Event` records here —
-Raft role changes, SAC phase boundaries, network drops, round spans.
-Two planes share one bus:
-
-- **typed events** (:meth:`EventBus.emit`): structured records with a
-  dotted name, the virtual simulation time, the wall-clock time, and
-  free-form fields.  Sinks (JSONL, Chrome trace) subscribe to these.
-- **message records** (:meth:`EventBus.publish_message`): the hot
-  per-message path of :class:`~repro.simnet.network.Network`.  These
-  carry :class:`~repro.simnet.trace.MessageRecord` payloads untouched so
-  byte accounting costs one function call per message, not an
-  allocation-heavy event.
+Raft role changes, SAC phase boundaries, network drops, round spans:
+structured records with a dotted name, the virtual simulation time, the
+wall-clock time, and free-form fields.  Sinks (JSONL, Chrome trace)
+subscribe to these.  Per-message byte accounting does not ride the bus:
+each :class:`~repro.simnet.network.Network` hands its
+:class:`~repro.simnet.trace.MessageRecord` straight to its own
+:class:`~repro.simnet.trace.TraceRecorder`.
 
 Events carry a bus-assigned monotonically increasing ``seq`` so that
 total order is preserved even when many events share one virtual
@@ -77,20 +73,18 @@ class Event:
 
 
 class EventBus:
-    """Dispatches events and message records to subscribers.
+    """Dispatches events to subscribers.
 
     Subscribers are plain callables; exceptions propagate (a broken sink
     should fail loudly in a reproduction harness, not drop data).
     """
 
-    __slots__ = ("_event_subs", "_msg_subs", "_seq")
+    __slots__ = ("_event_subs", "_seq")
 
     def __init__(self) -> None:
         self._event_subs: list[Callable[[Event], None]] = []
-        self._msg_subs: list[Callable[[Any], None]] = []
         self._seq = 0
 
-    # ------------------------------------------------------------ typed plane
     def subscribe(self, fn: Callable[[Event], None]) -> Callable[[Event], None]:
         self._event_subs.append(fn)
         return fn
@@ -144,16 +138,3 @@ class EventBus:
         for fn in self._event_subs:
             fn(copied)
         return copied
-
-    # ---------------------------------------------------------- message plane
-    def subscribe_messages(self, fn: Callable[[Any], None]) -> Callable[[Any], None]:
-        self._msg_subs.append(fn)
-        return fn
-
-    def unsubscribe_messages(self, fn: Callable[[Any], None]) -> None:
-        self._msg_subs.remove(fn)
-
-    def publish_message(self, record: Any) -> None:
-        """Hot path: fan a per-message record out to byte accountants."""
-        for fn in self._msg_subs:
-            fn(record)

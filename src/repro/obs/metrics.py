@@ -12,16 +12,13 @@ symmetrized lerp) as ``numpy.quantile(..., method="linear")``; a
 property test asserts bit-identical agreement with NumPy.
 
 For the 10⁵-peer scale push, exact histograms are the one metrics
-primitive whose memory grows linearly with the workload.  The registry
-therefore supports an opt-in bounded-memory mode
-(``MetricsRegistry(histogram_mode="sketch")``, selected by
-``observe(retention="rollup")``): histograms become
-:class:`SketchHistogram` — a fixed-size mergeable
-:class:`QuantileSketch` in the merging-digest family.  The sketch is
-*exact* (bit-identical to :class:`Histogram`) until its capacity is
-exceeded; beyond that, quantiles are approximate with rank error
-bounded by the compaction count (see ``docs/observability.md``).
-Counters and gauges are O(1) either way.
+primitive whose memory grows linearly with the workload, so
+:class:`Histogram` takes a ``capacity``: ``None`` keeps every raw value
+(the exact histogram above); a bound (``observe(retention="rollup")``
+sets :data:`ROLLUP_CAPACITY`) turns it into a fixed-size mergeable
+digest that stays exact until the capacity is exceeded and afterwards
+has rank error bounded by the compaction count (see
+``docs/observability.md``).  Counters and gauges are O(1) either way.
 """
 
 from __future__ import annotations
@@ -74,85 +71,53 @@ class Gauge:
         self.value -= amount
 
 
+def _compact(centroids: list[list[float]]) -> list[list[float]]:
+    """Halve the centroid count by merging adjacent sorted pairs."""
+    out: list[list[float]] = []
+    for i in range(0, len(centroids) - 1, 2):
+        (v1, w1), (v2, w2) = centroids[i], centroids[i + 1]
+        w = w1 + w2
+        out.append([(v1 * w1 + v2 * w2) / w, w])
+    if len(centroids) % 2:
+        out.append(centroids[-1])
+    return out
+
+
 class Histogram:
-    """Exact-quantile histogram over raw observations."""
+    """Mergeable quantile histogram (merging-digest family).
 
-    __slots__ = ("_values", "_sorted", "sum")
+    With ``capacity=None`` (full retention) it keeps every raw
+    observation in insertion order and never compacts, so quantiles are
+    *exact*: bit-identical to ``numpy.quantile(..., method="linear")``.
 
-    def __init__(self) -> None:
-        self._values: list[float] = []
-        self._sorted = True
-        self.sum = 0.0
+    With a ``capacity`` (``ROLLUP_CAPACITY`` under rollup retention)
+    observations buffer until ``capacity`` is reached, then collapse
+    into sorted ``[value, weight]`` centroids; whenever the centroid
+    list would exceed ``capacity`` it is compacted by merging adjacent
+    pairs.  Until the first compaction quantiles are still exact;
+    afterwards they interpolate between centroid mean ranks, with rank
+    error bounded by the largest centroid weight (≤ ``2**compactions``),
+    i.e. O(count / capacity).
 
-    def observe(self, value: float) -> None:
-        v = float(value)
-        if self._values and v < self._values[-1]:
-            self._sorted = False
-        self._values.append(v)
-        self.sum += v
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    def values(self) -> list[float]:
-        return list(self._values)
-
-    def quantile(self, q: float) -> float:
-        """q-th quantile, q in [0, 1] — numpy.quantile's linear method."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if not self._values:
-            raise ValueError("no observations")
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-        s = self._values
-        h = (len(s) - 1) * q
-        lo = math.floor(h)
-        hi = math.ceil(h)
-        if lo == hi:
-            return s[lo]
-        a, b, t = s[lo], s[hi], h - lo
-        # numpy's symmetrized lerp: approach the nearer endpoint so the
-        # result is bit-identical to numpy.quantile(..., method="linear").
-        if t >= 0.5:
-            return b - (b - a) * (1.0 - t)
-        return a + (b - a) * t
-
-
-class QuantileSketch:
-    """Fixed-size mergeable quantile summary (merging-digest family).
-
-    Observations buffer until ``capacity`` is reached, then collapse
-    into weighted centroids; whenever the centroid list would exceed
-    ``capacity`` it is compacted by merging adjacent (sorted) pairs.
-    While no compaction has happened the sketch holds every raw value
-    and quantiles are bit-identical to :class:`Histogram`'s
-    numpy-linear definition; afterwards, quantiles interpolate between
-    centroid mean ranks, with rank error bounded by the largest
-    centroid weight (≤ ``2**compactions``), i.e. O(count / capacity).
-
+    Reads never mutate: a quantile or :meth:`state` works on a sorted
+    copy, so the raw values of a snapshot stay in insertion order.
     Everything is deterministic: same observation sequence ⇒ same
-    centroids, and ``merge`` of snapshots is used by the parallel
-    worker merge, which already fixes worker order.
+    centroids.
     """
 
     __slots__ = ("capacity", "count", "sum", "min", "max",
                  "compactions", "_centroids", "_buffer")
 
-    DEFAULT_CAPACITY = 512
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 8:
-            raise ValueError("sketch capacity must be >= 8")
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 8:
+            raise ValueError("histogram capacity must be >= 8")
         self.capacity = capacity
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
         self.compactions = 0
-        # sorted [value, weight] pairs once flushed
+        # sorted [value, weight] pairs once flushed (bounded only)
         self._centroids: list[list[float]] = []
         self._buffer: list[float] = []
 
@@ -165,54 +130,51 @@ class QuantileSketch:
         if v > self.max:
             self.max = v
         self._buffer.append(v)
-        if len(self._buffer) >= self.capacity:
+        if self.capacity is not None and len(self._buffer) >= self.capacity:
             self._flush()
 
     def _flush(self) -> None:
-        if not self._buffer:
-            return
-        merged = self._centroids + [[v, 1.0] for v in self._buffer]
-        merged.sort(key=lambda c: c[0])
-        self._buffer.clear()
-        while len(merged) > self.capacity:
-            merged = self._compact(merged)
-            self.compactions += 1
-        self._centroids = merged
+        self._centroids, n = self._collapse(self._centroids)
+        self.compactions += n
+        self._buffer = []
 
-    @staticmethod
-    def _compact(centroids: list[list[float]]) -> list[list[float]]:
-        """Halve the centroid count by merging adjacent sorted pairs."""
-        out: list[list[float]] = []
-        it = iter(range(0, len(centroids) - 1, 2))
-        for i in it:
-            (v1, w1), (v2, w2) = centroids[i], centroids[i + 1]
-            w = w1 + w2
-            out.append([(v1 * w1 + v2 * w2) / w, w])
-        if len(centroids) % 2:
-            out.append(centroids[-1])
-        return out
+    def _collapse(
+        self, centroids: list[list[float]]
+    ) -> tuple[list[list[float]], int]:
+        """``centroids`` plus the buffer, sorted and compacted to capacity.
+
+        Returns the new centroid list and the compactions it took; the
+        histogram itself is left untouched.
+        """
+        merged = centroids + [[v, 1.0] for v in self._buffer]
+        merged.sort(key=lambda c: c[0])
+        n = 0
+        while self.capacity is not None and len(merged) > self.capacity:
+            merged = _compact(merged)
+            n += 1
+        return merged, n
 
     @property
     def exact(self) -> bool:
-        """True while quantiles are still bit-identical to Histogram."""
+        """True while quantiles are numpy-identical (nothing compacted)."""
         return self.compactions == 0
 
     def quantile(self, q: float) -> float:
+        """q-th quantile, q in [0, 1] — numpy.quantile's linear method
+        until the first compaction, centroid-rank interpolation after."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if not self.count:
             raise ValueError("no observations")
-        self._flush()
-        cents = self._centroids
-        if self.compactions == 0:
-            # All weights are 1 — reproduce numpy's linear method exactly.
-            s = [c[0] for c in cents]
-            h = (len(s) - 1) * q
-            lo = math.floor(h)
-            hi = math.ceil(h)
+        cents, n = self._collapse(self._centroids)
+        if self.compactions + n == 0:
+            # All weights are 1 — numpy's symmetrized lerp, approaching
+            # the nearer endpoint so the result is bit-identical.
+            h = (len(cents) - 1) * q
+            lo, hi = math.floor(h), math.ceil(h)
+            a, b, t = cents[lo][0], cents[hi][0], h - lo
             if lo == hi:
-                return s[lo]
-            a, b, t = s[lo], s[hi], h - lo
+                return a
             if t >= 0.5:
                 return b - (b - a) * (1.0 - t)
             return a + (b - a) * t
@@ -237,77 +199,63 @@ class QuantileSketch:
         return self.max
 
     # ------------------------------------------------------------ merge plane
-    def state(self) -> dict:
-        """Picklable snapshot used by MetricsRegistry.snapshot()."""
-        self._flush()
+    def state(self) -> "list[float] | dict":
+        """Picklable snapshot used by MetricsRegistry.snapshot().
+
+        Unbounded: the raw observations in insertion order, so a merge
+        replays them exactly.  Bounded: the flushed centroid state.
+        """
+        if self.capacity is None:
+            return list(self._buffer)
+        cents, n = self._collapse(self._centroids)
         return {
             "capacity": self.capacity,
             "count": self.count,
             "sum": self.sum,
             "min": self.min,
             "max": self.max,
-            "compactions": self.compactions,
-            "centroids": [list(c) for c in self._centroids],
+            "compactions": self.compactions + n,
+            "centroids": [list(c) for c in cents],
         }
 
-    def merge_state(self, state: Mapping) -> None:
+    def merge_state(self, state: "list[float] | Mapping") -> None:
+        """Fold a :meth:`state` in: raw values replay into either kind,
+        centroid state only into a bounded histogram."""
+        if not isinstance(state, Mapping):
+            for v in state:
+                self.observe(v)
+            return
+        if self.capacity is None:
+            raise ValueError(
+                "cannot merge compacted state into an unbounded histogram "
+                "— exact quantiles need raw values"
+            )
         if not state["count"]:
             return
         self._flush()
+        self._centroids, n = self._collapse(
+            self._centroids + [list(c) for c in state["centroids"]]
+        )
         self.count += state["count"]
         self.sum += state["sum"]
         self.min = min(self.min, state["min"])
         self.max = max(self.max, state["max"])
-        self.compactions += state["compactions"]
-        merged = self._centroids + [list(c) for c in state["centroids"]]
-        merged.sort(key=lambda c: c[0])
-        while len(merged) > self.capacity:
-            merged = self._compact(merged)
-            self.compactions += 1
-        self._centroids = merged
-
-    def merge(self, other: "QuantileSketch") -> None:
-        self.merge_state(other.state())
+        self.compactions += state["compactions"] + n
 
     def approx_bytes(self) -> int:
-        """Rough bound on held memory: centroids + buffer floats."""
+        """Rough bound on held memory: raw floats, or centroids + buffer."""
+        if self.capacity is None:
+            return 8 * len(self._buffer) + 64
         return 16 * len(self._centroids) + 8 * len(self._buffer) + 96
 
 
-class SketchHistogram:
-    """Histogram-compatible facade over a bounded :class:`QuantileSketch`.
-
-    Drop-in for :class:`Histogram` in the registry/exposition
-    (``observe``/``count``/``sum``/``quantile``) but holds O(capacity)
-    memory regardless of observation count. Selected per-registry via
-    ``MetricsRegistry(histogram_mode="sketch")``.
-    """
-
-    __slots__ = ("sketch",)
-
-    def __init__(self) -> None:
-        self.sketch = QuantileSketch()
-
-    def observe(self, value: float) -> None:
-        self.sketch.observe(value)
-
-    @property
-    def count(self) -> int:
-        return self.sketch.count
-
-    @property
-    def sum(self) -> float:
-        return self.sketch.sum
-
-    def quantile(self, q: float) -> float:
-        return self.sketch.quantile(q)
-
+#: histogram capacity under ``retention="rollup"``.
+ROLLUP_CAPACITY = 512
 
 _KIND_OF = {
     Counter: "counter",
     Gauge: "gauge",
     Histogram: "summary",
-    SketchHistogram: "summary",
 }
 
 #: quantiles included in the Prometheus exposition of a histogram.
@@ -318,11 +266,12 @@ class MetricFamily:
     """A named metric with a fixed label schema and cached children."""
 
     def __init__(self, name: str, help_text: str, label_names: tuple[str, ...],
-                 child_cls: type) -> None:
+                 child_cls: type, *child_args: object) -> None:
         self.name = name
         self.help = help_text
         self.label_names = label_names
         self._child_cls = child_cls
+        self._child_args = child_args
         self._children: dict[tuple[str, ...], object] = {}
 
     def labels(self, **labels: object):
@@ -335,7 +284,7 @@ class MetricFamily:
         key = tuple(str(labels[k]) for k in self.label_names)
         child = self._children.get(key)
         if child is None:
-            child = self._children[key] = self._child_cls()
+            child = self._children[key] = self._child_cls(*self._child_args)
         return child
 
     def _sole(self):
@@ -360,19 +309,18 @@ class MetricFamily:
 class MetricsRegistry:
     """Creates-or-returns metric families and renders the exposition.
 
-    ``histogram_mode`` picks the child class ``histogram()`` families
-    use: ``"exact"`` (default — raw values, numpy-identical quantiles)
-    or ``"sketch"`` (bounded-memory :class:`SketchHistogram`).
+    ``histogram_capacity`` is the :class:`Histogram` capacity of every
+    ``histogram()`` family: ``None`` (default, full retention — raw
+    values, numpy-identical quantiles) or :data:`ROLLUP_CAPACITY` under
+    rollup retention.
     """
 
-    def __init__(self, histogram_mode: str = "exact") -> None:
-        if histogram_mode not in ("exact", "sketch"):
-            raise ValueError(f"unknown histogram_mode {histogram_mode!r}")
-        self.histogram_mode = histogram_mode
+    def __init__(self, histogram_capacity: int | None = None) -> None:
+        self.histogram_capacity = histogram_capacity
         self._families: dict[str, MetricFamily] = {}
 
     def _family(self, name: str, help_text: str, labels: tuple[str, ...],
-                child_cls: type) -> MetricFamily:
+                child_cls: type, *child_args: object) -> MetricFamily:
         fam = self._families.get(name)
         if fam is not None:
             if fam._child_cls is not child_cls or fam.label_names != tuple(labels):
@@ -381,7 +329,8 @@ class MetricsRegistry:
                     "kind or label schema"
                 )
             return fam
-        fam = MetricFamily(name, help_text, tuple(labels), child_cls)
+        fam = MetricFamily(name, help_text, tuple(labels), child_cls,
+                           *child_args)
         self._families[name] = fam
         return fam
 
@@ -395,8 +344,8 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help_text: str = "",
                   labels: tuple[str, ...] = ()) -> MetricFamily:
-        cls = SketchHistogram if self.histogram_mode == "sketch" else Histogram
-        return self._family(name, help_text, labels, cls)
+        return self._family(name, help_text, labels, Histogram,
+                            self.histogram_capacity)
 
     def families(self) -> Iterable[MetricFamily]:
         return self._families.values()
@@ -405,22 +354,18 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """A picklable copy of every family's state.
 
-        Histograms keep their raw observation lists (in insertion order)
-        so a merge replays them through ``observe`` — quantiles over the
-        merged registry are computed on the union of raw values, exactly
-        as if the observations had happened locally.
+        Unbounded histograms keep their raw observation lists (in
+        insertion order) so a merge replays them through ``observe`` —
+        quantiles over the merged registry are computed on the union of
+        raw values, exactly as if the observations had happened locally.
+        Bounded ones ship their centroid state (:meth:`Histogram.state`).
         """
         snap: dict = {}
         for fam in self._families.values():
             children: dict[tuple[str, ...], object] = {}
             for key, child in fam.children():
-                if isinstance(child, Histogram):
-                    children[key] = list(child._values)
-                elif isinstance(child, SketchHistogram):
-                    children[key] = {"sketch": child.sketch.state()}
-                else:
-                    assert isinstance(child, (Counter, Gauge))
-                    children[key] = child.value
+                children[key] = (child.state() if isinstance(child, Histogram)
+                                 else child.value)
             snap[fam.name] = {
                 "kind": _KIND_OF[fam._child_cls],
                 "help": fam.help,
@@ -433,8 +378,10 @@ class MetricsRegistry:
         """Fold a worker registry snapshot into this one.
 
         Counters add, gauges take the snapshot value (last write wins —
-        call in worker order for determinism), histograms re-observe
-        every raw value in its original order.
+        call in worker order for determinism), histograms fold in via
+        :meth:`Histogram.merge_state`: raw values replay in their
+        original order into either kind, so full-retention workers merge
+        cleanly into a rollup parent.
         """
         makers = {
             "counter": self.counter,
@@ -447,18 +394,8 @@ class MetricsRegistry:
             )
             for key, payload in fam_snap["children"].items():
                 child = fam.labels(**dict(zip(fam.label_names, key)))
-                if isinstance(payload, Mapping) and "sketch" in payload:
-                    if not isinstance(child, SketchHistogram):
-                        raise ValueError(
-                            f"{name}: cannot merge a sketch snapshot into an "
-                            "exact histogram — exact quantiles need raw values"
-                        )
-                    child.sketch.merge_state(payload["sketch"])
-                elif isinstance(child, (Histogram, SketchHistogram)):
-                    # Raw-value payloads replay into either mode, so
-                    # exact-mode workers merge cleanly into a rollup parent.
-                    for v in payload:
-                        child.observe(v)
+                if isinstance(child, Histogram):
+                    child.merge_state(payload)
                 elif isinstance(child, Counter):
                     child.inc(payload)
                 else:
@@ -467,20 +404,16 @@ class MetricsRegistry:
     def approx_bytes(self) -> int:
         """Rough accounting of bytes held by metric children.
 
-        Scalars count a fixed overhead; exact histograms count their
-        raw-value lists (8 bytes/float), sketches their bounded state.
+        Scalars count a fixed overhead; histograms their own
+        :meth:`Histogram.approx_bytes`.
         Used by the resource profiler's obs self-accounting — a bound
         on retained telemetry, not an exact heap measurement.
         """
         total = 0
         for fam in self._families.values():
             for _key, child in fam.children():
-                if isinstance(child, Histogram):
-                    total += 8 * len(child._values) + 64
-                elif isinstance(child, SketchHistogram):
-                    total += child.sketch.approx_bytes()
-                else:
-                    total += 32
+                total += (child.approx_bytes() if isinstance(child, Histogram)
+                          else 32)
         return total
 
     def observation_count(self) -> int:
@@ -489,7 +422,7 @@ class MetricsRegistry:
             child.count
             for fam in self._families.values()
             for _key, child in fam.children()
-            if isinstance(child, (Histogram, SketchHistogram))
+            if isinstance(child, Histogram)
         )
 
     def render_prometheus(self) -> str:
@@ -505,7 +438,6 @@ class MetricsRegistry:
                 if isinstance(child, (Counter, Gauge)):
                     lines.append(f"{fam.name}{base} {child.value:g}")
                 else:
-                    assert isinstance(child, (Histogram, SketchHistogram))
                     for q in EXPORT_QUANTILES:
                         label = _render_labels(
                             fam.label_names, key, {"quantile": str(q)}

@@ -43,9 +43,8 @@ spans from concurrent simulated actors genuinely overlap):
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bus import Event
 
@@ -398,94 +397,3 @@ def profile_events(events: Iterable[Event]) -> ProfileReport:
     phases.extend(wall_stats[p] for p in wall_order)
 
     return ProfileReport(phases, events_seen=len(events))
-
-
-# --------------------------------------------------------------------------
-# Resource profiler: per-phase memory deltas (live, not post-hoc).
-# --------------------------------------------------------------------------
-
-
-class ResourceProfiler:
-    """Per-phase peak-RSS and ``tracemalloc`` deltas.
-
-    Memory cannot be reconstructed from the event stream after the
-    fact, so unlike :func:`profile_events` this profiler is *live*:
-    wrap each workload phase in :meth:`phase` and it records, per
-    phase, the allocated-bytes delta, the in-phase ``tracemalloc``
-    peak, and any growth of the process peak RSS.  Used by
-    ``python -m repro prof --resources``.
-
-    ``tracemalloc`` is started on entry to the first phase if it is not
-    already tracing (and stopped again by :meth:`close` only if this
-    profiler started it).  Tracing costs real wall time, so never time a
-    run that is also being resource-profiled.
-    """
-
-    def __init__(self) -> None:
-        import tracemalloc as _tm
-
-        self._tm = _tm
-        self._started_tracing = False
-        #: (name, {delta/peak/rss fields}) in phase-entry order.
-        self.phases: list[tuple[str, dict]] = []
-
-    def _rss(self) -> Optional[int]:
-        from .scale import _peak_rss_bytes
-
-        return _peak_rss_bytes()
-
-    @contextmanager
-    def phase(self, name: str) -> "Iterator[None]":
-        if not self._tm.is_tracing():
-            self._tm.start()
-            self._started_tracing = True
-        self._tm.reset_peak()
-        before_alloc, _ = self._tm.get_traced_memory()
-        before_rss = self._rss()
-        try:
-            yield
-        finally:
-            after_alloc, peak_alloc = self._tm.get_traced_memory()
-            after_rss = self._rss()
-            self.phases.append((name, {
-                "alloc_delta_bytes": after_alloc - before_alloc,
-                "alloc_peak_bytes": peak_alloc,
-                "rss_growth_bytes": (
-                    after_rss - before_rss
-                    if before_rss is not None and after_rss is not None
-                    else None
-                ),
-            }))
-
-    def close(self) -> None:
-        if self._started_tracing and self._tm.is_tracing():
-            self._tm.stop()
-            self._started_tracing = False
-
-    def __enter__(self) -> "ResourceProfiler":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -------------------------------------------------------------- read side
-    def to_json(self) -> dict:
-        return {"phases": [
-            {"name": name, **stats} for name, stats in self.phases
-        ]}
-
-    def format_table(self) -> str:
-        def mb(n: Optional[int]) -> str:
-            return "n/a" if n is None else f"{n / 1e6:8.2f}"
-
-        lines = [
-            "resource profile (MB):",
-            f"  {'phase':<28} {'alloc Δ':>9} {'alloc peak':>10} {'rss Δ':>9}",
-        ]
-        for name, stats in self.phases:
-            lines.append(
-                f"  {name:<28} {mb(stats['alloc_delta_bytes']):>9} "
-                f"{mb(stats['alloc_peak_bytes']):>10} "
-                f"{mb(stats['rss_growth_bytes']):>9}"
-            )
-        return "\n".join(lines)

@@ -15,7 +15,8 @@ instrumentation sites is::
 When nothing is installed, ``OBS`` is a disabled instance and the whole
 emission costs one module-attribute read and one bool check — that is
 the "zero overhead when disabled" guarantee the tier-1 timings rely on
-(guarded by ``benchmarks/test_obs_overhead.py``).
+(``tests/obs/test_disabled_path.py`` pins that a default run emits no
+event, allocates no trace context and registers no metric).
 
 Use :func:`observe` as a context manager to install a fresh pipeline
 for a scenario and write its artifacts afterwards::
@@ -39,7 +40,7 @@ from .export import (
     write_events_jsonl,
     write_text,
 )
-from .metrics import MetricsRegistry
+from .metrics import ROLLUP_CAPACITY, MetricsRegistry
 from .scale import RollupCollector
 from .spans import NULL_SPAN, NullSpan, Span
 
@@ -53,13 +54,13 @@ class Observability:
 
     ``retention`` picks the memory policy:
 
-    - ``"full"`` (default) — keep every event (when ``keep_events``)
-      and exact histograms; unchanged from the PR 1–6 behaviour.
+    - ``"full"`` (default) — an enabled pipeline keeps every event in
+      an :class:`~repro.obs.export.EventCollector` and histograms keep
+      raw values (``Histogram(capacity=None)``, exact quantiles).
     - ``"rollup"`` — bounded memory for the 10⁵-peer scale push: events
       stream through a :class:`~repro.obs.scale.RollupCollector`
       (counters + windows + exemplars, never the stream) and histograms
-      become fixed-size quantile sketches
-      (``MetricsRegistry(histogram_mode="sketch")``).
+      are bounded at :data:`~repro.obs.metrics.ROLLUP_CAPACITY`.
 
     ``causal_sample_rate`` (with ``causal=True``) keeps only a
     seed-derived fraction of trace ids: at ``1/k``, 1-in-k rounds carry
@@ -70,7 +71,6 @@ class Observability:
     def __init__(
         self,
         enabled: bool = True,
-        keep_events: bool = True,
         causal: bool = False,
         retention: str = "full",
         causal_sample_rate: float = 1.0,
@@ -94,7 +94,7 @@ class Observability:
         )
         self.bus = EventBus()
         self.metrics = MetricsRegistry(
-            histogram_mode="sketch" if retention == "rollup" else "exact"
+            ROLLUP_CAPACITY if retention == "rollup" else None
         )
         self.collector: Optional[EventCollector] = None
         self.rollup: Optional[RollupCollector] = None
@@ -106,7 +106,7 @@ class Observability:
             if retention == "rollup":
                 self.rollup = RollupCollector(seed=causal_sample_seed)
                 self.bus.subscribe(self.rollup)
-            elif keep_events:
+            else:
                 self.collector = EventCollector()
                 self.bus.subscribe(self.collector)
 
@@ -206,9 +206,8 @@ class ThreadLocalObservability:
     pushed nothing — the main thread, or library code outside the
     workers — falls through to the parent pipeline unchanged.
 
-    Only the read/emit surface instrumentation sites actually use is
-    exposed (``enabled``, ``emit``, ``span``, ``metrics``, ``bus``,
-    ``events``); everything delegates to the thread's current pipeline.
+    Every attribute other than the routing state (``parent``, the
+    per-thread stack) is read from the thread's current pipeline.
     """
 
     def __init__(self, parent: Observability) -> None:
@@ -230,62 +229,14 @@ class ThreadLocalObservability:
     def pop(self) -> Observability:
         return self._local.stack.pop()
 
-    # ----------------------------------------------------------- delegation
-    @property
-    def enabled(self) -> bool:
-        return self._current().enabled
-
-    @property
-    def causal(self) -> bool:
-        return self._current().causal
-
-    @property
-    def retention(self) -> str:
-        return self._current().retention
-
-    @property
-    def sampler(self):
-        return self._current().sampler
-
-    @property
-    def rollup(self):
-        return self._current().rollup
-
-    def trace_kept(self, trace_id: str) -> bool:
-        return self._current().trace_kept(trace_id)
-
-    @property
-    def bus(self) -> EventBus:
-        return self._current().bus
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._current().metrics
-
-    @property
-    def collector(self) -> Optional[EventCollector]:
-        return self._current().collector
-
-    @property
-    def events(self) -> list[Event]:
-        return self._current().events
-
-    def emit(self, name: str, **kwargs: Any) -> Optional[Event]:
-        return self._current().emit(name, **kwargs)
-
-    def span(self, name: str, **kwargs: Any) -> "Span | NullSpan":
-        return self._current().span(name, **kwargs)
-
-    def absorb_events(self, events: list[Event]) -> None:
-        self._current().absorb_events(events)
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._current(), name)
 
 
 #: the active pipeline; a disabled instance unless :func:`install` ran.
 #: May also hold a :class:`ThreadLocalObservability` shim while the
 #: parallel runner is fanning out.
-OBS: "Observability | ThreadLocalObservability" = Observability(
-    enabled=False, keep_events=False
-)
+OBS: "Observability | ThreadLocalObservability" = Observability(enabled=False)
 
 
 def get() -> "Observability | ThreadLocalObservability":
@@ -305,7 +256,7 @@ def install(
 def uninstall() -> None:
     """Revert to the disabled pipeline."""
     global OBS
-    OBS = Observability(enabled=False, keep_events=False)
+    OBS = Observability(enabled=False)
 
 
 @contextlib.contextmanager

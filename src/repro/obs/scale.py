@@ -17,6 +17,9 @@ This module is the bounded-memory alternative:
 - :func:`resource_snapshot` — one JSON-able picture of process +
   simnet + obs resource usage: peak RSS, tracemalloc (when tracing),
   simulator heap occupancy, live message objects, self-accounting.
+- :class:`ResourceProfiler` — the same peak-RSS/tracemalloc reads taken
+  live around each workload phase (``python -m repro prof
+  --resources``).
 
 Selection is a constructor policy on
 :class:`~repro.obs.runtime.Observability`::
@@ -35,7 +38,8 @@ import hashlib
 import sys
 import tracemalloc
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from .bus import Event, EventBus
 
@@ -45,6 +49,7 @@ except ImportError:  # pragma: no cover - non-POSIX
     _resource = None
 
 __all__ = [
+    "ResourceProfiler",
     "RollupCollector",
     "obs_self_accounting",
     "resource_snapshot",
@@ -253,19 +258,19 @@ def resource_snapshot(
     return snap
 
 
+def _mb(n: Optional[int], fmt: str = "{:.2f} MB") -> str:
+    return "n/a" if n is None else fmt.format(n / 1e6)
+
+
 def format_resource_report(snap: dict) -> str:
     """Human-readable rendering of a :func:`resource_snapshot`."""
-
-    def mb(n: Optional[int]) -> str:
-        return "n/a" if n is None else f"{n / 1e6:.2f} MB"
-
     lines = ["resource snapshot:"]
-    lines.append(f"  peak RSS            {mb(snap.get('peak_rss_bytes'))}")
+    lines.append(f"  peak RSS            {_mb(snap.get('peak_rss_bytes'))}")
     tm = snap.get("tracemalloc")
     if tm:
         lines.append(
-            f"  tracemalloc         {mb(tm['current_bytes'])} current, "
-            f"{mb(tm['peak_bytes'])} peak"
+            f"  tracemalloc         {_mb(tm['current_bytes'])} current, "
+            f"{_mb(tm['peak_bytes'])} peak"
         )
     heap = snap.get("sim_heap")
     if heap:
@@ -285,12 +290,85 @@ def format_resource_report(snap: dict) -> str:
     if o:
         lines.append(
             f"  obs [{o['retention']}]      "
-            f"{o['events_held']} events ({mb(o['event_bytes'])}), "
-            f"metrics {mb(o['metric_bytes'])} "
+            f"{o['events_held']} events ({_mb(o['event_bytes'])}), "
+            f"metrics {_mb(o['metric_bytes'])} "
             f"({o['metric_observations']} observations), "
-            f"rollup {mb(o['rollup_bytes'])}"
+            f"rollup {_mb(o['rollup_bytes'])}"
         )
         lines.append(
-            f"  telemetry total     {mb(o['telemetry_bytes'])}"
+            f"  telemetry total     {_mb(o['telemetry_bytes'])}"
         )
     return "\n".join(lines)
+
+
+class ResourceProfiler:
+    """Per-phase peak-RSS and ``tracemalloc`` deltas.
+
+    Memory cannot be reconstructed from the event stream after the
+    fact, so unlike :func:`~repro.obs.prof.profile_events` this profiler
+    is *live*: wrap each workload phase in :meth:`phase` and it records,
+    per phase, the allocated-bytes delta, the in-phase ``tracemalloc``
+    peak, and any growth of the process peak RSS.  Used by
+    ``python -m repro prof --resources``.
+
+    ``tracemalloc`` is started on entry to the first phase if it is not
+    already tracing (and stopped again by :meth:`close` only if this
+    profiler started it).  Tracing costs real wall time, so never time a
+    run that is also being resource-profiled.
+    """
+
+    def __init__(self) -> None:
+        self._started_tracing = False
+        #: (name, {delta/peak/rss fields}) in phase-entry order.
+        self.phases: list[tuple[str, dict]] = []
+
+    @contextmanager
+    def phase(self, name: str) -> "Iterator[None]":
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+            self._started_tracing = True
+        tracemalloc.reset_peak()
+        before_alloc, _ = tracemalloc.get_traced_memory()
+        before_rss = _peak_rss_bytes()
+        try:
+            yield
+        finally:
+            after_alloc, peak_alloc = tracemalloc.get_traced_memory()
+            after_rss = _peak_rss_bytes()
+            self.phases.append((name, {
+                "alloc_delta_bytes": after_alloc - before_alloc,
+                "alloc_peak_bytes": peak_alloc,
+                "rss_growth_bytes": (
+                    after_rss - before_rss
+                    if before_rss is not None and after_rss is not None
+                    else None
+                ),
+            }))
+
+    def close(self) -> None:
+        if self._started_tracing and tracemalloc.is_tracing():
+            tracemalloc.stop()
+            self._started_tracing = False
+
+    def __enter__(self) -> "ResourceProfiler":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    # -------------------------------------------------------------- read side
+    def to_json(self) -> dict:
+        return {"phases": [
+            {"name": name, **stats} for name, stats in self.phases
+        ]}
+
+    def format_table(self) -> str:
+        lines = [
+            "resource profile (MB):",
+            f"  {'phase':<28} {'alloc Δ':>9} {'alloc peak':>10} {'rss Δ':>9}",
+        ]
+        for name, stats in self.phases:
+            row = [_mb(stats[k], "{:8.2f}") for k in (
+                "alloc_delta_bytes", "alloc_peak_bytes", "rss_growth_bytes")]
+            lines.append(f"  {name:<28} {row[0]:>9} {row[1]:>10} {row[2]:>9}")
+        return "\n".join(lines)

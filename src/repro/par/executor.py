@@ -72,7 +72,7 @@ def _call_collected(fn: Callable, item: Any, collect: bool,
     raw histogram payloads merge into either parent mode.
     """
     obs = _runtime.Observability(
-        enabled=collect, keep_events=collect, causal=causal,
+        enabled=collect, causal=causal,
         causal_sample_rate=sample_rate, causal_sample_seed=sample_seed,
     )
     current = _runtime.get()

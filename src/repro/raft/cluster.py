@@ -64,13 +64,12 @@ class RaftCluster:
         seed: int = 0,
         pre_election_wait: bool = True,
         heartbeat_interval_ms: float | None = None,
-        keep_trace: bool = False,
     ) -> None:
         if n < 1:
             raise ValueError("need at least one node")
         self.sim = Simulator()
         self.rng = np.random.default_rng(seed)
-        self.trace = TraceRecorder(keep_records=keep_trace)
+        self.trace = TraceRecorder()
         self.network = Network(
             self.sim, latency=FixedLatency(delay_ms), rng=self.rng, trace=self.trace
         )

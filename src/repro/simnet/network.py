@@ -15,7 +15,6 @@ import numpy as np
 
 from ..obs import causal as _causal
 from ..obs import runtime as _obs
-from ..obs.bus import EventBus
 from ..obs.causal import TraceContext
 from .events import Simulator
 from .reliable import AckFrame, DataFrame, ReliableTransport, check_transport
@@ -193,7 +192,8 @@ class Network:
     loss_rate:
         Probability that any given message is silently dropped.
     trace:
-        Optional byte-accounting recorder.
+        Byte-accounting recorder: every send and drop is recorded on it
+        directly (a fresh :class:`TraceRecorder` when not supplied).
     bandwidth_bps:
         Optional link bandwidth in bits per second.  When set, delivery
         takes ``latency + size_bits / bandwidth`` — model-sized payloads
@@ -206,11 +206,6 @@ class Network:
         one model at a time) — the first-order model of a P2P swarm that
         :mod:`repro.core.latency` analyzes.  Off by default: transfers
         to distinct receivers proceed in parallel.
-    bus:
-        Per-network event bus carrying one :class:`MessageRecord` per
-        send on its message plane.  ``trace`` is subscribed to it;
-        additional accountants can subscribe without touching this
-        class.  A fresh private bus is created when not supplied.
     transport:
         ``"fire_and_forget"`` (default) ships every message exactly once
         — lost is lost, matching the seed's bit-for-bit cost pins.
@@ -232,7 +227,6 @@ class Network:
         trace: TraceRecorder | None = None,
         bandwidth_bps: float | None = None,
         serialize_uplink: bool = False,
-        bus: EventBus | None = None,
         transport: str = "fire_and_forget",
         transport_opts: dict | None = None,
     ) -> None:
@@ -249,9 +243,7 @@ class Network:
         self.latency = latency if latency is not None else FixedLatency()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.loss_rate = loss_rate
-        self.bus = bus if bus is not None else EventBus()
         self.trace = trace if trace is not None else TraceRecorder()
-        self.trace.attach(self.bus)
         self.bandwidth_bps = bandwidth_bps
         self.serialize_uplink = serialize_uplink
         self.transport_mode = transport
@@ -296,8 +288,8 @@ class Network:
         self._fault_free = True
         #: live message-object accounting for the resource profiler:
         #: messages scheduled but not yet delivered/dropped, and the
-        #: high-water mark.  Two integer ops per message — cheap enough
-        #: to stay inside the disabled-path overhead budget.
+        #: high-water mark.  Two integer ops per message, taken whether
+        #: or not observability is enabled.
         self.in_flight = 0
         self.peak_in_flight = 0
         #: the pending :class:`repro.simnet.waves._ItemLedger`: accounting
@@ -598,7 +590,7 @@ class Network:
                 self._drop(src, dst, kind, size_bits, "in_flight",
                            silent=True, ctx=ctx)
                 return
-            self.bus.publish_message(
+            self.trace.record(
                 MessageRecord(self.sim.now, src, dst, kind, size_bits, delivered=True)
             )
             obs = _obs.OBS
@@ -658,7 +650,7 @@ class Network:
         compatibility; the obs event still fires.
         """
         if not silent:
-            self.bus.publish_message(
+            self.trace.record(
                 MessageRecord(self.sim.now, src, dst, kind, size_bits,
                               delivered=False)
             )

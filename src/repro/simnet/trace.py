@@ -2,24 +2,19 @@
 
 The communication-cost figures of the paper (Fig. 13, Fig. 14) count the
 bits crossing the network per aggregation round.  Every message sent via
-:class:`repro.simnet.network.Network` is published as a
-:class:`MessageRecord` on the network's event bus
-(:class:`repro.obs.EventBus`), tagged with a free-form ``kind`` (e.g.
-``"sac.share"``, ``"raft.append_entries"``) so experiments can slice
-costs by protocol and layer.  :class:`TraceRecorder` is the standard
-subscriber — byte accounting and the richer obs tracing share one
-pipeline — but its accumulation API is unchanged from when the network
-called it directly.
+:class:`repro.simnet.network.Network` becomes a :class:`MessageRecord`
+(or, for a delivery wave, one :class:`WaveRecord`) tagged with a
+free-form ``kind`` (e.g. ``"sac.share"``, ``"raft.append_entries"``) so
+experiments can slice costs by protocol and layer.  The network hands
+each record straight to its own :class:`TraceRecorder`; the obs event
+bus carries only the typed ``net.*`` events.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..obs.bus import EventBus
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class WaveRecord:
     one ``kind`` totalling ``bits`` delivered (or dropped) together.
 
     The wave engine (:mod:`repro.simnet.waves`) moves whole batches of
-    same-phase messages per heap event; publishing one aggregate record
+    same-phase messages per heap event; recording one aggregate record
     per run keeps byte accounting O(runs) instead of O(messages) while
     producing the exact same totals as per-message records.  ``time`` is
     the run's last delivery time.
@@ -83,13 +78,6 @@ class TraceRecorder:
         else:
             self._dropped_by_kind[rec.kind] += count
             self.total_dropped += count
-
-    def attach(self, bus: "EventBus") -> None:
-        """Subscribe to a network's message-record plane."""
-        bus.subscribe_messages(self.record)
-
-    def detach(self, bus: "EventBus") -> None:
-        bus.unsubscribe_messages(self.record)
 
     def bits(self, kind: str | None = None, prefix: str | None = None) -> float:
         """Total delivered bits, optionally filtered by exact kind or prefix."""

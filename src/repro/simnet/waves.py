@@ -1,8 +1,8 @@
 """Vectorized delivery waves: one heap entry per message *batch*.
 
 The scalar :meth:`~repro.simnet.network.Network.send` path pays one heap
-push, one heap pop, one callback frame, one latency draw and one record
-publish **per message** — fine at 10^3 peers, prohibitive at 10^5.  An
+push, one heap pop, one callback frame, one latency draw and one accounting
+record **per message** — fine at 10^3 peers, prohibitive at 10^5.  An
 X-layer wire round is almost entirely same-phase traffic, though: every
 share of a layer departs together, so its delivery schedule can be
 computed in a handful of numpy passes and replayed from a *single* heap
@@ -36,7 +36,7 @@ replays everything up to the next *foreign* heap head.  Firings are the
 cuts by events that can observe the network — one for a whole X-layer
 round — not (instant, wave) pairs, let alone items.
 
-Accounting: a pure accounting wave publishes one aggregate
+Accounting: a pure accounting wave records one aggregate
 :class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
 (with a ``count`` field) per category per run — per batch too, on the
 ledger — and totals match per-message records exactly.  Waves carrying
@@ -166,7 +166,7 @@ class DeliveryWave:
         count = j - i
         bits = count * self.size_bits
         net.in_flight -= count
-        net.bus.publish_message(
+        net.trace.record(
             WaveRecord(t_end, self.kind, count, bits, delivered=True)
         )
         obs = _obs.OBS
@@ -197,7 +197,7 @@ class DeliveryWave:
             net._drop(src, dst, self.kind, self.size_bits, "in_flight",
                       silent=True)
             return
-        net.bus.publish_message(
+        net.trace.record(
             MessageRecord(t, src, dst, self.kind, self.size_bits,
                           delivered=True)
         )
@@ -231,7 +231,7 @@ def _report_drops(
         return
     t = float(dep[mask].max())
     bits = count * size_bits
-    net.bus.publish_message(WaveRecord(t, kind, count, bits, delivered=False))
+    net.trace.record(WaveRecord(t, kind, count, bits, delivered=False))
     obs = _obs.OBS
     if obs.enabled:
         obs.emit("net.drop", t_ms=t, kind=kind, bits=bits, count=count,
@@ -845,7 +845,7 @@ class ItemWave:
         elif typ in (_T_ARR_ACKUP, _T_ARR_ACKLOST, _T_ARR_PLAIN):
             if typ != _T_ARR_ACKUP:
                 net.in_flight -= 1
-            net.bus.publish_message(
+            net.trace.record(
                 MessageRecord(t, src, dst, self.kind, self.frame_bits,
                               delivered=True)
             )
@@ -872,7 +872,7 @@ class ItemWave:
                       silent=True)
         elif typ == _T_ACK_ARR:
             net.in_flight -= 1
-            net.bus.publish_message(
+            net.trace.record(
                 MessageRecord(t, dst, src, "net.ack", ACK_BITS,
                               delivered=True)
             )
@@ -1067,7 +1067,7 @@ class _ItemLedger:
                 return
             t = max(last[typ] for typ in typs)
             if not silent:
-                net.bus.publish_message(
+                net.trace.record(
                     WaveRecord(t, dkind, count, count * bits,
                                delivered=reason is None)
                 )

@@ -1,12 +1,10 @@
-"""Event bus: subscription, ordering, and the message-record plane."""
+"""Event bus: subscription, ordering, and the observe() switchboard."""
 
-import numpy as np
 import pytest
 
 from repro.obs import Event, EventBus, EventCollector, Observability
 from repro.obs import runtime as obs_runtime
-from repro.simnet import FixedLatency, Network, Simulator, TraceRecorder
-from repro.simnet.trace import MessageRecord
+from repro.simnet import Simulator
 
 
 def test_emit_returns_typed_event_with_monotonic_seq():
@@ -46,55 +44,6 @@ def test_event_order_matches_simulated_time():
     assert [e.seq for e in events] == sorted(e.seq for e in events)
 
 
-def test_message_plane_feeds_trace_recorder():
-    bus = EventBus()
-    trace = TraceRecorder(keep_records=True)
-    trace.attach(bus)
-    bus.publish_message(MessageRecord(0.0, 0, 1, "sac.share", 128.0))
-    bus.publish_message(
-        MessageRecord(1.0, 1, 0, "sac.share", 64.0, delivered=False)
-    )
-    assert trace.total_bits == 128.0
-    assert trace.total_messages == 1
-    assert len(trace.records) == 2
-    trace.detach(bus)
-    bus.publish_message(MessageRecord(2.0, 0, 1, "sac.share", 32.0))
-    assert trace.total_bits == 128.0
-
-
-def test_network_byte_accounting_flows_through_bus():
-    """Network -> bus -> TraceRecorder equals the pre-refactor accounting."""
-    sim = Simulator()
-    trace = TraceRecorder()
-    net = Network(sim, latency=FixedLatency(5.0),
-                  rng=np.random.default_rng(0), trace=trace)
-
-    class Sink:
-        def __init__(self, node_id):
-            self.node_id = node_id
-            self.got = []
-
-        def deliver(self, src, msg):
-            self.got.append((src, msg))
-
-    a, b = Sink(0), Sink(1)
-    net.register(a)
-    net.register(b)
-    net.send(0, 1, "hello", size_bits=100.0, kind="test")
-    sim.run()
-    assert b.got == [(0, "hello")]
-    assert trace.total_bits == 100.0
-    assert trace.messages(kind="test") == 1
-
-    # A second accountant can subscribe without touching Network.
-    extra = TraceRecorder()
-    extra.attach(net.bus)
-    net.send(1, 0, "back", size_bits=50.0, kind="test")
-    sim.run()
-    assert trace.total_bits == 150.0
-    assert extra.total_bits == 50.0
-
-
 def test_observe_installs_and_restores_global():
     before = obs_runtime.get()
     assert not before.enabled
@@ -107,7 +56,7 @@ def test_observe_installs_and_restores_global():
 
 
 def test_disabled_observability_is_inert():
-    obs = Observability(enabled=False, keep_events=False)
+    obs = Observability(enabled=False)
     assert obs.emit("nope") is None
     span = obs.span("nope")
     with span:

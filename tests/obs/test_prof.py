@@ -230,7 +230,7 @@ class TestResourceProfiler:
     def test_phases_record_alloc_deltas(self):
         import numpy as np
 
-        from repro.obs.prof import ResourceProfiler
+        from repro.obs.scale import ResourceProfiler
 
         with ResourceProfiler() as rp:
             with rp.phase("allocate"):
@@ -249,7 +249,7 @@ class TestResourceProfiler:
     def test_close_stops_only_own_tracing(self):
         import tracemalloc
 
-        from repro.obs.prof import ResourceProfiler
+        from repro.obs.scale import ResourceProfiler
 
         assert not tracemalloc.is_tracing()
         rp = ResourceProfiler()
@@ -270,7 +270,7 @@ class TestResourceProfiler:
             tracemalloc.stop()
 
     def test_json_and_table_rendering(self):
-        from repro.obs.prof import ResourceProfiler
+        from repro.obs.scale import ResourceProfiler
 
         with ResourceProfiler() as rp:
             with rp.phase("only"):

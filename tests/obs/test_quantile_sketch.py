@@ -1,20 +1,15 @@
-"""Bounded-memory quantile sketches.
+"""Bounded histograms: ``Histogram(capacity=c)``.
 
 The contract: exact (bit-identical to the numpy linear-interpolation
-quantile) until the first compaction, bounded rank error afterwards,
-deterministic, mergeable, and wired into the registry as the
-``histogram_mode="sketch"`` retention path.
+quantile) until the first compaction — forever with ``capacity=None`` —
+bounded rank error afterwards, deterministic, mergeable, and wired into
+the registry as the rollup-retention path (``ROLLUP_CAPACITY``).
 """
 
 import numpy as np
 import pytest
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-    SketchHistogram,
-)
+from repro.obs.metrics import ROLLUP_CAPACITY, Histogram, MetricsRegistry
 
 QS = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
 
@@ -29,19 +24,22 @@ def _rank_error(sketch, values, q):
 
 class TestExactPhase:
     def test_bit_identical_to_numpy_until_first_compaction(self):
+        # capacity=None never compacts: the same property at any size.
         rng = np.random.default_rng(0)
-        values = rng.normal(size=QuantileSketch.DEFAULT_CAPACITY).tolist()
-        sketch = QuantileSketch()
-        for v in values:
-            sketch.observe(v)
-        assert sketch.exact
-        for q in QS:
-            assert sketch.quantile(q) == float(
-                np.quantile(values, q, method="linear")
-            )
+        for capacity, n in ((ROLLUP_CAPACITY, ROLLUP_CAPACITY),
+                            (None, 4 * ROLLUP_CAPACITY)):
+            values = rng.normal(size=n).tolist()
+            sketch = Histogram(capacity=capacity)
+            for v in values:
+                sketch.observe(v)
+            assert sketch.exact
+            for q in QS:
+                assert sketch.quantile(q) == float(
+                    np.quantile(values, q, method="linear")
+                )
 
     def test_count_sum_min_max(self):
-        sketch = QuantileSketch(capacity=8)
+        sketch = Histogram(capacity=8)
         for v in [3.0, 1.0, 2.0, 5.0, 4.0]:
             sketch.observe(v)
         assert sketch.count == 5
@@ -51,14 +49,14 @@ class TestExactPhase:
 
     def test_empty_quantile_raises(self):
         with pytest.raises(ValueError, match="no observations"):
-            QuantileSketch().quantile(0.5)
+            Histogram(capacity=ROLLUP_CAPACITY).quantile(0.5)
 
 
 class TestCompactedPhase:
     def test_memory_is_bounded_and_error_is_small(self):
         rng = np.random.default_rng(1)
         values = rng.normal(size=50_000)
-        sketch = QuantileSketch(capacity=256)
+        sketch = Histogram(capacity=256)
         for v in values:
             sketch.observe(v)
         assert not sketch.exact
@@ -75,7 +73,7 @@ class TestCompactedPhase:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         values = rng.normal(size=5_000).tolist()
-        a, b = QuantileSketch(capacity=128), QuantileSketch(capacity=128)
+        a, b = Histogram(capacity=128), Histogram(capacity=128)
         for v in values:
             a.observe(v)
             b.observe(v)
@@ -87,13 +85,13 @@ class TestMerge:
         rng = np.random.default_rng(3)
         left = rng.normal(size=2_000)
         right = rng.normal(loc=3.0, size=2_000)
-        a = QuantileSketch(capacity=128)
-        b = QuantileSketch(capacity=128)
+        a = Histogram(capacity=128)
+        b = Histogram(capacity=128)
         for v in left:
             a.observe(v)
         for v in right:
             b.observe(v)
-        a.merge(b)
+        a.merge_state(b.state())
         pooled = np.concatenate([left, right])
         assert a.count == len(pooled)
         assert a.sum == pytest.approx(pooled.sum())
@@ -101,10 +99,10 @@ class TestMerge:
             assert _rank_error(a, pooled, q) < 0.03
 
     def test_state_roundtrip(self):
-        a = QuantileSketch(capacity=16)
+        a = Histogram(capacity=16)
         for v in range(100):
             a.observe(float(v))
-        b = QuantileSketch(capacity=16)
+        b = Histogram(capacity=16)
         b.merge_state(a.state())
         for q in QS:
             assert b.quantile(q) == a.quantile(q)
@@ -112,40 +110,39 @@ class TestMerge:
 
 class TestRegistryIntegration:
     def test_sketch_mode_builds_sketch_histograms(self):
-        reg = MetricsRegistry(histogram_mode="sketch")
+        reg = MetricsRegistry(ROLLUP_CAPACITY)
         hist = reg.histogram("h_ms", "help")
-        assert isinstance(hist.labels(), SketchHistogram)
+        assert hist.labels().capacity == ROLLUP_CAPACITY
         reg_exact = MetricsRegistry()
-        assert isinstance(reg_exact.histogram("h_ms", "help").labels(),
-                          Histogram)
+        assert reg_exact.histogram("h_ms", "help").labels().capacity is None
 
     def test_exact_worker_merges_into_sketch_parent(self):
         worker = MetricsRegistry()
         worker.histogram("h_ms", "help").labels().observe(5.0)
         worker.histogram("h_ms", "help").labels().observe(7.0)
-        parent = MetricsRegistry(histogram_mode="sketch")
+        parent = MetricsRegistry(ROLLUP_CAPACITY)
         parent.merge_snapshot(worker.snapshot())
         child = parent.histogram("h_ms", "help").labels()
         assert child.count == 2
         assert child.sum == 12.0
 
     def test_sketch_snapshot_merges_into_sketch_parent(self):
-        worker = MetricsRegistry(histogram_mode="sketch")
+        worker = MetricsRegistry(ROLLUP_CAPACITY)
         for v in range(10):
             worker.histogram("h_ms", "help").labels().observe(float(v))
-        parent = MetricsRegistry(histogram_mode="sketch")
+        parent = MetricsRegistry(ROLLUP_CAPACITY)
         parent.merge_snapshot(worker.snapshot())
         assert parent.histogram("h_ms", "help").labels().count == 10
 
     def test_sketch_snapshot_cannot_merge_into_exact_parent(self):
-        worker = MetricsRegistry(histogram_mode="sketch")
+        worker = MetricsRegistry(ROLLUP_CAPACITY)
         worker.histogram("h_ms", "help").labels().observe(1.0)
         parent = MetricsRegistry()
-        with pytest.raises(ValueError, match="exact histogram"):
+        with pytest.raises(ValueError, match="unbounded histogram"):
             parent.merge_snapshot(worker.snapshot())
 
     def test_prometheus_render_includes_sketch_quantiles(self):
-        reg = MetricsRegistry(histogram_mode="sketch")
+        reg = MetricsRegistry(ROLLUP_CAPACITY)
         for v in range(100):
             reg.histogram("h_ms", "help").labels().observe(float(v))
         text = reg.render_prometheus()

@@ -13,7 +13,7 @@ from repro.core.topology import Topology
 from repro.core.wire_round import run_two_layer_wire_round
 from repro.obs import runtime as _runtime
 from repro.obs.bus import Event
-from repro.obs.metrics import SketchHistogram
+from repro.obs.metrics import ROLLUP_CAPACITY
 from repro.obs.scale import (
     RollupCollector,
     format_resource_report,
@@ -104,7 +104,7 @@ class TestRollupRetention:
         assert obs.rollup is not None
         assert obs.rollup.total == 1
         hist = obs.metrics.histogram("h_ms", "help").labels()
-        assert isinstance(hist, SketchHistogram)
+        assert hist.capacity == ROLLUP_CAPACITY
 
     def test_invalid_retention_rejected(self):
         with pytest.raises(ValueError):

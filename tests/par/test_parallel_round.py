@@ -35,7 +35,7 @@ def _models(topo, seed, d=24):
 
 
 def _run(topo, models, mode, **kw):
-    obs = _runtime.Observability(enabled=True, keep_events=True)
+    obs = _runtime.Observability()
     with _runtime.observe(obs):
         result = run_two_layer_wire_round(
             topo, models, k=2, seed=kw.pop("seed", 0), parallel=mode, **kw
@@ -109,7 +109,7 @@ class TestWireRoundParity:
         results = {}
         recovered = {}
         for mode in ("off", "process", "threads"):
-            obs = _runtime.Observability(enabled=True, keep_events=True)
+            obs = _runtime.Observability()
             with _runtime.observe(obs):
                 results[mode] = run_two_layer_wire_round(
                     topo, models, k=3, seed=11, parallel=mode, crash_at=crash
@@ -140,7 +140,7 @@ class TestWireRoundParity:
         victims = [p for p in topo.groups[1] if p != topo.leaders[1]][:3]
         results, events = {}, {}
         for mode in PARALLEL_MODES:
-            obs = _runtime.Observability(enabled=True, keep_events=True)
+            obs = _runtime.Observability()
             with _runtime.observe(obs):
                 results[mode] = run_two_layer_wire_round(
                     topo, models, k=3, seed=13, parallel=mode,
@@ -212,7 +212,7 @@ class TestRunJobs:
                 share_codec="dense", delay_ms=15.0, bandwidth_bps=None,
                 subtotal_timeout_ms=100.0, round_timeout_ms=60_000.0,
             ))
-        obs = _runtime.Observability(enabled=True, keep_events=True)
+        obs = _runtime.Observability()
         with _runtime.observe(obs):
             outcomes = run_jobs(run_subgroup_round, tasks, "threads")
         for outcome, group in zip(outcomes, topo.groups):  # item order
