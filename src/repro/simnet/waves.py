@@ -31,10 +31,11 @@ Reliable transport and fault timelines (second half of this module)
 precompute a schedule of typed *items* per batch.  Accounting batches
 (``msgs=None``) are not heap participants at all: they run no handler,
 so a network's pending batches share one :class:`_ItemLedger` entry,
-are merged by one stable time sort at its first firing, and each firing
-replays everything up to the next *foreign* heap head.  Firings are the
-cuts by events that can observe the network — one for a whole X-layer
-round — not (instant, wave) pairs, let alone items.
+which at its first firing reduces each batch's items to per-instant
+entries and merges those, and each firing replays everything up to the
+next *foreign* heap head.  Firings are the cuts by events that can
+observe the network — one for a whole X-layer round — not (instant,
+wave) pairs, let alone items.
 
 Accounting: a pure accounting wave records one aggregate
 :class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
@@ -377,11 +378,13 @@ def _serialized_times(
         dtype=np.float64, count=len(starts),
     )
     c[starts] = np.maximum(c[starts], busy0)
-    # Segmented cummax via the offset trick: shift each group into its
-    # own disjoint value range so one global accumulate never leaks a
-    # maximum across group boundaries.
-    span = float(c.max() - c.min()) + 1.0
-    seg = np.maximum.accumulate(c + grp_id * span) - grp_id * span
+    # Segmented cummax via the offset trick on the integer ranks of ``c``:
+    # shifting each group into its own disjoint rank range keeps one
+    # global accumulate from leaking a maximum across group boundaries,
+    # and integer offsets cannot round the values they carry.
+    values, rank_c = np.unique(c, return_inverse=True)
+    span = grp_id * len(values)
+    seg = values[np.maximum.accumulate(rank_c + span) - span]
     end = (rank + 1) * transfer_ms + seg
     last = np.append(starts[1:], n) - 1
     for s, e in zip(so_src[starts], end[last]):
@@ -437,11 +440,14 @@ _T_ARR_PLAIN = 9   # fire-and-forget frame arrives (timeline mode)
 _T_EXHAUST = 10    # retransmit budget exhausted without an ACK
 
 _N_TYPES = 11
+_FIRST = _N_TYPES  # ledger entry kind: first ACKed frame arrivals
+_KINDS = _N_TYPES + 1
 
-#: net in-flight gauge delta per item type.  ``_T_ARR_ACKUP`` is a wash
-#: (frame lands -1, ACK departs +1 at the same instant — the dip never
-#: raises the peak), so it contributes 0.
-_IF_DELTA = np.zeros(_N_TYPES, dtype=np.int8)
+#: net in-flight gauge delta per item type (per entry kind, in the
+#: ledger).  ``_T_ARR_ACKUP`` is a wash (frame lands -1, ACK departs +1
+#: at the same instant — the dip never raises the peak), so it
+#: contributes 0.
+_IF_DELTA = np.zeros(_KINDS, dtype=np.int8)
 _IF_DELTA[_T_DEPART] = 1
 for _t in (_T_FRAME_MID, _T_ARR_ACKLOST, _T_ACK_MID, _T_ACK_ARR,
            _T_ARR_PLAIN):
@@ -614,8 +620,9 @@ def _send_batch_items(
             t_arr = t_arr[arr_up]
         # The first arrival per message in global (time, creation) order
         # carries the payload, later ones are transport duplicates; the
-        # strict ``<`` keeps the earlier epoch on a time tie, as the
-        # stable sort below does.  The arrival block is emitted next.
+        # strict ``<`` keeps the earlier epoch on a time tie, as replay
+        # order (creation order within an instant) does.  The arrival
+        # block is emitted next.
         prev = first_arr[go_idx]
         earlier = ~(t_arr >= prev)
         first_item[go_idx[earlier]] = emitted + np.flatnonzero(earlier)
@@ -695,7 +702,8 @@ def _send_batch_items(
     # Replay order is a stable sort on time: creation order (= epoch
     # order, categories in scalar decision order within an epoch) breaks
     # ties, and the contiguous reserved seq block makes that order the
-    # global one.  An accounting batch leaves the sort to its ledger.
+    # global one.  An accounting batch keeps creation order: its ledger
+    # never orders items, only per-instant entries.
     if msgs is not None:
         order = np.argsort(it_t, kind="stable")
         it_t, it_type = it_t[order], it_type[order]
@@ -736,8 +744,8 @@ class ItemWave:
     wave, the in-flight gauge moves at item times (departures/arrivals),
     not at issue.  The item columns are in ``(time, seq)`` order when
     the wave replays itself (payload waves); an accounting batch holds
-    them in creation order until its :class:`_ItemLedger` merges them
-    away.
+    them in creation order until its :class:`_ItemLedger` has replayed
+    them.
     """
 
     __slots__ = (
@@ -913,12 +921,21 @@ class _ItemLedger:
     first of them is due therefore share one heap entry, at their
     earliest pending ``(time, seq)`` (a batch due before the pending
     entry adds its own; the replay meets the older one at its batch's
-    first key and resumes from it).  The first firing merges their
-    creation-order blocks with one stable sort on time: blocks are
-    concatenated in issue order and seq blocks were reserved in that
-    order, so ties fall in ascending seq — the per-item replay's order.
-    Every firing replays the maximal run up to the next heap head in
-    O(run) numpy work and re-queues at the next item's own key.  A
+    first key and resumes from it).
+
+    The first firing merges without ordering items.  Each batch's items
+    stay in creation order, and every maximal block of one item type
+    (the interleaved ACKed/ACK-lost arrivals count as one) shrinks to
+    *entries*: one ``(time, kind, count)`` per distinct instant, plus,
+    for ACKed arrivals, one of kind ``_FIRST`` per instant counting
+    first-arrival flags.  One stable time sort of the entries,
+    concatenated in (batch, block) order, puts them in replay order, and
+    a *row* is a run of equal ``(time, batch)`` entries: the items of one
+    seq block at one instant, which no foreign key can split.  Every block is
+    sign-homogeneous in ``_IF_DELTA`` (all +1 or all <= 0), so inside
+    an instant the gauge peaks at the end of an entry.  Every firing
+    replays the maximal run of rows up to the next heap head in
+    O(entries) numpy work and re-queues at the next row's own key.  A
     batch issued after the merge opens the next ledger.
     """
 
@@ -928,8 +945,7 @@ class _ItemLedger:
         self.seq0: list[int] = []        # their reserved block starts
         self._event = None    # the earliest heap entry, until the merge
         self._own = set()     # keys ``add`` queued, fired or not
-        self._t = None        # merged columns, in (time, seq) order
-        self._by_key = None   # per-(batch, type) positions, built on demand
+        self._row_t = None    # per row: its time, then batch and bounds
         self._pos = 0
 
     def add(self, wave: ItemWave, seq0: int) -> None:
@@ -942,122 +958,156 @@ class _ItemLedger:
             self._event = self.net.sim._queue.push_at(t0, seq0, self._fire)
             self._own.add((t0, seq0))
 
+    def _reduce(self, w: int):
+        """Batch ``w``'s entries in block order, as (time, key, count)
+        columns with ``key = w * _KINDS + kind``; its exhaustions go to
+        ``_ex`` as (times, batch, messages) in creation order."""
+        wave = self.waves[w]
+        t, typ = wave._it_t, wave._it_type
+        # Block ends: where the type changes, the arrival pair as one.
+        ends = np.flatnonzero(np.diff(typ - (typ == _T_ARR_ACKLOST))) + 1
+        ts, kinds, ns = [], [], []
+        a = 0
+        for b in [*ends.tolist(), len(t)]:
+            c, tb = int(typ[a]), t[a:b]
+            parts = ((c, slice(None)),)
+            if c in (_T_ARR_ACKUP, _T_ARR_ACKLOST):
+                up = typ[a:b] == _T_ARR_ACKUP
+                parts = ((_T_ARR_ACKUP, up), (_T_ARR_ACKLOST, ~up),
+                         (_FIRST, wave._it_flag[a:b]))
+            elif c == _T_EXHAUST:
+                self._ex.append((tb, np.full(b - a, w), wave._it_idx[a:b]))
+            for kind, sel in parts:
+                u, n = np.unique(tb[sel], return_counts=True)
+                ts.append(u)
+                ns.append(n)
+                kinds.append(kind)
+            a = b
+        keys = np.array(kinds, dtype=np.int32) + w * _KINDS
+        return (np.concatenate(ts), keys.repeat([len(u) for u in ts]),
+                np.concatenate(ns, dtype=np.int32))
+
     def _merge(self) -> None:
-        waves = self.waves
         self.net._ledger = self._event = None
-
-        def column(name):
-            # Each batch's block is released as it is merged.
-            parts = [getattr(wave, name) for wave in waves]
-            for wave in waves:
-                setattr(wave, name, None)
-            return np.concatenate(parts)
-
-        t = column("_it_t")
+        self._ex = []
+        # One column at a time, the batches' parts released as merged.
+        cols = dict(zip("tkn", zip(*map(self._reduce,
+                                        range(len(self.waves))))))
+        if self._ex:
+            # Exhaustions replay one by one, in (time, batch, creation)
+            # order: a run's are the next ones in this list.
+            ex = [np.concatenate(col) for col in zip(*self._ex)]
+            order = np.argsort(ex[0], kind="stable")
+            self._ex = list(zip(*(col[order].tolist() for col in ex)))
+        t = np.concatenate(cols.pop("t"))
         order = np.argsort(t, kind="stable")
-        self._t = t[order]
-        del t
-        self._wave = np.repeat(np.arange(len(waves), dtype=np.int32),
-                               [wave._n_items for wave in waves])[order]
-        self._type = column("_it_type")[order]
-        self._idx = column("_it_idx")[order]
-        self._flag = column("_it_flag")[order]
-        # In-flight gauge after each item, relative to the ledger's start
-        # (``_cum[p + 1]`` is the sum through item ``p``): a run's peak
-        # and net movement are then a slice max and two lookups.
-        self._cum = np.zeros(len(order) + 1, dtype=np.int32)
-        np.cumsum(_IF_DELTA.take(self._type), dtype=np.int32,
-                  out=self._cum[1:])
+        self._t = t = t[order]
+        self._n = np.concatenate(cols.pop("n"))[order]
+        key = np.concatenate(cols.pop("k"))[order]
+        del order
+        w = key // _KINDS
+        self._bounds = np.flatnonzero(np.r_[True, (t[1:] != t[:-1])
+                                            | (w[1:] != w[:-1]), True])
+        self._row_t, self._row_w = t[self._bounds[:-1]], w[self._bounds[:-1]]
+        del w
+        # Intp keys index the per-key tables below without a copy.
+        self._key = key = key.astype(np.intp)
+        # In-flight gauge after each entry, relative to the ledger's
+        # start.  Every block is all +1 or all <= 0, so inside an instant
+        # the gauge peaks at an entry's end: a run's peak is the maximum
+        # over its entries.
+        self._gauge = np.zeros(len(t) + 1, dtype=np.int32)
+        delta = np.tile(_IF_DELTA, len(self.waves))  # per key
+        np.multiply(delta[key], self._n, out=self._gauge[1:])
+        np.cumsum(self._gauge, out=self._gauge)
 
     def _fire(self) -> None:
-        if self._t is None:
+        if self._row_t is None:
             self._merge()
         queue = self.net.sim._queue
         head = queue.peek_event()
         if head is not None:
             # A foreign seq never falls inside a reserved block, so a
             # tied head has each batch wholly before or after it: cut on
-            # the batch column (ascending inside a tie) at the number of
+            # the row's batch (ascending inside a tie) at the number of
             # blocks that start below the head's seq.
             head = Event(head.time, bisect_left(self.seq0, head.seq), None)
-        # The entry fired at item ``_pos``'s own key, so the run is never
+        # The entry fired at row ``_pos``'s own key, so the run is never
         # empty; a bulk run pushes nothing, so the head cannot move.
-        a, b = self._pos, _cut(self._t, self._wave, self._pos, head)
+        a, b = self._pos, _cut(self._row_t, self._row_w, self._pos, head)
         self._bulk_run(a, b)
         self._pos = b
-        if b < len(self._t):
-            w = int(self._wave[b])
-            key = float(self._t[b]), self.seq0[w] + self.waves[w]._pos
+        if b < len(self._row_t):
+            w = int(self._row_w[b])
+            key = float(self._row_t[b]), self.seq0[w] + self.waves[w]._pos
             # An entry ``add`` left at a batch's first key is still queued.
             if key not in self._own:
                 queue.push_at(*key, self._fire)
 
     # ------------------------------------------------------ bulk semantics
-    def _links(self, w: int, typs, a: int, b: int, swap: bool):
-        """Aggregate (src, dst, count) triples over batch ``w``'s items
-        of ``typs`` in ``a..b-1`` (link accounting only)."""
-        if self._by_key is None:
-            key = self._wave * _N_TYPES + self._type
-            ends = np.cumsum(
-                np.bincount(key, minlength=len(self.waves) * _N_TYPES)
-            )
-            self._by_key = np.split(np.argsort(key, kind="stable"), ends[:-1])
-        parts = [self._by_key[w * _N_TYPES + typ] for typ in typs]
-        idx = self._idx[np.concatenate(
-            [p[p.searchsorted(a):p.searchsorted(b)] for p in parts]
-        )]
-        s, d = self.waves[w]._src[idx], self.waves[w]._dst[idx]
+    def _in_run(self, w: int, t: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Which of batch ``w``'s item times ``t`` fall in rows ``a..b-1``:
+        ``(t, w)`` between the first and last rows' ``(time, batch)``."""
+        t0, w0 = self._row_t[a], self._row_w[a]
+        t1, w1 = self._row_t[b - 1], self._row_w[b - 1]
+        return ((t >= t0) if w >= w0 else (t > t0)) & (
+            (t <= t1) if w <= w1 else (t < t1))
+
+    @staticmethod
+    def _links(wave: ItemWave, in_run: np.ndarray, typs, swap: bool):
+        """Aggregate (src, dst, count) triples over ``wave``'s items of
+        ``typs`` in the run (link accounting only)."""
+        idx = wave._it_idx[in_run & np.isin(wave._it_type, typs)]
+        s, d = wave._src[idx], wave._dst[idx]
         pairs = np.stack([d, s] if swap else [s, d])
         uniq, counts = np.unique(pairs, axis=1, return_counts=True)
         return uniq[0], uniq[1], counts
 
     def _bulk_run(self, a: int, b: int) -> None:
-        """Replay items ``a..b-1`` as aggregate accounting steps: the
-        gauge prefix, one ``bincount`` over the run's (batch, type) keys
-        and one ``maximum.at`` for each key's last instant drive it all;
-        positions are looked up only for links and exhaustions."""
+        """Replay rows ``a..b-1`` as aggregate accounting steps: gauge
+        lookups and one ``add.at`` / ``maximum.at`` pass over the run's
+        entries drive it all; items are looked up only for links."""
         net = self.net
         rel = net.reliable
-        t = self._t[a:b]
-        net.sim.advance_to(float(t[-1]))
+        ea, eb = int(self._bounds[a]), int(self._bounds[b])
+        net.sim.advance_to(float(self._row_t[b - 1]))
 
-        cum = self._cum
-        base = int(cum[a])
-        peak = net.in_flight + int(cum[a + 1:b + 1].max()) - base
+        base = int(self._gauge[ea])
+        peak = net.in_flight + int(self._gauge[ea + 1:eb + 1].max()) - base
         if peak > net.peak_in_flight:
             net.peak_in_flight = peak
-        net.in_flight += int(cum[b]) - base
+        net.in_flight += int(self._gauge[eb]) - base
 
-        key = self._wave[a:b] * _N_TYPES + self._type[a:b]
-        shape = (len(self.waves), _N_TYPES)
-        counts = np.bincount(key, minlength=shape[0] * _N_TYPES).reshape(shape)
-        last = np.full(shape, -np.inf)
-        np.maximum.at(last.reshape(-1), key, t)
+        key = self._key[ea:eb]
+        counts = np.zeros((len(self.waves), _KINDS), dtype=np.int32)
+        np.add.at(counts.reshape(-1), key, self._n[ea:eb])
+        last = np.full(counts.shape, -np.inf)
+        np.maximum.at(last.reshape(-1), key, self._t[ea:eb])
         for w in np.flatnonzero(counts.any(axis=1)).tolist():
             self._account(w, counts[w].tolist(), last[w].tolist(), a, b)
         if rel is not None:
-            # Flags mark first arrivals only, and ACKed arrivals never
-            # share a network with fire-and-forget ones.
+            # Every ACKed arrival but a payload's first is a duplicate.
             rel.duplicates_suppressed += int(
                 counts[:, (_T_ARR_ACKUP, _T_ARR_ACKLOST)].sum()
-            ) - int(np.count_nonzero(self._flag[a:b]))
-        if counts[:, _T_EXHAUST].any():
-            at = a + np.flatnonzero(self._type[a:b] == _T_EXHAUST)
-            for p in at.tolist():
-                self.waves[self._wave[p]]._exhaust(
-                    float(self._t[p]), int(self._idx[p])
-                )
+                - counts[:, _FIRST].sum())
+        n_ex = int(counts[:, _T_EXHAUST].sum())
+        for t, w, i in self._ex[:n_ex]:
+            self.waves[w]._exhaust(t, i)
+        del self._ex[:n_ex]
 
     def _account(self, w: int, counts: list, last: list, a: int,
                  b: int) -> None:
-        """Batch ``w``'s share of run ``a..b-1``: ``counts`` items per
-        type, the ``last`` of each at that time (``-inf`` when absent)."""
+        """Batch ``w``'s share of rows ``a..b-1``: ``counts`` items per
+        entry kind, the ``last`` of each at that time (``-inf`` when
+        absent)."""
         net = self.net
         rel = net.reliable
         wave = self.waves[w]
-        wave._pos += sum(counts)
+        wave._pos += sum(counts[:_N_TYPES])
         obs = _obs.OBS
         links = obs.enabled and net.link_accounting
+        if links:
+            in_run = self._in_run(w, wave._it_t, a, b)
 
         def account(typs, dkind, bits, reason=None, silent=False):
             """One aggregate record and obs event for the items of
@@ -1075,7 +1125,7 @@ class _ItemLedger:
                 return
             fields = {} if reason is None else {"reason": reason}
             if links:
-                fields["links"] = self._links(w, typs, a, b,
+                fields["links"] = self._links(wave, in_run, typs,
                                               swap=dkind == "net.ack")
             obs.emit("net.deliver" if reason is None else "net.drop", t_ms=t,
                      kind=dkind, bits=count * bits, count=count, **fields)
@@ -1092,7 +1142,7 @@ class _ItemLedger:
         if n_re:
             rel.retransmits += n_re
             if obs.enabled:
-                fields = {"links": self._links(w, (_T_RETRANS,), a, b,
+                fields = {"links": self._links(wave, in_run, (_T_RETRANS,),
                                                swap=False)} if links else {}
                 obs.emit("net.retransmit", t_ms=last[_T_RETRANS],
                          kind=wave.kind, count=n_re, **fields)
@@ -1115,3 +1165,6 @@ class _ItemLedger:
         account((_T_ARR_ACKLOST,), "net.ack", ACK_BITS, "loss")
         account((_T_ACK_MID,), "net.ack", ACK_BITS, "in_flight", silent=True)
         account((_T_ACK_ARR,), "net.ack", ACK_BITS)
+        if wave.done:
+            # Its creation-order blocks are only read for this run's links.
+            wave._it_t = wave._it_type = wave._it_idx = wave._it_flag = None

@@ -2,6 +2,9 @@
 forms, to the in-memory :func:`multi_layer_aggregate` reference and to
 the per-item replay model (``tests/simnet/per_item.py``)."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.core import (
     run_xlayer_wire_round,
 )
 from repro.simnet import FixedLatency, GaussianLatency, UniformLatency
+from repro.simnet import waves as W
 from tests.simnet.per_item import per_item
 
 
@@ -246,14 +250,36 @@ class TestChaosRound:
         20 % loss and the scale fault script, 18 ``send_batch`` calls
         and nothing else on the heap.  The merged ledger drains them in
         one firing (at most one per batch, else a wave is back in the
-        heap) for the same exact item count, and the per-item model pays
-        one firing per item."""
+        heap) for the same exact item count, over a pinned number of
+        rows and in less memory than an item-length index would take;
+        the per-item model pays one firing per item."""
         kw = dict(depth=6, loss_rate=0.2, chaos=True, dim=8,
                   max_attempts=32, seed=11)
-        wave = run_scale_trial(1000, **kw)
+        drains = []
+        fire = W._ItemLedger._fire
+
+        def traced(ledger):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                fire(ledger)
+            finally:
+                drains.append((len(ledger._row_t),
+                               tracemalloc.get_traced_memory()[1] - base))
+                tracemalloc.stop()
+
+        with mock.patch.object(W._ItemLedger, "_fire", traced):
+            wave = run_scale_trial(1000, **kw)
         assert wave.n_peers == 1456 and wave.outcome == "completed"
         assert wave.heap["events_processed"] == 1  # bound: 18, one per batch
         assert wave.heap["scheduled_total"] == 40_856
+        # The ledger replays (time, batch) rows, never items: 1,214 rows
+        # from 3,375 per-instant entries, and no item-length index — an
+        # int64 sort index alone would cost 8 bytes per item.
+        [(rows, peak)] = drains
+        assert rows == 1_214
+        assert peak < 4 * 40_856, peak
         with per_item():
             item = run_scale_trial(1000, **kw)
         assert (item.heap["events_processed"]

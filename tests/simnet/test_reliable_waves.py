@@ -274,6 +274,26 @@ class TestSerializedUplinks:
                 rtol=1e-12,
             )
 
+    def test_prefix_scan_exact_with_many_senders(self):
+        """1,000 senders, three 4 ms transfers each, departures spread
+        over 10 s: the batched scan equals a loop of the documented
+        recurrence ``end_j = max(dep_j, end_{j-1}) + T`` at rtol 1e-12.
+        A float per-sender offset (~1e7 ms here) rounds it to ~3e-11."""
+        rng = np.random.default_rng(5)
+        src = np.repeat(np.arange(1000), 3)
+        dep = rng.uniform(0.0, 10_000.0, size=len(src))
+        sim = Simulator()
+        net = Network(sim, latency=FixedLatency(5.0),
+                      rng=np.random.default_rng(4), bandwidth_bps=1e5,
+                      serialize_uplink=True)
+        wave = net.send_batch(src, (src + 1) % 1000, size_bits=400.0,
+                              at_times=dep)
+        expect, busy = np.empty(len(src)), {}
+        for j in sorted(range(len(src)), key=lambda j: (src[j], dep[j], j)):
+            busy[src[j]] = max(dep[j], busy.get(src[j], 0.0)) + 4.0
+            expect[j] = busy[src[j]] + 5.0
+        np.testing.assert_allclose(wave.delivery_times, expect, rtol=1e-12)
+
     def test_busy_state_carries_across_batches(self):
         """`_uplink_free` must persist: a second batch on the same
         uplink queues behind the first, identically under the model."""
