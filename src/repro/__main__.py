@@ -64,6 +64,17 @@ from .obs import get_logger, set_level
 log = get_logger("repro")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: an explicit 0 is an error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -97,11 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'plan': mid-SAC dropouts to tolerate per subgroup")
     parser.add_argument("--plan-bandwidth", type=float, default=None,
                         help="'plan': uplink bits/s (enables latency ranking)")
-    parser.add_argument("--rounds", type=int, default=None,
+    parser.add_argument("--rounds", type=_positive_int, default=None,
                         help="FL communication rounds (figs 6-9)")
-    parser.add_argument("--peers", type=int, default=None,
+    parser.add_argument("--peers", type=_positive_int, default=None,
                         help="total peers (figs 6-9)")
-    parser.add_argument("--trials", type=int, default=None,
+    parser.add_argument("--trials", type=_positive_int, default=None,
                         help="Raft trials per timeout (figs 10-12)")
     parser.add_argument("--dataset", choices=["blobs", "cifar"],
                         default="blobs", help="FL workload (figs 6-9)")
@@ -125,12 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "profiler and print the memory/simnet snapshot")
     parser.add_argument("--top", type=int, default=12,
                         help="'prof': rows in the printed phase table")
-    parser.add_argument("--parallel", default=None,
-                        choices=["off", "threads", "process"],
-                        help="'xlayer'/'chaos --scale'/'campaign': fan the "
-                        "subgroup work out across workers (default: off); "
-                        "results are mode-independent")
-    parser.add_argument("--plans", type=int, default=25,
+    parser.add_argument("--plans", type=_positive_int, default=25,
                         help="'chaos': seeded fault plans per layer "
                         "(default: 25)")
     parser.add_argument("--profiles", metavar="NAMES", default=None,
@@ -148,10 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'chaos --scale'/'xlayer': random frame-loss "
                         "probability (default: 0.2 for chaos --scale, "
                         "0 for xlayer)")
-    parser.add_argument("--scale", type=int, default=None, metavar="PEERS",
+    parser.add_argument("--scale", type=_positive_int, default=None,
+                        metavar="PEERS",
                         help="'chaos': run one chaos-at-scale X-layer trial "
                         "at this peer count instead of the plan matrix")
-    parser.add_argument("--max-attempts", type=int, default=None,
+    parser.add_argument("--max-attempts", type=_positive_int, default=None,
                         help="'chaos --scale'/'xlayer': reliable-transport "
                         "retransmit budget (default: 8)")
     parser.add_argument("--seed0", type=int, default=0,
@@ -182,12 +189,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--incident-dir", default="incident_out",
                         help="'serve-metrics': flight-recorder incident "
                         "dump directory (default: incident_out)")
-    parser.add_argument("--depth", type=int, default=6,
+    parser.add_argument("--depth", type=_positive_int, default=6,
                         help="'xlayer': tree depth X (default: 6)")
     parser.add_argument("--delay-ms", type=float, default=15.0,
                         help="'xlayer': fixed per-hop latency in "
                         "virtual ms (default: 15)")
-    parser.add_argument("--dim", type=int, default=64,
+    parser.add_argument("--dim", type=_positive_int, default=64,
                         help="'xlayer': model parameters per peer "
                         "(default: 64)")
     return parser
@@ -221,7 +228,7 @@ def _run_prof(args: argparse.Namespace) -> int:
     )
     from .twolayer_raft.system import TwoLayerRaftSystem
 
-    n_peers = args.peers or 12
+    n_peers = 12 if args.peers is None else args.peers
     group_size = 4
     seed = args.seed
     rp = ResourceProfiler() if args.resources else None
@@ -277,24 +284,19 @@ def _run_xlayer(args: argparse.Namespace) -> int:
 
     import numpy as np
 
+    from .chaos.scale import scale_topology
     from .core import (
-        MultiLayerTopology,
         multi_layer_cost_bits,
         multi_layer_message_count,
         multi_layer_round_latency_ms,
         run_xlayer_wire_round,
     )
-    from .core.costs import multi_layer_total_peers
     from .simnet import FixedLatency
 
     depth = args.depth
-    target = args.peers or 1_000
-    # Smallest subgroup size whose depth-X tree reaches the requested
-    # peer count (Eq. 6 grows as n (n-1)^{depth-1}).
-    n = 2
-    while multi_layer_total_peers(n, depth) < target:
-        n += 1
-    topology = MultiLayerTopology(n, depth)
+    target = 1_000 if args.peers is None else args.peers
+    topology = scale_topology(target, depth)
+    n = topology.n
     n_peers = topology.n_peers
     d = args.dim
     models = np.random.default_rng([args.seed, 7]).normal(size=(n_peers, d))
@@ -314,7 +316,7 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     result = run_xlayer_wire_round(
         topology, models, seed=args.seed,
-        latency=FixedLatency(args.delay_ms), parallel=args.parallel or "off",
+        latency=FixedLatency(args.delay_ms),
         loss_rate=loss, transport=transport, transport_opts=opts,
     )
     wall = time.perf_counter() - t0
@@ -382,8 +384,7 @@ def _run_chaos_scale(args: argparse.Namespace) -> int:
     loss = DEFAULT_LOSS_RATE if args.loss is None else args.loss
     report = run_scale_trial(
         args.scale, depth=args.depth,
-        loss_rate=loss, seed=args.seed,
-        parallel=args.parallel or "off", max_attempts=args.max_attempts,
+        loss_rate=loss, seed=args.seed, max_attempts=args.max_attempts,
     )
     print(f"chaos at scale: n={report.n}, depth={report.depth}, "
           f"N={report.n_peers:,} peers (requested {args.scale:,}), "
@@ -440,17 +441,16 @@ def _run_campaign(args: argparse.Namespace) -> int:
     profiles = args.profiles.split(",") if args.profiles else None
     reports = run_campaign_matrix(
         n_plans=args.plans, seed0=args.seed0, profiles=profiles,
-        rounds=args.rounds or 10,
-        n_peers=args.peers or 12,
-        parallel=args.parallel or "off",
+        rounds=10 if args.rounds is None else args.rounds,
+        n_peers=12 if args.peers is None else args.peers,
         transport=args.transport or "reliable",
         reshard=not args.static,
         raft=not args.no_raft,
         checkpoint_dir=args.checkpoint_dir,
     )
     print(format_campaign_matrix(reports))
-    # The determinism handle: same seeds + profiles -> same digest, in
-    # every --parallel mode (compare across runs to check bit-identity).
+    # The determinism handle: same seeds + profiles -> same digest
+    # (compare across runs to check bit-identity).
     import hashlib as _hashlib
 
     digest = _hashlib.sha256(

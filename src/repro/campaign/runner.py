@@ -6,13 +6,9 @@
 ``R`` federated rounds over the evolving membership:
 
 - *storm* rounds (every ``storm_period``-th) take the boundary churn
-  and a sampled fault schedule, and run over the reliable transport
-  with ``parallel='off'`` (chaos and parallel fan-out are mutually
-  exclusive by the wire-round contract);
-- the rounds between storms are quiesced — fault-free, churn-free —
-  and run in the requested ``parallel`` mode; the :mod:`repro.par`
-  determinism contract makes the campaign's sim-side results
-  bit-identical across ``parallel={off,threads,process}``
+  and a sampled fault schedule, and run over the reliable transport;
+- the rounds between storms are quiesced — fault-free, churn-free;
+  the campaign's sim-side results are a pure function of the seed
   (:meth:`CampaignReport.fingerprint` is the proof handle);
 - when churn pushes a group below the k-of-n floor or past the balance
   bound, the re-sharding planner (:mod:`repro.core.resharding`) emits a
@@ -72,6 +68,7 @@ from ..core.wire_round import (
     run_two_layer_wire_round,
     two_layer_reference_average,
 )
+from ..core.xlayer_wire import sequential_only
 from ..obs import runtime as _obs
 from ..simnet import UNRECOVERABLE_DROPOUT, RoundOutcome
 from .schedule import CampaignSchedule, Join, Leave, Rejoin, sample_campaign_schedule
@@ -161,9 +158,8 @@ class CampaignReport:
     def fingerprint(self) -> str:
         """SHA-256 over the campaign's deterministic sim-side results.
 
-        Identical across ``parallel={off,threads,process}`` by the
-        :mod:`repro.par` contract — the acceptance handle for campaign
-        determinism.
+        A pure function of the seed and the campaign parameters — the
+        acceptance handle for campaign determinism.
         """
         doc = {
             "seed": self.seed,
@@ -265,7 +261,12 @@ def run_campaign(
     schedule: CampaignSchedule | None = None,
     raft: bool = True,
 ) -> CampaignReport:
-    """Run one seeded multi-round campaign; see the module docstring."""
+    """Run one seeded multi-round campaign; see the module docstring.
+
+    ``parallel`` accepts only ``"off"``
+    (:func:`~repro.core.xlayer_wire.sequential_only`).
+    """
+    sequential_only(parallel)
     if isinstance(profile, str):
         try:
             profile = CAMPAIGN_PROFILES[profile]
@@ -392,7 +393,6 @@ def run_campaign(
             else:
                 result = run_two_layer_wire_round(
                     topology, models, k=k, seed=seed + index,
-                    parallel=parallel,
                 )
                 # A fault-free round is its own reference.
                 status, detail = _grade(result, lambda: result.average)
@@ -572,7 +572,6 @@ def run_campaign_matrix(
     seed0: int = 0,
     profiles: Optional[Sequence[str]] = None,
     rounds: int = 10,
-    parallel: str = "off",
     reshard: bool = True,
     raft: bool = True,
     checkpoint_dir: str | None = None,
@@ -594,7 +593,7 @@ def run_campaign_matrix(
             reports.append(
                 run_campaign(
                     seed=seed0 + i, profile=profiles[i % len(profiles)],
-                    rounds=rounds, parallel=parallel, reshard=reshard,
+                    rounds=rounds, reshard=reshard,
                     raft=raft, checkpoint_dir=ckpt_dir, **kw,
                 )
             )

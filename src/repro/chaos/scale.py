@@ -20,7 +20,11 @@ import numpy as np
 
 from ..core.costs import multi_layer_total_peers
 from ..core.multi_layer import MultiLayerTopology
-from ..core.xlayer_wire import run_xlayer_wire_round, wave_engine_only
+from ..core.xlayer_wire import (
+    run_xlayer_wire_round,
+    sequential_only,
+    wave_engine_only,
+)
 from .schedule import Crash, DelaySpike, FaultSchedule, LossWindow, Recover
 
 #: default random frame-loss probability for scale trials.
@@ -32,9 +36,15 @@ _CRASH_MS, _RECOVER_MS = 10.0, 500.0
 
 
 def scale_topology(target_peers: int, depth: int) -> MultiLayerTopology:
-    """Smallest ``n``-ary X-layer tree of ``depth`` with >= target peers."""
+    """Smallest ``n``-ary X-layer tree of ``depth`` with >= target peers.
+
+    Eq. 6 grows as ``n (n-1)^(depth-1)``, so the search ends for any
+    ``depth >= 1``; a tree with no layers never reaches the target.
+    """
     if target_peers < 2:
         raise ValueError("target_peers must be >= 2")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     n = 2
     while multi_layer_total_peers(n, depth) < target_peers:
         n += 1
@@ -108,16 +118,17 @@ def run_scale_trial(
     The acceptance benchmark replays the same round one heap entry per
     item (``tests/simnet/per_item.py``) and asserts the two reports
     byte-identical (``wall_s`` and the heap telemetry excluded);
-    ``engine`` accepts only ``"wave"``.  With the default
-    8-attempt budget a 20 % loss round at 10^5+ peers almost surely
-    sees a handful of exhausted sends (0.2^8 per message) and degrades
-    to a typed timeout; raise ``max_attempts`` to make completion the
-    expected outcome.  At 118,096 peers 12 attempts still leave about
-    one seed in 75 with an undelivered send (seed 156) and 16 still
-    does for seed 37; at 32 none of seeds 1-159 degrades, which is what
-    the repo benchmark's ``xlayer_lossy`` workload uses.
+    ``engine`` accepts only ``"wave"`` and ``parallel`` only ``"off"``.
+    With the default 8-attempt budget a 20 % loss round at 10^5+ peers
+    almost surely sees a handful of exhausted sends (0.2^8 per message)
+    and degrades to a typed timeout; raise ``max_attempts`` to make
+    completion the expected outcome.  At 118,096 peers 12 attempts still
+    leave about one seed in 75 with an undelivered send (seed 156) and
+    16 still does for seed 37; at 32 none of seeds 1-159 degrades, which
+    is what the repo benchmark's ``xlayer_lossy`` workload uses.
     """
     wave_engine_only(engine)
+    sequential_only(parallel)
     topology = scale_topology(target_peers, depth)
     models = np.random.default_rng([seed, 7]).normal(
         size=(topology.n_peers, dim)
@@ -126,7 +137,7 @@ def run_scale_trial(
     opts = None if max_attempts is None else {"max_attempts": max_attempts}
     t0 = time.perf_counter()
     result = run_xlayer_wire_round(
-        topology, models, seed=seed, parallel=parallel,
+        topology, models, seed=seed,
         loss_rate=loss_rate, transport="reliable", transport_opts=opts,
         schedule=schedule,
     )

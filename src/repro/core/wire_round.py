@@ -7,10 +7,8 @@ leader, the FedAvg leader computes the subgroup-size-weighted mean
 completes when every alive peer holds the global model.
 
 The round is one body on the actor harness of
-:mod:`repro.secure.protocol`.  ``parallel`` decides only how the SAC
-phase is produced — ``start_round`` in the shared simulator, or
-:func:`~repro.par.run_subgroup_round` workers whose results are replayed
-at their finish times — everything after it is the same code.
+:mod:`repro.secure.protocol`: all subgroups' SAC rounds and the FedAvg
+layer run in one simulator, on one virtual clock, on one host thread.
 
 This is the end-to-end validation piece: the measured traffic equals
 :func:`repro.core.costs.two_layer_ft_cost_from_topology` bit-for-bit,
@@ -21,15 +19,12 @@ and with ``serialize_uplink=True`` the measured completion time tracks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..fl.fedavg import fedavg
-from ..obs import causal as _causal
 from ..obs import runtime as _obs
-from ..par import SubgroupTask, check_parallel_mode, run_jobs, run_subgroup_round
 from ..secure.protocol import (
     ActorRound,
     ActorRoundResult,
@@ -43,8 +38,9 @@ from ..secure.sac import (
     reference_group_average,
     spawn_peer_seeds,
 )
-from ..simnet import TIMED_OUT, UNRECOVERABLE_DROPOUT, Network, RoundOutcome
+from ..simnet import UNRECOVERABLE_DROPOUT, Network, RoundOutcome
 from .topology import Topology
+from .xlayer_wire import sequential_only
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..chaos.schedule import FaultSchedule
@@ -82,18 +78,6 @@ class _TwoLayerPeer(SacProtocolPeer):
         self._uploads: dict[int, _Upload] = {}
 
     # ----------------------------------------------------- subgroup -> fed
-    def adopt_sac_result(self, result: ActorRoundResult) -> None:
-        """Take over the finished SAC state of this leader's worker twin.
-
-        Fired at the worker's finish time with its final SAC delivery as
-        the causal parent, so the fed layer continues — and chains its
-        upload — exactly as after a local ``_maybe_finish``.
-        """
-        self.average, self.finish_time = result.average, self.sim.now
-        self.recovered.update(result.recovered_shares)
-        with _causal.use(result.finish_ctx):
-            self.on_average(result.average)
-
     def on_average(self, average: np.ndarray) -> None:
         ctx = self.round_ctx
         if _obs.OBS.enabled:
@@ -177,16 +161,16 @@ class _RoundContext:
 
 
 def _classify_wire_failure(
+    groups: list[list["_TwoLayerPeer"]],
     leader_peers: list["_TwoLayerPeer"],
-    sac_verdict: Callable[[int], Optional[RoundOutcome]],
     network: Network,
 ) -> Optional[RoundOutcome]:
     """Early, *sound* unrecoverability check for the two-layer round.
 
     Crash-permanence based, like :func:`classify_sac_failure`; transient
     causes (loss, healable partitions) never trigger it.  Subgroups are
-    asked in index order through ``sac_verdict``, so of the failures
-    detected at one watch tick the lowest group is reported.
+    asked in index order, so of the failures detected at one watch tick
+    the lowest group is reported.
     """
     fed_leader_peer = leader_peers[0]
     if _gone_for_good(network, fed_leader_peer.node_id):
@@ -199,7 +183,9 @@ def _classify_wire_failure(
         )
     for gi, leader_peer in enumerate(leader_peers):
         if leader_peer.average is None:
-            out = sac_verdict(gi)
+            out = classify_sac_failure(
+                groups[gi], leader_peer.position, network
+            )
             if out is not None:
                 return RoundOutcome(
                     out.status, reason=f"subgroup {gi}: {out.reason}"
@@ -249,43 +235,19 @@ def run_two_layer_wire_round(
     ``crash_at`` maps (non-leader) peer ids to crash times in virtual ms
     — the Alg. 4 dropout scenario on the wire.
 
-    ``parallel`` runs the ``m`` independent subgroup SAC rounds
-    concurrently (``"threads"`` or ``"process"``, see :mod:`repro.par`):
-    per-peer seeds are spawned from the round seed in the same order as
-    the sequential path, each subgroup simulates on its own clock
-    starting at the shared ``t=0`` origin, and the fed layer replays
-    their completions on the parent simulator — the resulting averages,
-    finish times, traffic totals and observability stream are
-    bit-identical to the default sequential execution (event *ordering*
-    on the bus is subgroup-major rather than time-interleaved; every
-    timestamp is identical, so profiles and exports agree).  A degraded
-    round reports the same typed outcome in every mode: a worker's
-    liveness verdict surfaces at the watch tick that detected it, as
-    ``subgroup g: <reason>`` (``docs/performance.md`` has the one limit
-    on its traffic totals).
+    The ``m`` subgroup SAC rounds run concurrently in virtual time,
+    all in this round's one simulator; a degraded subgroup surfaces at
+    the watch tick that detected it, as ``subgroup g: <reason>``.
+    ``parallel`` accepts only ``"off"`` (see
+    :func:`~repro.core.xlayer_wire.sequential_only`).
 
     ``loss_rate``/``transport``/``transport_opts``/``schedule`` mirror
     :func:`repro.secure.protocol.run_sac_protocol`: random loss, the
-    ACK/retransmit channel, and armed chaos schedules.  They couple the
-    subgroups through shared network state, so they require
-    ``parallel="off"``.
+    ACK/retransmit channel, and armed chaos schedules.
     """
     if len(models) != topology.n_peers:
         raise ValueError(f"expected {topology.n_peers} models")
-    check_parallel_mode(parallel)
-    fan_out = parallel != "off"
-    if fan_out:
-        if serialize_uplink:
-            raise ValueError(
-                "serialize_uplink shares one uplink schedule across all "
-                "subgroups and cannot be decomposed; use parallel='off'"
-            )
-        if schedule is not None or loss_rate or transport != "fire_and_forget":
-            raise ValueError(
-                "chaos injection (schedule/loss_rate/reliable transport) "
-                "couples the subgroups through shared network state and "
-                "cannot be decomposed; use parallel='off'"
-            )
+    sequential_only(parallel)
     if trace_id is None:
         trace_id = f"two_layer:s{seed}"
     rnd = ActorRound(
@@ -302,34 +264,18 @@ def run_two_layer_wire_round(
         remaining=set(range(topology.n_peers)) - set(rnd.crash_at),
     )
     groups: list[list[_TwoLayerPeer]] = []
-    tasks: list[SubgroupTask] = []
     peer_seeds = iter(spawn_peer_seeds(rnd.rng, topology.n_peers))
     for gi, members in enumerate(topology.groups):
         n, leader = len(members), topology.leaders[gi]
         k_eff = min(k, n) if k is not None else n
-        seeds = tuple(next(peer_seeds) for _ in members)
         groups.append([
             _TwoLayerPeer(
                 pid, sim, network, members, k_eff, leader, models[pid],
-                np.random.default_rng(peer_seed), subtotal_timeout_ms,
+                np.random.default_rng(next(peer_seeds)), subtotal_timeout_ms,
                 share_codec=share_codec, group=gi, round_ctx=ctx,
             )
-            for pid, peer_seed in zip(members, seeds)
+            for pid in members
         ])
-        if fan_out:
-            tasks.append(SubgroupTask(
-                group=gi, members=tuple(members), leader=leader, k=k_eff,
-                models=tuple(models[pid] for pid in members),
-                peer_seeds=seeds, share_codec=share_codec,
-                delay_ms=delay_ms, bandwidth_bps=bandwidth_bps,
-                subtotal_timeout_ms=subtotal_timeout_ms,
-                round_timeout_ms=round_timeout_ms,
-                crash_at={
-                    pid: rnd.crash_at[pid]
-                    for pid in members if pid in rnd.crash_at
-                },
-                trace_id=trace_id,
-            ))
     peers = [peer for group_peers in groups for peer in group_peers]
     leader_peers = [gp[gp[0].leader_pos] for gp in groups]
     fed_leader_peer = leader_peers[0]
@@ -362,42 +308,14 @@ def run_two_layer_wire_round(
         "round.two_layer", clock=lambda: sim.now,
         peers=topology.n_peers, groups=topology.n_groups,
     ):
-        if fan_out:
-            # Worker events/metrics are merged into this pipeline in
-            # subgroup order by run_jobs, worker traffic into this trace.
-            sac = run_jobs(run_subgroup_round, tasks, parallel)
-            rnd.trace.merge(result.trace for result in sac)
-            for result, leader_peer in zip(sac, leader_peers):
-                if result.outcome.ok:
-                    sim.schedule(
-                        result.finish_time_ms,
-                        partial(leader_peer.adopt_sac_result, result),
-                    )
-
-            def sac_verdict(gi: int) -> Optional[RoundOutcome]:
-                # A worker's blunt timeout is no verdict: this round's
-                # own timeout classifier names who is still waiting.
-                result = sac[gi]
-                if (
-                    result.outcome.status != TIMED_OUT
-                    and result.end_time_ms <= sim.now
-                ):
-                    return result.outcome
-                return None
-        else:
-            def sac_verdict(gi: int) -> Optional[RoundOutcome]:
-                return classify_sac_failure(
-                    groups[gi], leader_peers[gi].position, network
-                )
         outcome = rnd.drive(
-            () if fan_out else peers, done,
+            peers, done,
             classify=lambda: _classify_wire_failure(
-                leader_peers, sac_verdict, network
+                groups, leader_peers, network
             ),
             stalled=stalled,
             period_ms=subtotal_timeout_ms,
             round_timeout_ms=round_timeout_ms,
-            replayed=fan_out,
         )
     if _obs.OBS.enabled:
         _obs.OBS.emit(
@@ -428,7 +346,7 @@ def two_layer_reference_average(
     and the FedAvg leader's step is the same :func:`fedavg` call over the
     groups in index order with their sizes as weights.  Bit-identical to
     ``.average`` of every wire round that completes at this seed — any
-    ``k``, share codec, ``parallel=`` mode, transport, loss rate or
+    ``k``, share codec, transport, loss rate or
     tolerated fault schedule — which is the paper's Alg. 4 claim and what
     :func:`repro.chaos.invariants.check_safety` holds faulted rounds to.
     """

@@ -17,11 +17,7 @@ Everything is vectorized per *layer*, not per group:
 - the wire traffic of a layer is a handful of
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
   (``xl.share``, ``xl.subtotal`` / ``xl.upload``, then a top-down
-  ``xl.bcast``), each one heap entry regardless of group count;
-- with ``parallel={"threads","process"}`` the share *math* of a layer
-  is chunked across workers via :mod:`repro.par` — all randomness is
-  drawn on the parent stream first, so results are bit-identical to
-  ``"off"``.
+  ``xl.bcast``), each one heap entry regardless of group count.
 
 Peers are modelled by their ids alone (accounting waves, no actor
 objects), which is what makes 10^5-10^6 simulated peers tractable.
@@ -33,14 +29,12 @@ times, trace totals and the final average bit-identical.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..obs import runtime as _obs
-from ..par import check_parallel_mode, run_jobs
 from ..secure.batched import draw_divide_noise, fused_subtotals
 from ..secure.protocol import reliable_transport_opts
 from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
@@ -60,6 +54,15 @@ def wave_engine_only(requested: str) -> None:
         raise ValueError(
             f"engine={requested!r}: the scalar delivery engine was removed; "
             "its per-item replay model is tests/simnet/per_item.py"
+        )
+
+
+def sequential_only(requested: str) -> None:
+    """Accept the ``parallel="off"`` that ``bench/workloads.py`` passes."""
+    if requested != "off":
+        raise ValueError(
+            f"parallel={requested!r}: the subgroup fan-out was removed; "
+            "every round runs in one simulator on one thread"
         )
 
 
@@ -108,27 +111,6 @@ class XLayerWireResult:
         return self.bits_sent / 1e9
 
 
-@dataclass(frozen=True)
-class _ShareChunk:
-    """One worker's slice of a layer's share math (groups are whole)."""
-
-    vals: np.ndarray  # (rows, d) member values, group-major
-    rn: np.ndarray  # (rows, n) split noise (drawn on the parent stream)
-    totals: np.ndarray  # (rows,) noise row sums
-    n: int
-
-
-def _share_chunk_subtotals(chunk: _ShareChunk) -> np.ndarray:
-    """Per-index subtotals for one chunk: ``(G_c, n, d)``.
-
-    Pure function of the pre-drawn noise — safe to fan across workers,
-    and only the subtotals cross the process boundary.
-    ``sub[g, j] = sum over owners i of share_{i -> j}``, owners in index
-    order, same as the per-group path.
-    """
-    return fused_subtotals(chunk.vals, chunk.rn, chunk.totals, chunk.n)
-
-
 def _landed(times: np.ndarray) -> np.ndarray:
     """Delivery times for the dependency dataflow: never-landed → inf.
 
@@ -143,23 +125,15 @@ def _landed(times: np.ndarray) -> np.ndarray:
 
 
 def _layer_subtotals(
-    vals: np.ndarray, n: int, rng: np.random.Generator, parallel: str
+    vals: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """SAC subtotals for a whole layer: ``(G*n, d) -> (G, n, d)``."""
-    rows, d = vals.shape
-    g = rows // n
-    rn, totals = draw_divide_noise(rows, n, rng)
-    if parallel == "off" or g < 2:
-        return _share_chunk_subtotals(_ShareChunk(vals, rn, totals, n))
-    n_chunks = min(g, 4 * (os.cpu_count() or 1))
-    bounds = [(g * i // n_chunks) * n for i in range(n_chunks + 1)]
-    chunks = [
-        _ShareChunk(vals[lo:hi], rn[lo:hi], totals[lo:hi], n)
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
-    subs = run_jobs(_share_chunk_subtotals, chunks, parallel)
-    return np.concatenate(subs, axis=0)
+    """SAC subtotals for a whole layer: ``(G*n, d) -> (G, n, d)``.
+
+    ``sub[g, j] = sum over owners i of share_{i -> j}``, owners in index
+    order, with the split noise drawn on ``rng`` first.
+    """
+    rn, totals = draw_divide_noise(vals.shape[0], n, rng)
+    return fused_subtotals(vals, rn, totals, n)
 
 
 def run_xlayer_wire_round(
@@ -204,7 +178,7 @@ def run_xlayer_wire_round(
     and the round degrades to a typed ``timed_out`` outcome.
     """
     wave_engine_only(engine)
-    check_parallel_mode(parallel)
+    sequential_only(parallel)
     check_transport(transport)
     if method_for_layer is None:
         method_for_layer = lambda layer: "sac"
@@ -261,7 +235,7 @@ def run_xlayer_wire_round(
             start = ready[members].max(axis=1)  # (G,)
             vals = sums[members.reshape(-1)]  # (G*n, d)
             if method == "sac":
-                sub = _layer_subtotals(vals, n, share_rng, parallel)
+                sub = _layer_subtotals(vals, n, share_rng)
                 gsum = sub.sum(axis=1)
                 # Shares: every ordered pair within each group, all
                 # departing when the group's last input is ready.

@@ -114,27 +114,3 @@ class EventBus:
         for fn in self._event_subs:
             fn(event)
         return event
-
-    def absorb(self, event: Event) -> Event:
-        """Re-emit an event recorded on *another* bus (a parallel worker).
-
-        The event keeps its name, virtual/wall timestamps, node, duration
-        and fields, but is assigned a fresh ``seq`` on *this* bus — so a
-        parent that absorbs worker events in a deterministic order (e.g.
-        subgroup order) reproduces the sequential run's total order
-        exactly, and every downstream consumer (profiler, sinks) sees one
-        coherent stream.
-        """
-        copied = Event(
-            seq=self._seq,
-            name=event.name,
-            t_ms=event.t_ms,
-            wall_s=event.wall_s,
-            node=event.node,
-            dur_ms=event.dur_ms,
-            fields=dict(event.fields),
-        )
-        self._seq += 1
-        for fn in self._event_subs:
-            fn(copied)
-        return copied

@@ -18,13 +18,9 @@ mechanical and protocol-agnostic:
   retransmit is the same logical message, re-sent), and ACKs get their
   own child span.
 
-Span ids are deterministic and mode-independent: each
-``(src, dst, kind)`` channel numbers its sends ``0, 1, 2, …``, giving
-``"src>dst:kind#n"``.  Because no channel straddles the worker/parent
-boundary of the parallel executor (``sac.*`` traffic lives wholly
-inside one subgroup's private network; ``fed.*``/``sub.*`` traffic
-wholly in the parent's), the same round produces the same span ids
-under ``parallel="off"``, ``"threads"``, and ``"process"``.
+Span ids are deterministic: each ``(src, dst, kind)`` channel numbers
+its sends ``0, 1, 2, …``, giving ``"src>dst:kind#n"``, so the same
+round at the same seed produces the same span ids on every run.
 
 This module is the read side: rebuild the causal DAG from an event
 stream (:func:`build_dag`) and extract the longest causal chain per
@@ -61,12 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TraceContext:
-    """One message send's identity in the causal DAG.
-
-    Frozen and field-picklable so it can cross the process-pool
-    boundary inside a worker's
-    :class:`~repro.secure.protocol.ActorRoundResult`.
-    """
+    """One message send's identity in the causal DAG (frozen)."""
 
     trace_id: str
     span_id: str
@@ -82,9 +73,9 @@ class TraceContext:
 
 
 # --------------------------------------------------------------------------
-# Thread-local propagation.  Thread-local (not a module global) because the
-# parallel executor runs subgroup simulators on worker threads: each
-# worker's delivery stack must see only its own active context.
+# Propagation.  The active context is per host thread, so a simulator
+# driven on one thread never sees a delivery context of another (e.g. a
+# caller running independent rounds on its own thread pool).
 # --------------------------------------------------------------------------
 
 _local = threading.local()
@@ -118,8 +109,7 @@ class TraceSampler:
     the rest allocate no contexts at all.  The decision is a pure
     function of ``(seed, trace_id)`` — blake2b of ``"{seed}:{trace_id}"``
     mapped to a uniform in [0, 1) and compared against ``rate`` — so it
-    is identical across ``off``/``threads``/``process`` parallel modes
-    and across reruns.  ``rate=1.0`` keeps everything (and is
+    is identical across reruns.  ``rate=1.0`` keeps everything (and is
     short-circuited before any hashing); ``rate=0.0`` keeps nothing.
 
     Because every round runner builds a fresh ``Network`` carrying a

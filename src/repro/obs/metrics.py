@@ -15,7 +15,7 @@ For the 10⁵-peer scale push, exact histograms are the one metrics
 primitive whose memory grows linearly with the workload, so
 :class:`Histogram` takes a ``capacity``: ``None`` keeps every raw value
 (the exact histogram above); a bound (``observe(retention="rollup")``
-sets :data:`ROLLUP_CAPACITY`) turns it into a fixed-size mergeable
+sets :data:`ROLLUP_CAPACITY`) turns it into a fixed-size merging
 digest that stays exact until the capacity is exceeded and afterwards
 has rank error bounded by the compaction count (see
 ``docs/observability.md``).  Counters and gauges are O(1) either way.
@@ -84,7 +84,7 @@ def _compact(centroids: list[list[float]]) -> list[list[float]]:
 
 
 class Histogram:
-    """Mergeable quantile histogram (merging-digest family).
+    """Quantile histogram (merging-digest family).
 
     With ``capacity=None`` (full retention) it keeps every raw
     observation in insertion order and never compacts, so quantiles are
@@ -99,10 +99,8 @@ class Histogram:
     error bounded by the largest centroid weight (≤ ``2**compactions``),
     i.e. O(count / capacity).
 
-    Reads never mutate: a quantile or :meth:`state` works on a sorted
-    copy, so the raw values of a snapshot stay in insertion order.
-    Everything is deterministic: same observation sequence ⇒ same
-    centroids.
+    Reads never mutate: a quantile works on a sorted copy.  Everything
+    is deterministic: same observation sequence ⇒ same centroids.
     """
 
     __slots__ = ("capacity", "count", "sum", "min", "max",
@@ -197,50 +195,6 @@ class Histogram:
             prev_rank, prev_val = rank, v
             cum += w
         return self.max
-
-    # ------------------------------------------------------------ merge plane
-    def state(self) -> "list[float] | dict":
-        """Picklable snapshot used by MetricsRegistry.snapshot().
-
-        Unbounded: the raw observations in insertion order, so a merge
-        replays them exactly.  Bounded: the flushed centroid state.
-        """
-        if self.capacity is None:
-            return list(self._buffer)
-        cents, n = self._collapse(self._centroids)
-        return {
-            "capacity": self.capacity,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "compactions": self.compactions + n,
-            "centroids": [list(c) for c in cents],
-        }
-
-    def merge_state(self, state: "list[float] | Mapping") -> None:
-        """Fold a :meth:`state` in: raw values replay into either kind,
-        centroid state only into a bounded histogram."""
-        if not isinstance(state, Mapping):
-            for v in state:
-                self.observe(v)
-            return
-        if self.capacity is None:
-            raise ValueError(
-                "cannot merge compacted state into an unbounded histogram "
-                "— exact quantiles need raw values"
-            )
-        if not state["count"]:
-            return
-        self._flush()
-        self._centroids, n = self._collapse(
-            self._centroids + [list(c) for c in state["centroids"]]
-        )
-        self.count += state["count"]
-        self.sum += state["sum"]
-        self.min = min(self.min, state["min"])
-        self.max = max(self.max, state["max"])
-        self.compactions += state["compactions"] + n
 
     def approx_bytes(self) -> int:
         """Rough bound on held memory: raw floats, or centroids + buffer."""
@@ -349,57 +303,6 @@ class MetricsRegistry:
 
     def families(self) -> Iterable[MetricFamily]:
         return self._families.values()
-
-    # ------------------------------------------------------------ merge plane
-    def snapshot(self) -> dict:
-        """A picklable copy of every family's state.
-
-        Unbounded histograms keep their raw observation lists (in
-        insertion order) so a merge replays them through ``observe`` —
-        quantiles over the merged registry are computed on the union of
-        raw values, exactly as if the observations had happened locally.
-        Bounded ones ship their centroid state (:meth:`Histogram.state`).
-        """
-        snap: dict = {}
-        for fam in self._families.values():
-            children: dict[tuple[str, ...], object] = {}
-            for key, child in fam.children():
-                children[key] = (child.state() if isinstance(child, Histogram)
-                                 else child.value)
-            snap[fam.name] = {
-                "kind": _KIND_OF[fam._child_cls],
-                "help": fam.help,
-                "label_names": fam.label_names,
-                "children": children,
-            }
-        return snap
-
-    def merge_snapshot(self, snap: Mapping) -> None:
-        """Fold a worker registry snapshot into this one.
-
-        Counters add, gauges take the snapshot value (last write wins —
-        call in worker order for determinism), histograms fold in via
-        :meth:`Histogram.merge_state`: raw values replay in their
-        original order into either kind, so full-retention workers merge
-        cleanly into a rollup parent.
-        """
-        makers = {
-            "counter": self.counter,
-            "gauge": self.gauge,
-            "summary": self.histogram,
-        }
-        for name, fam_snap in snap.items():
-            fam = makers[fam_snap["kind"]](
-                name, fam_snap["help"], tuple(fam_snap["label_names"])
-            )
-            for key, payload in fam_snap["children"].items():
-                child = fam.labels(**dict(zip(fam.label_names, key)))
-                if isinstance(child, Histogram):
-                    child.merge_state(payload)
-                elif isinstance(child, Counter):
-                    child.inc(payload)
-                else:
-                    child.set(payload)
 
     def approx_bytes(self) -> int:
         """Rough accounting of bytes held by metric children.

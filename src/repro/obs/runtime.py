@@ -29,7 +29,6 @@ for a scenario and write its artifacts afterwards::
 from __future__ import annotations
 
 import contextlib
-import threading as _threading
 from typing import Any, Callable, Iterator, Optional
 
 from .bus import Event, EventBus
@@ -64,8 +63,8 @@ class Observability:
 
     ``causal_sample_rate`` (with ``causal=True``) keeps only a
     seed-derived fraction of trace ids: at ``1/k``, 1-in-k rounds carry
-    spans.  The decision is per ``trace_id`` and identical across
-    parallel modes (see :class:`~repro.obs.causal.TraceSampler`).
+    spans.  The decision is a pure function of seed and ``trace_id``
+    (see :class:`~repro.obs.causal.TraceSampler`).
     """
 
     def __init__(
@@ -140,20 +139,6 @@ class Observability:
             return NULL_SPAN
         return Span(self, name, clock=clock, node=node, **fields)
 
-    # ------------------------------------------------------------------ merge
-    def absorb_events(self, events: "list[Event]") -> None:
-        """Replay events recorded by a parallel worker onto this pipeline.
-
-        Each event is re-sequenced on this bus (see
-        :meth:`~repro.obs.bus.EventBus.absorb`); callers absorb workers in
-        a deterministic order (subgroup order) so the merged stream is
-        identical to what the sequential path would have produced.
-        """
-        if not self.enabled:
-            return
-        for event in events:
-            self.bus.absorb(event)
-
     # ---------------------------------------------------------------- exports
     @property
     def events(self) -> list[Event]:
@@ -194,59 +179,16 @@ class Observability:
         return self.flight
 
 
-class ThreadLocalObservability:
-    """Routes ``OBS`` traffic to a per-thread pipeline.
-
-    The threads-mode parallel runner (:mod:`repro.par`) executes several
-    subgroup simulations concurrently in one process; the module-global
-    ``OBS`` would interleave their events non-deterministically.  This
-    shim is installed for the duration of the fan-out: worker threads
-    :meth:`push` a private :class:`Observability` (collected and merged
-    by the parent in subgroup order afterwards), while any thread that
-    pushed nothing — the main thread, or library code outside the
-    workers — falls through to the parent pipeline unchanged.
-
-    Every attribute other than the routing state (``parent``, the
-    per-thread stack) is read from the thread's current pipeline.
-    """
-
-    def __init__(self, parent: Observability) -> None:
-        self.parent = parent
-        self._local = _threading.local()
-
-    # -------------------------------------------------------------- routing
-    def _current(self) -> Observability:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else self.parent
-
-    def push(self, obs: Observability) -> Observability:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(obs)
-        return obs
-
-    def pop(self) -> Observability:
-        return self._local.stack.pop()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._current(), name)
-
-
 #: the active pipeline; a disabled instance unless :func:`install` ran.
-#: May also hold a :class:`ThreadLocalObservability` shim while the
-#: parallel runner is fanning out.
-OBS: "Observability | ThreadLocalObservability" = Observability(enabled=False)
+OBS = Observability(enabled=False)
 
 
-def get() -> "Observability | ThreadLocalObservability":
+def get() -> Observability:
     """The currently installed pipeline (disabled singleton by default)."""
     return OBS
 
 
-def install(
-    obs: "Observability | ThreadLocalObservability",
-) -> "Observability | ThreadLocalObservability":
+def install(obs: Observability) -> Observability:
     """Make ``obs`` the process-global pipeline."""
     global OBS
     OBS = obs

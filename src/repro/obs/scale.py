@@ -74,9 +74,7 @@ class RollupCollector:
     - exemplars: per event name, a reservoir of ``exemplars_per_name``
       compact samples.  Replacement uses Algorithm R with a blake2b
       hash as the randomness source, so the kept exemplars are a pure
-      function of ``(seed, name, arrival index)`` — deterministic and
-      identical across the parallel worker merge (which already fixes
-      absorb order).
+      function of ``(seed, name, arrival index)`` — deterministic.
     """
 
     def __init__(

@@ -1,18 +1,10 @@
-"""repro.par — deterministic parallel execution of independent subgroups.
+"""repro.par — an ordered map of independent jobs over a host pool.
 
-See :mod:`repro.par.executor` for the fan-out machinery and determinism
-contract, and :mod:`repro.par.subgroup` for the picklable job the
-two-layer wire round dispatches.  ``docs/performance.md`` documents the
-user-facing ``parallel={"off","threads","process"}`` knob.
+:func:`~repro.par.executor.run_jobs` is the package's one function.
+Every round runs in one simulator on one thread; the repo benchmark's
+``par.*`` probes time this map on its own.
 """
 
-from .executor import PARALLEL_MODES, check_parallel_mode, run_jobs
-from .subgroup import SubgroupTask, run_subgroup_round
+from .executor import run_jobs
 
-__all__ = [
-    "PARALLEL_MODES",
-    "check_parallel_mode",
-    "run_jobs",
-    "SubgroupTask",
-    "run_subgroup_round",
-]
+__all__ = ["run_jobs"]

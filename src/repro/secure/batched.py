@@ -102,10 +102,8 @@ def draw_divide_noise(
     per-owner 1-D sums, hence bitwise identical — and only the
     measure-zero offending rows are redrawn in row order.
 
-    Split out from :func:`batched_divide` so callers fanning the share
-    *math* across workers (:mod:`repro.par`) can draw all noise on the
-    parent stream first, keeping results bit-identical across
-    ``parallel={"off","threads","process"}``.
+    Split out from :func:`batched_divide` so a caller can draw a whole
+    layer's noise first and hand it to :func:`fused_subtotals`.
     """
     _check_n(n)
     rn = rng.random((b, n))

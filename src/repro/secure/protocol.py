@@ -34,22 +34,19 @@ unrecoverable (its model's shares are gone); the liveness watch reports
 that as a typed ``unrecoverable_dropout`` — the caller restarts with the
 survivors, as in the plain-SAC abort path.
 
-Every actor round — :func:`run_sac_protocol`, the ``parallel=`` subgroup
-worker and :func:`repro.core.wire_round.run_two_layer_wire_round` — goes
-through one harness, :class:`ActorRound`: open, arm and drive, classify,
-result.  The first two are the same single-group runner,
-:func:`run_sac_group`.
+Both actor rounds — :func:`run_sac_protocol` and
+:func:`repro.core.wire_round.run_two_layer_wire_round` — go through one
+harness, :class:`ActorRound`: open, arm and drive, classify, result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..obs import causal as _causal
 from ..obs import runtime as _obs
 from ..simnet import (
     LEADER_ISOLATED,
@@ -145,12 +142,6 @@ class ActorRoundResult:
     drops: int
     #: simulator heap telemetry at round end (see ``Simulator.heap_stats``).
     heap_stats: dict
-    #: the recorder behind the totals above, for a parent round to
-    #: :meth:`~TraceRecorder.merge` its workers' traffic from.
-    trace: TraceRecorder = field(repr=False)
-    #: causal context of the delivery that completed a SAC aggregate
-    #: (picklable; ``None`` when causal tracing is off).
-    finish_ctx: Optional[_causal.TraceContext] = None
 
     @property
     def gigabits(self) -> float:
@@ -209,10 +200,6 @@ class SacProtocolPeer(SimNode):
         self.average: Optional[np.ndarray] = None
         self.finish_time: Optional[float] = None
         self._round_start: Optional[float] = None
-        #: causal context active when the round finished (the delivery
-        #: that completed the aggregate) — lets a parent round re-parent
-        #: the fed-layer upload on its worker's last SAC hop.
-        self.finish_ctx = None
 
     def _emit(self, name: str, **fields) -> None:
         _obs.OBS.emit(
@@ -366,9 +353,6 @@ class SacProtocolPeer(SimNode):
         )
         self.average = total
         self.finish_time = self.sim.now
-        obs = _obs.OBS
-        if obs.enabled and obs.causal:
-            self.finish_ctx = _causal.current()
         if _obs.OBS.enabled:
             start = self._round_start or 0.0
             dur = self.sim.now - start
@@ -665,7 +649,6 @@ class ActorRound:
         stalled: Callable[[], tuple],
         period_ms: float,
         round_timeout_ms: float,
-        replayed: bool = False,
     ) -> RoundOutcome:
         """Arm the round, run it, and say how it ended.
 
@@ -675,16 +658,13 @@ class ActorRound:
         unrecoverability check — every ``period_ms``.  The simulator then
         runs to ``done()``, the round timeout or a fatal verdict;
         ``stalled()`` supplies the :func:`classify_timeout` arguments if
-        the round idles out.  ``replayed`` crashes were already simulated
-        (and reported) by a subgroup worker: the parent applies them
-        quietly, so fed-layer sends to a dead peer drop exactly as they
-        do sequentially.
+        the round idles out.
         """
         sim, network = self.sim, self.network
         for peer in starters:
             sim.schedule(0.0, peer.start_round)
         for pid, t in self.crash_at.items():
-            sim.schedule(t, partial(network.crash, pid, replayed))
+            sim.schedule(t, partial(network.crash, pid))
         if self.schedule is not None:
             self.schedule.arm(sim, network)
         watch = FatalWatch(sim, network, period_ms, done, classify)
@@ -705,7 +685,6 @@ class ActorRound:
         average: Optional[np.ndarray],
         finish_time_ms: Optional[float],
         recovered: Iterable[int],
-        finish_ctx: Optional[_causal.TraceContext] = None,
     ) -> ActorRoundResult:
         """Read the round's results off, then release its actor graph."""
         network, trace = self.network, self.trace
@@ -721,86 +700,9 @@ class ActorRound:
             retransmits=network.reliable.retransmits if network.reliable else 0,
             drops=trace.total_dropped,
             heap_stats=self.sim.heap_stats(),
-            trace=trace,
-            finish_ctx=finish_ctx,
         )
         network.close()
         return result
-
-
-def run_sac_group(
-    models: Sequence[np.ndarray],
-    k: int,
-    leader: int,
-    members: Sequence[int],
-    peer_seeds: Sequence[int] | None,
-    group: int | None,
-    *,
-    delay_ms: float,
-    crash_at: dict[int, float] | None,
-    subtotal_timeout_ms: float,
-    round_timeout_ms: float,
-    share_codec: str,
-    trace_id: str,
-    seed: int = 0,
-    schedule: "FaultSchedule | None" = None,
-    **network_opts,
-) -> ActorRoundResult:
-    """One SAC group's round on a simulator of its own.
-
-    The runner behind :func:`run_sac_protocol` (``members`` is
-    ``0..n-1``, no ``peer_seeds``: they spawn from ``seed``) and behind the
-    ``parallel=`` worker of the two-layer round, which passes the
-    subgroup's global ``members``, the ``peer_seeds`` the parent spawned
-    for them and its ``group`` index.  The simulator starts at ``t=0`` —
-    the origin the subgroup has inside the all-peers simulation — and
-    stops once the leader holds the average, when no intra-group message
-    is still in flight; so a worker's timestamps, traffic and liveness
-    verdict equal the subgroup's share of the sequential round.
-    ``network_opts`` are :class:`ActorRound`'s transport and link options.
-    """
-    members = list(members)
-    n = len(members)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if leader not in members:
-        raise ValueError("leader out of range")
-    rnd = ActorRound(
-        models, members, (leader,), crash_at, schedule, seed, delay_ms,
-        trace_id, **network_opts,
-    )
-    network = rnd.network
-    if peer_seeds is None:
-        peer_seeds = spawn_peer_seeds(rnd.rng, n)
-    peers = [
-        SacProtocolPeer(
-            pid, rnd.sim, network, members, k, leader, model,
-            np.random.default_rng(peer_seed), subtotal_timeout_ms,
-            share_codec=share_codec, group=group,
-        )
-        for pid, model, peer_seed in zip(members, models, peer_seeds)
-    ]
-    leader_peer = peers[members.index(leader)]
-    outcome = rnd.drive(
-        peers,
-        done=lambda: leader_peer.average is not None,
-        classify=lambda: classify_sac_failure(
-            peers, leader_peer.position, network
-        ),
-        stalled=lambda: (
-            f"leader {leader}", leader,
-            [m for m in members
-             if m != leader and not network.is_crashed(m)],
-            "subtotals missing for indices "
-            f"{[i for i in range(n) if not leader_peer.can_supply(i)]}",
-        ),
-        period_ms=subtotal_timeout_ms,
-        round_timeout_ms=round_timeout_ms,
-    )
-    return rnd.result(
-        outcome, leader_peer.average, leader_peer.finish_time,
-        leader_peer.recovered, leader_peer.finish_ctx,
-    )
 
 
 def run_sac_protocol(
@@ -851,12 +753,48 @@ def run_sac_protocol(
         simulator — crashes/recoveries, partition windows, loss windows
         and delay spikes all land mid-flight.
     """
-    return run_sac_group(
-        models, k, leader, range(len(models)), None, None, seed=seed,
-        delay_ms=delay_ms, crash_at=crash_at, subtotal_timeout_ms=subtotal_timeout_ms,
-        round_timeout_ms=round_timeout_ms, bandwidth_bps=bandwidth_bps,
-        serialize_uplink=serialize_uplink, share_codec=share_codec,
-        loss_rate=loss_rate, transport=transport,
-        transport_opts=transport_opts, schedule=schedule,
-        trace_id=trace_id if trace_id is not None else f"sac:s{seed}",
+    n = len(models)
+    members = list(range(n))
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if leader not in members:
+        raise ValueError("leader out of range")
+    rnd = ActorRound(
+        models, members, (leader,), crash_at, schedule, seed, delay_ms,
+        trace_id if trace_id is not None else f"sac:s{seed}",
+        loss_rate=loss_rate, bandwidth_bps=bandwidth_bps,
+        serialize_uplink=serialize_uplink, transport=transport,
+        transport_opts=transport_opts,
+    )
+    network = rnd.network
+    peers = [
+        SacProtocolPeer(
+            pid, rnd.sim, network, members, k, leader, model,
+            np.random.default_rng(peer_seed), subtotal_timeout_ms,
+            share_codec=share_codec,
+        )
+        for pid, model, peer_seed in zip(
+            members, models, spawn_peer_seeds(rnd.rng, n)
+        )
+    ]
+    leader_peer = peers[members.index(leader)]
+    outcome = rnd.drive(
+        peers,
+        done=lambda: leader_peer.average is not None,
+        classify=lambda: classify_sac_failure(
+            peers, leader_peer.position, network
+        ),
+        stalled=lambda: (
+            f"leader {leader}", leader,
+            [m for m in members
+             if m != leader and not network.is_crashed(m)],
+            "subtotals missing for indices "
+            f"{[i for i in members if not leader_peer.can_supply(i)]}",
+        ),
+        period_ms=subtotal_timeout_ms,
+        round_timeout_ms=round_timeout_ms,
+    )
+    return rnd.result(
+        outcome, leader_peer.average, leader_peer.finish_time,
+        leader_peer.recovered,
     )

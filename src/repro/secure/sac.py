@@ -81,9 +81,8 @@ def spawn_peer_seeds(
     """Seeds of ``count`` per-peer generators, in peer-creation order.
 
     The one place a round seed fans out to its peers: the functional
-    aggregators, the no-simulator references, the actor rounds and their
-    ``parallel=`` workers all call it, so their share streams cannot
-    drift apart.
+    aggregators, the no-simulator references and the actor rounds all
+    call it, so their share streams cannot drift apart.
     """
     return tuple(int(rng.integers(2**63)) for _ in range(count))
 

@@ -271,9 +271,9 @@ class Network:
         #: trace id stamped on every TraceContext this network allocates
         #: (one id per round/scenario; set by the round runners).
         self.trace_id: str = "trace"
-        # Per-(src, dst, kind) send counters: span ids must be a pure
+        # Per-(src, dst, kind) send counters: span ids are a pure
         # function of the protocol's message sequence, never of global
-        # emission order, so parallel and sequential runs agree.
+        # emission order.
         self._causal_seq: Dict[tuple, int] = {}
         self._uplink_free: Dict[int, float] = {}
         self._nodes: Dict[int, Any] = {}
@@ -339,19 +339,13 @@ class Network:
         self._ledger = None
 
     # ----------------------------------------------------------------- faults
-    def crash(self, node_id: int, quiet: bool = False) -> None:
-        """Crash a node: it stops sending and receiving until recovered.
-
-        ``quiet`` suppresses the observability event and counter — used
-        by the parallel round runner, which replays a crash the subgroup
-        worker already simulated (and reported) so the link-down effect
-        reaches the fed-layer messages without double-counting the crash.
-        """
+    def crash(self, node_id: int) -> None:
+        """Crash a node: it stops sending and receiving until recovered."""
         self._crashed.add(node_id)
         self._alive_ids_cache = None
         self._fault_free = False
         obs = _obs.OBS
-        if obs.enabled and not quiet:
+        if obs.enabled:
             obs.emit("net.crash", t_ms=self.sim.now, node=node_id)
             obs.metrics.counter(
                 "net_crashes_total", "Crash injections.").inc()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,3 @@ class TraceRecorder:
         self.total_bits = 0.0
         self.total_messages = 0
         self.total_dropped = 0
-
-    def merge(self, others: Iterable["TraceRecorder"]) -> None:
-        """Fold aggregate counters of ``others`` into this recorder."""
-        for other in others:
-            for k, v in other._bits_by_kind.items():
-                self._bits_by_kind[k] += v
-            for k, c in other._msgs_by_kind.items():
-                self._msgs_by_kind[k] += c
-            for k, c in other._dropped_by_kind.items():
-                self._dropped_by_kind[k] += c
-            self.total_bits += other.total_bits
-            self.total_messages += other.total_messages
-            self.total_dropped += other.total_dropped
-            if self.keep_records:
-                self.records.extend(other.records)

@@ -8,8 +8,8 @@ replaced the fault-free reference *simulation* in ``repro.chaos`` and
 ``fault_tolerant_sac``, ``TwoLayerAggregator``) are callers of that pair;
 this suite is the pin they rest on: bit-identity with each other and
 with the per-message actor round over random ragged groupings, ``k``,
-seeds, model sizes, share codecs, ``parallel=`` modes, the reliable
-transport under loss, and crash schedules recovered by Alg. 4.
+seeds, model sizes, share codecs, the reliable transport under loss,
+and crash schedules recovered by Alg. 4.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.core import (
     run_two_layer_wire_round,
     two_layer_reference_average,
 )
-from repro.par import PARALLEL_MODES, SubgroupTask, run_subgroup_round
 from repro.secure import (
     SHARE_CODECS,
     fault_tolerant_sac,
@@ -32,7 +31,7 @@ from repro.secure import (
     sac_average,
     sac_reference_average,
 )
-from repro.secure.sac import reference_group_average, spawn_peer_seeds
+from repro.secure.sac import reference_group_average
 
 RNG = np.random.default_rng
 codecs = st.sampled_from(SHARE_CODECS)
@@ -87,20 +86,18 @@ def functional_average(topology, models, k, seed, **faults):
 
 class TestTwoLayerReference:
     @given(rounds(), codecs)
-    @example(build_round([4], seed=7, d=7, k=2), "dense")  # m = 1: no fan-out
+    @example(build_round([4], seed=7, d=7, k=2), "dense")  # m = 1: one group
     @settings(max_examples=25, deadline=None)
-    def test_equals_fault_free_round_in_every_parallel_mode(self, case, codec):
+    def test_equals_fault_free_round(self, case, codec):
         topology, models, k, seed = case
         reference = two_layer_reference_average(
             topology, models, seed=seed, share_codec=codec
         )
-        for mode in PARALLEL_MODES:
-            result = run_two_layer_wire_round(
-                topology, models, k=k, seed=seed, parallel=mode,
-                share_codec=codec,
-            )
-            assert result.outcome.ok
-            assert np.array_equal(result.average, reference), mode
+        result = run_two_layer_wire_round(
+            topology, models, k=k, seed=seed, share_codec=codec
+        )
+        assert result.outcome.ok
+        assert np.array_equal(result.average, reference)
         if codec == "dense":
             assert np.array_equal(
                 functional_average(topology, models, k, seed), reference
@@ -252,50 +249,6 @@ class TestSacReference:
                 share_codec=codec,
             )
             assert np.array_equal(tolerant.average, reference), crashed
-
-    @given(
-        n=st.integers(1, 7),
-        d=st.sampled_from([1, 7, 4096]),
-        seed=st.integers(0, 2**31 - 1),
-        codec=st.sampled_from(["dense", "seed"]),
-        data=st.data(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_the_subgroup_worker_is_the_protocol_round(
-        self, n, d, seed, codec, data
-    ):
-        # ``run_subgroup_round`` must stay the runner ``run_sac_protocol``
-        # is, never again a second implementation: same members and peer
-        # seeds, same round — recoveries and unrecoverable dropouts too.
-        k = data.draw(st.integers(1, n))
-        leader = data.draw(st.integers(0, n - 1))
-        rng = np.random.default_rng(seed)
-        models = [rng.normal(size=d) for _ in range(n)]
-        followers = [p for p in range(n) if p != leader]
-        victims = data.draw(st.lists(st.sampled_from(followers), unique=True)
-                            if followers else st.just([]))
-        crash_at = {p: float(rng.choice([1.0, 20.0])) for p in victims}
-        task = SubgroupTask(
-            group=3, members=tuple(range(n)), leader=leader, k=k,
-            models=tuple(models),
-            peer_seeds=spawn_peer_seeds(np.random.default_rng(seed), n),
-            share_codec=codec, delay_ms=15.0, bandwidth_bps=None,
-            subtotal_timeout_ms=100.0, round_timeout_ms=10_000.0,
-            crash_at=crash_at,
-        )
-        worker = run_subgroup_round(task)
-        direct = run_sac_protocol(
-            models, k=k, leader=leader, seed=seed, share_codec=codec,
-            crash_at=crash_at,
-        )
-        assert worker.outcome == direct.outcome
-        assert (worker.average is None) == (direct.average is None)
-        if direct.outcome.ok:
-            assert np.array_equal(worker.average, direct.average)
-        for field in ("finish_time_ms", "end_time_ms", "bits_sent",
-                      "messages_sent", "bits_by_kind", "drops",
-                      "recovered_shares", "heap_stats"):
-            assert getattr(worker, field) == getattr(direct, field), field
 
     def test_recovered_round_is_the_fault_free_aggregate(self):
         # A concrete Alg. 4 recovery (not just a tolerated crash): the

@@ -64,15 +64,14 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             run_two_layer_wire_round(Topology.by_group_size(6, 3), [np.ones(2)])
 
-    @pytest.mark.parametrize("mode", ["off", "threads", "process"])
-    def test_ragged_models_rejected_before_the_simulation(self, mode):
+    def test_ragged_models_rejected_before_the_simulation(self):
         # Used to die mid-round inside the fused kernel ("cannot reshape
         # array of size 3 into shape (1,8)").
         models = make_models(6, size=8)
         models[4] = np.ones(3)
         with pytest.raises(ValueError, match="all models must share a shape"):
             run_two_layer_wire_round(
-                Topology.by_group_size(6, 3), models, k=2, parallel=mode
+                Topology.by_group_size(6, 3), models, k=2
             )
 
 
@@ -227,7 +226,7 @@ class TestRoundStateIsReleased:
 
     @pytest.mark.parametrize("kw, peers", [
         ({}, 12),
-        ({"parallel": "threads"}, 24),  # parent shells + worker actors
+        ({"share_codec": "seed"}, 12),
         ({"transport": "reliable", "loss_rate": 0.2}, 12),
         ({"crash_at": {5: 20.0}}, 12),
         ({"transport": "reliable",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.chaos.scale import run_scale_trial
+from repro.chaos.scale import run_scale_trial, scale_topology
 from repro.core import (
     MultiLayerTopology,
     multi_layer_aggregate,
@@ -158,22 +158,9 @@ class TestEngines:
         assert a.heap_stats["events_processed"] < b.messages_sent / 10
 
 
-class TestParallel:
-    def test_parallel_modes_bit_identical(self):
-        topo = MultiLayerTopology(4, 3)
-        models = _models(topo, seed=3)
-        base = run_xlayer_wire_round(topo, models, seed=1, parallel="off")
-        for mode in ("threads", "process"):
-            other = run_xlayer_wire_round(topo, models, seed=1, parallel=mode)
-            np.testing.assert_array_equal(base.average, other.average)
-            assert base.bits_sent == other.bits_sent
-            assert base.finish_time_ms == other.finish_time_ms
-
-
 class TestChaosRound:
     """Lossy + reliable + fault schedule: the full item-wave path in
-    ``run_xlayer_wire_round``, identical across parallel modes and under
-    the per-item model."""
+    ``run_xlayer_wire_round``, identical under the per-item model."""
 
     def _schedule(self, topo):
         from repro.chaos import Crash, DelaySpike, FaultSchedule, LossWindow, Recover
@@ -193,7 +180,7 @@ class TestChaosRound:
             r.exhausted_undelivered, r.dropped,
         )
 
-    def test_engine_x_parallel_bit_identical(self):
+    def test_wave_and_per_item_bit_identical(self):
         topo = MultiLayerTopology(3, 3)
         models = _models(topo, seed=6)
         schedule = self._schedule(topo)
@@ -201,20 +188,12 @@ class TestChaosRound:
             seed=2, latency=FixedLatency(10.0), loss_rate=0.2,
             transport="reliable", schedule=schedule,
         )
-        base = run_xlayer_wire_round(topo, models, parallel="off", **kw)
+        base = run_xlayer_wire_round(topo, models, **kw)
         assert base.outcome.ok
         assert base.retransmits > 0 and base.acks > 0
         # Loss and faults move the wire, never the aggregate.
         ref = multi_layer_aggregate(topo, models, np.random.default_rng(2))
         np.testing.assert_array_equal(base.average, ref.average)
-        # Parallel modes only move the share math; the wire schedule is
-        # precomputed on the parent RNG stream either way.
-        for mode in ("threads", "process"):
-            other = run_xlayer_wire_round(topo, models, parallel=mode, **kw)
-            np.testing.assert_array_equal(base.average, other.average)
-            assert self._fingerprint(other) == self._fingerprint(base), (
-                f"chaos round diverged under parallel={mode}"
-            )
         with per_item():
             other = run_xlayer_wire_round(topo, models, **kw)
         np.testing.assert_array_equal(base.average, other.average)
@@ -308,6 +287,30 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match="must share a shape"):
                 run()
+
+    def test_parallel_shim_accepts_only_off(self):
+        """``parallel`` survives on the benchmark entry points as a
+        keyword that accepts only ``"off"``, which is the default path."""
+        topo = MultiLayerTopology(4, 3)
+        models = _models(topo, seed=3)
+        base = run_xlayer_wire_round(topo, models, seed=1)
+        off = run_xlayer_wire_round(topo, models, seed=1, parallel="off")
+        np.testing.assert_array_equal(base.average, off.average)
+        assert base.bits_sent == off.bits_sent
+        assert base.finish_time_ms == off.finish_time_ms
+        for mode in ("threads", "process"):
+            with pytest.raises(ValueError, match="fan-out was removed"):
+                run_xlayer_wire_round(topo, models, seed=1, parallel=mode)
+            with pytest.raises(ValueError, match="fan-out was removed"):
+                run_scale_trial(40, depth=3, parallel=mode)
+        with pytest.raises(SystemExit) as exc:
+            main(["xlayer", "--parallel", "threads"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_scale_topology_rejects_a_treeless_depth(self, depth):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            scale_topology(50, depth)
 
     def test_bad_engine_and_method(self):
         """``engine`` survives on the two benchmark entry points as a

@@ -2,9 +2,12 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.experiments import run_fig10, run_fig13, run_fig14, run_fig6_fig7
 from repro.experiments.csv_export import (
@@ -95,3 +98,36 @@ class TestCli:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--rounds", "0", "--plans", "1", "--no-raft"],
+        ["campaign", "--peers", "0", "--plans", "1", "--no-raft"],
+        ["campaign", "--plans", "0"],
+        ["xlayer", "--peers", "0", "--depth", "2"],
+        ["xlayer", "--dim", "0", "--peers", "10", "--depth", "2"],
+        ["xlayer", "--max-attempts", "0", "--loss", "0.1", "--depth", "2"],
+        ["fig10", "--trials", "0"],
+        ["chaos", "--scale", "0"],
+        ["fig6", "--rounds", "-3", "--peers", "4"],
+    ])
+    def test_count_flags_reject_zero_and_negatives(self, argv):
+        # An explicit 0 used to fall back to the default count
+        # (``args.rounds or 10``) and the run went ahead.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["xlayer", "--depth", "0", "--peers", "10"],
+        ["xlayer", "--depth", "-1"],
+        ["chaos", "--scale", "50", "--depth", "0"],
+    ])
+    def test_treeless_depth_exits_instead_of_hanging(self, argv):
+        # A tree with no layers never reaches the peer target, so the
+        # smallest-n search used to spin forever.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], capture_output=True,
+            timeout=30, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0

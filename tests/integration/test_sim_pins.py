@@ -1,4 +1,4 @@
-"""Seed-exact sim pins: 16 small scenarios, byte-identical by seed.
+"""Seed-exact sim pins: 15 small scenarios, byte-identical by seed.
 
 Each scenario runs once under a fresh observability pipeline; its
 ``params``, its ``sim`` block (virtual time, bits, messages, transport
@@ -155,9 +155,7 @@ def _two_layer_setup(p: dict, seed: int):
 
 def _two_layer(p: dict, seed: int) -> dict:
     topo, k, models = _two_layer_setup(p, seed)
-    result = run_two_layer_wire_round(
-        topo, models, k=k, seed=seed, parallel=p.get("parallel", "off"),
-    )
+    result = run_two_layer_wire_round(topo, models, k=k, seed=seed)
     assert result.outcome.ok
     return {
         "sim_time_ms": result.finish_time_ms,
@@ -373,10 +371,6 @@ SCENARIOS = {
     "sac_round_batched": (_SAC, _sac_round_batched),
     "two_layer_n6_m2": ({"n": 6, "m": 2, **_TWO_LAYER}, _two_layer),
     "two_layer_n9_m3": ({"n": 9, "m": 3, **_TWO_LAYER}, _two_layer),
-    # The same round fanned out across subgroups (repro.par): equal to
-    # two_layer_n9_m3 by the determinism contract.
-    "two_layer_parallel": (
-        {"n": 9, "m": 3, **_TWO_LAYER, "parallel": "threads"}, _two_layer),
     "sac_round_lossy": ({**_SAC, "loss_rate": 0.2}, _sac_round_lossy),
     "two_layer_chaos": (
         {"n": 9, "m": 3, **_TWO_LAYER, "crash_ms": 10.0, "recover_ms": 200.0,
@@ -402,10 +396,9 @@ SCENARIOS = {
 # projection and comparison
 # --------------------------------------------------------------------------
 
-def project(sid: str, seed: int = SEED, **override) -> dict:
+def project(sid: str, seed: int = SEED) -> dict:
     """Run scenario ``sid`` once; return its seed-exact projection."""
     params, body = SCENARIOS[sid]
-    params = {**params, **override}
     with runtime.observe() as obs:
         sim = body(params, seed)
     assert not runtime.OBS.enabled, f"{sid} left the global pipeline enabled"
@@ -457,7 +450,7 @@ def test_pin(sid, side):
 
 def test_pin_file_holds_exactly_the_scenarios_run():
     assert list(pins()) == list(SCENARIOS)
-    assert len(SCENARIOS) == 16
+    assert len(SCENARIOS) == 15
 
 
 #: one pinned number moved / one pinned phase row dropped.
@@ -500,8 +493,7 @@ def test_some_protocol_phase_carries_a_straggler_row():
     )
 
 
-@pytest.mark.parametrize(
-    "sid", ["two_layer_n6_m2", "two_layer_n9_m3", "two_layer_parallel"])
+@pytest.mark.parametrize("sid", ["two_layer_n6_m2", "two_layer_n9_m3"])
 def test_two_layer_phases_nest_sac_under_round(sid):
     paths = {tuple(phase["path"]) for phase in current(sid)["phases"]}
     assert ("round.two_layer",) in paths
@@ -521,16 +513,6 @@ def test_obs_scale_telemetry_grows_sublinearly_in_peers():
 def test_a_different_seed_changes_the_projection():
     other = project("nn_epoch", seed=SEED + 1)
     assert other["sim"] != current("nn_epoch")["sim"]
-
-
-@pytest.mark.parametrize("mode", ["off", "process"])
-def test_two_layer_parallel_is_mode_independent(mode):
-    """The repro.par determinism contract, on the whole projection."""
-    want = current("two_layer_parallel")
-    assert want["params"]["parallel"] == "threads"
-    assert project("two_layer_parallel", parallel=mode) == {
-        **want, "params": {**want["params"], "parallel": mode},
-    }
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """Causal tracing: every message span links into a DAG whose critical
 path reproduces the round's simulated latency exactly — clean rounds,
-SAC dropout recovery, chaos schedules with retransmission, and all
-three parallel modes."""
+SAC dropout recovery, chaos schedules with retransmission, and reruns."""
 
 import numpy as np
-import pytest
 
 from repro.chaos import Crash, FaultSchedule, LossWindow, Recover
 from repro.core.topology import Topology
@@ -26,12 +24,11 @@ def _models(n, d=24, seed=0):
     return [rng.normal(size=d) for _ in range(n)]
 
 
-def _wire(seed=3, mode="off", **kw):
+def _wire(seed=3, **kw):
     topo = Topology.by_group_size(9, 3)
     with _runtime.observe(causal=True) as obs:
         result = run_two_layer_wire_round(
-            topo, _models(topo.n_peers, seed=seed), k=2, seed=seed,
-            parallel=mode, **kw,
+            topo, _models(topo.n_peers, seed=seed), k=2, seed=seed, **kw,
         )
     return result, obs
 
@@ -146,17 +143,16 @@ class TestDag:
             assert dag.spans[span_id].deliver_ms == first_t
 
 
-class TestParallelModes:
-    @pytest.mark.parametrize("mode", ["threads", "process"])
-    def test_same_spans_and_path_as_sequential(self, mode):
-        r_off, o_off = _wire(seed=5)
-        r_par, o_par = _wire(seed=5, mode=mode)
-        cp_off = critical_path(o_off.events)
-        cp_par = critical_path(o_par.events)
-        assert r_par.finish_time_ms == r_off.finish_time_ms
-        assert [h.span_id for h in cp_par.hops] == \
-            [h.span_id for h in cp_off.hops]
-        assert cp_par.latency_ms == r_par.finish_time_ms
+class TestRerun:
+    def test_same_spans_and_path_on_rerun(self):
+        r_a, o_a = _wire(seed=5)
+        r_b, o_b = _wire(seed=5)
+        cp_a = critical_path(o_a.events)
+        cp_b = critical_path(o_b.events)
+        assert r_b.finish_time_ms == r_a.finish_time_ms
+        assert [h.span_id for h in cp_b.hops] == \
+            [h.span_id for h in cp_a.hops]
+        assert cp_b.latency_ms == r_b.finish_time_ms
 
 
 class TestChromeFlows:

@@ -2,8 +2,8 @@
 
 The contract: exact (bit-identical to the numpy linear-interpolation
 quantile) until the first compaction — forever with ``capacity=None`` —
-bounded rank error afterwards, deterministic, mergeable, and wired into
-the registry as the rollup-retention path (``ROLLUP_CAPACITY``).
+bounded rank error afterwards, deterministic, and wired into the
+registry as the rollup-retention path (``ROLLUP_CAPACITY``).
 """
 
 import numpy as np
@@ -77,35 +77,10 @@ class TestCompactedPhase:
         for v in values:
             a.observe(v)
             b.observe(v)
-        assert a.state() == b.state()
-
-
-class TestMerge:
-    def test_merge_matches_pooled_observation(self):
-        rng = np.random.default_rng(3)
-        left = rng.normal(size=2_000)
-        right = rng.normal(loc=3.0, size=2_000)
-        a = Histogram(capacity=128)
-        b = Histogram(capacity=128)
-        for v in left:
-            a.observe(v)
-        for v in right:
-            b.observe(v)
-        a.merge_state(b.state())
-        pooled = np.concatenate([left, right])
-        assert a.count == len(pooled)
-        assert a.sum == pytest.approx(pooled.sum())
-        for q in QS[1:-1]:
-            assert _rank_error(a, pooled, q) < 0.03
-
-    def test_state_roundtrip(self):
-        a = Histogram(capacity=16)
-        for v in range(100):
-            a.observe(float(v))
-        b = Histogram(capacity=16)
-        b.merge_state(a.state())
-        for q in QS:
-            assert b.quantile(q) == a.quantile(q)
+        assert a._centroids == b._centroids and a._buffer == b._buffer
+        assert a.compactions == b.compactions > 0
+        for q in np.linspace(0.0, 1.0, 101):
+            assert a.quantile(q) == b.quantile(q)
 
 
 class TestRegistryIntegration:
@@ -115,31 +90,6 @@ class TestRegistryIntegration:
         assert hist.labels().capacity == ROLLUP_CAPACITY
         reg_exact = MetricsRegistry()
         assert reg_exact.histogram("h_ms", "help").labels().capacity is None
-
-    def test_exact_worker_merges_into_sketch_parent(self):
-        worker = MetricsRegistry()
-        worker.histogram("h_ms", "help").labels().observe(5.0)
-        worker.histogram("h_ms", "help").labels().observe(7.0)
-        parent = MetricsRegistry(ROLLUP_CAPACITY)
-        parent.merge_snapshot(worker.snapshot())
-        child = parent.histogram("h_ms", "help").labels()
-        assert child.count == 2
-        assert child.sum == 12.0
-
-    def test_sketch_snapshot_merges_into_sketch_parent(self):
-        worker = MetricsRegistry(ROLLUP_CAPACITY)
-        for v in range(10):
-            worker.histogram("h_ms", "help").labels().observe(float(v))
-        parent = MetricsRegistry(ROLLUP_CAPACITY)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.histogram("h_ms", "help").labels().count == 10
-
-    def test_sketch_snapshot_cannot_merge_into_exact_parent(self):
-        worker = MetricsRegistry(ROLLUP_CAPACITY)
-        worker.histogram("h_ms", "help").labels().observe(1.0)
-        parent = MetricsRegistry()
-        with pytest.raises(ValueError, match="unbounded histogram"):
-            parent.merge_snapshot(worker.snapshot())
 
     def test_prometheus_render_includes_sketch_quantiles(self):
         reg = MetricsRegistry(ROLLUP_CAPACITY)

@@ -2,8 +2,7 @@
 
 ``observe(retention="rollup")`` must hold O(names + windows) memory
 while still answering "how many of what, when, how long" — and the
-parallel worker merge (``EventBus.absorb`` in subgroup order) must
-produce bit-identical rollup state to the sequential path.
+same round must produce bit-identical rollup state on every run.
 """
 
 import numpy as np
@@ -123,49 +122,22 @@ class TestRollupRetention:
         assert rolled.rollup.by_name == by_name
         assert rolled.rollup.total == len(full.events)
 
-    @pytest.mark.parametrize("mode", ["threads", "process"])
-    def test_absorb_merge_aggregates_match_sequential(self, mode):
-        # Workers run full retention; the parent absorbs their events
-        # in subgroup order.  The parallel contract is multiset (not
-        # order) equality with sequential, so every order-insensitive
-        # rollup aggregate must match exactly; exemplars depend on
-        # per-name arrival order and are covered by the determinism
-        # test below instead.
-        topo = Topology.by_group_size(9, 3)
-        models = _models(topo, seed=3)
-        with _runtime.observe(retention="rollup", causal=True) as seq:
-            r_seq = run_two_layer_wire_round(
-                topo, models, k=2, seed=3, trace_id="t:s3"
-            )
-        with _runtime.observe(retention="rollup", causal=True) as par:
-            r_par = run_two_layer_wire_round(
-                topo, models, k=2, seed=3, parallel=mode, trace_id="t:s3"
-            )
-        assert r_par.finish_time_ms == r_seq.finish_time_ms
-        assert np.array_equal(r_par.average, r_seq.average)
-        s, p = seq.rollup.snapshot(), par.rollup.snapshot()
-        for key in ("total", "by_name", "by_category", "sim_ms_by_name",
-                    "windows", "evicted_window_events"):
-            assert p[key] == s[key], key
-
-    def test_absorb_merge_order_is_deterministic(self):
-        # The absorb order (subgroup order) is fixed, so the *entire*
-        # rollup snapshot — exemplars included, the strictest ordering
-        # probe — is bit-identical across parallel modes and repeats.
+    def test_snapshot_is_deterministic_on_rerun(self):
+        # The *entire* rollup snapshot — exemplars included, the
+        # strictest ordering probe — is bit-identical across repeats.
         topo = Topology.by_group_size(9, 3)
         models = _models(topo, seed=3)
 
-        def run(mode):
+        def run():
             with _runtime.observe(retention="rollup", causal=True) as obs:
                 run_two_layer_wire_round(
-                    topo, models, k=2, seed=3, parallel=mode,
-                    trace_id="t:s3",
+                    topo, models, k=2, seed=3, trace_id="t:s3",
                 )
             return obs.rollup.snapshot()
 
-        first = run("threads")
-        assert run("threads") == first
-        assert run("process") == first
+        first = run()
+        assert first["total"] > 0
+        assert run() == first
 
 
 class TestResourceAccounting:

@@ -61,7 +61,7 @@ class TestTraceSampler:
         assert sampled.sampler is not None
 
 
-def _run_rounds(mode, rate):
+def _run_rounds(rate):
     """N_ROUNDS two-layer rounds under one pipeline; returns (obs, finishes)."""
     topo = Topology.by_group_size(12, 4)
     finishes = {}
@@ -71,8 +71,7 @@ def _run_rounds(mode, rate):
         for i in range(N_ROUNDS):
             trace_id = f"round{i}:s0"
             result = run_two_layer_wire_round(
-                topo, _models(topo, i), k=3, seed=i, parallel=mode,
-                trace_id=trace_id,
+                topo, _models(topo, i), k=3, seed=i, trace_id=trace_id,
             )
             assert result.outcome.ok
             finishes[trace_id] = result.finish_time_ms
@@ -86,11 +85,11 @@ def _paths(obs):
 class TestSampledRounds:
     @pytest.fixture(scope="class")
     def unsampled(self):
-        return _run_rounds("off", 1.0)
+        return _run_rounds(1.0)
 
     @pytest.fixture(scope="class")
     def sampled_off(self):
-        return _run_rounds("off", RATE)
+        return _run_rounds(RATE)
 
     def test_only_kept_traces_carry_spans(self, sampled_off):
         obs, _ = sampled_off
@@ -122,10 +121,9 @@ class TestSampledRounds:
         for trace_id, path in paths.items():
             assert path.end_ms == finishes[trace_id]
 
-    @pytest.mark.parametrize("mode", ["threads", "process"])
-    def test_parallel_modes_keep_the_same_traces(self, mode, sampled_off):
+    def test_rerun_keeps_the_same_traces(self, sampled_off):
         ref_obs, ref_finishes = sampled_off
-        obs, finishes = _run_rounds(mode, RATE)
+        obs, finishes = _run_rounds(RATE)
         assert finishes == ref_finishes
         ref_paths = _paths(ref_obs)
         paths = _paths(obs)

@@ -237,8 +237,16 @@ class TestLazySubtotals:
         def refuse(self):
             raise AssertionError(f"{type(self).__name__} was materialised")
 
+        traces = []
+
+        class KeptRecorder(protocol.TraceRecorder):
+            def __init__(self):
+                super().__init__()
+                traces.append(self)
+
         monkeypatch.setattr(DenseSubtotal, "materialize", refuse)
         monkeypatch.setattr(DenseShare, "materialize", refuse)
+        monkeypatch.setattr(protocol, "TraceRecorder", KeptRecorder)
         models = make_models(5, size=64)
         result = run_sac_protocol(
             models, k=3, subtotal_timeout_ms=50.0, **opts
@@ -246,7 +254,7 @@ class TestLazySubtotals:
         assert result.outcome.ok
         assert result.average.tobytes() == sac_reference_average(
             models, seed=opts.get("seed", 0)).tobytes()
-        trace = result.trace
+        (trace,) = traces
         assert trace.messages("sac.subtotal") == 2
         assert trace.bits("sac.subtotal") == 2 * (64 * 32.0 + frame_bits)
         assert result.recovered_shares == ((3,) if "crash_at" in opts else ())

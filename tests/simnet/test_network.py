@@ -195,19 +195,6 @@ class TestTrace:
         rec = trace.records[0]
         assert (rec.src, rec.dst, rec.kind, rec.bits) == (0, 1, "k", 8)
 
-    def test_merge(self):
-        t1 = TraceRecorder()
-        t2 = TraceRecorder()
-        from repro.simnet.trace import MessageRecord
-
-        t1.record(MessageRecord(0.0, 0, 1, "a", 10.0))
-        t2.record(MessageRecord(0.0, 1, 0, "a", 5.0))
-        t2.record(MessageRecord(0.0, 1, 0, "b", 1.0))
-        t1.merge([t2])
-        assert t1.bits(kind="a") == 15.0
-        assert t1.total_bits == 16.0
-        assert t1.messages() == 3
-
 
 class TestLatencyModels:
     def test_uniform_latency_in_range(self):

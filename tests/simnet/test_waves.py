@@ -177,7 +177,7 @@ class TestWaveAccounting:
                 sim, net = _net(latency=FixedLatency(10.0))
                 a, b = Recorder(0, sim, net), Recorder(1, sim, net)
                 net.send_batch([0], [1], msgs=["hello"])
-                sim.schedule(5.0, lambda: net.crash(1, quiet=True))
+                sim.schedule(5.0, lambda: net.crash(1))
                 sim.run()
             assert b.received == []
             # In-flight drops are silent in the trace (same as the
