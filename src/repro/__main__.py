@@ -64,15 +64,48 @@ from .obs import get_logger, set_level
 log = get_logger("repro")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of every count flag: an explicit 0 is an error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(kind: type, ok, rule: str):
+    """argparse type: ``kind(text)`` that must satisfy ``ok`` (NaN never
+    does); a bad value is a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+#: every count flag: an explicit 0 is an error
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+
+
+def _names(module: str, registry: str):
+    """argparse type: comma-separated names from ``module.registry``,
+    imported only when the flag is given."""
+
+    def parse(text: str) -> list[str]:
+        from importlib import import_module
+
+        known = getattr(import_module(module), registry)
+        names = text.split(",")
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {unknown}; choose from {sorted(known)}")
+        return names
+
+    return parse
+
+
+def _xlayer_transport(args: argparse.Namespace) -> str:
+    """'xlayer': --transport, else reliable iff --loss > 0."""
+    return args.transport or ("reliable" if args.loss else "fire_and_forget")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,11 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default="report.md",
                         help="output path for 'report'")
-    parser.add_argument("--plan-peers", type=int, default=30,
+    parser.add_argument("--plan-peers", default=30,
+                        type=_checked(int, lambda v: v >= 3, ">= 3"),
                         help="'plan': total peer count")
-    parser.add_argument("--plan-dropouts", type=int, default=1,
+    parser.add_argument("--plan-dropouts", default=1,
+                        type=_checked(int, lambda v: v >= 0, ">= 0"),
                         help="'plan': mid-SAC dropouts to tolerate per subgroup")
-    parser.add_argument("--plan-bandwidth", type=float, default=None,
+    parser.add_argument("--plan-bandwidth", default=None,
+                        type=_checked(float, lambda v: v > 0, "> 0"),
                         help="'plan': uplink bits/s (enables latency ranking)")
     parser.add_argument("--rounds", type=_positive_int, default=None,
                         help="FL communication rounds (figs 6-9)")
@@ -139,10 +175,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plans", type=_positive_int, default=25,
                         help="'chaos': seeded fault plans per layer "
                         "(default: 25)")
+    # The campaign profiles are the chaos profiles plus churn rates, so
+    # one name list serves both commands.
     parser.add_argument("--profiles", metavar="NAMES", default=None,
-                        help="'chaos': comma-separated fault profiles to "
-                        "cycle through (default: all)")
+                        type=_names("repro.chaos.plan", "PROFILES"),
+                        help="'chaos'/'campaign': comma-separated fault "
+                        "profiles to cycle through (default: all)")
     parser.add_argument("--layers", metavar="NAMES", default=None,
+                        type=_names("repro.chaos.runner", "LAYERS"),
                         help="'chaos': comma-separated layers to stress "
                         "(default: sac,two_layer,raft)")
     parser.add_argument("--transport", default=None,
@@ -150,7 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'chaos'/'xlayer': wire transport (default: "
                         "reliable for chaos; for xlayer, reliable iff "
                         "--loss > 0)")
-    parser.add_argument("--loss", type=float, default=None,
+    parser.add_argument("--loss", default=None,
+                        type=_checked(float, lambda v: 0 <= v < 1, "in [0, 1)"),
                         help="'chaos --scale'/'xlayer': random frame-loss "
                         "probability (default: 0.2 for chaos --scale, "
                         "0 for xlayer)")
@@ -173,7 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                         help="'campaign': keep between-round checkpoints "
                         "here (default: a temporary directory)")
-    parser.add_argument("--metrics-port", type=int, default=None,
+    parser.add_argument("--metrics-port", default=None,
+                        type=_checked(int, lambda v: 0 <= v <= 65535,
+                                      "in [0, 65535]"),
                         help="serve /metrics and /status on this port while "
                         "the command runs (0 = ephemeral; default for "
                         "'serve-metrics': 0)")
@@ -191,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "dump directory (default: incident_out)")
     parser.add_argument("--depth", type=_positive_int, default=6,
                         help="'xlayer': tree depth X (default: 6)")
-    parser.add_argument("--delay-ms", type=float, default=15.0,
+    parser.add_argument("--delay-ms", default=15.0,
+                        type=_checked(float, lambda v: v >= 0, ">= 0"),
                         help="'xlayer': fixed per-hop latency in "
                         "virtual ms (default: 15)")
     parser.add_argument("--dim", type=_positive_int, default=64,
@@ -302,9 +346,7 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     models = np.random.default_rng([args.seed, 7]).normal(size=(n_peers, d))
 
     loss = args.loss or 0.0
-    transport = args.transport or (
-        "reliable" if loss > 0 else "fire_and_forget"
-    )
+    transport = _xlayer_transport(args)
     opts = (
         {"max_attempts": args.max_attempts}
         if args.max_attempts is not None else None
@@ -417,11 +459,9 @@ def _run_chaos(args: argparse.Namespace) -> int:
 
     if args.scale is not None:
         return _run_chaos_scale(args)
-    profiles = args.profiles.split(",") if args.profiles else None
-    layers = tuple(args.layers.split(",")) if args.layers else LAYERS
     reports = run_chaos_matrix(
         n_plans=args.plans, seed0=args.seed0,
-        profiles=profiles, layers=layers,
+        profiles=args.profiles, layers=args.layers or LAYERS,
         transport=args.transport or "reliable",
     )
     print(format_matrix(reports))
@@ -438,9 +478,8 @@ def _run_chaos(args: argparse.Namespace) -> int:
 def _run_campaign(args: argparse.Namespace) -> int:
     from .campaign import format_campaign_matrix, run_campaign_matrix
 
-    profiles = args.profiles.split(",") if args.profiles else None
     reports = run_campaign_matrix(
-        n_plans=args.plans, seed0=args.seed0, profiles=profiles,
+        n_plans=args.plans, seed0=args.seed0, profiles=args.profiles,
         rounds=10 if args.rounds is None else args.rounds,
         n_peers=12 if args.peers is None else args.peers,
         transport=args.transport or "reliable",
@@ -540,7 +579,12 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (args.figure == "xlayer" and args.max_attempts is not None
+            and _xlayer_transport(args) != "reliable"):
+        parser.error("--max-attempts needs the reliable transport "
+                     "(--transport reliable, or --loss > 0)")
     set_level(args.log_level)
 
     if args.figure == "prof":

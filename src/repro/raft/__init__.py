@@ -1,9 +1,10 @@
 """Raft consensus (Sec. III-C substrate; replaces hashicorp/raft).
 
 Implements leader election, log replication, the safety rules
-(up-to-date vote restriction, current-term-only commit), and
-single-server cluster membership change — everything the two-layer Raft
-backend of Sec. V builds on.
+(up-to-date vote restriction, current-term-only commit), single-server
+cluster membership change (one change in flight at a time) and the
+optional PreVote round — everything the two-layer Raft backend of
+Sec. V builds on, and nothing more.
 
 The node is transport-agnostic: it talks to the world through a
 :class:`Transport` (send / timers / clock), so the same implementation
@@ -12,22 +13,19 @@ two endpoints hosted by a peer process in the two-layer system
 (:mod:`repro.twolayer_raft`).
 """
 
-from .log import CompactedError, RaftLog
+from .log import RaftLog
 from .messages import (
     AppendEntries,
     AppendEntriesReply,
-    InstallSnapshot,
     LogEntry,
     PreVote,
     PreVoteReply,
     RequestVote,
     RequestVoteReply,
-    TimeoutNow,
 )
 from .node import ADD_SERVER, NOOP, REMOVE_SERVER, RaftNode, Role
 from .timers import RaftTiming
 from .cluster import RaftCluster, RaftHost
-from .kv import KVCluster, KVNode
 
 __all__ = [
     "RaftLog",
@@ -44,11 +42,6 @@ __all__ = [
     "NOOP",
     "ADD_SERVER",
     "REMOVE_SERVER",
-    "CompactedError",
-    "InstallSnapshot",
     "PreVote",
     "PreVoteReply",
-    "TimeoutNow",
-    "KVCluster",
-    "KVNode",
 ]

@@ -1,24 +1,12 @@
-"""The replicated log (1-indexed, index 0 = the empty sentinel).
-
-Supports compaction: after :meth:`compact_to`, entries up to and
-including ``snapshot_index`` are discarded and only their boundary
-``(snapshot_index, snapshot_term)`` is retained for the AppendEntries
-consistency check.  Reading below the snapshot raises
-:class:`CompactedError` — the leader must ship an InstallSnapshot
-instead.
-"""
+"""The replicated log (1-indexed, index 0 = the empty sentinel)."""
 
 from __future__ import annotations
 
 from .messages import LogEntry
 
 
-class CompactedError(IndexError):
-    """The requested index was discarded by log compaction."""
-
-
 class RaftLog:
-    """Append-only log with conflict truncation and compaction.
+    """Append-only log with conflict truncation.
 
     Indices are 1-based as in the Raft paper; index 0 denotes "before the
     first entry" and has term 0.
@@ -26,47 +14,32 @@ class RaftLog:
 
     def __init__(self) -> None:
         self._entries: list[LogEntry] = []
-        self.snapshot_index = 0
-        self.snapshot_term = 0
 
     # ---------------------------------------------------------------- queries
     @property
     def last_index(self) -> int:
-        return self.snapshot_index + len(self._entries)
+        return len(self._entries)
 
     @property
     def last_term(self) -> int:
-        return self._entries[-1].term if self._entries else self.snapshot_term
-
-    @property
-    def first_available_index(self) -> int:
-        """Smallest index whose entry is still materialized."""
-        return self.snapshot_index + 1
+        return self._entries[-1].term if self._entries else 0
 
     def term_at(self, index: int) -> int:
         """Term of the entry at ``index`` (0 for the sentinel index 0)."""
-        if index == self.snapshot_index:
-            return self.snapshot_term
-        if index < self.snapshot_index:
-            raise CompactedError(f"log index {index} was compacted away")
-        if not 1 <= index <= self.last_index:
-            raise IndexError(f"log index {index} out of range [1, {self.last_index}]")
-        return self._entries[index - self.snapshot_index - 1].term
+        if index == 0:
+            return 0
+        return self.get(index).term
 
     def get(self, index: int) -> LogEntry:
-        if index <= self.snapshot_index:
-            raise CompactedError(f"log index {index} was compacted away")
         if not 1 <= index <= self.last_index:
             raise IndexError(f"log index {index} out of range [1, {self.last_index}]")
-        return self._entries[index - self.snapshot_index - 1]
+        return self._entries[index - 1]
 
     def entries_from(self, index: int) -> tuple[LogEntry, ...]:
         """All entries with indices >= ``index``."""
         if index < 1:
             raise IndexError("entries_from expects index >= 1")
-        if index <= self.snapshot_index:
-            raise CompactedError(f"log index {index} was compacted away")
-        return tuple(self._entries[index - self.snapshot_index - 1 :])
+        return tuple(self._entries[index - 1 :])
 
     def matches(self, prev_index: int, prev_term: int) -> bool:
         """The AppendEntries consistency check."""
@@ -74,10 +47,6 @@ class RaftLog:
             return True
         if prev_index > self.last_index:
             return False
-        if prev_index < self.snapshot_index:
-            # Everything at or below the snapshot is committed, hence
-            # consistent with any legitimate leader.
-            return True
         return self.term_at(prev_index) == prev_term
 
     def is_up_to_date(self, other_last_index: int, other_last_term: int) -> bool:
@@ -103,24 +72,4 @@ class RaftLog:
         """Delete the entry at ``index`` and everything after it."""
         if index < 1:
             raise IndexError("cannot truncate the sentinel")
-        if index <= self.snapshot_index:
-            raise CompactedError("cannot truncate into the snapshot")
-        del self._entries[index - self.snapshot_index - 1 :]
-
-    def compact_to(self, index: int) -> None:
-        """Discard entries up to and including ``index`` (must be
-        materialized and <= last_index)."""
-        if index <= self.snapshot_index:
-            return  # already compacted past there
-        if index > self.last_index:
-            raise IndexError(f"cannot compact beyond the log ({index})")
-        term = self.term_at(index)
-        del self._entries[: index - self.snapshot_index]
-        self.snapshot_index = index
-        self.snapshot_term = term
-
-    def reset_to_snapshot(self, index: int, term: int) -> None:
-        """Replace the whole log with a received snapshot boundary."""
-        self._entries.clear()
-        self.snapshot_index = index
-        self.snapshot_term = term
+        del self._entries[index - 1 :]

@@ -80,17 +80,6 @@ class PreVoteReply:
 
 
 @dataclass(frozen=True)
-class TimeoutNow:
-    """Leadership transfer: the leader tells ``target`` to start an
-    election immediately (it is guaranteed up to date)."""
-
-    term: int
-
-    def size_bits(self) -> float:
-        return RPC_HEADER_BITS
-
-
-@dataclass(frozen=True)
 class AppendEntries:
     term: int
     leader_id: int
@@ -101,21 +90,6 @@ class AppendEntries:
 
     def size_bits(self) -> float:
         return RPC_HEADER_BITS + sum(e.size_bits() for e in self.entries)
-
-
-@dataclass(frozen=True)
-class InstallSnapshot:
-    """Ship the compacted prefix to a follower that fell behind it."""
-
-    term: int
-    leader_id: int
-    last_included_index: int
-    last_included_term: int
-    members: frozenset
-    state: Any  # opaque application snapshot (None if no state machine)
-
-    def size_bits(self) -> float:
-        return RPC_HEADER_BITS + 64.0 * len(self.members) + 1024.0
 
 
 @dataclass(frozen=True)

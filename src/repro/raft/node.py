@@ -10,10 +10,12 @@ volatile leadership state does not).
 Membership: single-server changes via ``(ADD_SERVER, id)`` log entries.
 As in Raft's membership-change protocol, a configuration entry takes
 effect as soon as it is *appended* (not committed); truncating a
-conflicting suffix rolls the configuration back.  A node that is not yet
-part of the configuration stays passive (no election timer) until it
-observes itself join via a replicated config entry — this is how a new
-subgroup leader is absorbed into the FedAvg layer (Sec. V-A1).
+conflicting suffix rolls the configuration back.  One change at a time:
+a leader refuses a new change while an earlier one is uncommitted.  A
+node that is not yet part of the configuration stays passive (no
+election timer) until it observes itself join via a replicated config
+entry — this is how a new subgroup leader is absorbed into the FedAvg
+layer (Sec. V-A1).
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ from .log import RaftLog
 from .messages import (
     AppendEntries,
     AppendEntriesReply,
-    InstallSnapshot,
     LogEntry,
     PreVote,
     PreVoteReply,
     RequestVote,
     RequestVoteReply,
-    TimeoutNow,
 )
 from .timers import RaftTiming
 
@@ -44,6 +44,13 @@ NOOP = "raft.noop"
 ADD_SERVER = "raft.add_server"
 #: command tag for single-server removal.
 REMOVE_SERVER = "raft.remove_server"
+
+
+def _is_config_change(command: Any) -> bool:
+    return (
+        isinstance(command, tuple) and bool(command)
+        and command[0] in (ADD_SERVER, REMOVE_SERVER)
+    )
 
 
 class Role(enum.Enum):
@@ -105,9 +112,6 @@ class RaftNode:
         on_config: Callable[[frozenset[int]], None] | None = None,
         bootstrap_leader: bool = False,
         pre_vote: bool = False,
-        snapshot_threshold: int | None = None,
-        take_state: Callable[[], Any] | None = None,
-        restore_state: Callable[[Any], None] | None = None,
         trace_kind: str = "raft",
     ) -> None:
         self.transport = transport
@@ -126,11 +130,6 @@ class RaftNode:
         #: run a PreVote round before real elections (term stays put
         #: until a majority signals electability)
         self.pre_vote = pre_vote
-        #: compact the log whenever more than this many applied entries
-        #: sit above the snapshot (None disables auto-compaction)
-        self.snapshot_threshold = snapshot_threshold
-        self.take_state = take_state
-        self.restore_state = restore_state
         self.trace_kind = trace_kind
         self._pre_votes: set[int] = set()
         self._last_leader_contact = float("-inf")
@@ -140,10 +139,6 @@ class RaftNode:
         self.log = RaftLog()
         self._base_members = frozenset(int(m) for m in members)
         self.members: set[int] = set(self._base_members)
-        #: application state and membership captured at the snapshot
-        #: boundary (shipped via InstallSnapshot to stragglers)
-        self._snapshot_state: Any = None
-        self._snapshot_members: frozenset[int] = frozenset(self._base_members)
 
         # Volatile state.
         self.role = Role.FOLLOWER
@@ -405,35 +400,41 @@ class RaftNode:
         return index
 
     def add_server(self, new_id: int) -> Optional[int]:
-        """Single-server membership addition (leader only)."""
+        """Single-server membership addition (leader only).
+
+        Returns the entry's log index, -1 if ``new_id`` already is a
+        member, or None ("not now, retry") on a non-leader or while an
+        earlier change is uncommitted — see :meth:`_change_pending`.
+        """
         if self.role is not Role.LEADER:
             return None
         if new_id in self.members:
             return -1  # already a member; nothing to do
+        if self._change_pending():
+            return None
         return self.propose((ADD_SERVER, int(new_id)))
 
     def remove_server(self, old_id: int) -> Optional[int]:
+        """Single-server membership removal; returns as :meth:`add_server`."""
         if self.role is not Role.LEADER:
             return None
         if old_id not in self.members:
             return -1
+        if self._change_pending():
+            return None
         return self.propose((REMOVE_SERVER, int(old_id)))
 
-    def transfer_leadership(self, target: int) -> bool:
-        """Hand leadership to ``target`` (leader only).
+    def _change_pending(self) -> bool:
+        """Whether an ADD/REMOVE entry sits above the commit index.
 
-        Requires the target's log to be fully caught up; sends TimeoutNow
-        so the target elects itself immediately (its log is at least as
-        up-to-date as everyone else's, so it wins).
+        Single-server changes are safe only one at a time: two in flight
+        make a two-server swap whose old and new majorities need not
+        intersect.
         """
-        if self.role is not Role.LEADER:
-            return False
-        if target == self.node_id or target not in self.members:
-            return False
-        if self._match_index.get(target, 0) < self.log.last_index:
-            return False  # target not caught up; caller retries later
-        self._send(target, TimeoutNow(term=self.current_term), "timeout_now")
-        return True
+        return any(
+            _is_config_change(entry.command)
+            for entry in self.log.entries_from(self.commit_index + 1)
+        )
 
     def _schedule_heartbeat(self) -> None:
         self._heartbeat_timer = self.transport.set_timer(
@@ -455,10 +456,6 @@ class RaftNode:
     def _send_append(self, peer: int) -> None:
         next_idx = self._next_index.setdefault(peer, self.log.last_index + 1)
         self._match_index.setdefault(peer, 0)
-        if next_idx <= self.log.snapshot_index:
-            # The prefix this follower needs was compacted away.
-            self._send_snapshot(peer)
-            return
         prev_index = next_idx - 1
         prev_term = self.log.term_at(prev_index) if prev_index <= self.log.last_index else 0
         entries = self.log.entries_from(next_idx) if next_idx <= self.log.last_index else ()
@@ -507,110 +504,11 @@ class RaftNode:
                 removed_self = True
             if self.on_apply is not None:
                 self.on_apply(self.last_applied, entry)
-        self._maybe_compact()
         if removed_self and self.role is Role.LEADER:
             # Removed-leader step-down (Raft thesis Sec. 4.2.2): the
             # leader serves until C_new commits, then stops leading; a
             # non-member stays passive, so no election timer re-arms.
             self._step_down(self.current_term)
-
-    # -------------------------------------------------------------- snapshots
-    def _maybe_compact(self) -> None:
-        if (
-            self.snapshot_threshold is not None
-            and self.last_applied - self.log.snapshot_index
-            >= self.snapshot_threshold
-        ):
-            self.take_snapshot()
-
-    def take_snapshot(self) -> int:
-        """Compact the log up to ``last_applied``; returns the boundary.
-
-        Captures the application state (via ``take_state``) and the
-        membership as of the boundary so stragglers can be brought up
-        with one InstallSnapshot instead of a log replay.
-        """
-        boundary = self.last_applied
-        if boundary <= self.log.snapshot_index:
-            return self.log.snapshot_index
-        self._snapshot_members = frozenset(self._members_at(boundary))
-        self._snapshot_state = self.take_state() if self.take_state else None
-        self.log.compact_to(boundary)
-        if _obs.OBS.enabled:
-            self._emit("raft.snapshot.take", boundary=boundary)
-        return boundary
-
-    def _members_at(self, index: int) -> set[int]:
-        """Membership after applying config entries up to ``index``."""
-        members = set(self._snapshot_members)
-        for i in range(self.log.snapshot_index + 1, index + 1):
-            cmd = self.log.get(i).command
-            if isinstance(cmd, tuple) and cmd:
-                if cmd[0] == ADD_SERVER:
-                    members.add(cmd[1])
-                elif cmd[0] == REMOVE_SERVER:
-                    members.discard(cmd[1])
-        return members
-
-    def _send_snapshot(self, peer: int) -> None:
-        msg = InstallSnapshot(
-            term=self.current_term,
-            leader_id=self.node_id,
-            last_included_index=self.log.snapshot_index,
-            last_included_term=self.log.snapshot_term,
-            members=self._snapshot_members,
-            state=self._snapshot_state,
-        )
-        self._send(peer, msg, "snapshot")
-
-    def _on_install_snapshot(self, src: int, msg: InstallSnapshot) -> None:
-        if msg.term < self.current_term:
-            self._send(
-                src,
-                AppendEntriesReply(
-                    term=self.current_term, follower_id=self.node_id,
-                    success=False, match_index=self.log.last_index,
-                ),
-                "append_rep",
-            )
-            return
-        if msg.term > self.current_term or self.role is not Role.FOLLOWER:
-            self._step_down(msg.term)
-        self.leader_hint = msg.leader_id
-        self._last_leader_contact = self.transport.now
-        if self.is_member and self._started:
-            self._reset_election_timer()
-
-        if msg.last_included_index > self.commit_index:
-            # Discard our (stale) log and adopt the snapshot wholesale.
-            if _obs.OBS.enabled:
-                self._emit("raft.snapshot.install",
-                           boundary=msg.last_included_index, leader=msg.leader_id)
-            self.log.reset_to_snapshot(
-                msg.last_included_index, msg.last_included_term
-            )
-            self.commit_index = msg.last_included_index
-            self.last_applied = msg.last_included_index
-            self._snapshot_members = frozenset(msg.members)
-            self._snapshot_state = msg.state
-            if self.restore_state is not None and msg.state is not None:
-                self.restore_state(msg.state)
-            if set(msg.members) != self.members:
-                self.members = set(msg.members)
-                self._notify_config()
-            self._maybe_activate()
-        # Everything up to our commit index is durably held, and the
-        # snapshot boundary is now covered either way.
-        self._send(
-            src,
-            AppendEntriesReply(
-                term=self.current_term,
-                follower_id=self.node_id,
-                success=True,
-                match_index=max(msg.last_included_index, self.commit_index),
-            ),
-            "append_rep",
-        )
 
     # ------------------------------------------------------------- membership
     def _config_on_append(self, entry: LogEntry) -> None:
@@ -637,8 +535,9 @@ class RaftNode:
             self.on_config(frozenset(self.members))
 
     def _rebuild_members_from_log(self) -> None:
-        """Recompute membership after a conflicting suffix was truncated."""
-        members = set(self._snapshot_members)
+        """Recompute membership from the log (new config entries arrived
+        or a conflicting suffix was truncated)."""
+        members = set(self._base_members)
         for entry in self.log:
             cmd = entry.command
             if isinstance(cmd, tuple) and cmd:
@@ -646,11 +545,10 @@ class RaftNode:
                     members.add(cmd[1])
                 elif cmd[0] == REMOVE_SERVER:
                     members.discard(cmd[1])
-        if members != self.members:
-            self.members = members
+        changed = members != self.members
+        self.members = members
+        if changed:
             self._notify_config()
-        else:
-            self.members = members
 
     def _maybe_activate(self) -> None:
         """A passive node that just became a member arms its timer."""
@@ -672,10 +570,6 @@ class RaftNode:
             self._on_prevote(src, msg)
         elif isinstance(msg, PreVoteReply):
             self._on_prevote_reply(msg)
-        elif isinstance(msg, TimeoutNow):
-            self._on_timeout_now(msg)
-        elif isinstance(msg, InstallSnapshot):
-            self._on_install_snapshot(src, msg)
         else:
             raise TypeError(f"unknown Raft message {type(msg).__name__}")
 
@@ -708,16 +602,6 @@ class RaftNode:
         self._pre_votes.add(msg.voter_id)
         if len(self._pre_votes & self.members | {self.node_id}) >= self.quorum():
             self._run_real_election()
-
-    def _on_timeout_now(self, msg: TimeoutNow) -> None:
-        """Leadership transfer: start a real election right away."""
-        if not self.is_member or self.role is Role.LEADER:
-            return
-        if msg.term < self.current_term:
-            return
-        self._change_role(Role.CANDIDATE)
-        self._election_prearmed = False
-        self._run_real_election()
 
     def _on_request_vote(self, src: int, msg: RequestVote) -> None:
         if msg.term > self.current_term:
@@ -752,16 +636,7 @@ class RaftNode:
 
     def _on_append_entries(self, src: int, msg: AppendEntries) -> None:
         if msg.term < self.current_term:
-            self._send(
-                src,
-                AppendEntriesReply(
-                    term=self.current_term,
-                    follower_id=self.node_id,
-                    success=False,
-                    match_index=self.log.last_index,
-                ),
-                "append_rep",
-            )
+            self._reply_append(src, False, self.log.last_index)
             return
         if msg.term > self.current_term or self.role is not Role.FOLLOWER:
             self._step_down(msg.term)
@@ -775,16 +650,7 @@ class RaftNode:
 
         if not self.log.matches(msg.prev_log_index, msg.prev_log_term):
             hint = min(self.log.last_index, msg.prev_log_index - 1)
-            self._send(
-                src,
-                AppendEntriesReply(
-                    term=self.current_term,
-                    follower_id=self.node_id,
-                    success=False,
-                    match_index=max(0, hint),
-                ),
-                "append_rep",
-            )
+            self._reply_append(src, False, max(0, hint))
             return
 
         # Append new entries, truncating any conflicting suffix.
@@ -793,24 +659,16 @@ class RaftNode:
         truncated = False
         for entry in msg.entries:
             index += 1
-            if index <= self.log.snapshot_index:
-                continue  # already covered by our snapshot (committed)
             if index <= self.log.last_index:
                 if self.log.term_at(index) == entry.term:
                     continue  # already have it
                 self.log.truncate_from(index)
                 truncated = True
             self.log.append(entry)
-            cmd = entry.command
-            if isinstance(cmd, tuple) and cmd and cmd[0] in (ADD_SERVER, REMOVE_SERVER):
-                config_changed = True
-        if truncated:
+            config_changed = config_changed or _is_config_change(entry.command)
+        if truncated or config_changed:
+            # Membership follows the log, including a rolled-back suffix.
             self._rebuild_members_from_log()
-            config_changed = True
-        elif config_changed:
-            # Apply config entries in order of appearance.
-            self._rebuild_members_from_log()
-        if config_changed:
             self._maybe_activate()
 
         if msg.leader_commit > self.commit_index:
@@ -818,17 +676,14 @@ class RaftNode:
             if _obs.OBS.enabled:
                 self._emit("raft.commit", index=self.commit_index)
             self._apply_committed()
+        self._reply_append(src, True, index)
 
-        self._send(
-            src,
-            AppendEntriesReply(
-                term=self.current_term,
-                follower_id=self.node_id,
-                success=True,
-                match_index=index,
-            ),
-            "append_rep",
+    def _reply_append(self, dst: int, success: bool, match_index: int) -> None:
+        reply = AppendEntriesReply(
+            term=self.current_term, follower_id=self.node_id,
+            success=success, match_index=match_index,
         )
+        self._send(dst, reply, "append_rep")
 
     def _on_append_reply(self, msg: AppendEntriesReply) -> None:
         if msg.term > self.current_term:

@@ -558,7 +558,7 @@ class TwoLayerRaftSystem:
         if peer_id == self.subgroup_leader(from_group):
             raise ValueError(
                 f"peer {peer_id} leads subgroup {from_group}; "
-                "transfer leadership before moving it"
+                "only followers move"
             )
         deadline = self.sim.now + max_ms
 

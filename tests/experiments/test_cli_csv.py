@@ -118,6 +118,27 @@ class TestCli:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["xlayer", "--peers", "50", "--depth", "2", "--max-attempts", "1"],
+        ["xlayer", "--loss", "1.5", "--depth", "2"],
+        ["xlayer", "--loss", "-0.1", "--depth", "2"],
+        ["chaos", "--scale", "50", "--loss", "1.0"],
+        ["xlayer", "--delay-ms", "-5", "--depth", "2"],
+        ["chaos", "--profiles", "bogus"],
+        ["chaos", "--layers", "bogus"],
+        ["campaign", "--profiles", "nope"],
+        ["fig10", "--metrics-port", "70000"],
+        ["plan", "--plan-peers", "2"],
+        ["plan", "--plan-dropouts", "-1"],
+        ["plan", "--plan-bandwidth", "-5"],
+    ])
+    def test_bad_flag_values_are_usage_errors(self, argv, capsys):
+        # Each used to reach the library and exit 1 with a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["xlayer", "--depth", "0", "--peers", "10"],
         ["xlayer", "--depth", "-1"],
         ["chaos", "--scale", "50", "--depth", "0"],

@@ -1,4 +1,4 @@
-"""Tests for the Raft extensions: PreVote and leadership transfer."""
+"""Tests for the PreVote extension."""
 
 import numpy as np
 import pytest
@@ -70,52 +70,3 @@ class TestPreVote:
         cluster.run_for(2_000.0)
         assert cluster.leader_id() == lid
         assert cluster.node(lid).current_term == term
-
-
-class TestLeadershipTransfer:
-    def test_transfer_moves_leadership(self):
-        cluster = RaftCluster(5, seed=10)
-        lid = cluster.run_until_leader()
-        cluster.run_for(1_000.0)  # let followers fully catch up
-        target = next(i for i in range(5) if i != lid)
-        assert cluster.node(lid).transfer_leadership(target)
-        cluster.run_for(2_000.0)
-        assert cluster.leader_id() == target
-
-    def test_transfer_rejected_on_follower(self):
-        cluster = RaftCluster(3, seed=11)
-        lid = cluster.run_until_leader()
-        follower = next(i for i in range(3) if i != lid)
-        assert not cluster.node(follower).transfer_leadership(lid)
-
-    def test_transfer_to_self_or_stranger_rejected(self):
-        cluster = RaftCluster(3, seed=12)
-        lid = cluster.run_until_leader()
-        assert not cluster.node(lid).transfer_leadership(lid)
-        assert not cluster.node(lid).transfer_leadership(99)
-
-    def test_transfer_to_lagging_target_rejected(self):
-        cluster = RaftCluster(5, seed=13)
-        lid = cluster.run_until_leader()
-        target = next(i for i in range(5) if i != lid)
-        cluster.crash(target)
-        cluster.propose(("entry",))
-        cluster.run_for(1_000.0)
-        cluster.recover(target)
-        # Immediately after recovery the target is behind.
-        assert not cluster.node(lid).transfer_leadership(target)
-
-    def test_log_preserved_across_transfer(self):
-        cluster = RaftCluster(5, seed=14)
-        lid = cluster.run_until_leader()
-        cluster.propose(("before-transfer",))
-        cluster.run_for(1_000.0)
-        target = next(i for i in range(5) if i != lid)
-        assert cluster.node(lid).transfer_leadership(target)
-        cluster.run_for(2_000.0)
-        assert cluster.leader_id() == target
-        cluster.propose(("after-transfer",))
-        cluster.run_for(1_000.0)
-        cmds = [cmd for _, cmd in cluster.applied[target]]
-        assert ("before-transfer",) in cmds
-        assert ("after-transfer",) in cmds

@@ -1,7 +1,8 @@
 """Raft safety invariants under randomized fault schedules (fuzzer).
 
-Explores random mixes of crashes, recoveries, partitions and client
-proposals, then checks the four safety properties of the Raft paper:
+Explores random mixes of crashes, recoveries, partitions, client
+proposals and (optionally) single-server membership changes, then checks
+the four safety properties of the Raft paper:
 
 1. **Election Safety** — at most one leader per term.
 2. **Log Matching** — if two logs share (index, term) they are identical
@@ -16,12 +17,42 @@ import numpy as np
 import pytest
 
 from repro.raft import RaftCluster
-from repro.raft.log import CompactedError
-from repro.raft.node import NOOP
+from tests.raft.test_extensions import PreVoteCluster
 
 
-def random_schedule(cluster: RaftCluster, seed: int, steps: int = 25) -> None:
-    """Drive a random fault/proposal schedule."""
+def change_membership(cluster: RaftCluster, node: int) -> None:
+    """Through the leader: remove ``node`` if it is a member (keeping at
+    least three), add it back otherwise.  The leader may refuse."""
+    lid = cluster.leader_id()
+    if lid is None:
+        return
+    leader = cluster.node(lid)
+    if node not in leader.members:
+        leader.add_server(node)
+    elif len(leader.members) > 3:
+        leader.remove_server(node)
+
+
+def readmit_everyone(cluster: RaftCluster, max_ms: float = 30_000.0) -> None:
+    """Add removed nodes back one at a time until the config is full."""
+    everyone = set(range(len(cluster.hosts)))
+    deadline = cluster.sim.now + max_ms
+    while cluster.sim.now < deadline:
+        lid = cluster.leader_id()
+        if lid is not None:
+            missing = everyone - cluster.node(lid).members
+            if not missing:
+                return
+            cluster.node(lid).add_server(min(missing))
+        cluster.run_for(200.0)
+
+
+def random_schedule(
+    cluster: RaftCluster, seed: int, steps: int = 25, membership: bool = False,
+) -> None:
+    """Drive a random fault/proposal schedule; with ``membership`` a
+    tenth of the steps are pairs of single-server changes, every removed
+    node is re-added after the heal, and ten more proposals follow."""
     rng = np.random.default_rng(seed)
     n = len(cluster.hosts)
     proposal = 0
@@ -44,6 +75,11 @@ def random_schedule(cluster: RaftCluster, seed: int, steps: int = 25) -> None:
             cluster.network.set_partition([members[:cut], members[cut:]])
         elif action < 0.75:
             cluster.network.set_partition(None)
+        elif membership and action >= 0.90:
+            # Two changes at one instant, as a FedAvg leader swapping a
+            # subgroup's seat-holder issues them.
+            change_membership(cluster, victim)
+            change_membership(cluster, int(rng.integers(n)))
         else:
             idx = cluster.propose(("op", proposal))
             if idx is not None:
@@ -54,6 +90,12 @@ def random_schedule(cluster: RaftCluster, seed: int, steps: int = 25) -> None:
         if cluster.network.is_crashed(i):
             cluster.recover(i)
     cluster.run_for(6_000.0)
+    if membership:
+        readmit_everyone(cluster)
+        for i in range(10):
+            cluster.propose(("after", i))
+            cluster.run_for(100.0)
+        cluster.run_for(2_000.0)
 
 
 def check_election_safety(cluster: RaftCluster) -> None:
@@ -63,9 +105,8 @@ def check_election_safety(cluster: RaftCluster) -> None:
 
 def check_log_matching(cluster: RaftCluster) -> None:
     logs = [h.raft.log for h in cluster.hosts]
-    floor = max(log.first_available_index for log in logs)
     top = min(log.last_index for log in logs)
-    for idx in range(floor, top + 1):
+    for idx in range(1, top + 1):
         cells = {(log.term_at(idx), repr(log.get(idx).command)) for log in logs}
         if len(cells) > 1:
             # Divergence is only legal above every commit index.
@@ -94,8 +135,6 @@ def check_leader_completeness(cluster: RaftCluster) -> None:
     log = cluster.hosts[lid].raft.log
     for node_id, applied in cluster.applied.items():
         for index, command in applied:
-            if index < log.first_available_index:
-                continue  # compacted; covered by the snapshot
             if index <= log.last_index:
                 assert repr(log.get(index).command) == repr(command), (
                     f"leader {lid} disagrees at applied index {index}"
@@ -106,15 +145,19 @@ def check_leader_completeness(cluster: RaftCluster) -> None:
                 )
 
 
+def check_all(cluster: RaftCluster) -> None:
+    check_election_safety(cluster)
+    check_log_matching(cluster)
+    check_state_machine_safety(cluster)
+    check_leader_completeness(cluster)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_invariants_under_random_schedules(seed):
     cluster = RaftCluster(5, seed=seed, timeout_base_ms=50.0)
     cluster.run_until_leader()
     random_schedule(cluster, seed=seed * 1000 + 7)
-    check_election_safety(cluster)
-    check_log_matching(cluster)
-    check_state_machine_safety(cluster)
-    check_leader_completeness(cluster)
+    check_all(cluster)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -122,18 +165,25 @@ def test_invariants_with_textbook_elections(seed):
     cluster = RaftCluster(5, seed=seed, pre_election_wait=False)
     cluster.run_until_leader()
     random_schedule(cluster, seed=seed * 77 + 3, steps=20)
-    check_election_safety(cluster)
-    check_log_matching(cluster)
-    check_state_machine_safety(cluster)
+    check_all(cluster)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_invariants_with_snapshots(seed):
-    cluster = RaftCluster(5, seed=seed)
-    for host in cluster.hosts:
-        host.raft.snapshot_threshold = 3
+def test_invariants_with_prevote(seed):
+    cluster = PreVoteCluster(5, seed=seed)
     cluster.run_until_leader()
     random_schedule(cluster, seed=seed * 31 + 11, steps=20)
-    check_election_safety(cluster)
-    check_state_machine_safety(cluster)
-    check_leader_completeness(cluster)
+    check_all(cluster)
+
+
+@pytest.mark.parametrize("pre_election_wait", [True, False])
+@pytest.mark.parametrize("pre_vote", [False, True])
+# Seeds 66, 77 and 94 applied different commands at one index while a
+# leader could still start a second change before the first committed.
+@pytest.mark.parametrize("seed", [0, 1, 2, 66, 77, 94])
+def test_invariants_with_membership_changes(seed, pre_vote, pre_election_wait):
+    make = PreVoteCluster if pre_vote else RaftCluster
+    cluster = make(5, seed=seed, pre_election_wait=pre_election_wait)
+    cluster.run_until_leader()
+    random_schedule(cluster, seed=seed * 53 + 5, steps=20, membership=True)
+    check_all(cluster)

@@ -5,8 +5,8 @@ The happy-path single-server changes live in
 corners the campaign churn drill leans on: a leader crashing while a
 configuration change is in flight, a leader removing *itself* (it must
 serve until the entry commits, then step down — Raft thesis
-Sec. 4.2.2), and a long-crashed node catching back up from an
-InstallSnapshot after the log it missed was compacted away.
+Sec. 4.2.2), and a removed node catching back up by log replay once
+it is re-added.
 """
 
 import numpy as np
@@ -87,6 +87,26 @@ class TestLeaderCrashMidChange:
             assert len(winners) == 1, f"split brain in term {term}"
 
 
+class TestOneChangeAtATime:
+    def test_second_change_waits_for_the_first_to_commit(self):
+        """Two single-server changes in flight form a two-server swap
+        whose old and new majorities need not intersect, so a leader
+        refuses ("not now, retry") until the first one commits."""
+        cluster = RaftCluster(5, seed=46)
+        lid = cluster.run_until_leader()
+        newcomer = _add_passive_host(cluster, 5)
+        leader = cluster.node(lid)
+        a, b = [i for i in range(5) if i != lid][:2]
+        assert leader.remove_server(a) is not None
+        assert leader.add_server(5) is None
+        assert leader.remove_server(b) is None
+        cluster.run_for(1_000.0)  # the removal commits
+        assert leader.add_server(5) > 0
+        cluster.run_for(2_000.0)
+        assert newcomer.raft.is_member
+        assert cluster.node(lid).members == set(range(6)) - {a}
+
+
 class TestRemovedLeaderStepDown:
     def test_leader_self_removal_steps_down(self):
         """A leader removing itself serves until C_new commits, then
@@ -123,34 +143,10 @@ class TestRemovedLeaderStepDown:
         assert cluster.node(lid).role is not Role.LEADER
 
 
-class TestRejoinCatchUpFromSnapshot:
-    def test_rejoining_node_installs_snapshot(self):
-        """A node that missed a compacted prefix is brought back with
-        one InstallSnapshot instead of a log replay."""
-        cluster = RaftCluster(3, seed=44)
-        lid = cluster.run_until_leader()
-        straggler = next(i for i in range(3) if i != lid)
-        cluster.crash(straggler)
-        for i in range(20):
-            cluster.propose(("bulk", i))
-            cluster.run_for(100.0)
-        cluster.run_for(2_000.0)
-        # Compact the leader's log past everything the straggler saw.
-        boundary = cluster.node(lid).take_snapshot()
-        assert boundary > 0
-        cluster.recover(straggler)
-        cluster.run_for(10_000.0)
-        node = cluster.node(straggler)
-        assert node.log.snapshot_index >= boundary
-        assert node.commit_index >= boundary
-        # And it follows the live log again.
-        cluster.propose(("fresh",))
-        cluster.run_for(2_000.0)
-        assert ("fresh",) in [c for _, c in cluster.applied[straggler]]
-
+class TestRejoinCatchUp:
     def test_rejoined_after_removal_and_readd(self):
         """Leave + rejoin as the campaign does it: removed from the
-        config, later re-added, catching up from the leader's snapshot."""
+        config, later re-added, catching up by log replay."""
         cluster = RaftCluster(3, seed=45)
         lid = cluster.run_until_leader()
         leaver = next(i for i in range(3) if i != lid)
@@ -160,7 +156,6 @@ class TestRejoinCatchUpFromSnapshot:
             cluster.propose(("while-away", i))
             cluster.run_for(100.0)
         cluster.run_for(2_000.0)
-        cluster.node(lid).take_snapshot()
         assert leaver not in cluster.node(lid).members
         # The peer comes back and is re-admitted via add_server.
         cluster.recover(leaver)

@@ -63,10 +63,9 @@ class TestFollowerRecovery:
         leader = system.subgroup_leader(gi)
         victim = pick_follower(system, gi)
         vraft = system.peers[victim].sub_raft
-        first = vraft.log.first_available_index
         prefix = [
             (i, vraft.log.get(i).command)
-            for i in range(first, vraft.log.last_index + 1)
+            for i in range(1, vraft.log.last_index + 1)
         ]
         term_before = vraft.current_term
 
