@@ -229,15 +229,14 @@ def _round_models(
 
     Seeding by (seed, round, stable id) makes each peer's contribution
     independent of membership, grouping, and execution mode — the
-    determinism anchor for the campaign fingerprint.
+    determinism anchor for the campaign fingerprint.  The noise is
+    ``U(-0.5, 0.5)``, drawn straight into the rows of one block.
     """
-    return [
-        global_weights
-        + np.random.default_rng([seed, index, pid]).normal(
-            size=global_weights.shape[0]
-        )
-        for pid in members
-    ]
+    models = np.empty((len(members), global_weights.shape[0]))
+    for pid, row in zip(members, models):
+        np.random.default_rng([seed, index, pid]).random(out=row)
+    models += global_weights - 0.5
+    return list(models)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..secure.batched import _FUSED_BLOCK
+from ..secure.batched import _FUSED_BLOCK, _split_blocks
 
 
 def fedavg(
@@ -30,9 +30,11 @@ def fedavg(
         subgroup sizes).  Defaults to uniform.
     out:
         Optional preallocated output buffer (in-place accumulation; no
-        ``(len(models), |w|)`` temporary is created).
+        ``(len(models), |w|)`` temporary is created).  It must not share
+        memory with any model.
 
-    Accumulates in cache-sized blocks along the first axis through one
+    Accumulates in cache-sized blocks along the first axis, each span of
+    blocks (:func:`~repro.secure.batched._split_blocks`) through its own
     scratch buffer: every element sees the products and adds of
     ``out += model * (w_k / total)`` taken over the models in order — the
     same bits — without a ``|w|``-sized product per model.
@@ -60,21 +62,28 @@ def fedavg(
                 f"model shape mismatch: {model.shape} vs {first.shape}"
             )
     if out is None:
-        out = np.zeros_like(first)
+        out = np.empty_like(first)
     else:
         if out.shape != first.shape:
             raise ValueError(f"out must have shape {first.shape}")
-        out[...] = 0.0
+        if any(np.shares_memory(out, model) for model in models):
+            # The blocks zero ``out`` before they read the models.
+            raise ValueError("out must not share memory with a model")
     # Blocks run along the first axis (a 0-d "model" is lent one).
     outs = out if out.ndim else out[None]
     srcs = [model if model.ndim else model[None] for model in models]
     rows = max(1, _FUSED_BLOCK * len(outs) // max(1, outs.size))
-    tmp = np.empty(outs[:rows].shape, dtype=np.float64)
     scales = w / total
-    for r in range(0, len(outs), rows):
-        acc = outs[r:r + rows]
-        scratch = tmp[:len(acc)]
-        for src, scale in zip(srcs, scales):
-            np.multiply(src[r:r + rows], scale, out=scratch)
-            np.add(acc, scratch, out=acc)
+
+    def run(lo: int, hi: int) -> None:
+        tmp = np.empty(outs[:rows].shape, dtype=np.float64)
+        for r in range(lo * rows, min(hi * rows, len(outs)), rows):
+            acc = outs[r:r + rows]
+            scratch = tmp[:len(acc)]
+            acc[...] = 0.0
+            for src, scale in zip(srcs, scales):
+                np.multiply(src[r:r + rows], scale, out=scratch)
+                np.add(acc, scratch, out=acc)
+
+    _split_blocks(-(-len(outs) // rows), run)
     return out

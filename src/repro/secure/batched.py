@@ -43,8 +43,10 @@ property tests in ``tests/secure/test_batched.py``):
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,57 @@ _RING_HIGH = 2**64
 #: Elements per accumulation block of the fused subtotal kernel (256 KB of
 #: float64): accumulator, scratch and one model block stay cache-resident.
 _FUSED_BLOCK = 32_768
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: CPUs this process may use, read once at import: the upper bound of
+#: :func:`_split_blocks`' thread count.
+_CPUS = _usable_cpus()
+
+
+def _split_blocks(n_blocks: int, run: Callable[[int, int], None]) -> None:
+    """Call ``run(lo, hi)`` over contiguous spans covering ``range(n_blocks)``.
+
+    ``min(_CPUS, n_blocks // 4)`` spans, so a call of fewer than 8 blocks
+    runs inline.  The calling thread runs the first span and short-lived
+    threads the others (numpy releases the GIL inside its loops); all are
+    joined before this returns, and the first exception any span raised
+    is re-raised here.  Spans must write disjoint parts of the output:
+    each block then sees the operations of the serial loop, so the split
+    never changes a bit.
+    """
+    workers = min(_CPUS, n_blocks // 4)
+    if workers < 2:
+        run(0, n_blocks)
+        return
+    edges = [n_blocks * i // workers for i in range(workers + 1)]
+    errors: list[BaseException] = []
+
+    def span(lo: int, hi: int) -> None:
+        try:
+            run(lo, hi)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=span, args=edges[i:i + 2])
+        for i in range(1, workers)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        run(edges[0], edges[1])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _as_batch(stack: np.ndarray, dtype=None) -> np.ndarray:
@@ -305,37 +358,48 @@ def mean_of_subtotals(terms: Sequence, n: int) -> np.ndarray:
     terms are added in sequence order and the block is divided by ``n``:
     per element the operations of "materialise each term, add them in
     order, ``/= n``", so the same bits, but a model block is read from
-    memory once for all terms and no term is allocated.  Returns a new
-    array; no input is written.
+    memory once for all terms and no term is allocated.  Blocks are
+    independent, so :func:`_split_blocks` spreads them over the host's
+    cores.  Returns a new array; no input is written.
     """
+    if not terms:
+        raise ValueError("need at least one term")
+    _check_n(n)
     d, shape = terms[0].size, terms[0].shape
     # A term is its (fraction, flat model) recipe; a ready array has none.
     recipes = [
-        [(s.fraction, s.model.reshape(d)) for s in t.shares]
-        if isinstance(t, DenseSubtotal) else [(None, np.asarray(t).reshape(d))]
+        [(s.fraction, s.model.reshape(-1)) for s in t.shares]
+        if isinstance(t, DenseSubtotal) else [(None, np.asarray(t).reshape(-1))]
         for t in terms
     ]
+    if any(vec.size != d for recipe in recipes for _, vec in recipe):
+        raise ValueError(f"terms must all have {d} elements")
     out = np.empty(d)
-    scratch = np.empty((2, min(d, _FUSED_BLOCK)))
-    for c0 in range(0, d, _FUSED_BLOCK):
-        c1 = c0 + _FUSED_BLOCK
-        acc = out[c0:c1]
-        held, tmp = scratch[:, : acc.size]
-        for j, ((fraction, vec), *rest) in enumerate(recipes):
-            if fraction is None:
-                part = vec[c0:c1]
-            else:
-                # The first term is evaluated straight into the output.
-                part = held if j else acc
-                np.multiply(fraction, vec[c0:c1], out=part)
-                for fraction, vec in rest:
-                    np.multiply(fraction, vec[c0:c1], out=tmp)
-                    np.add(part, tmp, out=part)
-            if j:
-                np.add(acc, part, out=acc)
-            elif part is not acc:
-                np.copyto(acc, part)
-        np.divide(acc, n, out=acc)
+
+    def run(lo: int, hi: int) -> None:
+        scratch = np.empty((2, min(d, _FUSED_BLOCK)))
+        stop = min(hi * _FUSED_BLOCK, d)
+        for c0 in range(lo * _FUSED_BLOCK, stop, _FUSED_BLOCK):
+            c1 = c0 + _FUSED_BLOCK
+            acc = out[c0:c1]
+            held, tmp = scratch[:, : acc.size]
+            for j, ((fraction, vec), *rest) in enumerate(recipes):
+                if fraction is None:
+                    part = vec[c0:c1]
+                else:
+                    # The first term is evaluated straight into the output.
+                    part = held if j else acc
+                    np.multiply(fraction, vec[c0:c1], out=part)
+                    for fraction, vec in rest:
+                        np.multiply(fraction, vec[c0:c1], out=tmp)
+                        np.add(part, tmp, out=part)
+                if j:
+                    np.add(acc, part, out=acc)
+                elif part is not acc:
+                    np.copyto(acc, part)
+            np.divide(acc, n, out=acc)
+
+    _split_blocks(-(-d // _FUSED_BLOCK), run)
     return out.reshape(shape)
 
 

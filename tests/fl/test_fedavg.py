@@ -6,6 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl import fedavg
+from repro.secure import batched
+from tests.secure.test_batched import (
+    SPLIT_SIZES,
+    count_thread_starts,
+    cpus_patched,
+)
 
 
 class TestFedAvg:
@@ -53,6 +59,20 @@ class TestFedAvg:
             fedavg([np.ones(2), np.ones(2)], weights=[0, 0])
         with pytest.raises(ValueError):
             fedavg([np.ones(2)], out=np.empty(3))
+
+    def test_out_aliasing_a_model_is_rejected(self):
+        """``out`` is zeroed block by block before the models are read,
+        so an aliased ``out`` would average ``[1,1,1,1]`` and
+        ``[3,3,3,3]`` to 1.5."""
+        a, b = np.ones(4), np.full(4, 3.0)
+        for out in (a, b, b[:], a.reshape(2, 2).reshape(4)):
+            with pytest.raises(ValueError, match="share memory"):
+                fedavg([a, b], out=out)
+        assert (a == 1.0).all() and (b == 3.0).all()
+        # a disjoint half of the same buffer is fine
+        buf = np.array([1.0, 1.0, 3.0, 3.0, 9.0, 9.0])
+        out = fedavg([buf[0:2], buf[2:4]], out=buf[4:])
+        assert out.tolist() == [2.0, 2.0]
 
     @given(
         n=st.integers(1, 10),
@@ -157,8 +177,47 @@ class TestBlockedAccumulation:
 
         models = [np.ones(1 << 20) for _ in range(4)]
         out = np.empty(1 << 20)
-        tracemalloc.start()
-        fedavg(models, out=out)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < models[0].nbytes // 4  # one 256 KB scratch block
+        # Four spans on any host (32 blocks would start eight on an
+        # 8-CPU one, whose scratch alone is the bound).
+        with cpus_patched(4):
+            tracemalloc.start()
+            fedavg(models, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < models[0].nbytes // 4  # a 256 KB scratch block per span
+
+
+class TestSplitAccumulation:
+    """The row blocks spread over threads: same bits as inline."""
+
+    @pytest.mark.parametrize("d", SPLIT_SIZES)
+    def test_split_is_bit_identical_to_inline(self, d):
+        rng = np.random.default_rng(d)
+        models = list(rng.normal(size=(6, d)))
+        weights = rng.random(6) + 0.01
+        with cpus_patched(1):
+            inline = fedavg(models, weights)
+        for cpus in (2, 3, 4):
+            with cpus_patched(cpus):
+                got = fedavg(models, weights)
+            assert got.tobytes() == inline.tobytes()
+
+    def test_split_rows_of_a_matrix(self):
+        """2-D models block by rows; the split keeps the bits too."""
+        models = list(np.random.default_rng(3).normal(size=(4, 300, 1_000)))
+        with cpus_patched(1):
+            inline = fedavg(models, [1, 2, 3, 4])
+        with cpus_patched(4):
+            assert fedavg(models, [1, 2, 3, 4]).tobytes() == inline.tobytes()
+
+    @pytest.mark.parametrize("d,blocks", [
+        (1_250_858, 39), (16_384, 1), (8, 1),
+    ])
+    def test_threads_started(self, monkeypatch, d, blocks):
+        models = [np.ones(d)] * 6
+        starts = count_thread_starts(monkeypatch)
+        for cpus in (batched._CPUS, 4):
+            starts.clear()
+            with cpus_patched(cpus):
+                fedavg(models)
+            assert len(starts) == max(0, min(cpus, blocks // 4) - 1)

@@ -7,6 +7,8 @@ exactly that, for the float codec (multiplicative and zero-sum masks)
 and the ring64 fixed-point codec (dense and seeded).
 """
 
+import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -364,3 +366,121 @@ class TestMeanOfSubtotals:
             np.add(expect, term.materialize(), out=expect)
         expect /= n
         assert _bits_equal(mean_of_subtotals(terms, n), expect)
+
+    def test_typed_errors_before_any_block_runs(self):
+        handles = divide_handles(np.ones(4), 2, RNG())
+        with pytest.raises(ValueError, match="at least one term"):
+            mean_of_subtotals([], 2)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least one share"):
+                mean_of_subtotals([np.ones(4)], n)
+        with pytest.raises(ValueError, match="4 elements"):
+            mean_of_subtotals([np.ones(4), np.ones(5)], 2)
+        short = divide_handles(np.ones(3), 2, RNG())[0]
+        ragged = DenseSubtotal([handles[0], short])
+        with pytest.raises(ValueError, match="4 elements"):
+            mean_of_subtotals([DenseSubtotal(handles), ragged], 2)
+
+
+@contextmanager
+def cpus_patched(count):
+    """Split the kernels as a host with ``count`` usable CPUs would."""
+    shipped = batched._CPUS
+    batched._CPUS = count
+    try:
+        yield
+    finally:
+        batched._CPUS = shipped
+
+
+def count_thread_starts(monkeypatch):
+    """A list that every ``Thread.start`` from now on appends to."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+# Block edges, odd remainders and the paper's |w| (39 blocks).
+SPLIT_SIZES = [1, 32_767, 32_768, 32_769, 8 * 32_768 + 1, 1_250_858]
+
+
+class TestSplitBlocks:
+    """``_split_blocks``: which spans run where, and that splitting a
+    kernel over threads never moves a bit."""
+
+    def test_cpus_are_the_affinity_mask(self):
+        assert batched._CPUS == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 16])
+    def test_spans_tile_the_blocks(self, cpus):
+        for n_blocks in range(40):
+            spans = []
+            with cpus_patched(cpus):
+                batched._split_blocks(
+                    n_blocks,
+                    lambda lo, hi: spans.append(
+                        (lo, hi, threading.current_thread())
+                    ),
+                )
+            spans.sort(key=lambda s: s[0])
+            edges = [lo for lo, _, _ in spans] + [spans[-1][1]]
+            assert edges[0] == 0 and edges[-1] == n_blocks
+            assert all(hi == lo for (_, hi, _), (lo, _, _)
+                       in zip(spans, spans[1:]))
+            workers = min(cpus, n_blocks // 4)
+            assert len(spans) == (workers if workers > 1 else 1)
+            # the caller runs the first span itself
+            assert spans[0][2] is threading.current_thread()
+            assert all(hi > lo for lo, hi, _ in spans) or n_blocks == 0
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_a_span_exception_reaches_the_caller(self, failing):
+        finished = []
+
+        def run(lo, hi):
+            if lo == failing * 10:
+                raise KeyError(lo)
+            finished.append(lo)
+
+        before = threading.active_count()
+        with cpus_patched(4), pytest.raises(KeyError) as err:
+            batched._split_blocks(40, run)
+        assert err.value.args == (failing * 10,)
+        # every other span still ran, and was joined before the raise
+        assert sorted(finished) == [lo for lo in (0, 10, 20, 30)
+                                    if lo != failing * 10]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("d", SPLIT_SIZES)
+    def test_split_is_bit_identical_to_inline(self, d):
+        n, rng = 5, RNG(d)
+        models = rng.random((n, d))
+        handles = [divide_handles(w, n, rng) for w in models]
+        terms = [DenseSubtotal(column) for column in zip(*handles)]
+        terms[1] = np.asarray(terms[1])  # one ready array among the handles
+        with cpus_patched(1):
+            inline = mean_of_subtotals(terms, n)
+        for cpus in (2, 3, 4):
+            with cpus_patched(cpus):
+                assert _bits_equal(mean_of_subtotals(terms, n), inline)
+
+    @pytest.mark.parametrize("d,blocks", [
+        (1_250_858, 39), (16_384, 1), (8, 1),
+    ])
+    def test_threads_started(self, monkeypatch, d, blocks):
+        """A paper-size leader starts one thread per extra span; a
+        campaign-size (d = 16,384) or X-layer-size (d = 8) one starts
+        none."""
+        terms = [np.ones(d)] * 3
+        starts = count_thread_starts(monkeypatch)
+        for cpus in (batched._CPUS, 4):
+            starts.clear()
+            with cpus_patched(cpus):
+                mean_of_subtotals(terms, 3)
+            assert len(starts) == max(0, min(cpus, blocks // 4) - 1)
