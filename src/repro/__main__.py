@@ -223,10 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--serve-host", default="127.0.0.1",
                         help="'serve-metrics'/--metrics-port: bind address "
                         "(default: 127.0.0.1)")
-    parser.add_argument("--serve-rounds", type=int, default=12,
+    parser.add_argument("--serve-rounds", type=_positive_int, default=12,
                         help="'serve-metrics': chaos rounds to run while "
                         "serving (default: 12)")
-    parser.add_argument("--serve-interval", type=float, default=0.2,
+    parser.add_argument("--serve-interval", default=0.2,
+                        type=_checked(float, lambda v: v >= 0, ">= 0"),
                         help="'serve-metrics': pause between rounds in "
                         "seconds, the scrape window (default: 0.2)")
     parser.add_argument("--incident-dir", default="incident_out",
@@ -511,7 +512,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .core.wire_round import run_two_layer_wire_round
     from .obs import runtime as _runtime
     from .obs.scale import resource_snapshot
-    from .obs.serve import MetricsPortInUseError, MetricsServer, StatusBoard
+    from .obs.serve import MetricsBindError, MetricsServer, StatusBoard
 
     n_peers, group_size, k = 12, 4, 3
     topology = Topology.by_group_size(n_peers, group_size)
@@ -529,7 +530,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 host=args.serve_host, port=port,
                 resources=lambda: resource_snapshot(obs=obs),
             ).start()
-        except MetricsPortInUseError as exc:
+        except MetricsBindError as exc:
             log.error("%s", exc)
             return 2
         # An ephemeral request (port 0) resolves at bind time; print the
@@ -624,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
     server = None
     if obs is not None and args.metrics_port is not None:
         from .obs.scale import resource_snapshot
-        from .obs.serve import MetricsPortInUseError, MetricsServer
+        from .obs.serve import MetricsBindError, MetricsServer
 
         try:
             server = MetricsServer(
@@ -632,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
                 port=args.metrics_port,
                 resources=lambda: resource_snapshot(obs=obs),
             ).start()
-        except MetricsPortInUseError as exc:
+        except MetricsBindError as exc:
             log.error("%s", exc)
             ctx.__exit__(None, None, None)
             return 2

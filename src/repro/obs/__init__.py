@@ -7,9 +7,8 @@ This package is that instrumentation as a first-class subsystem:
 - :mod:`.bus` — typed events with sim-time + wall-time (per-message
   byte accounting stays on each network's own
   :class:`~repro.simnet.trace.TraceRecorder`);
-- :mod:`.metrics` — counters, gauges, and one histogram type (exact, or
-  bounded by a capacity under rollup retention) with labels, rendered
-  in Prometheus text exposition format;
+- :mod:`.metrics` — counters, gauges, and one exact histogram type
+  with labels, rendered in Prometheus text exposition format;
 - :mod:`.spans` — phase timers over the virtual and wall clocks;
 - :mod:`.export` — JSONL event logs and Chrome ``trace_event`` JSON
   (renders as a timeline in ``about://tracing`` / Perfetto);
@@ -27,10 +26,12 @@ This package is that instrumentation as a first-class subsystem:
   (``python -m repro serve-metrics``, ``--metrics-port``);
 - :mod:`.flight` — a bounded flight-recorder ring that dumps the events
   leading up to safety violations and typed failures;
-- :mod:`.scale` — bounded-memory rollup retention
-  (``observe(retention="rollup")``), process/simnet/obs resource
-  accounting and the live per-phase resource profiler for the
-  10⁵-peer scale push.
+- :mod:`.scale` — process/simnet/obs resource accounting and the live
+  per-phase resource profiler (``python -m repro prof --resources``).
+
+An enabled pipeline runs one path: every event lands in one
+:class:`~repro.obs.export.EventCollector`, every histogram keeps its
+raw values, and ``causal=True`` gives every message a trace context.
 
 ``repro.obs.scenario`` (the ``python -m repro trace`` scenario) is
 imported lazily, not here, because it depends on ``repro.core``.
@@ -43,7 +44,6 @@ from .causal import (
     CausalDag,
     CriticalPath,
     TraceContext,
-    TraceSampler,
     build_dag,
     critical_path,
     critical_paths_by_trace,
@@ -67,22 +67,19 @@ from .prof import PhaseStats, ProfileReport, StragglerStats, profile_events
 from .runtime import Observability, get, install, observe, uninstall
 from .scale import (
     ResourceProfiler,
-    RollupCollector,
     format_resource_report,
     obs_self_accounting,
     resource_snapshot,
 )
-from .serve import MetricsPortInUseError, MetricsServer, StatusBoard
+from .serve import MetricsBindError, MetricsServer, StatusBoard
 from .spans import NullSpan, Span
 
 __all__ = [
     "CausalDag",
     "CriticalPath",
     "TraceContext",
-    "TraceSampler",
-    "RollupCollector",
     "ResourceProfiler",
-    "MetricsPortInUseError",
+    "MetricsBindError",
     "format_resource_report",
     "obs_self_accounting",
     "resource_snapshot",

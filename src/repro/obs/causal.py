@@ -32,7 +32,6 @@ timestamp *is* the simulated round latency.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +41,6 @@ from .bus import Event
 
 __all__ = [
     "TraceContext",
-    "TraceSampler",
     "current",
     "use",
     "MessageSpan",
@@ -100,46 +98,6 @@ def use(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
 def make_span_id(src: int, dst: int, kind: str, n: int) -> str:
     """Deterministic span id: the n-th send on the (src, dst, kind) channel."""
     return f"{src}>{dst}:{kind}#{n}"
-
-
-class TraceSampler:
-    """Deterministic head-based per-``trace_id`` sampling decision.
-
-    At ``rate=1/k`` roughly 1-in-k trace ids are *kept* (carry spans);
-    the rest allocate no contexts at all.  The decision is a pure
-    function of ``(seed, trace_id)`` — blake2b of ``"{seed}:{trace_id}"``
-    mapped to a uniform in [0, 1) and compared against ``rate`` — so it
-    is identical across reruns.  ``rate=1.0`` keeps everything (and is
-    short-circuited before any hashing); ``rate=0.0`` keeps nothing.
-
-    Because every round runner builds a fresh ``Network`` carrying a
-    single ``trace_id``, skipping an unsampled trace skips *all* of its
-    channel counters — span ids on kept traces are byte-identical to
-    the unsampled run.
-    """
-
-    __slots__ = ("rate", "seed", "_cache")
-
-    def __init__(self, rate: float = 1.0, seed: int = 0) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("causal_sample_rate must be in [0, 1]")
-        self.rate = float(rate)
-        self.seed = int(seed)
-        self._cache: Dict[str, bool] = {}
-
-    def keep(self, trace_id: str) -> bool:
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        hit = self._cache.get(trace_id)
-        if hit is None:
-            digest = hashlib.blake2b(
-                f"{self.seed}:{trace_id}".encode(), digest_size=8
-            ).digest()
-            u = int.from_bytes(digest, "big") / float(1 << 64)
-            hit = self._cache[trace_id] = u < self.rate
-        return hit
 
 
 # --------------------------------------------------------------------------

@@ -15,13 +15,10 @@ bus and folds the causal net events into per-``(src, dst)``
 
 The wave engine (`repro.simnet.waves`) does not emit one event per
 message: bulk runs publish *count-carrying* aggregates — a ``net.wave``
-issuance event, and ``net.deliver`` / ``net.drop`` /
-``net.retransmit`` events with a ``count`` field and (when the network
-sets ``link_accounting``) a ``links`` triple of per-pair
-``(src_ids, dst_ids, counts)`` arrays.  The handlers fold those in as
-weighted observations, so the per-pair counters match the scalar
-engine's message-by-message totals; only the latency pairing needs the
-causal per-message path.
+issuance event (folded into ``wave_messages`` / ``wave_dropped``), and
+``net.deliver`` / ``net.drop`` / ``net.retransmit`` events with a
+``count`` field but no ``(src, dst)`` pair, which the per-pair
+handlers count as seen and otherwise skip.
 
 Snapshot the whole thing as a matrix (:meth:`LinkTelemetry.matrix`),
 JSON (:meth:`snapshot` — the ``/status`` endpoint serves this), or
@@ -83,20 +80,6 @@ class LinkStats:
             self.dropped += 1
         self._outcomes.append(1 if delivered else 0)
         if len(self._outcomes) > self.window:
-            self._outcomes.popleft()
-
-    def observe_outcomes(self, delivered: bool, count: int) -> None:
-        """Weighted outcome from an aggregate wave event: ``count``
-        identical outcomes at once, same totals and window state as
-        ``count`` scalar calls."""
-        if count <= 0:
-            return
-        if delivered:
-            self.delivered += count
-        else:
-            self.dropped += count
-        self._outcomes.extend((1 if delivered else 0,) * min(count, self.window))
-        while len(self._outcomes) > self.window:
             self._outcomes.popleft()
 
     @property
@@ -231,13 +214,6 @@ class LinkTelemetry:
 
     def _on_deliver(self, event: Event) -> None:
         self.events_seen += 1
-        links = event.fields.get("links")
-        if links is not None:
-            for src, dst, count in zip(*links):
-                self._pair(int(src), int(dst)).observe_outcomes(
-                    delivered=True, count=int(count)
-                )
-            return
         src, dst = event.node, event.fields.get("dst")
         if src is None or dst is None:
             return
@@ -253,13 +229,6 @@ class LinkTelemetry:
 
     def _on_drop(self, event: Event) -> None:
         self.events_seen += 1
-        links = event.fields.get("links")
-        if links is not None:
-            for src, dst, count in zip(*links):
-                self._pair(int(src), int(dst)).observe_outcomes(
-                    delivered=False, count=int(count)
-                )
-            return
         src, dst = event.node, event.fields.get("dst")
         if src is None or dst is None:
             return
@@ -269,11 +238,6 @@ class LinkTelemetry:
 
     def _on_retransmit(self, event: Event) -> None:
         self.events_seen += 1
-        links = event.fields.get("links")
-        if links is not None:
-            for src, dst, count in zip(*links):
-                self._pair(int(src), int(dst)).retransmits += int(count)
-            return
         src, dst = event.node, event.fields.get("dst")
         if src is None or dst is None:
             return

@@ -10,15 +10,6 @@ unquantified error term to every plot.
 Quantiles use the same linear-interpolation definition (including the
 symmetrized lerp) as ``numpy.quantile(..., method="linear")``; a
 property test asserts bit-identical agreement with NumPy.
-
-For the 10⁵-peer scale push, exact histograms are the one metrics
-primitive whose memory grows linearly with the workload, so
-:class:`Histogram` takes a ``capacity``: ``None`` keeps every raw value
-(the exact histogram above); a bound (``observe(retention="rollup")``
-sets :data:`ROLLUP_CAPACITY`) turns it into a fixed-size merging
-digest that stays exact until the capacity is exceeded and afterwards
-has rank error bounded by the compaction count (see
-``docs/observability.md``).  Counters and gauges are O(1) either way.
 """
 
 from __future__ import annotations
@@ -71,53 +62,22 @@ class Gauge:
         self.value -= amount
 
 
-def _compact(centroids: list[list[float]]) -> list[list[float]]:
-    """Halve the centroid count by merging adjacent sorted pairs."""
-    out: list[list[float]] = []
-    for i in range(0, len(centroids) - 1, 2):
-        (v1, w1), (v2, w2) = centroids[i], centroids[i + 1]
-        w = w1 + w2
-        out.append([(v1 * w1 + v2 * w2) / w, w])
-    if len(centroids) % 2:
-        out.append(centroids[-1])
-    return out
-
-
 class Histogram:
-    """Quantile histogram (merging-digest family).
+    """Exact quantile histogram over raw observations.
 
-    With ``capacity=None`` (full retention) it keeps every raw
-    observation in insertion order and never compacts, so quantiles are
+    Keeps every observation in insertion order, so quantiles are
     *exact*: bit-identical to ``numpy.quantile(..., method="linear")``.
-
-    With a ``capacity`` (``ROLLUP_CAPACITY`` under rollup retention)
-    observations buffer until ``capacity`` is reached, then collapse
-    into sorted ``[value, weight]`` centroids; whenever the centroid
-    list would exceed ``capacity`` it is compacted by merging adjacent
-    pairs.  Until the first compaction quantiles are still exact;
-    afterwards they interpolate between centroid mean ranks, with rank
-    error bounded by the largest centroid weight (≤ ``2**compactions``),
-    i.e. O(count / capacity).
-
-    Reads never mutate: a quantile works on a sorted copy.  Everything
-    is deterministic: same observation sequence ⇒ same centroids.
+    Reads never mutate: a quantile works on a sorted copy.
     """
 
-    __slots__ = ("capacity", "count", "sum", "min", "max",
-                 "compactions", "_centroids", "_buffer")
+    __slots__ = ("count", "sum", "min", "max", "_values")
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 8:
-            raise ValueError("histogram capacity must be >= 8")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.compactions = 0
-        # sorted [value, weight] pairs once flushed (bounded only)
-        self._centroids: list[list[float]] = []
-        self._buffer: list[float] = []
+        self._values: list[float] = []
 
     def observe(self, value: float) -> None:
         v = float(value)
@@ -127,84 +87,30 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-        self._buffer.append(v)
-        if self.capacity is not None and len(self._buffer) >= self.capacity:
-            self._flush()
-
-    def _flush(self) -> None:
-        self._centroids, n = self._collapse(self._centroids)
-        self.compactions += n
-        self._buffer = []
-
-    def _collapse(
-        self, centroids: list[list[float]]
-    ) -> tuple[list[list[float]], int]:
-        """``centroids`` plus the buffer, sorted and compacted to capacity.
-
-        Returns the new centroid list and the compactions it took; the
-        histogram itself is left untouched.
-        """
-        merged = centroids + [[v, 1.0] for v in self._buffer]
-        merged.sort(key=lambda c: c[0])
-        n = 0
-        while self.capacity is not None and len(merged) > self.capacity:
-            merged = _compact(merged)
-            n += 1
-        return merged, n
-
-    @property
-    def exact(self) -> bool:
-        """True while quantiles are numpy-identical (nothing compacted)."""
-        return self.compactions == 0
+        self._values.append(v)
 
     def quantile(self, q: float) -> float:
-        """q-th quantile, q in [0, 1] — numpy.quantile's linear method
-        until the first compaction, centroid-rank interpolation after."""
+        """q-th quantile, q in [0, 1] — numpy.quantile's linear method."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if not self.count:
             raise ValueError("no observations")
-        cents, n = self._collapse(self._centroids)
-        if self.compactions + n == 0:
-            # All weights are 1 — numpy's symmetrized lerp, approaching
-            # the nearer endpoint so the result is bit-identical.
-            h = (len(cents) - 1) * q
-            lo, hi = math.floor(h), math.ceil(h)
-            a, b, t = cents[lo][0], cents[hi][0], h - lo
-            if lo == hi:
-                return a
-            if t >= 0.5:
-                return b - (b - a) * (1.0 - t)
-            return a + (b - a) * t
-        if q <= 0.0:
-            return self.min
-        if q >= 1.0:
-            return self.max
-        # Interpolate between centroid mean ranks in [0, count).
-        target = q * (self.count - 1)
-        cum = 0.0
-        prev_rank = None
-        prev_val = self.min
-        for v, w in cents:
-            rank = cum + (w - 1.0) / 2.0  # mean rank of this centroid
-            if target <= rank:
-                if prev_rank is None or rank == prev_rank:
-                    return v
-                t = (target - prev_rank) / (rank - prev_rank)
-                return prev_val + (v - prev_val) * t
-            prev_rank, prev_val = rank, v
-            cum += w
-        return self.max
+        vals = sorted(self._values)
+        # numpy's symmetrized lerp, approaching the nearer endpoint so
+        # the result is bit-identical.
+        h = (len(vals) - 1) * q
+        lo, hi = math.floor(h), math.ceil(h)
+        a, b, t = vals[lo], vals[hi], h - lo
+        if lo == hi:
+            return a
+        if t >= 0.5:
+            return b - (b - a) * (1.0 - t)
+        return a + (b - a) * t
 
     def approx_bytes(self) -> int:
-        """Rough bound on held memory: raw floats, or centroids + buffer."""
-        if self.capacity is None:
-            return 8 * len(self._buffer) + 64
-        return 16 * len(self._centroids) + 8 * len(self._buffer) + 96
+        """Rough bound on held memory: the raw floats."""
+        return 8 * len(self._values) + 64
 
-
-#: histogram capacity under ``retention="rollup"``.
-ROLLUP_CAPACITY = 512
 
 _KIND_OF = {
     Counter: "counter",
@@ -220,12 +126,11 @@ class MetricFamily:
     """A named metric with a fixed label schema and cached children."""
 
     def __init__(self, name: str, help_text: str, label_names: tuple[str, ...],
-                 child_cls: type, *child_args: object) -> None:
+                 child_cls: type) -> None:
         self.name = name
         self.help = help_text
         self.label_names = label_names
         self._child_cls = child_cls
-        self._child_args = child_args
         self._children: dict[tuple[str, ...], object] = {}
 
     def labels(self, **labels: object):
@@ -238,7 +143,7 @@ class MetricFamily:
         key = tuple(str(labels[k]) for k in self.label_names)
         child = self._children.get(key)
         if child is None:
-            child = self._children[key] = self._child_cls(*self._child_args)
+            child = self._children[key] = self._child_cls()
         return child
 
     def _sole(self):
@@ -261,20 +166,13 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """Creates-or-returns metric families and renders the exposition.
+    """Creates-or-returns metric families and renders the exposition."""
 
-    ``histogram_capacity`` is the :class:`Histogram` capacity of every
-    ``histogram()`` family: ``None`` (default, full retention — raw
-    values, numpy-identical quantiles) or :data:`ROLLUP_CAPACITY` under
-    rollup retention.
-    """
-
-    def __init__(self, histogram_capacity: int | None = None) -> None:
-        self.histogram_capacity = histogram_capacity
+    def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
 
     def _family(self, name: str, help_text: str, labels: tuple[str, ...],
-                child_cls: type, *child_args: object) -> MetricFamily:
+                child_cls: type) -> MetricFamily:
         fam = self._families.get(name)
         if fam is not None:
             if fam._child_cls is not child_cls or fam.label_names != tuple(labels):
@@ -283,8 +181,7 @@ class MetricsRegistry:
                     "kind or label schema"
                 )
             return fam
-        fam = MetricFamily(name, help_text, tuple(labels), child_cls,
-                           *child_args)
+        fam = MetricFamily(name, help_text, tuple(labels), child_cls)
         self._families[name] = fam
         return fam
 
@@ -298,8 +195,7 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help_text: str = "",
                   labels: tuple[str, ...] = ()) -> MetricFamily:
-        return self._family(name, help_text, labels, Histogram,
-                            self.histogram_capacity)
+        return self._family(name, help_text, labels, Histogram)
 
     def families(self) -> Iterable[MetricFamily]:
         return self._families.values()

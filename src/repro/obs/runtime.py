@@ -32,15 +32,13 @@ import contextlib
 from typing import Any, Callable, Iterator, Optional
 
 from .bus import Event, EventBus
-from .causal import TraceSampler
 from .export import (
     EventCollector,
     write_chrome_trace,
     write_events_jsonl,
     write_text,
 )
-from .metrics import ROLLUP_CAPACITY, MetricsRegistry
-from .scale import RollupCollector
+from .metrics import MetricsRegistry
 from .spans import NULL_SPAN, NullSpan, Span
 
 
@@ -49,34 +47,13 @@ class Observability:
 
     ``enabled=False`` builds an inert instance whose ``emit``/``span``
     are no-ops; instrumentation sites additionally guard on ``enabled``
-    so the disabled path does no argument packing at all.
-
-    ``retention`` picks the memory policy:
-
-    - ``"full"`` (default) — an enabled pipeline keeps every event in
-      an :class:`~repro.obs.export.EventCollector` and histograms keep
-      raw values (``Histogram(capacity=None)``, exact quantiles).
-    - ``"rollup"`` — bounded memory for the 10⁵-peer scale push: events
-      stream through a :class:`~repro.obs.scale.RollupCollector`
-      (counters + windows + exemplars, never the stream) and histograms
-      are bounded at :data:`~repro.obs.metrics.ROLLUP_CAPACITY`.
-
-    ``causal_sample_rate`` (with ``causal=True``) keeps only a
-    seed-derived fraction of trace ids: at ``1/k``, 1-in-k rounds carry
-    spans.  The decision is a pure function of seed and ``trace_id``
-    (see :class:`~repro.obs.causal.TraceSampler`).
+    so the disabled path does no argument packing at all.  An enabled
+    pipeline keeps every event in an
+    :class:`~repro.obs.export.EventCollector` and every histogram keeps
+    its raw values (exact, numpy-identical quantiles).
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        causal: bool = False,
-        retention: str = "full",
-        causal_sample_rate: float = 1.0,
-        causal_sample_seed: int = 0,
-    ) -> None:
-        if retention not in ("full", "rollup"):
-            raise ValueError(f"unknown retention policy {retention!r}")
+    def __init__(self, enabled: bool = True, causal: bool = False) -> None:
         self.enabled = enabled
         #: opt-in causal tracing: when True (``observe(causal=True)``),
         #: ``Network.send`` allocates a TraceContext per message and
@@ -84,35 +61,16 @@ class Observability:
         #: the baseline event stream (and every seed-exact sim pin)
         #: is unchanged.
         self.causal = bool(causal)
-        self.retention = retention
-        #: None at the default rate of 1.0, so the per-send gate in
-        #: ``Network.send`` is a single attribute check.
-        self.sampler: Optional[TraceSampler] = (
-            TraceSampler(causal_sample_rate, causal_sample_seed)
-            if causal_sample_rate < 1.0 else None
-        )
         self.bus = EventBus()
-        self.metrics = MetricsRegistry(
-            ROLLUP_CAPACITY if retention == "rollup" else None
-        )
+        self.metrics = MetricsRegistry()
         self.collector: Optional[EventCollector] = None
-        self.rollup: Optional[RollupCollector] = None
         #: optional attached sinks (see :meth:`attach_link` /
         #: :meth:`attach_flight`).
         self.link = None
         self.flight = None
         if enabled:
-            if retention == "rollup":
-                self.rollup = RollupCollector(seed=causal_sample_seed)
-                self.bus.subscribe(self.rollup)
-            else:
-                self.collector = EventCollector()
-                self.bus.subscribe(self.collector)
-
-    def trace_kept(self, trace_id: str) -> bool:
-        """Head-based sampling decision for ``trace_id`` (default: keep)."""
-        sampler = self.sampler
-        return True if sampler is None else sampler.keep(trace_id)
+            self.collector = EventCollector()
+            self.bus.subscribe(self.collector)
 
     # ---------------------------------------------------------------- emission
     def emit(

@@ -40,23 +40,30 @@ from .bus import Event, EventBus
 from .export import _json_default
 from .metrics import MetricsRegistry
 
-__all__ = ["StatusBoard", "MetricsServer", "MetricsPortInUseError"]
+__all__ = ["StatusBoard", "MetricsServer", "MetricsBindError"]
 
 
-class MetricsPortInUseError(RuntimeError):
-    """Raised by :meth:`MetricsServer.start` when the port is taken.
+class MetricsBindError(RuntimeError):
+    """Raised by :meth:`MetricsServer.start` when the bind fails.
 
-    A typed error so CLI front-ends can print one actionable line
-    (try ``--metrics-port 0`` for an ephemeral port) instead of a
-    traceback.
+    Any ``OSError`` of the bind — port taken, no permission, a host
+    that does not resolve — becomes this one typed error naming host,
+    port and the OS reason, so CLI front-ends can print one line
+    instead of a traceback.  A taken or forbidden port adds the
+    ``--metrics-port 0`` hint.
     """
 
-    def __init__(self, host: str, port: int) -> None:
+    def __init__(self, host: str, port: int, exc: OSError) -> None:
         self.host = host
         self.port = port
+        reason = exc.strerror or str(exc)
+        if exc.errno in (errno.EADDRINUSE, errno.EACCES):
+            hint = " (pass --metrics-port 0 to bind an ephemeral port)"
+        else:
+            hint = ""
         super().__init__(
-            f"metrics port {host}:{port} is already in use "
-            "(pass --metrics-port 0 to bind an ephemeral port)"
+            f"cannot bind metrics server to {host}:{port}: "
+            f"{reason}{hint}"
         )
 
 #: Content-Type of the Prometheus text exposition format.
@@ -244,9 +251,7 @@ class MetricsServer:
         try:
             self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         except OSError as exc:
-            if exc.errno in (errno.EADDRINUSE, errno.EACCES):
-                raise MetricsPortInUseError(self.host, self.port) from exc
-            raise
+            raise MetricsBindError(self.host, self.port, exc) from exc
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(

@@ -263,11 +263,6 @@ class Network:
         #: Installed by :meth:`repro.chaos.FaultSchedule.arm` and the
         #: X-layer chaos path.
         self.fault_timeline: Any = None
-        #: attach per-link (src, dst, count) arrays to aggregate wave
-        #: obs events so :class:`repro.obs.link.LinkTelemetry` can keep
-        #: per-link rates under the wave engine.  Off by default: the
-        #: arrays are retained by any event sink that keeps events.
-        self.link_accounting: bool = False
         #: trace id stamped on every TraceContext this network allocates
         #: (one id per round/scenario; set by the round runners).
         self.trace_id: str = "trace"
@@ -458,14 +453,9 @@ class Network:
         the message being delivered (or timer firing) right now.
         """
         obs = _obs.OBS
-        # Head-based sampling: the keep/drop decision is per trace_id
-        # (seed-derived, mode-independent), so an unsampled round
-        # allocates no contexts and advances no channel counters —
-        # kept rounds' span ids match the unsampled run exactly.
         ctx = (
             self.alloc_context(src, dst, kind, size_bits)
-            if obs.enabled and obs.causal and obs.trace_kept(self.trace_id)
-            else None
+            if obs.enabled and obs.causal else None
         )
         if self.reliable is not None:
             if dst not in self._nodes:

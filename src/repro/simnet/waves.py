@@ -744,8 +744,8 @@ class ItemWave:
     wave, the in-flight gauge moves at item times (departures/arrivals),
     not at issue.  The item columns are in ``(time, seq)`` order when
     the wave replays itself (payload waves); an accounting batch holds
-    them in creation order until its :class:`_ItemLedger` has replayed
-    them.
+    them in creation order until its :class:`_ItemLedger` merges them
+    into entries and releases them.
     """
 
     __slots__ = (
@@ -984,6 +984,8 @@ class _ItemLedger:
                 kinds.append(kind)
             a = b
         keys = np.array(kinds, dtype=np.int32) + w * _KINDS
+        # Nothing reads the batch's creation-order columns after this.
+        wave._it_t = wave._it_type = wave._it_idx = wave._it_flag = None
         return (np.concatenate(ts), keys.repeat([len(u) for u in ts]),
                 np.concatenate(ns, dtype=np.int32))
 
@@ -1045,28 +1047,10 @@ class _ItemLedger:
                 queue.push_at(*key, self._fire)
 
     # ------------------------------------------------------ bulk semantics
-    def _in_run(self, w: int, t: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Which of batch ``w``'s item times ``t`` fall in rows ``a..b-1``:
-        ``(t, w)`` between the first and last rows' ``(time, batch)``."""
-        t0, w0 = self._row_t[a], self._row_w[a]
-        t1, w1 = self._row_t[b - 1], self._row_w[b - 1]
-        return ((t >= t0) if w >= w0 else (t > t0)) & (
-            (t <= t1) if w <= w1 else (t < t1))
-
-    @staticmethod
-    def _links(wave: ItemWave, in_run: np.ndarray, typs, swap: bool):
-        """Aggregate (src, dst, count) triples over ``wave``'s items of
-        ``typs`` in the run (link accounting only)."""
-        idx = wave._it_idx[in_run & np.isin(wave._it_type, typs)]
-        s, d = wave._src[idx], wave._dst[idx]
-        pairs = np.stack([d, s] if swap else [s, d])
-        uniq, counts = np.unique(pairs, axis=1, return_counts=True)
-        return uniq[0], uniq[1], counts
-
     def _bulk_run(self, a: int, b: int) -> None:
         """Replay rows ``a..b-1`` as aggregate accounting steps: gauge
         lookups and one ``add.at`` / ``maximum.at`` pass over the run's
-        entries drive it all; items are looked up only for links."""
+        entries drive it all."""
         net = self.net
         rel = net.reliable
         ea, eb = int(self._bounds[a]), int(self._bounds[b])
@@ -1084,7 +1068,7 @@ class _ItemLedger:
         last = np.full(counts.shape, -np.inf)
         np.maximum.at(last.reshape(-1), key, self._t[ea:eb])
         for w in np.flatnonzero(counts.any(axis=1)).tolist():
-            self._account(w, counts[w].tolist(), last[w].tolist(), a, b)
+            self._account(w, counts[w].tolist(), last[w].tolist())
         if rel is not None:
             # Every ACKed arrival but a payload's first is a duplicate.
             rel.duplicates_suppressed += int(
@@ -1095,9 +1079,8 @@ class _ItemLedger:
             self.waves[w]._exhaust(t, i)
         del self._ex[:n_ex]
 
-    def _account(self, w: int, counts: list, last: list, a: int,
-                 b: int) -> None:
-        """Batch ``w``'s share of rows ``a..b-1``: ``counts`` items per
+    def _account(self, w: int, counts: list, last: list) -> None:
+        """Batch ``w``'s share of the run: ``counts`` items per
         entry kind, the ``last`` of each at that time (``-inf`` when
         absent)."""
         net = self.net
@@ -1105,9 +1088,6 @@ class _ItemLedger:
         wave = self.waves[w]
         wave._pos += sum(counts[:_N_TYPES])
         obs = _obs.OBS
-        links = obs.enabled and net.link_accounting
-        if links:
-            in_run = self._in_run(w, wave._it_t, a, b)
 
         def account(typs, dkind, bits, reason=None, silent=False):
             """One aggregate record and obs event for the items of
@@ -1124,9 +1104,6 @@ class _ItemLedger:
             if not obs.enabled:
                 return
             fields = {} if reason is None else {"reason": reason}
-            if links:
-                fields["links"] = self._links(wave, in_run, typs,
-                                              swap=dkind == "net.ack")
             obs.emit("net.deliver" if reason is None else "net.drop", t_ms=t,
                      kind=dkind, bits=count * bits, count=count, **fields)
             if reason is None:
@@ -1142,10 +1119,8 @@ class _ItemLedger:
         if n_re:
             rel.retransmits += n_re
             if obs.enabled:
-                fields = {"links": self._links(wave, in_run, (_T_RETRANS,),
-                                               swap=False)} if links else {}
                 obs.emit("net.retransmit", t_ms=last[_T_RETRANS],
-                         kind=wave.kind, count=n_re, **fields)
+                         kind=wave.kind, count=n_re)
                 obs.metrics.counter(
                     "net_retransmits_total",
                     "Data-frame retransmissions by kind.", labels=("kind",),
@@ -1165,6 +1140,3 @@ class _ItemLedger:
         account((_T_ARR_ACKLOST,), "net.ack", ACK_BITS, "loss")
         account((_T_ACK_MID,), "net.ack", ACK_BITS, "in_flight", silent=True)
         account((_T_ACK_ARR,), "net.ack", ACK_BITS)
-        if wave.done:
-            # Its creation-order blocks are only read for this run's links.
-            wave._it_t = wave._it_type = wave._it_idx = wave._it_flag = None

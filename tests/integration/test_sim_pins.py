@@ -1,4 +1,4 @@
-"""Seed-exact sim pins: 15 small scenarios, byte-identical by seed.
+"""Seed-exact sim pins: 14 small scenarios, byte-identical by seed.
 
 Each scenario runs once under a fresh observability pipeline; its
 ``params``, its ``sim`` block (virtual time, bits, messages, transport
@@ -40,7 +40,6 @@ from repro.fl.peer import FLPeer
 from repro.nn.zoo import mlp_classifier
 from repro.obs import runtime
 from repro.obs.prof import profile_events
-from repro.obs.scale import obs_self_accounting
 from repro.secure.fault_tolerant import fault_tolerant_sac
 from repro.secure.protocol import run_sac_protocol
 from repro.secure.replicated import shares_held_by
@@ -248,41 +247,6 @@ def _nn_epoch(p: dict, seed: int) -> dict:
     }
 
 
-def _obs_scale(p: dict, seed: int) -> dict:
-    # A two-layer round at n in the thousands under rollup retention +
-    # sampled causal tracing, at ``baseline_n`` and at ``n``.  Telemetry
-    # byte counts are a pure function of the event stream, so they are
-    # pinned.  Spans created on the outer (profiled) pipeline keep
-    # emitting there while the inner rollup pipeline is the global one
-    # (Span stores its pipeline at construction).
-    outer = runtime.OBS
-
-    def one(n: int, m: int):
-        topo, k, models = _two_layer_setup({**p, "n": n, "m": m}, seed)
-        with outer.span("bench.obs_scale", n=n, m=m):
-            with runtime.observe(
-                retention="rollup", causal=True,
-                causal_sample_rate=p["sample_rate"], causal_sample_seed=seed,
-            ) as inner:
-                result = run_two_layer_wire_round(
-                    topo, models, k=k, seed=seed,
-                    trace_id=f"obs_scale:n{n}:s{seed}",
-                )
-        assert result.outcome.ok
-        return result, obs_self_accounting(inner)
-
-    _, small = one(p["baseline_n"], p["baseline_m"])
-    result, acct = one(p["n"], p["m"])
-    return {
-        "sim_time_ms": result.finish_time_ms,
-        "bits": result.bits_sent,
-        "messages": result.messages_sent,
-        "telemetry_bytes": acct["telemetry_bytes"],
-        "telemetry_bytes_baseline": small["telemetry_bytes"],
-        "rollup_events_seen": acct["rollup_events_seen"],
-    }
-
-
 def _xlayer_scale(p: dict, seed: int) -> dict:
     # One X-layer round through the wave engine, then the same schedule
     # replayed per message (tests/simnet/per_item.py): identical and
@@ -294,9 +258,9 @@ def _xlayer_scale(p: dict, seed: int) -> dict:
     latency = FixedLatency(p["delay_ms"])
     wave = run_xlayer_wire_round(topo, models, seed=seed, latency=latency)
     # The per-item replay emits one telemetry event per message; a nested
-    # rollup pipeline keeps it out of the profiled collector.
+    # disabled pipeline keeps it out of the profiled collector.
     with runtime.OBS.span("bench.xlayer_scalar", peers=topo.n_peers):
-        with runtime.observe(retention="rollup"), per_item():
+        with runtime.observe(enabled=False), per_item():
             scalar = run_xlayer_wire_round(
                 topo, models, seed=seed, latency=latency,
             )
@@ -330,7 +294,7 @@ def _chaos_scale(p: dict, seed: int) -> dict:
     )
     wave = run_scale_trial(**kw)
     with runtime.OBS.span("bench.chaos_scale_scalar", peers=wave.n_peers):
-        with runtime.observe(retention="rollup"), per_item():
+        with runtime.observe(enabled=False), per_item():
             scalar = run_scale_trial(**kw)
     for name in ("n_peers", "finish_ms", "outcome", "average_sum",
                  "bits_sent", "messages_sent", "retransmits", "acks",
@@ -359,8 +323,7 @@ _SAC = {"n": 4, "k": 3, "model_params": 32}
 _TWO_LAYER = {"k": 2, "model_params": 32}
 
 #: scenario id -> (params, body).  Sizes are deliberately tiny (the
-#: paper-dimension runs are bench/run.py's); ``obs_scale`` alone stays
-#: in the thousands because its claim is about growth with peer count.
+#: paper-dimension runs are bench/run.py's).
 SCENARIOS = {
     "sac_round": (_SAC, _sac_round),
     "ftsac_dropout": (_SAC, _ftsac_dropout),
@@ -380,9 +343,6 @@ SCENARIOS = {
          "model_params": 16, "profile": "mixed"}, _campaign_churn),
     "failover": ({"n": 6, "group_size": 3}, _failover),
     "nn_epoch": ({"n_train": 128, "n_features": 8, "hidden": 16}, _nn_epoch),
-    "obs_scale": (
-        {"n": 2000, "m": 100, "baseline_n": 200, "baseline_m": 10, "k": 2,
-         "model_params": 4, "sample_rate": 0.25}, _obs_scale),
     "xlayer_scale": (
         {"n": 4, "depth": 6, "model_params": 8, "delay_ms": 15.0},
         _xlayer_scale),
@@ -450,7 +410,7 @@ def test_pin(sid, side):
 
 def test_pin_file_holds_exactly_the_scenarios_run():
     assert list(pins()) == list(SCENARIOS)
-    assert len(SCENARIOS) == 15
+    assert len(SCENARIOS) == 14
 
 
 #: one pinned number moved / one pinned phase row dropped.
@@ -498,16 +458,6 @@ def test_two_layer_phases_nest_sac_under_round(sid):
     paths = {tuple(phase["path"]) for phase in current(sid)["phases"]}
     assert ("round.two_layer",) in paths
     assert ("round.two_layer", "sac.complete") in paths
-
-
-def test_obs_scale_telemetry_grows_sublinearly_in_peers():
-    doc = current("obs_scale")
-    params, sim = doc["params"], doc["sim"]
-    assert params["n"] >= 2000
-    peer_ratio = params["n"] / params["baseline_n"]
-    byte_ratio = sim["telemetry_bytes"] / sim["telemetry_bytes_baseline"]
-    assert 1.0 < byte_ratio < peer_ratio
-    assert sim["rollup_events_seen"] > params["n"]
 
 
 def test_a_different_seed_changes_the_projection():

@@ -86,3 +86,11 @@ def test_span_virtual_clock(tmp_path):
     assert "wall_ms" in event.fields
     hist = obs.metrics.histogram("span_duration_ms", labels=("span",))
     assert hist.labels(span="phase.x").count == 1
+
+
+def test_event_approx_bytes_scale_with_payload():
+    small = Event(seq=0, name="a", t_ms=0.0, wall_s=0.0, node=None,
+                  fields={})
+    big = Event(seq=1, name="a", t_ms=0.0, wall_s=0.0, node=None,
+                fields={"blob": "x" * 1000})
+    assert big.approx_bytes() > small.approx_bytes() + 1000 - 1

@@ -280,3 +280,54 @@ class TestResourceProfiler:
         table = rp.format_table()
         assert "resource profile" in table
         assert "only" in table
+
+
+class TestResourceSnapshot:
+    def _round(self):
+        import numpy as np
+
+        from repro.core.topology import Topology
+        from repro.core.wire_round import run_two_layer_wire_round
+
+        topo = Topology.by_group_size(6, 3)
+        rng = np.random.default_rng(0)
+        models = [rng.normal(size=16) for _ in range(topo.n_peers)]
+        run_two_layer_wire_round(topo, models, k=2, seed=0)
+
+    def test_self_accounting_sums_events_and_metrics(self):
+        from repro.obs import runtime as _runtime
+        from repro.obs.scale import obs_self_accounting
+
+        with _runtime.observe() as obs:
+            self._round()
+        acct = obs_self_accounting(obs)
+        assert set(acct) == {"events_held", "event_bytes", "metric_bytes",
+                             "metric_observations", "telemetry_bytes"}
+        assert acct["events_held"] == len(obs.events) > 0
+        assert acct["event_bytes"] == sum(
+            e.approx_bytes() for e in obs.events)
+        assert acct["telemetry_bytes"] == (
+            acct["event_bytes"] + acct["metric_bytes"])
+
+    def test_resource_snapshot_sections(self):
+        import numpy as np
+
+        from repro.obs import runtime as _runtime
+        from repro.obs.scale import format_resource_report, resource_snapshot
+        from repro.simnet.events import Simulator
+        from repro.simnet.network import FixedLatency, Network
+
+        sim = Simulator()
+        network = Network(sim, latency=FixedLatency(5.0),
+                          rng=np.random.default_rng(0))
+        with _runtime.observe() as obs:
+            obs.emit("tick", t_ms=0.0)
+            snap = resource_snapshot(obs=obs, sim=sim, network=network)
+        assert snap["peak_rss_bytes"] is None or snap["peak_rss_bytes"] > 0
+        assert snap["sim_heap"]["pending"] == 0
+        assert snap["messages"] == {"in_flight": 0, "peak_in_flight": 0}
+        assert snap["obs"]["events_held"] == 1
+        report = format_resource_report(snap)
+        assert "peak RSS" in report
+        assert "telemetry total" in report
+        assert "rollup" not in report

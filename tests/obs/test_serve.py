@@ -13,7 +13,7 @@ from repro.obs import runtime as _runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serve import (
     PROMETHEUS_CONTENT_TYPE,
-    MetricsPortInUseError,
+    MetricsBindError,
     MetricsServer,
     StatusBoard,
 )
@@ -93,7 +93,7 @@ class TestMetricsServer:
     def test_port_in_use_raises_typed_error(self, registry):
         with MetricsServer(metrics=registry) as first:
             second = MetricsServer(metrics=registry, port=first.port)
-            with pytest.raises(MetricsPortInUseError) as err:
+            with pytest.raises(MetricsBindError) as err:
                 second.start()
         assert err.value.port == first.port
         assert "already in use" in str(err.value)
@@ -107,7 +107,7 @@ class TestMetricsServer:
         from repro.obs import runtime as _runtime
         from repro.obs.scale import resource_snapshot
 
-        with _runtime.observe(retention="rollup") as obs:
+        with _runtime.observe() as obs:
             obs.emit("tick", t_ms=0.0)
             server = MetricsServer(
                 metrics=obs.metrics,
@@ -118,8 +118,7 @@ class TestMetricsServer:
             finally:
                 server.stop()
         doc = json.loads(body)
-        assert doc["resources"]["obs"]["retention"] == "rollup"
-        assert doc["resources"]["obs"]["rollup_events_seen"] == 1
+        assert doc["resources"]["obs"]["events_held"] == 1
 
 
 class TestStatusBoard:

@@ -272,3 +272,22 @@ class TestHotPathCaches:
         Recorder(7, sim, network)
         assert network.node_ids() == [0, 1, 2, 3, 7]
         assert network.alive_ids() == [0, 1, 2, 3, 7]
+
+
+def test_wire_round_in_flight_peaks():
+    from repro.core.topology import Topology
+    from repro.core.wire_round import run_two_layer_wire_round
+    from repro.obs import runtime as _runtime
+
+    topo = Topology.by_group_size(6, 3)
+    rng = np.random.default_rng(0)
+    models = [rng.normal(size=16) for _ in range(topo.n_peers)]
+    with _runtime.observe():
+        result = run_two_layer_wire_round(topo, models, k=2, seed=0)
+    assert result.outcome.ok
+    # The accounting is wired into Network.physical_send/deliver;
+    # peaks are visible on the sim heap too.
+    stats = Simulator().heap_stats()
+    assert set(stats) == {"pending", "entries", "dead", "live",
+                          "peak_pending", "scheduled_total",
+                          "events_processed", "compactions"}

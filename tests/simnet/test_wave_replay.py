@@ -16,7 +16,6 @@ than cuts between instants.
 import gc
 import time
 import weakref
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,27 +225,12 @@ def _expected_records(waves, run):
 
 def _metric_values(obs):
     """Every metric child's value; a histogram's raw observations in
-    insertion order (full retention never compacts them)."""
+    insertion order."""
     return {
-        fam.name: {key: list(child._buffer) if isinstance(child, Histogram)
+        fam.name: {key: list(child._values) if isinstance(child, Histogram)
                    else child.value for key, child in fam.children()}
         for fam in obs.metrics.families()
     }
-
-
-def _link_totals(obs):
-    """(event, kind, src, dst) -> count over every net event so far."""
-    totals = Counter()
-    for e in obs.events:
-        if not e.name.startswith("net."):
-            continue
-        f = e.fields
-        if "links" in f:
-            for s, d, c in zip(*f["links"]):
-                totals[e.name, f["kind"], int(s), int(d)] += int(c)
-        elif "dst" in f:
-            totals[e.name, f["kind"], e.node, f["dst"]] += 1
-    return totals
 
 
 @settings(max_examples=120, deadline=None)
@@ -255,7 +239,7 @@ def _link_totals(obs):
     reliable=st.booleans(),
     sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
     n_instants=st.integers(1, 4),
-    mode=st.sampled_from(["plain", "obs", "links"]),
+    mode=st.sampled_from(["plain", "obs"]),
     n_cuts=st.integers(0, 4),
 )
 def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
@@ -264,12 +248,10 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
     or several, with exhaustions, mid-flight kills and (timeline mode)
     plain arrivals — leave the network, the transport, the trace and the
     batches' ``done`` flags where item-by-item replay in ``(time, batch,
-    creation)`` order leaves them; with obs on, the same metrics and
-    link totals."""
+    creation)`` order leaves them; with obs on, the same metrics."""
     def replay(bulk):
         net, waves, ledger = _random_batches(seed, reliable, sizes,
                                              n_instants, merged=bulk)
-        net.link_accounting = mode == "links"
         if bulk:
             _, ref, _ = _random_batches(seed, reliable, sizes, n_instants,
                                         merged=False)
@@ -312,8 +294,6 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
         item = replay(bulk=False)
     assert bulk == item
     assert _metric_values(obs_bulk) == _metric_values(obs_item)
-    if mode == "links":
-        assert _link_totals(obs_bulk) == _link_totals(obs_item)
 
 
 # ---------------------------------------------------- ledger == per-item
@@ -362,7 +342,6 @@ def _play(replay, reliable, timeline, lat, steps, seed):
     )
     if timeline:
         net.fault_timeline = _SCRIPT.timeline(net.loss_rate)
-    net.link_accounting = True
     keys, push = set(), sim._queue._push_event
 
     def spy(event):
@@ -432,14 +411,14 @@ def test_merged_replay_equals_scalar_engine(mode, lat, steps, seed):
     the drained end — the merged replay has the clock, gauge, peak,
     trace totals by kind, transport counters and ``exhausted`` list of
     the per-item model, and unique heap keys that are item keys; under
-    obs, the same metrics and per-link totals."""
+    obs, the same metrics."""
     reliable, timeline = mode
     keys, got = {}, {}
     for side, replay in REPLAYS:
         with _runtime.observe() as obs:
             keys[side], got[side] = _play(replay, reliable, timeline, lat,
                                           steps, seed)
-        got[side] += (_metric_values(obs), _link_totals(obs))
+        got[side] += (_metric_values(obs),)
     assert got["wave"] == got["per_item"]
     # The ledger only ever queues at keys the model gives items.
     assert keys["wave"] <= keys["per_item"]
@@ -536,7 +515,7 @@ def test_close_drops_a_pending_and_a_half_replayed_ledger():
 def test_drained_ledger_is_freed_without_the_cyclic_collector():
     """The network lets go of its ledger at the merge and nothing else
     holds it once drained, so refcounting frees its entries; each
-    batch's creation-order items went once the ledger replayed them."""
+    batch's creation-order items go at the merge, before any replays."""
     gc.collect()
     gc.disable()
     try:
@@ -545,9 +524,12 @@ def test_drained_ledger_is_freed_without_the_cyclic_collector():
                       rng=np.random.default_rng(0), loss_rate=0.2)
         ids = np.arange(50)
         waves = [net.send_batch(ids, ids + 1, kind=k) for k in "ab"]
-        ledger = weakref.ref(net._ledger)
+        ledger = net._ledger
+        ledger._merge()  # what its first firing does
+        assert all(w._it_t is None and not w.done for w in waves)
+        ledger = weakref.ref(ledger)
         sim.run()
-        assert ledger() is None and all(w._it_t is None for w in waves)
+        assert ledger() is None and all(w.done for w in waves)
     finally:
         gc.enable()
 
