@@ -151,11 +151,23 @@ class FaultTimeline:
         """Highest loss rate anywhere on the timeline (base included)."""
         return float(self._loss_rates.max())
 
+    @property
+    def min_loss_rate(self) -> float:
+        """Lowest loss rate anywhere on the timeline (base included)."""
+        return float(self._loss_rates.min())
+
     # ------------------------------------------------------------- queries
     def loss_rate_at(self, times: np.ndarray) -> np.ndarray:
         """Effective loss rate at each instant (base outside windows)."""
         times = np.asarray(times, dtype=np.float64)
-        pos = np.searchsorted(self._loss_edges, times, side="right") - 1
+        # The span index is the number of edges at or below each time
+        # (a shared window edge counts twice, landing in the later
+        # window): one compare pass per edge, where a binary search per
+        # unsorted time costs several.  The bool masks add as bytes.
+        edges = self._loss_edges[1:]
+        pos = np.zeros(times.shape, dtype=np.min_scalar_type(len(edges)))
+        for edge in edges:
+            pos += (times >= edge).view(np.uint8)
         return self._loss_rates[pos]
 
     def crashed_at(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -227,7 +239,10 @@ class FaultTimeline:
             sel = (times >= span.t_start) & (times < span.t_end)
             if span.nodes is not None:
                 sel &= np.isin(src, span.nodes) | np.isin(dst, span.nodes)
-            extra[sel] += span.extra
+            # Adding 0.0 where the spike misses leaves those sums as they
+            # were, bit for bit.
+            if sel.any():
+                extra += sel * span.extra
         return extra
 
     # ------------------------------------------------------- scalar sugar

@@ -456,9 +456,8 @@ del _t
 
 _ARR_TYPES = (_T_ARR_ACKUP, _T_ARR_ACKLOST, _T_ARR_PLAIN)
 
-#: safety cap on crashed-sender hold iterations (a held frame re-probes
-#: once per backoff period until its sender recovers or is abandoned).
-_MAX_HOLD_PROBES = 100_000
+#: cap on probes per crashed-sender hold chunk, over all held frames.
+_HOLD_CHUNK = 1 << 20
 
 
 def _apply_holds(
@@ -471,20 +470,57 @@ def _apply_holds(
     re-probed one backoff period later; crashed for good, it is silently
     abandoned.  Returns the (possibly shifted) fire times and the
     abandoned mask.
+
+    The probes of the frames still held go in chunks that double in
+    length.  ``np.add.accumulate`` adds ``rto_hold`` one step at a time,
+    so probe ``j`` has the bits of ``j`` repeated ``+=``, and a hold of
+    ``P`` probes costs O(log P) timeline queries.  "A recovery at or
+    after ``t``" only turns false as ``t`` grows, so checking a frame's
+    last crashed probe decides every earlier one.
     """
-    times = times.astype(np.float64).copy()
+    times = times.astype(np.float64)
     abandoned = np.zeros(len(times), dtype=bool)
-    for _ in range(_MAX_HOLD_PROBES):
-        held = tl.crashed_at(srcs, times) & ~abandoned
-        if not held.any():
-            return times, abandoned
-        hi = np.flatnonzero(held)
-        recovers = tl.recovery_at_or_after(srcs[hi], times[hi])
-        abandoned[hi[~recovers]] = True
-        times[hi[recovers]] += rto_hold
-    raise RuntimeError(
-        "crashed-sender hold did not converge; check the fault timeline"
-    )
+    held = np.flatnonzero(tl.crashed_at(srcs, times))
+    last = times[held]  # each held frame's latest probe, crashed
+    ok = tl.recovery_at_or_after(srcs[held], last)
+    abandoned[held[~ok]] = True
+    held, last = held[ok], last[ok]
+    k = 1
+    while held.size:
+        steps = np.full((len(held), k + 1), rto_hold)
+        steps[:, 0] = last
+        probes = np.add.accumulate(steps, axis=1)[:, 1:]
+        up = ~tl.crashed_at(np.repeat(srcs[held], k),
+                            probes.reshape(-1)).reshape(len(held), k)
+        rows = np.arange(len(held))
+        first = up.argmax(axis=1)
+        out = up[rows, first]  # released inside this chunk
+        # The last crashed probe: just before release, else the chunk's end.
+        lc = np.where(out, np.where(first > 0, probes[rows, first - 1], last),
+                      probes[:, -1])
+        ok = tl.recovery_at_or_after(srcs[held], lc)
+        abandoned[held[~ok]] = True
+        done = out & ok
+        times[held[done]] = probes[rows[done], first[done]]
+        keep = ~out & ok
+        held, last = held[keep], lc[keep]
+        k = min(2 * k, max(1, _HOLD_CHUNK // max(len(held), 1)))
+    return times, abandoned
+
+
+def _find(idx: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions in ascending ``idx`` of those of ascending ``ids`` it holds."""
+    if not len(idx) or not len(ids):
+        return np.empty(0, dtype=np.intp)
+    pos = np.minimum(idx.searchsorted(ids), len(idx) - 1)
+    return pos[idx.take(pos) == ids]
+
+
+def _without(pos: np.ndarray, n: int) -> np.ndarray:
+    """The positions ``0..n-1`` not in ``pos``."""
+    keep = np.ones(n, dtype=bool)
+    keep[pos] = False
+    return np.flatnonzero(keep)
 
 
 def _send_batch_items(
@@ -496,7 +532,14 @@ def _send_batch_items(
     kind: str,
     msgs: Optional[Sequence[Any]],
 ) -> "ItemWave":
-    """Compute and launch an item wave (reliable and/or timeline mode)."""
+    """Compute and launch an item wave (reliable and/or timeline mode).
+
+    The epoch loop carries its live cohort as ascending message indices
+    ``idx`` and their attempt times ``t``.  Every mask over a cohort is
+    split once with ``flatnonzero`` and each column gathered with
+    ``take``; fault queries cover only the messages the script can
+    reach.
+    """
     sim = net.sim
     m = len(src)
     rel = net.reliable
@@ -514,45 +557,98 @@ def _send_batch_items(
     frame_tx = 1000.0 * frame_bits / bw if (bw is not None and frame_bits > 0) else 0.0
     ack_tx = 1000.0 * ACK_BITS / bw if bw is not None else 0.0
 
-    attempt_t = dep.copy()
-    active = np.ones(m, dtype=bool)
     attempts = np.zeros(m, dtype=np.int64)
     first_arr = np.full(m, np.nan, dtype=np.float64)
     min_ack = np.full(m, np.inf, dtype=np.float64)
 
-    if tl is None:
-        if net._fault_free:
-            up_static = np.ones(m, dtype=bool)
-            src_crashed = np.zeros(m, dtype=bool)
-        else:
-            up_static = np.fromiter(
-                (net.link_up(int(s), int(d)) for s, d in zip(src, dst)),
-                dtype=bool, count=m,
-            )
-            src_crashed = np.fromiter(
-                (net.is_crashed(int(s)) for s in src), dtype=bool, count=m,
-            )
+    # Fault reach: the messages whose link can ever be down or whose
+    # sender can be held.  A script only touches the links of the nodes
+    # it names, so each query asks it about those messages alone; every
+    # other link is up and every other sender is never held.  Frozen
+    # faults (no timeline) reach the messages down or crashed at issue.
+    if tl is not None:
+        reach = np.flatnonzero(tl.can_go_down(src) | tl.can_go_down(dst))
+    elif net._fault_free:
+        reach = np.empty(0, dtype=np.intp)
     else:
-        # Fault reach: the script can only ever take down the links of
-        # the nodes it names, so each epoch asks it about those messages
-        # alone — every other link is up, every other sender never held.
-        reach = tl.can_go_down(src) | tl.can_go_down(dst)
+        up_static = np.fromiter(
+            (net.link_up(int(s), int(d)) for s, d in zip(src, dst)),
+            dtype=bool, count=m,
+        )
+        src_crashed = np.fromiter(
+            (net.is_crashed(int(s)) for s in src), dtype=bool, count=m,
+        )
+        reach = np.flatnonzero(~up_static | src_crashed)
+    everyone = len(reach) == m
 
-        def link_up(idx, s, d, t):  # tl.link_up_at over cohort ``idx``
-            sel = np.flatnonzero(reach[idx])
-            up = np.ones(len(idx), dtype=bool)
-            if sel.size:
-                up[sel] = tl.link_up_at(s[sel], d[sel], t[sel])
-            return up
+    def reached(idx, t):
+        """Cohort ``idx``'s reached messages: positions (None: all), ids
+        and times ``t``."""
+        if everyone:
+            return None, idx, t
+        pos = _find(idx, reach)
+        return pos, idx.take(pos), t.take(pos)
 
-        def holds(idx, t, rto):  # _apply_holds over cohort ``idx``
-            sel = np.flatnonzero(reach[idx])
-            abandoned = np.zeros(len(idx), dtype=bool)
-            if sel.size:
-                t[sel], abandoned[sel] = _apply_holds(
-                    tl, src[idx[sel]], t[sel], rto
-                )
-            return t, abandoned
+    def cut(idx, t, gone):
+        """Cohort ``idx`` (times ``t``) without the positions ``gone``."""
+        if not len(gone):
+            return idx, t
+        kept = _without(gone, len(idx))
+        return idx.take(kept), t.take(kept)
+
+    def link_down(idx, t, back=False):
+        """Positions in cohort ``idx`` whose link (the ACK's when
+        ``back``) is down at ``t``."""
+        pos, ids, t_r = reached(idx, t)
+        if not len(ids):
+            return ids
+        if tl is None:
+            up = up_static.take(ids)
+        else:
+            s, d = src.take(ids), dst.take(ids)
+            up = tl.link_up_at(*((d, s) if back else (s, d)), t_r)
+        down = np.flatnonzero(~up)
+        return down if pos is None else pos.take(down)
+
+    def hold(idx, t, rto):
+        """The cohort left after crashed-sender holds at RTO times ``t``,
+        which take held frames' new times in place."""
+        pos, ids, t_r = reached(idx, t)
+        if not len(ids):
+            return idx, t
+        if tl is None:
+            gone = src_crashed.take(ids)
+        else:
+            t_r, gone = _apply_holds(tl, src.take(ids), t_r, rto)
+            if pos is None:
+                t = t_r
+            else:
+                t[pos] = t_r
+        gone = np.flatnonzero(gone)
+        return cut(idx, t, gone if pos is None else pos.take(gone))
+
+    if tl is None:
+        lossy = all_lossy = net.loss_rate > 0.0
+    else:
+        lossy, all_lossy = tl.max_loss_rate > 0.0, tl.min_loss_rate > 0.0
+
+    def loss_mask(t_send):
+        """Lost-at-send flags: one uniform per message under a positive
+        loss rate, in cohort order; None when nothing can be lost."""
+        n = len(t_send)
+        if not (n and lossy):
+            return None
+        if tl is None:
+            return net.rng.random(n) < net.loss_rate
+        rates = tl.loss_rate_at(t_send)
+        if all_lossy:
+            return net.rng.random(n) < rates
+        draw = np.flatnonzero(rates > 0.0)
+        if not len(draw):
+            return None
+        lost = np.zeros(n, dtype=bool)
+        lost[draw] = net.rng.random(len(draw)) < rates.take(draw)
+        return lost
 
     # Item blocks in creation order; the empty seeds fix the dtypes and
     # keep an empty batch concatenable.
@@ -574,86 +670,72 @@ def _send_batch_items(
             buf_idx.append(idx)
             emitted += len(idx)
 
-    def loss_mask(t_send, count):
-        """One uniform per message under a positive loss rate, in order."""
-        lost = np.zeros(count, dtype=bool)
-        if tl is None:
-            if net.loss_rate > 0.0 and count:
-                lost = net.rng.random(count) < net.loss_rate
-        else:
-            rates = tl.loss_rate_at(t_send)
-            draw = rates > 0.0
-            n_draw = int(draw.sum())
-            if n_draw:
-                lost[draw] = net.rng.random(n_draw) < rates[draw]
-        return lost
+    def drop(idx, t, gone, typ):
+        """Emit cohort positions ``gone`` as ``typ``; return the rest."""
+        if len(gone):
+            emit(t.take(gone), typ, idx.take(gone))
+        return cut(idx, t, gone)
 
+    idx, t = np.arange(m), dep
     for k in range(1, max_att + 1):
-        idx_k = np.flatnonzero(active)
-        if idx_k.size == 0:
+        if not len(idx):
             break
-        t_k = attempt_t[idx_k]
-        attempts[idx_k] = k
+        attempts[idx] = k
         if k >= 2:
-            emit(t_k, _T_RETRANS, idx_k)
-        if tl is None:
-            up = up_static[idx_k]
-        else:
-            up = link_up(idx_k, src[idx_k], dst[idx_k], t_k)
-        emit(t_k[~up], _T_LINKDOWN, idx_k[~up])
-        fly_idx = idx_k[up]
-        t_up = t_k[up]
-        lost = loss_mask(t_up, len(fly_idx))
-        emit(t_up[lost], _T_LOST, fly_idx[lost])
-        go_idx = fly_idx[~lost]
-        t_go = t_up[~lost]
-        s_go, d_go = src[go_idx], dst[go_idx]
+            emit(t, _T_RETRANS, idx)
+        go, t_go = drop(idx, t, link_down(idx, t), _T_LINKDOWN)
+        lost = loss_mask(t_go)
+        if lost is not None:
+            go, t_go = drop(go, t_go, np.flatnonzero(lost), _T_LOST)
+        s_go, d_go = src.take(go), dst.take(go)
         lat = net.latency.sample_batch(s_go, d_go, net.rng)
         if tl is not None:
             lat = lat + tl.extra_delay_at(s_go, d_go, t_go)
         t_arr = t_go + lat + frame_tx
-        emit(t_go, _T_DEPART, go_idx)
+        emit(t_go, _T_DEPART, go)
         if tl is not None:
-            arr_up = link_up(go_idx, s_go, d_go, t_arr)
-            emit(t_arr[~arr_up], _T_FRAME_MID, go_idx[~arr_up])
-            go_idx = go_idx[arr_up]
-            t_arr = t_arr[arr_up]
+            go, t_arr = drop(go, t_arr, link_down(go, t_arr), _T_FRAME_MID)
         # The first arrival per message in global (time, creation) order
         # carries the payload, later ones are transport duplicates; the
         # strict ``<`` keeps the earlier epoch on a time tie, as replay
         # order (creation order within an instant) does.  The arrival
         # block is emitted next.
-        prev = first_arr[go_idx]
-        earlier = ~(t_arr >= prev)
-        first_item[go_idx[earlier]] = emitted + np.flatnonzero(earlier)
-        first_arr[go_idx] = np.fmin(prev, t_arr)
+        if k == 1:
+            first_item[go] = emitted + np.arange(len(go))
+            first_arr[go] = t_arr
+        else:
+            prev = first_arr.take(go)
+            earlier = np.flatnonzero(~(t_arr >= prev))
+            first_item[go.take(earlier)] = emitted + earlier
+            first_arr[go] = np.fmin(prev, t_arr)
         if rel is None:
-            emit(t_arr, _T_ARR_PLAIN, go_idx)
+            emit(t_arr, _T_ARR_PLAIN, go)
             continue
         # The destination ACKs every arrived frame (duplicates included).
         # Link symmetry means the ACK's link is up at the frame's arrival
-        # instant, so the only issue-time ACK fate is random loss.
-        ack_lost = loss_mask(t_arr, len(go_idx))
-        # One interleaved emission in message-enumeration order: a
-        # category-split (all ACKLOST, then all ACKUP) would reorder
-        # same-instant arrivals at a shared destination away from the
-        # actor loop's (time, seq) delivery order.
-        emit(t_arr, np.where(ack_lost, _T_ARR_ACKLOST, _T_ARR_ACKUP),
-             go_idx)
-        af_idx = go_idx[~ack_lost]
-        t_af = t_arr[~ack_lost]
-        s_af, d_af = src[af_idx], dst[af_idx]
+        # instant, so the only issue-time ACK fate is random loss.  One
+        # interleaved emission in message-enumeration order: a category
+        # split (all ACKLOST, then all ACKUP) would reorder same-instant
+        # arrivals at a shared destination away from the actor loop's
+        # (time, seq) delivery order.
+        ack_lost = loss_mask(t_arr)
+        if ack_lost is None:
+            emit(t_arr, _T_ARR_ACKUP, go)
+            af, t_af = go, t_arr
+        else:
+            emit(t_arr, ack_lost.view(np.int8) + np.int8(_T_ARR_ACKUP), go)
+            kept = np.flatnonzero(~ack_lost)
+            af, t_af = go.take(kept), t_arr.take(kept)
+        s_af, d_af = src.take(af), dst.take(af)
         alat = net.latency.sample_batch(d_af, s_af, net.rng)
         if tl is not None:
             alat = alat + tl.extra_delay_at(d_af, s_af, t_af)
         t_ack = t_af + alat + ack_tx
         if tl is not None:
-            ack_up = link_up(af_idx, d_af, s_af, t_ack)
-            emit(t_ack[~ack_up], _T_ACK_MID, af_idx[~ack_up])
-            af_idx = af_idx[ack_up]
-            t_ack = t_ack[ack_up]
-        emit(t_ack, _T_ACK_ARR, af_idx)
-        min_ack[af_idx] = np.minimum(min_ack[af_idx], t_ack)
+            af, t_ack = drop(af, t_ack, link_down(af, t_ack, back=True),
+                             _T_ACK_MID)
+        emit(t_ack, _T_ACK_ARR, af)
+        min_ack[af] = t_ack if k == 1 else np.minimum(min_ack.take(af), t_ack)
         if k == max_att:
             break
         # Stopping rule: the RTO timer set at t_k fires at T_next; an ACK
@@ -661,37 +743,18 @@ def _send_batch_items(
         # at t_k, the ACK's at its later arrival), so ``>=`` continues —
         # one extra epoch whose own timer then never fires.
         rto_k = base_rto * backoff ** (k - 1)
-        t_next = t_k + rto_k
-        cont = min_ack[idx_k] >= t_next
-        if tl is None:
-            cont &= ~src_crashed[idx_k]
-            attempt_t[idx_k[cont]] = t_next[cont]
-            keep = idx_k[cont]
-        else:
-            ci = idx_k[cont]
-            new_t, abandoned = holds(ci, t_next[cont], rto_k)
-            keep = ci[~abandoned]
-            attempt_t[keep] = new_t[~abandoned]
-        active[:] = False
-        active[keep] = True
+        t_next = t + rto_k
+        cont = np.flatnonzero(min_ack.take(idx) >= t_next)
+        idx, t = hold(idx.take(cont), t_next.take(cont), rto_k)
 
-    if rel is not None:
-        idx_e = np.flatnonzero(active & (attempts == max_att))
-        if idx_e.size:
-            rto_f = base_rto * backoff ** (max_att - 1)
-            t_fin = attempt_t[idx_e] + rto_f
-            ex = min_ack[idx_e] >= t_fin
-            idx_e = idx_e[ex]
-            t_fin = t_fin[ex]
-            if tl is None:
-                alive_src = ~src_crashed[idx_e]
-                idx_e = idx_e[alive_src]
-                t_fin = t_fin[alive_src]
-            else:
-                t_fin, abandoned = holds(idx_e, t_fin, rto_f)
-                idx_e = idx_e[~abandoned]
-                t_fin = t_fin[~abandoned]
-            emit(t_fin, _T_EXHAUST, idx_e)
+    if rel is not None and len(idx):
+        # The last epoch's cohort (attempt ``max_att``) exhausts at its
+        # final RTO unless an ACK beat it or its sender is held off.
+        rto_f = base_rto * backoff ** (max_att - 1)
+        t_fin = t + rto_f
+        ex = np.flatnonzero(min_ack.take(idx) >= t_fin)
+        idx, t_fin = hold(idx.take(ex), t_fin.take(ex), rto_f)
+        emit(t_fin, _T_EXHAUST, idx)
 
     # ---------------------------------------------------------- assembly
     it_t = np.concatenate(buf_t)
@@ -912,6 +975,24 @@ class ItemWave:
             ).labels(kind=self.kind).inc()
 
 
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``x`` ascending, and how often each occurs.
+
+    One sort at most: none when ``x`` is already in order, as a block
+    holding a single instant is.
+    """
+    n = len(x)
+    if n > 1 and not (x[1:] >= x[:-1]).all():
+        x = np.sort(x)
+    elif not n or x[0] == x[-1]:
+        return x[:1], np.full(min(n, 1), n, dtype=np.intp)
+    last = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)
+    counts = np.empty(len(last), dtype=np.intp)
+    counts[0] = last[0] + 1
+    np.subtract(last[1:], last[:-1], out=counts[1:])
+    return x.take(last), counts
+
+
 class _ItemLedger:
     """Merged replay of one network's accounting item batches.
 
@@ -970,18 +1051,27 @@ class _ItemLedger:
         a = 0
         for b in [*ends.tolist(), len(t)]:
             c, tb = int(typ[a]), t[a:b]
-            parts = ((c, slice(None)),)
+            u, n = _runs(tb)
             if c in (_T_ARR_ACKUP, _T_ARR_ACKLOST):
-                up = typ[a:b] == _T_ARR_ACKUP
-                parts = ((_T_ARR_ACKUP, up), (_T_ARR_ACKLOST, ~up),
-                         (_FIRST, wave._it_flag[a:b]))
+                # ACKed = all arrivals less the ACK-lost ones per instant
+                # (a subset's instants are among the block's); the first
+                # arrivals are all of them unless a retransmit epoch's.
+                ul, nl = _runs(tb[typ[a:b] == _T_ARR_ACKLOST])
+                n_up = n.copy()
+                n_up[u.searchsorted(ul)] -= nl
+                up = np.flatnonzero(n_up)
+                ts += (u.take(up), ul)
+                ns += (n_up.take(up), nl)
+                kinds += (_T_ARR_ACKUP, _T_ARR_ACKLOST)
+                flag = wave._it_flag[a:b]
+                if not flag.all():
+                    u, n = _runs(tb[flag])
+                c = _FIRST
             elif c == _T_EXHAUST:
                 self._ex.append((tb, np.full(b - a, w), wave._it_idx[a:b]))
-            for kind, sel in parts:
-                u, n = np.unique(tb[sel], return_counts=True)
-                ts.append(u)
-                ns.append(n)
-                kinds.append(kind)
+            ts.append(u)
+            ns.append(n)
+            kinds.append(c)
             a = b
         keys = np.array(kinds, dtype=np.int32) + w * _KINDS
         # Nothing reads the batch's creation-order columns after this.

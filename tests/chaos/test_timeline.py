@@ -8,9 +8,12 @@ Two layers of contract:
 - **engine equivalence** — under ``FixedLatency`` (no per-draw RNG) the
   armed per-message actor loop, the timeline-driven item wave and the
   per-item replay of the same items (``tests/simnet/per_item.py``)
-  produce bit-identical delivery order, finish time and transport
-  counters for one faulty reliable round.
+  produce bit-identical delivery order, finish time, transport
+  counters and trace records for generated crash-free scripts; under
+  crashes the wave equals the per-item replay.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from repro.chaos import (
     PartitionWindow,
     Recover,
 )
-from repro.simnet import FixedLatency, Network, Simulator
+from repro.simnet import FixedLatency, Network, Simulator, TraceRecorder
 from tests.simnet.per_item import REPLAYS
 
 
@@ -231,19 +234,6 @@ SCHEDULE = FaultSchedule([
     DelaySpike(150.0, 300.0, 25.0, nodes=(5, 6)),
 ])
 
-#: No crashes: a crash *hold* moves an attempt to the recovery instant,
-#: where the actor loop draws its loss uniform — but the wave draws the
-#: whole epoch cohort in enumeration order regardless of per-message
-#: holds, so the two streams decouple.  Wave == per-item stays exact
-#: either way (shared item precompute); the bitwise *actor* pin is only
-#: defined for hold-free schedules.
-SOFT_SCHEDULE = FaultSchedule([
-    LossWindow(30.0, 120.0, 0.4),
-    PartitionWindow(100.0, 200.0, (tuple(range(0, 6)), tuple(range(6, 12)))),
-    DelaySpike(150.0, 300.0, 25.0, nodes=(5, 6)),
-])
-
-
 class Stub:
     def __init__(self, node_id, sim):
         self.node_id = node_id
@@ -254,7 +244,7 @@ class Stub:
         self.received.append((self.sim.now, src, msg))
 
 
-def _faulty_net(schedule, arm):
+def _faulty_net(schedule):
     sim = Simulator()
     net = Network(
         sim, latency=FixedLatency(10.0), rng=np.random.default_rng(17),
@@ -264,9 +254,7 @@ def _faulty_net(schedule, arm):
     nodes = [Stub(i, sim) for i in range(12)]
     for nd in nodes:
         net.register(nd)
-    if arm:
-        schedule.arm(sim, net)
-    elif schedule is not None:
+    if schedule is not None:
         net.fault_timeline = schedule.timeline(net.loss_rate)
     return sim, net, nodes
 
@@ -293,12 +281,12 @@ def _fingerprint(sim, net, nodes):
 def test_engines_bitwise_identical_under_crash_schedule():
     """Crashes + partition + spike: the wave and the per-item model replay
     the same precomputed items, so every observable agrees bit for bit
-    (the actor loop is *not* comparable here — see ``SOFT_SCHEDULE``)."""
+    (the actor loop is *not* comparable here — see ``_hold_free``)."""
     src, dst, msgs = _workload()
     results = {}
     for side, replay in REPLAYS:
         with replay():
-            sim, net, nodes = _faulty_net(SCHEDULE, arm=False)
+            sim, net, nodes = _faulty_net(SCHEDULE)
             net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
             sim.run()
         results[side] = _fingerprint(sim, net, nodes)
@@ -308,37 +296,177 @@ def test_engines_bitwise_identical_under_crash_schedule():
     assert results["wave"][5] > 0  # exhausted (node 7 never comes back)
 
 
-def test_armed_actor_matches_timeline_wave_without_crash_holds():
-    """One faulty reliable round, three executions: armed actor loop,
-    timeline item wave, per-item replay.  FixedLatency draws nothing and
-    the hold-free schedule keeps the per-message and per-epoch loss
-    streams aligned, so all three agree bit for bit."""
-    src, dst, msgs = _workload()
+#: Window edges: the epoch instants (0, 40, 120, 280, 600 at RTO 40,
+#: backoff 2), the arrivals 10 ms after them and points in between, so
+#: edges land on sends, arrivals and ACKs (closed start, open end).
+_EDGES = (0.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 120.0, 130.0,
+          200.0, 280.0, 290.0, 600.0, 610.0)
+#: Spike delays: a frame still lands before the next RTO, while a
+#: spiked round trip can reach the 40 ms first RTO exactly (5 + 15,
+#: 20 + 0) or pass it, so the ACK comes after the retransmission.
+_EXTRA = (5.0, 15.0, 20.0, 25.0)
 
-    sim, net, nodes = _faulty_net(SOFT_SCHEDULE, arm=True)
-    for s, d, msg in zip(src, dst, msgs):
+
+@st.composite
+def _hold_free(draw):
+    """A crash-free script and a base loss rate: up to two loss windows
+    (possibly sharing an edge), a partition with an isolated outsider,
+    and up to two disjoint delay spikes, one of them on a node set.
+
+    The armed actor loop draws its loss uniforms per send, in ``(time,
+    seq)`` order; the wave draws them per epoch in enumeration order.
+    The two orders agree while every epoch's cohort leaves at one
+    instant, each frame lands before the next RTO (a spike adds at most
+    25 ms to a 10 ms hop against a 40 ms first RTO) and the messages a
+    node spike delays come last in enumeration order.  A crash would
+    break the first: a held frame's attempt moves to the recovery
+    instant, where the actor draws its uniform, while the wave draws it
+    in cohort position.  The spikes are disjoint because an armed
+    spike's close restores the latency saved by the latest open, which
+    leaves an overlapped spike on.
+    """
+    events = []
+    a, b, c = sorted(draw(st.lists(st.sampled_from(_EDGES), min_size=3,
+                                   max_size=3, unique=True)))
+    rate = st.floats(0.05, 0.5)
+    if draw(st.booleans()):
+        events.append(LossWindow(a, b, draw(rate)))
+        if draw(st.booleans()):
+            events.append(LossWindow(b, c, draw(rate)))  # shared edge
+    if draw(st.booleans()):
+        s, e = sorted(draw(st.lists(st.sampled_from(_EDGES), min_size=2,
+                                    max_size=2, unique=True)))
+        cut = draw(st.integers(1, 10))
+        events.append(PartitionWindow(
+            s, e, (tuple(range(cut)), tuple(range(cut, 11))),  # 11: outsider
+        ))
+    spike_nodes = None
+    x, y, z = sorted(draw(st.lists(st.sampled_from(_EDGES), min_size=3,
+                                   max_size=3, unique=True)))
+    if draw(st.booleans()):
+        events.append(DelaySpike(x, y, draw(st.sampled_from(_EXTRA))))
+    if draw(st.booleans()):
+        spike_nodes = tuple(sorted(draw(st.sets(st.integers(0, 11),
+                                                min_size=1, max_size=3))))
+        events.append(DelaySpike(y, z, draw(st.sampled_from(_EXTRA)),
+                                 nodes=spike_nodes))
+    loss = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+    return FaultSchedule(events), loss, spike_nodes
+
+
+@given(_hold_free(), st.integers(1, 6), st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_armed_actor_matches_timeline_wave_without_crash_holds(
+        script, max_attempts, seed):
+    """Hold-free scripts, three executions: the armed actor loop, the
+    timeline item wave and its per-item replay.  FixedLatency draws
+    nothing and every message departs at t=0, so all three agree bit
+    for bit on deliveries, clock, transport counters and trace records,
+    exhausted sends included — an independent check of the wave's
+    precomputed fates (the per-item replay shares them)."""
+    schedule, loss, spike_nodes = script
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 12, size=60)
+    dst = (src + 1 + rng.integers(0, 11, size=60)) % 12
+    if spike_nodes is not None:  # the node spike's messages go last
+        hit = np.isin(src, spike_nodes) | np.isin(dst, spike_nodes)
+        order = np.argsort(hit, kind="stable")
+        src, dst = src[order], dst[order]
+    msgs = [f"f{i}" for i in range(len(src))]
+
+    def net_for(arm):
+        sim = Simulator()
+        net = Network(
+            sim, latency=FixedLatency(10.0),
+            rng=np.random.default_rng(seed), loss_rate=loss,
+            transport="reliable",
+            transport_opts={"base_rto_ms": 40.0,
+                            "max_attempts": max_attempts},
+            trace=TraceRecorder(keep_records=True),
+        )
+        nodes = [Stub(i, sim) for i in range(12)]
+        for nd in nodes:
+            net.register(nd)
+        if arm:
+            schedule.arm(sim, net)
+        else:
+            net.fault_timeline = schedule.timeline(net.loss_rate)
+            # The armed script's last event moves the clock there too.
+            sim.schedule_at(schedule.end_ms(), lambda: None)
+        return sim, net, nodes
+
+    def observed(sim, net, nodes):
+        """The shared fingerprint plus every frame's and ACK's trace
+        record: time, endpoints and fate (the wave orders a send
+        instant's link and loss drops by category, so they compare as a
+        sorted list)."""
+        return (_fingerprint(sim, net, nodes),
+                sorted(astuple(r) for r in net.trace.records))
+
+    sim, net, nodes = net_for(arm=True)
+    # Sent after the script's own t=0 events, as the timeline sees them.
+    sim.schedule_at(0.0, lambda: [
         net.send(int(s), int(d), msg, size_bits=64.0, kind="x")
+        for s, d, msg in zip(src, dst, msgs)])
     sim.run()
-    actor = _fingerprint(sim, net, nodes)
+    actor = observed(sim, net, nodes)
 
-    results = {}
-    for side, replay in REPLAYS:
+    for _, replay in REPLAYS:
         with replay():
-            sim, net, nodes = _faulty_net(SOFT_SCHEDULE, arm=False)
+            sim, net, nodes = net_for(arm=False)
             net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
             sim.run()
-        results[side] = _fingerprint(sim, net, nodes)
+        assert observed(sim, net, nodes) == actor
 
-    assert results["wave"] == results["per_item"]
-    assert actor == results["wave"]
-    assert actor[2] > 0  # the loss window actually bit
+
+def test_a_long_crashed_sender_hold_probes_in_doubling_chunks():
+    """A sender down from t=0 to 5e6 ms with a 40 ms RTO: the scalar
+    transport re-probes 125,000 times and resends on recovery.  The
+    wave lands the same send at the same instant after as many
+    attempts, asking the timeline O(log probes) times — it used to give
+    up after 100,000 probes."""
+    schedule = FaultSchedule([Crash(0.0, 1), Recover(5e6, 1)])
+
+    def net_for():
+        sim = Simulator()
+        net = Network(sim, latency=FixedLatency(10.0),
+                      rng=np.random.default_rng(0), transport="reliable",
+                      transport_opts={"base_rto_ms": 40.0,
+                                      "max_attempts": 4})
+        nodes = [Stub(i, sim) for i in range(2)]
+        for nd in nodes:
+            net.register(nd)
+        return sim, net, nodes
+
+    sim, net, nodes = net_for()
+    schedule.arm(sim, net)
+    net.send(1, 0, "m", size_bits=64.0, kind="x")
+    sim.run()
+    [(t_scalar, _, _)] = nodes[0].received
+    assert t_scalar == 5_000_010.0
+    attempts_scalar = 1 + net.reliable.retransmits
+
+    sim, net, nodes = net_for()
+    tl = net.fault_timeline = schedule.timeline()
+    calls = []
+    crashed_at = tl.crashed_at
+    tl.crashed_at = lambda n, t: calls.append(len(n)) or crashed_at(n, t)
+    wave = net.send_batch(np.array([1]), np.array([0]), size_bits=64.0,
+                          kind="x", msgs=["m"])
+    sim.run()
+    assert nodes[0].received == [(t_scalar, 1, "m")]
+    assert wave.delivery_times.tolist() == [t_scalar]
+    assert wave.attempts.tolist() == [attempts_scalar] == [2]
+    # 125,000 probes: 18 doubling chunks, plus the link queries'.
+    assert len(calls) <= 2 * 17 + 10, len(calls)
+    assert sum(calls) < 2 * 125_000 + 100
 
 
 def test_timeline_round_differs_from_fault_free():
     src, dst, msgs = _workload()
     fingerprints = []
     for schedule in (SCHEDULE, None):
-        sim, net, nodes = _faulty_net(schedule, arm=False)
+        sim, net, nodes = _faulty_net(schedule)
         net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
         sim.run()
         fingerprints.append(_fingerprint(sim, net, nodes))

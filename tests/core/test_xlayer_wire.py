@@ -353,3 +353,20 @@ class TestScale:
         ref = multi_layer_aggregate(topo, models, np.random.default_rng(0))
         np.testing.assert_array_equal(ref.average, result.average)
         assert ref.bits_sent == result.bits_sent
+
+    def test_full_size_lossy_round_is_pinned(self):
+        """The ``xlayer_lossy`` benchmark op at seed 11: 118,096 peers,
+        20 % loss, the scale fault script and 32 attempts.  Every field
+        of the report but the wall time is pinned, heap included, so the
+        item waves and their ledger may change speed, never results."""
+        r = run_scale_trial(118_096, depth=10, loss_rate=0.2, seed=11,
+                            chaos=True, dim=8, max_attempts=32)
+        assert (r.n_peers, r.finish_ms, r.outcome) == (
+            118_096, 20175.0, "completed")
+        assert r.average_sum == -0.0075778426880862264
+        assert (r.bits_sent, r.messages_sent) == (338_783_680.0, 1_625_555)
+        assert (r.retransmits, r.acks, r.duplicates) == (
+            488_017, 916_985, 208_415)
+        assert (r.exhausted, r.dropped) == (0, 488_002)
+        assert (r.heap["scheduled_total"], r.heap["events_processed"],
+                r.heap["peak_pending"]) == (3_310_174, 1, 1)
