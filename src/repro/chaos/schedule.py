@@ -335,7 +335,9 @@ class FaultSchedule:
                 sim.schedule_at(
                     event.t_start_ms, lambda e=event: armed._open_spike(e)
                 )
-                sim.schedule_at(event.t_end_ms, armed._close_spike)
+                sim.schedule_at(
+                    event.t_end_ms, lambda e=event: armed._close_spike(e)
+                )
         network.fault_oracle = armed
         network.fault_timeline = self.timeline(network.loss_rate)
         return armed
@@ -349,7 +351,8 @@ class ArmedSchedule:
     sim: Simulator
     network: Network
     _saved_loss_rate: float | None = field(default=None, repr=False)
-    _saved_latency: LatencyModel | None = field(default=None, repr=False)
+    _base_latency: LatencyModel | None = field(default=None, repr=False)
+    _open_spikes: list = field(default_factory=list, repr=False)
 
     # ------------------------------------------------------------ window glue
     def _open_loss(self, window: LossWindow) -> None:
@@ -361,13 +364,19 @@ class ArmedSchedule:
         self._saved_loss_rate = None
 
     def _open_spike(self, spike: DelaySpike) -> None:
-        self._saved_latency = self.network.latency
+        if not self._open_spikes:
+            self._base_latency = self.network.latency
+        self._open_spikes.append(spike)
         self.network.latency = _SpikedLatency(self.network.latency, spike)
 
-    def _close_spike(self) -> None:
-        if self._saved_latency is not None:
-            self.network.latency = self._saved_latency
-            self._saved_latency = None
+    def _close_spike(self, spike: DelaySpike) -> None:
+        # Re-wrap the base in the spikes still open, in opening order:
+        # overlapping spikes sum, and each close removes only its own.
+        self._open_spikes.remove(spike)
+        latency = self._base_latency
+        for other in self._open_spikes:
+            latency = _SpikedLatency(latency, other)
+        self.network.latency = latency
 
     # ---------------------------------------------------------------- oracle
     def may_recover(self, node_id: int, now_ms: float) -> bool:

@@ -7,13 +7,19 @@ simulated network with sampled latency, and the bits on the wire are
 pinned bit-for-bit against the Eq. 10 closed forms in
 :mod:`repro.core.costs`.
 
-Everything is vectorized per *layer*, not per group:
+Everything is vectorized per *layer*, not per group, with the group
+axis innermost:
 
-- the share math for all ``G`` subgroups of a layer is one
-  ``(G x n, d)`` pass through the :mod:`repro.secure.batched` kernels,
-  consuming the RNG stream exactly as the materialised splits of the
-  no-simulator reference :func:`multi_layer_aggregate` do — the
-  aggregate it computes is identical;
+- the round holds its running sums as ``(d, N)``; a layer gathers its
+  owners once and one :func:`~repro.secure.batched.layer_group_sums`
+  pass over their ``(n, d, G)`` view returns every group's sum as
+  ``(d, G)``, consuming the RNG stream
+  exactly as the materialised splits of the no-simulator reference
+  :func:`multi_layer_aggregate` do — the aggregate it computes is
+  identical;
+- the dataflow reductions (input readiness, share bundles, counts) read
+  ``members.T`` the same way, so every ufunc loop runs over groups, not
+  over the ``n`` members of one group;
 - the wire traffic of a layer is a handful of
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
   (``xl.share``, ``xl.subtotal`` / ``xl.upload``, then a top-down
@@ -35,14 +41,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..obs import runtime as _obs
-from ..secure.batched import draw_divide_noise, fused_subtotals
+from ..secure.batched import draw_divide_noise, layer_group_sums
 from ..secure.protocol import reliable_transport_opts
 from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
 from ..simnet import Network, Simulator
 from ..simnet.network import DEFAULT_DELAY_MS, LatencyModel
 from ..simnet.outcome import OUTCOME_COMPLETED, TIMED_OUT, RoundOutcome
 from ..simnet.reliable import check_transport
-from .multi_layer import MultiLayerTopology
+from .multi_layer import MultiLayerTopology, _add_in_order
 
 #: message kinds an X-layer round puts on the wire.
 XLAYER_KINDS = ("xl.share", "xl.subtotal", "xl.upload", "xl.bcast")
@@ -124,16 +130,14 @@ def _landed(times: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(times), np.inf, times)
 
 
-def _layer_subtotals(
-    vals: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """SAC subtotals for a whole layer: ``(G*n, d) -> (G, n, d)``.
-
-    ``sub[g, j] = sum over owners i of share_{i -> j}``, owners in index
-    order, with the split noise drawn on ``rng`` first.
-    """
-    rn, totals = draw_divide_noise(vals.shape[0], n, rng)
-    return fused_subtotals(vals, rn, totals, n)
+def _latest(first: np.ndarray, wave, g: int, n: int) -> np.ndarray:
+    """Per group, the later of ``first`` and its ``n - 1`` leader-bound
+    arrivals in ``wave`` (group-major), one column of groups at a time."""
+    arrivals = _landed(wave.delivery_times).reshape(g, n - 1)
+    done = first.copy()
+    for c in range(n - 1):
+        np.maximum(done, arrivals[:, c], out=done)
+    return done
 
 
 def run_xlayer_wire_round(
@@ -185,12 +189,13 @@ def run_xlayer_wire_round(
     n = topology.n
     n_peers = topology.n_peers
     check_same_shape(models)
-    sums = np.array(models, dtype=np.float64)
-    if sums.ndim != 2 or sums.shape[0] != n_peers:
+    rows = np.asarray(models, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != n_peers:
         raise ValueError(
-            f"expected {n_peers} model rows, got shape {sums.shape}"
+            f"expected {n_peers} model rows, got shape {rows.shape}"
         )
-    w_bits = float(sums.shape[1] * bits_per_param)
+    sums = np.ascontiguousarray(rows.T)  # (d, N): peers innermost
+    w_bits = float(rows.shape[1] * bits_per_param)
     share_rng = np.random.default_rng(seed)
     net_rng = np.random.default_rng([seed, 1])
     sim = Simulator()
@@ -232,11 +237,11 @@ def run_xlayer_wire_round(
             members = topology.member_matrix(layer)  # (G, n)
             g = members.shape[0]
             leaders = members[:, 0]
-            start = ready[members].max(axis=1)  # (G,)
-            vals = sums[members.reshape(-1)]  # (G*n, d)
+            start = ready.take(members.T).max(axis=0)  # (G,)
+            vals = sums.take(members.T, axis=1)  # (d, n, G)
             if method == "sac":
-                sub = _layer_subtotals(vals, n, share_rng)
-                gsum = sub.sum(axis=1)
+                rn, totals = draw_divide_noise(g * n, n, share_rng)
+                gsum = layer_group_sums(vals.swapaxes(0, 1), rn, totals)
                 # Shares: every ordered pair within each group, all
                 # departing when the group's last input is ready.
                 share_wave = net.send_batch(
@@ -248,41 +253,33 @@ def run_xlayer_wire_round(
                 arrivals = _landed(share_wave.delivery_times).reshape(
                     g, n * (n - 1)
                 )
-                # bundle[g, j]: member j holds all its shares (its own
+                # bundle[j, g]: member j holds all its shares (its own
                 # needs no wire hop, so only incoming arrivals count).
-                bundle = np.empty((g, n), dtype=np.float64)
-                for j in range(n):
-                    bundle[:, j] = np.maximum(
-                        start, arrivals[:, pair_j == j].max(axis=1)
-                    )
+                bundle = np.tile(start, (n, 1))
+                for p, j in enumerate(pair_j):
+                    np.maximum(bundle[j], arrivals[:, p], out=bundle[j])
                 sub_wave = net.send_batch(
                     members[:, 1:].reshape(-1),
                     np.repeat(leaders, n - 1),
                     size_bits=w_bits, kind="xl.subtotal",
-                    at_times=bundle[:, 1:].reshape(-1),
+                    at_times=bundle[1:].T.reshape(-1),
                 )
-                sub_arrivals = _landed(sub_wave.delivery_times).reshape(
-                    g, n - 1
-                )
-                done = np.maximum(bundle[:, 0], sub_arrivals.max(axis=1))
+                done = _latest(bundle[0], sub_wave, g, n)
                 bits = g * (n * n - 1) * w_bits
                 msgs = g * (n * n - 1)
             else:
-                gsum = vals.reshape(g, n, -1).sum(axis=1)
+                gsum = _add_in_order(vals)
                 up_wave = net.send_batch(
                     members[:, 1:].reshape(-1),
                     np.repeat(leaders, n - 1),
                     size_bits=w_bits, kind="xl.upload",
                     at_times=np.repeat(start, n - 1),
                 )
-                up_arrivals = _landed(up_wave.delivery_times).reshape(
-                    g, n - 1
-                )
-                done = np.maximum(start, up_arrivals.max(axis=1))
+                done = _latest(start, up_wave, g, n)
                 bits = g * (n - 1) * w_bits
                 msgs = g * (n - 1)
-            gcnt = counts[members].sum(axis=1)
-            sums[leaders] = gsum
+            gcnt = counts.take(members.T).sum(axis=0)
+            sums[:, leaders] = gsum
             counts[leaders] = gcnt
             ready[leaders] = done
             layer_stats.append(XLayerLayerStats(
@@ -317,7 +314,7 @@ def run_xlayer_wire_round(
         sim.run(max_events=max(10_000_000, 16 * n_peers * (n + 2)))
 
     layer_stats.reverse()  # top layer first, reading order
-    average = sums[0] / counts[0]
+    average = sums[:, 0] / counts[0]
     assert int(counts[0]) == n_peers
     rel = net.reliable
     if np.isfinite(finish):

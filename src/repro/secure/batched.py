@@ -22,12 +22,14 @@ property tests in ``tests/secure/test_batched.py``):
   divergence is the measure-zero resample guard: when a row's random sum
   is below the conditioning threshold, only that row is redrawn (the
   sequential path would have interleaved the redraw mid-stream).
-- ``fused_subtotals`` (and :func:`sum_dense_shares` /
-  :func:`mean_of_subtotals`, its per-index and whole-group forms over
-  handles) equals "materialise the ``batched_divide`` shares, then
-  reduce the owner axis" bit for bit: the same normalised fractions, one
-  multiply per (owner, index), owners added left to right.  Only the
-  traversal differs — cache-sized blocks, so the share tensor never exists.
+- ``layer_group_sums`` (the X-layer round's groups, held group axis
+  innermost) and :func:`sum_dense_shares` / :func:`mean_of_subtotals`
+  (its per-index and whole-group forms over handles) equal "materialise
+  the ``batched_divide`` shares, reduce the owner axis, add the index
+  subtotals in order" bit for bit: the same normalised fractions, one
+  multiply per (owner, index), owners then indices added left to right.
+  Only the traversal differs — cache-sized blocks, so the share tensor
+  never exists.
 - ``batched_zero_sum`` and the seeded ring kernel are bitwise identical
   to the sequential loops for every batch size: normal variates fill
   row-major, 128-bit share seeds are two full-range ``uint64`` draws per
@@ -42,7 +44,6 @@ property tests in ``tests/secure/test_batched.py``):
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ def draw_divide_noise(
     measure-zero offending rows are redrawn in row order.
 
     Split out from :func:`batched_divide` so a caller can draw a whole
-    layer's noise first and hand it to :func:`fused_subtotals`.
+    layer's noise first and hand it to :func:`layer_group_sums`.
     """
     _check_n(n)
     rn = rng.random((b, n))
@@ -252,77 +253,80 @@ def _accumulate_scaled(
     owners: Sequence[np.ndarray],
     fractions: Sequence[np.ndarray],
 ) -> None:
-    """``out[g, j] = sum_i fractions[i][g, j] * owners[i][g]``, blocked.
+    """``out[j] = sum_i fractions[i][j] * owners[i]``, in column blocks.
 
-    ``owners[i]`` is ``(G, d)``, ``fractions[i]`` is ``(G, m)``, ``out``
-    is ``(G, m, d)``.  Owners are added left to right and every product
-    is rounded before its add (scratch buffer, no FMA), so each output
-    element sees exactly the operations of a materialised
+    ``owners[i]`` is a ``d``-vector, ``fractions[i]`` an ``m``-vector,
+    ``out`` is ``(m, d)``.  Owners are added left to right and every
+    product is rounded before its add (scratch buffer, no FMA), so each
+    output element sees exactly the operations of a materialised
     ``(owners, m, d)`` tensor reduced over its owner axis.
     """
-    g, m, d = out.shape
+    m, d = out.shape
     cb = max(1, min(d, _FUSED_BLOCK // m))
-    gb = max(1, _FUSED_BLOCK // (m * cb))
-    scratch = np.empty((min(gb, g), m, cb), dtype=out.dtype)
+    scratch = np.empty((m, cb), dtype=out.dtype)
+    for c0 in range(0, d, cb):
+        c1 = min(c0 + cb, d)
+        acc, tmp = out[:, c0:c1], scratch[:, : c1 - c0]
+        np.multiply(fractions[0][:, None], owners[0][None, c0:c1], out=acc)
+        for frac, owner in zip(fractions[1:], owners[1:]):
+            np.multiply(frac[:, None], owner[None, c0:c1], out=tmp)
+            np.add(acc, tmp, out=acc)
+
+
+def layer_group_sums(
+    vals: np.ndarray, rn: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """Each group's sum of its SAC index subtotals, group axis innermost.
+
+    ``vals`` is ``(n, d, G)``: owner ``i`` of group ``g`` holds
+    ``vals[i, :, g]``.  ``(rn, totals)`` is the :func:`draw_divide_noise`
+    material of the ``G * n`` owners, group-major.  Returns ``(d, G)``:
+    per group, ``sub_j = f_0j v_0 + f_1j v_1 + ...`` (owners left to
+    right, each product rounded before its add), then ``sub_0 + sub_1 +
+    ...`` (indices left to right) — the bits of materialising the
+    :func:`apply_divide_noise` shares, reducing the owner axis and adding
+    the index subtotals in order.  Cache-sized group blocks, so every
+    ufunc loop runs over groups and no subtotal tensor is built.
+    """
+    n, d, g = vals.shape
+    _check_n(n)
+    if rn.shape != (g * n, n):
+        raise ValueError(f"noise {rn.shape} does not fit {g} groups of n={n}")
+    # frac[i, j, g]: owner i's fraction for index j, viewed group-last.
+    rn = rn.reshape(g, n, n).transpose(1, 2, 0)
+    totals = totals.reshape(g, n).T[:, None]
+    out = np.empty((d, g), dtype=np.result_type(rn, vals))
+    gb = max(1, _FUSED_BLOCK // max(d, 1))
+    frac = np.empty((n, n, min(gb, g)))
+    scratch = np.empty((2, d, min(gb, g)), dtype=out.dtype)
     for g0 in range(0, g, gb):
         g1 = min(g0 + gb, g)
-        for c0 in range(0, d, cb):
-            c1 = min(c0 + cb, d)
-            acc = out[g0:g1, :, c0:c1]
-            tmp = scratch[: g1 - g0, :, : c1 - c0]
-            np.multiply(
-                fractions[0][g0:g1, :, None], owners[0][g0:g1, None, c0:c1],
-                out=acc,
-            )
-            for frac, owner in zip(fractions[1:], owners[1:]):
-                np.multiply(
-                    frac[g0:g1, :, None], owner[g0:g1, None, c0:c1], out=tmp
-                )
-                np.add(acc, tmp, out=acc)
-
-
-def fused_subtotals(
-    stack: np.ndarray, rn: np.ndarray, totals: np.ndarray, n: int
-) -> np.ndarray:
-    """Per-index SAC subtotals of whole groups, without the share tensor.
-
-    ``stack`` is ``(G*n, *shape)`` — ``G`` groups of ``n`` owners,
-    group-major — and ``(rn, totals)`` its :func:`draw_divide_noise`
-    material.  Returns ``(G, n, *shape)`` with
-    ``out[g, j] = sum_i share_{i -> j}`` over group ``g``'s owners:
-    bitwise equal to
-    ``apply_divide_noise(stack, rn, totals).reshape(G, n, n, *shape).sum(axis=1)``
-    but each model is streamed once per cache block instead of an
-    ``n``-times-larger tensor being written to and re-read from DRAM.
-    """
-    _check_n(n)
-    stack = _as_batch(stack)
-    rows, shape = stack.shape[0], stack.shape[1:]
-    if rows % n:
-        raise ValueError(f"{rows} owners do not form groups of n={n}")
-    g = rows // n
-    prn = (rn / totals[:, None]).reshape(g, n, n)
-    vals = stack.reshape(g, n, math.prod(shape))
-    out = np.empty(vals.shape, dtype=np.result_type(prn, vals))
-    _accumulate_scaled(
-        out, [vals[:, i] for i in range(n)], [prn[:, i] for i in range(n)]
-    )
-    return out.reshape((g, n) + shape)
+        f = frac[..., : g1 - g0]
+        np.divide(rn[..., g0:g1], totals[..., g0:g1], out=f)
+        acc = out[:, g0:g1]
+        sub, tmp = scratch[..., : g1 - g0]
+        for j in range(n):
+            part = sub if j else acc
+            np.multiply(f[0, j], vals[0, :, g0:g1], out=part)
+            for i in range(1, n):
+                np.multiply(f[i, j], vals[i, :, g0:g1], out=tmp)
+                np.add(part, tmp, out=part)
+            if j:
+                np.add(acc, sub, out=acc)
+    return out
 
 
 def sum_dense_shares(shares: Sequence[DenseShare]) -> np.ndarray:
     """One subtotal from its owners' handles: ``sum_i f_i * model_i``.
 
-    The per-index form of :func:`fused_subtotals` for callers that hold
-    handles rather than a stacked batch (the protocol actors): owners in
-    sequence order, same bits as summing the materialised shares.
+    For callers that hold handles rather than a stacked batch (the
+    protocol actors): owners in sequence order, same bits as summing the
+    materialised shares.
     """
     first = shares[0]
-    owners = [s.model.reshape(1, first.size) for s in shares]
-    fractions = [np.full((1, 1), s.fraction) for s in shares]
-    out = np.empty(
-        (1, 1, first.size), dtype=np.result_type(np.float64, *owners)
-    )
+    owners = [s.model.reshape(-1) for s in shares]
+    fractions = [np.full(1, s.fraction) for s in shares]
+    out = np.empty((1, first.size), dtype=np.result_type(np.float64, *owners))
     _accumulate_scaled(out, owners, fractions)
     return out.reshape(first.shape)
 

@@ -125,12 +125,10 @@ def reference_group_average(
         fractions = []
         for rng in rngs:
             rn, totals = draw_divide_noise(1, n, rng)
-            fractions.append(rn / totals[:, None])
-        # The models go in as (1, d) views, not as a stacked copy.
+            fractions.append(rn[0] / totals[0])
+        # The models go in as flat views, not as a stacked copy.
         subtotals = np.empty((n, d))
-        _accumulate_scaled(
-            subtotals[None], [m.reshape(1, d) for m in owners], fractions
-        )
+        _accumulate_scaled(subtotals, [m.reshape(d) for m in owners], fractions)
         subtotals = subtotals.reshape((n,) + shape)
     else:
         for i, (model, rng) in enumerate(zip(owners, rngs)):

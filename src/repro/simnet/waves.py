@@ -110,14 +110,15 @@ class DeliveryWave:
         size_bits: float,
         delivery_times: np.ndarray,
         delivered: np.ndarray,
+        count: int,
     ) -> None:
         self.net = net
         self.kind = kind
         self.size_bits = size_bits
         self.delivery_times = delivery_times
         self.delivered = delivered
-        self.count = int(delivered.sum())
-        self.dropped = len(delivered) - self.count
+        self.count = count
+        self.dropped = len(delivered) - count
         self._pos = 0
 
     @property
@@ -287,22 +288,26 @@ def send_batch(
 
     # Issue-time fate, in the scalar path's decision order: link state
     # first, then one loss uniform per link-up message, then one latency
-    # draw per surviving message — a single batch draw each.
-    if net._fault_free:
-        up = np.ones(m, dtype=bool)
+    # draw per surviving message — a single batch draw each.  When
+    # nothing can drop, every message survives: ``alive`` selects all of
+    # them as a slice, so no mask is built and no gather copies.
+    if net._fault_free and net.loss_rate == 0.0:
+        alive, n_alive = slice(None), m
     else:
-        up = np.fromiter(
-            (net.link_up(int(s), int(d)) for s, d in zip(src, dst)),
-            dtype=bool, count=m,
-        )
-    alive = up.copy()
-    if net.loss_rate > 0.0 and up.any():
-        lost_up = net.rng.random(int(up.sum())) < net.loss_rate
-        alive[up] = ~lost_up
-    _report_drops(net, kind, size_bits, dep, ~up, "link_down")
-    _report_drops(net, kind, size_bits, dep, up & ~alive, "loss")
-
-    n_alive = int(alive.sum())
+        if net._fault_free:
+            up = np.ones(m, dtype=bool)
+        else:
+            up = np.fromiter(
+                (net.link_up(int(s), int(d)) for s, d in zip(src, dst)),
+                dtype=bool, count=m,
+            )
+        alive = up.copy()
+        if net.loss_rate > 0.0 and up.any():
+            lost_up = net.rng.random(int(up.sum())) < net.loss_rate
+            alive[up] = ~lost_up
+        _report_drops(net, kind, size_bits, dep, ~up, "link_down")
+        _report_drops(net, kind, size_bits, dep, up & ~alive, "loss")
+        n_alive = int(alive.sum())
     delays = net.latency.sample_batch(src[alive], dst[alive], net.rng)
     if net.bandwidth_bps is not None and size_bits > 0:
         transfer = 1000.0 * size_bits / net.bandwidth_bps
@@ -315,9 +320,14 @@ def send_batch(
     else:
         times_alive = dep[alive] + delays
 
-    delivery_times = np.full(m, np.nan, dtype=np.float64)
-    delivery_times[alive] = times_alive
-    wave = DeliveryWave(net, kind, size_bits, delivery_times, alive)
+    if n_alive == m:
+        delivery_times, delivered = times_alive, np.ones(m, dtype=bool)
+    else:
+        delivery_times = np.full(m, np.nan, dtype=np.float64)
+        delivery_times[alive] = times_alive
+        delivered = alive
+    wave = DeliveryWave(net, kind, size_bits, delivery_times, delivered,
+                        n_alive)
     obs = _obs.OBS
     if obs.enabled:
         obs.emit("net.wave", t_ms=sim.now, kind=kind, count=n_alive,
@@ -332,9 +342,9 @@ def send_batch(
     seq0 = sim._queue.reserve(n_alive)
     order = np.argsort(times_alive, kind="stable")
     wave._src, wave._dst, wave._msgs = src, dst, msgs
-    wave._order = np.flatnonzero(alive)[order]
+    wave._order = order if n_alive == m else np.flatnonzero(alive)[order]
     wave._times = times_alive[order]
-    wave._seqs = seq0 + order.astype(np.int64)
+    wave._seqs = seq0 + order.astype(np.int64, copy=False)
     wave._launch()
     return wave
 

@@ -6,20 +6,39 @@ complete with the exact fault-free aggregate or degrade to a typed
 outcome.  They must never idle to the blunt ``round_timeout_ms``.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import Crash, FaultSchedule, LossWindow, check_liveness, check_safety
 from repro.core.topology import Topology
 from repro.core.wire_round import run_two_layer_wire_round
 from repro.secure.protocol import run_sac_protocol
+from repro.simnet.outcome import TIMED_OUT
 
 pytestmark = pytest.mark.chaos
 
 #: small budget so exhaustion types well before the round timeout.
 TRANSPORT_OPTS = {"max_attempts": 6}
+
+
+def sized_budget(loss_rate, sends, delay_ms=15.0, watch_ms=100.0):
+    """``(max_attempts, round_timeout_ms)`` under which a pure-loss SAC
+    round misses completion with probability at most 1e-9.
+
+    A send is undelivered only if every one of its attempts is lost, so a
+    union bound over the fault-free round's ``sends`` gives the attempts.
+    Recovery fetches only add routes to a subtotal.  The deadline lets the
+    round's two chained hops (share, then subtotal) each land on their
+    last attempt — ``base_rto * (2**(attempts-1) - 1) + delay`` with the
+    runners' ``base_rto = 4 * delay`` and backoff 2 — plus one watch tick.
+    """
+    attempts = max(8, math.ceil(math.log(1e-9 / sends) / math.log(loss_rate)))
+    hop = 4.0 * delay_ms * (2 ** (attempts - 1) - 1) + delay_ms
+    return attempts, 2 * hop + watch_ms
 
 
 def sac_models(n, params=16, seed=0):
@@ -57,18 +76,40 @@ class TestSacUnderChaos:
             assert result.finish_time_ms <= 5_000.0
 
     @given(loss_rate=st.floats(0.01, 0.3), seed=st.integers(0, 1_000))
+    @example(loss_rate=0.28125, seed=149)
     @settings(max_examples=15, deadline=None)
     def test_pure_loss_always_completes_bit_identical(self, loss_rate, seed):
         n, k = 6, 4
         models = sac_models(n, seed=seed)
         reference = run_sac_protocol(models, k=k, seed=seed)
+        attempts, deadline = sized_budget(loss_rate, reference.messages_sent)
         result = run_sac_protocol(
             models, k=k, seed=seed, loss_rate=loss_rate,
-            transport="reliable", round_timeout_ms=5_000.0,
+            transport="reliable", transport_opts={"max_attempts": attempts},
+            round_timeout_ms=deadline,
         )
-        # no crashes: the transport must always push the round through
+        # no crashes: a budget sized from the loss rate pushes the round
+        # through
         assert result.outcome.ok, result.outcome
         assert np.array_equal(result.average, reference.average)
+
+    def test_default_budget_times_out_where_the_sized_one_completes(self):
+        """Loss 0.28125 at seed 149: under the default 8 attempts and a
+        5 s deadline the round degrades to a typed timeout (one send lands
+        on its 8th attempt, 7.6 s in); the sized budget completes it."""
+        models = sac_models(6, seed=149)
+        reference = run_sac_protocol(models, k=4, seed=149)
+        lossy = dict(k=4, seed=149, loss_rate=0.28125, transport="reliable")
+        default = run_sac_protocol(models, round_timeout_ms=5_000.0, **lossy)
+        assert default.outcome.status == TIMED_OUT
+        assert default.average is None
+        attempts, deadline = sized_budget(0.28125, reference.messages_sent)
+        sized = run_sac_protocol(
+            models, transport_opts={"max_attempts": attempts},
+            round_timeout_ms=deadline, **lossy,
+        )
+        assert sized.outcome.ok, sized.outcome
+        assert np.array_equal(sized.average, reference.average)
 
 
 class TestTwoLayerUnderChaos:

@@ -150,6 +150,30 @@ class TestArming:
         sim.run_until(60.0)
         assert network.latency is base
 
+    @pytest.mark.parametrize("spikes,probes", [
+        # nested: the outer spike outlives the inner one
+        ([DelaySpike(10.0, 50.0, 5.0), DelaySpike(20.0, 40.0, 7.0)],
+         {0.0: 0.0, 15.0: 5.0, 30.0: 12.0, 45.0: 5.0, 60.0: 0.0}),
+        # staggered: the first to open closes first
+        ([DelaySpike(10.0, 30.0, 5.0), DelaySpike(20.0, 40.0, 7.0)],
+         {15.0: 5.0, 25.0: 12.0, 30.0: 7.0, 35.0: 7.0, 40.0: 0.0}),
+    ])
+    def test_overlapping_spikes_close_their_own_delay(self, spikes, probes):
+        """The armed latency adds ``FaultTimeline.extra_delay_at`` at every
+        instant, edges included, and the base model is back at the end."""
+        sim, network = make_net()
+        base = network.latency
+        schedule = FaultSchedule(spikes)
+        timeline = schedule.timeline(0.0)
+        schedule.arm(sim, network)
+        rng = np.random.default_rng(0)
+        for t, extra in probes.items():
+            sim.run_until(t)
+            got = network.latency.sample(0, 1, rng) - 10.0
+            assert got == extra == timeline.extra_delay_at([0], [1], [t])[0]
+        sim.run_until(100.0)
+        assert network.latency is base
+
     def test_armed_schedule_is_the_fault_oracle(self):
         sim, network = make_net()
         FaultSchedule([Crash(10.0, 1), Recover(50.0, 1)]).arm(sim, network)

@@ -311,19 +311,19 @@ _EXTRA = (5.0, 15.0, 20.0, 25.0)
 def _hold_free(draw):
     """A crash-free script and a base loss rate: up to two loss windows
     (possibly sharing an edge), a partition with an isolated outsider,
-    and up to two disjoint delay spikes, one of them on a node set.
+    and up to two delay spikes (disjoint, adjacent or overlapping), the
+    second on a node set.
 
     The armed actor loop draws its loss uniforms per send, in ``(time,
     seq)`` order; the wave draws them per epoch in enumeration order.
     The two orders agree while every epoch's cohort leaves at one
     instant, each frame lands before the next RTO (a spike adds at most
-    25 ms to a 10 ms hop against a 40 ms first RTO) and the messages a
-    node spike delays come last in enumeration order.  A crash would
+    25 ms to a 10 ms hop against a 40 ms first RTO — overlapping spikes
+    add up, so their sum stays within that) and the messages a node
+    spike delays come last in enumeration order.  A crash would
     break the first: a held frame's attempt moves to the recovery
     instant, where the actor draws its uniform, while the wave draws it
-    in cohort position.  The spikes are disjoint because an armed
-    spike's close restores the latency saved by the latest open, which
-    leaves an overlapped spike on.
+    in cohort position.
     """
     events = []
     a, b, c = sorted(draw(st.lists(st.sampled_from(_EDGES), min_size=3,
@@ -340,16 +340,22 @@ def _hold_free(draw):
         events.append(PartitionWindow(
             s, e, (tuple(range(cut)), tuple(range(cut, 11))),  # 11: outsider
         ))
-    spike_nodes = None
-    x, y, z = sorted(draw(st.lists(st.sampled_from(_EDGES), min_size=3,
-                                   max_size=3, unique=True)))
+    window = st.lists(st.sampled_from(_EDGES), min_size=2, max_size=2,
+                      unique=True).map(sorted)
+    spike_nodes, first = None, None
     if draw(st.booleans()):
-        events.append(DelaySpike(x, y, draw(st.sampled_from(_EXTRA))))
+        first = DelaySpike(*draw(window), draw(st.sampled_from(_EXTRA)))
+        events.append(first)
     if draw(st.booleans()):
-        spike_nodes = tuple(sorted(draw(st.sets(st.integers(0, 11),
-                                                min_size=1, max_size=3))))
-        events.append(DelaySpike(y, z, draw(st.sampled_from(_EXTRA)),
-                                 nodes=spike_nodes))
+        s, e = draw(window)
+        overlap = first is not None and s < first.t_end_ms and first.t_start_ms < e
+        room = 25.0 - (first.extra_delay_ms if overlap else 0.0)
+        extras = [v for v in _EXTRA if v <= room]
+        if extras:
+            spike_nodes = tuple(sorted(draw(st.sets(
+                st.integers(0, 11), min_size=1, max_size=3))))
+            events.append(DelaySpike(s, e, draw(st.sampled_from(extras)),
+                                     nodes=spike_nodes))
     loss = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
     return FaultSchedule(events), loss, spike_nodes
 

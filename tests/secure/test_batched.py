@@ -9,6 +9,7 @@ and the ring64 fixed-point codec (dense and seeded).
 
 import os
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.secure.batched import (
     batched_zero_sum,
     divide_handles,
     draw_divide_noise,
-    fused_subtotals,
+    layer_group_sums,
     mean_of_subtotals,
     sum_dense_shares,
 )
@@ -163,10 +164,29 @@ def _bits_equal(a, b):
 
 
 def _materialise_and_reduce(stack, rn, totals, n):
-    """The pre-fusion expression ``fused_subtotals`` replaced."""
+    """Materialise the shares, reduce the owner axis: the ``(G, n, *shape)``
+    index subtotals."""
     shares = apply_divide_noise(stack, rn, totals)
     g = stack.shape[0] // n
     return shares.reshape((g, n, n) + stack.shape[1:]).sum(axis=1)
+
+
+def _group_sums_oracle(stack, rn, totals, n):
+    """The index subtotals added left to right, as the no-simulator
+    X-layer reference (``multi_layer._add_in_order``) adds them."""
+    sub = _materialise_and_reduce(stack, rn, totals, n)
+    total = sub[:, 0].copy()
+    for j in range(1, n):
+        np.add(total, sub[:, j], out=total)
+    return total
+
+
+def _group_sums(stack, rn, totals, n):
+    """``layer_group_sums`` on a group-major ``(G*n, *shape)`` stack, fed
+    as the strided ``(n, d, G)`` view it takes, back as ``(G, *shape)``."""
+    g, shape = stack.shape[0] // n, stack.shape[1:]
+    vals = stack.reshape(g, n, -1).transpose(1, 2, 0)
+    return layer_group_sums(vals, rn, totals).T.reshape((g,) + shape)
 
 
 @contextmanager
@@ -193,6 +213,8 @@ blocks = st.sampled_from([7, 64, 32_768])
 
 
 class TestFusedSubtotals:
+    """``layer_group_sums`` against materialise, reduce owners, add indices."""
+
     @given(g=st.integers(1, 4), n=peers, shape=model_shapes, layout=layouts,
            block=blocks, seed=seeds)
     @settings(max_examples=150, deadline=None)
@@ -209,31 +231,49 @@ class TestFusedSubtotals:
         if layout == "float32":
             stack = stack.astype(np.float32)
         rn, totals = draw_divide_noise(g * n, n, rng)
-        expect = _materialise_and_reduce(stack, rn, totals, n)
+        expect = _group_sums_oracle(stack, rn, totals, n)
         with _fused_block(block):
-            got = fused_subtotals(stack, rn, totals, n)
-        assert got.shape == (g, n) + shape
+            got = _group_sums(stack, rn, totals, n)
+        assert got.shape == (g,) + shape
         assert _bits_equal(got, expect)
 
     @pytest.mark.parametrize("rows,d,n", [
-        (5, 70_001, 5),    # paper-like: column blocks, ragged last block
-        (12, 8_192, 4),    # whole groups per block, d below the block
-        (4_004, 8, 4),     # xlayer-like: many groups per block, ragged tail
+        (5, 70_001, 5),    # paper-like: G = 1, one group per block
+        (12, 8_192, 4),    # four groups per block, d below the block
+        (4_004, 8, 4),     # many groups per block, ragged tail
         (3, 1, 3),
+        (104_976, 8, 4),   # xlayer_wide's bottom layer: 26,244 groups
     ])
     def test_shipped_block_size_at_realistic_shapes(self, rows, d, n):
         rng = RNG(rows)
         stack = rng.random((rows, d))
         rn, totals = draw_divide_noise(rows, n, rng)
         assert _bits_equal(
-            fused_subtotals(stack, rn, totals, n),
-            _materialise_and_reduce(stack, rn, totals, n),
+            _group_sums(stack, rn, totals, n),
+            _group_sums_oracle(stack, rn, totals, n),
         )
 
     def test_rejects_ragged_groups(self):
         rn, totals = draw_divide_noise(5, 3, RNG())
         with pytest.raises(ValueError):
-            fused_subtotals(np.ones((5, 4)), rn, totals, 3)
+            layer_group_sums(np.ones((3, 4, 2)), rn, totals)
+
+    def test_peak_memory_is_a_few_outputs(self):
+        """Perf pin: at xlayer_wide's bottom layer the kernel holds its
+        output, one block of fractions and two block scratches — at most
+        four outputs' worth, never an ``(n, d, G)`` subtotal tensor."""
+        g, n, d = 26_244, 4, 8
+        rng = RNG(3)
+        vals = rng.random((d, n, g)).swapaxes(0, 1)
+        rn, totals = draw_divide_noise(g * n, n, rng)
+        tracemalloc.start()
+        try:
+            out = layer_group_sums(vals, rn, totals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (d, g)
+        assert peak <= 4 * out.nbytes, peak / out.nbytes
 
 
 class TestGroupKernel:

@@ -7,9 +7,12 @@ totals and global event ordering — the wave just does it with one heap
 entry per run instead of one per message.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import MultiLayerTopology
 from repro.simnet import (
     FixedLatency,
     GaussianLatency,
@@ -195,6 +198,59 @@ class TestWaveAccounting:
         sim.run()
         assert net.in_flight == 0
         assert net.peak_in_flight >= 500
+
+
+class TestFaultFreeIssue:
+    """With nothing able to drop at issue, ``send_batch`` builds no link
+    or loss mask and gathers nothing."""
+
+    def test_mask_free_issue_equals_the_mask_path(self):
+        """The same wave on a fault-free network and on one whose only
+        fault is a crashed node no message touches (the mask path):
+        same delivery times, reserved ``(time, seq)`` heap keys and
+        trace totals."""
+        rng = np.random.default_rng(5)
+        src, dst = _pair_batch(rng, 40, 3000)
+        at = rng.uniform(0.0, 30.0, size=3000)
+        seen = []
+        for crash in (False, True):
+            sim, net = _net(seed=3, latency=FixedLatency(12.0))
+            sim.schedule(20.0, lambda: None)  # a foreign entry mid-wave
+            if crash:
+                net.crash(99)
+            assert net._fault_free is not crash
+            wave = net.send_batch(src, dst, size_bits=64.0, kind="k",
+                                  at_times=at)
+            keys = (wave._times.tolist(), wave._seqs.tolist())
+            sim.run()
+            seen.append((
+                wave.delivery_times.tolist(), keys, wave.count,
+                wave.dropped, sim.now, net.trace.total_bits,
+                net.trace.total_messages, net.trace.total_dropped,
+            ))
+        assert seen[0] == seen[1]
+        assert seen[0][2] == 3000 and seen[0][3] == 0
+
+    def test_issue_peak_memory_per_message(self):
+        """Perf pin: issuing xlayer_wide's bottom share wave (26,244
+        groups of 4, 314,928 messages) peaks at no more than 50 bytes a
+        message — departures, delays, arrival times, sort order, sorted
+        times, heap seqs and the delivered flags, and no mask."""
+        members = MultiLayerTopology(4, 10).member_matrix(10)
+        pair_i, pair_j = np.where(~np.eye(4, dtype=bool))
+        src = members[:, pair_i].reshape(-1)
+        dst = members[:, pair_j].reshape(-1)
+        at = np.zeros(len(src))
+        sim, net = _net(latency=FixedLatency(15.0))
+        tracemalloc.start()
+        try:
+            wave = net.send_batch(src, dst, size_bits=512.0, kind="xl.share",
+                                  at_times=at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wave.count == len(src) == 314_928
+        assert peak <= 50 * len(src), peak / len(src)
 
 
 class TestActorWaves:
