@@ -10,16 +10,19 @@ pinned bit-for-bit against the Eq. 10 closed forms in
 Everything is vectorized per *layer*, not per group, with the group
 axis innermost:
 
-- the round holds its running sums as ``(d, N)``; a layer gathers its
-  owners once and one :func:`~repro.secure.batched.layer_group_sums`
-  pass over their ``(n, d, G)`` view returns every group's sum as
-  ``(d, G)``, consuming the RNG stream
+- a layer's owners are one ``(n, d, G)`` copy: leaders (every member
+  of the bottom layer) read their own model rows, the rest the ``(d,
+  G)`` group sums the layer below hands up *by position* — layer k's
+  followers are, in id order, the leaders of layer k + 1 — so there is
+  no ``(d, N)`` copy of the models and no gather by peer id; one
+  :func:`~repro.secure.batched.layer_group_sums` pass returns every
+  group's sum as ``(d, G)``, consuming the RNG stream
   exactly as the materialised splits of the no-simulator reference
   :func:`multi_layer_aggregate` do — the aggregate it computes is
   identical;
-- the dataflow reductions (input readiness, share bundles, counts) read
-  ``members.T`` the same way, so every ufunc loop runs over groups, not
-  over the ``n`` members of one group;
+- counts, input readiness and share bundles come up the same way and
+  fold one ``(G,)`` column at a time, so every ufunc loop runs over
+  groups, not over the ``n`` members of one group;
 - the wire traffic of a layer is a handful of
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
   (``xl.share``, ``xl.subtotal`` / ``xl.upload``, then a top-down
@@ -125,8 +128,11 @@ def _landed(times: np.ndarray) -> np.ndarray:
     sender abandoned, receiver crashed).  For the round's dependency
     chain that means "waits forever": ``inf`` propagates correctly
     through the ``max`` reductions and downstream departure times, and
-    keeps the heap orderable (``NaN`` would poison comparisons).
+    keeps the heap orderable (``NaN`` would poison comparisons).  Times
+    that all landed come back as they are.
     """
+    if not np.isnan(times).any():
+        return times
     return np.where(np.isnan(times), np.inf, times)
 
 
@@ -194,8 +200,8 @@ def run_xlayer_wire_round(
         raise ValueError(
             f"expected {n_peers} model rows, got shape {rows.shape}"
         )
-    sums = np.ascontiguousarray(rows.T)  # (d, N): peers innermost
-    w_bits = float(rows.shape[1] * bits_per_param)
+    d = rows.shape[1]
+    w_bits = float(d * bits_per_param)
     share_rng = np.random.default_rng(seed)
     net_rng = np.random.default_rng([seed, 1])
     sim = Simulator()
@@ -219,8 +225,6 @@ def run_xlayer_wire_round(
             "drops would stall the aggregation dataflow)"
         )
 
-    counts = np.ones(n_peers, dtype=np.int64)
-    ready = np.zeros(n_peers, dtype=np.float64)
     layer_stats: list[XLayerLayerStats] = []
     obs = _obs.OBS
 
@@ -230,6 +234,11 @@ def run_xlayer_wire_round(
     with obs.span("xlayer.round", clock=lambda: sim.now,
                   peers=n_peers, depth=topology.depth):
         # ---------------------------------------------- bottom-up layers
+        # The leaders of layer k + 1 are, in order, the followers of
+        # layer k (all n members of layer 1): each layer hands its
+        # results up by position, carry = (gsum (d, G), gcnt, done), and
+        # leaders (all members of the bottom layer) read their own rows.
+        carry = None
         for layer in range(topology.depth, 0, -1):
             method = method_for_layer(layer)
             if method not in ("sac", "fedavg"):
@@ -237,16 +246,31 @@ def run_xlayer_wire_round(
             members = topology.member_matrix(layer)  # (G, n)
             g = members.shape[0]
             leaders = members[:, 0]
-            start = ready.take(members.T).max(axis=0)  # (G,)
-            vals = sums.take(members.T, axis=1)  # (d, n, G)
+            lo = int(leaders[0])  # ids: g leaders, then their followers
+            k = 0 if carry is None else n if layer == 1 else n - 1
+            vals = np.empty((n, d, g))  # owner i of group g: vals[i, :, g]
+            gcnt = np.full(g, n - k, dtype=np.int64)
+            start = np.zeros(g)
+            if k < n:
+                vals[0] = rows[lo:lo + g].T
+            if k == 0:
+                own = rows[lo + g:].reshape(g, n - 1, d)
+                vals[1:] = own.transpose(1, 2, 0)
+            else:
+                csum, ccnt, cdone = carry
+                vals[n - k:] = csum.reshape(d, g, k).transpose(2, 0, 1)
+                ccnt, cdone = ccnt.reshape(g, k), cdone.reshape(g, k)
+                for c in range(k):
+                    np.add(gcnt, ccnt[:, c], out=gcnt)
+                    np.maximum(start, cdone[:, c], out=start)
             if method == "sac":
                 rn, totals = draw_divide_noise(g * n, n, share_rng)
-                gsum = layer_group_sums(vals.swapaxes(0, 1), rn, totals)
+                gsum = layer_group_sums(vals, rn, totals)
                 # Shares: every ordered pair within each group, all
                 # departing when the group's last input is ready.
                 share_wave = net.send_batch(
-                    members[:, pair_i].reshape(-1),
-                    members[:, pair_j].reshape(-1),
+                    members.take(pair_i, axis=1).reshape(-1),
+                    members.take(pair_j, axis=1).reshape(-1),
                     size_bits=w_bits, kind="xl.share",
                     at_times=np.repeat(start, n * (n - 1)),
                 )
@@ -268,7 +292,7 @@ def run_xlayer_wire_round(
                 bits = g * (n * n - 1) * w_bits
                 msgs = g * (n * n - 1)
             else:
-                gsum = _add_in_order(vals)
+                gsum = _add_in_order(vals.swapaxes(0, 1))
                 up_wave = net.send_batch(
                     members[:, 1:].reshape(-1),
                     np.repeat(leaders, n - 1),
@@ -278,34 +302,30 @@ def run_xlayer_wire_round(
                 done = _latest(start, up_wave, g, n)
                 bits = g * (n - 1) * w_bits
                 msgs = g * (n - 1)
-            gcnt = counts.take(members.T).sum(axis=0)
-            sums[:, leaders] = gsum
-            counts[leaders] = gcnt
-            ready[leaders] = done
+            carry = gsum, gcnt, done
             layer_stats.append(XLayerLayerStats(
                 layer=layer, method=method, groups=g,
                 start_ms=float(start.min()), done_ms=float(done.max()),
                 bits=bits, messages=msgs,
             ))
-        agg_done = float(ready[0])
+        agg_done = float(done[0])
 
         # ------------------------------------------- top-down broadcast
         # Each group leader relays the final model to its followers; the
         # root already has it.  (N - 1) messages of |w| bits in total.
-        dist = np.full(n_peers, np.nan, dtype=np.float64)
-        dist[0] = agg_done
+        # Arrivals come down by position, as the sums went up.
+        reached = [np.array([agg_done])]  # root, then layer followers
         for layer in range(1, topology.depth + 1):
             members = topology.member_matrix(layer)
-            g = members.shape[0]
-            followers = members[:, 1:].reshape(-1)
+            lead = np.concatenate(reached) if layer == 2 else reached[-1]
             bcast_wave = net.send_batch(
                 np.repeat(members[:, 0], n - 1),
-                followers,
+                members[:, 1:].reshape(-1),
                 size_bits=w_bits, kind="xl.bcast",
-                at_times=np.repeat(dist[members[:, 0]], n - 1),
+                at_times=np.repeat(lead, n - 1),
             )
-            dist[followers] = _landed(bcast_wave.delivery_times)
-        finish = float(dist.max())
+            reached.append(_landed(bcast_wave.delivery_times))
+        finish = max(float(t.max()) for t in reached)
 
         # Drain the wire: replays every wave's deliveries through the
         # heap, filling the byte-accounting trace.  Reliable transport
@@ -314,13 +334,13 @@ def run_xlayer_wire_round(
         sim.run(max_events=max(10_000_000, 16 * n_peers * (n + 2)))
 
     layer_stats.reverse()  # top layer first, reading order
-    average = sums[:, 0] / counts[0]
-    assert int(counts[0]) == n_peers
+    average = gsum[:, 0] / gcnt[0]
+    assert int(gcnt[0]) == n_peers
     rel = net.reliable
     if np.isfinite(finish):
         outcome = OUTCOME_COMPLETED
     else:
-        stalled = int(np.isinf(dist).sum())
+        stalled = sum(int(np.isinf(t).sum()) for t in reached)
         if rel is not None:
             reason = (
                 f"{stalled} peers never reached: "

@@ -37,10 +37,6 @@ def set_level(level: str | int) -> None:
     _threshold = int(level)
 
 
-def get_level() -> int:
-    return _threshold
-
-
 class ObsLogger:
     """Named logger; formats with %-style args like :mod:`logging`."""
 

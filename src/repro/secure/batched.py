@@ -151,17 +151,24 @@ def draw_divide_noise(
 
     One ``rng.random((b, n))`` draw replaces ``b`` per-owner draws.  The
     conditioning guard (the paper leaves the tiny-sum case unspecified)
-    is vectorized: row totals come from one ``sum(axis=1)`` pass — the
-    same pairwise reduction over the same contiguous rows as the
-    per-owner 1-D sums, hence bitwise identical — and only the
-    measure-zero offending rows are redrawn in row order.
+    is vectorized: row totals carry the bits of the per-owner 1-D sums —
+    numpy's pairwise sum adds fewer than 8 terms left to right, so for
+    ``1 < n < 8`` they are ``n - 1`` column adds, each one loop over
+    rows; other widths and one-row draws take a ``sum(axis=1)`` pass,
+    the same pairwise reduction over the same contiguous rows — and only
+    the measure-zero offending rows are redrawn in row order.
 
     Split out from :func:`batched_divide` so a caller can draw a whole
     layer's noise first and hand it to :func:`layer_group_sums`.
     """
     _check_n(n)
     rn = rng.random((b, n))
-    totals = rn.sum(axis=1)
+    if b > 1 and 1 < n < 8:
+        totals = rn[:, 0] + rn[:, 1]
+        for c in range(2, n):
+            totals += rn[:, c]
+    else:
+        totals = rn.sum(axis=1)
     for i in np.flatnonzero(np.abs(totals) < _MIN_SUM):
         total = totals[i]
         for _ in range(max_resample):

@@ -186,22 +186,6 @@ def seeded_zero_sum_shares(
     return SeededShares(n, residual_index, residual, seeds, dense=dense)
 
 
-def expand_ring_seeds(
-    seeds: "list[int] | np.ndarray", shape: tuple[int, ...]
-) -> np.ndarray:
-    """Expand many ring-codec seeds in one vectorized Philox pass.
-
-    Returns ``(len(seeds), *shape)`` uint64, row ``i`` bit-identical to
-    ``SeedShare(seeds[i], shape, RING_CODEC).expand()``.
-    """
-    from .philox import expand_ring_batch
-
-    hi = np.array([int(s) >> 64 for s in seeds], dtype=np.uint64)
-    lo = np.array([int(s) & (_RING_HIGH - 1) for s in seeds], dtype=np.uint64)
-    d = int(np.prod(shape)) if shape else 1
-    return expand_ring_batch(hi, lo, d).reshape((len(hi),) + tuple(shape))
-
-
 def seeded_ring_shares(
     q: np.ndarray,
     n: int,

@@ -340,11 +340,17 @@ def send_batch(
         return wave
 
     seq0 = sim._queue.reserve(n_alive)
-    order = np.argsort(times_alive, kind="stable")
     wave._src, wave._dst, wave._msgs = src, dst, msgs
+    # Replay order is a stable sort on time, which is the identity on
+    # times already non-decreasing: such a wave keeps its arrays.
+    if (times_alive[1:] >= times_alive[:-1]).all():
+        order, wave._times = range(n_alive), times_alive
+        wave._seqs = np.arange(seq0, seq0 + n_alive, dtype=np.int64)
+    else:
+        order = np.argsort(times_alive, kind="stable")
+        wave._times = times_alive[order]
+        wave._seqs = seq0 + order.astype(np.int64, copy=False)
     wave._order = order if n_alive == m else np.flatnonzero(alive)[order]
-    wave._times = times_alive[order]
-    wave._seqs = seq0 + order.astype(np.int64, copy=False)
     wave._launch()
     return wave
 

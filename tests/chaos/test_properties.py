@@ -25,20 +25,22 @@ pytestmark = pytest.mark.chaos
 TRANSPORT_OPTS = {"max_attempts": 6}
 
 
-def sized_budget(loss_rate, sends, delay_ms=15.0, watch_ms=100.0):
-    """``(max_attempts, round_timeout_ms)`` under which a pure-loss SAC
-    round misses completion with probability at most 1e-9.
+def sized_budget(loss_rate, sends, hops=2, delay_ms=15.0, watch_ms=100.0):
+    """``(max_attempts, round_timeout_ms)`` under which a pure-loss round
+    misses completion with probability at most 1e-9.
 
     A send is undelivered only if every one of its attempts is lost, so a
     union bound over the fault-free round's ``sends`` gives the attempts.
-    Recovery fetches only add routes to a subtotal.  The deadline lets the
-    round's two chained hops (share, then subtotal) each land on their
-    last attempt — ``base_rto * (2**(attempts-1) - 1) + delay`` with the
-    runners' ``base_rto = 4 * delay`` and backoff 2 — plus one watch tick.
+    Recovery fetches only add routes to a subtotal.  The deadline lets
+    each of the round's ``hops`` chained hops land on its last attempt —
+    ``base_rto * (2**(attempts-1) - 1) + delay`` with the runners'
+    ``base_rto = 4 * delay`` and backoff 2 — plus one watch tick.  A SAC
+    round chains two hops (share, then subtotal); a two-layer round five
+    (share, subtotal, upload, then two broadcasts).
     """
     attempts = max(8, math.ceil(math.log(1e-9 / sends) / math.log(loss_rate)))
     hop = 4.0 * delay_ms * (2 ** (attempts - 1) - 1) + delay_ms
-    return attempts, 2 * hop + watch_ms
+    return attempts, hops * hop + watch_ms
 
 
 def sac_models(n, params=16, seed=0):
@@ -145,14 +147,38 @@ class TestTwoLayerUnderChaos:
             assert result.finish_time_ms <= 8_000.0
 
     @given(loss_rate=st.floats(0.01, 0.3), seed=st.integers(0, 1_000))
+    @example(loss_rate=0.25, seed=137)
     @settings(max_examples=10, deadline=None)
     def test_pure_loss_always_completes_bit_identical(self, loss_rate, seed):
         topology = Topology.by_group_size(8, 4)
         models = sac_models(topology.n_peers, seed=seed)
         reference = run_two_layer_wire_round(topology, models, k=3, seed=seed)
+        attempts, deadline = sized_budget(
+            loss_rate, reference.messages_sent, hops=5)
         result = run_two_layer_wire_round(
             topology, models, k=3, seed=seed, loss_rate=loss_rate,
-            transport="reliable", round_timeout_ms=8_000.0,
+            transport="reliable", transport_opts={"max_attempts": attempts},
+            round_timeout_ms=deadline,
         )
         assert result.outcome.ok, result.outcome
         assert np.array_equal(result.average, reference.average)
+
+    def test_default_budget_times_out_where_the_sized_one_completes(self):
+        """Loss 0.25 at seed 137: under the default 8 attempts and an 8 s
+        deadline the round degrades to a typed timeout (it needs 15.4 s);
+        the budget sized for five chained hops completes it."""
+        topology = Topology.by_group_size(8, 4)
+        models = sac_models(topology.n_peers, seed=137)
+        reference = run_two_layer_wire_round(topology, models, k=3, seed=137)
+        lossy = dict(k=3, seed=137, loss_rate=0.25, transport="reliable")
+        default = run_two_layer_wire_round(
+            topology, models, round_timeout_ms=8_000.0, **lossy)
+        assert default.outcome.status == TIMED_OUT
+        attempts, deadline = sized_budget(
+            0.25, reference.messages_sent, hops=5)
+        sized = run_two_layer_wire_round(
+            topology, models, transport_opts={"max_attempts": attempts},
+            round_timeout_ms=deadline, **lossy,
+        )
+        assert sized.outcome.ok, sized.outcome
+        assert np.array_equal(sized.average, reference.average)

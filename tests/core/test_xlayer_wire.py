@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.simnet import FixedLatency, GaussianLatency, UniformLatency
 from repro.simnet import waves as W
+from repro.simnet.outcome import TIMED_OUT
 from tests.simnet.per_item import per_item
 
 
@@ -78,18 +79,68 @@ class TestClosedForms:
             assert by_layer[layer].start_ms >= by_layer[layer + 1].done_ms
 
 
+def _layer_times(depth, delay, sac_layers=None):
+    """``(layer, start_ms, done_ms)`` per layer, top first, under a fixed
+    per-hop delay: layers run bottom-up, a SAC layer two hops (shares,
+    subtotals), a FedAvg layer one."""
+    times, t = [], 0.0
+    for layer in range(depth, 0, -1):
+        hops = 2 if sac_layers is None or layer in sac_layers else 1
+        times.append((layer, t, t + hops * delay))
+        t += hops * delay
+    return times[::-1]
+
+
+#: ``n, depth, SAC layers (None: all), crash a leaf under loss``.
+EQUALITY_CASES = {
+    "depth1": (3, 1, None, False),  # one layer: nothing carried up
+    "n2": (2, 4, None, False),
+    "n3": (3, 3, None, False),
+    "n4": (4, 2, None, False),
+    "n5": (5, 2, None, False),
+    "mixed": (3, 4, {1, 3}, False),
+    "lossy_crash": (3, 3, None, True),  # inf readiness carried up
+}
+
+
 class TestValueEquality:
-    def test_average_equals_multi_layer_aggregate(self):
+    @pytest.mark.parametrize("case", list(EQUALITY_CASES))
+    def test_average_equals_multi_layer_aggregate(self, case):
         """Same seed => bit-identical average: the wire round consumes
-        the share RNG exactly as the in-memory reference does."""
-        for n, depth in [(2, 4), (3, 3), (4, 2)]:
-            topo = MultiLayerTopology(n, depth)
-            models = _models(topo, d=6, seed=9)
-            ref = multi_layer_aggregate(
-                topo, list(models), np.random.default_rng(5)
-            )
-            result = run_xlayer_wire_round(topo, models, seed=5)
-            np.testing.assert_array_equal(ref.average, result.average)
+        the share RNG exactly as the in-memory reference does, whatever
+        each layer hands up to the next.  Under ``FixedLatency`` every
+        layer's times are the closed form; a leaf crashed for good
+        stalls its group, and every layer above waits on it forever."""
+        n, depth, sac_layers, lossy = EQUALITY_CASES[case]
+        topo = MultiLayerTopology(n, depth)
+        models = _models(topo, d=6, seed=9)
+        method = None if sac_layers is None else (
+            lambda layer: "sac" if layer in sac_layers else "fedavg")
+        kw = {}
+        if lossy:
+            from repro.chaos import Crash, FaultSchedule
+
+            kw = dict(loss_rate=0.2, transport="reliable",
+                      schedule=FaultSchedule([Crash(0.0, topo.n_peers - 1)]))
+        ref = multi_layer_aggregate(
+            topo, list(models), np.random.default_rng(5),
+            method_for_layer=method,
+        )
+        result = run_xlayer_wire_round(
+            topo, models, seed=5, method_for_layer=method,
+            latency=FixedLatency(15.0), **kw,
+        )
+        np.testing.assert_array_equal(ref.average, result.average)
+        times = [(st.layer, st.start_ms, st.done_ms)
+                 for st in result.layer_stats]
+        if lossy:
+            assert result.outcome.status == TIMED_OUT
+            assert [done for _, _, done in times] == [np.inf] * depth
+            assert times[0][1] == np.inf  # the top layer never starts
+        else:
+            assert times == _layer_times(depth, 15.0, sac_layers)
+            assert result.finish_time_ms == multi_layer_round_latency_ms(
+                depth, 15.0, sac_layers=sac_layers)
 
     def test_average_is_global_mean(self):
         topo = MultiLayerTopology(3, 3)
@@ -156,6 +207,30 @@ class TestEngines:
             b = run_xlayer_wire_round(topo, models)
         assert b.heap_stats["events_processed"] == b.messages_sent
         assert a.heap_stats["events_processed"] < b.messages_sent / 10
+
+
+class TestPeakMemory:
+    def test_round_peak_per_peer(self):
+        """Perf pin: after a warm-up round, an ``xlayer_wide`` round
+        (118,096 peers, d = 8, ``FixedLatency(15)``) peaks at no more
+        than 320 bytes a peer.  The waves' id, time and seq arrays are
+        most of it; layers hand their group sums up by position, so no
+        ``(d, N)`` copy of the models and no length-N sums, counts or
+        readiness exist, and waves issued in time order keep no sort
+        order or sorted copy."""
+        topo = MultiLayerTopology(4, 10)
+        models = _models(topo, d=8)
+        kw = dict(latency=FixedLatency(15.0))
+        run_xlayer_wire_round(topo, models, **kw)  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run_xlayer_wire_round(topo, models, **kw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.outcome.ok and result.n_peers == 118_096
+        assert peak <= 320 * result.n_peers, peak / result.n_peers
 
 
 class TestChaosRound:

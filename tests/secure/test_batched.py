@@ -40,7 +40,7 @@ RNG = lambda seed=0: np.random.default_rng(seed)
 
 dims = st.integers(min_value=1, max_value=24)
 batch = st.integers(min_value=1, max_value=6)
-peers = st.integers(min_value=1, max_value=7)
+peers = st.integers(min_value=1, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -107,6 +107,12 @@ class TestFloatBatched:
             divide_zero_sum(w, n, RNG(seed)),
             batched_zero_sum(w[np.newaxis], n, RNG(seed))[0],
         )
+
+    def test_noise_totals_are_the_per_row_sums(self):
+        """At xlayer_wide's bottom layer: 26,244 groups of 4 owners."""
+        rn, totals = draw_divide_noise(104_976, 4, RNG(4))
+        expect = np.array([row.sum() for row in rn])
+        assert _bits_equal(totals, expect)
 
     @given(n=peers, d=dims, seed=seeds)
     @settings(max_examples=40, deadline=None)

@@ -231,11 +231,44 @@ class TestFaultFreeIssue:
         assert seen[0] == seen[1]
         assert seen[0][2] == 3000 and seen[0][3] == 0
 
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_time_ordered_wave_skips_the_sort(self, in_order):
+        """A stable sort of non-decreasing times is the identity, so a
+        wave issued in time order keeps its arrays; one departure out of
+        order takes the sort.  Both replay as the per-item model does:
+        same delivery times, heap ``(time, seq)`` keys and trace totals,
+        around a foreign entry mid-wave."""
+        rng = np.random.default_rng(5)
+        src, dst = _pair_batch(rng, 40, 3000)
+        at = np.repeat(np.arange(30.0), 100)  # ties within each instant
+        if not in_order:
+            at[1500] = 29.5
+        seen = {}
+        for side, replay in REPLAYS:
+            with replay():
+                sim, net = _net(seed=3, latency=FixedLatency(12.0))
+                sim.schedule(20.0, lambda: None)
+                wave = net.send_batch(src, dst, size_bits=64.0, kind="k",
+                                      at_times=at)
+                keys = (wave._times.tolist(), wave._seqs.tolist())
+                sim.run()
+            seen[side] = (
+                wave.delivery_times.tolist(), keys, sim.now,
+                net.trace.total_bits, net.trace.total_messages,
+            )
+        assert seen["wave"] == seen["per_item"]
+        order = np.argsort(wave.delivery_times, kind="stable")
+        seq0 = min(keys[1])
+        assert keys == (wave.delivery_times[order].tolist(),
+                        (seq0 + order).tolist())
+        assert np.array_equal(order, np.arange(len(at))) == in_order
+
     def test_issue_peak_memory_per_message(self):
         """Perf pin: issuing xlayer_wide's bottom share wave (26,244
-        groups of 4, 314,928 messages) peaks at no more than 50 bytes a
-        message — departures, delays, arrival times, sort order, sorted
-        times, heap seqs and the delivered flags, and no mask."""
+        groups of 4, 314,928 messages) peaks at no more than 42 bytes a
+        message — departures, delays, arrival times, heap seqs and the
+        delivered flags: no mask, and its times already ascend, so no
+        sort order or sorted copy."""
         members = MultiLayerTopology(4, 10).member_matrix(10)
         pair_i, pair_j = np.where(~np.eye(4, dtype=bool))
         src = members[:, pair_i].reshape(-1)
@@ -250,7 +283,7 @@ class TestFaultFreeIssue:
         finally:
             tracemalloc.stop()
         assert wave.count == len(src) == 314_928
-        assert peak <= 50 * len(src), peak / len(src)
+        assert peak <= 42 * len(src), peak / len(src)
 
 
 class TestActorWaves:
