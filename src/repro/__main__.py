@@ -586,6 +586,13 @@ def main(argv: list[str] | None = None) -> int:
             and _xlayer_transport(args) != "reliable"):
         parser.error("--max-attempts needs the reliable transport "
                      "(--transport reliable, or --loss > 0)")
+    if (args.figure == "xlayer" and args.loss
+            and _xlayer_transport(args) != "reliable"):
+        parser.error("--loss > 0 needs the reliable transport: "
+                     "fire-and-forget drops would stall the aggregation")
+    # run_campaign's subgroups have 4 peers.
+    if args.figure == "campaign" and args.peers is not None and args.peers < 4:
+        parser.error("'campaign' needs --peers >= 4 (one subgroup of 4)")
     set_level(args.log_level)
 
     if args.figure == "prof":

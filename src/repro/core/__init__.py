@@ -19,20 +19,15 @@ from .checkpoint import (
     topology_snapshot,
 )
 from .costs import (
-    fedavg_only_cost_bits,
     multi_layer_cost_bits,
     multi_layer_message_count,
-    multi_layer_mixed_cost_bits,
     one_layer_sac_cost_bits,
-    one_layer_sac_seeded_cost_bits,
     reduction_factor,
     seeded_exchange_bits,
     two_layer_cost_bits,
     two_layer_cost_from_topology,
     two_layer_ft_cost_bits,
     two_layer_ft_cost_from_topology,
-    two_layer_ft_seeded_cost_bits,
-    two_layer_seeded_cost_bits,
     two_layer_seeded_cost_from_topology,
 )
 from .latency import (
@@ -75,12 +70,10 @@ __all__ = [
     "two_layer_ft_cost_bits",
     "two_layer_cost_from_topology",
     "two_layer_ft_cost_from_topology",
-    "fedavg_only_cost_bits",
     "multi_layer_cost_bits",
     "reduction_factor",
     "MultiLayerTopology",
     "multi_layer_aggregate",
-    "multi_layer_mixed_cost_bits",
     "Checkpoint",
     "CheckpointError",
     "CHECKPOINT_VERSION",
@@ -107,9 +100,6 @@ __all__ = [
     "XLayerLayerStats",
     "multi_layer_message_count",
     "multi_layer_round_latency_ms",
-    "one_layer_sac_seeded_cost_bits",
     "seeded_exchange_bits",
-    "two_layer_seeded_cost_bits",
-    "two_layer_ft_seeded_cost_bits",
     "two_layer_seeded_cost_from_topology",
 ]

@@ -31,26 +31,6 @@ def one_layer_sac_cost_bits(
     return 2 * n_peers * (n_peers - 1) * _w_bits(w_params, bits_per_param)
 
 
-def one_layer_sac_seeded_cost_bits(
-    n_peers: int,
-    w_params: int,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    seed_bits: float = SEED_SHARE_BITS,
-) -> float:
-    """One-layer SAC with seed-compressed shares.
-
-    Phase 1 ships ``N (N-1)`` seeds instead of full vectors (each peer
-    keeps its residual at its own index); phase 2's subtotal broadcast is
-    unchanged: ``N (N-1) seed_bits + N (N-1) |w|`` — roughly half the
-    Sec. III-B baseline :func:`one_layer_sac_cost_bits` for large ``|w|``.
-    """
-    if n_peers < 1:
-        raise ValueError("need at least one peer")
-    w = _w_bits(w_params, bits_per_param)
-    e = n_peers * (n_peers - 1)
-    return e * float(seed_bits) + e * w
-
-
 def two_layer_cost_bits(
     m: int, n: int, w_params: int, bits_per_param: int = DEFAULT_BITS_PER_PARAM
 ) -> float:
@@ -105,52 +85,6 @@ def seeded_exchange_bits(
     return n * (dense_entries * w + seed_entries * float(seed_bits))
 
 
-def two_layer_seeded_cost_bits(
-    m: int,
-    n: int,
-    w_params: int,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    seed_bits: float = SEED_SHARE_BITS,
-) -> float:
-    """Two-layer n-out-of-n cost with seed-compressed shares (Eq. 4 analogue).
-
-    The share exchange collapses to ``m n (n-1) seed_bits``; every other
-    Eq. 4 term still ships full vectors: subtotals ``m (n-1) |w|``,
-    broadcast ``m (n-1) |w|``, FedAvg ``2 (m-1) |w|`` — total
-    ``m n (n-1) seed_bits + [2 m (n-1) + 2 (m-1)] |w|``.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    w = _w_bits(w_params, bits_per_param)
-    exchange = m * seeded_exchange_bits(n, n, w_params, bits_per_param, seed_bits)
-    return exchange + (2 * m * (n - 1) + 2 * (m - 1)) * w
-
-
-def two_layer_ft_seeded_cost_bits(
-    n_total: int,
-    m: int,
-    n: int,
-    k: int,
-    w_params: int,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    seed_bits: float = SEED_SHARE_BITS,
-) -> float:
-    """Two-layer k-out-of-n cost with seed-compressed shares (Eq. 5 analogue).
-
-    Per subgroup: :func:`seeded_exchange_bits` for the exchange plus the
-    unchanged ``(k-1) |w|`` subtotal collection and ``(n-1) |w|``
-    broadcast; plus ``2 (m-1) |w|`` FedAvg among the leaders.  Derived
-    under ``N = n m`` like Eq. 5 (``n_total`` kept for signature parity).
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if m < 1 or n_total < 1:
-        raise ValueError("m and N must be >= 1")
-    w = _w_bits(w_params, bits_per_param)
-    exchange = m * seeded_exchange_bits(n, k, w_params, bits_per_param, seed_bits)
-    return exchange + (m * (k - 1) + m * (n - 1) + 2 * (m - 1)) * w
-
-
 def two_layer_seeded_cost_from_topology(
     topology: Topology,
     k: int | None,
@@ -179,19 +113,6 @@ def two_layer_seeded_cost_from_topology(
         total += (s - 1) * w  # broadcast of the global model
     total += 2 * (m - 1) * w  # FedAvg among the leaders
     return total
-
-
-def fedavg_only_cost_bits(
-    n_peers: int, w_params: int, bits_per_param: int = DEFAULT_BITS_PER_PARAM
-) -> float:
-    """Plain FedAvg with no SAC (the ``m = N`` point of Fig. 13): ``2(N-1)|w|``.
-
-    Each peer uploads its model to the leader and receives the broadcast.
-    Consistent with Eq. 4 at ``n = 1``: ``(m + m - 2)|w| = 2(N-1)|w|``.
-    """
-    if n_peers < 1:
-        raise ValueError("need at least one peer")
-    return 2 * (n_peers - 1) * _w_bits(w_params, bits_per_param)
 
 
 def two_layer_cost_from_topology(
@@ -256,37 +177,6 @@ def multi_layer_groups_at(n: int, layer: int) -> int:
     return 1 if layer == 1 else n * (n - 1) ** (layer - 2)
 
 
-def multi_layer_mixed_cost_bits(
-    n: int,
-    depth: int,
-    sac_layers: set[int],
-    w_params: int,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-) -> float:
-    """X-layer cost with per-layer method choice (Sec. VII-C's remark).
-
-    Layers in ``sac_layers`` aggregate with SAC (``(n^2-1)|w|`` per
-    group); the rest use FedAvg (``(n-1)|w|`` per group).  Distribution
-    of the final model adds ``(N-1)|w|``.  With all layers in
-    ``sac_layers`` this equals Eq. 10.
-    """
-    if n < 2:
-        raise ValueError("multi-layer trees need n >= 2")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    bad = {l for l in sac_layers if not 1 <= l <= depth}
-    if bad:
-        raise ValueError(f"sac_layers out of range: {sorted(bad)}")
-    w = _w_bits(w_params, bits_per_param)
-    total = 0.0
-    for layer in range(1, depth + 1):
-        groups = multi_layer_groups_at(n, layer)
-        per_group = (n * n - 1) if layer in sac_layers else (n - 1)
-        total += groups * per_group
-    total += multi_layer_total_peers(n, depth) - 1
-    return total * w
-
-
 def multi_layer_message_count(
     n: int, depth: int, sac_layers: set[int] | None = None
 ) -> int:
@@ -294,9 +184,10 @@ def multi_layer_message_count(
 
     A SAC layer ships ``n (n-1)`` shares plus ``n-1`` subtotals per
     group, a FedAvg layer ``n-1`` uploads; distribution adds ``N-1``
-    broadcasts.  Multiplying by ``|w|`` recovers
-    :func:`multi_layer_cost_bits` / :func:`multi_layer_mixed_cost_bits`
-    exactly, which is how the wire tests pin
+    broadcasts.  Multiplying by ``|w|`` gives the round's bits: exactly
+    :func:`multi_layer_cost_bits` when every layer runs SAC, and the
+    mixed-method closed form (Sec. VII-C's remark) otherwise.  That is
+    how the wire tests pin
     :func:`repro.core.xlayer_wire.run_xlayer_wire_round` to Eq. 10.
     """
     if n < 2:

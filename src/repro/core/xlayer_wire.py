@@ -173,7 +173,7 @@ def run_xlayer_wire_round(
     group ships ``n-1`` uploads; distribution of the final model adds
     one ``|w|`` message per non-root peer.  Totals equal
     :func:`repro.core.costs.multi_layer_cost_bits` (all-SAC) or
-    :func:`~repro.core.costs.multi_layer_mixed_cost_bits` bit for bit
+    :func:`~repro.core.costs.multi_layer_message_count` ``* |w|`` bit for bit
     (under ``transport="reliable"`` retransmitted frames and ACKs add
     honestly accounted overhead on top).
 

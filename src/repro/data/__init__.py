@@ -1,15 +1,14 @@
-"""Dataset substrate: synthetic stand-ins for MNIST / CIFAR-10 plus the
-paper's IID / non-IID partitioners (Sec. VI-A1).
+"""Dataset substrate: a synthetic stand-in for CIFAR-10 plus the paper's
+IID / non-IID partitioners (Sec. VI-A1).
 
-No network access is available in this environment, so
-:func:`synthetic_mnist` and :func:`synthetic_cifar10` generate 10-class
-image datasets from per-class smooth templates plus noise.  The FL
-experiments measure *relative* behaviour (two-layer vs. one-layer SAC,
-IID vs. non-IID, fraction p), which depends on label/partition structure
-rather than natural-image statistics — see DESIGN.md.
+:func:`synthetic_cifar10` generates a 10-class image dataset from
+per-class smooth templates plus noise, and :func:`synthetic_blobs` the
+fast Gaussian-blob workload.  The FL experiments measure *relative*
+behaviour (two-layer vs. one-layer SAC, IID vs. non-IID, fraction p),
+which depends on label/partition structure rather than natural-image
+statistics — see DESIGN.md.
 """
 
-from .files import load_cifar10_batches, load_dataset, load_mnist_idx
 from .loader import batches
 from .partition import (
     partition_dirichlet,
@@ -17,11 +16,10 @@ from .partition import (
     partition_noniid,
     peer_datasets,
 )
-from .synthetic import Dataset, synthetic_blobs, synthetic_cifar10, synthetic_mnist
+from .synthetic import Dataset, synthetic_blobs, synthetic_cifar10
 
 __all__ = [
     "Dataset",
-    "synthetic_mnist",
     "synthetic_cifar10",
     "synthetic_blobs",
     "partition_iid",
@@ -29,7 +27,4 @@ __all__ = [
     "partition_dirichlet",
     "peer_datasets",
     "batches",
-    "load_dataset",
-    "load_mnist_idx",
-    "load_cifar10_batches",
 ]

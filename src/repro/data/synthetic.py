@@ -1,4 +1,4 @@
-"""Synthetic 10-class datasets (MNIST / CIFAR-10 stand-ins).
+"""Synthetic 10-class datasets (a CIFAR-10 stand-in and Gaussian blobs).
 
 Each class c gets a deterministic *template* image drawn from smooth
 low-frequency noise; a sample of class c is its template plus i.i.d.
@@ -102,21 +102,6 @@ def _image_dataset(
     x_train, y_train = make(n_train)
     x_test, y_test = make(n_test)
     return Dataset(x_train, y_train, x_test, y_test, n_classes, name=name)
-
-
-def synthetic_mnist(
-    n_train: int = 6000,
-    n_test: int = 1000,
-    rng: np.random.Generator | None = None,
-    noise: float = 1.0,
-) -> Dataset:
-    """Synthetic stand-in for MNIST: 28x28 grayscale, 10 classes.
-
-    Default sizes are 1/10 of the real dataset for speed; pass the real
-    sizes (60000/10000) to match the paper's scale.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return _image_dataset((1, 28, 28), n_train, n_test, rng, noise, 10, "synthetic-mnist")
 
 
 def synthetic_cifar10(

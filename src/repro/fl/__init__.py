@@ -2,7 +2,7 @@
 
 from .central import CentralConfig, CentralServer, run_central_session
 from .fedavg import fedavg
-from .gossip import GossipConfig, gossip_cost_bits, run_gossip_session
+from .gossip import GossipConfig, run_gossip_session
 from .metrics import (
     MetricsHistory,
     RoundMetrics,
@@ -26,7 +26,6 @@ __all__ = [
     "clip_to_norm",
     "GossipConfig",
     "run_gossip_session",
-    "gossip_cost_bits",
     "CentralConfig",
     "CentralServer",
     "run_central_session",

@@ -127,15 +127,3 @@ def run_gossip_session(
             )
         )
     return history
-
-
-def gossip_cost_bits(
-    n_peers: int,
-    fanout: int,
-    w_params: int,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-) -> float:
-    """Per-round gossip traffic: ``2 * fanout * N * |w|``."""
-    if n_peers < 2 or fanout < 1:
-        raise ValueError("need n_peers >= 2 and fanout >= 1")
-    return float(2 * fanout * n_peers * w_params * bits_per_param)

@@ -11,18 +11,7 @@ parameters live in contiguous float64 arrays and serialize to one flat
 vector with no copies beyond the final concatenate.
 """
 
-from .extras import (
-    AvgPool2D,
-    BatchNorm1d,
-    BatchNorm2d,
-    CosineLR,
-    StepLR,
-    apply_weight_decay,
-    clip_gradients,
-    load_model,
-    save_model,
-)
-from .initializers import glorot_uniform, he_normal, zeros
+from .initializers import glorot_uniform, zeros
 from .layers import (
     Conv2D,
     Dense,
@@ -35,9 +24,9 @@ from .layers import (
 )
 from .loss import CategoricalCrossEntropy, SoftmaxCrossEntropy
 from .model import Sequential
-from .optim import SGD, Adam, Optimizer
-from .serialize import flat_size, get_flat_params, set_flat_params
-from .zoo import mlp_classifier, paper_cnn_cifar10, paper_cnn_mnist, small_cnn
+from .optim import Adam, Optimizer
+from .serialize import get_flat_params, set_flat_params
+from .zoo import mlp_classifier, paper_cnn_cifar10, small_cnn
 
 __all__ = [
     "Layer",
@@ -52,25 +41,12 @@ __all__ = [
     "SoftmaxCrossEntropy",
     "Sequential",
     "Optimizer",
-    "SGD",
     "Adam",
     "get_flat_params",
     "set_flat_params",
-    "flat_size",
     "glorot_uniform",
-    "he_normal",
     "zeros",
     "paper_cnn_cifar10",
-    "paper_cnn_mnist",
     "small_cnn",
     "mlp_classifier",
-    "AvgPool2D",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "StepLR",
-    "CosineLR",
-    "apply_weight_decay",
-    "clip_gradients",
-    "save_model",
-    "load_model",
 ]

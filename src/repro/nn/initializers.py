@@ -28,12 +28,6 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He normal: N(0, sqrt(2 / fan_in)) — suited to ReLU stacks."""
-    fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     """All-zero initializer (biases)."""
     return np.zeros(shape)

@@ -7,12 +7,6 @@ import numpy as np
 _EPS = 1e-12
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 class CategoricalCrossEntropy:
     """Cross-entropy on probability inputs (i.e. after a Softmax layer)."""
 

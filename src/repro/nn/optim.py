@@ -26,31 +26,6 @@ class Optimizer:
             p.grad[...] = 0.0
 
 
-class SGD(Optimizer):
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(
-        self, params: list[Param], lr: float = 0.01, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.value += v
-            else:
-                p.value -= self.lr * p.grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) with bias correction."""
 

@@ -14,15 +14,10 @@ import numpy as np
 from .model import Sequential
 
 
-def flat_size(model: Sequential) -> int:
-    """Length of the flat parameter vector."""
-    return model.n_params
-
-
 def get_flat_params(model: Sequential, out: np.ndarray | None = None) -> np.ndarray:
     """Copy all parameters into one flat float64 vector.
 
-    Passing ``out`` (of length :func:`flat_size`) avoids an allocation —
+    Passing ``out`` (of length ``model.n_params``) avoids an allocation —
     the FL session reuses one buffer per peer across rounds.
     """
     n = model.n_params

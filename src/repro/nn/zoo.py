@@ -56,11 +56,6 @@ def paper_cnn_cifar10(rng: np.random.Generator | None = None) -> Sequential:
     return _paper_cnn(3, 32, rng if rng is not None else np.random.default_rng(0))
 
 
-def paper_cnn_mnist(rng: np.random.Generator | None = None) -> Sequential:
-    """The same architecture on 28x28x1 inputs (889,834 parameters)."""
-    return _paper_cnn(1, 28, rng if rng is not None else np.random.default_rng(0))
-
-
 def small_cnn(
     rng: np.random.Generator | None = None,
     in_channels: int = 1,

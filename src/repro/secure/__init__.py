@@ -11,31 +11,24 @@ injection.
 from .additive import (
     divide,
     divide_zero_sum,
-    divide_zero_sum_seeded,
     reconstruct,
 )
 from .errors import SacAbort, SacReconstructionError
 from .fault_tolerant import (
     FtSacResult,
     expected_ft_sac_bits,
-    expected_ft_sac_seeded_bits,
     fault_tolerant_sac,
 )
 from .fixed_point import (
     decode_fixed_point,
     divide_ring,
-    divide_ring_seeded,
     encode_fixed_point,
-    reconstruct_ring,
     sac_average_fixed_point,
 )
 from .protocol import ActorRoundResult, run_sac_protocol, sac_reference_average
 from .replicated import (
     holders_of_share,
-    peers_covering_all_shares,
-    recoverable,
     seeded_exchange_entry_counts,
-    share_assignment,
     shares_held_by,
 )
 from .sac import SHARE_CODECS, SacResult, sac_average
@@ -63,15 +56,11 @@ __all__ = [
     "SacResult",
     "fault_tolerant_sac",
     "FtSacResult",
-    "share_assignment",
     "shares_held_by",
     "holders_of_share",
-    "peers_covering_all_shares",
-    "recoverable",
     "encode_fixed_point",
     "decode_fixed_point",
     "divide_ring",
-    "reconstruct_ring",
     "sac_average_fixed_point",
     "share_secret",
     "reconstruct_secret",
@@ -86,9 +75,6 @@ __all__ = [
     "SeededShares",
     "seeded_zero_sum_shares",
     "seeded_ring_shares",
-    "divide_zero_sum_seeded",
-    "divide_ring_seeded",
     "seeded_exchange_entry_counts",
     "expected_ft_sac_bits",
-    "expected_ft_sac_seeded_bits",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .batched import batched_divide, batched_zero_sum
-from .seedshare import SeededShares, seeded_zero_sum_shares
 
 
 def divide(
@@ -60,27 +59,6 @@ def divide_zero_sum(
     """
     w = np.asarray(w, dtype=np.float64)
     return batched_zero_sum(w[np.newaxis], n, rng, mask_scale=mask_scale)[0]
-
-
-def divide_zero_sum_seeded(
-    w: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    mask_scale: float = 1.0,
-    residual_index: int | None = None,
-) -> SeededShares:
-    """Seed-compressed :func:`divide_zero_sum`: ``n-1`` masks as PRG seeds.
-
-    The mask shares are the same N(0, mask_scale) vectors, but derived
-    from per-share 128-bit seeds so they can travel as ~32-byte payloads
-    and be expanded bit-identically by the recipient; only the residual
-    (at ``residual_index``, default last) is a full vector.  Hiding is
-    computational (PRG) rather than information-theoretic — see
-    :mod:`repro.secure.seedshare`.
-    """
-    return seeded_zero_sum_shares(
-        w, n, rng, residual_index=residual_index, mask_scale=mask_scale
-    )
 
 
 def reconstruct(shares: np.ndarray) -> np.ndarray:

@@ -192,23 +192,3 @@ def expected_ft_sac_bits(
     """
     w = w_params * bits_per_param
     return (n * (n - 1) * (n - k + 1) + (k - 1)) * float(w)
-
-
-def expected_ft_sac_seeded_bits(
-    n: int,
-    k: int,
-    w_params: int,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    seed_bits: float = SEED_SHARE_BITS,
-) -> float:
-    """Closed-form cost of a failure-free seeded k-out-of-n SAC round.
-
-    Share exchange ships ``n (n-k)`` residual copies plus
-    ``n [(n-1)(n-k+1) - (n-k)]`` seeds; subtotal collection is unchanged
-    at ``(k-1) |w|``.  At ``k = n`` the exchange is seeds-only:
-    ``n (n-1) seed_bits + (n-1) |w|``.
-    """
-    w = float(w_params * bits_per_param)
-    dense_entries, seed_entries = seeded_exchange_entry_counts(n, k)
-    exchange = n * (dense_entries * w + seed_entries * float(seed_bits))
-    return exchange + (k - 1) * w

@@ -35,7 +35,6 @@ from .batched import (
     batched_seeded_ring_dense,
 )
 from .sac import check_same_shape
-from .seedshare import SeededShares, seeded_ring_shares
 
 _RING_BITS = 64
 _SIGN_BIT = np.uint64(1) << np.uint64(63)
@@ -85,33 +84,6 @@ def divide_ring(
     return batched_divide_ring(q[np.newaxis], n, rng)[0]
 
 
-def divide_ring_seeded(
-    q: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    residual_index: int | None = None,
-) -> SeededShares:
-    """Seed-compressed :func:`divide_ring`: ``n-1`` ring masks as PRG seeds.
-
-    Masks are uniform over ``Z_{2^64}`` expanded from per-share seeds;
-    the residual (at ``residual_index``, default last) is computed mod
-    ``2^64``, so ``materialize().sum(axis=0)`` reconstructs ``q``
-    exactly — the ring sum is independent of which masks were drawn.
-    """
-    return seeded_ring_shares(q, n, rng, residual_index=residual_index)
-
-
-def reconstruct_ring(shares: np.ndarray) -> np.ndarray:
-    """Sum shares in the ring (mod ``2^64``)."""
-    shares = np.asarray(shares, dtype=np.uint64)
-    if shares.ndim < 1 or shares.shape[0] < 1:
-        raise ValueError("need at least one share")
-    total = shares[0].copy()
-    for row in shares[1:]:
-        total += row
-    return total
-
-
 def sac_average_fixed_point(
     models: list[np.ndarray] | tuple[np.ndarray, ...],
     rng: np.random.Generator,
@@ -123,8 +95,9 @@ def sac_average_fixed_point(
     The result differs from ``np.mean(models, axis=0)`` only by the
     per-peer quantization error (< ``n / 2^(frac_bits+1)`` per element).
     ``share_codec="seed"`` derives each peer's mask shares from PRG seeds
-    (:func:`divide_ring_seeded`); because the ring sum cancels the masks
-    *exactly*, the decoded average is bit-identical across codecs.
+    (:func:`~repro.secure.batched.batched_seeded_ring_dense`); because the
+    ring sum cancels the masks *exactly*, the decoded average is
+    bit-identical across codecs.
     """
     if share_codec not in ("dense", "seed"):
         raise ValueError(f"unknown share codec {share_codec!r}")

@@ -15,8 +15,6 @@ one source of truth.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 def _check(n: int, k: int) -> None:
     if n < 1:
@@ -39,31 +37,6 @@ def holders_of_share(share: int, n: int, k: int) -> list[int]:
     if not 0 <= share < n:
         raise ValueError(f"share index {share} out of range for n={n}")
     return [(share - t) % n for t in range(n - k + 1)]
-
-
-def share_assignment(n: int, k: int) -> dict[int, list[int]]:
-    """Full placement map ``peer -> share indices held``."""
-    _check(n, k)
-    return {peer: shares_held_by(peer, n, k) for peer in range(n)}
-
-
-def recoverable(crashed: set[int], n: int, k: int) -> bool:
-    """Whether the average can still be reconstructed after ``crashed`` drop.
-
-    True iff every share index has at least one surviving holder.  With
-    consecutive placement this is equivalent to ``len(crashed) <= n - k``
-    *only when crashes are arbitrary*; the placement actually tolerates
-    some larger crash sets too (e.g. crashes that share replica groups),
-    which the property tests exercise.
-    """
-    _check(n, k)
-    alive = set(range(n)) - set(crashed)
-    if not alive:
-        return False
-    held: set[int] = set()
-    for peer in alive:
-        held.update(shares_held_by(peer, n, k))
-    return len(held) == n
 
 
 def missing_shares(crashed: set[int], n: int, k: int) -> set[int]:
@@ -97,25 +70,3 @@ def seeded_exchange_entry_counts(n: int, k: int) -> tuple[int, int]:
     dense = n - k
     seeds = (n - 1) * (n - k + 1) - dense
     return dense, seeds
-
-
-def peers_covering_all_shares(n: int, k: int) -> int:
-    """Smallest alive-set size guaranteed to cover all shares: exactly ``k``.
-
-    Verified exhaustively for small ``n`` in the tests; provided as a
-    helper for the fault-tolerance analysis (Sec. VII-D).
-    """
-    _check(n, k)
-    # Any k alive peers cover all shares; k-1 specific peers may not.
-    return k
-
-
-def worst_case_tolerated_crashes(n: int, k: int) -> int:
-    """Maximum f such that *every* crash set of size f is recoverable."""
-    _check(n, k)
-    for f in range(n, -1, -1):
-        if all(
-            recoverable(set(c), n, k) for c in combinations(range(n), f)
-        ):
-            return f
-    return 0

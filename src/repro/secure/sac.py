@@ -216,51 +216,3 @@ def sac_average(
         bits_sent=phase1_bits + phase2_msgs * w_bits,
         messages_sent=messages,
     )
-
-
-def sac_average_with_restart(
-    models: Sequence[np.ndarray],
-    rng: np.random.Generator,
-    crash_schedule: Sequence[set[int]],
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-) -> tuple[SacResult, int]:
-    """Plain SAC with the paper's restart-on-dropout behaviour.
-
-    ``crash_schedule[a]`` is the set of (original) peer indices that crash
-    during attempt ``a``.  Each aborted attempt still pays a full round of
-    communication before restarting with the survivors.  Returns the final
-    result (average over the survivors only) and the number of attempts.
-    """
-    alive = list(range(len(models)))
-    total_bits = 0.0
-    total_msgs = 0
-    for attempt, crashes in enumerate(list(crash_schedule) + [set()]):
-        crashes = {c for c in crashes if c in alive}
-        current = [models[i] for i in alive]
-        try:
-            result = sac_average(
-                current,
-                rng,
-                crashed={alive.index(c) for c in crashes},
-                bits_per_param=bits_per_param,
-            )
-        except SacAbort:
-            # The aborted attempt consumed (up to) a full round of traffic.
-            n = len(current)
-            w_bits = np.asarray(models[0]).size * bits_per_param
-            total_bits += 2 * n * (n - 1) * w_bits
-            total_msgs += 2 * n * (n - 1)
-            alive = [i for i in alive if i not in crashes]
-            if not alive:
-                raise
-            continue
-        return (
-            SacResult(
-                average=result.average,
-                n_peers=result.n_peers,
-                bits_sent=total_bits + result.bits_sent,
-                messages_sent=total_msgs + result.messages_sent,
-            ),
-            attempt + 1,
-        )
-    raise AssertionError("unreachable")  # pragma: no cover

@@ -17,11 +17,9 @@ instances so that every simulation is reproducible bit-for-bit.
 from .events import Event, EventQueue, Simulator, TimerHandle
 from .network import (
     FixedLatency,
-    GaussianLatency,
     LatencyMatrix,
     LatencyModel,
     Network,
-    UniformLatency,
 )
 from .node import SimNode
 from .outcome import (
@@ -50,8 +48,6 @@ __all__ = [
     "TimerHandle",
     "LatencyModel",
     "FixedLatency",
-    "UniformLatency",
-    "GaussianLatency",
     "LatencyMatrix",
     "Network",
     "SimNode",

@@ -15,7 +15,6 @@ from .config import FEDAVG_CONFIG, JoinRedirect, JoinRequest
 from .scenarios import (
     fedavg_leader_recovery_trial,
     run_trials,
-    subgroup_follower_crash_trial,
     subgroup_leader_recovery_trial,
 )
 from .system import PeerProcess, SystemEvent, TwoLayerRaftSystem
@@ -29,6 +28,5 @@ __all__ = [
     "JoinRedirect",
     "subgroup_leader_recovery_trial",
     "fedavg_leader_recovery_trial",
-    "subgroup_follower_crash_trial",
     "run_trials",
 ]

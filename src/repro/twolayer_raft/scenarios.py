@@ -1,4 +1,4 @@
-"""The four failure cases of Sec. V, instrumented for Figs. 10-12.
+"""The leader-crash cases of Sec. V, instrumented for Figs. 10-12.
 
 Each *trial* builds a fresh system, lets it stabilize, injects one crash
 and measures recovery times from the crash instant:
@@ -7,9 +7,7 @@ and measures recovery times from the crash instant:
   crash and elect a new subgroup leader) and Fig. 11 (additionally, time
   for the new leader to join the FedAvg group);
 - :func:`fedavg_leader_recovery_trial` — Fig. 12 (FedAvg leader crash:
-  both layers re-elect, then the new subgroup leader joins);
-- :func:`subgroup_follower_crash_trial` — the benign case: a follower
-  crash must not disturb either leader.
+  both layers re-elect, then the new subgroup leader joins).
 """
 
 from __future__ import annotations
@@ -157,42 +155,6 @@ def fedavg_leader_recovery_trial(
         sub_elect_ms=(sub_elected.time - t0) if sub_elected else None,
         join_fedavg_ms=(joined.time - t0) if joined else None,
         fed_elect_ms=(fed_elected.time - t0) if fed_elected else None,
-    )
-
-
-def subgroup_follower_crash_trial(
-    seed: int,
-    timeout_base_ms: float = 50.0,
-    settle_ms: float = 2_000.0,
-    observe_ms: float = 3_000.0,
-    **system_kw,
-) -> bool:
-    """Crash a plain follower; returns True iff no leadership changed
-    (Sec. V-A2: the network keeps running on its quorum)."""
-    system = _default_system(seed, timeout_base_ms, **system_kw)
-    system.stabilize()
-    system.run_for(settle_ms)
-
-    fed_leader = system.fed_leader()
-    sub_leaders = {
-        gi: system.subgroup_leader(gi) for gi in range(system.topology.n_groups)
-    }
-    rng = np.random.default_rng(seed)
-    followers = [
-        pid
-        for pid in system.peers
-        if pid != fed_leader and pid not in sub_leaders.values()
-    ]
-    victim = int(rng.choice(followers))
-    t0 = system.sim.now
-    system.crash(victim)
-    system.run_for(observe_ms)
-
-    if system.fed_leader() != fed_leader:
-        return False
-    return all(
-        system.subgroup_leader(gi) == sub_leaders[gi]
-        for gi in range(system.topology.n_groups)
     )
 
 

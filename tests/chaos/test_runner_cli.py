@@ -87,3 +87,14 @@ class TestCli:
         rc = entry.main(["chaos", "--plans", "1"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["xlayer", "--loss", "0.5", "--transport", "fire_and_forget"],
+        ["campaign", "--peers", "3"],
+    ], ids=["xlayer-lossy-fire-and-forget", "campaign-too-few-peers"])
+    def test_bad_flag_combination_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err

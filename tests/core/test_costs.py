@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     Topology,
-    fedavg_only_cost_bits,
     multi_layer_cost_bits,
     one_layer_sac_cost_bits,
     reduction_factor,
@@ -54,9 +53,7 @@ class TestEq4:
     def test_m_equals_n_degenerates_to_fedavg(self):
         # n=1 per subgroup: Eq. 4 -> 2(N-1)|w|, plain FedAvg.
         n_peers = 30
-        assert two_layer_cost_bits(n_peers, 1, W) == fedavg_only_cost_bits(
-            n_peers, W
-        )
+        assert two_layer_cost_bits(n_peers, 1, W) == 2 * (n_peers - 1) * W * 32
 
     def test_m1_matches_one_layer_sac_shape(self):
         # m=1: (n^2 + n - 2)|w| = SAC's share+subtotal traffic with the
@@ -168,20 +165,23 @@ class TestSeededClosedForms:
     """Seed-compressed share distribution (the O(d + n) wire codec)."""
 
     def test_one_layer_formula(self):
-        from repro.core import one_layer_sac_seeded_cost_bits
-        from repro.secure import SEED_SHARE_BITS
+        import numpy as np
+
+        from repro.secure import SEED_SHARE_BITS, sac_average
 
         # N(N-1) seeds + N(N-1) |w| with unit weight size.
         n = 10
-        assert one_layer_sac_seeded_cost_bits(n, 1, 1) == (
-            n * (n - 1) * (SEED_SHARE_BITS + 1)
+        models = [np.full(1, float(i)) for i in range(n)]
+        r = sac_average(
+            models, np.random.default_rng(0), bits_per_param=1,
+            share_codec="seed",
         )
+        assert r.bits_sent == n * (n - 1) * (SEED_SHARE_BITS + 1)
 
     def test_one_layer_measured_matches(self):
         import numpy as np
 
-        from repro.core import one_layer_sac_seeded_cost_bits
-        from repro.secure import sac_average
+        from repro.secure import SEED_SHARE_BITS, sac_average
 
         models = [
             np.random.default_rng(i).normal(size=128) for i in range(6)
@@ -189,7 +189,7 @@ class TestSeededClosedForms:
         r = sac_average(
             models, np.random.default_rng(0), share_codec="seed"
         )
-        assert r.bits_sent == one_layer_sac_seeded_cost_bits(6, 128)
+        assert r.bits_sent == 6 * 5 * SEED_SHARE_BITS + 6 * 5 * 128 * 32
 
     def test_seeded_exchange_pure_seeds_at_k_equals_n(self):
         from repro.core import seeded_exchange_bits
@@ -203,7 +203,7 @@ class TestSeededClosedForms:
     def test_two_layer_seeded_components(self):
         from repro.core import (
             seeded_exchange_bits,
-            two_layer_seeded_cost_bits,
+            two_layer_seeded_cost_from_topology,
         )
 
         for m in range(1, 6):
@@ -212,58 +212,52 @@ class TestSeededClosedForms:
                     m * seeded_exchange_bits(n, n, 1, 1)
                     + (2 * m * (n - 1) + 2 * (m - 1)) * 1
                 )
-                assert two_layer_seeded_cost_bits(m, n, 1, 1) == direct
+                topo = Topology.by_group_count(m * n, m)
+                assert two_layer_seeded_cost_from_topology(topo, None, 1, 1) == direct
 
     def test_ft_seeded_reduces_to_n_out_of_n(self):
-        from repro.core import (
-            two_layer_ft_seeded_cost_bits,
-            two_layer_seeded_cost_bits,
-        )
+        from repro.core import two_layer_seeded_cost_from_topology
 
         # k = n: the FT closed form must coincide with the Eq. 4 analogue.
         for m, n in [(3, 4), (6, 5), (5, 6)]:
-            assert two_layer_ft_seeded_cost_bits(
-                n * m, m, n, n, W
-            ) == two_layer_seeded_cost_bits(m, n, W)
+            topo = Topology.by_group_count(n * m, m)
+            assert two_layer_seeded_cost_from_topology(
+                topo, n, W
+            ) == two_layer_seeded_cost_from_topology(topo, None, W)
 
     def test_headline_reduction_at_paper_settings(self):
         """Acceptance: >= 40% fewer wire bits at the paper's operating
         point (N=30 in m=6 subgroups of n=5, Fig. 5 CNN)."""
-        from repro.core import (
-            two_layer_cost_bits,
-            two_layer_seeded_cost_bits,
-        )
+        from repro.core import two_layer_seeded_cost_from_topology
 
         dense = two_layer_cost_bits(6, 5, W)
-        seeded = two_layer_seeded_cost_bits(6, 5, W)
+        seeded = two_layer_seeded_cost_from_topology(
+            Topology.by_group_count(30, 6), None, W
+        )
         assert 1 - seeded / dense >= 0.40
 
     def test_sac_round_reduction_n_out_of_n(self):
         """The protocol-level sac_round reduction (n-out-of-n exchange
         collapses to pure seeds) clears the 40% bar by a wide margin."""
-        from repro.secure import (
-            expected_ft_sac_bits,
-            expected_ft_sac_seeded_bits,
-        )
+        from repro.core import seeded_exchange_bits
+        from repro.secure import expected_ft_sac_bits
 
         dense = expected_ft_sac_bits(30, 30, W)
-        seeded = expected_ft_sac_seeded_bits(30, 30, W)
+        seeded = seeded_exchange_bits(30, 30, W) + 29 * W * 32
         assert 1 - seeded / dense >= 0.90
 
     def test_ft_seeded_measured_matches(self):
         import numpy as np
 
-        from repro.secure import (
-            expected_ft_sac_seeded_bits,
-            fault_tolerant_sac,
-            run_sac_protocol,
-        )
+        from repro.core import seeded_exchange_bits
+        from repro.secure import fault_tolerant_sac, run_sac_protocol
 
         models = [
             np.random.default_rng(i).normal(size=64) for i in range(6)
         ]
         for k in (4, 6):
-            expected = expected_ft_sac_seeded_bits(6, k, 64)
+            # Seeded exchange plus the (k-1) dense subtotals.
+            expected = seeded_exchange_bits(6, k, 64) + (k - 1) * 64 * 32
             fn = fault_tolerant_sac(
                 models, k, np.random.default_rng(0), share_codec="seed"
             )

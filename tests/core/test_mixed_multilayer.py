@@ -6,7 +6,7 @@ import pytest
 from repro.core import MultiLayerTopology, multi_layer_aggregate, multi_layer_cost_bits
 from repro.core.costs import (
     multi_layer_groups_at,
-    multi_layer_mixed_cost_bits,
+    multi_layer_message_count,
     multi_layer_total_peers,
 )
 
@@ -34,14 +34,14 @@ class TestMixedCostFormula:
     def test_all_sac_equals_eq10(self):
         for n, depth in [(3, 2), (3, 3), (4, 2)]:
             all_layers = set(range(1, depth + 1))
-            assert multi_layer_mixed_cost_bits(
-                n, depth, all_layers, 1, 1
+            assert multi_layer_message_count(
+                n, depth, all_layers
             ) == multi_layer_cost_bits(n, depth, 1, 1)
 
     def test_fedavg_layers_cheaper(self):
-        full = multi_layer_mixed_cost_bits(3, 3, {1, 2, 3}, 1, 1)
-        leaf_only = multi_layer_mixed_cost_bits(3, 3, {3}, 1, 1)
-        none = multi_layer_mixed_cost_bits(3, 3, set(), 1, 1)
+        full = multi_layer_message_count(3, 3, {1, 2, 3})
+        leaf_only = multi_layer_message_count(3, 3, {3})
+        none = multi_layer_message_count(3, 3, set())
         assert none < leaf_only < full
 
     def test_all_fedavg_closed_form(self):
@@ -50,13 +50,13 @@ class TestMixedCostFormula:
         total_groups = 1 + 3
         n_peers = multi_layer_total_peers(n, depth)
         expected = total_groups * (n - 1) + (n_peers - 1)
-        assert multi_layer_mixed_cost_bits(n, depth, set(), 1, 1) == expected
+        assert multi_layer_message_count(n, depth, set()) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            multi_layer_mixed_cost_bits(1, 2, set(), 1)
+            multi_layer_message_count(1, 2, set())
         with pytest.raises(ValueError):
-            multi_layer_mixed_cost_bits(3, 2, {5}, 1)
+            multi_layer_message_count(3, 2, {5})
 
 
 class TestMixedAggregate:
@@ -84,7 +84,7 @@ class TestMixedAggregate:
             topo, models, rng,
             method_for_layer=lambda l: "sac" if l == 3 else "fedavg",
         )
-        assert result.bits_sent == multi_layer_mixed_cost_bits(3, 3, {3}, 16)
+        assert result.bits_sent == multi_layer_message_count(3, 3, {3}) * 16 * 32
 
     def test_fedavg_upper_layers_cut_cost(self):
         topo = MultiLayerTopology(3, 3)

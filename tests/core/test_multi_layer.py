@@ -10,7 +10,6 @@ from repro.core import (
     multi_layer_aggregate,
     multi_layer_cost_bits,
     multi_layer_message_count,
-    multi_layer_mixed_cost_bits,
 )
 from repro.core.costs import multi_layer_groups_at, multi_layer_total_peers
 
@@ -188,8 +187,8 @@ class TestMixedSchedules:
         rng = RNG(12)
         models = [rng.normal(size=d) for _ in range(topo.n_peers)]
         result = multi_layer_aggregate(topo, models, rng, method_for_layer=method)
-        assert result.bits_sent == multi_layer_mixed_cost_bits(
-            n, depth, sac_layers, d
+        assert result.bits_sent == (
+            multi_layer_message_count(n, depth, sac_layers) * d * 32
         )
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-9
@@ -197,17 +196,24 @@ class TestMixedSchedules:
 
     def test_all_sac_mixed_equals_eq10(self):
         n, depth = 4, 4
-        assert multi_layer_mixed_cost_bits(
-            n, depth, set(range(1, depth + 1)), 10
-        ) == multi_layer_cost_bits(n, depth, 10)
+        assert multi_layer_message_count(
+            n, depth, set(range(1, depth + 1))
+        ) * 10 * 32 == multi_layer_cost_bits(n, depth, 10)
 
     def test_message_count_times_w_recovers_bits(self):
+        """Eq. 10 less the ``n (n-1)`` share messages of every group on a
+        FedAvg layer."""
         for n, depth in [(2, 5), (3, 4), (4, 3)]:
             for sac_layers in [set(), {1, 2}, set(range(1, depth + 1))]:
                 w = 13
+                fedavg_groups = sum(
+                    multi_layer_groups_at(n, layer)
+                    for layer in range(1, depth + 1) if layer not in sac_layers
+                )
                 assert (
                     multi_layer_message_count(n, depth, sac_layers) * w * 32
-                    == multi_layer_mixed_cost_bits(n, depth, sac_layers, w)
+                    == multi_layer_cost_bits(n, depth, w)
+                    - fedavg_groups * n * (n - 1) * w * 32
                 )
 
     @given(
@@ -226,9 +232,6 @@ class TestMixedSchedules:
         rng = RNG(seed)
         models = [rng.normal(size=2) for _ in range(topo.n_peers)]
         result = multi_layer_aggregate(topo, models, rng, method_for_layer=method)
-        assert result.bits_sent == multi_layer_mixed_cost_bits(
-            n, depth, sac_layers, 2
-        )
         assert result.bits_sent == (
             multi_layer_message_count(n, depth, sac_layers) * 2 * 32
         )

@@ -15,13 +15,13 @@ from repro.core import (
     multi_layer_aggregate,
     multi_layer_cost_bits,
     multi_layer_message_count,
-    multi_layer_mixed_cost_bits,
     multi_layer_round_latency_ms,
     run_xlayer_wire_round,
 )
-from repro.simnet import FixedLatency, GaussianLatency, UniformLatency
+from repro.simnet import FixedLatency
 from repro.simnet import waves as W
 from repro.simnet.outcome import TIMED_OUT
+from tests.simnet.latency import GaussianLatency, UniformLatency
 from tests.simnet.per_item import per_item
 
 
@@ -58,8 +58,8 @@ class TestClosedForms:
             topo, _models(topo), method_for_layer=method,
             latency=FixedLatency(10.0),
         )
-        assert result.bits_sent == multi_layer_mixed_cost_bits(
-            n, depth, sac_layers, 5
+        assert result.bits_sent == (
+            multi_layer_message_count(n, depth, sac_layers) * 5 * 32
         )
         assert result.finish_time_ms == multi_layer_round_latency_ms(
             depth, 10.0, sac_layers=sac_layers

@@ -3,23 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.data import Dataset, synthetic_blobs, synthetic_cifar10, synthetic_mnist
+from repro.data import Dataset, synthetic_blobs, synthetic_cifar10
 from repro.nn import Adam, mlp_classifier
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
 
 class TestShapes:
-    def test_mnist_shapes(self):
-        ds = synthetic_mnist(n_train=100, n_test=20, rng=RNG())
-        assert ds.x_train.shape == (100, 1, 28, 28)
-        assert ds.x_test.shape == (20, 1, 28, 28)
-        assert ds.n_classes == 10
-        assert ds.sample_shape == (1, 28, 28)
-
     def test_cifar_shapes(self):
         ds = synthetic_cifar10(n_train=50, n_test=10, rng=RNG())
         assert ds.x_train.shape == (50, 3, 32, 32)
+        assert ds.x_test.shape == (10, 3, 32, 32)
+        assert ds.n_classes == 10
+        assert ds.sample_shape == (3, 32, 32)
         assert ds.name == "synthetic-cifar10"
 
     def test_blobs_shapes(self):
@@ -28,9 +24,9 @@ class TestShapes:
         assert ds.n_train == 200 and ds.n_test == 50
 
     def test_flattened_is_view(self):
-        ds = synthetic_mnist(n_train=10, n_test=5, rng=RNG())
+        ds = synthetic_cifar10(n_train=10, n_test=5, rng=RNG())
         flat = ds.flattened()
-        assert flat.x_train.shape == (10, 784)
+        assert flat.x_train.shape == (10, 3072)
         assert flat.x_train.base is ds.x_train  # no copy
 
     def test_length_mismatch_rejected(self):
@@ -40,7 +36,7 @@ class TestShapes:
 
 class TestStatistics:
     def test_all_classes_present(self):
-        ds = synthetic_mnist(n_train=2000, n_test=500, rng=RNG())
+        ds = synthetic_cifar10(n_train=2000, n_test=500, rng=RNG())
         assert set(np.unique(ds.y_train)) == set(range(10))
         assert set(np.unique(ds.y_test)) == set(range(10))
 
@@ -57,7 +53,7 @@ class TestStatistics:
 
     def test_same_class_samples_correlated(self):
         """Samples of one class share a template; cross-class differ more."""
-        ds = synthetic_mnist(n_train=500, n_test=10, rng=RNG(), noise=0.3)
+        ds = synthetic_cifar10(n_train=500, n_test=10, rng=RNG(), noise=0.3)
         x = ds.x_train.reshape(500, -1)
         y = ds.y_train
         c0 = x[y == 0]
@@ -79,10 +75,10 @@ class TestLearnability:
         _, acc = model.evaluate(ds.x_test, ds.y_test)
         assert acc > 0.8
 
-    def test_mnist_learnable_by_mlp(self):
-        ds = synthetic_mnist(n_train=500, n_test=200, rng=RNG(0), noise=0.5)
+    def test_cifar_learnable_by_mlp(self):
+        ds = synthetic_cifar10(n_train=500, n_test=200, rng=RNG(0), noise=0.5)
         flat = ds.flattened()
-        model = mlp_classifier(784, rng=RNG(1), hidden=(32,))
+        model = mlp_classifier(3072, rng=RNG(1), hidden=(32,))
         opt = Adam(model.params(), lr=0.005)
         for _ in range(60):
             model.train_batch(flat.x_train, flat.y_train)

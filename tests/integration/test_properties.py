@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import Topology, TwoLayerAggregator
 from repro.secure.protocol import run_sac_protocol
-from repro.secure.replicated import recoverable
 from repro.simnet import FixedLatency, Network, SimNode, Simulator
 
 

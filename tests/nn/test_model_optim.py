@@ -8,7 +8,6 @@ from repro.nn import (
     CategoricalCrossEntropy,
     Dense,
     ReLU,
-    SGD,
     Sequential,
     Softmax,
     SoftmaxCrossEntropy,
@@ -75,22 +74,6 @@ class TestOptimizers:
         target = np.array([1.0, 2.0])
         return p, target
 
-    def test_sgd_converges_on_quadratic(self):
-        p, target = self._quadratic_param()
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            p.grad[...] = p.value - target
-            opt.step()
-        np.testing.assert_allclose(p.value, target, atol=1e-6)
-
-    def test_sgd_momentum_converges(self):
-        p, target = self._quadratic_param()
-        opt = SGD([p], lr=0.05, momentum=0.9)
-        for _ in range(300):
-            p.grad[...] = p.value - target
-            opt.step()
-        np.testing.assert_allclose(p.value, target, atol=1e-4)
-
     def test_adam_converges_on_quadratic(self):
         p, target = self._quadratic_param()
         opt = Adam([p], lr=0.1)
@@ -110,7 +93,7 @@ class TestOptimizers:
     def test_zero_grad(self):
         p = Param(np.ones(3))
         p.grad[...] = 7.0
-        SGD([p], lr=0.1).zero_grad()
+        Adam([p], lr=0.1).zero_grad()
         np.testing.assert_array_equal(p.grad, np.zeros(3))
 
     def test_adam_reset_state(self):
@@ -124,10 +107,6 @@ class TestOptimizers:
 
     def test_validation(self):
         p = Param(np.ones(1))
-        with pytest.raises(ValueError):
-            SGD([p], lr=-1)
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.5)
         with pytest.raises(ValueError):
             Adam([p], lr=0.0)
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, paper_cnn_cifar10, paper_cnn_mnist, small_cnn
+from repro.nn import Adam, paper_cnn_cifar10, small_cnn
 from repro.nn.zoo import PAPER_CNN_PARAMS
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -24,12 +24,6 @@ class TestPaperCnn:
         out = model.predict(RNG().normal(size=(2, 3, 32, 32)))
         assert out.shape == (2, 10)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(2), rtol=1e-9)
-
-    def test_mnist_variant(self):
-        model = paper_cnn_mnist(RNG())
-        assert model.n_params == 889_834
-        out = model.predict(RNG().normal(size=(2, 1, 28, 28)))
-        assert out.shape == (2, 10)
 
     def test_cifar10_one_training_step_runs(self):
         model = paper_cnn_cifar10(RNG())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.secure import SacReconstructionError, fault_tolerant_sac
 from repro.secure.fault_tolerant import expected_ft_sac_bits
-from repro.secure.replicated import recoverable
+from repro.secure.replicated import missing_shares
 
 
 def make_models(n, size=12, seed=0):
@@ -92,7 +92,7 @@ class TestDropouts:
         fatal = next(
             set(c)
             for c in combinations(range(n), n - k + 1)
-            if not recoverable(set(c), n, k)
+            if missing_shares(set(c), n, k)
         )
         leader = next(p for p in range(n) if p not in fatal)
         with pytest.raises(SacReconstructionError):

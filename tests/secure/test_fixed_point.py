@@ -9,7 +9,6 @@ from repro.secure.fixed_point import (
     decode_fixed_point,
     divide_ring,
     encode_fixed_point,
-    reconstruct_ring,
     sac_average_fixed_point,
 )
 
@@ -78,7 +77,7 @@ class TestRingShares:
     def test_shares_reconstruct(self):
         q = encode_fixed_point(RNG(1).normal(size=20), 24)
         shares = divide_ring(q, 5, RNG(2))
-        np.testing.assert_array_equal(reconstruct_ring(shares), q)
+        np.testing.assert_array_equal(shares.sum(axis=0, dtype=np.uint64), q)
 
     def test_single_share(self):
         q = np.array([7], dtype=np.uint64)
@@ -104,8 +103,6 @@ class TestRingShares:
     def test_validation(self):
         with pytest.raises(ValueError):
             divide_ring(np.ones(2, dtype=np.uint64), 0, RNG())
-        with pytest.raises(ValueError):
-            reconstruct_ring(np.empty((0, 2), dtype=np.uint64))
 
     @given(
         n=st.integers(1, 10),
@@ -118,7 +115,7 @@ class TestRingShares:
         w = rng.normal(scale=100.0, size=8)
         q = encode_fixed_point(w, frac)
         shares = divide_ring(q, n, rng)
-        np.testing.assert_array_equal(reconstruct_ring(shares), q)
+        np.testing.assert_array_equal(shares.sum(axis=0, dtype=np.uint64), q)
 
 
 class TestFixedPointSac:

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.secure.replicated import (
-    holders_of_share,
-    missing_shares,
-    recoverable,
-    share_assignment,
-    shares_held_by,
-    worst_case_tolerated_crashes,
-)
+from repro.secure.replicated import holders_of_share, missing_shares, shares_held_by
+
+
+def recovers(crashed, n, k):
+    return not missing_shares(set(crashed), n, k)
 
 
 class TestPlacement:
@@ -43,10 +40,9 @@ class TestPlacement:
                     assert len(holders_of_share(s, n, k)) == n - k + 1
 
     def test_assignment_covers_all_shares(self):
-        assignment = share_assignment(6, 4)
         covered = set()
-        for held in assignment.values():
-            covered.update(held)
+        for peer in range(6):
+            covered.update(shares_held_by(peer, 6, 4))
         assert covered == set(range(6))
 
     def test_validation(self):
@@ -67,29 +63,35 @@ class TestRecoverability:
             for k in range(1, n + 1):
                 f = n - k
                 for crash_set in combinations(range(n), f):
-                    assert recoverable(set(crash_set), n, k), (n, k, crash_set)
+                    assert recovers(crash_set, n, k), (n, k, crash_set)
 
     def test_worst_case_bound_is_exactly_n_minus_k(self):
+        # Every n-k crash set recovers (above); some n-k+1 crash set fails.
         for n in range(2, 8):
             for k in range(2, n + 1):
-                assert worst_case_tolerated_crashes(n, k) == n - k
+                assert not all(
+                    recovers(c, n, k) for c in combinations(range(n), n - k + 1)
+                ), (n, k)
 
     def test_some_larger_crash_sets_fail(self):
         # n=5, k=3: crashing 3 consecutive peers loses a share index.
-        assert not recoverable({0, 1, 2}, 5, 3) or recoverable({0, 2, 4}, 5, 3)
+        assert not recovers({0, 1, 2}, 5, 3) or recovers({0, 2, 4}, 5, 3)
         # There must exist at least one fatal crash set of size n-k+1.
         fatal = [
-            c for c in combinations(range(5), 3) if not recoverable(set(c), 5, 3)
+            c for c in combinations(range(5), 3) if not recovers(c, 5, 3)
         ]
         assert fatal
 
     def test_all_crashed_unrecoverable(self):
-        assert not recoverable({0, 1, 2}, 3, 2)
+        assert missing_shares({0, 1, 2}, 3, 2) == {0, 1, 2}
 
     def test_missing_shares_consistency(self):
         for crash_set in combinations(range(5), 3):
             miss = missing_shares(set(crash_set), 5, 3)
-            assert recoverable(set(crash_set), 5, 3) == (not miss)
+            # A share is missing exactly when its whole replica group crashed.
+            assert miss == {
+                s for s in range(5) if set(holders_of_share(s, 5, 3)) <= set(crash_set)
+            }
 
     @given(
         n=st.integers(2, 10),
@@ -105,4 +107,4 @@ class TestRecoverability:
                 )
             )
         )
-        assert recoverable(crashed, n, k)
+        assert recovers(crashed, n, k)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.secure import SacAbort, sac_average
-from repro.secure.sac import sac_average_with_restart
 
 
 def make_models(n, size=16, seed=0):
@@ -80,34 +79,3 @@ class TestSacAverage:
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-8, atol=1e-8
         )
-
-
-class TestRestart:
-    def test_no_crashes_single_attempt(self):
-        models = make_models(4)
-        result, attempts = sac_average_with_restart(
-            models, np.random.default_rng(0), crash_schedule=[]
-        )
-        assert attempts == 1
-        np.testing.assert_allclose(result.average, np.mean(models, axis=0))
-
-    def test_one_crash_restarts_with_survivors(self):
-        models = make_models(4, size=10)
-        result, attempts = sac_average_with_restart(
-            models, np.random.default_rng(0), crash_schedule=[{1}]
-        )
-        assert attempts == 2
-        survivors = [models[i] for i in (0, 2, 3)]
-        np.testing.assert_allclose(result.average, np.mean(survivors, axis=0))
-        # Cost: one aborted 4-peer round plus one full 3-peer round.
-        w = 10 * 32
-        assert result.bits_sent == (2 * 4 * 3 + 2 * 3 * 2) * w
-
-    def test_sequential_crashes(self):
-        models = make_models(5, size=4)
-        result, attempts = sac_average_with_restart(
-            models, np.random.default_rng(0), crash_schedule=[{0}, {4}]
-        )
-        assert attempts == 3
-        survivors = [models[i] for i in (1, 2, 3)]
-        np.testing.assert_allclose(result.average, np.mean(survivors, axis=0))

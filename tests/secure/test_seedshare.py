@@ -12,18 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import seeded_exchange_bits
 from repro.experiments.paper_settings import FIG6_7, HEADLINES
-from repro.secure.additive import divide_zero_sum_seeded
-from repro.secure.fault_tolerant import (
-    expected_ft_sac_seeded_bits,
-    fault_tolerant_sac,
-)
-from repro.secure.fixed_point import (
-    divide_ring_seeded,
-    encode_fixed_point,
-    reconstruct_ring,
-    sac_average_fixed_point,
-)
+from repro.secure.fault_tolerant import fault_tolerant_sac
+from repro.secure.fixed_point import encode_fixed_point, sac_average_fixed_point
 from repro.secure.protocol import run_sac_protocol
 from repro.secure.replicated import seeded_exchange_entry_counts
 from repro.secure.sac import sac_average
@@ -110,7 +102,7 @@ class TestSeededSplits:
         q = encode_fixed_point(rng.normal(scale=10.0, size=size), 24)
         ss = seeded_ring_shares(q, n, rng)
         np.testing.assert_array_equal(
-            reconstruct_ring(ss.materialize()), q
+            ss.materialize().sum(axis=0, dtype=np.uint64), q
         )
 
     @given(
@@ -142,7 +134,7 @@ class TestSeededSplits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shapes_and_dtypes(self, shape, dtype):
         w = RNG(5).normal(size=shape).astype(dtype)
-        ss = divide_zero_sum_seeded(w, 4, RNG(6))
+        ss = seeded_zero_sum_shares(w, 4, RNG(6))
         assert ss.materialize().shape == (4,) + shape
         np.testing.assert_allclose(
             ss.materialize().sum(axis=0), np.asarray(w, np.float64),
@@ -181,7 +173,8 @@ class TestCodecEquivalence:
         dense = fault_tolerant_sac(models, k, RNG(20))
         seed = fault_tolerant_sac(models, k, RNG(21), share_codec="seed")
         np.testing.assert_allclose(dense.average, seed.average, atol=1e-9)
-        assert seed.bits_sent == expected_ft_sac_seeded_bits(n, k, 64)
+        # Seeded exchange plus the (k-1) dense subtotals.
+        assert seed.bits_sent == seeded_exchange_bits(n, k, 64) + (k - 1) * 64 * 32
         assert seed.bits_sent < dense.bits_sent
 
     def test_seed_and_seed_dense_bit_identical(self):

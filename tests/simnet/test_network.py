@@ -5,13 +5,13 @@ import pytest
 
 from repro.simnet import (
     FixedLatency,
-    GaussianLatency,
     Network,
     SimNode,
     Simulator,
     TraceRecorder,
-    UniformLatency,
 )
+
+from .latency import GaussianLatency, UniformLatency
 
 
 class Recorder(SimNode):

@@ -25,14 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet import (
-    FixedLatency,
-    GaussianLatency,
-    Network,
-    Simulator,
-    UniformLatency,
-)
+from repro.simnet import FixedLatency, Network, Simulator
 
+from .latency import GaussianLatency, UniformLatency
 from .per_item import REPLAYS
 
 LATENCIES = {

@@ -36,12 +36,12 @@ from repro.simnet import (
     Network,
     SimNode,
     Simulator,
-    UniformLatency,
     WaveRecord,
 )
 from repro.simnet import waves as W
 from repro.simnet.reliable import ACK_BITS
 
+from .latency import UniformLatency
 from .per_item import REPLAYS
 
 

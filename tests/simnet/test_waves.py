@@ -15,15 +15,14 @@ import pytest
 from repro.core import MultiLayerTopology
 from repro.simnet import (
     FixedLatency,
-    GaussianLatency,
     Network,
     SimNode,
     Simulator,
-    UniformLatency,
     WaveRecord,
 )
 from repro.simnet.trace import MessageRecord
 
+from .latency import GaussianLatency, UniformLatency
 from .per_item import REPLAYS, per_item
 
 

@@ -7,7 +7,6 @@ from repro.core import Topology
 from repro.twolayer_raft import (
     fedavg_leader_recovery_trial,
     run_trials,
-    subgroup_follower_crash_trial,
     subgroup_leader_recovery_trial,
 )
 
@@ -74,14 +73,6 @@ class TestFedAvgLeaderRecovery:
             times = fedavg_leader_recovery_trial(seed=seed, **FAST)
             if times.join_fedavg_ms is not None and times.fed_elect_ms is not None:
                 assert times.join_fedavg_ms >= times.fed_elect_ms
-
-
-class TestFollowerCrash:
-    def test_followers_never_disturb_leadership(self):
-        assert all(
-            subgroup_follower_crash_trial(seed=s, observe_ms=2_000.0, **FAST)
-            for s in range(5)
-        )
 
 
 class TestRunTrials:
