@@ -364,14 +364,14 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     )
     wall = time.perf_counter() - t0
 
-    print(f"\n{'layer':>5} {'method':>7} {'groups':>9} {'start ms':>10} "
+    print(f"\n{'layer':>5} {'groups':>9} {'start ms':>10} "
           f"{'done ms':>10} {'messages':>10} {'Mb':>9}")
     for st in result.layer_stats:
-        print(f"{st.layer:>5} {st.method:>7} {st.groups:>9,} "
+        print(f"{st.layer:>5} {st.groups:>9,} "
               f"{st.start_ms:>10.1f} {st.done_ms:>10.1f} "
               f"{st.messages:>10,} {st.bits / 1e6:>9.2f}")
     bcast = result.bits_by_kind.get("xl.bcast", 0.0)
-    print(f"{'bcast':>5} {'relay':>7} {'':>9} {result.agg_done_ms:>10.1f} "
+    print(f"{'bcast':>5} {'':>9} {result.agg_done_ms:>10.1f} "
           f"{result.finish_time_ms:>10.1f} {n_peers - 1:>10,} "
           f"{bcast / 1e6:>9.2f}")
 
@@ -590,6 +590,10 @@ def main(argv: list[str] | None = None) -> int:
             and _xlayer_transport(args) != "reliable"):
         parser.error("--loss > 0 needs the reliable transport: "
                      "fire-and-forget drops would stall the aggregation")
+    if (args.figure == "chaos" and args.scale is not None
+            and args.transport == "fire_and_forget"):
+        parser.error("'chaos --scale' runs a lossy round, which needs the "
+                     "reliable transport")
     # run_campaign's subgroups have 4 peers.
     if args.figure == "campaign" and args.peers is not None and args.peers < 4:
         parser.error("'campaign' needs --peers >= 4 (one subgroup of 4)")

@@ -52,22 +52,17 @@ def optimistic_max_faults(m: int, n: int) -> int:
     return m * (subgroup_tolerance(n) + 1)
 
 
-def system_operational(
-    topology: Topology,
-    crashed: set[int],
-    fedavg_members: set[int] | None = None,
-) -> bool:
+def system_operational(topology: Topology, crashed: set[int]) -> bool:
     """Whether aggregation can proceed under ``crashed`` peers.
 
     Conditions (Sec. V semantics):
 
-    1. The FedAvg layer can field a leader: a majority of its members is
-       alive.
+    1. The FedAvg layer can field a leader: a majority of its members
+       (the subgroup leaders) is alive.
     2. Every subgroup can field a leader: its current leader is alive, or
        a majority of the subgroup is alive to elect a new one.
     """
-    if fedavg_members is None:
-        fedavg_members = set(topology.leaders)
+    fedavg_members = set(topology.leaders)
     alive_fed = [p for p in fedavg_members if p not in crashed]
     if len(alive_fed) < len(fedavg_members) // 2 + 1:
         return False

@@ -35,12 +35,11 @@ def share_secret_correlation(
     n: int,
     rng: np.random.Generator,
     trials: int = 2000,
-    share_index: int = 0,
 ) -> float:
     """Pearson correlation between secret scalars and one received share.
 
     Draws ``trials`` scalar secrets ~ N(0, 1), shares each into ``n``
-    pieces, and correlates the ``share_index``-th piece with the secret.
+    pieces, and correlates the first piece with the secret.
     ~1.0 means the share is essentially the secret (total leakage);
     ~0.0 means the share carries no linear information.
     """
@@ -50,17 +49,17 @@ def share_secret_correlation(
     observed = np.empty(trials)
     for i, secret in enumerate(secrets):
         shares = divide_fn(np.array([secret]), n, rng)
-        observed[i] = float(np.asarray(shares[share_index], dtype=np.float64)[0])
+        observed[i] = float(np.asarray(shares[0], dtype=np.float64)[0])
     return float(np.corrcoef(secrets, observed)[0, 1])
 
 
 def ring_share_correlation(
-    n: int, rng: np.random.Generator, trials: int = 2000, frac_bits: int = 24
+    n: int, rng: np.random.Generator, trials: int = 2000
 ) -> float:
     """Same measurement for fixed-point ring sharing (should be ~0)."""
 
     def ring_divide(w, n_, rng_):
-        return divide_ring(encode_fixed_point(w, frac_bits), n_, rng_)
+        return divide_ring(encode_fixed_point(w), n_, rng_)
 
     return share_secret_correlation(ring_divide, n, rng, trials=trials)
 

@@ -5,7 +5,7 @@
 (:func:`~repro.campaign.schedule.sample_campaign_schedule`) and runs
 ``R`` federated rounds over the evolving membership:
 
-- *storm* rounds (every ``storm_period``-th) take the boundary churn
+- *storm* rounds (every ``STORM_PERIOD``-th) take the boundary churn
   and a sampled fault schedule, and run over the reliable transport;
 - the rounds between storms are quiesced — fault-free, churn-free;
   the campaign's sim-side results are a pure function of the seed
@@ -71,7 +71,14 @@ from ..core.wire_round import (
 from ..core.xlayer_wire import sequential_only
 from ..obs import runtime as _obs
 from ..simnet import UNRECOVERABLE_DROPOUT, RoundOutcome
-from .schedule import CampaignSchedule, Join, Leave, Rejoin, sample_campaign_schedule
+from .schedule import (
+    STORM_PERIOD,
+    CampaignSchedule,
+    Join,
+    Leave,
+    Rejoin,
+    sample_campaign_schedule,
+)
 
 #: Campaign presets: the chaos profiles with churn rates switched on.
 #: Kept separate from :data:`repro.chaos.PROFILES` so single-round chaos
@@ -254,8 +261,6 @@ def run_campaign(
     parallel: str = "off",
     transport: str = "reliable",
     reshard: bool = True,
-    balance_bound: int = 2,
-    storm_period: int = 2,
     checkpoint_dir: str | None = None,
     schedule: CampaignSchedule | None = None,
     raft: bool = True,
@@ -278,8 +283,7 @@ def run_campaign(
         churn_rng = np.random.default_rng([seed, _CHURN_STREAM])
         schedule = sample_campaign_schedule(
             churn_rng, profile, rounds,
-            initial_members=range(n_peers), storm_period=storm_period,
-            min_alive=max(2, k),
+            initial_members=range(n_peers), min_alive=max(2, k),
         )
     rounds = schedule.rounds
 
@@ -315,14 +319,12 @@ def run_campaign(
         # -- re-sharding ----------------------------------------------------
         resharded = False
         reshard_moves = 0
-        reason = needs_reshard(
-            tuple(tuple(g) for g in groups), k, balance_bound
-        )
+        reason = needs_reshard(tuple(tuple(g) for g in groups), k)
         if reason is not None and reshard:
             try:
                 plan: ReshardPlan = plan_reshard(
                     tuple(tuple(g) for g in groups), k, reason=reason,
-                    w_params=model_params, balance_bound=balance_bound,
+                    w_params=model_params,
                 )
             except ReshardError as exc:
                 reason = f"unreshardable: {exc}"
@@ -355,13 +357,13 @@ def run_campaign(
         quiesced = schedule.quiesced(index) and feasible
 
         # -- the round itself -----------------------------------------------
-        fault_plan: Optional[ChaosPlan] = schedule.faults.get(index)
-        storm = index % storm_period == 0
+        fault_plan = None
+        storm = index % STORM_PERIOD == 0
         if feasible:
             grouping = tuple(tuple(g) for g in groups)
             topology = dense_topology(grouping)
             models = _round_models(seed, index, members, global_weights)
-            if fault_plan is None and storm:
+            if storm:
                 fault_rng = np.random.default_rng(
                     [seed, _FAULT_STREAM, index]
                 )
@@ -473,12 +475,9 @@ def run_campaign(
 # the Sec. V membership-change drill
 # ---------------------------------------------------------------------------
 
-def run_raft_drill(
-    seed: int,
-    n_peers: int = 9,
-    n_groups: int = 3,
-) -> RaftDrillReport:
-    """One leader departure + one cross-group move + one join, live.
+def run_raft_drill(seed: int) -> RaftDrillReport:
+    """One leader departure + one cross-group move + one join, live, on
+    9 peers in 3 subgroups.
 
     Exercises the paper's Sec. V single-server membership change on a
     running two-layer Raft deployment: the departed subgroup leader's
@@ -489,7 +488,8 @@ def run_raft_drill(
     """
     from ..twolayer_raft.system import TwoLayerRaftSystem
 
-    topology = Topology.by_group_count(n_peers, n_groups)
+    n_peers = 9
+    topology = Topology.by_group_count(n_peers, 3)
     system = TwoLayerRaftSystem(
         topology, seed=seed, remove_replaced_leaders=True
     )

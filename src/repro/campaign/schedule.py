@@ -1,19 +1,20 @@
-"""Round-indexed campaign schedules: churn events + per-round faults.
+"""Round-indexed campaign schedules: churn events.
 
 A :class:`CampaignSchedule` is the multi-round analogue of a
 :class:`~repro.chaos.FaultSchedule`: it pins, for a whole campaign, the
 membership churn applied at each round boundary (:class:`Join` /
 :class:`Leave` / :class:`Rejoin`, over *stable* peer ids that survive
-re-sharding) and any hand-authored per-round fault plans.  Validation
-replays the churn so an impossible trajectory (a peer leaving twice, a
-joiner reusing a live id, a rejoin without a prior leave) is rejected at
-construction, the same fail-fast stance ``FaultSchedule`` takes.
+re-sharding).  Validation replays the churn so an impossible trajectory
+(a peer leaving twice, a joiner reusing a live id, a rejoin without a
+prior leave) is rejected at construction, the same fail-fast stance
+``FaultSchedule`` takes.  The runner samples each storm round's fault
+plan from its own seeded stream.
 
 Seeded schedules are drawn by :func:`sample_campaign_schedule` from an
 extended :class:`~repro.chaos.ChaosProfile` (its ``leave_rate`` /
 ``join_rate`` / ``rejoin_prob`` fields) with an explicit generator —
 one rng state pins the whole campaign's churn bit-for-bit.  Churn and
-faults land only on *storm* rounds (``index % storm_period == 0``); the
+faults land only on *storm* rounds (``index % STORM_PERIOD == 0``); the
 rounds between them are quiesced on purpose, so the cross-round
 recovery invariant (:func:`repro.chaos.invariants.check_eventual_recovery`)
 always has a quiet round to observe recovery in.
@@ -21,8 +22,8 @@ always has a quiet round to observe recovery in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,6 +37,9 @@ __all__ = [
     "CampaignSchedule",
     "sample_campaign_schedule",
 ]
+
+#: churn and faults land on every ``STORM_PERIOD``-th round boundary.
+STORM_PERIOD = 2
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,11 @@ ChurnEvent = Union[Join, Leave, Rejoin]
 
 @dataclass(frozen=True)
 class CampaignSchedule:
-    """A validated, replayable multi-round churn + fault schedule.
-
-    ``faults`` maps round index -> :class:`~repro.chaos.ChaosPlan`
-    authored against that round's *dense* peer ids (``0..N-1`` over the
-    round's alive membership).  Rounds without an entry run fault-free.
-    """
+    """A validated, replayable multi-round churn schedule."""
 
     rounds: int
     initial_members: tuple[int, ...]
     churn: tuple[ChurnEvent, ...] = ()
-    faults: Mapping[int, ChaosPlan] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -86,11 +84,6 @@ class CampaignSchedule:
             raise ValueError("a campaign needs at least one initial member")
         if len(set(self.initial_members)) != len(self.initial_members):
             raise ValueError("duplicate ids in initial_members")
-        for r in self.faults:
-            if not 0 <= r < self.rounds:
-                raise ValueError(
-                    f"fault plan for round {r} outside 0..{self.rounds - 1}"
-                )
         ordered = sorted(
             self.churn, key=lambda e: (e.round, type(e).__name__, e.peer)
         )
@@ -147,8 +140,8 @@ class CampaignSchedule:
         return tuple(sorted(present))
 
     def quiesced(self, index: int) -> bool:
-        """No churn at this round's boundary and no fault plan in it."""
-        return index not in self.faults and not self.churn_at(index)
+        """No churn at this round's boundary."""
+        return not self.churn_at(index)
 
     def describe(self) -> str:
         joins = sum(1 for e in self.churn if isinstance(e, Join))
@@ -156,8 +149,7 @@ class CampaignSchedule:
         rejoins = sum(1 for e in self.churn if isinstance(e, Rejoin))
         return (
             f"{self.rounds} rounds over {len(self.initial_members)} peers: "
-            f"{joins} join(s), {leaves} leave(s), {rejoins} rejoin(s), "
-            f"{len(self.faults)} fault round(s)"
+            f"{joins} join(s), {leaves} leave(s), {rejoins} rejoin(s)"
         )
 
 
@@ -166,13 +158,12 @@ def sample_campaign_schedule(
     profile: ChaosProfile,
     rounds: int,
     initial_members: Sequence[int],
-    storm_period: int = 2,
     min_alive: int = 2,
 ) -> CampaignSchedule:
     """Draw a campaign's churn trajectory from ``profile``.
 
     Churn lands at the boundary of every storm round (``index %
-    storm_period == 0``, except round 0 — the initial membership *is*
+    STORM_PERIOD == 0``, except round 0 — the initial membership *is*
     round 0's boundary); the rounds between storms stay untouched so the
     recovery invariant has quiesced rounds to check.  Departures are
     capped so at least ``min_alive`` peers always survive — total
@@ -181,14 +172,12 @@ def sample_campaign_schedule(
     topology (which depends on the re-sharding policy), so the runner
     draws them per storm round from its own seeded stream.
     """
-    if storm_period < 1:
-        raise ValueError("storm_period must be >= 1")
     present = set(initial_members)
     departed: set[int] = set()
     next_id = max(present) + 1 if present else 0
     events: list[ChurnEvent] = []
     for index in range(1, rounds):
-        if index % storm_period != 0:
+        if index % STORM_PERIOD != 0:
             continue
         draw: ChurnDraw = ChaosPlan.sample_churn(
             rng, profile,

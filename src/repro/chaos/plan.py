@@ -55,12 +55,14 @@ class ChaosProfile:
     #    reads these, so existing profiles keep their exact rng streams).
     #: per-present-peer probability of leaving at a round boundary.
     leave_rate: float = 0.0
-    #: per-slot probability that a brand-new peer joins (see max_joins).
+    #: per-slot probability that a brand-new peer joins (see MAX_JOINS).
     join_rate: float = 0.0
     #: per-departed-peer probability of rejoining at a round boundary.
     rejoin_prob: float = 0.0
-    #: join slots drawn per boundary (each succeeds with join_rate).
-    max_joins: int = 2
+
+
+#: join slots drawn per round boundary (each succeeds with ``join_rate``).
+MAX_JOINS = 2
 
 
 #: Named presets selectable from the CLI (``repro chaos --profile``).
@@ -214,15 +216,14 @@ class ChaosPlan:
         profile: ChaosProfile | str,
         present: Sequence[int],
         departed: Sequence[int] = (),
-        protected: Iterable[int] = (),
         max_leaves: int | None = None,
     ) -> ChurnDraw:
         """Draw one round boundary's membership churn from ``profile``.
 
         Deterministic in the generator state, like :meth:`sample`: peers
-        are considered in sorted stable-id order.  ``protected`` peers
-        never leave; ``max_leaves`` caps departures so the caller can
-        keep at least ``k`` peers alive (pass None for no cap).
+        are considered in sorted stable-id order.  ``max_leaves`` caps
+        departures so the caller can keep at least ``k`` peers alive
+        (pass None for no cap).
         """
         if isinstance(profile, str):
             try:
@@ -232,12 +233,9 @@ class ChaosPlan:
                     f"unknown chaos profile {profile!r}; "
                     f"expected one of {sorted(PROFILES)}"
                 ) from None
-        protected_set = frozenset(protected)
         leaves: list[int] = []
         for pid in sorted(present):
             if rng.random() >= profile.leave_rate:
-                continue
-            if pid in protected_set:
                 continue
             if max_leaves is not None and len(leaves) >= max_leaves:
                 continue
@@ -247,7 +245,7 @@ class ChaosPlan:
             if rng.random() < profile.rejoin_prob
         ]
         n_joins = sum(
-            1 for _ in range(max(0, profile.max_joins))
+            1 for _ in range(MAX_JOINS)
             if rng.random() < profile.join_rate
         )
         return ChurnDraw(

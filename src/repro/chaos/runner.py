@@ -40,6 +40,8 @@ LAYERS = ("sac", "two_layer", "raft")
 #: chaos trials keep the retransmit budget small enough that exhaustion
 #: is detected (and typed) well before the round timeout.
 TRIAL_TRANSPORT_OPTS = {"max_attempts": 6}
+#: parameters per model in the SAC and two-layer trials.
+TRIAL_MODEL_PARAMS = 32
 
 
 @dataclass(frozen=True)
@@ -85,18 +87,16 @@ def _grade(result, reference) -> tuple[str, str]:
 def run_sac_trial(
     seed: int,
     profile: ChaosProfile | str,
-    n: int = 8,
-    k: int = 5,
-    model_params: int = 32,
     transport: str = "reliable",
 ) -> TrialReport:
-    """One standalone FT-SAC round under a sampled fault schedule."""
+    """One standalone 5-of-8 FT-SAC round under a sampled fault schedule."""
+    n, k = 8, 5
     rng = np.random.default_rng([seed, 0xC4A05])
     plan = ChaosPlan.sample(
         rng, profile, nodes=range(n), protected=(0,), max_crashes=n - k
     )
     models = [
-        np.random.default_rng([seed, i]).normal(size=model_params)
+        np.random.default_rng([seed, i]).normal(size=TRIAL_MODEL_PARAMS)
         for i in range(n)
     ]
     result = run_sac_protocol(
@@ -118,14 +118,12 @@ def run_sac_trial(
 def run_two_layer_trial(
     seed: int,
     profile: ChaosProfile | str,
-    n_peers: int = 12,
-    group_size: int = 4,
-    k: int = 3,
-    model_params: int = 32,
     transport: str = "reliable",
 ) -> TrialReport:
-    """One two-layer wire round under a sampled fault schedule."""
-    topology = Topology.by_group_size(n_peers, group_size)
+    """One two-layer wire round (12 peers in groups of 4, k = 3) under a
+    sampled fault schedule."""
+    n_peers, k = 12, 3
+    topology = Topology.by_group_size(n_peers, 4)
     rng = np.random.default_rng([seed, 0xC4A15])
     max_crashes = max(0, min(len(g) for g in topology.groups) - k)
     plan = ChaosPlan.sample(
@@ -133,7 +131,7 @@ def run_two_layer_trial(
         protected=topology.leaders, max_crashes=max_crashes,
     )
     models = [
-        np.random.default_rng([seed, i]).normal(size=model_params)
+        np.random.default_rng([seed, i]).normal(size=TRIAL_MODEL_PARAMS)
         for i in range(n_peers)
     ]
     result = run_two_layer_wire_round(
@@ -154,20 +152,17 @@ def run_two_layer_trial(
     )
 
 
-def run_raft_trial(
-    seed: int,
-    profile: ChaosProfile | str,
-    n_peers: int = 9,
-    n_groups: int = 3,
-) -> TrialReport:
-    """One two-layer Raft deployment under a sampled fault schedule.
+def run_raft_trial(seed: int, profile: ChaosProfile | str) -> TrialReport:
+    """One two-layer Raft deployment (9 peers, 3 subgroups) under a
+    sampled fault schedule.
 
     Raft carries its own retransmission (heartbeats re-ship entries), so
     the deployment always runs fire-and-forget; faults are stretched to
     Raft's election timescale.  Crashes are capped below every
     subgroup's quorum so liveness is expected, not just safety.
     """
-    topology = Topology.by_group_count(n_peers, n_groups)
+    n_peers = 9
+    topology = Topology.by_group_count(n_peers, 3)
     rng = np.random.default_rng([seed, 0xC4A25])
     max_crashes = max(
         0, min((len(g) - 1) // 2 for g in topology.groups)

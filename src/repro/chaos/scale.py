@@ -33,6 +33,9 @@ DEFAULT_LOSS_RATE = 0.2
 #: transport's retry horizon (base_rto * (2^max_attempts - 1) with the
 #: defaults), so held frames land instead of being abandoned.
 _CRASH_MS, _RECOVER_MS = 10.0, 500.0
+#: loss added on top of the default rate mid-round, and leaf followers
+#: crashed.
+_LOSS_BUMP, _N_CRASHES = 0.15, 5
 
 
 def scale_topology(target_peers: int, depth: int) -> MultiLayerTopology:
@@ -51,21 +54,17 @@ def scale_topology(target_peers: int, depth: int) -> MultiLayerTopology:
     return MultiLayerTopology(n=n, depth=depth)
 
 
-def scale_schedule(
-    topology: MultiLayerTopology,
-    loss_bump: float = 0.15,
-    n_crashes: int = 5,
-) -> FaultSchedule:
+def scale_schedule(topology: MultiLayerTopology) -> FaultSchedule:
     """The scale campaign's fault script, deterministic in the topology.
 
-    A mid-round loss bump, a global delay spike, and ``n_crashes``
-    crash/recover pairs on the highest-id leaf followers (never
+    A mid-round loss bump of ``_LOSS_BUMP``, a global delay spike, and
+    ``_N_CRASHES`` crash/recover pairs on the highest-id leaf followers (never
     leaders — leader loss needs Raft re-election, out of scope for the
     accounting round).  Recovery lands inside the retransmit horizon so
     the round is expected to *complete* under default budgets.
     """
     events: list = [
-        LossWindow(50.0, 250.0, min(0.95, DEFAULT_LOSS_RATE + loss_bump)),
+        LossWindow(50.0, 250.0, min(0.95, DEFAULT_LOSS_RATE + _LOSS_BUMP)),
         DelaySpike(100.0, 300.0, 10.0),
     ]
     # Every peer above the deepest layer leads a group there (and peer 0
@@ -73,7 +72,7 @@ def scale_schedule(
     # ids from ``n_groups - 1`` up.
     first_leaf = max(topology.n_groups - 1, 1)
     leaves = range(topology.n_peers - 1, first_leaf - 1, -1)
-    for node in leaves[:max(n_crashes, 0)]:
+    for node in leaves[:_N_CRASHES]:
         events.append(Crash(_CRASH_MS, node))
         events.append(Recover(_RECOVER_MS, node))
     return FaultSchedule(events)

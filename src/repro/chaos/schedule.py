@@ -350,9 +350,9 @@ class ArmedSchedule:
     schedule: FaultSchedule
     sim: Simulator
     network: Network
-    _saved_loss_rate: float | None = field(default=None, repr=False)
-    _base_latency: LatencyModel | None = field(default=None, repr=False)
-    _open_spikes: list = field(default_factory=list, repr=False)
+    _saved_loss_rate: float | None = field(default=None, init=False, repr=False)
+    _base_latency: LatencyModel | None = field(default=None, init=False, repr=False)
+    _open_spikes: list = field(default_factory=list, init=False, repr=False)
 
     # ------------------------------------------------------------ window glue
     def _open_loss(self, window: LossWindow) -> None:

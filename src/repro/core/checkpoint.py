@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,8 @@ The paper evaluates communication *volume* (Figs. 13-14); volume buys
 wall-clock time through each peer's uplink.  This model assumes every
 peer serializes its outgoing messages on an uplink of ``bandwidth_bps``
 while transfers to distinct receivers proceed in parallel — the standard
-first-order model of a P2P swarm.
+first-order model of a P2P swarm.  Every hop adds a propagation delay of
+:data:`~repro.simnet.network.DEFAULT_DELAY_MS` (the paper's 15 ms).
 
 Per aggregation round of the two-layer system:
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
+from ..simnet.network import DEFAULT_DELAY_MS
 from .topology import Topology
 
 
@@ -42,74 +44,54 @@ class RoundLatency:
         return self.sac_ms + self.fedavg_ms + self.broadcast_ms
 
 
-def _transfer_ms(w_params: int, bandwidth_bps: float, bits_per_param: int) -> float:
-    if w_params < 1 or bandwidth_bps <= 0 or bits_per_param < 1:
-        raise ValueError("w_params, bandwidth and bits_per_param must be positive")
-    return 1000.0 * w_params * bits_per_param / bandwidth_bps
+def _transfer_ms(w_params: int, bandwidth_bps: float) -> float:
+    if w_params < 1 or bandwidth_bps <= 0:
+        raise ValueError("w_params and bandwidth must be positive")
+    return 1000.0 * w_params * DEFAULT_BITS_PER_PARAM / bandwidth_bps
 
 
-def ft_sac_latency_ms(
-    n: int,
-    k: int,
-    w_params: int,
-    bandwidth_bps: float,
-    delay_ms: float = 15.0,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-) -> float:
+def ft_sac_latency_ms(n: int, k: int, w_params: int, bandwidth_bps: float) -> float:
     """Wall-clock of one k-out-of-n SAC round under uplink serialization."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if n == 1:
         return 0.0
-    t_w = _transfer_ms(w_params, bandwidth_bps, bits_per_param)
-    phase1 = (n - 1) * (n - k + 1) * t_w + delay_ms
-    phase2 = (t_w + delay_ms) if k > 1 else 0.0
+    t_w = _transfer_ms(w_params, bandwidth_bps)
+    phase1 = (n - 1) * (n - k + 1) * t_w + DEFAULT_DELAY_MS
+    phase2 = (t_w + DEFAULT_DELAY_MS) if k > 1 else 0.0
     return phase1 + phase2
 
 
-def one_layer_sac_latency_ms(
-    n_peers: int,
-    w_params: int,
-    bandwidth_bps: float,
-    delay_ms: float = 15.0,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-) -> float:
+def one_layer_sac_latency_ms(n_peers: int, w_params: int, bandwidth_bps: float) -> float:
     """Wall-clock of Alg. 2: share exchange + subtotal broadcast, each
     costing ``(N-1) t_w`` of uplink plus a propagation delay."""
     if n_peers < 1:
         raise ValueError("need at least one peer")
     if n_peers == 1:
         return 0.0
-    t_w = _transfer_ms(w_params, bandwidth_bps, bits_per_param)
-    per_phase = (n_peers - 1) * t_w + delay_ms
+    t_w = _transfer_ms(w_params, bandwidth_bps)
+    per_phase = (n_peers - 1) * t_w + DEFAULT_DELAY_MS
     return 2 * per_phase
 
 
-def multi_layer_round_latency_ms(
-    depth: int,
-    delay_ms: float = 15.0,
-    sac_layers: set[int] | None = None,
-) -> float:
+def multi_layer_round_latency_ms(depth: int, delay_ms: float = 15.0) -> float:
     """Finish time of one X-layer round under a fixed per-hop delay.
 
     With every link costing exactly ``delay_ms`` (no bandwidth term),
     each SAC layer takes two hops (share exchange, then subtotal
-    collection), each FedAvg layer one; layers aggregate strictly
-    bottom-up, and distribution relays the final model down ``depth``
-    leader hops.  This is the closed form the X-layer wire round's
-    ``finish_time_ms`` must reproduce exactly under
+    collection); layers aggregate strictly bottom-up, and distribution
+    relays the final model down ``depth`` leader hops.  This is the
+    closed form the X-layer wire round's ``finish_time_ms`` must
+    reproduce exactly under
     :class:`~repro.simnet.network.FixedLatency` — the CLI's
     measured-vs-closed-form delta.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if sac_layers is None:
-        sac_layers = set(range(1, depth + 1))
-    agg = sum(
-        (2 if layer in sac_layers else 1) * delay_ms
-        for layer in range(1, depth + 1)
-    )
-    return agg + depth * delay_ms
+    finish = 0.0
+    for _ in range(3 * depth):  # hop by hop, as the wire adds them
+        finish += delay_ms
+    return finish
 
 
 def two_layer_round_latency_ms(
@@ -117,8 +99,6 @@ def two_layer_round_latency_ms(
     k: int | None,
     w_params: int,
     bandwidth_bps: float,
-    delay_ms: float = 15.0,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
 ) -> RoundLatency:
     """Wall-clock of one full two-layer aggregation round.
 
@@ -126,19 +106,18 @@ def two_layer_round_latency_ms(
     leaders upload to the FedAvg leader and the result is re-broadcast
     through the leaders to every member.
     """
-    t_w = _transfer_ms(w_params, bandwidth_bps, bits_per_param)
+    t_w = _transfer_ms(w_params, bandwidth_bps)
     sac = max(
         ft_sac_latency_ms(
             size,
             min(k, size) if k is not None else size,
             w_params,
             bandwidth_bps,
-            delay_ms,
-            bits_per_param,
         )
         for size in topology.group_sizes
     )
     # Leaders upload concurrently; the FedAvg leader's own value is local.
+    delay_ms = DEFAULT_DELAY_MS
     fedavg = (t_w + delay_ms) if topology.n_groups > 1 else 0.0
     # Two-hop broadcast: FedAvg leader -> leaders -> members.  The FedAvg
     # leader pushes m-1 copies down its uplink; each leader then pushes

@@ -19,7 +19,7 @@ additional and keeps the result exact for uneven subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,19 +102,11 @@ def multi_layer_aggregate(
     topology: MultiLayerTopology,
     models: Sequence[np.ndarray],
     rng: np.random.Generator,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    method_for_layer: Callable[[int], str] | None = None,
 ) -> MultiLayerResult:
     """Aggregate ``models`` over the X-layer tree.
 
-    By default every layer runs SAC and the measured cost matches Eq. 10:
-    ``(N - 1)(n + 2) |w|``.  ``method_for_layer(layer) -> 'sac'|'fedavg'``
-    selects the aggregation per layer — the paper's closing remark in
-    Sec. VII-C: *"the communication complexity will be further reduced if
-    other aggregation methods with less communication like FedAvg are
-    used instead of SAC"* (a FedAvg group costs ``(n-1)|w|`` instead of
-    ``(n^2-1)|w|``, at the price of exposing members' subtree aggregates
-    to the group leader).
+    Every layer runs SAC and the measured cost matches Eq. 10:
+    ``(N - 1)(n + 2) |w|``.
 
     This is the reference :func:`~repro.core.xlayer_wire.run_xlayer_wire_round`
     is held to bit for bit, so it shares nothing with it: a layer at a
@@ -124,43 +116,29 @@ def multi_layer_aggregate(
     n, n_peers = topology.n, topology.n_peers
     if len(models) != n_peers:
         raise ValueError(f"expected {n_peers} models, got {len(models)}")
-    layers = range(topology.depth, 0, -1)  # bottom-up: deepest first
-    methods = {
-        layer: "sac" if method_for_layer is None else method_for_layer(layer)
-        for layer in layers
-    }
-    for method in methods.values():
-        if method not in ("sac", "fedavg"):
-            raise ValueError(f"unknown aggregation method {method!r}")
     check_same_shape(models)
     models = np.array(models, dtype=np.float64)  # a private copy
     # (sum, count) carried by each peer; leaders of deeper groups replace
     # theirs with the subtree aggregate before their own group runs.
     sums = models.reshape(n_peers, -1)
     counts = np.ones(n_peers, dtype=np.int64)
-    w_bits = float(sums.shape[1] * bits_per_param)
+    w_bits = float(sums.shape[1] * DEFAULT_BITS_PER_PARAM)
 
     bits = 0.0
     n_aggregations = 0
-    for layer in layers:
+    for layer in range(topology.depth, 0, -1):  # bottom-up: deepest first
         members = topology.member_matrix(layer)  # (G, n)
         g = len(members)
-        vals = sums[members]  # (G, n, d)
-        if methods[layer] == "sac":
-            # SAC over the members' sums: each member splits its value
-            # into n shares (the plain materialised Alg. 1 split, drawn
-            # group by group, member by member), exchanges them
-            # (n (n-1) transfers) and the followers send subtotals to
-            # the leader (n-1): (n^2 - 1) share-sized messages per group.
-            shares = batched_divide(vals.reshape(g * n, -1), n, rng)
-            vals = _add_in_order(shares.reshape(g, n, n, -1))  # subtotals
-            bits += g * (n * n - 1) * w_bits
-        else:
-            # Plain FedAvg: followers upload their value to the leader,
-            # (n - 1) transfers per group.
-            bits += g * (n - 1) * w_bits
+        # SAC over the members' sums: each member splits its value into n
+        # shares (the plain materialised Alg. 1 split, drawn group by
+        # group, member by member), exchanges them (n (n-1) transfers)
+        # and the followers send subtotals to the leader (n-1):
+        # (n^2 - 1) share-sized messages per group.
+        shares = batched_divide(sums[members].reshape(g * n, -1), n, rng)
+        subtotals = _add_in_order(shares.reshape(g, n, n, -1))  # (G, n, d)
+        bits += g * (n * n - 1) * w_bits
         leaders = members[:, 0]
-        sums[leaders] = _add_in_order(vals)
+        sums[leaders] = _add_in_order(subtotals)
         counts[leaders] = counts[members].sum(axis=1)
         n_aggregations += g
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from .costs import one_layer_sac_cost_bits, two_layer_ft_cost_from_topology
 from .latency import two_layer_round_latency_ms
 from .topology import Topology
@@ -68,18 +67,14 @@ def enumerate_plans(
     w_params: int,
     requirements: PlanRequirements | None = None,
     bandwidth_bps: float | None = None,
-    delay_ms: float = 15.0,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    max_group_size: int | None = None,
 ) -> list[Plan]:
     """All feasible (n, k) plans for ``n_peers``, cheapest volume first."""
     req = requirements if requirements is not None else PlanRequirements()
     if n_peers < 3:
         raise ValueError("a secure deployment needs at least 3 peers")
-    baseline = one_layer_sac_cost_bits(n_peers, w_params, bits_per_param)
-    cap = max_group_size if max_group_size is not None else n_peers
+    baseline = one_layer_sac_cost_bits(n_peers, w_params)
     plans: list[Plan] = []
-    for n in range(3, min(cap, n_peers) + 1):
+    for n in range(3, n_peers + 1):
         if (n - 1) // 2 < req.raft_crashes:
             continue
         topo = Topology.by_group_size(n_peers, n)
@@ -91,11 +86,11 @@ def enumerate_plans(
         k = n - req.sac_dropouts
         if k < 2:
             continue
-        volume = two_layer_ft_cost_from_topology(topo, k, w_params, bits_per_param)
+        volume = two_layer_ft_cost_from_topology(topo, k, w_params)
         latency = None
         if bandwidth_bps is not None:
             latency = two_layer_round_latency_ms(
-                topo, k, w_params, bandwidth_bps, delay_ms, bits_per_param
+                topo, k, w_params, bandwidth_bps
             ).total_ms
         plans.append(
             Plan(

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from .costs import two_layer_ft_cost_from_topology
 from .topology import Topology
+
+#: the widest group-size skew a grouping may have before it is resharded.
+BALANCE_BOUND = 2
 
 __all__ = [
     "Move",
@@ -90,25 +92,21 @@ class ReshardPlan:
         )
 
 
-def needs_reshard(
-    groups: tuple[tuple[int, ...], ...],
-    k: int,
-    balance_bound: int = 2,
-) -> str | None:
+def needs_reshard(groups: tuple[tuple[int, ...], ...], k: int) -> str | None:
     """Why ``groups`` must be resharded, or None if it is acceptable.
 
     Triggers: any group below the k-of-n floor, a group-size skew wider
-    than ``balance_bound``, or no groups at all (every member left).
+    than :data:`BALANCE_BOUND`, or no groups at all (every member left).
     """
     if not groups:
         return "no groups"
     sizes = [len(g) for g in groups]
     if min(sizes) < k:
         return f"group below k-of-n floor (size {min(sizes)} < k={k})"
-    if max(sizes) - min(sizes) > balance_bound:
+    if max(sizes) - min(sizes) > BALANCE_BOUND:
         return (
             f"unbalanced groups (sizes {max(sizes)}..{min(sizes)} exceed "
-            f"balance bound {balance_bound})"
+            f"balance bound {BALANCE_BOUND})"
         )
     return None
 
@@ -125,15 +123,13 @@ def dense_topology(groups: tuple[tuple[int, ...], ...]) -> Topology:
     return Topology(groups=dense, leaders=tuple(g[0] for g in dense))
 
 
-def _target_group_size(n_alive: int, k: int, w_params: int,
-                       bits_per_param: int) -> int:
+def _target_group_size(n_alive: int, k: int, w_params: int) -> int:
     """The cheapest (Eq. 5) feasible group size for ``n_alive`` members."""
     floor = max(k, 3) if n_alive >= max(k, 3) else k
     best_n, best_cost = floor, None
     for n in range(floor, n_alive + 1):
         topo = Topology.by_group_size(n_alive, n)
-        cost = two_layer_ft_cost_from_topology(topo, k, w_params,
-                                               bits_per_param)
+        cost = two_layer_ft_cost_from_topology(topo, k, w_params)
         if best_cost is None or cost < best_cost:
             best_n, best_cost = n, cost
     return best_n
@@ -144,8 +140,6 @@ def plan_reshard(
     k: int,
     reason: str | None = None,
     w_params: int = 1024,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    balance_bound: int = 2,
 ) -> ReshardPlan:
     """Rebalance a stable-id grouping into the cheapest feasible shape.
 
@@ -160,9 +154,9 @@ def plan_reshard(
             f"(k={k})"
         )
     if reason is None:
-        reason = needs_reshard(groups, k, balance_bound) or "requested"
+        reason = needs_reshard(groups, k) or "requested"
 
-    n_target = _target_group_size(n_alive, k, w_params, bits_per_param)
+    n_target = _target_group_size(n_alive, k, w_params)
     sizes = sorted(
         Topology.by_group_size(n_alive, n_target).group_sizes, reverse=True
     )
@@ -210,14 +204,12 @@ def plan_reshard(
 
     stable_groups = tuple(tuple(g) for g in new_groups)
     topology = dense_topology(stable_groups)
-    predicted = two_layer_ft_cost_from_topology(
-        topology, k, w_params, bits_per_param
-    )
+    predicted = two_layer_ft_cost_from_topology(topology, k, w_params)
     previous = None
     if groups and min(len(g) for g in groups) >= k:
         previous = two_layer_ft_cost_from_topology(
             dense_topology(tuple(tuple(sorted(g)) for g in groups)),
-            k, w_params, bits_per_param,
+            k, w_params,
         )
     return ReshardPlan(
         members=tuple(members),

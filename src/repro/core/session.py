@@ -32,6 +32,8 @@ from .topology import Topology
 from .two_layer import TwoLayerAggregator
 
 AGGREGATORS = ("two-layer", "one-layer-sac", "fedavg")
+#: the delta of the (epsilon, delta)-DP Gaussian mechanism (Sec. IV-D)
+DP_DELTA = 1e-5
 
 
 @dataclass(frozen=True)
@@ -48,21 +50,15 @@ class SessionConfig:
     #: fraction p of subgroups reaching the FedAvg leader per round (Fig. 8)
     fraction: float = 1.0
     distribution: str = "iid"
-    epochs: int = 1
     batch_size: int = 50
     lr: float = 1e-4
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM
     seed: int = 0
     #: optional per-round dropout injection: round -> {group: {peer ids}}
     dropout_schedule: Mapping[int, Mapping[int, set[int]]] | None = None
-    #: fraction of peers sampled per round by the plain-FedAvg aggregator
-    #: (Sec. III-A's "randomly selected clients"); ignored otherwise
-    client_fraction: float = 1.0
     #: optional per-peer differential privacy (Sec. IV-D): each peer's
     #: weights are clipped to ``dp_clip_norm`` and Gaussian-noised for
-    #: (dp_epsilon, dp_delta)-DP before entering the aggregation
+    #: (dp_epsilon, DP_DELTA)-DP before entering the aggregation
     dp_epsilon: float | None = None
-    dp_delta: float = 1e-5
     dp_clip_norm: float = 10.0
 
     def __post_init__(self) -> None:
@@ -74,8 +70,6 @@ class SessionConfig:
             raise ValueError("n_peers and rounds must be >= 1")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ValueError("client_fraction must be in (0, 1]")
         if self.aggregator == "two-layer" and not 1 <= self.group_size <= self.n_peers:
             raise ValueError("group_size must be in [1, n_peers]")
 
@@ -121,9 +115,7 @@ def run_session(
     topology: Topology | None = None
     if config.aggregator == "two-layer":
         topology = Topology.by_group_size(config.n_peers, config.group_size)
-        aggregator = TwoLayerAggregator(
-            topology, k=config.threshold, bits_per_param=config.bits_per_param
-        )
+        aggregator = TwoLayerAggregator(topology, k=config.threshold)
 
     mechanism = None
     if config.dp_epsilon is not None:
@@ -131,7 +123,7 @@ def run_session(
 
         mechanism = GaussianMechanism(
             config.dp_epsilon,
-            config.dp_delta,
+            DP_DELTA,
             config.dp_clip_norm,
             np.random.default_rng(rng.integers(2**63)),
         )
@@ -139,9 +131,7 @@ def run_session(
     history = MetricsHistory()
     for rnd in range(start_round, config.rounds):
         # ---- local update on every peer
-        train_losses, models = local_updates(
-            peers, global_weights, config.epochs
-        )
+        train_losses, models = local_updates(peers, global_weights)
         if mechanism is not None:
             models = [mechanism.privatize(m) for m in models]
 
@@ -161,27 +151,13 @@ def run_session(
             global_weights = result.average
             comm_bits = result.bits_sent
         elif config.aggregator == "one-layer-sac":
-            result = sac_average(models, rng, bits_per_param=config.bits_per_param)
+            result = sac_average(models, rng)
             global_weights = result.average
             comm_bits = result.bits_sent
-        else:  # plain fedavg, with optional client sampling (Sec. III-A)
-            if config.client_fraction < 1.0:
-                count = max(1, int(round(len(peers) * config.client_fraction)))
-                chosen = sorted(
-                    rng.choice(len(peers), size=count, replace=False).tolist()
-                )
-            else:
-                chosen = list(range(len(peers)))
-            global_weights = fedavg(
-                [models[i] for i in chosen],
-                weights=[peers[i].n_samples for i in chosen],
-            )
-            # Selected clients upload; everyone receives the broadcast.
-            comm_bits = (
-                (len(chosen) + len(peers) - 2)
-                * models[0].size
-                * config.bits_per_param
-            )
+        else:  # plain fedavg
+            global_weights = fedavg(models, weights=[p.n_samples for p in peers])
+            # Every client uploads; everyone receives the broadcast.
+            comm_bits = 2 * (len(peers) - 1) * models[0].size * DEFAULT_BITS_PER_PARAM
 
         if on_weights is not None:
             on_weights(rnd, global_weights)
@@ -229,7 +205,6 @@ def build_peers(
 def local_updates(
     peers: Sequence[FLPeer],
     global_weights: np.ndarray,
-    epochs: int,
     down: Collection[int] = (),
 ) -> tuple[list[float], list[np.ndarray]]:
     """One local-update pass: ``(train losses, every peer's weights)``.
@@ -242,7 +217,7 @@ def local_updates(
         if peer.peer_id in down:
             continue
         peer.set_weights(global_weights)
-        train_losses.append(peer.local_update(epochs=epochs))
+        train_losses.append(peer.local_update())
     return train_losses, [peer.get_weights() for peer in peers]
 
 

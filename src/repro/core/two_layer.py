@@ -57,15 +57,12 @@ class TwoLayerAggregator:
         Reconstruction threshold for fault-tolerant SAC.  ``None`` runs
         plain n-out-of-n SAC in each subgroup (a subgroup with any dropout
         then aborts and is excluded from the round, like a slow subgroup).
-    bits_per_param:
-        Wire width per weight scalar, for cost accounting.
     """
 
     def __init__(
         self,
         topology: Topology,
         k: int | None = None,
-        bits_per_param: int = DEFAULT_BITS_PER_PARAM,
     ) -> None:
         if k is not None:
             smallest = min(topology.group_sizes)
@@ -76,7 +73,6 @@ class TwoLayerAggregator:
                 )
         self.topology = topology
         self.k = k
-        self.bits_per_param = bits_per_param
 
     @staticmethod
     def _group_failed(group: int, reason: str) -> None:
@@ -190,12 +186,11 @@ class TwoLayerAggregator:
                     res = fault_tolerant_sac(
                         [models[p] for p in members], k_eff, rng,
                         leader=leader_pos, crashed=crashed_pos,
-                        bits_per_param=self.bits_per_param,
                     )
                 except SacReconstructionError:
                     # The subgroup misses this round; the share-exchange phase
                     # had already been paid before the failure was detected.
-                    w_bits_wasted = models[0].size * self.bits_per_param
+                    w_bits_wasted = models[0].size * DEFAULT_BITS_PER_PARAM
                     bits += n * (n - 1) * (n - k_eff + 1) * w_bits_wasted
                     messages += n * (n - 1)
                     self._group_failed(gi, "reconstruction")
@@ -216,7 +211,7 @@ class TwoLayerAggregator:
         # (m'-1 transfers to the FedAvg leader) and receive the broadcast
         # back (m'-1): 2 (m' - 1) |w|.
         average = fedavg(subgroup_means, weights=subgroup_weights)
-        w_bits = models[0].size * self.bits_per_param
+        w_bits = models[0].size * DEFAULT_BITS_PER_PARAM
         m_eff = len(subgroup_means)
         bits += 2 * (m_eff - 1) * w_bits
         messages += 2 * (m_eff - 1)

@@ -26,6 +26,7 @@ import numpy as np
 from ..fl.fedavg import fedavg
 from ..obs import runtime as _obs
 from ..secure.protocol import (
+    SUBTOTAL_TIMEOUT_MS,
     ActorRound,
     ActorRoundResult,
     SacProtocolPeer,
@@ -39,6 +40,7 @@ from ..secure.sac import (
     spawn_peer_seeds,
 )
 from ..simnet import UNRECOVERABLE_DROPOUT, Network, RoundOutcome
+from ..simnet.network import DEFAULT_DELAY_MS
 from .topology import Topology
 from .xlayer_wire import sequential_only
 
@@ -209,16 +211,12 @@ def run_two_layer_wire_round(
     topology: Topology,
     models: Sequence[np.ndarray],
     k: int | None = None,
-    delay_ms: float = 15.0,
     seed: int = 0,
     bandwidth_bps: float | None = None,
     serialize_uplink: bool = False,
-    subtotal_timeout_ms: float = 100.0,
     round_timeout_ms: float = 60_000.0,
     share_codec: str = "dense",
     parallel: str = "off",
-    crash_at: dict[int, float] | None = None,
-    loss_rate: float = 0.0,
     transport: str = "fire_and_forget",
     transport_opts: dict | None = None,
     schedule: "FaultSchedule | None" = None,
@@ -230,10 +228,10 @@ def run_two_layer_wire_round(
     complete when every peer that does not crash has received the global
     model.  ``share_codec="seed"`` compresses the intra-subgroup share
     exchange to PRG seeds (see :mod:`repro.secure.seedshare`); the FedAvg
-    layer (uploads and broadcasts) always ships full vectors.
-
-    ``crash_at`` maps (non-leader) peer ids to crash times in virtual ms
-    — the Alg. 4 dropout scenario on the wire.
+    layer (uploads and broadcasts) always ships full vectors.  Every link
+    delays a message by :data:`~repro.simnet.network.DEFAULT_DELAY_MS`,
+    and a follower's subtotal is awaited for
+    :data:`~repro.secure.protocol.SUBTOTAL_TIMEOUT_MS`.
 
     The ``m`` subgroup SAC rounds run concurrently in virtual time,
     all in this round's one simulator; a degraded subgroup surfaces at
@@ -241,9 +239,11 @@ def run_two_layer_wire_round(
     ``parallel`` accepts only ``"off"`` (see
     :func:`~repro.core.xlayer_wire.sequential_only`).
 
-    ``loss_rate``/``transport``/``transport_opts``/``schedule`` mirror
-    :func:`repro.secure.protocol.run_sac_protocol`: random loss, the
-    ACK/retransmit channel, and armed chaos schedules.
+    ``transport``/``transport_opts``/``schedule`` mirror
+    :func:`repro.secure.protocol.run_sac_protocol`: the ACK/retransmit
+    channel and armed chaos schedules (crashes and loss come as
+    :class:`repro.chaos.Crash` and :class:`repro.chaos.LossWindow`
+    events).
     """
     if len(models) != topology.n_peers:
         raise ValueError(f"expected {topology.n_peers} models")
@@ -251,8 +251,8 @@ def run_two_layer_wire_round(
     if trace_id is None:
         trace_id = f"two_layer:s{seed}"
     rnd = ActorRound(
-        models, range(topology.n_peers), topology.leaders, crash_at, schedule,
-        seed, delay_ms, trace_id, loss_rate=loss_rate,
+        models, range(topology.n_peers), topology.leaders, None, schedule,
+        seed, DEFAULT_DELAY_MS, trace_id,
         bandwidth_bps=bandwidth_bps, serialize_uplink=serialize_uplink,
         transport=transport, transport_opts=transport_opts,
     )
@@ -271,7 +271,7 @@ def run_two_layer_wire_round(
         groups.append([
             _TwoLayerPeer(
                 pid, sim, network, members, k_eff, leader, models[pid],
-                np.random.default_rng(next(peer_seeds)), subtotal_timeout_ms,
+                np.random.default_rng(next(peer_seeds)), SUBTOTAL_TIMEOUT_MS,
                 share_codec=share_codec, group=gi, round_ctx=ctx,
             )
             for pid in members
@@ -314,7 +314,7 @@ def run_two_layer_wire_round(
                 groups, leader_peers, network
             ),
             stalled=stalled,
-            period_ms=subtotal_timeout_ms,
+            period_ms=SUBTOTAL_TIMEOUT_MS,
             round_timeout_ms=round_timeout_ms,
         )
     if _obs.OBS.enabled:

@@ -25,8 +25,8 @@ axis innermost:
   groups, not over the ``n`` members of one group;
 - the wire traffic of a layer is a handful of
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
-  (``xl.share``, ``xl.subtotal`` / ``xl.upload``, then a top-down
-  ``xl.bcast``), each one heap entry regardless of group count.
+  (``xl.share``, ``xl.subtotal``, then a top-down ``xl.bcast``), each
+  one heap entry regardless of group count.
 
 Peers are modelled by their ids alone (accounting waves, no actor
 objects), which is what makes 10^5-10^6 simulated peers tractable.
@@ -39,7 +39,7 @@ times, trace totals and the final average bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +51,7 @@ from ..simnet import Network, Simulator
 from ..simnet.network import DEFAULT_DELAY_MS, LatencyModel
 from ..simnet.outcome import OUTCOME_COMPLETED, TIMED_OUT, RoundOutcome
 from ..simnet.reliable import check_transport
-from .multi_layer import MultiLayerTopology, _add_in_order
-
-#: message kinds an X-layer round puts on the wire.
-XLAYER_KINDS = ("xl.share", "xl.subtotal", "xl.upload", "xl.bcast")
+from .multi_layer import MultiLayerTopology
 
 
 def wave_engine_only(requested: str) -> None:
@@ -80,7 +77,6 @@ class XLayerLayerStats:
     """Wire activity of one layer's aggregation step."""
 
     layer: int
-    method: str
     groups: int
     start_ms: float  #: earliest group start (all member inputs ready)
     done_ms: float  #: latest leader-ready time
@@ -150,8 +146,6 @@ def run_xlayer_wire_round(
     topology: MultiLayerTopology,
     models: np.ndarray | Sequence[np.ndarray],
     seed: int = 0,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    method_for_layer: Callable[[int], str] | None = None,
     latency: LatencyModel | None = None,
     engine: str = "wave",
     parallel: str = "off",
@@ -168,14 +162,13 @@ def run_xlayer_wire_round(
     :func:`~repro.core.multi_layer.multi_layer_aggregate` — with the
     same ``seed`` the returned ``average`` is identical.
 
-    Per layer (bottom-up), a SAC group of size ``n`` ships
-    ``n (n-1)`` shares and ``n-1`` subtotals of ``|w|`` bits; a FedAvg
-    group ships ``n-1`` uploads; distribution of the final model adds
-    one ``|w|`` message per non-root peer.  Totals equal
-    :func:`repro.core.costs.multi_layer_cost_bits` (all-SAC) or
-    :func:`~repro.core.costs.multi_layer_message_count` ``* |w|`` bit for bit
-    (under ``transport="reliable"`` retransmitted frames and ACKs add
-    honestly accounted overhead on top).
+    Per layer (bottom-up), every SAC group of size ``n`` ships
+    ``n (n-1)`` shares and ``n-1`` subtotals of ``|w|`` bits;
+    distribution of the final model adds one ``|w|`` message per
+    non-root peer.  Totals equal
+    :func:`repro.core.costs.multi_layer_cost_bits` bit for bit (under
+    ``transport="reliable"`` retransmitted frames and ACKs add honestly
+    accounted overhead on top).
 
     ``loss_rate`` drops each physical frame i.i.d.; it requires
     ``transport="reliable"`` (stop-and-wait ACK/retransmit, vectorized
@@ -190,8 +183,6 @@ def run_xlayer_wire_round(
     wave_engine_only(engine)
     sequential_only(parallel)
     check_transport(transport)
-    if method_for_layer is None:
-        method_for_layer = lambda layer: "sac"
     n = topology.n
     n_peers = topology.n_peers
     check_same_shape(models)
@@ -201,7 +192,7 @@ def run_xlayer_wire_round(
             f"expected {n_peers} model rows, got shape {rows.shape}"
         )
     d = rows.shape[1]
-    w_bits = float(d * bits_per_param)
+    w_bits = float(d * DEFAULT_BITS_PER_PARAM)
     share_rng = np.random.default_rng(seed)
     net_rng = np.random.default_rng([seed, 1])
     sim = Simulator()
@@ -240,9 +231,6 @@ def run_xlayer_wire_round(
         # leaders (all members of the bottom layer) read their own rows.
         carry = None
         for layer in range(topology.depth, 0, -1):
-            method = method_for_layer(layer)
-            if method not in ("sac", "fedavg"):
-                raise ValueError(f"unknown aggregation method {method!r}")
             members = topology.member_matrix(layer)  # (G, n)
             g = members.shape[0]
             leaders = members[:, 0]
@@ -263,48 +251,36 @@ def run_xlayer_wire_round(
                 for c in range(k):
                     np.add(gcnt, ccnt[:, c], out=gcnt)
                     np.maximum(start, cdone[:, c], out=start)
-            if method == "sac":
-                rn, totals = draw_divide_noise(g * n, n, share_rng)
-                gsum = layer_group_sums(vals, rn, totals)
-                # Shares: every ordered pair within each group, all
-                # departing when the group's last input is ready.
-                share_wave = net.send_batch(
-                    members.take(pair_i, axis=1).reshape(-1),
-                    members.take(pair_j, axis=1).reshape(-1),
-                    size_bits=w_bits, kind="xl.share",
-                    at_times=np.repeat(start, n * (n - 1)),
-                )
-                arrivals = _landed(share_wave.delivery_times).reshape(
-                    g, n * (n - 1)
-                )
-                # bundle[j, g]: member j holds all its shares (its own
-                # needs no wire hop, so only incoming arrivals count).
-                bundle = np.tile(start, (n, 1))
-                for p, j in enumerate(pair_j):
-                    np.maximum(bundle[j], arrivals[:, p], out=bundle[j])
-                sub_wave = net.send_batch(
-                    members[:, 1:].reshape(-1),
-                    np.repeat(leaders, n - 1),
-                    size_bits=w_bits, kind="xl.subtotal",
-                    at_times=bundle[1:].T.reshape(-1),
-                )
-                done = _latest(bundle[0], sub_wave, g, n)
-                bits = g * (n * n - 1) * w_bits
-                msgs = g * (n * n - 1)
-            else:
-                gsum = _add_in_order(vals.swapaxes(0, 1))
-                up_wave = net.send_batch(
-                    members[:, 1:].reshape(-1),
-                    np.repeat(leaders, n - 1),
-                    size_bits=w_bits, kind="xl.upload",
-                    at_times=np.repeat(start, n - 1),
-                )
-                done = _latest(start, up_wave, g, n)
-                bits = g * (n - 1) * w_bits
-                msgs = g * (n - 1)
+            rn, totals = draw_divide_noise(g * n, n, share_rng)
+            gsum = layer_group_sums(vals, rn, totals)
+            # Shares: every ordered pair within each group, all
+            # departing when the group's last input is ready.
+            share_wave = net.send_batch(
+                members.take(pair_i, axis=1).reshape(-1),
+                members.take(pair_j, axis=1).reshape(-1),
+                size_bits=w_bits, kind="xl.share",
+                at_times=np.repeat(start, n * (n - 1)),
+            )
+            arrivals = _landed(share_wave.delivery_times).reshape(
+                g, n * (n - 1)
+            )
+            # bundle[j, g]: member j holds all its shares (its own
+            # needs no wire hop, so only incoming arrivals count).
+            bundle = np.tile(start, (n, 1))
+            for p, j in enumerate(pair_j):
+                np.maximum(bundle[j], arrivals[:, p], out=bundle[j])
+            sub_wave = net.send_batch(
+                members[:, 1:].reshape(-1),
+                np.repeat(leaders, n - 1),
+                size_bits=w_bits, kind="xl.subtotal",
+                at_times=bundle[1:].T.reshape(-1),
+            )
+            done = _latest(bundle[0], sub_wave, g, n)
+            bits = g * (n * n - 1) * w_bits
+            msgs = g * (n * n - 1)
             carry = gsum, gcnt, done
             layer_stats.append(XLayerLayerStats(
-                layer=layer, method=method, groups=g,
+                layer=layer, groups=g,
                 start_ms=float(start.min()), done_ms=float(done.max()),
                 bits=bits, messages=msgs,
             ))

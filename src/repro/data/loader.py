@@ -12,7 +12,6 @@ def batches(
     y: np.ndarray,
     batch_size: int,
     rng: np.random.Generator | None = None,
-    drop_last: bool = False,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(x_batch, y_batch)`` minibatches.
 
@@ -28,8 +27,5 @@ def batches(
         perm = rng.permutation(n)
         x = x[perm]
         y = y[perm]
-    end = n - (n % batch_size) if drop_last else n
-    for start in range(0, end, batch_size):
-        stop = min(start + batch_size, end)
-        if stop > start:
-            yield x[start:stop], y[start:stop]
+    for start in range(0, n, batch_size):
+        yield x[start:start + batch_size], y[start:start + batch_size]

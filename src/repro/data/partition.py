@@ -35,13 +35,12 @@ def partition_noniid(
     labels: np.ndarray,
     n_peers: int,
     rng: np.random.Generator,
-    n_main_classes: int = 2,
     minor_fraction: float = 0.05,
 ) -> list[np.ndarray]:
     """The paper's non-IID split.
 
     Each peer gets ``floor(n / n_peers)`` samples: ``1 - minor_fraction``
-    of them from ``n_main_classes`` randomly selected classes and the rest
+    of them from two randomly selected classes and the rest
     from the remaining classes.  ``minor_fraction=0.05`` reproduces
     "Non-IID data (5%)"; ``0.0`` reproduces "Non-IID data (0%)".
     """
@@ -50,10 +49,8 @@ def partition_noniid(
     if not 0.0 <= minor_fraction <= 1.0:
         raise ValueError("minor_fraction must be in [0, 1]")
     classes = np.unique(labels)
-    if n_main_classes < 1 or n_main_classes > classes.size:
-        raise ValueError(
-            f"n_main_classes must be in [1, {classes.size}], got {n_main_classes}"
-        )
+    if classes.size < 2:
+        raise ValueError(f"the non-IID split needs 2 classes, got {classes.size}")
     n = labels.shape[0]
     per_peer = n // n_peers
     if per_peer < 1:
@@ -81,7 +78,7 @@ def partition_noniid(
 
     shards: list[np.ndarray] = []
     for _ in range(n_peers):
-        main = rng.choice(classes, size=n_main_classes, replace=False)
+        main = rng.choice(classes, size=2, replace=False)
         rest = np.setdiff1d(classes, main)
         n_minor = int(round(per_peer * minor_fraction))
         if rest.size == 0:
@@ -131,7 +128,6 @@ def partition_dirichlet(
     n_peers: int,
     rng: np.random.Generator,
     alpha: float = 0.5,
-    min_samples: int = 1,
     max_retries: int = 50,
 ) -> list[np.ndarray]:
     """Dirichlet label-skew partition (the FL literature's standard knob).
@@ -140,13 +136,13 @@ def partition_dirichlet(
     ``Dirichlet(alpha)``: ``alpha -> inf`` approaches IID; small alpha
     concentrates each class on few peers — a continuous version of the
     paper's two-main-classes construction.  Redraws until every peer has
-    at least ``min_samples``.
+    at least one sample.
     """
     if n_peers < 1:
         raise ValueError("need at least one peer")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if labels.shape[0] < n_peers * min_samples:
+    if labels.shape[0] < n_peers:
         raise ValueError("not enough samples for the requested peers")
     classes = np.unique(labels)
     for _ in range(max_retries):
@@ -161,11 +157,10 @@ def partition_dirichlet(
             for peer, count in enumerate(counts):
                 shards[peer].extend(members[start : start + count].tolist())
                 start += count
-        if all(len(s) >= min_samples for s in shards):
+        if all(shards):
             return [np.sort(np.asarray(s, dtype=np.intp)) for s in shards]
     raise RuntimeError(
-        f"could not satisfy min_samples={min_samples} in {max_retries} draws; "
-        "increase alpha or lower min_samples"
+        f"a peer drew no samples in each of {max_retries} draws; increase alpha"
     )
 
 

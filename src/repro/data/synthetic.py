@@ -59,11 +59,10 @@ class Dataset:
         )
 
 
-def _smooth_template(
-    shape: tuple[int, ...], rng: np.random.Generator, smoothness: int = 4
-) -> np.ndarray:
-    """A low-frequency random image: coarse noise upsampled bilinearly."""
+def _smooth_template(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A low-frequency random image: 4x4 coarse noise upsampled bilinearly."""
     c, h, w = shape
+    smoothness = 4
     coarse = rng.normal(size=(c, smoothness, smoothness))
     # Bilinear upsample via separable linear interpolation.
     ys = np.linspace(0, smoothness - 1, h)
@@ -108,11 +107,10 @@ def synthetic_cifar10(
     n_train: int = 5000,
     n_test: int = 1000,
     rng: np.random.Generator | None = None,
-    noise: float = 1.0,
 ) -> Dataset:
-    """Synthetic stand-in for CIFAR-10: 32x32 RGB, 10 classes."""
+    """Synthetic stand-in for CIFAR-10: 32x32 RGB, 10 classes, unit noise."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    return _image_dataset((3, 32, 32), n_train, n_test, rng, noise, 10, "synthetic-cifar10")
+    return _image_dataset((3, 32, 32), n_train, n_test, rng, 1.0, 10, "synthetic-cifar10")
 
 
 def synthetic_blobs(

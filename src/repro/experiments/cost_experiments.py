@@ -28,15 +28,14 @@ class CostPoint:
     gigabits: float
 
 
-def run_fig13(
-    n_total: int = 30, w_params: int = PAPER_CNN_PARAMS
-) -> list[CostPoint]:
+def run_fig13() -> list[CostPoint]:
     """Fig. 13: total cost per aggregation vs. number of subgroups m.
 
     N = 30 peers; N/m per subgroup with the remainder spread (the
     caption's 8/8/7/7 example at m=4).  m=1 degenerates to one-layer
     SAC-with-leader-collection; m=N to plain FedAvg.
     """
+    n_total, w_params = 30, PAPER_CNN_PARAMS
     points = []
     for m in range(1, n_total + 1):
         if m == 1:
@@ -61,38 +60,34 @@ FIG14_SETTINGS: dict[str, tuple[int, int] | None] = {
 }
 
 
-def run_fig14(
-    n_totals: tuple[int, ...] = (10, 20, 30, 40, 50),
-    w_params: int = PAPER_CNN_PARAMS,
-) -> dict[str, list[CostPoint]]:
-    """Fig. 14: cost vs. N for k-out-of-n settings and the SAC baseline."""
+def run_fig14() -> dict[str, list[CostPoint]]:
+    """Fig. 14: cost vs. N = 10..50 for k-out-of-n settings and the SAC
+    baseline."""
     series: dict[str, list[CostPoint]] = {}
     for label, setting in FIG14_SETTINGS.items():
         points = []
-        for n_total in n_totals:
+        for n_total in (10, 20, 30, 40, 50):
             if setting is None:
-                bits = one_layer_sac_cost_bits(n_total, w_params)
+                bits = one_layer_sac_cost_bits(n_total, PAPER_CNN_PARAMS)
             else:
                 n, k = setting
                 m = n_total // n
-                bits = two_layer_ft_cost_bits(n_total, m, n, k, w_params)
+                bits = two_layer_ft_cost_bits(n_total, m, n, k, PAPER_CNN_PARAMS)
             points.append(CostPoint(label=label, x=n_total, gigabits=bits / 1e9))
         series[label] = points
     return series
 
 
-def run_multilayer_table(
-    n: int = 3, depths: tuple[int, ...] = (1, 2, 3, 4, 5),
-    w_params: int = PAPER_CNN_PARAMS,
-) -> list[CostPoint]:
-    """Sec. VII-C: X-layer cost (N-1)(n+2)|w| as depth grows."""
+def run_multilayer_table() -> list[CostPoint]:
+    """Sec. VII-C: X-layer cost (N-1)(n+2)|w| for n = 3 as depth grows
+    from 1 to 5."""
     return [
         CostPoint(
-            label=f"X={depth} (N={multi_layer_total_peers(n, depth)})",
+            label=f"X={depth} (N={multi_layer_total_peers(3, depth)})",
             x=depth,
-            gigabits=multi_layer_cost_bits(n, depth, w_params) / 1e9,
+            gigabits=multi_layer_cost_bits(3, depth, PAPER_CNN_PARAMS) / 1e9,
         )
-        for depth in depths
+        for depth in range(1, 6)
     ]
 
 

@@ -14,7 +14,7 @@ def _open(path: str):
     return open(path, "w", newline="")
 
 
-def write_fl_runs(runs: list[FlRun], path: str, ma_window: int = 10) -> str:
+def write_fl_runs(runs: list[FlRun], path: str) -> str:
     """Per-round accuracy/loss curves, one row per (run, round)."""
     with _open(path) as fh:
         writer = csv.writer(fh)
@@ -24,8 +24,8 @@ def write_fl_runs(runs: list[FlRun], path: str, ma_window: int = 10) -> str:
         )
         for run in runs:
             hist = run.history
-            acc_ma = hist.accuracy_ma(ma_window)
-            loss_ma = hist.train_loss_ma(ma_window)
+            acc_ma = hist.accuracy_ma()
+            loss_ma = hist.train_loss_ma()
             for i, metrics in enumerate(hist.rounds):
                 writer.writerow(
                     [run.label, run.distribution, metrics.round,

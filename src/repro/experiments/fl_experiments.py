@@ -108,7 +108,6 @@ def run_fig8_fig9(
     n_peers: int | None = None,
     rounds: int | None = None,
     group_size: int = 5,
-    fractions: tuple[float, ...] = (0.5, 1.0),
     distributions: tuple[str, ...] = DISTRIBUTIONS,
     dataset: str = "blobs",
     seed: int = 0,
@@ -123,7 +122,7 @@ def run_fig8_fig9(
     group_size = min(group_size, n_peers)
     runs: list[FlRun] = []
     for dist in distributions:
-        for p in fractions:
+        for p in (0.5, 1.0):
             cfg = SessionConfig(
                 n_peers=n_peers, rounds=rounds, aggregator="two-layer",
                 group_size=group_size, fraction=p, distribution=dist,

@@ -59,31 +59,26 @@ def _stats(values: list[float], base: float, paper: float | None) -> RecoverySta
 def run_fig10(
     trials: int | None = None,
     timeout_bases: tuple[float, ...] = PAPER_TIMEOUT_BASES,
-    seed0: int = 0,
 ) -> list[RecoveryStats]:
     """Fig. 10: time to detect a crashed subgroup leader and elect anew."""
     trials = trials if trials is not None else _env_int("REPRO_TRIALS", 25)
     out = []
     for base in timeout_bases:
         res = run_trials(
-            subgroup_leader_recovery_trial, trials, timeout_base_ms=base, seed0=seed0
+            subgroup_leader_recovery_trial, trials, timeout_base_ms=base
         )
         values = [r.sub_elect_ms for r in res if r.sub_elect_ms is not None]
         out.append(_stats(values, base, PAPER_FIG10_MEANS.get(base)))
     return out
 
 
-def run_fig11(
-    trials: int | None = None,
-    timeout_bases: tuple[float, ...] = PAPER_TIMEOUT_BASES,
-    seed0: int = 0,
-) -> list[RecoveryStats]:
+def run_fig11(trials: int | None = None) -> list[RecoveryStats]:
     """Fig. 11: Fig. 10 plus joining the FedAvg group."""
     trials = trials if trials is not None else _env_int("REPRO_TRIALS", 25)
     out = []
-    for base in timeout_bases:
+    for base in PAPER_TIMEOUT_BASES:
         res = run_trials(
-            subgroup_leader_recovery_trial, trials, timeout_base_ms=base, seed0=seed0
+            subgroup_leader_recovery_trial, trials, timeout_base_ms=base
         )
         values = [r.join_fedavg_ms for r in res if r.join_fedavg_ms is not None]
         paper = None
@@ -93,17 +88,13 @@ def run_fig11(
     return out
 
 
-def run_fig12(
-    trials: int | None = None,
-    timeout_bases: tuple[float, ...] = PAPER_TIMEOUT_BASES,
-    seed0: int = 0,
-) -> list[RecoveryStats]:
+def run_fig12(trials: int | None = None) -> list[RecoveryStats]:
     """Fig. 12: full recovery from a crashed FedAvg leader."""
     trials = trials if trials is not None else _env_int("REPRO_TRIALS", 25)
     out = []
-    for base in timeout_bases:
+    for base in PAPER_TIMEOUT_BASES:
         res = run_trials(
-            fedavg_leader_recovery_trial, trials, timeout_base_ms=base, seed0=seed0
+            fedavg_leader_recovery_trial, trials, timeout_base_ms=base
         )
         values = [
             r.full_recovery_ms for r in res if r.full_recovery_ms is not None

@@ -3,14 +3,12 @@
 A small, general tool for the questions the paper's figures answer one
 at a time: "what happens to accuracy/traffic as (n, k, p, distribution,
 ...) vary?"  Builds the cartesian product of the supplied axes, runs one
-session per point, and returns tidy rows (optionally written to CSV).
+session per point, and returns tidy rows.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
@@ -71,37 +69,3 @@ def sweep_sessions(
             )
         )
     return points
-
-
-def write_sweep_csv(points: list[SweepPoint], path: str) -> str:
-    """Tidy CSV: one column per swept parameter plus the result columns."""
-    if not points:
-        raise ValueError("no sweep points to write")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    param_names = sorted({k for p in points for k in p.params})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            param_names
-            + ["final_accuracy", "final_train_loss", "total_comm_bits", "rounds"]
-        )
-        for p in points:
-            writer.writerow(
-                [p.params.get(k, "") for k in param_names]
-                + [
-                    f"{p.final_accuracy:.6f}",
-                    f"{p.final_train_loss:.6f}",
-                    f"{p.total_comm_bits:.0f}",
-                    p.rounds,
-                ]
-            )
-    return path
-
-
-def best_point(
-    points: list[SweepPoint], key: str = "final_accuracy", maximize: bool = True
-) -> SweepPoint:
-    """The sweep point optimizing ``key``."""
-    if not points:
-        raise ValueError("no sweep points")
-    return (max if maximize else min)(points, key=lambda p: getattr(p, key))

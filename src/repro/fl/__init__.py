@@ -3,13 +3,7 @@
 from .central import CentralConfig, CentralServer, run_central_session
 from .fedavg import fedavg
 from .gossip import GossipConfig, run_gossip_session
-from .metrics import (
-    MetricsHistory,
-    RoundMetrics,
-    confusion_matrix,
-    moving_average,
-    per_class_accuracy,
-)
+from .metrics import MetricsHistory, RoundMetrics, moving_average
 from .peer import FLPeer
 from .privacy import GaussianMechanism, PrivacyAccountant, clip_to_norm
 
@@ -19,8 +13,6 @@ __all__ = [
     "moving_average",
     "RoundMetrics",
     "MetricsHistory",
-    "confusion_matrix",
-    "per_class_accuracy",
     "GaussianMechanism",
     "PrivacyAccountant",
     "clip_to_norm",

@@ -34,11 +34,7 @@ class CentralConfig:
 
     n_clients: int = 10
     rounds: int = 50
-    distribution: str = "iid"
-    epochs: int = 1
-    batch_size: int = 50
     lr: float = 1e-4
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM
     seed: int = 0
     #: round at which the aggregation server crashes (None = never)
     server_crash_round: int | None = None
@@ -79,7 +75,7 @@ def run_central_session(
     no new global model and stop uploading after the failed attempt).
     """
     rng = np.random.default_rng(config.seed)
-    shards = peer_datasets(dataset, config.n_clients, config.distribution, rng)
+    shards = peer_datasets(dataset, config.n_clients, "iid", rng)
     clients = [
         FLPeer(
             pid,
@@ -88,14 +84,13 @@ def run_central_session(
             y,
             np.random.default_rng(rng.integers(2**63)),
             lr=config.lr,
-            batch_size=config.batch_size,
         )
         for pid, (x, y) in enumerate(shards)
     ]
     eval_model = model_factory(rng)
     server = CentralServer(get_flat_params(clients[0].model))
 
-    w_bits = clients[0].model.n_params * config.bits_per_param
+    w_bits = clients[0].model.n_params * DEFAULT_BITS_PER_PARAM
     history = MetricsHistory()
     for rnd in range(config.rounds):
         if config.server_crash_round is not None and rnd == config.server_crash_round:
@@ -104,7 +99,7 @@ def run_central_session(
         train_losses = []
         for client in clients:
             client.set_weights(server.global_weights)
-            train_losses.append(client.local_update(epochs=config.epochs))
+            train_losses.append(client.local_update())
 
         models = [client.get_weights() for client in clients]
         result = server.aggregate(

@@ -17,7 +17,6 @@ from ..secure.batched import _FUSED_BLOCK, _split_blocks
 def fedavg(
     models: Sequence[np.ndarray],
     weights: Sequence[float] | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted average of flat model vectors.
 
@@ -28,16 +27,13 @@ def fedavg(
     weights:
         Non-negative aggregation weights (sample counts ``n_k`` or
         subgroup sizes).  Defaults to uniform.
-    out:
-        Optional preallocated output buffer (in-place accumulation; no
-        ``(len(models), |w|)`` temporary is created).  It must not share
-        memory with any model.
 
     Accumulates in cache-sized blocks along the first axis, each span of
     blocks (:func:`~repro.secure.batched._split_blocks`) through its own
     scratch buffer: every element sees the products and adds of
     ``out += model * (w_k / total)`` taken over the models in order — the
-    same bits — without a ``|w|``-sized product per model.
+    same bits — without a ``(len(models), |w|)`` temporary or a
+    ``|w|``-sized product per model.
     """
     if len(models) == 0:
         raise ValueError("need at least one model")
@@ -61,14 +57,7 @@ def fedavg(
             raise ValueError(
                 f"model shape mismatch: {model.shape} vs {first.shape}"
             )
-    if out is None:
-        out = np.empty_like(first)
-    else:
-        if out.shape != first.shape:
-            raise ValueError(f"out must have shape {first.shape}")
-        if any(np.shares_memory(out, model) for model in models):
-            # The blocks zero ``out`` before they read the models.
-            raise ValueError("out must not share memory with a model")
+    out = np.empty_like(first)
     # Blocks run along the first axis (a 0-d "model" is lent one).
     outs = out if out.ndim else out[None]
     srcs = [model if model.ndim else model[None] for model in models]

@@ -28,6 +28,9 @@ from ..secure.sac import DEFAULT_BITS_PER_PARAM
 from .metrics import MetricsHistory, RoundMetrics
 from .peer import FLPeer
 
+#: peers whose accuracy is sampled for evaluation each round
+EVAL_PEERS = 5
+
 
 @dataclass(frozen=True)
 class GossipConfig:
@@ -38,14 +41,8 @@ class GossipConfig:
     #: random partners contacted by each peer per round
     fanout: int = 1
     distribution: str = "iid"
-    epochs: int = 1
-    batch_size: int = 50
     lr: float = 1e-4
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM
     seed: int = 0
-    #: peers whose accuracy is sampled for evaluation (all if None; a
-    #: subsample keeps large runs fast)
-    eval_peers: int | None = 5
 
     def __post_init__(self) -> None:
         if self.n_peers < 2:
@@ -76,7 +73,6 @@ def run_gossip_session(
             y,
             np.random.default_rng(rng.integers(2**63)),
             lr=config.lr,
-            batch_size=config.batch_size,
         )
         for pid, (x, y) in enumerate(shards)
     ]
@@ -85,16 +81,13 @@ def run_gossip_session(
     for peer in peers[1:]:
         peer.set_weights(init)
 
-    n_eval = (
-        config.n_peers
-        if config.eval_peers is None
-        else min(config.eval_peers, config.n_peers)
-    )
-    w_bits = peers[0].model.n_params * config.bits_per_param
+    # A sample of EVAL_PEERS keeps large runs fast.
+    n_eval = min(EVAL_PEERS, config.n_peers)
+    w_bits = peers[0].model.n_params * DEFAULT_BITS_PER_PARAM
 
     history = MetricsHistory()
     for rnd in range(config.rounds):
-        train_losses = [peer.local_update(epochs=config.epochs) for peer in peers]
+        train_losses = [peer.local_update() for peer in peers]
 
         # Push-pull gossip: each peer averages with `fanout` partners.
         weights = [peer.get_weights().copy() for peer in peers]

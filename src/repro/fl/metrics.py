@@ -26,41 +26,6 @@ def moving_average(values: np.ndarray | list[float], window: int) -> np.ndarray:
     return (csum[idx] - csum[lo]) / (idx - lo)
 
 
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """``C[i, j]`` = samples of true class ``i`` predicted as ``j``."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions / labels shape mismatch")
-    if n_classes < 1:
-        raise ValueError("n_classes must be >= 1")
-    bad = (labels < 0) | (labels >= n_classes) | (predictions < 0) | (
-        predictions >= n_classes
-    )
-    if bad.any():
-        raise ValueError("class ids out of range")
-    out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(out, (labels, predictions), 1)
-    return out
-
-
-def per_class_accuracy(
-    predictions: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Recall per class (NaN for classes absent from ``labels``).
-
-    The natural lens on the non-IID experiments: under non-IID(0%) the
-    global model's per-class accuracies are far more uneven than the
-    top-line number suggests.
-    """
-    cm = confusion_matrix(predictions, labels, n_classes)
-    totals = cm.sum(axis=1).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, np.diag(cm) / totals, np.nan)
-
-
 @dataclass(frozen=True)
 class RoundMetrics:
     """Metrics of one communication round."""
@@ -76,7 +41,7 @@ class RoundMetrics:
 class MetricsHistory:
     """Accumulates per-round metrics; exposes arrays for analysis/plots."""
 
-    rounds: list[RoundMetrics] = field(default_factory=list)
+    rounds: list[RoundMetrics] = field(default_factory=list, init=False)
 
     def append(self, metrics: RoundMetrics) -> None:
         self.rounds.append(metrics)
@@ -100,8 +65,9 @@ class MetricsHistory:
     def comm_bits(self) -> np.ndarray:
         return np.array([r.comm_bits for r in self.rounds])
 
-    def accuracy_ma(self, window: int = 10) -> np.ndarray:
-        return moving_average(self.accuracy, window)
+    def accuracy_ma(self) -> np.ndarray:
+        """The Fig. 6 curve: accuracy over a 10-round moving window."""
+        return moving_average(self.accuracy, 10)
 
     def train_loss_ma(self, window: int = 10) -> np.ndarray:
         return moving_average(self.train_loss, window)

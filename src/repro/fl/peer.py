@@ -1,8 +1,8 @@
 """An FL peer: a model, an optimizer, and a private data shard.
 
 Each round the peer (1) overwrites its model with the received global
-weights, (2) trains locally for ``epochs`` epochs with Adam (paper: 1
-epoch, batch size 50, lr 1e-4), and (3) exposes its updated flat weight
+weights, (2) trains locally for one epoch with Adam (paper: batch size
+50, lr 1e-4), and (3) exposes its updated flat weight
 vector to the aggregation protocol.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data.loader import batches
 from ..nn.model import Sequential
-from ..nn.optim import Adam, Optimizer
+from ..nn.optim import Adam
 from ..nn.serialize import get_flat_params, set_flat_params
 
 
@@ -28,7 +28,6 @@ class FLPeer:
         rng: np.random.Generator,
         lr: float = 1e-4,
         batch_size: int = 50,
-        optimizer: Optimizer | None = None,
     ) -> None:
         if x.shape[0] != y.shape[0]:
             raise ValueError("x / y length mismatch")
@@ -40,9 +39,7 @@ class FLPeer:
         self.y = y
         self.rng = rng
         self.batch_size = batch_size
-        self.optimizer = (
-            optimizer if optimizer is not None else Adam(model.params(), lr=lr)
-        )
+        self.optimizer = Adam(model.params(), lr=lr)
         self._flat_buf = np.empty(model.n_params)
 
     @property
@@ -50,17 +47,14 @@ class FLPeer:
         """``n_k`` — this peer's FedAvg weight."""
         return self.x.shape[0]
 
-    def local_update(self, epochs: int = 1) -> float:
-        """Train on the local shard; returns the mean minibatch loss."""
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+    def local_update(self) -> float:
+        """Train one epoch on the local shard; returns the mean minibatch loss."""
         total = 0.0
         count = 0
-        for _ in range(epochs):
-            for xb, yb in batches(self.x, self.y, self.batch_size, rng=self.rng):
-                total += self.model.train_batch(xb, yb)
-                self.optimizer.step()
-                count += 1
+        for xb, yb in batches(self.x, self.y, self.batch_size, rng=self.rng):
+            total += self.model.train_batch(xb, yb)
+            self.optimizer.step()
+            count += 1
         return total / count
 
     def get_weights(self) -> np.ndarray:

@@ -10,21 +10,18 @@ and a simple sequential-composition accountant across rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-def clip_to_norm(w: np.ndarray, max_norm: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Scale ``w`` down to L2 norm ``max_norm`` if it exceeds it."""
+def clip_to_norm(w: np.ndarray, max_norm: float) -> np.ndarray:
+    """A copy of ``w`` scaled down to L2 norm ``max_norm`` if it exceeds it."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     w = np.asarray(w, dtype=np.float64)
     norm = float(np.linalg.norm(w))
-    if out is None:
-        out = w.copy()
-    elif out is not w:
-        out[...] = w
+    out = w.copy()
     if norm > max_norm:
         out *= max_norm / norm
     return out
@@ -42,9 +39,9 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
 class PrivacyAccountant:
     """Sequential-composition (epsilon, delta) ledger."""
 
-    epsilon_spent: float = 0.0
-    delta_spent: float = 0.0
-    steps: int = 0
+    epsilon_spent: float = field(default=0.0, init=False)
+    delta_spent: float = field(default=0.0, init=False)
+    steps: int = field(default=0, init=False)
 
     def spend(self, epsilon: float, delta: float) -> None:
         self.epsilon_spent += epsilon

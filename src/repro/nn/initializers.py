@@ -28,6 +28,6 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
+def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initializer (biases)."""
     return np.zeros(shape)

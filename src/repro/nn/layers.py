@@ -13,8 +13,6 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .initializers import glorot_uniform, zeros
@@ -64,11 +62,10 @@ class Dense(Layer):
         in_features: int,
         out_features: int,
         rng: np.random.Generator,
-        init: Callable = glorot_uniform,
     ) -> None:
         self.in_features = in_features
         self.out_features = out_features
-        self.W = Param(init((in_features, out_features), rng), "W")
+        self.W = Param(glorot_uniform((in_features, out_features), rng), "W")
         self.b = Param(zeros((out_features,)), "b")
         self._x: np.ndarray | None = None
 
@@ -90,15 +87,11 @@ class Dense(Layer):
         return grad @ self.W.value.T
 
 
-def _out_dim(size: int, k: int, pad: int, stride: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation) via im2col + GEMM.
+    """2-D stride-1 convolution (cross-correlation) via im2col + GEMM.
 
-    Supports ``padding='valid'`` or ``'same'`` (stride 1 preserves the
-    spatial size for odd kernels), stride >= 1.
+    Supports ``padding='valid'`` or ``'same'`` (which preserves the
+    spatial size for odd kernels).
     """
 
     def __init__(
@@ -107,21 +100,19 @@ class Conv2D(Layer):
         out_channels: int,
         kernel_size: int,
         rng: np.random.Generator,
-        stride: int = 1,
         padding: str = "valid",
-        init: Callable = glorot_uniform,
     ) -> None:
         if padding not in ("valid", "same"):
             raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
-        if kernel_size < 1 or stride < 1:
-            raise ValueError("kernel_size and stride must be >= 1")
+        if kernel_size < 1:
+            raise ValueError("kernel_size must be >= 1")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.padding = padding
         self.W = Param(
-            init((out_channels, in_channels, kernel_size, kernel_size), rng), "W"
+            glorot_uniform((out_channels, in_channels, kernel_size, kernel_size), rng),
+            "W",
         )
         self.b = Param(zeros((out_channels,)), "b")
         self._cache: tuple | None = None
@@ -145,16 +136,16 @@ class Conv2D(Layer):
         cached = self._idx_cache.get((h, w))
         if cached is not None:
             return cached
-        k, s = self.kernel_size, self.stride
+        k = self.kernel_size
         pad = self._pad_amount()
-        out_h = _out_dim(h, k, pad, s)
-        out_w = _out_dim(w, k, pad, s)
+        out_h = h + 2 * pad - k + 1
+        out_w = w + 2 * pad - k + 1
         c = self.in_channels
         i0 = np.repeat(np.arange(k), k)
         i0 = np.tile(i0, c)
-        i1 = s * np.repeat(np.arange(out_h), out_w)
+        i1 = np.repeat(np.arange(out_h), out_w)
         j0 = np.tile(np.arange(k), k * c)
-        j1 = s * np.tile(np.arange(out_w), out_h)
+        j1 = np.tile(np.arange(out_w), out_h)
         ii = i0.reshape(-1, 1) + i1.reshape(1, -1)
         jj = j0.reshape(-1, 1) + j1.reshape(1, -1)
         kk = np.repeat(np.arange(c), k * k).reshape(-1, 1)
@@ -206,35 +197,26 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    """Max pooling with a square window; default 2x2 stride 2 (Fig. 5)."""
+    """Max pooling over non-overlapping square windows (stride = window);
+    default 2x2 (Fig. 5)."""
 
-    def __init__(self, pool_size: int = 2, stride: int | None = None) -> None:
+    def __init__(self, pool_size: int = 2) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.pool_size = pool_size
-        self.stride = stride if stride is not None else pool_size
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"MaxPool2D expects NCHW, got shape {x.shape}")
         n, c, h, w = x.shape
-        p, s = self.pool_size, self.stride
-        out_h = (h - p) // s + 1
-        out_w = (w - p) // s + 1
-        if p == s and h % p == 0 and w % p == 0:
-            # Fast path: non-overlapping windows as a reshape.
-            view = x.reshape(n, c, out_h, p, out_w, p)
-            windows = view.transpose(0, 1, 2, 4, 3, 5).reshape(
-                n, c, out_h, out_w, p * p
-            )
-        else:
-            # General path (also handles truncation like 13 -> 6 in Fig. 5):
-            # all (p, p) windows as one strided view, subsampled by stride.
-            # The trailing (p, p) axes flatten to the di * p + dj order the
-            # backward pass decodes.
-            view = np.lib.stride_tricks.sliding_window_view(x, (p, p), axis=(2, 3))
-            windows = view[:, :, ::s, ::s].reshape(n, c, out_h, out_w, p * p)
+        p = self.pool_size
+        out_h, out_w = h // p, w // p
+        # The windows as a reshape, flattened to the di * p + dj order the
+        # backward pass decodes; a ragged edge is cut off, as Keras does
+        # (13 -> 6 in Fig. 5).
+        view = x[:, :, : out_h * p, : out_w * p].reshape(n, c, out_h, p, out_w, p)
+        windows = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, out_h, out_w, p * p)
         argmax = windows.argmax(axis=-1)
         out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
         self._cache = (x.shape, argmax)
@@ -244,31 +226,15 @@ class MaxPool2D(Layer):
         assert self._cache is not None, "backward before forward"
         x_shape, argmax = self._cache
         n, c, h, w = x_shape
-        p, s = self.pool_size, self.stride
+        p = self.pool_size
         out_h, out_w = argmax.shape[2], argmax.shape[3]
         dx = np.zeros(x_shape)
-        if s == p:
-            # Non-overlapping windows: each input cell gets at most one
-            # gradient, so a plain scatter into per-window slots suffices.
-            dwin = np.zeros((n, c, out_h, out_w, p * p))
-            np.put_along_axis(dwin, argmax[..., None], grad[..., None], axis=-1)
-            tile = dwin.reshape(n, c, out_h, out_w, p, p).transpose(
-                0, 1, 2, 4, 3, 5
-            )
-            dx[:, :, : out_h * p, : out_w * p] = tile.reshape(
-                n, c, out_h * p, out_w * p
-            )
-            return dx
-        # Overlapping/strided windows need scatter-add.
-        di = argmax // p
-        dj = argmax % p
-        oi = np.arange(out_h)[None, None, :, None]
-        oj = np.arange(out_w)[None, None, None, :]
-        rows = oi * s + di
-        cols = oj * s + dj
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, rows, cols), grad)
+        # Non-overlapping windows: each input cell gets at most one
+        # gradient, so a plain scatter into per-window slots suffices.
+        dwin = np.zeros((n, c, out_h, out_w, p * p))
+        np.put_along_axis(dwin, argmax[..., None], grad[..., None], axis=-1)
+        tile = dwin.reshape(n, c, out_h, out_w, p, p).transpose(0, 1, 2, 4, 3, 5)
+        dx[:, :, : out_h * p, : out_w * p] = tile.reshape(n, c, out_h * p, out_w * p)
         return dx
 
 

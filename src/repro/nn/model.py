@@ -9,25 +9,20 @@ import numpy as np
 
 from ..obs import runtime as _obs
 from .layers import Layer, Param, Softmax
-from .loss import CategoricalCrossEntropy, SoftmaxCrossEntropy
+from .loss import CategoricalCrossEntropy
 
 
 class Sequential:
-    """A stack of layers trained with a classification loss.
+    """A stack of layers trained with categorical cross-entropy.
 
-    When the final layer is :class:`Softmax` and the loss is
-    :class:`CategoricalCrossEntropy`, the backward pass starts from the
-    fused logits-space gradient ``(p - y)/n`` and skips the Softmax layer's
-    backward — the standard numerically stable formulation.
+    When the final layer is :class:`Softmax`, the backward pass starts from
+    the fused logits-space gradient ``(p - y)/n`` and skips the Softmax
+    layer's backward — the standard numerically stable formulation.
     """
 
-    def __init__(
-        self,
-        layers: Sequence[Layer],
-        loss: CategoricalCrossEntropy | SoftmaxCrossEntropy | None = None,
-    ) -> None:
+    def __init__(self, layers: Sequence[Layer]) -> None:
         self.layers = list(layers)
-        self.loss = loss if loss is not None else CategoricalCrossEntropy()
+        self.loss = CategoricalCrossEntropy()
 
     # ------------------------------------------------------------- structure
     def params(self) -> list[Param]:
@@ -77,11 +72,6 @@ class Sequential:
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x).argmax(axis=1)
 
-    def _fused_softmax_ce(self) -> bool:
-        return isinstance(self.layers[-1], Softmax) and isinstance(
-            self.loss, CategoricalCrossEntropy
-        )
-
     def train_batch(self, x: np.ndarray, labels: np.ndarray) -> float:
         """Forward + backward on one minibatch; returns the batch loss.
 
@@ -90,8 +80,8 @@ class Sequential:
         """
         out = self.forward(x, training=True)
         loss_value = self.loss.value(out, labels)
-        if self._fused_softmax_ce():
-            grad = self.loss.fused_gradient(out, labels)  # type: ignore[union-attr]
+        if isinstance(self.layers[-1], Softmax):
+            grad = self.loss.fused_gradient(out, labels)
             layers = self.layers[:-1]
         else:
             grad = self.loss.gradient(out, labels)

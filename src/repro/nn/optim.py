@@ -33,19 +33,14 @@ class Adam(Optimizer):
         self,
         params: list[Param],
         lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ) -> None:
         super().__init__(params)
         if lr <= 0:
             raise ValueError("lr must be positive")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]

@@ -51,9 +51,9 @@ def _paper_cnn(in_channels: int, in_hw: int, rng: np.random.Generator) -> Sequen
     )
 
 
-def paper_cnn_cifar10(rng: np.random.Generator | None = None) -> Sequential:
-    """The Fig. 5 CNN for 32x32x3 inputs (1,250,858 parameters)."""
-    return _paper_cnn(3, 32, rng if rng is not None else np.random.default_rng(0))
+def paper_cnn_cifar10() -> Sequential:
+    """The Fig. 5 CNN for 32x32x3 inputs (1,250,858 parameters), seeded 0."""
+    return _paper_cnn(3, 32, np.random.default_rng(0))
 
 
 def small_cnn(
@@ -87,7 +87,6 @@ def mlp_classifier(
     rng: np.random.Generator | None = None,
     hidden: tuple[int, ...] = (64,),
     n_classes: int = 10,
-    dropout: float = 0.0,
 ) -> Sequential:
     """MLP used by the fast FL experiments (same training/aggregation path)."""
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -95,8 +94,6 @@ def mlp_classifier(
     prev = in_features
     for width in hidden:
         layers += [Dense(prev, width, rng), ReLU()]
-        if dropout:
-            layers.append(Dropout(dropout, rng))
         prev = width
     layers += [Dense(prev, n_classes, rng), Softmax()]
     return Sequential(layers)

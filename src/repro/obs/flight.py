@@ -3,8 +3,8 @@
 A long chaos campaign cannot keep every event of every round, but when
 something goes wrong the events *leading up to it* are exactly what a
 post-mortem needs.  :class:`FlightRecorder` subscribes to the bus,
-keeps the last ``capacity`` events in a ring, and when a trigger event
-arrives dumps an incident directory:
+keeps the last :data:`DEFAULT_CAPACITY` events in a ring, and when a
+trigger event arrives dumps an incident directory:
 
 - ``events.jsonl`` — the ring (the last-N events, trigger included);
 - ``metrics.prom`` — the Prometheus snapshot at dump time;
@@ -14,11 +14,8 @@ arrives dumps an incident directory:
   (when tracing was on), and a resource snapshot of the incident
   window (when a provider is attached).
 
-Disk usage is bounded twice over: ``max_incidents`` caps the dump
-*count*, and ``max_total_bytes`` caps the *total size* across
-incidents — when a fresh dump pushes past the cap, the oldest incident
-directories are evicted (newest detail survives, as in any flight
-recorder).
+Disk usage is bounded by :data:`DEFAULT_MAX_INCIDENTS` dumps per
+recorder; later incidents are counted as suppressed.
 
 Triggers (all typed failures, never the happy path):
 
@@ -36,10 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from .bus import Event, EventBus
 from .export import _json_default
@@ -67,41 +63,21 @@ class FlightRecorder:
     def __init__(
         self,
         out_dir: str = "incident_out",
-        capacity: int = DEFAULT_CAPACITY,
         metrics: Optional[MetricsRegistry] = None,
         link: Any = None,
-        triggers: Iterable[str] = DEFAULT_TRIGGERS,
-        max_incidents: int = DEFAULT_MAX_INCIDENTS,
-        max_total_bytes: Optional[int] = None,
         resources: Optional[Callable[[], dict]] = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if max_total_bytes is not None and max_total_bytes < 1:
-            raise ValueError("max_total_bytes must be positive")
         self.out_dir = out_dir
-        self.capacity = capacity
         self.metrics = metrics
         self.link = link
-        self.triggers = frozenset(triggers)
-        self.max_incidents = max_incidents
-        #: total on-disk budget across all incident directories; oldest
-        #: incidents are evicted when a new dump pushes past it.
-        self.max_total_bytes = max_total_bytes
         #: optional provider of a resource snapshot for the manifest
         #: (``attach_flight`` wires :func:`repro.obs.scale.resource_snapshot`).
         self.resources = resources
-        self.ring: Deque[Event] = deque(maxlen=capacity)
+        self.ring: Deque[Event] = deque(maxlen=DEFAULT_CAPACITY)
         self.events_seen = 0
         #: incident directories written, in order.
         self.incidents: list = []
-        #: monotonic dump counter: size-cap eviction shrinks
-        #: ``incidents``, so directory names must not derive from its
-        #: length or a later dump would collide with a survivor.
-        self.dumped_total = 0
         self.suppressed = 0
-        #: incident directories evicted to honour ``max_total_bytes``.
-        self.evicted: list = []
 
     # ----------------------------------------------------------- subscription
     def attach(self, bus: EventBus) -> "FlightRecorder":
@@ -118,7 +94,7 @@ class FlightRecorder:
             self.record_incident(event)
 
     def _is_trigger(self, event: Event) -> bool:
-        if event.name in self.triggers:
+        if event.name in DEFAULT_TRIGGERS:
             return True
         # A typed round failure: the round ended without completing.
         return (
@@ -129,14 +105,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------ dumps
     def record_incident(self, event: Event) -> Optional[str]:
         """Dump the ring + snapshots into a fresh incident directory."""
-        if len(self.incidents) >= self.max_incidents:
+        if len(self.incidents) >= DEFAULT_MAX_INCIDENTS:
             self.suppressed += 1
             return None
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         trigger_slug = event.name.replace(".", "_")
         inc_dir = os.path.join(
             self.out_dir,
-            f"{stamp}-{self.dumped_total:03d}-{trigger_slug}",
+            f"{stamp}-{len(self.incidents):03d}-{trigger_slug}",
         )
         os.makedirs(inc_dir, exist_ok=True)
 
@@ -154,10 +130,10 @@ class FlightRecorder:
                           indent=2)
         manifest = {
             "trigger": event.to_dict(),
-            "ring_capacity": self.capacity,
+            "ring_capacity": DEFAULT_CAPACITY,
             "ring_events": len(events),
             "events_seen": self.events_seen,
-            "incident_index": self.dumped_total,
+            "incident_index": len(self.incidents),
             "suppressed_so_far": self.suppressed,
             "created_wall_s": time.time(),
         }
@@ -170,8 +146,6 @@ class FlightRecorder:
             json.dump(manifest, fh, default=_json_default, indent=2)
 
         self.incidents.append(inc_dir)
-        self.dumped_total += 1
-        self._enforce_size_cap()
         if self.metrics is not None:
             self.metrics.counter(
                 "flight_incidents_total",
@@ -211,36 +185,3 @@ class FlightRecorder:
                 for hop in path.hops
             ],
         }
-
-    # ------------------------------------------------------------- size cap
-    @staticmethod
-    def _dir_bytes(path: str) -> int:
-        total = 0
-        for root, _dirs, files in os.walk(path):
-            for name in files:
-                try:
-                    total += os.path.getsize(os.path.join(root, name))
-                except OSError:
-                    pass
-        return total
-
-    def total_bytes(self) -> int:
-        """On-disk size of all surviving incident directories."""
-        return sum(self._dir_bytes(d) for d in self.incidents)
-
-    def _enforce_size_cap(self) -> None:
-        """Evict oldest incidents until the on-disk total fits the cap.
-
-        The newest incident always survives, even if it alone exceeds
-        the budget — an over-large single dump beats losing the data
-        the recorder exists to keep.
-        """
-        if self.max_total_bytes is None:
-            return
-        sizes = {d: self._dir_bytes(d) for d in self.incidents}
-        total = sum(sizes.values())
-        while total > self.max_total_bytes and len(self.incidents) > 1:
-            oldest = self.incidents.pop(0)
-            total -= sizes.pop(oldest)
-            shutil.rmtree(oldest, ignore_errors=True)
-            self.evicted.append(oldest)

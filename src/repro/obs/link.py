@@ -36,9 +36,9 @@ from .metrics import MetricsRegistry
 
 __all__ = ["LinkStats", "LinkTelemetry"]
 
-#: default EWMA smoothing factor (weight of the newest sample).
+#: EWMA smoothing factor (weight of the newest sample).
 DEFAULT_ALPHA = 0.2
-#: default sliding-window length (samples) for windowed estimators.
+#: sliding-window length (samples) for windowed estimators.
 DEFAULT_WINDOW = 64
 #: bound on in-flight (sent, not yet delivered) spans tracked.
 DEFAULT_MAX_PENDING = 4096
@@ -50,27 +50,25 @@ class LinkStats:
 
     src: int
     dst: int
-    window: int = DEFAULT_WINDOW
-    alpha: float = DEFAULT_ALPHA
-    sends: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    retransmits: int = 0
-    latency_ewma_ms: Optional[float] = None
-    last_latency_ms: Optional[float] = None
-    _latencies: Deque[float] = field(default_factory=deque, repr=False)
-    _outcomes: Deque[int] = field(default_factory=deque, repr=False)
+    sends: int = field(default=0, init=False)
+    delivered: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
+    retransmits: int = field(default=0, init=False)
+    latency_ewma_ms: Optional[float] = field(default=None, init=False)
+    last_latency_ms: Optional[float] = field(default=None, init=False)
+    _latencies: Deque[float] = field(default_factory=deque, init=False, repr=False)
+    _outcomes: Deque[int] = field(default_factory=deque, init=False, repr=False)
 
     def observe_latency(self, latency_ms: float) -> None:
         self.last_latency_ms = latency_ms
         if self.latency_ewma_ms is None:
             self.latency_ewma_ms = latency_ms
         else:
-            self.latency_ewma_ms += self.alpha * (
+            self.latency_ewma_ms += DEFAULT_ALPHA * (
                 latency_ms - self.latency_ewma_ms
             )
         self._latencies.append(latency_ms)
-        if len(self._latencies) > self.window:
+        if len(self._latencies) > DEFAULT_WINDOW:
             self._latencies.popleft()
 
     def observe_outcome(self, delivered: bool) -> None:
@@ -79,7 +77,7 @@ class LinkStats:
         else:
             self.dropped += 1
         self._outcomes.append(1 if delivered else 0)
-        if len(self._outcomes) > self.window:
+        if len(self._outcomes) > DEFAULT_WINDOW:
             self._outcomes.popleft()
 
     @property
@@ -132,25 +130,12 @@ class LinkTelemetry:
             run_two_layer_wire_round(...)
         link.matrix()      # {(src, dst): {...}}
         link.publish(obs.metrics)   # link_* gauges for /metrics
+
+    Transport ACK frames are not tracked: ACK latency duplicates the
+    data-frame latency and would halve the apparent loss.
     """
 
-    def __init__(
-        self,
-        alpha: float = DEFAULT_ALPHA,
-        window: int = DEFAULT_WINDOW,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        include_acks: bool = False,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.alpha = alpha
-        self.window = window
-        self.max_pending = max_pending
-        #: track transport ACK frames too?  Off by default: ACK latency
-        #: duplicates the data-frame latency and halves apparent loss.
-        self.include_acks = include_acks
+    def __init__(self) -> None:
         self._pairs: Dict[Tuple[int, int], LinkStats] = {}
         # span id -> send timestamp; bounded FIFO so a span whose
         # delivery never comes cannot grow the map without bound.
@@ -174,7 +159,7 @@ class LinkTelemetry:
         if not name.startswith("net."):
             return
         kind = event.fields.get("kind")
-        if kind == "net.ack" and not self.include_acks:
+        if kind == "net.ack":
             return
         if name == "net.send":
             self._on_send(event)
@@ -190,9 +175,7 @@ class LinkTelemetry:
     def _pair(self, src: int, dst: int) -> LinkStats:
         stats = self._pairs.get((src, dst))
         if stats is None:
-            stats = self._pairs[(src, dst)] = LinkStats(
-                src=src, dst=dst, window=self.window, alpha=self.alpha
-            )
+            stats = self._pairs[(src, dst)] = LinkStats(src=src, dst=dst)
         return stats
 
     def _on_send(self, event: Event) -> None:
@@ -204,7 +187,7 @@ class LinkTelemetry:
         span = event.fields.get("span")
         if span is not None and event.t_ms is not None:
             self._pending[span] = float(event.t_ms)
-            while len(self._pending) > self.max_pending:
+            while len(self._pending) > DEFAULT_MAX_PENDING:
                 self._pending.popitem(last=False)
 
     def _on_wave(self, event: Event) -> None:

@@ -66,9 +66,9 @@ class _SpanInstance:
     end: float
     wall_ms: Optional[float]
     node: Optional[int]
-    parent: Optional["_SpanInstance"] = None
-    children: list["_SpanInstance"] = field(default_factory=list)
-    depth: int = 0
+    parent: Optional["_SpanInstance"] = field(default=None, init=False)
+    children: list["_SpanInstance"] = field(default_factory=list, init=False)
+    depth: int = field(default=0, init=False)
 
     @property
     def dur(self) -> float:
@@ -111,16 +111,16 @@ class PhaseStats:
     """Aggregated statistics for one call-tree path."""
 
     path: tuple[str, ...]
-    count: int = 0
-    total_ms: float = 0.0
-    self_ms: float = 0.0
-    wall_total_ms: float = 0.0
-    wall_self_ms: float = 0.0
-    bits: float = 0.0
-    messages: int = 0
-    dropped: int = 0
-    bits_by_kind: dict[str, float] = field(default_factory=dict)
-    straggler: Optional[StragglerStats] = None
+    count: int = field(default=0, init=False)
+    total_ms: float = field(default=0.0, init=False)
+    self_ms: float = field(default=0.0, init=False)
+    wall_total_ms: float = field(default=0.0, init=False)
+    wall_self_ms: float = field(default=0.0, init=False)
+    bits: float = field(default=0.0, init=False)
+    messages: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
+    bits_by_kind: dict[str, float] = field(default_factory=dict, init=False)
+    straggler: Optional[StragglerStats] = field(default=None, init=False)
     sim_clocked: bool = True
 
     @property

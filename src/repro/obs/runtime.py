@@ -116,11 +116,11 @@ class Observability:
         return write_text(path, self.metrics.render_prometheus())
 
     # ------------------------------------------------------- attached sinks
-    def attach_link(self, **kwargs: Any):
+    def attach_link(self):
         """Attach a :class:`~repro.obs.link.LinkTelemetry` to this bus."""
         from .link import LinkTelemetry  # lazy: keep import-time cost off
 
-        self.link = LinkTelemetry(**kwargs)
+        self.link = LinkTelemetry()
         self.link.attach(self.bus)
         return self.link
 

@@ -49,18 +49,17 @@ def run_trace_scenario(
     metrics_path: str,
     chrome_path: str,
     *,
-    n_peers: int = 9,
-    group_size: int = 3,
-    k: int = 2,
     seed: int = 0,
 ) -> TraceArtifacts:
-    """Run the failover + wire-round scenario and write all artifacts."""
+    """Run the failover + wire-round scenario (9 peers in groups of 3,
+    k = 2) and write all artifacts."""
     from ..core.costs import two_layer_ft_cost_from_topology
     from ..core.topology import Topology
     from ..core.wire_round import run_two_layer_wire_round
     from ..secure.protocol import run_sac_protocol
     from ..twolayer_raft.system import TwoLayerRaftSystem
 
+    n_peers, group_size, k = 9, 3, 2
     topology = Topology.by_group_size(n_peers, group_size)
     rng = np.random.default_rng(seed)
     models = [rng.normal(size=MODEL_PARAMS) for _ in range(n_peers)]

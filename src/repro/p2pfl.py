@@ -22,16 +22,11 @@ healed it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .core.session import (
-    build_peers,
-    evaluate_round,
-    local_updates,
-    select_groups,
-)
+from .core.session import build_peers, evaluate_round, local_updates
 from .core.topology import Topology
 from .core.two_layer import TwoLayerAggregator
 from .data.synthetic import Dataset
@@ -39,8 +34,10 @@ from .fl.metrics import MetricsHistory, RoundMetrics
 from .nn.model import Sequential
 from .nn.serialize import get_flat_params
 from .secure.errors import SacAbort
-from .secure.sac import DEFAULT_BITS_PER_PARAM
 from .twolayer_raft.system import TwoLayerRaftSystem
+
+#: virtual milliseconds of Raft time between FL rounds
+ROUND_INTERVAL_MS = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -50,16 +47,11 @@ class P2PFLConfig:
     n_peers: int = 9
     group_size: int = 3
     threshold: int | None = 2
-    distribution: str = "iid"
-    epochs: int = 1
-    batch_size: int = 50
     lr: float = 1e-4
-    fraction: float = 1.0
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM
-    #: virtual milliseconds of Raft time between FL rounds
-    round_interval_ms: float = 1_000.0
-    timeout_base_ms: float = 50.0
     seed: int = 0
+    #: IID shards and minibatches of 50 (Sec. VI-A1)
+    distribution: ClassVar[str] = "iid"
+    batch_size: ClassVar[int] = 50
 
 
 class P2PFLSystem:
@@ -77,21 +69,14 @@ class P2PFLSystem:
         self.topology = Topology.by_group_size(config.n_peers, config.group_size)
 
         # Raft backend (leader election + failover).
-        self.raft = TwoLayerRaftSystem(
-            self.topology,
-            timeout_base_ms=config.timeout_base_ms,
-            seed=config.seed,
-        )
+        self.raft = TwoLayerRaftSystem(self.topology, seed=config.seed)
         self.raft.stabilize()
 
         self.peers, self._eval_model = build_peers(
             model_factory, dataset, config, self.rng
         )
         self.global_weights = get_flat_params(self.peers[0].model).copy()
-        self.aggregator = TwoLayerAggregator(
-            self.topology, k=config.threshold,
-            bits_per_param=config.bits_per_param,
-        )
+        self.aggregator = TwoLayerAggregator(self.topology, k=config.threshold)
         self.history = MetricsHistory()
         self._round = 0
 
@@ -120,25 +105,20 @@ class P2PFLSystem:
     def run_round(self) -> RoundMetrics:
         """One communication round: Raft time advances, alive peers train,
         subgroups with a leader aggregate, the global model updates."""
-        cfg = self.config
-        self.raft.run_for(cfg.round_interval_ms)
+        self.raft.run_for(ROUND_INTERVAL_MS)
         crashed = self.crashed_peers()
         leaders = self.current_leaders()
 
         train_losses, models = local_updates(
-            self.peers, self.global_weights, cfg.epochs, down=crashed
+            self.peers, self.global_weights, down=crashed
         )
 
-        # Subgroups whose Raft leader is up (and matching fraction p).
+        # Subgroups whose Raft leader is up.
         ready = [
             gi
             for gi, leader in enumerate(leaders)
             if leader is not None and leader not in crashed
         ]
-        if ready:
-            selected = select_groups(len(ready), cfg.fraction, self.rng)
-            if selected is not None:
-                ready = [ready[i] for i in selected]
         effective_leaders = [
             leader if leader is not None else self.topology.leaders[gi]
             for gi, leader in enumerate(leaders)

@@ -7,6 +7,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..simnet import FixedLatency, Network, SimNode, Simulator, TraceRecorder
+from ..simnet.network import DEFAULT_DELAY_MS
 from .messages import LogEntry
 from .node import RaftNode
 from .timers import RaftTiming
@@ -60,10 +61,8 @@ class RaftCluster:
         self,
         n: int,
         timeout_base_ms: float = 50.0,
-        delay_ms: float = 15.0,
         seed: int = 0,
         pre_election_wait: bool = True,
-        heartbeat_interval_ms: float | None = None,
     ) -> None:
         if n < 1:
             raise ValueError("need at least one node")
@@ -71,12 +70,11 @@ class RaftCluster:
         self.rng = np.random.default_rng(seed)
         self.trace = TraceRecorder()
         self.network = Network(
-            self.sim, latency=FixedLatency(delay_ms), rng=self.rng, trace=self.trace
+            self.sim, latency=FixedLatency(DEFAULT_DELAY_MS), rng=self.rng,
+            trace=self.trace,
         )
         timing = RaftTiming(
-            timeout_base_ms=timeout_base_ms,
-            pre_election_wait=pre_election_wait,
-            heartbeat_interval_ms=heartbeat_interval_ms,
+            timeout_base_ms=timeout_base_ms, pre_election_wait=pre_election_wait
         )
         members = list(range(n))
         self.applied: dict[int, list[tuple[int, Any]]] = {i: [] for i in members}

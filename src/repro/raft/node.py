@@ -94,8 +94,6 @@ class RaftNode:
         config entries; NOOPs are skipped).
     on_leader:
         Called (with the new term) when this node wins an election.
-    on_step_down:
-        Called when this node loses leadership.
     trace_kind:
         Prefix for message-kind accounting (e.g. ``"raft.sub3"``).
     """
@@ -108,7 +106,6 @@ class RaftNode:
         rng: np.random.Generator,
         on_apply: Callable[[int, LogEntry], None] | None = None,
         on_leader: Callable[[int], None] | None = None,
-        on_step_down: Callable[[], None] | None = None,
         on_config: Callable[[frozenset[int]], None] | None = None,
         bootstrap_leader: bool = False,
         pre_vote: bool = False,
@@ -120,7 +117,6 @@ class RaftNode:
         self.rng = rng
         self.on_apply = on_apply
         self.on_leader = on_leader
-        self.on_step_down = on_step_down
         self.on_config = on_config
         #: if set, this node runs for election almost immediately on
         #: start-up (before anyone's follower timeout can fire), so the
@@ -371,7 +367,6 @@ class RaftNode:
             self.on_leader(self.current_term)
 
     def _step_down(self, term: int) -> None:
-        was_leader = self.role is Role.LEADER
         self._change_role(Role.FOLLOWER)
         if term > self.current_term:
             self.current_term = term
@@ -386,8 +381,6 @@ class RaftNode:
             self._heartbeat_timer = None
         if self.is_member and self._started:
             self._reset_election_timer()
-        if was_leader and self.on_step_down is not None:
-            self.on_step_down()
 
     # ------------------------------------------------------------ replication
     def propose(self, command: Any) -> Optional[int]:

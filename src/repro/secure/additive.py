@@ -48,17 +48,15 @@ def divide(
     return batched_divide(w[np.newaxis], n, rng, max_resample=max_resample)[0]
 
 
-def divide_zero_sum(
-    w: np.ndarray, n: int, rng: np.random.Generator, mask_scale: float = 1.0
-) -> np.ndarray:
+def divide_zero_sum(w: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Split ``w`` into ``n`` shares where ``n-1`` are pure random masks.
 
-    The first ``n-1`` shares are N(0, mask_scale) noise; the last is the
+    The first ``n-1`` shares are N(0, 1) noise; the last is the
     residual ``w - sum(masks)``.  Sum over axis 0 equals ``w``.  Thin
     single-owner view over :func:`repro.secure.batched.batched_zero_sum`.
     """
     w = np.asarray(w, dtype=np.float64)
-    return batched_zero_sum(w[np.newaxis], n, rng, mask_scale=mask_scale)[0]
+    return batched_zero_sum(w[np.newaxis], n, rng)[0]
 
 
 def reconstruct(shares: np.ndarray) -> np.ndarray:

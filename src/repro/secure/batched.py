@@ -418,9 +418,8 @@ def batched_zero_sum(
     stack: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    mask_scale: float = 1.0,
 ) -> np.ndarray:
-    """Zero-sum splits for a whole batch: ``n-1`` masks + residual each.
+    """Zero-sum splits for a whole batch: ``n-1`` N(0, 1) masks + residual each.
 
     One ``rng.normal`` draw of shape ``(b, n-1, *shape)`` replaces the
     per-owner draws (normal variates fill row-major, so the stream is
@@ -436,7 +435,7 @@ def batched_zero_sum(
     if n == 1:
         out[:, 0] = stack
         return out
-    out[:, :-1] = rng.normal(0.0, mask_scale, size=(b, n - 1) + shape)
+    out[:, :-1] = rng.normal(0.0, 1.0, size=(b, n - 1) + shape)
     for i in range(b):
         np.subtract(stack[i], out[i, :-1].sum(axis=0), out=out[i, -1])
     return out

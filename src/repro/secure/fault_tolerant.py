@@ -27,7 +27,6 @@ from .errors import SacReconstructionError
 from .replicated import (
     holders_of_share,
     missing_shares,
-    seeded_exchange_entry_counts,
     shares_held_by,
 )
 from .sac import (
@@ -35,7 +34,6 @@ from .sac import (
     reference_group_average,
     spawn_peer_seeds,
 )
-from .seedshare import SEED_SHARE_BITS
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,6 @@ def fault_tolerant_sac(
     rng: np.random.Generator,
     leader: int = 0,
     crashed: set[int] | None = None,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    share_codec: str = "dense",
 ) -> FtSacResult:
     """Run one k-out-of-n SAC round (paper Alg. 4) at the ``leader``.
 
@@ -84,13 +80,6 @@ def fault_tolerant_sac(
         Peers that crash *after* distributing their shares but before
         sending subtotals — the dropout scenario of Fig. 3 / Alg. 4
         lines 17–18.
-    share_codec:
-        ``"dense"`` (default) ships materialized share bundles;
-        ``"seed"`` ships one PRG seed per replica group (the owner keeps
-        the full residual at its own index, replicated to the other
-        ``n-k`` holders), collapsing the exchange to O(d + n) payloads;
-        ``"seed-dense"`` uses the same seed-derived shares materialized
-        on the wire (bit-identical average, dense accounting).
 
     Raises
     ------
@@ -121,23 +110,12 @@ def fault_tolerant_sac(
     # the group kernel yields the average the leader will hold and the
     # rest of this function is the accounting of how it got there.
     with _obs.OBS.span("ftsac.share_exchange", n=n, k=k):
-        average = reference_group_average(
-            models, spawn_peer_seeds(rng, n), share_codec
-        )
-    w_bits = float(average.size * bits_per_param)
+        average = reference_group_average(models, spawn_peer_seeds(rng, n))
+    w_bits = float(average.size * DEFAULT_BITS_PER_PARAM)
     # Peer j receives a bundle of n-k+1 shares from each of the other
-    # n-1 peers: n(n-1)(n-k+1) share-sized payloads in total (dense).
-    # Under the seed codec the residual sits at the owner's own index and
-    # one seed serves a whole replica group, so only the n-k residual
-    # *copies* travel as full vectors.
+    # n-1 peers: n(n-1)(n-k+1) share-sized payloads in total.
     phase1_msgs = n * (n - 1)
-    if share_codec == "seed":
-        dense_entries, seed_entries = seeded_exchange_entry_counts(n, k)
-        phase1_bits = n * (
-            dense_entries * w_bits + seed_entries * SEED_SHARE_BITS
-        )
-    else:
-        phase1_bits = n * (n - 1) * (n - k + 1) * w_bits
+    phase1_bits = n * (n - 1) * (n - k + 1) * w_bits
 
     # Phase 3 — the leader assembles all n subtotals:
     #   - indices it holds itself (leader .. leader+n-k, mod n): free;

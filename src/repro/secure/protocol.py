@@ -75,6 +75,11 @@ from .sac import (
 )
 from .seedshare import SeedShare, seeded_zero_sum_shares
 
+#: how long a leader waits for a follower's subtotal before it fetches the
+#: missing share from a replica holder (Alg. 4 l. 17-18); also the period
+#: of a round's watch tick.
+SUBTOTAL_TIMEOUT_MS = 100.0
+
 
 @dataclass(frozen=True)
 class SharesBundle:
@@ -712,16 +717,14 @@ def run_sac_protocol(
     delay_ms: float = 15.0,
     seed: int = 0,
     crash_at: dict[int, float] | None = None,
-    subtotal_timeout_ms: float = 100.0,
+    subtotal_timeout_ms: float = SUBTOTAL_TIMEOUT_MS,
     round_timeout_ms: float = 10_000.0,
     bandwidth_bps: float | None = None,
-    serialize_uplink: bool = False,
     share_codec: str = "dense",
     loss_rate: float = 0.0,
     transport: str = "fire_and_forget",
     transport_opts: dict | None = None,
     schedule: "FaultSchedule | None" = None,
-    trace_id: str | None = None,
 ) -> ActorRoundResult:
     """Execute one k-out-of-n SAC round on the simulated network.
 
@@ -746,7 +749,7 @@ def run_sac_protocol(
         ``"reliable"`` for the ACK/retransmit channel — required for the
         round to survive a non-zero ``loss_rate`` deterministically.
     transport_opts:
-        Overrides for the reliable channel (``base_rto_ms``, ``backoff``,
+        Overrides for the reliable channel (``base_rto_ms``,
         ``max_attempts``); ``base_rto_ms`` defaults to ``4 * delay_ms``.
     schedule:
         Optional :class:`repro.chaos.FaultSchedule` armed on the round's
@@ -761,10 +764,8 @@ def run_sac_protocol(
         raise ValueError("leader out of range")
     rnd = ActorRound(
         models, members, (leader,), crash_at, schedule, seed, delay_ms,
-        trace_id if trace_id is not None else f"sac:s{seed}",
-        loss_rate=loss_rate, bandwidth_bps=bandwidth_bps,
-        serialize_uplink=serialize_uplink, transport=transport,
-        transport_opts=transport_opts,
+        f"sac:s{seed}", loss_rate=loss_rate, bandwidth_bps=bandwidth_bps,
+        transport=transport, transport_opts=transport_opts,
     )
     network = rnd.network
     peers = [

@@ -30,7 +30,7 @@ import numpy as np
 
 from .batched import _accumulate_scaled, draw_divide_noise
 from .errors import SacAbort
-from .seedshare import SEED_SHARE_BITS, seeded_zero_sum_shares
+from .seedshare import seeded_zero_sum_shares
 
 #: Weights travel as 32-bit floats (PyTorch default), matching the
 #: paper's Gb figures.
@@ -151,8 +151,6 @@ def sac_average(
     models: Sequence[np.ndarray],
     rng: np.random.Generator,
     crashed: set[int] | None = None,
-    bits_per_param: int = DEFAULT_BITS_PER_PARAM,
-    share_codec: str = "dense",
 ) -> SacResult:
     """Run one n-out-of-n SAC round over ``models`` (paper Alg. 2).
 
@@ -169,16 +167,6 @@ def sac_average(
         Peers that drop out during the round.  Plain SAC cannot tolerate
         any: a non-empty set raises :class:`SacAbort` (the caller restarts
         with the survivors, as the paper prescribes).
-    bits_per_param:
-        Wire width of one weight scalar, for cost accounting.
-    share_codec:
-        Phase-1 wire representation.  ``"dense"`` (default) ships Alg. 1
-        splits as full vectors; ``"seed"`` derives each
-        peer's n-1 mask shares from PRG seeds and ships ~32-byte seeds
-        (the residual stays with the sender); ``"seed-dense"`` uses the
-        same masks but materialized on the wire.  ``"seed"`` and
-        ``"seed-dense"`` produce bit-identical averages — only the
-        accounted bits differ.
 
     Returns
     -------
@@ -196,16 +184,9 @@ def sac_average(
     # to peer j (keeping share i).  Phase 2 — peer j computes
     # ps_wt_j = sum_i par_wt_{i j} and broadcasts it.  Phase 3 — every
     # peer averages the subtotals (Eq. 1–3).
-    average = reference_group_average(
-        models, spawn_peer_seeds(rng, n), share_codec
-    )
-    w_bits = float(average.size * bits_per_param)
-    if share_codec == "seed":
-        # The residual stays at the owner's index, so an n-out-of-n
-        # exchange transmits seeds only.
-        phase1_bits = n * (n - 1) * SEED_SHARE_BITS
-    else:
-        phase1_bits = n * (n - 1) * w_bits
+    average = reference_group_average(models, spawn_peer_seeds(rng, n))
+    w_bits = float(average.size * DEFAULT_BITS_PER_PARAM)
+    phase1_bits = n * (n - 1) * w_bits
     phase1_msgs = n * (n - 1)
     phase2_msgs = n * (n - 1)
 

@@ -13,7 +13,7 @@ mask and a locally expanded one are the *same* float64/uint64 array).
 
 Two mask codecs mirror the repo's two sharing domains:
 
-- :data:`FLOAT_CODEC` — N(0, mask_scale) float64 masks, the zero-sum
+- :data:`FLOAT_CODEC` — N(0, 1) float64 masks, the zero-sum
   splitting of :func:`repro.secure.additive.divide_zero_sum`;
 - :data:`RING_CODEC` — uniform ``uint64`` masks over ``Z_{2^64}``, the
   fixed-point ring splitting of
@@ -76,7 +76,6 @@ class SeedShare:
     seed: int
     shape: tuple[int, ...]
     codec: str = FLOAT_CODEC
-    mask_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.codec not in _CODECS:
@@ -88,7 +87,7 @@ class SeedShare:
         """Materialize the mask share (deterministic in ``seed``)."""
         rng = _expander(self.seed)
         if self.codec == FLOAT_CODEC:
-            return rng.normal(0.0, self.mask_scale, size=self.shape)
+            return rng.normal(0.0, 1.0, size=self.shape)
         return rng.integers(0, _RING_HIGH, size=self.shape, dtype=np.uint64)
 
     def size_bits(self) -> float:
@@ -159,11 +158,10 @@ def seeded_zero_sum_shares(
     n: int,
     rng: np.random.Generator,
     residual_index: int | None = None,
-    mask_scale: float = 1.0,
 ) -> SeededShares:
     """Seeded analogue of :func:`repro.secure.additive.divide_zero_sum`.
 
-    The ``n-1`` mask shares are N(0, mask_scale) vectors expanded from
+    The ``n-1`` mask shares are N(0, 1) vectors expanded from
     per-share 128-bit seeds drawn off ``rng``; the residual lands at
     ``residual_index`` (default: last, mirroring ``divide_zero_sum``).
     """
@@ -175,9 +173,7 @@ def seeded_zero_sum_shares(
     for j in range(n):
         if j == residual_index:
             continue
-        seeds[j] = SeedShare(
-            draw_seed(rng), w.shape, FLOAT_CODEC, mask_scale=mask_scale
-        )
+        seeds[j] = SeedShare(draw_seed(rng), w.shape, FLOAT_CODEC)
         mask = seeds[j].expand()
         dense[j] = mask
         acc = mask if acc is None else acc + mask

@@ -102,10 +102,10 @@ def shamir_sac_average(
     models: list[np.ndarray],
     t: int,
     rng: np.random.Generator,
-    frac_bits: int = 20,
     dropouts: set[int] | None = None,
 ) -> np.ndarray:
-    """t-out-of-n SAC using Shamir sharing (fixed-point encoded).
+    """t-out-of-n SAC using Shamir sharing (fixed-point encoded, 20
+    fraction bits).
 
     Each peer Shamir-shares its quantized model; peer ``j`` sums the
     j-th shares of all models (share arithmetic is linear, so this is a
@@ -115,6 +115,7 @@ def shamir_sac_average(
     """
     from .fixed_point import decode_fixed_point, encode_fixed_point
 
+    frac_bits = 20
     n = len(models)
     _check_t_n(t, n)
     dropouts = set(dropouts or ())

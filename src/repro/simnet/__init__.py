@@ -17,7 +17,6 @@ instances so that every simulation is reproducible bit-for-bit.
 from .events import Event, EventQueue, Simulator, TimerHandle
 from .network import (
     FixedLatency,
-    LatencyMatrix,
     LatencyModel,
     Network,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "TimerHandle",
     "LatencyModel",
     "FixedLatency",
-    "LatencyMatrix",
     "Network",
     "SimNode",
     "MessageRecord",

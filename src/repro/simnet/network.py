@@ -64,84 +64,6 @@ class FixedLatency:
         return np.full(len(src_ids), self.delay_ms, dtype=np.float64)
 
 
-class LatencyMatrix:
-    """Per-(src, dst) one-way delays — heterogeneous/geo-distributed peers.
-
-    ``matrix[src][dst]`` gives the base delay; optional multiplicative
-    ``jitter`` draws U(1, 1+jitter) per message.  Pairs absent from the
-    matrix fall back to ``default_ms``.
-    """
-
-    def __init__(
-        self,
-        matrix: dict[tuple[int, int], float] | np.ndarray,
-        default_ms: float = DEFAULT_DELAY_MS,
-        jitter: float = 0.0,
-    ) -> None:
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if isinstance(matrix, np.ndarray):
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("latency matrix must be square")
-            if (matrix < 0).any():
-                raise ValueError("latencies must be non-negative")
-            # Dense input: keep the ndarray and index it directly — the
-            # old code materialized an O(N^2) python dict, which at 10^5
-            # peers would be tens of GB.  The dict stays for sparse
-            # (dict) inputs only.
-            self._matrix = np.asarray(matrix, dtype=np.float64)
-            self._lookup: dict[tuple[int, int], float] | None = None
-        else:
-            bad = [v for v in matrix.values() if v < 0]
-            if bad:
-                raise ValueError("latencies must be non-negative")
-            self._matrix = None
-            self._lookup = {k: float(v) for k, v in matrix.items()}
-        self.default_ms = default_ms
-        self.jitter = jitter
-
-    def _base(self, src: int, dst: int) -> float:
-        if self._matrix is not None:
-            n = self._matrix.shape[0]
-            if 0 <= src < n and 0 <= dst < n:
-                return float(self._matrix[src, dst])
-            return self.default_ms
-        return self._lookup.get((src, dst), self.default_ms)
-
-    def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
-        base = self._base(src, dst)
-        if self.jitter:
-            base *= float(rng.uniform(1.0, 1.0 + self.jitter))
-        return base
-
-    def sample_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        src_ids = np.asarray(src_ids)
-        dst_ids = np.asarray(dst_ids)
-        if self._matrix is not None:
-            n = self._matrix.shape[0]
-            in_range = (
-                (src_ids >= 0) & (src_ids < n) & (dst_ids >= 0) & (dst_ids < n)
-            )
-            base = np.full(len(src_ids), self.default_ms, dtype=np.float64)
-            base[in_range] = self._matrix[src_ids[in_range], dst_ids[in_range]]
-        else:
-            lookup = self._lookup
-            default = self.default_ms
-            base = np.fromiter(
-                (
-                    lookup.get((int(s), int(d)), default)
-                    for s, d in zip(src_ids, dst_ids)
-                ),
-                dtype=np.float64,
-                count=len(src_ids),
-            )
-        if self.jitter:
-            base = base * rng.uniform(1.0, 1.0 + self.jitter, size=len(src_ids))
-        return base
-
-
 class Network:
     """Message fabric connecting :class:`~repro.simnet.node.SimNode` actors.
 
@@ -179,7 +101,7 @@ class Network:
         and retransmission overhead is honestly traced.
     transport_opts:
         Keyword overrides for the :class:`ReliableTransport`
-        (``base_rto_ms``, ``backoff``, ``max_attempts``).
+        (``base_rto_ms``, ``max_attempts``).
     """
 
     def __init__(
@@ -615,16 +537,3 @@ class Network:
                 "net_dropped_total", "Dropped messages by reason and kind.",
                 labels=("reason", "kind"),
             ).labels(reason=reason, kind=kind).inc()
-
-    def broadcast(
-        self,
-        src: int,
-        dsts: list[int],
-        msg: Any,
-        size_bits: float = 0.0,
-        kind: str = "msg",
-    ) -> None:
-        """Send the same message to every node in ``dsts`` (excluding ``src``)."""
-        for dst in dsts:
-            if dst != src:
-                self.send(src, dst, msg, size_bits=size_bits, kind=kind)

@@ -15,7 +15,7 @@ Semantics
 - The receiver ACKs every frame it sees — including duplicates — and
   delivers each sequence number to the application exactly once.
 - The sender retransmits on an exponential-backoff timer
-  (``base_rto_ms * backoff**attempt``) until the ACK lands or
+  (``base_rto_ms * BACKOFF**attempt``) until the ACK lands or
   ``max_attempts`` transmissions have been made.
 - Accounting is honest: every physical (re)transmission and every ACK
   is traced with its real size and shows up in the obs metrics
@@ -54,6 +54,8 @@ FRAME_HEADER_BITS = 64.0
 ACK_BITS = 64.0
 #: transport modes accepted by :class:`~repro.simnet.network.Network`.
 TRANSPORTS = ("fire_and_forget", "reliable")
+#: the factor each retransmission multiplies the RTO by.
+BACKOFF = 2.0
 
 
 def check_transport(transport: str) -> str:
@@ -94,8 +96,8 @@ class _Pending:
     frame: DataFrame
     src: int
     dst: int
-    attempts: int = 0
-    timer: Optional["TimerHandle"] = None
+    attempts: int = field(default=0, init=False)
+    timer: Optional["TimerHandle"] = field(default=None, init=False)
     # Causal span of the logical send: every physical (re)transmission
     # of this frame is the same message, so they share one span.
     ctx: Optional["TraceContext"] = None
@@ -121,9 +123,8 @@ class ReliableTransport:
         (crashes, partitions, loss) stay entirely in its hands.
     base_rto_ms:
         First retransmission timeout.  Should exceed one round trip;
-        the protocol runners default it to ``4 * delay_ms``.
-    backoff:
-        Multiplier applied to the RTO after every attempt.
+        the protocol runners default it to ``4 * delay_ms``.  Every
+        attempt multiplies the RTO by :data:`BACKOFF`.
     max_attempts:
         Total transmissions (first send included) before giving up.
     """
@@ -132,18 +133,15 @@ class ReliableTransport:
         self,
         network: "Network",
         base_rto_ms: float = 60.0,
-        backoff: float = 2.0,
         max_attempts: int = 8,
     ) -> None:
         if base_rto_ms <= 0:
             raise ValueError("base_rto_ms must be positive")
-        if backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.network = network
         self.base_rto_ms = base_rto_ms
-        self.backoff = backoff
+        self.backoff = BACKOFF
         self.max_attempts = max_attempts
         self._next_seq = 0
         self._pending: dict[int, _Pending] = {}

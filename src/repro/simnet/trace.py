@@ -79,36 +79,19 @@ class TraceRecorder:
             self._dropped_by_kind[rec.kind] += count
             self.total_dropped += count
 
-    def bits(self, kind: str | None = None, prefix: str | None = None) -> float:
-        """Total delivered bits, optionally filtered by exact kind or prefix."""
-        if kind is not None:
-            return self._bits_by_kind.get(kind, 0.0)
-        if prefix is not None:
-            return sum(
-                v for k, v in self._bits_by_kind.items() if k.startswith(prefix)
-            )
-        return self.total_bits
+    def bits(self, kind: str) -> float:
+        """Delivered bits of one message kind."""
+        return self._bits_by_kind.get(kind, 0.0)
 
-    def messages(self, kind: str | None = None, prefix: str | None = None) -> int:
-        """Number of delivered messages, optionally filtered."""
-        if kind is not None:
-            return self._msgs_by_kind.get(kind, 0)
-        if prefix is not None:
-            return sum(
-                v for k, v in self._msgs_by_kind.items() if k.startswith(prefix)
-            )
-        return self.total_messages
+    def messages(self, kind: str) -> int:
+        """Delivered messages of one kind."""
+        return self._msgs_by_kind.get(kind, 0)
 
-    def dropped(self, kind: str | None = None) -> int:
-        """Number of undelivered messages, optionally filtered by kind.
-
-        Counts every drop the network reported a :class:`MessageRecord`
-        for (link down at send time, or random loss) — the previously
-        invisible failure path of the ``loss_rate`` machinery.
-        """
-        if kind is not None:
-            return self._dropped_by_kind.get(kind, 0)
-        return self.total_dropped
+    def dropped(self, kind: str) -> int:
+        """Undelivered messages of one kind: every drop the network
+        reported a :class:`MessageRecord` for (link down at send time, or
+        random loss)."""
+        return self._dropped_by_kind.get(kind, 0)
 
     def kinds(self) -> Iterator[str]:
         return iter(sorted(self._bits_by_kind))

@@ -20,6 +20,10 @@ import numpy as np
 from ..core.topology import Topology
 from .system import SystemEvent, TwoLayerRaftSystem
 
+#: how long a stabilized system runs (plus a random heartbeat phase)
+#: before a recovery trial crashes its leader.
+_SETTLE_MS = 2_000.0
+
 
 @dataclass(frozen=True)
 class RecoveryTimes:
@@ -80,8 +84,6 @@ def _run_until_event(
 def subgroup_leader_recovery_trial(
     seed: int,
     timeout_base_ms: float = 50.0,
-    group: int = 0,
-    settle_ms: float = 2_000.0,
     **system_kw,
 ) -> RecoveryTimes:
     """Crash one subgroup leader (not the FedAvg leader) and measure
@@ -92,12 +94,12 @@ def subgroup_leader_recovery_trial(
     # would land (a fixed settle time would alias with the heartbeat
     # period and bias the detection latency).
     jitter = float(np.random.default_rng(seed ^ 0x5EED).uniform(0, 4 * timeout_base_ms))
-    system.run_for(settle_ms + jitter)
+    system.run_for(_SETTLE_MS + jitter)
 
     # Pick a subgroup whose leader is NOT the FedAvg leader, so only the
     # SAC layer is disturbed (Sec. V-A1).
     fed_leader = system.fed_leader()
-    gi = group
+    gi = 0
     victim = system.subgroup_leader(gi)
     while victim is None or victim == fed_leader:
         gi = (gi + 1) % system.topology.n_groups
@@ -124,7 +126,6 @@ def subgroup_leader_recovery_trial(
 def fedavg_leader_recovery_trial(
     seed: int,
     timeout_base_ms: float = 50.0,
-    settle_ms: float = 2_000.0,
     **system_kw,
 ) -> RecoveryTimes:
     """Crash the FedAvg leader (Sec. V-B1) and measure: the FedAvg-layer
@@ -133,7 +134,7 @@ def fedavg_leader_recovery_trial(
     system = _default_system(seed, timeout_base_ms, **system_kw)
     system.stabilize()
     jitter = float(np.random.default_rng(seed ^ 0x5EED).uniform(0, 4 * timeout_base_ms))
-    system.run_for(settle_ms + jitter)
+    system.run_for(_SETTLE_MS + jitter)
 
     victim = system.fed_leader()
     assert victim is not None
@@ -198,14 +199,7 @@ def check_election_safety(events: list[SystemEvent]) -> list[str]:
     return violations
 
 
-def chaos_raft_trial(
-    seed: int,
-    schedule,
-    timeout_base_ms: float = 50.0,
-    settle_ms: float = 1_000.0,
-    recovery_ms: float = 30_000.0,
-    **system_kw,
-) -> ChaosRaftReport:
+def chaos_raft_trial(seed: int, schedule, **system_kw) -> ChaosRaftReport:
     """Run a :class:`repro.chaos.FaultSchedule` against a stabilized
     two-layer Raft deployment and check its safety/liveness invariants.
 
@@ -213,11 +207,12 @@ def chaos_raft_trial(
     partitions, loss and stragglers included).  Liveness: once the
     schedule's last effect has passed and permanently-crashed peers are
     excluded, every subgroup with a quorum and the FedAvg layer must
-    elect leaders again within ``recovery_ms``.
+    elect leaders again within 30 s.
     """
+    timeout_base_ms = 50.0
     system = _default_system(seed, timeout_base_ms, **system_kw)
     system.stabilize()
-    system.run_for(settle_ms)
+    system.run_for(1_000.0)
 
     t0 = system.sim.now
     events_before = len(system.events)
@@ -231,7 +226,7 @@ def chaos_raft_trial(
     # Liveness: give the survivors time to re-elect.  Subgroups that
     # lost their quorum to permanent crashes are exempt — no minority
     # can (or should) elect a leader.
-    deadline = system.sim.now + recovery_ms
+    deadline = system.sim.now + 30_000.0
     down = schedule.crashed_nodes()
 
     def _quorate(gi: int) -> bool:
@@ -269,11 +264,10 @@ def run_trials(
     trial_fn: Callable[..., RecoveryTimes],
     n_trials: int,
     timeout_base_ms: float,
-    seed0: int = 0,
     **kw,
 ) -> list[RecoveryTimes]:
-    """Repeat a recovery trial with consecutive seeds (paper: 1000 runs)."""
+    """Repeat a recovery trial with seeds 0, 1, ... (paper: 1000 runs)."""
     return [
-        trial_fn(seed=seed0 + i, timeout_base_ms=timeout_base_ms, **kw)
+        trial_fn(seed=i, timeout_base_ms=timeout_base_ms, **kw)
         for i in range(n_trials)
     ]

@@ -35,7 +35,14 @@ from ..raft.messages import LogEntry
 from ..raft.node import RaftNode
 from ..raft.timers import RaftTiming
 from ..simnet import FixedLatency, Network, SimNode, Simulator, TraceRecorder
+from ..simnet.network import DEFAULT_DELAY_MS
 from .config import FEDAVG_CONFIG, JoinRedirect, JoinRequest
+
+#: how often a new subgroup leader retries joining the FedAvg layer.
+JOIN_POLL_INTERVAL_MS = 100.0
+#: how often a subgroup leader re-commits the FedAvg configuration to its
+#: subgroup log.
+CONFIG_COMMIT_INTERVAL_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -154,33 +161,24 @@ class TwoLayerRaftSystem:
         self,
         topology: Topology,
         timeout_base_ms: float = 50.0,
-        delay_ms: float = 15.0,
         seed: int = 0,
-        join_poll_interval_ms: float = 100.0,
-        config_commit_interval_ms: float = 250.0,
         pre_election_wait: bool = True,
         heartbeat_interval_ms: float | None = None,
         remove_replaced_leaders: bool = False,
-        loss_rate: float = 0.0,
-        transport: str = "fire_and_forget",
-        transport_opts: dict | None = None,
     ) -> None:
         self.topology = topology
         self.sim = Simulator()
         self.rng = np.random.default_rng(seed)
         self.trace = TraceRecorder()
         self.network = Network(
-            self.sim, latency=FixedLatency(delay_ms), rng=self.rng,
-            trace=self.trace, loss_rate=loss_rate,
-            transport=transport, transport_opts=transport_opts,
+            self.sim, latency=FixedLatency(DEFAULT_DELAY_MS), rng=self.rng,
+            trace=self.trace,
         )
         self.timing = RaftTiming(
             timeout_base_ms=timeout_base_ms,
             pre_election_wait=pre_election_wait,
             heartbeat_interval_ms=heartbeat_interval_ms,
         )
-        self.join_poll_interval_ms = join_poll_interval_ms
-        self.config_commit_interval_ms = config_commit_interval_ms
         #: EXTENSION (off by default — the paper only ever *adds*
         #: members, Sec. VII-D): when a subgroup's new leader joins the
         #: FedAvg layer, evict that subgroup's previous seat-holder from
@@ -343,9 +341,9 @@ class TwoLayerRaftSystem:
                             size_bits=req.size_bits(),
                             kind="sys.join",
                         )
-            peer._join_timer = peer.set_timer(self.join_poll_interval_ms, poll)
+            peer._join_timer = peer.set_timer(JOIN_POLL_INTERVAL_MS, poll)
 
-        first_offset = float(self.rng.uniform(0.0, self.join_poll_interval_ms))
+        first_offset = float(self.rng.uniform(0.0, JOIN_POLL_INTERVAL_MS))
         peer._join_timer = peer.set_timer(first_offset, poll)
 
     def _stop_join_polling(self, peer: PeerProcess) -> None:
@@ -378,7 +376,7 @@ class TwoLayerRaftSystem:
                 peer.sub_raft.propose((FEDAVG_CONFIG, config))
                 last_committed[0] = config
             peer._config_timer = peer.set_timer(
-                self.config_commit_interval_ms, commit
+                CONFIG_COMMIT_INTERVAL_MS, commit
             )
 
         commit()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.campaign import CampaignSchedule, Join, Leave, Rejoin
 from repro.campaign.runner import CAMPAIGN_PROFILES
-from repro.campaign.schedule import sample_campaign_schedule
+from repro.campaign.schedule import STORM_PERIOD, sample_campaign_schedule
 from repro.chaos import PROFILES
 
 
@@ -60,15 +60,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             CampaignSchedule(
                 rounds=3, initial_members=(0, 1), churn=(Leave(5, 0),)
-            )
-
-    def test_rejects_fault_round_outside_rounds(self):
-        from repro.chaos import ChaosPlan, FaultSchedule
-
-        plan = ChaosPlan(profile="mixed", schedule=FaultSchedule([]))
-        with pytest.raises(ValueError, match="outside"):
-            CampaignSchedule(
-                rounds=3, initial_members=(0, 1), faults={3: plan}
             )
 
     def test_leave_then_rejoin_is_legal(self):
@@ -130,10 +121,9 @@ class TestSampling:
 
     def test_churn_only_on_storm_boundaries(self):
         p = CAMPAIGN_PROFILES["mixed"]
-        s = sample_campaign_schedule(
-            np.random.default_rng(3), p, 12, range(12), storm_period=3
-        )
-        assert all(e.round % 3 == 0 and e.round > 0 for e in s.churn)
+        s = sample_campaign_schedule(np.random.default_rng(3), p, 12, range(12))
+        assert s.churn
+        assert all(e.round % STORM_PERIOD == 0 and e.round > 0 for e in s.churn)
 
     def test_min_alive_floor_respected(self):
         # An aggressive leave rate cannot empty the campaign.

@@ -91,7 +91,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["xlayer", "--loss", "0.5", "--transport", "fire_and_forget"],
         ["campaign", "--peers", "3"],
-    ], ids=["xlayer-lossy-fire-and-forget", "campaign-too-few-peers"])
+        ["chaos", "--scale", "200", "--transport", "fire_and_forget"],
+    ], ids=["xlayer-lossy-fire-and-forget", "campaign-too-few-peers",
+            "chaos-scale-fire-and-forget"])
     def test_bad_flag_combination_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

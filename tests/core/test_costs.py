@@ -20,8 +20,8 @@ W = PAPER_CNN_PARAMS  # 1,250,858 — the Fig. 5 CNN
 
 class TestBaseline:
     def test_formula(self):
-        # 2 N (N-1) |w| with unit weight size.
-        assert one_layer_sac_cost_bits(10, 1, 1) == 180
+        # 2 N (N-1) |w| with one 32-bit parameter.
+        assert one_layer_sac_cost_bits(10, 1) == 180 * 32
 
     def test_paper_196gb_baseline_at_n50(self):
         """Sec. VII-B: 'The aggregation cost is 196.13Gb in the baseline
@@ -39,7 +39,7 @@ class TestEq4:
         for m in range(1, 8):
             for n in range(1, 8):
                 direct = m * (n * n - 1) + m * (n - 1) + 2 * (m - 1)
-                assert two_layer_cost_bits(m, n, 1, 1) == direct
+                assert two_layer_cost_bits(m, n, 1) == direct * 32
 
     def test_paper_7_12gb_at_m6(self):
         """Fig. 13: 'When m = 6, the communication cost is 7.12Gb'."""
@@ -58,7 +58,7 @@ class TestEq4:
     def test_m1_matches_one_layer_sac_shape(self):
         # m=1: (n^2 + n - 2)|w| = SAC's share+subtotal traffic with the
         # leader-collection pattern (smaller than broadcast-everywhere SAC).
-        assert two_layer_cost_bits(1, 5, 1, 1) == 28
+        assert two_layer_cost_bits(1, 5, 1) == 28 * 32
 
 
 class TestEq5:
@@ -67,8 +67,8 @@ class TestEq5:
             for n in range(1, 6):
                 n_total = m * n
                 assert two_layer_ft_cost_bits(
-                    n_total, m, n, n, 1, 1
-                ) == two_layer_cost_bits(m, n, 1, 1)
+                    n_total, m, n, n, 1
+                ) == two_layer_cost_bits(m, n, 1)
 
     def test_paper_10_36x_at_3_2_30(self):
         """Abstract + Sec. VII-B: n,k,N = 3,2,30 -> 10.36x reduction."""
@@ -108,24 +108,22 @@ class TestEq5:
 class TestTopologyExactCosts:
     def test_matches_eq4_for_even_groups(self):
         topo = Topology.by_group_count(25, 5)  # five groups of 5
-        assert two_layer_cost_from_topology(topo, 1, 1) == two_layer_cost_bits(
-            5, 5, 1, 1
-        )
+        assert two_layer_cost_from_topology(topo, 1) == two_layer_cost_bits(5, 5, 1)
 
     def test_uneven_groups_close_to_eq4(self):
         # N=30, m=4 -> 8,8,7,7; Eq. 4 with n=7.5 is not defined, but the
         # exact cost sits between the n=7 and n=8 values.
         topo = Topology.by_group_count(30, 4)
-        exact = two_layer_cost_from_topology(topo, 1, 1)
-        lo = two_layer_cost_bits(4, 7, 1, 1)
-        hi = two_layer_cost_bits(4, 8, 1, 1)
+        exact = two_layer_cost_from_topology(topo, 1)
+        lo = two_layer_cost_bits(4, 7, 1)
+        hi = two_layer_cost_bits(4, 8, 1)
         assert lo < exact < hi
 
     def test_ft_matches_eq5_for_even_groups(self):
         topo = Topology.by_group_count(30, 10)  # ten groups of 3
         assert two_layer_ft_cost_from_topology(
-            topo, 2, 1, 1
-        ) == two_layer_ft_cost_bits(30, 10, 3, 2, 1, 1)
+            topo, 2, 1
+        ) == two_layer_ft_cost_bits(30, 10, 3, 2, 1)
 
     def test_ft_threshold_exceeding_group_rejected(self):
         topo = Topology.by_group_count(9, 3)
@@ -144,15 +142,15 @@ class TestEq10:
         # (N-1)(n+2)|w|
         n, depth = 3, 3
         total = multi_layer_total_peers(n, depth)
-        assert multi_layer_cost_bits(n, depth, 1, 1) == (total - 1) * (n + 2)
+        assert multi_layer_cost_bits(n, depth, 1) == (total - 1) * (n + 2) * 32
 
     def test_linear_in_n_peers(self):
         """Communication approaches O(N) as depth grows (Sec. VII-C)."""
         n = 3
         for depth in (2, 3, 4, 5):
             total = multi_layer_total_peers(n, depth)
-            per_peer = multi_layer_cost_bits(n, depth, 1, 1) / total
-            assert per_peer < (n + 2)  # bounded per-peer cost
+            per_peer = multi_layer_cost_bits(n, depth, 1) / total
+            assert per_peer < (n + 2) * 32  # bounded per-peer cost
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -167,29 +165,27 @@ class TestSeededClosedForms:
     def test_one_layer_formula(self):
         import numpy as np
 
-        from repro.secure import SEED_SHARE_BITS, sac_average
+        from repro.secure import SEED_SHARE_BITS, run_sac_protocol
 
-        # N(N-1) seeds + N(N-1) |w| with unit weight size.
+        # An n-out-of-n group: N(N-1) seeds + (N-1) subtotals of one
+        # 32-bit parameter.
         n = 10
         models = [np.full(1, float(i)) for i in range(n)]
-        r = sac_average(
-            models, np.random.default_rng(0), bits_per_param=1,
-            share_codec="seed",
-        )
-        assert r.bits_sent == n * (n - 1) * (SEED_SHARE_BITS + 1)
+        r = run_sac_protocol(models, k=n, share_codec="seed")
+        assert r.bits_sent == n * (n - 1) * SEED_SHARE_BITS + (n - 1) * 32
 
     def test_one_layer_measured_matches(self):
         import numpy as np
 
-        from repro.secure import SEED_SHARE_BITS, sac_average
+        from repro.core import seeded_exchange_bits
+        from repro.secure import SEED_SHARE_BITS, run_sac_protocol
 
         models = [
             np.random.default_rng(i).normal(size=128) for i in range(6)
         ]
-        r = sac_average(
-            models, np.random.default_rng(0), share_codec="seed"
-        )
-        assert r.bits_sent == 6 * 5 * SEED_SHARE_BITS + 6 * 5 * 128 * 32
+        r = run_sac_protocol(models, k=6, share_codec="seed")
+        assert seeded_exchange_bits(6, 6, 128) == 6 * 5 * SEED_SHARE_BITS
+        assert r.bits_sent == 6 * 5 * SEED_SHARE_BITS + 5 * 128 * 32
 
     def test_seeded_exchange_pure_seeds_at_k_equals_n(self):
         from repro.core import seeded_exchange_bits
@@ -209,11 +205,11 @@ class TestSeededClosedForms:
         for m in range(1, 6):
             for n in range(1, 6):
                 direct = (
-                    m * seeded_exchange_bits(n, n, 1, 1)
-                    + (2 * m * (n - 1) + 2 * (m - 1)) * 1
+                    m * seeded_exchange_bits(n, n, 1)
+                    + (2 * m * (n - 1) + 2 * (m - 1)) * 32
                 )
                 topo = Topology.by_group_count(m * n, m)
-                assert two_layer_seeded_cost_from_topology(topo, None, 1, 1) == direct
+                assert two_layer_seeded_cost_from_topology(topo, None, 1) == direct
 
     def test_ft_seeded_reduces_to_n_out_of_n(self):
         from repro.core import two_layer_seeded_cost_from_topology
@@ -250,7 +246,7 @@ class TestSeededClosedForms:
         import numpy as np
 
         from repro.core import seeded_exchange_bits
-        from repro.secure import fault_tolerant_sac, run_sac_protocol
+        from repro.secure import run_sac_protocol
 
         models = [
             np.random.default_rng(i).normal(size=64) for i in range(6)
@@ -258,10 +254,6 @@ class TestSeededClosedForms:
         for k in (4, 6):
             # Seeded exchange plus the (k-1) dense subtotals.
             expected = seeded_exchange_bits(6, k, 64) + (k - 1) * 64 * 32
-            fn = fault_tolerant_sac(
-                models, k, np.random.default_rng(0), share_codec="seed"
-            )
-            assert fn.bits_sent == expected
             proto = run_sac_protocol(models, k=k, share_codec="seed")
             assert proto.outcome.ok
             assert proto.bits_sent == expected

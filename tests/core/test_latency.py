@@ -15,7 +15,7 @@ class TestFtSacLatency:
     def test_known_value(self):
         # n=3, k=2, 1000 params x 32 bit = 32 kb; 1 Mb/s -> t_w = 32 ms.
         # phase1: 2 peers-worth * 2 shares * 32 + 15 = 143; phase2: 47.
-        t = ft_sac_latency_ms(3, 2, 1000, 1e6, delay_ms=15.0)
+        t = ft_sac_latency_ms(3, 2, 1000, 1e6)
         assert t == pytest.approx((2 * 2 * 32.0 + 15.0) + (32.0 + 15.0))
 
     def test_single_peer_is_free(self):
@@ -42,8 +42,9 @@ class TestFtSacLatency:
 
 class TestOneLayerLatency:
     def test_scales_linearly_with_n(self):
-        t10 = one_layer_sac_latency_ms(10, 1000, 1e6, delay_ms=0.0)
-        t20 = one_layer_sac_latency_ms(20, 1000, 1e6, delay_ms=0.0)
+        # Two phases, each (N-1) t_w of uplink plus a 15 ms hop.
+        t10 = one_layer_sac_latency_ms(10, 1000, 1e6) - 2 * 15.0
+        t20 = one_layer_sac_latency_ms(20, 1000, 1e6) - 2 * 15.0
         assert t20 / t10 == pytest.approx(19 / 9)
 
     def test_single_peer_free(self):

@@ -174,64 +174,26 @@ class TestDeepTrees:
             assert len(topo.member_matrix(layer)) == multi_layer_groups_at(3, layer)
 
 
-class TestMixedSchedules:
-    """Per-layer method choice (the paper's FedAvg remark in Sec. VII-C)."""
+class TestMessageCount:
+    """Eq. 10 as a message count: every message carries ``|w|``."""
 
-    @pytest.mark.parametrize("sac_layers", [
-        set(), {1}, {4}, {1, 3}, {2, 4}, {1, 2, 3, 4},
-    ])
-    def test_mixed_bits_match_closed_form(self, sac_layers):
-        n, depth, d = 3, 4, 7
-        topo = MultiLayerTopology(n, depth)
-        method = lambda layer: "sac" if layer in sac_layers else "fedavg"
-        rng = RNG(12)
-        models = [rng.normal(size=d) for _ in range(topo.n_peers)]
-        result = multi_layer_aggregate(topo, models, rng, method_for_layer=method)
-        assert result.bits_sent == (
-            multi_layer_message_count(n, depth, sac_layers) * d * 32
-        )
-        np.testing.assert_allclose(
-            result.average, np.mean(models, axis=0), rtol=1e-9
-        )
-
-    def test_all_sac_mixed_equals_eq10(self):
-        n, depth = 4, 4
-        assert multi_layer_message_count(
-            n, depth, set(range(1, depth + 1))
-        ) * 10 * 32 == multi_layer_cost_bits(n, depth, 10)
-
-    def test_message_count_times_w_recovers_bits(self):
-        """Eq. 10 less the ``n (n-1)`` share messages of every group on a
-        FedAvg layer."""
+    def test_message_count_times_w_is_eq10(self):
         for n, depth in [(2, 5), (3, 4), (4, 3)]:
-            for sac_layers in [set(), {1, 2}, set(range(1, depth + 1))]:
-                w = 13
-                fedavg_groups = sum(
-                    multi_layer_groups_at(n, layer)
-                    for layer in range(1, depth + 1) if layer not in sac_layers
-                )
-                assert (
-                    multi_layer_message_count(n, depth, sac_layers) * w * 32
-                    == multi_layer_cost_bits(n, depth, w)
-                    - fedavg_groups * n * (n - 1) * w * 32
-                )
+            assert multi_layer_message_count(n, depth) * 13 * 32 == (
+                multi_layer_cost_bits(n, depth, 13)
+            )
 
     @given(
         n=st.integers(2, 4),
         depth=st.integers(1, 5),
-        mask=st.integers(0, 31),
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_measured_bits_pin_closed_form(self, n, depth, mask, seed):
-        """Property: for any tree shape and any layer-method schedule the
-        measured wire bits equal the closed form exactly (no tolerance)."""
-        sac_layers = {l for l in range(1, depth + 1) if mask & (1 << (l - 1))}
+    def test_measured_bits_match_message_count(self, n, depth, seed):
+        """Property: for any tree shape the measured wire bits equal the
+        closed form exactly (no tolerance)."""
         topo = MultiLayerTopology(n, depth)
-        method = lambda layer: "sac" if layer in sac_layers else "fedavg"
         rng = RNG(seed)
         models = [rng.normal(size=2) for _ in range(topo.n_peers)]
-        result = multi_layer_aggregate(topo, models, rng, method_for_layer=method)
-        assert result.bits_sent == (
-            multi_layer_message_count(n, depth, sac_layers) * 2 * 32
-        )
+        result = multi_layer_aggregate(topo, models, rng)
+        assert result.bits_sent == multi_layer_message_count(n, depth) * 2 * 32

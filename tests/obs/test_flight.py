@@ -11,7 +11,7 @@ from repro.chaos import Crash, FaultSchedule
 from repro.core.topology import Topology
 from repro.core.wire_round import run_two_layer_wire_round
 from repro.obs import runtime as _runtime
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import DEFAULT_CAPACITY, DEFAULT_MAX_INCIDENTS, FlightRecorder
 
 
 def _read_jsonl(path):
@@ -22,13 +22,16 @@ def _read_jsonl(path):
 class TestRing:
     def test_ring_is_bounded(self, tmp_path):
         with _runtime.observe() as obs:
-            rec = FlightRecorder(out_dir=str(tmp_path), capacity=8)
+            rec = FlightRecorder(out_dir=str(tmp_path))
             rec.attach(obs.bus)
-            for i in range(100):
+            n = DEFAULT_CAPACITY + 100
+            for i in range(n):
                 obs.emit("tick", t_ms=float(i), node=0)
-        assert rec.events_seen == 100
-        assert len(rec.ring) == 8
-        assert [e.t_ms for e in rec.ring] == [92.0 + i for i in range(8)]
+        assert rec.events_seen == n
+        assert len(rec.ring) == DEFAULT_CAPACITY
+        assert [e.t_ms for e in rec.ring] == [
+            float(i) for i in range(100, n)
+        ]
         assert not rec.incidents  # nothing triggered
 
     def test_happy_path_rounds_do_not_trigger(self, tmp_path):
@@ -41,19 +44,19 @@ class TestRing:
 class TestIncidents:
     def test_safety_violation_dumps_last_n_events(self, tmp_path):
         with _runtime.observe() as obs:
-            rec = obs.attach_flight(out_dir=str(tmp_path), capacity=16)
-            for i in range(40):
+            rec = obs.attach_flight(out_dir=str(tmp_path))
+            for i in range(DEFAULT_CAPACITY + 40):
                 obs.emit("tick", t_ms=float(i), node=0)
             obs.emit("chaos.safety_violation", t_ms=None,
                      outcome="completed", detail="aggregate mismatch")
         (inc_dir,) = rec.incidents
         events = _read_jsonl(os.path.join(inc_dir, "events.jsonl"))
-        assert len(events) == 16
+        assert len(events) == DEFAULT_CAPACITY
         assert events[-1]["name"] == "chaos.safety_violation"
         assert events[-1]["detail"] == "aggregate mismatch"
         manifest = json.load(open(os.path.join(inc_dir, "manifest.json")))
         assert manifest["trigger"]["name"] == "chaos.safety_violation"
-        assert manifest["ring_capacity"] == 16
+        assert manifest["ring_capacity"] == DEFAULT_CAPACITY
         # The pipeline wires its own registry in: the dump has metrics
         # and the registry counts the incident.
         assert os.path.exists(os.path.join(inc_dir, "metrics.prom"))
@@ -68,10 +71,10 @@ class TestIncidents:
 
     def test_max_incidents_suppresses(self, tmp_path):
         with _runtime.observe() as obs:
-            rec = obs.attach_flight(out_dir=str(tmp_path), max_incidents=1)
-            obs.emit("chaos.safety_violation", t_ms=None, detail="a")
-            obs.emit("chaos.safety_violation", t_ms=None, detail="b")
-        assert len(rec.incidents) == 1
+            rec = obs.attach_flight(out_dir=str(tmp_path))
+            for i in range(DEFAULT_MAX_INCIDENTS + 1):
+                obs.emit("chaos.safety_violation", t_ms=None, detail=str(i))
+        assert len(rec.incidents) == DEFAULT_MAX_INCIDENTS
         assert rec.suppressed == 1
 
     def test_link_matrix_included_when_attached(self, tmp_path):
@@ -107,8 +110,7 @@ class TestIncidents:
         victim = next(p for p in range(6) if p not in topo.leaders)
         schedule = FaultSchedule([Crash(10.0, victim)])
         with _runtime.observe(causal=True) as obs:
-            rec = obs.attach_flight(out_dir=str(tmp_path / "traced"),
-                                    capacity=2048)
+            rec = obs.attach_flight(out_dir=str(tmp_path / "traced"))
             result = run_two_layer_wire_round(
                 topo, models, k=3, seed=0, schedule=schedule,
                 trace_id="doomed:s0",
@@ -126,47 +128,6 @@ class TestIncidents:
         (inc2,) = rec2.incidents
         manifest2 = json.load(open(os.path.join(inc2, "manifest.json")))
         assert "critical_path" not in manifest2
-
-
-class TestSizeCap:
-    def _dump(self, obs, detail):
-        obs.emit("chaos.safety_violation", t_ms=None, detail=detail)
-
-    def test_total_bytes_cap_evicts_oldest(self, tmp_path):
-        with _runtime.observe() as obs:
-            rec = obs.attach_flight(
-                out_dir=str(tmp_path), max_incidents=100,
-                max_total_bytes=8_192,
-            )
-            # Pad the ring so each dump weighs ~4 KB on disk.
-            for i in range(40):
-                obs.emit("tick", t_ms=float(i), node=0, pad="x" * 64)
-            for i in range(6):
-                self._dump(obs, f"incident-{i}")
-        assert rec.evicted  # the cap actually bit
-        assert rec.total_bytes() <= 8_192
-        # Oldest evicted, newest survives, nothing overlaps.
-        assert all(not os.path.exists(d) for d in rec.evicted)
-        assert all(os.path.exists(d) for d in rec.incidents)
-        assert rec.incidents[-1].endswith("chaos_safety_violation")
-        survivors = {os.path.basename(d) for d in rec.incidents}
-        gone = {os.path.basename(d) for d in rec.evicted}
-        assert not survivors & gone
-
-    def test_newest_incident_survives_even_if_oversized(self, tmp_path):
-        with _runtime.observe() as obs:
-            rec = obs.attach_flight(
-                out_dir=str(tmp_path), max_total_bytes=1,
-            )
-            self._dump(obs, "only")
-        assert len(rec.incidents) == 1
-        assert rec.total_bytes() > 1  # over budget, kept anyway
-
-    def test_cap_validation(self, tmp_path):
-        import pytest
-
-        with pytest.raises(ValueError):
-            FlightRecorder(out_dir=str(tmp_path), max_total_bytes=0)
 
 
 class TestEndToEnd:

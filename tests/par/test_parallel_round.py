@@ -13,7 +13,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.campaign import run_campaign
-from repro.chaos import check_liveness
+from repro.chaos import Crash, FaultSchedule, check_liveness
 from repro.chaos.scale import run_scale_trial
 from repro.core import MultiLayerTopology, run_xlayer_wire_round
 from repro.core.topology import Topology
@@ -46,7 +46,7 @@ class TestWireRoundParity:
         victims = [p for p in topo.groups[1] if p != topo.leaders[1]][:3]
         result = run_two_layer_wire_round(
             topo, models, k=3, seed=13,
-            crash_at={p: crash_ms for p in victims},
+            schedule=FaultSchedule([Crash(crash_ms, p) for p in victims]),
         )
         assert check_liveness(result).ok, result.outcome
         assert result.outcome.status == "unrecoverable_dropout"
@@ -55,13 +55,6 @@ class TestWireRoundParity:
         )
         assert result.average is None and result.finish_time_ms is None
         assert result.end_time_ms == 100.0
-
-    def test_crashed_leader_rejected(self):
-        topo = Topology.by_group_size(9, 3)
-        with pytest.raises(ValueError, match="leader"):
-            run_two_layer_wire_round(
-                topo, _models(topo, 0), crash_at={topo.leaders[1]: 10.0}
-            )
 
     def test_unknown_mode_rejected(self):
         # Every mode but "off" is refused by all four entry points, and

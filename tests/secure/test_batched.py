@@ -309,12 +309,11 @@ class TestGroupKernel:
         assert _bits_equal(got, expect)
         assert got.base is None
 
-    @given(n=peers, d=dims, seed=seeds,
-           codec=st.sampled_from(["dense", "seed", "seed-dense"]))
+    @given(n=peers, d=dims, seed=seeds)
     @settings(max_examples=40, deadline=None)
-    def test_sac_average_draws_exactly_n_peer_seeds(self, n, d, seed, codec):
+    def test_sac_average_draws_exactly_n_peer_seeds(self, n, d, seed):
         rng_sac, rng_seeds = RNG(seed), RNG(seed)
-        sac_average(list(_stack(n, d, seed)), rng_sac, share_codec=codec)
+        sac_average(list(_stack(n, d, seed)), rng_sac)
         for _ in range(n):
             rng_seeds.integers(2**63)
         assert rng_sac.bit_generator.state == rng_seeds.bit_generator.state

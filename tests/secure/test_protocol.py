@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import Topology, run_two_layer_wire_round
 from repro.secure import protocol
 from repro.secure.batched import DenseShare, DenseSubtotal, mean_of_subtotals
 from repro.secure.fault_tolerant import expected_ft_sac_bits
@@ -156,18 +155,11 @@ class TestValidation:
         ({2: -5.0}, "crash_at times must be >= 0"),
         ({2: float("nan")}, "crash_at times must be >= 0"),
         ({0: 5.0}, "leader"),
-    ])
-    def test_crash_at_is_checked_once_for_both_entry_points(
-        self, crash_at, message
-    ):
-        # Peer 0 leads the SAC round and subgroup 0 of the wire round.
+    ], ids=["unknown-peer", "negative-peer", "negative-time", "nan-time", "leader"])
+    def test_crash_at_is_checked(self, crash_at, message):
+        # Peer 0 leads the SAC round.
         with pytest.raises(ValueError, match=message):
             run_sac_protocol(make_models(6), k=2, crash_at=crash_at)
-        with pytest.raises(ValueError, match=message):
-            run_two_layer_wire_round(
-                Topology.by_group_size(6, 3), make_models(6), k=2,
-                crash_at=crash_at,
-            )
 
     def test_ragged_models_rejected_before_the_simulation(self):
         models = make_models(4) + [np.ones(3)]

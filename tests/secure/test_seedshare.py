@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core import seeded_exchange_bits
 from repro.experiments.paper_settings import FIG6_7, HEADLINES
-from repro.secure.fault_tolerant import fault_tolerant_sac
 from repro.secure.fixed_point import encode_fixed_point, sac_average_fixed_point
-from repro.secure.protocol import run_sac_protocol
+from repro.secure.protocol import run_sac_protocol, sac_reference_average
 from repro.secure.replicated import seeded_exchange_entry_counts
-from repro.secure.sac import sac_average
 from repro.secure.seedshare import (
     FLOAT_CODEC,
     RING_CODEC,
@@ -170,8 +168,8 @@ class TestCodecEquivalence:
     @pytest.mark.parametrize("k,n", PAPER_KN)
     def test_ftsac_average_matches_dense(self, k, n):
         models = [RNG(i).normal(size=64) for i in range(n)]
-        dense = fault_tolerant_sac(models, k, RNG(20))
-        seed = fault_tolerant_sac(models, k, RNG(21), share_codec="seed")
+        dense = run_sac_protocol(models, k=k, seed=20)
+        seed = run_sac_protocol(models, k=k, seed=21, share_codec="seed")
         np.testing.assert_allclose(dense.average, seed.average, atol=1e-9)
         # Seeded exchange plus the (k-1) dense subtotals.
         assert seed.bits_sent == seeded_exchange_bits(n, k, 64) + (k - 1) * 64 * 32
@@ -181,10 +179,9 @@ class TestCodecEquivalence:
         """Same seed-derived masks, different wire form: the averages
         must be *bitwise* equal (same arrays, same summation order)."""
         models = [RNG(i).normal(size=128) for i in range(5)]
-        a = sac_average(models, RNG(30), share_codec="seed")
-        b = sac_average(models, RNG(30), share_codec="seed-dense")
-        np.testing.assert_array_equal(a.average, b.average)
-        assert a.bits_sent < b.bits_sent
+        a = sac_reference_average(models, seed=30, share_codec="seed")
+        b = sac_reference_average(models, seed=30, share_codec="seed-dense")
+        np.testing.assert_array_equal(a, b)
 
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -220,17 +217,6 @@ class TestDropoutRecovery:
         )
         assert result.outcome.ok
         assert result.recovered_shares == (4,)
-        np.testing.assert_allclose(
-            result.average, np.mean(models, axis=0), atol=1e-9
-        )
-
-    def test_functional_ftsac_crash_under_seed_codec(self):
-        n, k = 5, 3
-        models = [RNG(i).normal(size=64) for i in range(n)]
-        result = fault_tolerant_sac(
-            models, k, RNG(40), crashed={3, 4}, share_codec="seed"
-        )
-        assert set(result.recovered_shares) <= {3, 4}
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), atol=1e-9
         )

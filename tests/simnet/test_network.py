@@ -40,14 +40,6 @@ class TestDelivery:
         sim.run()
         assert nodes[1].received == [(15.0, 0, "hello")]
 
-    def test_broadcast_excludes_sender(self, net):
-        sim, network, nodes = net
-        network.broadcast(0, [0, 1, 2, 3], "x")
-        sim.run()
-        assert nodes[0].received == []
-        for node in nodes[1:]:
-            assert node.received == [(15.0, 0, "x")]
-
     def test_unknown_destination_raises(self, net):
         sim, network, nodes = net
         with pytest.raises(KeyError):
@@ -164,9 +156,9 @@ class TestTrace:
         nodes[0].send(2, "b", size_bits=50.0, kind="proto.b")
         sim.run()
         assert network.trace.total_bits == 150.0
-        assert network.trace.bits(kind="proto.a") == 100.0
-        assert network.trace.bits(prefix="proto.") == 150.0
-        assert network.trace.messages() == 2
+        assert network.trace.bits("proto.a") == 100.0
+        assert network.trace.by_kind() == {"proto.a": 100.0, "proto.b": 50.0}
+        assert network.trace.total_messages == 2
 
     def test_dropped_messages_not_counted(self, net):
         sim, network, nodes = net
@@ -181,7 +173,7 @@ class TestTrace:
         sim.run()
         network.trace.reset()
         assert network.trace.total_bits == 0.0
-        assert network.trace.messages() == 0
+        assert network.trace.total_messages == 0
 
     def test_record_keeping(self):
         sim = Simulator()

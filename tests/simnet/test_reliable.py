@@ -72,8 +72,6 @@ class TestFrames:
         with pytest.raises(ValueError):
             ReliableTransport(net, base_rto_ms=0.0)
         with pytest.raises(ValueError):
-            ReliableTransport(net, backoff=0.5)
-        with pytest.raises(ValueError):
             ReliableTransport(net, max_attempts=0)
 
 
@@ -109,7 +107,7 @@ class TestRetransmission:
         assert network.reliable.retransmits == 1
 
     def test_backoff_doubles_between_attempts(self):
-        sim, network, nodes = make_net(base_rto_ms=40.0, backoff=2.0)
+        sim, network, nodes = make_net(base_rto_ms=40.0)
         network.physical_send = DroppingSend(network, {"msg": 2})
         nodes[0].send(1, "payload", size_bits=64.0)
         sim.run()

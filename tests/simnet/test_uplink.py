@@ -4,8 +4,9 @@ round-latency model against the wire simulation."""
 import numpy as np
 import pytest
 
-from repro.core.latency import ft_sac_latency_ms
-from repro.secure.protocol import run_sac_protocol
+from repro.core.latency import two_layer_round_latency_ms
+from repro.core.topology import Topology
+from repro.core.wire_round import run_two_layer_wire_round
 from repro.simnet import FixedLatency, Network, SimNode, Simulator
 
 
@@ -77,15 +78,16 @@ class TestUplinkSerialization:
 class TestLatencyModelValidation:
     @pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (5, 5), (4, 3)])
     def test_analytic_sac_latency_matches_wire(self, n, k):
-        """core.latency's uplink-serialized SAC time must equal the
-        discrete-event simulation's measured finish time."""
+        """core.latency's uplink-serialized SAC time (plus the leader's
+        broadcast back) must equal the measured finish time of a
+        one-subgroup round."""
         size = 1000
         bandwidth = 1e6
+        topo = Topology.by_group_count(n, 1)
         models = [np.random.default_rng(i).normal(size=size) for i in range(n)]
-        result = run_sac_protocol(
-            models, k=k, bandwidth_bps=bandwidth, serialize_uplink=True,
-            delay_ms=15.0,
+        result = run_two_layer_wire_round(
+            topo, models, k=k, bandwidth_bps=bandwidth, serialize_uplink=True,
         )
         assert result.outcome.ok
-        predicted = ft_sac_latency_ms(n, k, size, bandwidth, delay_ms=15.0)
+        predicted = two_layer_round_latency_ms(topo, k, size, bandwidth).total_ms
         assert result.finish_time_ms == pytest.approx(predicted, rel=0.15)

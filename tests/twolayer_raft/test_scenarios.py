@@ -10,7 +10,7 @@ from repro.twolayer_raft import (
     subgroup_leader_recovery_trial,
 )
 
-FAST = dict(topology=Topology.by_group_count(9, 3), settle_ms=500.0)
+FAST = dict(topology=Topology.by_group_count(9, 3))
 
 
 class TestSubgroupLeaderRecovery:

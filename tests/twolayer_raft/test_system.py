@@ -132,7 +132,7 @@ class TestFollowerCrash:
 
 class TestConfigReplication:
     def test_followers_learn_fedavg_config_via_subgroup_log(self):
-        system = small_system(seed=40, config_commit_interval_ms=100.0)
+        system = small_system(seed=40)
         system.stabilize()
         system.run_for(2_000.0)
         # Every alive peer's fed_config should reflect the FedAvg members.

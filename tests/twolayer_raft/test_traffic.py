@@ -51,5 +51,8 @@ class TestControlTraffic:
         during_recovery = system.trace.total_messages
         # Elections + join add message volume over the steady state.
         assert during_recovery > steady * 0.8  # at least comparable
-        vote_msgs = system.trace.messages(prefix=f"raft.sub{gi}.vote")
+        vote_msgs = sum(
+            system.trace.messages(kind) for kind in system.trace.kinds()
+            if kind.startswith(f"raft.sub{gi}.vote")
+        )
         assert vote_msgs > 0
