@@ -1,7 +1,19 @@
 """Shared benchmark configuration.
 
-Each benchmark regenerates one table/figure of the paper and prints the
-series it reproduces (run with ``-s`` to see the tables).  Scale knobs:
+Every ``test_*.py`` here is one of three kinds (held by
+``tests/experiments/test_paper_settings.py``):
+
+- a row of the manifest of the paper's artefacts
+  (``repro.experiments.paper_settings.ARTEFACTS``): it regenerates one
+  table, figure, equation or bound, prints the series it reproduces
+  (run with ``-s`` to see the tables) and asserts the row's bands, read
+  from the manifest;
+- an engine file, which tests the round engine at scale
+  (``test_*_scale``, round latency, SAC throughput, wire validation,
+  wire round end to end);
+- a file for an open ROADMAP item, named on its docstring's first line.
+
+Scale knobs:
 
 - ``REPRO_ROUNDS`` — FL rounds for Figs. 6-9 (default 40; paper 1000)
 - ``REPRO_TRIALS`` — Raft trials per timeout for Figs. 10-12

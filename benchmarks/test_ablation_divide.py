@@ -1,4 +1,4 @@
-"""Ablation — Alg. 1's normalized-random split vs. zero-sum masking.
+"""For ROADMAP "Ring arithmetic on every path": Alg. 1 split vs. zero-sum masks.
 
 DESIGN.md decision 3: both constructions reconstruct exactly; the
 zero-sum variant's masks are statistically independent of the secret.

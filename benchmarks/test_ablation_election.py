@@ -1,4 +1,4 @@
-"""Ablation — paper election semantics vs. textbook Raft.
+"""For ROADMAP "Figs. 11–12 to the paper's numbers": paper vs. textbook election.
 
 DESIGN.md decision 4: the paper's sequential follower+candidate timeouts
 (term incremented at candidacy) produce the ~2x(2T) election times of

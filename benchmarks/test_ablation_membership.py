@@ -1,4 +1,4 @@
-"""Ablation — add-only FedAvg membership (paper) vs. seat replacement.
+"""For ROADMAP "Raft under the same discipline": add-only vs. seat replacement.
 
 Sec. VII-D: the paper only ever *adds* replacement leaders to the FedAvg
 configuration, so the quorum grows with every crash and a 3-subgroup

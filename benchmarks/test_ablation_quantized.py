@@ -1,4 +1,4 @@
-"""Ablation — float Alg. 1 sharing vs. fixed-point ring sharing.
+"""For ROADMAP "Ring arithmetic on every path": float Alg. 1 vs. ring sharing.
 
 The paper shares IEEE floats (shares are random *fractions* of the
 secret, leaking sign/magnitude); production secure aggregation shares

@@ -1,4 +1,4 @@
-"""Ablation — the value of fault-tolerant SAC under churn.
+"""For ROADMAP "A leader crash mid-round, on the wire": restart vs. FT-SAC.
 
 The paper motivates k-out-of-n SAC by noting plain SAC "must be
 restarted from the beginning with remaining peers" after any dropout.

@@ -1,4 +1,4 @@
-"""Ablation — sharing-scheme trade-offs beyond the paper.
+"""For ROADMAP "What a coalition learns": sharing-scheme trade-offs.
 
 1. Communication: replicated additive k-out-of-n (the paper) vs. Shamir
    t-out-of-n (one field element per peer) at the Fig. 5 model size.

@@ -1,4 +1,4 @@
-"""Baseline — centralized FedAvg's single point of failure vs. P2P recovery.
+"""For ROADMAP "A leader crash mid-round, on the wire": central server vs. P2P.
 
 The paper's core motivation (Sec. I) as an experiment: crash the
 aggregator mid-training.  The central server's global model freezes;

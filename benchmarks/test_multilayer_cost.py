@@ -1,7 +1,8 @@
 """Sec. VII-C — X-layer aggregation: cost table and measured validation.
 
 Eq. 10: C_total = (N - 1)(n + 2)|w| — linear in N; verified here against
-bits actually counted while aggregating over the X-layer tree.
+bits actually counted while aggregating over the X-layer tree, and on
+the manifest's tree against its band (``ARTEFACTS["Eq. 10"]``).
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ from conftest import emit
 
 from repro.core import MultiLayerTopology, multi_layer_aggregate, multi_layer_cost_bits
 from repro.experiments import format_multilayer, run_multilayer_table
+from repro.experiments.cost_experiments import eq10_measured
+from repro.experiments.paper_settings import ARTEFACTS
 
 
 def test_multilayer_cost_table(benchmark):
@@ -36,6 +39,7 @@ def test_multilayer_measured_matches_eq10(benchmark):
 
     topo, result, models = benchmark(run)
     assert result.bits_sent == multi_layer_cost_bits(3, 3, 64)
+    assert not ARTEFACTS["Eq. 10"].misses(eq10_measured())
     np.testing.assert_allclose(result.average, np.mean(models, axis=0), rtol=1e-9)
     emit(
         f"X=3, n=3 tree: N={topo.n_peers}, measured bits == Eq.10 "

@@ -1,4 +1,4 @@
-"""Security analysis — per-share leakage of the sharing schemes.
+"""For ROADMAP "What a coalition learns": per-share leakage of the sharing schemes.
 
 "However, security analysis for the aggregated model is out of the
 scope in this paper" (Sec. IV-D).  This bench fills the per-share half

@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "campaign", "serve-metrics",
         ],
         help="which table/figure to regenerate ('report' writes everything "
-        "to a markdown file; 'plan' runs the deployment planner; 'trace' "
+        "to a markdown file and prints paper against measured per "
+        "artefact; 'plan' runs the deployment planner; 'trace' "
         "runs the observability scenario and writes event/metric/timeline "
         "artifacts; 'chaos' runs seeded fault-injection campaigns and "
         "exits non-zero on any "
@@ -655,11 +656,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.figure == "report":
             from .experiments.report import write_report
 
-            path = write_report(
+            print(write_report(
                 args.out, rounds=args.rounds, trials=args.trials,
                 peers=args.peers, dataset=args.dataset,
-            )
-            log.info("wrote %s", path)
+            ))
+            log.info("wrote %s", args.out)
             return 0
 
         if args.figure == "plan":

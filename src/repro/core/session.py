@@ -32,8 +32,6 @@ from .topology import Topology
 from .two_layer import TwoLayerAggregator
 
 AGGREGATORS = ("two-layer", "one-layer-sac", "fedavg")
-#: the delta of the (epsilon, delta)-DP Gaussian mechanism (Sec. IV-D)
-DP_DELTA = 1e-5
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,6 @@ class SessionConfig:
     seed: int = 0
     #: optional per-round dropout injection: round -> {group: {peer ids}}
     dropout_schedule: Mapping[int, Mapping[int, set[int]]] | None = None
-    #: optional per-peer differential privacy (Sec. IV-D): each peer's
-    #: weights are clipped to ``dp_clip_norm`` and Gaussian-noised for
-    #: (dp_epsilon, DP_DELTA)-DP before entering the aggregation
-    dp_epsilon: float | None = None
-    dp_clip_norm: float = 10.0
 
     def __post_init__(self) -> None:
         if self.aggregator not in AGGREGATORS:
@@ -117,23 +110,10 @@ def run_session(
         topology = Topology.by_group_size(config.n_peers, config.group_size)
         aggregator = TwoLayerAggregator(topology, k=config.threshold)
 
-    mechanism = None
-    if config.dp_epsilon is not None:
-        from ..fl.privacy import GaussianMechanism
-
-        mechanism = GaussianMechanism(
-            config.dp_epsilon,
-            DP_DELTA,
-            config.dp_clip_norm,
-            np.random.default_rng(rng.integers(2**63)),
-        )
-
     history = MetricsHistory()
     for rnd in range(start_round, config.rounds):
         # ---- local update on every peer
         train_losses, models = local_updates(peers, global_weights)
-        if mechanism is not None:
-            models = [mechanism.privatize(m) for m in models]
 
         # ---- aggregation
         if config.aggregator == "two-layer":

@@ -11,7 +11,6 @@ statistics — see DESIGN.md.
 
 from .loader import batches
 from .partition import (
-    partition_dirichlet,
     partition_iid,
     partition_noniid,
     peer_datasets,
@@ -24,7 +23,6 @@ __all__ = [
     "synthetic_blobs",
     "partition_iid",
     "partition_noniid",
-    "partition_dirichlet",
     "peer_datasets",
     "batches",
 ]

@@ -108,60 +108,12 @@ def peer_datasets(
         shards = partition_noniid(dataset.y_train, n_peers, rng, minor_fraction=0.05)
     elif distribution == "noniid-0":
         shards = partition_noniid(dataset.y_train, n_peers, rng, minor_fraction=0.0)
-    elif distribution.startswith("dirichlet-"):
-        # e.g. "dirichlet-0.5"
-        try:
-            alpha = float(distribution.split("-", 1)[1])
-        except ValueError as exc:
-            raise ValueError(f"bad dirichlet spec {distribution!r}") from exc
-        shards = partition_dirichlet(dataset.y_train, n_peers, rng, alpha=alpha)
     else:
         raise ValueError(
             f"unknown distribution {distribution!r}; expected 'iid', "
-            "'noniid-5', 'noniid-0' or 'dirichlet-<alpha>'"
+            "'noniid-5' or 'noniid-0'"
         )
     return [(dataset.x_train[idx], dataset.y_train[idx]) for idx in shards]
-
-
-def partition_dirichlet(
-    labels: np.ndarray,
-    n_peers: int,
-    rng: np.random.Generator,
-    alpha: float = 0.5,
-    max_retries: int = 50,
-) -> list[np.ndarray]:
-    """Dirichlet label-skew partition (the FL literature's standard knob).
-
-    For each class, the per-peer proportions are drawn from
-    ``Dirichlet(alpha)``: ``alpha -> inf`` approaches IID; small alpha
-    concentrates each class on few peers — a continuous version of the
-    paper's two-main-classes construction.  Redraws until every peer has
-    at least one sample.
-    """
-    if n_peers < 1:
-        raise ValueError("need at least one peer")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if labels.shape[0] < n_peers:
-        raise ValueError("not enough samples for the requested peers")
-    classes = np.unique(labels)
-    for _ in range(max_retries):
-        shards: list[list[int]] = [[] for _ in range(n_peers)]
-        for c in classes:
-            members = rng.permutation(np.flatnonzero(labels == c))
-            proportions = rng.dirichlet(np.full(n_peers, alpha))
-            counts = np.floor(proportions * members.size).astype(int)
-            # Hand the rounding remainder to the largest share.
-            counts[np.argmax(proportions)] += members.size - counts.sum()
-            start = 0
-            for peer, count in enumerate(counts):
-                shards[peer].extend(members[start : start + count].tolist())
-                start += count
-        if all(shards):
-            return [np.sort(np.asarray(s, dtype=np.intp)) for s in shards]
-    raise RuntimeError(
-        f"a peer drew no samples in each of {max_retries} draws; increase alpha"
-    )
 
 
 DISTRIBUTIONS = ("iid", "noniid-5", "noniid-0")

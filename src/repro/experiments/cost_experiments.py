@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.costs import (
     multi_layer_cost_bits,
     multi_layer_total_peers,
@@ -17,8 +19,14 @@ from ..core.costs import (
     two_layer_cost_from_topology,
     two_layer_ft_cost_bits,
 )
+from ..core.multi_layer import MultiLayerTopology, multi_layer_aggregate
 from ..core.topology import Topology
 from ..nn.zoo import PAPER_CNN_PARAMS
+from ..secure.sac import DEFAULT_BITS_PER_PARAM
+from .paper_settings import ARTEFACTS
+
+FIG13, FIG14, EQ10 = ARTEFACTS["Fig. 13"], ARTEFACTS["Fig. 14"], ARTEFACTS["Eq. 10"]
+BASELINE = "baseline (n=N)"
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,7 @@ def run_fig13() -> list[CostPoint]:
     caption's 8/8/7/7 example at m=4).  m=1 degenerates to one-layer
     SAC-with-leader-collection; m=N to plain FedAvg.
     """
-    n_total, w_params = 30, PAPER_CNN_PARAMS
+    n_total, w_params = FIG13.setting["n_peers"], PAPER_CNN_PARAMS
     points = []
     for m in range(1, n_total + 1):
         if m == 1:
@@ -50,27 +58,17 @@ def run_fig13() -> list[CostPoint]:
     return points
 
 
-#: The k-n settings plotted in Fig. 14 (label -> (n, k)); None = baseline.
-FIG14_SETTINGS: dict[str, tuple[int, int] | None] = {
-    "3-3": (3, 3),
-    "2-3": (3, 2),   # paper labels these k-n
-    "5-5": (5, 5),
-    "3-5": (5, 3),
-    "baseline (n=N)": None,
-}
-
-
 def run_fig14() -> dict[str, list[CostPoint]]:
-    """Fig. 14: cost vs. N = 10..50 for k-out-of-n settings and the SAC
-    baseline."""
+    """Fig. 14: cost vs. N for the k-out-of-n settings (labelled k-n, as
+    in the paper) and the SAC baseline."""
     series: dict[str, list[CostPoint]] = {}
-    for label, setting in FIG14_SETTINGS.items():
+    for label in (*FIG14.setting["k-n"], BASELINE):
         points = []
-        for n_total in (10, 20, 30, 40, 50):
-            if setting is None:
+        for n_total in FIG14.setting["n_totals"]:
+            if label == BASELINE:
                 bits = one_layer_sac_cost_bits(n_total, PAPER_CNN_PARAMS)
             else:
-                n, k = setting
+                k, n = map(int, label.split("-"))
                 m = n_total // n
                 bits = two_layer_ft_cost_bits(n_total, m, n, k, PAPER_CNN_PARAMS)
             points.append(CostPoint(label=label, x=n_total, gigabits=bits / 1e9))
@@ -91,10 +89,39 @@ def run_multilayer_table() -> list[CostPoint]:
     ]
 
 
+def fig13_measured(points: list[CostPoint]) -> dict[str, float]:
+    by_m = {int(p.x): p.gigabits for p in points}
+    return {"Gb at m=6": by_m[6], "m=1 over m=6": by_m[1] / by_m[6]}
+
+
+def fig14_measured(series: dict[str, list[CostPoint]]) -> dict[str, float]:
+    gb = {label: {int(p.x): p.gigabits for p in points}
+          for label, points in series.items()}
+    base = gb[BASELINE]
+    out = {f"{label} gain at N=30": base[30] / gb[label][30]
+           for label in ("2-3", "3-3", "3-5")}
+    out["baseline Gb at N=50"] = base[50]
+    return out
+
+
+def eq10_measured() -> dict[str, float]:
+    """Bits counted while aggregating over the manifest's X-layer tree,
+    per (N-1)|w|: Eq. 10 makes it n + 2."""
+    n, depth, w = (EQ10.setting[k] for k in ("n", "depth", "params"))
+    topo = MultiLayerTopology(n, depth)
+    rng = np.random.default_rng(0)
+    models = [rng.normal(size=w) for _ in range(topo.n_peers)]
+    bits = multi_layer_aggregate(topo, models, rng).bits_sent
+    return {"cost / ((N-1)|w|)":
+            bits / ((topo.n_peers - 1) * w * DEFAULT_BITS_PER_PARAM)}
+
+
 def format_fig13(points: list[CostPoint]) -> str:
+    paper = FIG13.paper
     lines = [
-        "Fig. 13 — total communication cost per aggregation, N=30 "
-        "(paper: 7.12 Gb at m=6, ~1/10 of one-layer SAC)",
+        f"Fig. 13 — total communication cost per aggregation, "
+        f"N={FIG13.setting['n_peers']} (paper: {paper['Gb at m=6']:.2f} Gb "
+        f"at m=6, ~1/{paper['m=1 over m=6']:.0f} of one-layer SAC)",
         f"  {'m':>4}{'Gb':>10}",
     ]
     for p in points:
@@ -105,18 +132,19 @@ def format_fig13(points: list[CostPoint]) -> str:
 def format_fig14(series: dict[str, list[CostPoint]]) -> str:
     n_totals = [int(p.x) for p in next(iter(series.values()))]
     header = "  " + f"{'k-n':<16}" + "".join(f"{f'N={n}':>10}" for n in n_totals)
+    gains = ", ".join(f"{FIG14.paper[f'{kn} gain at N=30']:.2f}x at {kn}/N=30"
+                      for kn in ("2-3", "3-3", "3-5"))
     lines = [
-        "Fig. 14 — cost per aggregation under k-n settings "
-        "(paper: 10.36x at 2-3/N=30, 14.75x at 3-3/N=30, 4.29x at 3-5/N=30)",
+        f"Fig. 14 — cost per aggregation under k-n settings (paper: {gains})",
         header,
     ]
     for label, points in series.items():
         lines.append(
             "  " + f"{label:<16}" + "".join(f"{p.gigabits:>9.2f}G" for p in points)
         )
-    base = series["baseline (n=N)"]
+    base = series[BASELINE]
     for label, points in series.items():
-        if label == "baseline (n=N)":
+        if label == BASELINE:
             continue
         ratios = "".join(
             f"{b.gigabits / p.gigabits:>9.2f}x" for p, b in zip(points, base)

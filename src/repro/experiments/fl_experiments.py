@@ -132,6 +132,22 @@ def run_fig8_fig9(
     return runs
 
 
+def fig6_measured(runs: list[FlRun]) -> dict[str, float]:
+    """The final accuracies Fig. 6 quotes, where the runs include them."""
+    acc = {(r.label, r.distribution): r.final_accuracy for r in runs}
+    named = {"IID accuracy, n=3": ("two-layer n=3", "iid"),
+             "non-IID(0%) accuracy, n=3": ("two-layer n=3", "noniid-0")}
+    return {k: acc[run] for k, run in named.items() if run in acc}
+
+
+def fig8_measured(runs: list[FlRun]) -> dict[str, float]:
+    """Fig. 8's mean |p=1 - p=0.5| final-accuracy gap over distributions."""
+    acc = {(r.label, r.distribution): r.final_accuracy for r in runs}
+    dists = sorted({r.distribution for r in runs})
+    gaps = [abs(acc[("p=1.0", d)] - acc[("p=0.5", d)]) for d in dists]
+    return {"mean |p=1 - p=0.5| accuracy gap": sum(gaps) / len(gaps)}
+
+
 def format_accuracy_table(runs: list[FlRun], title: str) -> str:
     """Final-accuracy summary shaped like the Figs. 6/8 headline numbers."""
     lines = [title, f"  {'setting':<18}{'distribution':<12}{'final acc':>10}{'final loss':>12}"]

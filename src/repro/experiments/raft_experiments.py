@@ -1,9 +1,9 @@
 """Two-layer Raft recovery experiments — Figs. 10, 11, 12.
 
-Paper setting (Sec. VI-B1): N = 25 peers in five subgroups of five, 15 ms
-one-way delay, follower/candidate timeouts ~ U(T, 2T) for
-T in {50, 100, 150, 200} ms, 1000 trials per setting, FedAvg-presence
-check every 100 ms.
+The paper's setting (Sec. VI-B1) and mean times are the manifest's
+``ARTEFACTS["Fig. 10"]`` to ``["Fig. 12"]``: N = 25 peers in five
+subgroups of five, 15 ms one-way delay, follower/candidate timeouts
+~ U(T, 2T) over four ranges of T.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ from ..twolayer_raft.scenarios import (
     run_trials,
     subgroup_leader_recovery_trial,
 )
+from .paper_settings import ARTEFACTS
 
-#: The four U(T, 2T) ranges of Fig. 10's legend.
-PAPER_TIMEOUT_BASES = (50.0, 100.0, 150.0, 200.0)
-
-#: Means reported in the paper's text for comparison columns.
-PAPER_FIG10_MEANS = {50.0: 214.30, 100.0: 401.04, 150.0: 580.74, 200.0: 749.07}
-PAPER_FIG11_DELTAS = {50.0: 122.98, 100.0: 125.8, 150.0: 144.70, 200.0: 166.09}
-PAPER_FIG12_DELTAS = {50.0: 95.07, 100.0: 114.65, 150.0: 130.30, 200.0: 158.53}
+#: The U(T, 2T) ranges of Fig. 10's legend.
+TIMEOUT_BASES = ARTEFACTS["Fig. 10"].setting["timeout_bases_ms"]
 
 
 def _env_int(name: str, default: int) -> int:
@@ -56,58 +52,46 @@ def _stats(values: list[float], base: float, paper: float | None) -> RecoverySta
     )
 
 
-def run_fig10(
-    trials: int | None = None,
-    timeout_bases: tuple[float, ...] = PAPER_TIMEOUT_BASES,
-) -> list[RecoveryStats]:
-    """Fig. 10: time to detect a crashed subgroup leader and elect anew."""
+def _key(base: float) -> str:
+    return f"T={base:g}"
+
+
+def mean_by_range(stats: list[RecoveryStats]) -> dict[str, float]:
+    """Each range's mean, named as the manifest names the paper's."""
+    return {_key(s.timeout_base_ms): s.mean_ms for s in stats}
+
+
+def _run(trial, attr: str, figure: str, trials: int | None,
+         timeout_bases: tuple[float, ...]) -> list[RecoveryStats]:
     trials = trials if trials is not None else _env_int("REPRO_TRIALS", 25)
+    paper = ARTEFACTS[figure].paper
     out = []
     for base in timeout_bases:
-        res = run_trials(
-            subgroup_leader_recovery_trial, trials, timeout_base_ms=base
-        )
-        values = [r.sub_elect_ms for r in res if r.sub_elect_ms is not None]
-        out.append(_stats(values, base, PAPER_FIG10_MEANS.get(base)))
+        res = run_trials(trial, trials, timeout_base_ms=base)
+        values = [getattr(r, attr) for r in res if getattr(r, attr) is not None]
+        out.append(_stats(values, base, paper.get(_key(base))))
     return out
+
+
+def run_fig10(
+    trials: int | None = None,
+    timeout_bases: tuple[float, ...] = TIMEOUT_BASES,
+) -> list[RecoveryStats]:
+    """Fig. 10: time to detect a crashed subgroup leader and elect anew."""
+    return _run(subgroup_leader_recovery_trial, "sub_elect_ms", "Fig. 10",
+                trials, timeout_bases)
 
 
 def run_fig11(trials: int | None = None) -> list[RecoveryStats]:
     """Fig. 11: Fig. 10 plus joining the FedAvg group."""
-    trials = trials if trials is not None else _env_int("REPRO_TRIALS", 25)
-    out = []
-    for base in PAPER_TIMEOUT_BASES:
-        res = run_trials(
-            subgroup_leader_recovery_trial, trials, timeout_base_ms=base
-        )
-        values = [r.join_fedavg_ms for r in res if r.join_fedavg_ms is not None]
-        paper = None
-        if base in PAPER_FIG10_MEANS:
-            paper = PAPER_FIG10_MEANS[base] + PAPER_FIG11_DELTAS[base]
-        out.append(_stats(values, base, paper))
-    return out
+    return _run(subgroup_leader_recovery_trial, "join_fedavg_ms", "Fig. 11",
+                trials, TIMEOUT_BASES)
 
 
 def run_fig12(trials: int | None = None) -> list[RecoveryStats]:
     """Fig. 12: full recovery from a crashed FedAvg leader."""
-    trials = trials if trials is not None else _env_int("REPRO_TRIALS", 25)
-    out = []
-    for base in PAPER_TIMEOUT_BASES:
-        res = run_trials(
-            fedavg_leader_recovery_trial, trials, timeout_base_ms=base
-        )
-        values = [
-            r.full_recovery_ms for r in res if r.full_recovery_ms is not None
-        ]
-        paper = None
-        if base in PAPER_FIG10_MEANS:
-            paper = (
-                PAPER_FIG10_MEANS[base]
-                + PAPER_FIG11_DELTAS[base]
-                + PAPER_FIG12_DELTAS[base]
-            )
-        out.append(_stats(values, base, paper))
-    return out
+    return _run(fedavg_leader_recovery_trial, "full_recovery_ms", "Fig. 12",
+                trials, TIMEOUT_BASES)
 
 
 def format_recovery_table(stats: list[RecoveryStats], title: str) -> str:

@@ -2,10 +2,8 @@
 
 from .central import CentralConfig, CentralServer, run_central_session
 from .fedavg import fedavg
-from .gossip import GossipConfig, run_gossip_session
 from .metrics import MetricsHistory, RoundMetrics, moving_average
 from .peer import FLPeer
-from .privacy import GaussianMechanism, PrivacyAccountant, clip_to_norm
 
 __all__ = [
     "fedavg",
@@ -13,11 +11,6 @@ __all__ = [
     "moving_average",
     "RoundMetrics",
     "MetricsHistory",
-    "GaussianMechanism",
-    "PrivacyAccountant",
-    "clip_to_norm",
-    "GossipConfig",
-    "run_gossip_session",
     "CentralConfig",
     "CentralServer",
     "run_central_session",

@@ -11,6 +11,9 @@ from ..obs import runtime as _obs
 from .layers import Layer, Param, Softmax
 from .loss import CategoricalCrossEntropy
 
+#: Rows per forward pass in :meth:`Sequential.evaluate` (bounds memory).
+EVAL_BATCH = 256
+
 
 class Sequential:
     """A stack of layers trained with categorical cross-entropy.
@@ -104,18 +107,16 @@ class Sequential:
                 grad = layer.backward(grad)
         return loss_value
 
-    def evaluate(
-        self, x: np.ndarray, labels: np.ndarray, batch_size: int = 256
-    ) -> tuple[float, float]:
+    def evaluate(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
         """(loss, accuracy) over a dataset, batched to bound memory."""
         n = x.shape[0]
         if n == 0:
             raise ValueError("cannot evaluate on an empty dataset")
         total_loss = 0.0
         correct = 0
-        for start in range(0, n, batch_size):
-            xb = x[start : start + batch_size]
-            yb = labels[start : start + batch_size]
+        for start in range(0, n, EVAL_BATCH):
+            xb = x[start : start + EVAL_BATCH]
+            yb = labels[start : start + EVAL_BATCH]
             out = self.forward(xb, training=False)
             total_loss += self.loss.value(out, yb) * xb.shape[0]
             correct += int((out.argmax(axis=1) == yb).sum())

@@ -227,16 +227,9 @@ class ProfileReport:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
-    def format_table(self, sort: str = "self", limit: int | None = None) -> str:
-        """Sorted "top phases" table (``sort``: ``self``/``total``/``bits``)."""
-        keys = {
-            "self": lambda p: p.self_ms,
-            "total": lambda p: p.total_ms,
-            "bits": lambda p: p.bits,
-        }
-        if sort not in keys:
-            raise ValueError(f"sort must be one of {sorted(keys)}")
-        ranked = sorted(self.phases, key=keys[sort], reverse=True)
+    def format_table(self, limit: int | None = None) -> str:
+        """"Top phases" table, the most self-time first."""
+        ranked = sorted(self.phases, key=lambda p: p.self_ms, reverse=True)
         if limit is not None:
             ranked = ranked[:limit]
         lines = [

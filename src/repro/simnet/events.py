@@ -45,12 +45,11 @@ class Event:
         time: float,
         seq: int,
         callback: Callable[[], None],
-        cancelled: bool = False,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
-        self._cancelled = cancelled
+        self._cancelled = False
         self._queue: Optional["EventQueue"] = None
 
     @property

@@ -357,7 +357,6 @@ class Network:
         dst_ids: Any,
         size_bits: float = 0.0,
         kind: str = "msg",
-        msgs: Any = None,
         at_times: Any = None,
     ) -> Any:
         """Send a whole batch of same-kind messages as one delivery wave.
@@ -366,11 +365,9 @@ class Network:
         ``i`` departs at ``at_times[i]`` (default: now, and never before
         now) and arrives after an independently sampled latency.  Fate
         masks (link state, loss) and latency draws are single vectorized
-        passes.  ``msgs`` optionally carries one actor payload per
-        message (each destination must then be registered); without it
-        the wave is pure accounting — peers are modelled by their ids
-        alone, which is what lets X-layer rounds run at 10^5+ simulated
-        peers.
+        passes.  The wave is pure accounting, carrying no payloads: peers
+        are modelled by their ids alone, which is what lets X-layer
+        rounds run at 10^5+ simulated peers.
 
         The batch takes one heap entry (see :mod:`repro.simnet.waves`)
         and replays exactly as one entry per message would: wave ==
@@ -379,10 +376,9 @@ class Network:
         batch becomes an *item wave*: the whole stop-and-wait
         ACK/retransmit state machine (attempt cohorts, backoff epochs,
         ACK traffic, budget exhaustion) is precomputed vectorized;
-        accounting item batches pending on a network share one heap
-        entry.  Without a timeline, fault state is frozen at issue time
-        for the whole wave.  Causal spans are not allocated for wave
-        messages.
+        item batches pending on a network share one heap entry.  Without
+        a timeline, fault state is frozen at issue time for the whole
+        wave.  Causal spans are not allocated for wave messages.
 
         Returns the :class:`~repro.simnet.waves.DeliveryWave`, whose
         ``delivery_times`` gives each message's arrival (NaN if dropped
@@ -392,7 +388,7 @@ class Network:
 
         return _send_batch(
             self, src_ids, dst_ids, size_bits=size_bits, kind=kind,
-            msgs=msgs, at_times=at_times,
+            at_times=at_times,
         )
 
     def alloc_context(

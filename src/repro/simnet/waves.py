@@ -28,21 +28,20 @@ that:
   however many messages share the head's instant.
 
 Reliable transport and fault timelines (second half of this module)
-precompute a schedule of typed *items* per batch.  Accounting batches
-(``msgs=None``) are not heap participants at all: they run no handler,
-so a network's pending batches share one :class:`_ItemLedger` entry,
+precompute a schedule of typed *items* per batch.  Item batches are not
+heap participants at all: they run no handler, so a network's pending
+batches share one :class:`_ItemLedger` entry,
 which at its first firing reduces each batch's items to per-instant
 entries and merges those, and each firing replays everything up to the
 next *foreign* heap head.  Firings are the cuts by events that can
 observe the network — one for a whole X-layer round — not (instant,
 wave) pairs, let alone items.
 
-Accounting: a pure accounting wave records one aggregate
+Accounting: a fault-free wave records one aggregate
 :class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
 (with a ``count`` field) per category per run — per batch too, on the
-ledger — and totals match per-message records exactly.  Waves carrying
-actor messages (``msgs=...``) replay message by message, because
-handlers observe the network mid-wave.
+ledger — and totals match per-message records exactly.  Waves carry no
+actor payloads: peers are modelled by their ids alone.
 
 Determinism contract (see ``docs/performance.md``): wave == per-item
 replay (``tests/simnet/per_item.py``, which swaps each wave class's
@@ -57,7 +56,7 @@ alternately) and in skipping per-message causal span allocation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -99,7 +98,7 @@ class DeliveryWave:
 
     __slots__ = (
         "net", "kind", "size_bits", "delivery_times", "delivered",
-        "count", "dropped", "_src", "_dst", "_msgs", "_times", "_seqs",
+        "count", "dropped", "_src", "_dst", "_times", "_seqs",
         "_order", "_pos",
     )
 
@@ -141,11 +140,10 @@ class DeliveryWave:
         while i < n:
             j = _cut(times, seqs, i, queue.peek_event())
             if j > i:
-                if self._msgs is not None or not net._fault_free:
-                    # Actor deliveries (or degraded links) go one message
-                    # at a time: a handler may schedule new events or
-                    # crash nodes, changing what precedes the rest of
-                    # the run — so peek again.
+                if not net._fault_free:
+                    # On degraded links each message re-checks its link
+                    # at delivery (a mid-flight crash drops it), one at a
+                    # time as the scalar path does.
                     self._deliver_one(i)
                     i += 1
                     continue
@@ -215,8 +213,6 @@ class DeliveryWave:
                 "net_bits_total", "Delivered bits by kind.",
                 labels=("kind",),
             ).labels(kind=self.kind).inc(self.size_bits)
-        if self._msgs is not None:
-            net.deliver_to_node(src, dst, self._msgs[idx])
 
 
 def _report_drops(
@@ -250,7 +246,6 @@ def send_batch(
     dst_ids: np.ndarray,
     size_bits: float = 0.0,
     kind: str = "msg",
-    msgs: Optional[Sequence[Any]] = None,
     at_times: Optional[np.ndarray] = None,
 ) -> DeliveryWave:
     """Issue one delivery wave (the body of ``Network.send_batch``)."""
@@ -259,12 +254,6 @@ def send_batch(
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src_ids and dst_ids must be equal-length 1-D arrays")
     m = len(src)
-    if msgs is not None:
-        if len(msgs) != m:
-            raise ValueError(f"need one msg per message: {len(msgs)} != {m}")
-        unknown = {int(d) for d in np.unique(dst)} - set(net._nodes)
-        if unknown:
-            raise KeyError(f"unknown destination node {min(unknown)}")
     sim = net.sim
     if at_times is None:
         dep = np.full(m, sim.now, dtype=np.float64)
@@ -284,7 +273,7 @@ def send_batch(
                 "send_batch cannot combine serialize_uplink with the "
                 "reliable transport or a fault timeline"
             )
-        return _send_batch_items(net, src, dst, dep, size_bits, kind, msgs)
+        return _send_batch_items(net, src, dst, dep, size_bits, kind)
 
     # Issue-time fate, in the scalar path's decision order: link state
     # first, then one loss uniform per link-up message, then one latency
@@ -340,7 +329,7 @@ def send_batch(
         return wave
 
     seq0 = sim._queue.reserve(n_alive)
-    wave._src, wave._dst, wave._msgs = src, dst, msgs
+    wave._src, wave._dst = src, dst
     # Replay order is a stable sort on time, which is the identity on
     # times already non-decreasing: such a wave keeps its arrays.
     if (times_alive[1:] >= times_alive[:-1]).all():
@@ -423,9 +412,8 @@ def _serialized_times(
 # a budget exhaustion), each with an absolute time — as four columns
 # (time, int8 type, int32 message index, first-arrival flag), item ``p``
 # of the stable time order taking seq ``seq0 + p`` of one reserved block.
-# A payload batch replays item by item from one self-re-queuing entry,
-# accounting batches in bulk runs from the network's ``_ItemLedger`` —
-# the ``(time, seq)`` order, counters and trace totals of the per-item
+# Batches replay in bulk runs from the network's ``_ItemLedger`` — the
+# ``(time, seq)`` order, counters and trace totals of the per-item
 # replay (``tests/simnet/per_item.py``).
 #
 # Fate/RNG contract, fixed before replay: per epoch, in message-
@@ -546,7 +534,6 @@ def _send_batch_items(
     dep: np.ndarray,
     size_bits: float,
     kind: str,
-    msgs: Optional[Sequence[Any]],
 ) -> "ItemWave":
     """Compute and launch an item wave (reliable and/or timeline mode).
 
@@ -781,16 +768,11 @@ def _send_batch_items(
     # Replay order is a stable sort on time: creation order (= epoch
     # order, categories in scalar decision order within an epoch) breaks
     # ties, and the contiguous reserved seq block makes that order the
-    # global one.  An accounting batch keeps creation order: its ledger
+    # global one.  The items stay in creation order here: the ledger
     # never orders items, only per-instant entries.
-    if msgs is not None:
-        order = np.argsort(it_t, kind="stable")
-        it_t, it_type = it_t[order], it_type[order]
-        it_idx, it_flag = it_idx[order], it_flag[order]
-
     wave = ItemWave(
         net, kind, size_bits, frame_bits, first_arr,
-        ~np.isnan(first_arr), attempts, src, dst, msgs,
+        ~np.isnan(first_arr), attempts, src, dst,
         it_t, it_type, it_idx, it_flag,
     )
     obs = _obs.OBS
@@ -821,21 +803,20 @@ class ItemWave:
     payload never landed; ``count``/``dropped``/``done``) and adds
     ``attempts`` (transmissions per message).  Unlike the fire-and-forget
     wave, the in-flight gauge moves at item times (departures/arrivals),
-    not at issue.  The item columns are in ``(time, seq)`` order when
-    the wave replays itself (payload waves); an accounting batch holds
-    them in creation order until its :class:`_ItemLedger` merges them
-    into entries and releases them.
+    not at issue.  The item columns are in creation order until the
+    network's :class:`_ItemLedger` merges them into entries and releases
+    them.
     """
 
     __slots__ = (
         "net", "kind", "size_bits", "frame_bits",
         "delivery_times", "delivered", "count", "dropped", "attempts",
-        "_src", "_dst", "_msgs", "_it_t", "_it_type", "_it_idx",
-        "_it_flag", "_n_items", "_sent", "_seqs", "_pos",
+        "_src", "_dst", "_it_t", "_it_type", "_it_idx",
+        "_it_flag", "_n_items", "_sent", "_pos",
     )
 
     def __init__(self, net, kind, size_bits, frame_bits,
-                 delivery_times, delivered, attempts, src, dst, msgs,
+                 delivery_times, delivered, attempts, src, dst,
                  it_t, it_type, it_idx, it_flag):
         self.net = net
         self.kind = kind
@@ -848,14 +829,12 @@ class ItemWave:
         self.attempts = attempts
         self._src = src
         self._dst = dst
-        self._msgs = msgs
         self._it_t = it_t
         self._it_type = it_type
         self._it_idx = it_idx      # message index per item (int32)
         self._it_flag = it_flag    # the message's first frame arrival
         self._n_items = len(it_t)
         self._sent = None     # per-message transmissions replayed so far
-        self._seqs = np.empty(0, dtype=np.int64)
         self._pos = 0         # items replayed so far
 
     @property
@@ -865,29 +844,14 @@ class ItemWave:
 
     # ------------------------------------------------------------- firing
     def _launch(self, seq0: int) -> None:
-        """Queue the replay of items at seqs ``seq0...``: an accounting
-        batch joins its network's ledger, a payload wave queues itself."""
-        if self._msgs is None:
-            net = self.net
-            ledger = net._ledger
-            # None pending — or ``sim.clear()`` took its entry off the heap.
-            if ledger is None or ledger._event._queue is None:
-                ledger = net._ledger = _ItemLedger(net)
-            ledger.add(self, seq0)
-            return
-        self._seqs = seq0 + np.arange(self._n_items, dtype=np.int64)
-        self.net.sim._queue.push_at(float(self._it_t[0]), seq0, self._fire)
-
-    def _fire(self) -> None:
-        """Replay a payload wave's run, peeking before every item: a
-        handler may schedule events that precede the rest of the run."""
-        queue = self.net.sim._queue
-        while (i := self._pos) < self._n_items:
-            if _cut(self._it_t, self._seqs, i, queue.peek_event()) == i:
-                queue.push_at(float(self._it_t[i]), int(self._seqs[i]),
-                              self._fire)
-                return
-            self._apply_item(i)
+        """Queue the replay of items at seqs ``seq0...`` on the network's
+        ledger."""
+        net = self.net
+        ledger = net._ledger
+        # None pending — or ``sim.clear()`` took its entry off the heap.
+        if ledger is None or ledger._event._queue is None:
+            ledger = net._ledger = _ItemLedger(net)
+        ledger.add(self, seq0)
 
     # -------------------------------------------------- per-item semantics
     def _apply_item(self, p: int) -> None:
@@ -948,10 +912,7 @@ class ItemWave:
                     ).inc()
                 if typ == _T_ARR_ACKLOST:
                     net._drop(dst, src, "net.ack", ACK_BITS, "loss")
-            if self._it_flag[p]:
-                if self._msgs is not None:
-                    net.deliver_to_node(src, dst, self._msgs[i])
-            elif typ != _T_ARR_PLAIN:
+            if not self._it_flag[p] and typ != _T_ARR_PLAIN:
                 rel.duplicates_suppressed += 1
         elif typ == _T_ACK_MID:
             net.in_flight -= 1
@@ -1010,10 +971,10 @@ def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ItemLedger:
-    """Merged replay of one network's accounting item batches.
+    """Merged replay of one network's item batches.
 
-    An accounting batch runs no handler, so only *foreign* events —
-    timers, fault callbacks, payload waves, a later ledger — can observe
+    An item batch runs no handler, so only *foreign* events — timers,
+    fault callbacks, delivery waves, a later ledger — can observe
     where its replay stands.  The batches issued on a network before the
     first of them is due therefore share one heap entry, at their
     earliest pending ``(time, seq)`` (a batch due before the pending

@@ -29,7 +29,7 @@ from repro.chaos import (
     Recover,
 )
 from repro.simnet import FixedLatency, Network, Simulator, TraceRecorder
-from tests.simnet.per_item import REPLAYS
+from tests.simnet.per_item import REPLAYS, actor_arrivals
 
 
 def _ids(*xs):
@@ -264,14 +264,13 @@ def _workload():
     rng = np.random.default_rng(23)
     src = rng.integers(0, 12, size=m)
     dst = (src + 1 + rng.integers(0, 11, size=m)) % 12
-    return src, dst, [f"f{i}" for i in range(m)]
+    return src, dst
 
 
-def _fingerprint(sim, net, nodes):
+def _fingerprint(sim, net):
     rel = net.reliable
     return (
-        [nd.received for nd in nodes], sim.now,
-        rel.retransmits, rel.acks_sent, rel.duplicates_suppressed,
+        sim.now, rel.retransmits, rel.acks_sent, rel.duplicates_suppressed,
         len(rel.exhausted), rel.exhausted_undelivered,
         net.trace.total_bits, net.trace.total_messages,
         net.trace.total_dropped,
@@ -282,18 +281,21 @@ def test_engines_bitwise_identical_under_crash_schedule():
     """Crashes + partition + spike: the wave and the per-item model replay
     the same precomputed items, so every observable agrees bit for bit
     (the actor loop is *not* comparable here — see ``_hold_free``)."""
-    src, dst, msgs = _workload()
-    results = {}
+    src, dst = _workload()
+    results, times = {}, {}
     for side, replay in REPLAYS:
         with replay():
-            sim, net, nodes = _faulty_net(SCHEDULE)
-            net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
+            sim, net, _ = _faulty_net(SCHEDULE)
+            wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
             sim.run()
-        results[side] = _fingerprint(sim, net, nodes)
+        times[side] = wave.delivery_times
+        results[side] = (wave.attempts.tolist(), _fingerprint(sim, net))
+    np.testing.assert_array_equal(times["wave"], times["per_item"])
     assert results["wave"] == results["per_item"]
     # The schedule actually bit.
-    assert results["wave"][2] > 0  # retransmits
-    assert results["wave"][5] > 0  # exhausted (node 7 never comes back)
+    fingerprint = results["wave"][1]
+    assert fingerprint[1] > 0  # retransmits
+    assert fingerprint[4] > 0  # exhausted (node 7 never comes back)
 
 
 #: Window edges: the epoch instants (0, 40, 120, 280, 600 at RTO 40,
@@ -367,9 +369,10 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
     """Hold-free scripts, three executions: the armed actor loop, the
     timeline item wave and its per-item replay.  FixedLatency draws
     nothing and every message departs at t=0, so all three agree bit
-    for bit on deliveries, clock, transport counters and trace records,
-    exhausted sends included — an independent check of the wave's
-    precomputed fates (the per-item replay shares them)."""
+    for bit on arrival times, clock, transport counters and trace
+    totals, exhausted sends included, and the per-item replay on every
+    trace record — an independent check of the wave's precomputed fates
+    (the per-item replay shares them)."""
     schedule, loss, spike_nodes = script
     rng = np.random.default_rng(seed)
     src = rng.integers(0, 12, size=60)
@@ -378,7 +381,6 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
         hit = np.isin(src, spike_nodes) | np.isin(dst, spike_nodes)
         order = np.argsort(hit, kind="stable")
         src, dst = src[order], dst[order]
-    msgs = [f"f{i}" for i in range(len(src))]
 
     def net_for(arm):
         sim = Simulator()
@@ -401,28 +403,31 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
             sim.schedule_at(schedule.end_ms(), lambda: None)
         return sim, net, nodes
 
-    def observed(sim, net, nodes):
-        """The shared fingerprint plus every frame's and ACK's trace
-        record: time, endpoints and fate (the wave orders a send
-        instant's link and loss drops by category, so they compare as a
-        sorted list)."""
-        return (_fingerprint(sim, net, nodes),
-                sorted(astuple(r) for r in net.trace.records))
+    def records(net):
+        """Every frame's and ACK's trace record: time, endpoints and fate
+        (the wave orders a send instant's link and loss drops by
+        category, so they compare as a sorted list)."""
+        return sorted(astuple(r) for r in net.trace.records)
 
     sim, net, nodes = net_for(arm=True)
     # Sent after the script's own t=0 events, as the timeline sees them.
     sim.schedule_at(0.0, lambda: [
-        net.send(int(s), int(d), msg, size_bits=64.0, kind="x")
-        for s, d, msg in zip(src, dst, msgs)])
+        net.send(int(s), int(d), i, size_bits=64.0, kind="x")
+        for i, (s, d) in enumerate(zip(src, dst))])
     sim.run()
-    actor = observed(sim, net, nodes)
+    arrivals = actor_arrivals(nodes, len(src))
+    actor = _fingerprint(sim, net)
+    actor_records = records(net)
 
-    for _, replay in REPLAYS:
+    for side, replay in REPLAYS:
         with replay():
-            sim, net, nodes = net_for(arm=False)
-            net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
+            sim, net, _ = net_for(arm=False)
+            wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
             sim.run()
-        assert observed(sim, net, nodes) == actor
+        np.testing.assert_array_equal(wave.delivery_times, arrivals)
+        assert _fingerprint(sim, net) == actor
+        if side == "per_item":  # the wave's ledger records runs, not frames
+            assert records(net) == actor_records
 
 
 def test_a_long_crashed_sender_hold_probes_in_doubling_chunks():
@@ -452,15 +457,14 @@ def test_a_long_crashed_sender_hold_probes_in_doubling_chunks():
     assert t_scalar == 5_000_010.0
     attempts_scalar = 1 + net.reliable.retransmits
 
-    sim, net, nodes = net_for()
+    sim, net, _ = net_for()
     tl = net.fault_timeline = schedule.timeline()
     calls = []
     crashed_at = tl.crashed_at
     tl.crashed_at = lambda n, t: calls.append(len(n)) or crashed_at(n, t)
     wave = net.send_batch(np.array([1]), np.array([0]), size_bits=64.0,
-                          kind="x", msgs=["m"])
+                          kind="x")
     sim.run()
-    assert nodes[0].received == [(t_scalar, 1, "m")]
     assert wave.delivery_times.tolist() == [t_scalar]
     assert wave.attempts.tolist() == [attempts_scalar] == [2]
     # 125,000 probes: 18 doubling chunks, plus the link queries'.
@@ -469,11 +473,12 @@ def test_a_long_crashed_sender_hold_probes_in_doubling_chunks():
 
 
 def test_timeline_round_differs_from_fault_free():
-    src, dst, msgs = _workload()
+    src, dst = _workload()
     fingerprints = []
     for schedule in (SCHEDULE, None):
-        sim, net, nodes = _faulty_net(schedule)
-        net.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
+        sim, net, _ = _faulty_net(schedule)
+        wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
         sim.run()
-        fingerprints.append(_fingerprint(sim, net, nodes))
+        fingerprints.append((np.nan_to_num(wave.delivery_times, nan=-1.0).tolist(),
+                             _fingerprint(sim, net)))
     assert fingerprints[0] != fingerprints[1]

@@ -5,13 +5,18 @@ import os
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.paper_settings import ARTEFACTS
 from repro.experiments.report import generate_report, write_report
 
 
 class TestReport:
     @pytest.fixture(scope="class")
-    def report_text(self):
+    def report(self):
         return generate_report(rounds=2, trials=2, peers=4)
+
+    @pytest.fixture(scope="class")
+    def report_text(self, report):
+        return report[0]
 
     def test_all_sections_present(self, report_text):
         for heading in (
@@ -24,11 +29,28 @@ class TestReport:
         assert "7.12" in report_text    # Fig. 13 m=6
         assert "10.36x" in report_text  # Fig. 14 ratio
 
+    def test_one_paper_measured_line_per_manifest_row(self, report):
+        text, table = report
+        rows = table.splitlines()[1:]
+        # Every artefact id is two words ("Fig. 10", "Sec. VII-D").
+        assert [" ".join(r.split()[:2]) for r in rows] == list(ARTEFACTS)
+        assert table in text
+        for row, line in zip(ARTEFACTS.values(), rows):
+            for name, value in row.paper.items():
+                assert f"{name}: {value:.5g} / " in line
+            if row.band:
+                assert "in band" in line or "OUT" in line
+        # The closed-form rows do not depend on the run's scale.
+        for figure in ("Fig. 13", "Fig. 14", "Eq. 10"):
+            assert f"  {figure:<11}in band " in table
+
     def test_write_report(self, tmp_path):
-        path = write_report(str(tmp_path / "r.md"), rounds=2, trials=2, peers=4)
-        assert os.path.exists(path)
+        path = str(tmp_path / "r.md")
+        table = write_report(path, rounds=2, trials=2, peers=4)
         with open(path) as fh:
-            assert fh.read().startswith("# repro")
+            text = fh.read()
+        assert text.startswith("# repro")
+        assert table in text
 
 
 class TestCliCommands:
@@ -51,3 +73,7 @@ class TestCliCommands:
              "--peers", "4"]
         ) == 0
         assert os.path.exists(out_path)
+        out = capsys.readouterr().out
+        assert out.startswith("Paper against measured")
+        rows = out.splitlines()[1:len(ARTEFACTS) + 1]
+        assert [" ".join(r.split()[:2]) for r in rows] == list(ARTEFACTS)

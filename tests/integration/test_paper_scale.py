@@ -10,7 +10,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments.paper_settings import FIG10_12, FIG6_7, HEADLINES
+from repro.experiments.paper_settings import ARTEFACTS
+
+FIG6, FIG10 = ARTEFACTS["Fig. 6"], ARTEFACTS["Fig. 10"]
 
 slow = pytest.mark.skipif(
     not os.environ.get("REPRO_SLOW"),
@@ -22,21 +24,24 @@ class TestPaperSettings:
     """Always-on checks that the presets match the paper text."""
 
     def test_fig6_setting(self):
-        assert FIG6_7.n_peers == 10
-        assert FIG6_7.rounds == 1000
-        assert FIG6_7.lr == 1e-4
-        assert FIG6_7.batch_size == 50
-        assert 10 in FIG6_7.group_sizes  # n = N baseline
+        setting = FIG6.setting
+        assert setting["n_peers"] == 10
+        assert setting["rounds"] == 1000
+        assert setting["lr"] == 1e-4
+        assert setting["batch_size"] == 50
+        assert 10 in setting["group_sizes"]  # n = N baseline
 
     def test_fig10_setting(self):
-        assert FIG10_12.n_peers == 25
-        assert FIG10_12.group_count == 5
-        assert FIG10_12.delay_ms == 15.0
-        assert FIG10_12.trials == 1000
+        setting = FIG10.setting
+        assert setting["n_peers"] == 25
+        assert setting["group_count"] == 5
+        assert setting["delay_ms"] == 15.0
+        assert setting["trials"] == 1000
 
     def test_headlines_present(self):
-        assert HEADLINES["fig5_params"] == 1_250_858
-        assert len(HEADLINES["fig10_means_ms"]) == 4
+        # One paper mean, and one band, per timeout range.
+        assert len(FIG10.paper) == len(FIG10.band) == len(
+            FIG10.setting["timeout_bases_ms"]) == 4
 
 
 @slow
@@ -45,8 +50,8 @@ class TestPaperScaleSmoke:
         from repro.experiments import run_fig10
 
         stats = run_fig10(trials=200)
-        for s, paper in zip(stats, HEADLINES["fig10_means_ms"]):
-            assert abs(s.mean_ms - paper) / paper < 0.15
+        for s in stats:
+            assert abs(s.mean_ms - s.paper_mean_ms) / s.paper_mean_ms < 0.15
 
     def test_fl_200_rounds_relationships_hold(self):
         from repro.experiments import run_fig6_fig7

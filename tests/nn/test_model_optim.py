@@ -15,6 +15,7 @@ from repro.nn import (
     mlp_classifier,
     set_flat_params,
 )
+from repro.nn import model as model_module
 from repro.nn.layers import Param
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -168,13 +169,15 @@ class TestSequentialTraining:
         for pf, pp in zip(fused.params(), plain_params):
             np.testing.assert_allclose(pf.grad, pp.grad, rtol=1e-10)
 
-    def test_evaluate_batching_consistent(self):
+    def test_evaluate_batching_consistent(self, monkeypatch):
         rng = RNG(3)
         x = rng.normal(size=(130, 5))
         y = rng.integers(0, 4, size=130)
         model = mlp_classifier(5, rng=rng, hidden=(8,), n_classes=4)
-        big = model.evaluate(x, y, batch_size=1000)
-        small = model.evaluate(x, y, batch_size=7)
+        monkeypatch.setattr(model_module, "EVAL_BATCH", 1000)
+        big = model.evaluate(x, y)
+        monkeypatch.setattr(model_module, "EVAL_BATCH", 7)
+        small = model.evaluate(x, y)
         assert big[0] == pytest.approx(small[0], rel=1e-9)
         assert big[1] == small[1]
 

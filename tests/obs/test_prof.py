@@ -157,13 +157,11 @@ def test_format_table_sorts_and_limits():
     _span(obs, "big", 20.0, 120.0)
     report = profile_events(obs.events)
 
-    table = report.format_table(sort="self")
+    table = report.format_table()
     lines = table.splitlines()
     assert "phase" in lines[0]
     assert lines[1].lstrip().startswith("big")
     assert len(report.format_table(limit=1).splitlines()) == 2
-    with pytest.raises(ValueError):
-        report.format_table(sort="nope")
 
 
 def test_report_json_round_trip_fields():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import seeded_exchange_bits
-from repro.experiments.paper_settings import FIG6_7, HEADLINES
+from repro.experiments.paper_settings import ARTEFACTS
 from repro.secure.fixed_point import encode_fixed_point, sac_average_fixed_point
 from repro.secure.protocol import run_sac_protocol, sac_reference_average
 from repro.secure.replicated import seeded_exchange_entry_counts
@@ -29,15 +29,12 @@ from repro.secure.seedshare import (
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
-#: the paper's (k, n) operating points — Fig. 14's headline ratios plus
+GROUP_SIZES = ARTEFACTS["Fig. 6"].setting["group_sizes"]
+#: the paper's (k, n) operating points — Fig. 14's k-n settings plus
 #: n-out-of-n at each Fig. 6/7 subgroup size.
 PAPER_KN = sorted(
-    {
-        tuple(int(p) for p in key.split("_")[2:4])
-        for key in HEADLINES
-        if key.startswith("fig14_ratio_")
-    }
-    | {(n, n) for n in FIG6_7.group_sizes}
+    {tuple(map(int, kn.split("-"))) for kn in ARTEFACTS["Fig. 14"].setting["k-n"]}
+    | {(n, n) for n in GROUP_SIZES}
 )
 
 
@@ -160,7 +157,7 @@ class TestEntryCounts:
         assert dense + seeds == (n - 1) * (n - k + 1)
 
     def test_n_out_of_n_is_pure_seeds(self):
-        for n in FIG6_7.group_sizes:
+        for n in GROUP_SIZES:
             assert seeded_exchange_entry_counts(n, n) == (0, n - 1)
 
 

@@ -1,9 +1,9 @@
 """Per-item replay: the model the delivery waves are tested against.
 
 :mod:`repro.simnet.waves` replays a whole batch from one heap entry — a
-:class:`~repro.simnet.waves.DeliveryWave` or payload
-:class:`~repro.simnet.waves.ItemWave` re-queuing itself, accounting item
-batches from their network's ``_ItemLedger``.  Each wave class queues
+:class:`~repro.simnet.waves.DeliveryWave` re-queuing itself, item
+batches (:class:`~repro.simnet.waves.ItemWave`) from their network's
+``_ItemLedger``.  Each wave class queues
 that replay in one ``_launch`` method.  Inside :func:`per_item` the
 launch is swapped for plain discrete-event scheduling: one heap entry
 per delivered message and per item, each at the ``(time, seq)`` key the
@@ -48,13 +48,11 @@ def _launch_messages(wave):
 def _launch_items(wave, seq0):
     """One heap entry per item: item ``p`` of the batch's stable time
     order at seq ``seq0 + p``, the key the ledger gives it."""
-    if wave._msgs is None:
-        # An accounting batch keeps creation order for the ledger's
-        # merge; put it in replay order, as a payload wave already is.
-        order = np.argsort(wave._it_t, kind="stable")
-        for name in _ITEM_COLUMNS:
-            setattr(wave, name, getattr(wave, name)[order])
-    wave._seqs = seq0 + np.arange(wave._n_items, dtype=np.int64)
+    # The batch keeps creation order for the ledger's merge; put it in
+    # replay order.
+    order = np.argsort(wave._it_t, kind="stable")
+    for name in _ITEM_COLUMNS:
+        setattr(wave, name, getattr(wave, name)[order])
     push = wave.net.sim._queue.push_at
     for p in range(wave._n_items):
         push(float(wave._it_t[p]), seq0 + p, partial(wave._apply_item, p))
@@ -70,6 +68,18 @@ def per_item():
         yield
     finally:
         W.DeliveryWave._launch, W.ItemWave._launch = saved
+
+
+def actor_arrivals(nodes, m):
+    """The actor loop's side of a wave == actor test: each message's
+    arrival time at its node (NaN: never arrived), where message ``i``
+    carried the payload ``i`` and each node records ``(time, src, msg)``
+    — comparable with ``wave.delivery_times``."""
+    times = np.full(m, np.nan)
+    for nd in nodes:
+        for t, _, i in nd.received:
+            times[i] = t
+    return times
 
 
 #: the two columns of every wave == model test.

@@ -7,13 +7,13 @@ numpy, then replayed through the heap.  The contract under test:
 
 - **wave == per-item replay** — for any loss rate, latency model and
   seed, the wave and the per-item model (``tests/simnet/per_item.py``)
-  produce bit-identical delivery times, per-node ``(time, src, msg)``
-  arrival order, transport counters and trace totals (property-based
-  below);
+  produce bit-identical delivery times, transport counters and trace
+  totals (property-based below);
 - **actor pin** — under :class:`FixedLatency` (no per-draw RNG, so the
   per-message actor loop and the per-epoch cohort loop see the same
   uniform stream) the item wave reproduces the live
-  ``net.send``-per-message transport bit for bit;
+  ``net.send``-per-message transport's arrival times, clock and
+  counters bit for bit;
 - **serialized uplinks** — the per-destination busy-time prefix scan is
   shared by the wave and the model (exact) and matches the actor path's
   sequential recurrence to IEEE rounding order (rtol 1e-12 — see
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.simnet import FixedLatency, Network, Simulator
 
 from .latency import GaussianLatency, UniformLatency
-from .per_item import REPLAYS
+from .per_item import REPLAYS, actor_arrivals
 
 LATENCIES = {
     "fixed": lambda: FixedLatency(10.0),
@@ -89,22 +89,18 @@ def test_engines_bit_identical_under_loss(loss, lat, seed):
     m, n_nodes = 120, 12
     rng = np.random.default_rng(seed)
     src, dst = _pairs(rng, n_nodes, m)
-    msgs = [f"m{i}" for i in range(m)]
     results = {}
     times = {}
     for side, replay in REPLAYS:
         with replay():
-            sim, net, nodes = _reliable_net(
+            sim, net, _ = _reliable_net(
                 seed=seed + 1, latency=LATENCIES[lat](), loss=loss,
-                n_nodes=n_nodes, max_attempts=6,
+                max_attempts=6,
             )
-            wave = net.send_batch(src, dst, size_bits=64.0, kind="x",
-                                  msgs=msgs)
+            wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
             sim.run()
         times[side] = wave.delivery_times
-        results[side] = (
-            [nd.received for nd in nodes], sim.now, _counters(net),
-        )
+        results[side] = (sim.now, _counters(net), net.in_flight)
     # NaN marks never-delivered; equal_nan compares those slots too.
     np.testing.assert_array_equal(times["wave"], times["per_item"])
     assert results["wave"] == results["per_item"]
@@ -149,22 +145,22 @@ def test_item_wave_matches_actor_loop_under_fixed_latency():
     m, n_nodes = 80, 40
     src = np.arange(m, dtype=np.int64) % n_nodes
     dst = (src + 7) % n_nodes
-    msgs = [f"p{i}" for i in range(m)]
 
     sim_a, net_a, nodes_a = _reliable_net(
         seed=3, latency=FixedLatency(10.0), loss=0.2, n_nodes=n_nodes,
     )
-    for s, d, msg in zip(src, dst, msgs):
-        net_a.send(int(s), int(d), msg, size_bits=64.0, kind="x")
+    for i, (s, d) in enumerate(zip(src, dst)):
+        net_a.send(int(s), int(d), i, size_bits=64.0, kind="x")
     sim_a.run()
 
-    sim_w, net_w, nodes_w = _reliable_net(
-        seed=3, latency=FixedLatency(10.0), loss=0.2, n_nodes=n_nodes,
+    sim_w, net_w, _ = _reliable_net(
+        seed=3, latency=FixedLatency(10.0), loss=0.2,
     )
-    net_w.send_batch(src, dst, size_bits=64.0, kind="x", msgs=msgs)
+    wave = net_w.send_batch(src, dst, size_bits=64.0, kind="x")
     sim_w.run()
 
-    assert [nd.received for nd in nodes_a] == [nd.received for nd in nodes_w]
+    np.testing.assert_array_equal(wave.delivery_times,
+                                  actor_arrivals(nodes_a, m))
     assert sim_a.now == sim_w.now
     assert _counters(net_a) == _counters(net_w)
     assert net_w.reliable.retransmits > 0  # the loss actually bit
@@ -249,25 +245,19 @@ class TestSerializedUplinks:
         IEEE additions.  Measured divergence is ~5e-15 relative; the
         pin is rtol 1e-12 (documented in docs/performance.md)."""
         src, dst = self._workload()
-        msgs = [f"u{i}" for i in range(len(src))]
 
         sim_a, net_a, nodes_a = self._net()
-        for s, d, msg in zip(src, dst, msgs):
-            net_a.send(int(s), int(d), msg, size_bits=400.0, kind="s")
+        for i, (s, d) in enumerate(zip(src, dst)):
+            net_a.send(int(s), int(d), i, size_bits=400.0, kind="s")
         sim_a.run()
 
-        sim_w, net_w, nodes_w = self._net()
-        net_w.send_batch(src, dst, size_bits=400.0, kind="s", msgs=msgs)
+        sim_w, net_w, _ = self._net()
+        wave = net_w.send_batch(src, dst, size_bits=400.0, kind="s")
         sim_w.run()
 
-        for a, w in zip(nodes_a, nodes_w):
-            assert [(s, m) for (_, s, m) in a.received] == \
-                [(s, m) for (_, s, m) in w.received]
-            np.testing.assert_allclose(
-                [t for (t, _, _) in a.received],
-                [t for (t, _, _) in w.received],
-                rtol=1e-12,
-            )
+        actor = actor_arrivals(nodes_a, len(src))
+        assert not np.isnan(actor).any()
+        np.testing.assert_allclose(wave.delivery_times, actor, rtol=1e-12)
 
     def test_prefix_scan_exact_with_many_senders(self):
         """1,000 senders, three 4 ms transfers each, departures spread

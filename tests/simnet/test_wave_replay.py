@@ -34,7 +34,6 @@ from repro.obs.metrics import Histogram
 from repro.simnet import (
     FixedLatency,
     Network,
-    SimNode,
     Simulator,
     WaveRecord,
 )
@@ -100,31 +99,6 @@ def test_cut_equals_linear_scan(case):
     assert W._cut(times, seqs, i, head) == _cut_reference(times, seqs, i, head)
 
 
-def test_zero_delay_timer_inside_an_equal_time_run():
-    """A handler that schedules a zero-delay event while its message's
-    equal-time run is half delivered: the rest of the run still precedes
-    that event (lower seqs), exactly as under per-message scheduling."""
-    logs = {}
-    for side, replay in REPLAYS:
-        sim = Simulator()
-        net = Network(sim, latency=FixedLatency(5.0),
-                      rng=np.random.default_rng(0))
-        log = logs[side] = []
-
-        class Echo(SimNode):
-            def on_message(self, src, msg):
-                log.append(("msg", msg))
-                self.sim.schedule(0.0, lambda: log.append(("timer", msg)))
-
-        for node_id in range(4):
-            Echo(node_id, sim, net)
-        with replay():
-            net.send_batch([0, 1, 2], [1, 2, 3], msgs=["a", "b", "c"])
-            sim.run(max_events=100)
-    assert logs["wave"] == logs["per_item"]
-    assert [kind for kind, _ in logs["wave"]] == ["msg"] * 3 + ["timer"] * 3
-
-
 # ----------------------------------------------------------- the bulk run
 _RELIABLE_TYPES = [
     W._T_RETRANS, W._T_LINKDOWN, W._T_LOST, W._T_DEPART, W._T_FRAME_MID,
@@ -170,7 +144,7 @@ def _random_batches(seed, reliable, sizes, n_instants, merged):
             it_idx, it_flag = it_idx[order], it_flag[order]
         wave = W.ItemWave(
             net, f"k{w}", 64.0, 128.0 + w, first_arr,
-            ~np.isnan(first_arr), rng.integers(1, 9, size=m), src, dst, None,
+            ~np.isnan(first_arr), rng.integers(1, 9, size=m), src, dst,
             it_t, it_type, it_idx, it_flag,
         )
         waves.append(wave)

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.paper_settings import ARTEFACTS
+
 REPO = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("reach", REPO / "tools" / "reach.py")
 reach = importlib.util.module_from_spec(_spec)
@@ -60,8 +62,8 @@ def test_allowlist_entries_are_still_needed_by_their_reason(allow):
     s = reach.scan(REPO)
     kept = reach.reached(s.nodes, s.roots, extra=allow.keys() & s.nodes.keys())
     pins = REPO / "tests" / "integration" / "test_sim_pins.py"
-    set_by_tests, _ = reach.options_set(s, kept, [ast.parse(p.read_text()) for p in test_files])
-    set_by_pins, _ = reach.options_set(s, kept, [ast.parse(pins.read_text())])
+    set_by_tests = reach.options_set(s, kept, [ast.parse(p.read_text()) for p in test_files])
+    set_by_pins = reach.options_set(s, kept, [ast.parse(pins.read_text())])
     roadmap = (REPO / "ROADMAP.md").read_text()
     for key, reason in allow.items():
         module, qualname = key.split(":")
@@ -75,6 +77,10 @@ def test_allowlist_entries_are_still_needed_by_their_reason(allow):
             assert key in set_by_pins, f"{key}: no sim-pin scenario sets it"
         else:
             assert key in set_by_tests, f"{key}: no test sets it"
+        if reason.startswith("(a)"):
+            assert any(row in reason for row in ARTEFACTS), (
+                f"{key}: (a) names no manifest row ({', '.join(ARTEFACTS)})"
+            )
         if reason.startswith("(c)"):
             assert re.search(rf"\b{owner}\b", roadmap) or path in roadmap, (
                 f"{key}: ROADMAP.md names neither {owner} nor {path}"
@@ -305,3 +311,32 @@ def test_unused_import_is_reported(tmp_path):
     """})
     r = reach.check(repo, {})
     assert r.unused_imports == ["repro.extra:os"]
+
+
+def test_option_under_a_repeated_name_counts_by_name(tmp_path):
+    repo = _tree(tmp_path, {
+        "src/repro/__main__.py": """
+            from .twin import A, B
+            A().run(1, fast=True)
+            B().run(2)
+        """,
+        "src/repro/twin.py": """
+            class A:
+                def run(self, x, fast=False, slow=False):
+                    return x
+
+            class B:
+                def run(self, x, fast=False, slow=False):
+                    return x
+        """,
+        "tests/test_twin.py": """
+            from repro.twin import B
+            B().run(1, slow=True)
+        """,
+    })
+    unset, _ = _unset(repo)
+    # A call of ``run`` that passes ``fast`` sets it on both defs; only a
+    # test passes ``slow``, so it is reported on both.
+    assert "repro.twin:A.run.fast" not in unset
+    assert "repro.twin:B.run.fast" not in unset
+    assert {"repro.twin:A.run.slow", "repro.twin:B.run.slow"} <= set(unset)

@@ -37,8 +37,9 @@ when a root or a reached node passes it to a call whose callee name matches:
 
 A def that forwards its ``**kw`` (or ``*args``) to a call, ``super().__init__``
 included, passes on what its callers set and it does not take itself; a class
-without an ``__init__`` passes its callers on to its bases.  Options under a
-callee name defined more than once are skipped, and the count is printed.
+without an ``__init__`` passes its callers on to its bases.  Matching is by bare
+name here too: when several defs share a callee name (``run``, ``send``), a call
+of that name that passes an option sets it on each of them.
 
 **Imports.**  A module-level import a non-``__init__`` module never names
 (strings count) is unused.
@@ -442,10 +443,9 @@ def reached(nodes: dict, roots: set[str], extra=()) -> set[str]:
     return live & nodes.keys()
 
 
-def options_set(s: Scan, live: set[str], extra=()) -> tuple[set[str], set[str]]:
-    """``(set, skipped)``: option keys the roots, the ``live`` symbol nodes
-    and the ``extra`` bodies set, and option keys skipped because their
-    callee name is defined more than once."""
+def options_set(s: Scan, live: set[str], extra=()) -> set[str]:
+    """Option keys the roots, the ``live`` symbol nodes and the ``extra``
+    bodies set."""
     calls = Calls()
     for body in [*s.root_bodies, *(s.bodies[k] for k in live), *extra]:
         calls.add(body)
@@ -469,13 +469,10 @@ def options_set(s: Scan, live: set[str], extra=()) -> tuple[set[str], set[str]]:
                     calls.keywords[target] |= passed
                     calls.positional[target] = max(calls.positional[target], n)
                     changed = True
-    defined = Counter(d.callee for d in s.defs)
-    skipped = {k for k, o in s.options.items() if defined[o.callee] > 1}
-    done = {k for k, o in s.options.items()
+    return {k for k, o in s.options.items()
             if o.name in keywords(o.callee)
             or (o.field and o.name in calls.keywords["replace"])
             or (o.index is not None and calls.positional[o.callee] > o.index)}
-    return done - skipped, skipped
 
 
 def read_allowlist(path: Path = ALLOWLIST) -> dict[str, str]:
@@ -500,7 +497,6 @@ class Report:
     unset: list           # options without an entry
     unused_imports: list
     stale: list           # entries that are gone, reached or set
-    skipped: list         # options under a callee name defined more than once
     n_options: int
     where: dict
 
@@ -510,12 +506,11 @@ def check(repo: Path, allow: dict[str, str]) -> Report:
     live = reached(s.nodes, s.roots)
     kept = reached(s.nodes, s.roots, extra=allow.keys() & s.nodes.keys())
     unreached = sorted(s.nodes.keys() - kept - allow.keys())
-    done, skipped = options_set(s, kept)
-    checked = s.options.keys() - skipped
-    unset = sorted(checked - done - allow.keys())
+    done = options_set(s, kept)
+    unset = sorted(s.options.keys() - done - allow.keys())
     stale = sorted(k for k in allow
-                   if k in live or k in done or (k not in s.nodes and k not in checked))
-    return Report(unreached, unset, sorted(s.unused_imports), stale, sorted(skipped),
+                   if k in live or k in done or (k not in s.nodes and k not in s.options))
+    return Report(unreached, unset, sorted(s.unused_imports), stale,
                   len(s.options), s.where)
 
 
@@ -531,8 +526,7 @@ def main() -> int:
         print(f"unused import: {key}")
     for key in r.stale:
         print(f"stale allowlist entry: {key}")
-    print(f"{r.n_options} options, {len(r.skipped)} skipped (callee name defined "
-          "more than once)")
+    print(f"{r.n_options} options")
     return 1 if r.unreached or r.unset or r.unused_imports or r.stale else 0
 
 
