@@ -14,13 +14,16 @@ optionally dumps the raw series to CSV::
     python -m repro chaos --scale 100000 --loss 0.2
     python -m repro campaign --rounds 10 --plans 25
     python -m repro xlayer --peers 100000 --loss 0.2 --transport reliable
-    python -m repro serve-metrics --metrics-port 9100
+    python -m repro campaign --events-out run.jsonl --incident-dir inc/
+    python -m repro explain run.jsonl
 
 ``trace`` runs the failover + wire-round observability scenario and
 writes a JSONL event log, a Prometheus metrics dump, and a Chrome
 ``trace_event`` timeline (see ``docs/observability.md``).  The artifact
-flags also work with any other figure: ``--events-out``/``--metrics-out``
-capture the run's events and metrics as a side effect.
+flags work with every other command too: ``--events-out``,
+``--metrics-out``, ``--trace-out`` and ``--incident-dir`` run it under
+one causal pipeline and write that run's events, metrics, timeline and
+flight-recorder incidents.
 
 ``prof`` runs the failover + wire-round workload under the phase
 profiler and prints the span call tree; with ``--resources`` it also
@@ -46,11 +49,11 @@ grades the whole trajectory against the cross-round invariants; it
 exits non-zero iff any plan violates safety, eventual recovery, the
 reshard floor, or the Raft drill.
 
-``serve-metrics`` runs a live chaos campaign with the full
-observability stack attached — causal tracing, per-link telemetry, a
-flight recorder — and serves ``/metrics`` (Prometheus) and ``/status``
-(JSON) over HTTP while it runs.  ``--metrics-port`` also works on any
-other figure command to expose that run's metrics live.
+``explain PATH`` explains a finished run from what it wrote: an event
+log (``--events-out``, ``trace_out/events.jsonl``) or a flight-recorder
+incident directory.  It prints the incident's trigger, the phase table
+``prof`` prints, the ``--top`` slowest and lossiest links, the wave
+totals and each round's causal critical path.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "env", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "multilayer", "xlayer", "all",
             "report", "plan", "trace", "prof", "chaos",
-            "campaign", "serve-metrics",
+            "campaign", "explain",
         ],
         help="which table/figure to regenerate ('report' writes everything "
         "to a markdown file and prints paper against measured per "
@@ -128,12 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "artifacts; 'chaos' runs seeded fault-injection campaigns and "
         "exits non-zero on any "
         "safety violation; 'campaign' runs multi-round churn campaigns "
-        "with re-sharding and cross-round invariants; 'serve-metrics' "
-        "runs a live chaos campaign "
-        "serving /metrics and /status over HTTP; 'xlayer' runs one "
+        "with re-sharding and cross-round invariants; 'explain' reads "
+        "a finished run's event log or incident directory; 'xlayer' runs one "
         "X-layer round over the simulated wire at --peers scale and "
         "checks it against the Eq. 10 closed forms)",
     )
+    parser.add_argument("path", nargs="?", default=None,
+                        help="'explain': an events.jsonl log or a "
+                        "flight-recorder incident directory")
     parser.add_argument("--out", default="report.md",
                         help="output path for 'report'")
     parser.add_argument("--plan-peers", default=30,
@@ -171,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--resources", action="store_true",
                         help="'prof': wrap each phase in the live resource "
                         "profiler and print the memory/simnet snapshot")
-    parser.add_argument("--top", type=int, default=12,
-                        help="'prof': rows in the printed phase table")
+    parser.add_argument("--top", type=_positive_int, default=12,
+                        help="'prof'/'explain': rows in each printed table")
     parser.add_argument("--plans", type=_positive_int, default=25,
                         help="'chaos': seeded fault plans per layer "
                         "(default: 25)")
@@ -204,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'chaos --scale'/'xlayer': reliable-transport "
                         "retransmit budget (default: 8)")
     parser.add_argument("--seed0", type=int, default=0,
-                        help="'chaos'/'campaign'/'serve-metrics': first "
-                        "plan seed (default: 0)")
+                        help="'chaos'/'campaign': first plan seed "
+                        "(default: 0)")
     parser.add_argument("--static", action="store_true",
                         help="'campaign': disable re-sharding (leavers "
                         "shrink their group; joiners fill the smallest)")
@@ -215,25 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                         help="'campaign': keep between-round checkpoints "
                         "here (default: a temporary directory)")
-    parser.add_argument("--metrics-port", default=None,
-                        type=_checked(int, lambda v: 0 <= v <= 65535,
-                                      "in [0, 65535]"),
-                        help="serve /metrics and /status on this port while "
-                        "the command runs (0 = ephemeral; default for "
-                        "'serve-metrics': 0)")
-    parser.add_argument("--serve-host", default="127.0.0.1",
-                        help="'serve-metrics'/--metrics-port: bind address "
-                        "(default: 127.0.0.1)")
-    parser.add_argument("--serve-rounds", type=_positive_int, default=12,
-                        help="'serve-metrics': chaos rounds to run while "
-                        "serving (default: 12)")
-    parser.add_argument("--serve-interval", default=0.2,
-                        type=_checked(float, lambda v: v >= 0, ">= 0"),
-                        help="'serve-metrics': pause between rounds in "
-                        "seconds, the scrape window (default: 0.2)")
-    parser.add_argument("--incident-dir", default="incident_out",
-                        help="'serve-metrics': flight-recorder incident "
-                        "dump directory (default: incident_out)")
+    parser.add_argument("--incident-dir", metavar="DIR", default=None,
+                        help="attach a flight recorder that dumps an "
+                        "incident directory here on each typed failure")
     parser.add_argument("--depth", type=_positive_int, default=6,
                         help="'xlayer': tree depth X (default: 6)")
     parser.add_argument("--delay-ms", default=15.0,
@@ -246,26 +235,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace_paths(args: argparse.Namespace) -> tuple[str, str, str]:
-    """Resolve artifact paths for 'trace', defaulting into trace_out/."""
+def _trace_paths(args: argparse.Namespace) -> None:
+    """'trace' always writes its three artifacts: default them into
+    trace_out/."""
     base = "trace_out"
-    events = args.events_out or os.path.join(base, "events.jsonl")
-    metrics = args.metrics_out or os.path.join(base, "metrics.prom")
-    chrome = args.trace_out or os.path.join(base, "trace.json")
-    for path in (events, metrics, chrome):
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-    return events, metrics, chrome
+    args.events_out = args.events_out or os.path.join(base, "events.jsonl")
+    args.metrics_out = args.metrics_out or os.path.join(base, "metrics.prom")
+    args.trace_out = args.trace_out or os.path.join(base, "trace.json")
 
 
-def _run_prof(args: argparse.Namespace) -> int:
-    """Profile the failover + wire-round workload; optionally resources."""
+def _run_prof(args: argparse.Namespace, obs) -> int:
+    """Profile the failover + wire-round workload in ``obs``; optionally
+    resources."""
+    import contextlib
+
     import numpy as np
 
     from .core.topology import Topology
     from .core.wire_round import run_two_layer_wire_round
-    from .obs import runtime as _runtime
     from .obs.prof import profile_events
     from .obs.scale import (
         ResourceProfiler,
@@ -279,48 +266,45 @@ def _run_prof(args: argparse.Namespace) -> int:
     seed = args.seed
     rp = ResourceProfiler() if args.resources else None
 
-    import contextlib
-
     def phase(name: str):
         return rp.phase(name) if rp is not None else contextlib.nullcontext()
 
-    with _runtime.observe(causal=True) as obs:
-        with phase("build"):
-            topology = Topology.by_group_size(n_peers, group_size)
-            system = TwoLayerRaftSystem(topology, seed=seed)
-            models = [
-                np.random.default_rng([seed, p]).normal(size=256)
-                for p in range(n_peers)
-            ]
-        with phase("stabilize"):
-            system.stabilize()
-        with phase("failover"):
-            victim = system.subgroup_leader(1)
-            if victim is not None:
-                system.crash(victim)
-            system.stabilize()
-        with phase("wire_round"):
-            k = max(2, min(3, min(len(g) for g in topology.groups)))
-            result = run_two_layer_wire_round(
-                topology, models, k=k, seed=seed,
-                trace_id=f"prof:s{seed}",
-            )
-        report = profile_events(obs.events)
-        print(report.format_table(limit=args.top))
+    with phase("build"):
+        topology = Topology.by_group_size(n_peers, group_size)
+        system = TwoLayerRaftSystem(topology, seed=seed)
+        models = [
+            np.random.default_rng([seed, p]).normal(size=256)
+            for p in range(n_peers)
+        ]
+    with phase("stabilize"):
+        system.stabilize()
+    with phase("failover"):
+        victim = system.subgroup_leader(1)
+        if victim is not None:
+            system.crash(victim)
+        system.stabilize()
+    with phase("wire_round"):
+        k = max(2, min(3, min(len(g) for g in topology.groups)))
+        result = run_two_layer_wire_round(
+            topology, models, k=k, seed=seed,
+            trace_id=f"prof:s{seed}",
+        )
+    report = profile_events(obs.events)
+    print(report.format_table(limit=args.top))
+    print()
+    print(f"wire round: {'completed' if result.outcome.ok else 'FAILED'} "
+          f"in {result.finish_time_ms:.1f} sim-ms, "
+          f"{result.messages_sent} messages, "
+          f"{result.bits_sent / 1e6:.2f} Mb")
+    if rp is not None:
         print()
-        print(f"wire round: {'completed' if result.outcome.ok else 'FAILED'} "
-              f"in {result.finish_time_ms:.1f} sim-ms, "
-              f"{result.messages_sent} messages, "
-              f"{result.bits_sent / 1e6:.2f} Mb")
-        if rp is not None:
-            print()
-            print(rp.format_table())
-            print()
-            # Snapshot before close() so the tracemalloc block is present.
-            print(format_resource_report(resource_snapshot(
-                obs=obs, sim=system.sim, network=system.network,
-            )))
-            rp.close()
+        print(rp.format_table())
+        print()
+        # Snapshot before close() so the tracemalloc block is present.
+        print(format_resource_report(resource_snapshot(
+            obs=obs, sim=system.sim, network=system.network,
+        )))
+        rp.close()
     return 0
 
 
@@ -501,88 +485,91 @@ def _run_campaign(args: argparse.Namespace) -> int:
     return 1 if any(r.failed for r in reports) else 0
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    """A live chaos campaign with the full observability stack attached."""
-    import time
+def _run_explain(args: argparse.Namespace) -> int:
+    """Explain a finished run from its event log or incident directory."""
+    import json
 
-    import numpy as np
+    from .obs.causal import critical_paths_by_trace, link_table
+    from .obs.export import read_events_jsonl
+    from .obs.prof import profile_events
 
-    from .chaos.plan import PROFILES, ChaosPlan
-    from .chaos.runner import TRIAL_TRANSPORT_OPTS
-    from .core.topology import Topology
-    from .core.wire_round import run_two_layer_wire_round
-    from .obs import runtime as _runtime
-    from .obs.scale import resource_snapshot
-    from .obs.serve import MetricsBindError, MetricsServer, StatusBoard
+    events_path, manifest_path = args.path, None
+    if os.path.isdir(args.path):
+        events_path = os.path.join(args.path, "events.jsonl")
+        manifest_path = os.path.join(args.path, "manifest.json")
+    try:
+        events = read_events_jsonl(events_path)
+        trigger = None
+        if manifest_path is not None and os.path.exists(manifest_path):
+            with open(manifest_path) as fh:
+                trigger = json.load(fh).get("trigger")
+    except (OSError, ValueError) as exc:
+        log.error("cannot explain %s: %s", args.path, exc)
+        return 2
 
-    n_peers, group_size, k = 12, 4, 3
-    topology = Topology.by_group_size(n_peers, group_size)
-    max_crashes = max(0, min(len(g) for g in topology.groups) - k)
-    profiles = list(PROFILES)
-    port = args.metrics_port if args.metrics_port is not None else 0
+    if trigger is not None:
+        fields = ", ".join(f"{k}={v}" for k, v in trigger.items()
+                           if k not in ("seq", "name", "t_ms", "wall_s"))
+        print(f"incident trigger: {trigger['name']} at t_ms="
+              f"{trigger['t_ms']} ({fields})\n")
+    print(f"{len(events):,} events in {events_path}\n")
+    print(profile_events(events).format_table(limit=args.top))
 
-    with _runtime.observe(causal=True) as obs:
-        board = StatusBoard().attach(obs.bus)
-        link = obs.attach_link()
-        flight = obs.attach_flight(out_dir=args.incident_dir)
-        try:
-            server = MetricsServer(
-                metrics=obs.metrics, status=board, link=link,
-                host=args.serve_host, port=port,
-                resources=lambda: resource_snapshot(obs=obs),
-            ).start()
-        except MetricsBindError as exc:
-            log.error("%s", exc)
-            return 2
-        # An ephemeral request (port 0) resolves at bind time; print the
-        # chosen port on stdout so wrappers can scrape it.
-        print(f"metrics port: {server.port}", flush=True)
-        log.info("serving %s/metrics and %s/status", server.url, server.url)
-        try:
-            for i in range(args.serve_rounds):
-                seed = args.seed0 + i
-                profile = profiles[i % len(profiles)]
-                rng = np.random.default_rng([seed, 0xC4A15])
-                plan = ChaosPlan.sample(
-                    rng, profile, nodes=range(n_peers),
-                    protected=topology.leaders, max_crashes=max_crashes,
-                )
-                models = [
-                    np.random.default_rng([seed, p]).normal(size=64)
-                    for p in range(n_peers)
-                ]
-                result = run_two_layer_wire_round(
-                    topology, models, k=k, seed=seed, schedule=plan.schedule,
-                    transport="reliable",
-                    transport_opts=dict(TRIAL_TRANSPORT_OPTS),
-                    round_timeout_ms=8_000.0,
-                    trace_id=f"round{i}:s{seed}",
-                )
-                link.publish(obs.metrics)
-                log.info(
-                    "round %d/%d [%s] %s -> %s", i + 1, args.serve_rounds,
-                    profile, plan.schedule.describe(), result.outcome.status,
-                )
-                if args.serve_interval > 0:
-                    time.sleep(args.serve_interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            log.info("interrupted; shutting down")
-        finally:
-            server.stop()
-        print(
-            f"served {board.events_seen} events over "
-            f"{board.rounds_completed + board.rounds_failed} round(s): "
-            f"{board.rounds_completed} completed, "
-            f"{board.rounds_failed} failed, "
-            f"{len(flight.incidents)} incident dump(s)"
-            + (f" in {args.incident_dir}" if flight.incidents else "")
-        )
+    rows = link_table(events).values()
+    slowest = sorted(
+        (r for r in rows if r.latencies_ms),
+        key=lambda r: (-r.mean_latency_ms, -r.max_latency_ms, r.src, r.dst),
+    )
+    lossiest = sorted(
+        (r for r in rows if r.dropped),
+        key=lambda r: (-r.loss_rate, -r.dropped, r.src, r.dst),
+    )
+    for title, links in (("slowest links (first-delivery latency)", slowest),
+                         ("lossiest links", lossiest)):
+        print(f"\n{title}: {len(links)} of {len(rows)} non-ACK links")
+        print(f"  {'link':>11} {'sends':>6} {'deliv':>6} {'drops':>6} "
+              f"{'rtx':>5} {'loss':>6} {'mean ms':>9} {'max ms':>9}")
+        for r in links[:args.top]:
+            mean, top = r.mean_latency_ms, r.max_latency_ms
+            print(f"  {r.src:>5}->{r.dst:<5} {r.sends:>6} {r.delivered:>6} "
+                  f"{r.dropped:>6} {r.retransmits:>5} {r.loss_rate:>6.1%} "
+                  f"{'-' if mean is None else f'{mean:.2f}':>9} "
+                  f"{'-' if top is None else f'{top:.2f}':>9}")
+
+    waves = [e for e in events if e.name == "net.wave"]
+    print(f"\nwaves: {len(waves):,} net.wave events, "
+          f"{sum(e.fields.get('count', 0) for e in waves):,} messages "
+          f"issued, {sum(e.fields.get('dropped', 0) for e in waves):,} "
+          "dropped at issue")
+    paths = critical_paths_by_trace(events)
+    print(f"\ncritical paths: {len(paths)} trace(s)")
+    for path in paths.values():
+        print(f"\n{path.format()}")
     return 0
+
+
+def _run(args: argparse.Namespace, obs) -> int:
+    """Run one command; ``obs`` is the installed pipeline, if any."""
+    if args.figure == "prof":
+        return _run_prof(args, obs)
+    if args.figure == "trace":
+        from .obs.scenario import run_trace_scenario
+
+        summary = run_trace_scenario(obs, seed=args.seed)
+        return 0 if summary["bits_exact"] else 1
+    if args.figure == "xlayer":
+        return _run_xlayer(args)
+    if args.figure == "chaos":
+        return _run_chaos(args)
+    if args.figure == "campaign":
+        return _run_campaign(args)
+    return _run_figures(args)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Intermixed: 'explain --top 3 PATH' parses like 'explain PATH --top 3'.
+    args = parser.parse_intermixed_args(argv)
     if (args.figure == "xlayer" and args.max_attempts is not None
             and _xlayer_transport(args) != "reliable"):
         parser.error("--max-attempts needs the reliable transport "
@@ -598,181 +585,157 @@ def main(argv: list[str] | None = None) -> int:
     # run_campaign's subgroups have 4 peers.
     if args.figure == "campaign" and args.peers is not None and args.peers < 4:
         parser.error("'campaign' needs --peers >= 4 (one subgroup of 4)")
+    if args.figure == "explain" and args.path is None:
+        parser.error("'explain' needs a PATH: an events.jsonl log or an "
+                     "incident directory")
+    if args.figure != "explain" and args.path is not None:
+        parser.error(f"only 'explain' takes a PATH, got {args.path!r}")
+    artifacts = (args.events_out, args.metrics_out, args.trace_out,
+                 args.incident_dir)
+    if args.figure == "explain" and any(artifacts):
+        parser.error("'explain' reads a run's artifacts; it writes none")
     set_level(args.log_level)
 
-    if args.figure == "prof":
-        return _run_prof(args)
-
-    if args.figure == "xlayer":
-        return _run_xlayer(args)
-
-    if args.figure == "chaos":
-        return _run_chaos(args)
-
-    if args.figure == "campaign":
-        return _run_campaign(args)
-
-    if args.figure == "serve-metrics":
-        return _run_serve(args)
-
+    if args.figure == "explain":
+        return _run_explain(args)
     if args.figure == "trace":
-        from .obs.scenario import run_trace_scenario
+        _trace_paths(args)
+    elif args.figure != "prof" and not any(artifacts):
+        return _run(args, None)
 
-        events, metrics, chrome = _trace_paths(args)
-        artifacts = run_trace_scenario(
-            events, metrics, chrome, seed=args.seed,
-        )
-        return 0 if artifacts.summary["bits_exact"] else 1
+    # One capture path: every command runs in one causal pipeline and
+    # writes what the artifact flags ask for ('prof' profiles it).
+    from .obs.runtime import Observability, observe
 
-    from . import experiments as ex
-    from .obs import runtime as _runtime
-
-    # Any other figure: optionally capture events/metrics as a side effect.
-    capture = (
-        any((args.events_out, args.metrics_out, args.trace_out))
-        or args.metrics_port is not None
-    )
-    ctx = _runtime.observe() if capture else None
-    obs = ctx.__enter__() if ctx is not None else None
-    server = None
-    if obs is not None and args.metrics_port is not None:
-        from .obs.scale import resource_snapshot
-        from .obs.serve import MetricsBindError, MetricsServer
-
-        try:
-            server = MetricsServer(
-                metrics=obs.metrics, host=args.serve_host,
-                port=args.metrics_port,
-                resources=lambda: resource_snapshot(obs=obs),
-            ).start()
-        except MetricsBindError as exc:
-            log.error("%s", exc)
-            ctx.__exit__(None, None, None)
-            return 2
-        print(f"metrics port: {server.port}", flush=True)
-        log.info("metrics live at %s/metrics", server.url)
-
+    obs = Observability(causal=True)
+    if args.incident_dir is not None:
+        obs.attach_flight(out_dir=args.incident_dir)
     try:
-        if args.figure == "report":
-            from .experiments.report import write_report
-
-            print(write_report(
-                args.out, rounds=args.rounds, trials=args.trials,
-                peers=args.peers, dataset=args.dataset,
-            ))
-            log.info("wrote %s", args.out)
-            return 0
-
-        if args.figure == "plan":
-            from .core.planner import PlanRequirements, enumerate_plans
-            from .nn.zoo import PAPER_CNN_PARAMS
-
-            req = PlanRequirements(sac_dropouts=args.plan_dropouts)
-            plans = enumerate_plans(
-                args.plan_peers, PAPER_CNN_PARAMS, req,
-                bandwidth_bps=args.plan_bandwidth,
-            )
-            print(f"Feasible plans for N={args.plan_peers} "
-                  f"(tolerating {args.plan_dropouts} dropout/subgroup), "
-                  "Fig. 5 CNN:")
-            print(f"{'n':>4}{'k':>4}{'m':>4}{'Gb/round':>10}{'gain':>8}"
-                  f"{'latency s':>11}")
-            for p in plans:
-                lat = f"{p.latency_ms / 1e3:10.2f}" if p.latency_ms else f"{'-':>10}"
-                print(f"{p.n:>4}{p.k:>4}{p.m:>4}{p.volume_gb:>10.2f}"
-                      f"{p.reduction_vs_baseline:>7.2f}x{lat:>11}")
-            return 0
-
-        csv_dir = args.csv
-        want = (
-            ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-             "fig13", "fig14", "multilayer", "env"]
-            if args.figure == "all"
-            else [args.figure]
-        )
-
-        def maybe_csv(writer, data, name):
-            if csv_dir is not None:
-                path = writer(data, os.path.join(csv_dir, name))
-                log.info("[csv] wrote %s", path)
-
-        fl_cache: dict[str, list] = {}
-
-        def fl_runs(which: str):
-            if which not in fl_cache:
-                if which == "fig6_7":
-                    fl_cache[which] = ex.run_fig6_fig7(
-                        n_peers=args.peers, rounds=args.rounds, dataset=args.dataset
-                    )
-                else:
-                    fl_cache[which] = ex.run_fig8_fig9(
-                        n_peers=args.peers, rounds=args.rounds, dataset=args.dataset
-                    )
-            return fl_cache[which]
-
-        for fig in want:
-            if fig == "env":
-                print(ex.format_table1())
-            elif fig in ("fig6", "fig7"):
-                runs = fl_runs("fig6_7")
-                title = "Fig. 6 — final test accuracy" if fig == "fig6" else \
-                    "Fig. 7 — training loss (see CSV for curves)"
-                print(ex.format_accuracy_table(runs, title))
-                from .experiments.csv_export import write_fl_runs
-
-                maybe_csv(write_fl_runs, runs, f"{fig}_curves.csv")
-            elif fig in ("fig8", "fig9"):
-                runs = fl_runs("fig8_9")
-                title = "Fig. 8 — accuracy vs fraction p" if fig == "fig8" else \
-                    "Fig. 9 — loss vs fraction p (see CSV for curves)"
-                print(ex.format_accuracy_table(runs, title))
-                from .experiments.csv_export import write_fl_runs
-
-                maybe_csv(write_fl_runs, runs, f"{fig}_curves.csv")
-            elif fig in ("fig10", "fig11", "fig12"):
-                runner = {"fig10": ex.run_fig10, "fig11": ex.run_fig11,
-                          "fig12": ex.run_fig12}[fig]
-                stats = runner(trials=args.trials)
-                titles = {
-                    "fig10": "Fig. 10 — subgroup leader re-election",
-                    "fig11": "Fig. 11 — re-election + FedAvg join",
-                    "fig12": "Fig. 12 — FedAvg leader crash, full recovery",
-                }
-                print(ex.format_recovery_table(stats, titles[fig]))
-                from .experiments.csv_export import write_recovery_stats
-
-                maybe_csv(write_recovery_stats, stats, f"{fig}_recovery.csv")
-            elif fig == "fig13":
-                points = ex.run_fig13()
-                print(ex.format_fig13(points))
-                from .experiments.csv_export import write_cost_points
-
-                maybe_csv(write_cost_points, points, "fig13_costs.csv")
-            elif fig == "fig14":
-                series = ex.run_fig14()
-                print(ex.format_fig14(series))
-                from .experiments.csv_export import write_cost_points
-
-                maybe_csv(write_cost_points, series, "fig14_costs.csv")
-            elif fig == "multilayer":
-                points = ex.run_multilayer_table()
-                print(ex.format_multilayer(points))
-                from .experiments.csv_export import write_cost_points
-
-                maybe_csv(write_cost_points, points, "multilayer_costs.csv")
-            print()
-        return 0
+        with observe(obs):
+            return _run(args, obs)
     finally:
-        if server is not None:
-            server.stop()
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
-            if args.events_out:
-                log.info("events  -> %s", obs.write_events_jsonl(args.events_out))
-            if args.metrics_out:
-                log.info("metrics -> %s", obs.write_prometheus(args.metrics_out))
-            if args.trace_out:
-                log.info("timeline-> %s", obs.write_chrome_trace(args.trace_out))
+        if args.events_out:
+            log.info("events  -> %s", obs.write_events_jsonl(args.events_out))
+        if args.metrics_out:
+            log.info("metrics -> %s", obs.write_prometheus(args.metrics_out))
+        if args.trace_out:
+            log.info("timeline-> %s (open in https://ui.perfetto.dev)",
+                     obs.write_chrome_trace(args.trace_out))
+
+
+def _run_figures(args: argparse.Namespace) -> int:
+    """'report', 'plan' and the figure commands."""
+    from . import experiments as ex
+
+    if args.figure == "report":
+        from .experiments.report import write_report
+
+        print(write_report(
+            args.out, rounds=args.rounds, trials=args.trials,
+            peers=args.peers, dataset=args.dataset,
+        ))
+        log.info("wrote %s", args.out)
+        return 0
+
+    if args.figure == "plan":
+        from .core.planner import PlanRequirements, enumerate_plans
+        from .nn.zoo import PAPER_CNN_PARAMS
+
+        req = PlanRequirements(sac_dropouts=args.plan_dropouts)
+        plans = enumerate_plans(
+            args.plan_peers, PAPER_CNN_PARAMS, req,
+            bandwidth_bps=args.plan_bandwidth,
+        )
+        print(f"Feasible plans for N={args.plan_peers} "
+              f"(tolerating {args.plan_dropouts} dropout/subgroup), "
+              "Fig. 5 CNN:")
+        print(f"{'n':>4}{'k':>4}{'m':>4}{'Gb/round':>10}{'gain':>8}"
+              f"{'latency s':>11}")
+        for p in plans:
+            lat = f"{p.latency_ms / 1e3:10.2f}" if p.latency_ms else f"{'-':>10}"
+            print(f"{p.n:>4}{p.k:>4}{p.m:>4}{p.volume_gb:>10.2f}"
+                  f"{p.reduction_vs_baseline:>7.2f}x{lat:>11}")
+        return 0
+
+    csv_dir = args.csv
+    want = (
+        ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+         "fig13", "fig14", "multilayer", "env"]
+        if args.figure == "all"
+        else [args.figure]
+    )
+
+    def maybe_csv(writer, data, name):
+        if csv_dir is not None:
+            path = writer(data, os.path.join(csv_dir, name))
+            log.info("[csv] wrote %s", path)
+
+    fl_cache: dict[str, list] = {}
+
+    def fl_runs(which: str):
+        if which not in fl_cache:
+            if which == "fig6_7":
+                fl_cache[which] = ex.run_fig6_fig7(
+                    n_peers=args.peers, rounds=args.rounds, dataset=args.dataset
+                )
+            else:
+                fl_cache[which] = ex.run_fig8_fig9(
+                    n_peers=args.peers, rounds=args.rounds, dataset=args.dataset
+                )
+        return fl_cache[which]
+
+    for fig in want:
+        if fig == "env":
+            print(ex.format_table1())
+        elif fig in ("fig6", "fig7"):
+            runs = fl_runs("fig6_7")
+            title = "Fig. 6 — final test accuracy" if fig == "fig6" else \
+                "Fig. 7 — training loss (see CSV for curves)"
+            print(ex.format_accuracy_table(runs, title))
+            from .experiments.csv_export import write_fl_runs
+
+            maybe_csv(write_fl_runs, runs, f"{fig}_curves.csv")
+        elif fig in ("fig8", "fig9"):
+            runs = fl_runs("fig8_9")
+            title = "Fig. 8 — accuracy vs fraction p" if fig == "fig8" else \
+                "Fig. 9 — loss vs fraction p (see CSV for curves)"
+            print(ex.format_accuracy_table(runs, title))
+            from .experiments.csv_export import write_fl_runs
+
+            maybe_csv(write_fl_runs, runs, f"{fig}_curves.csv")
+        elif fig in ("fig10", "fig11", "fig12"):
+            runner = {"fig10": ex.run_fig10, "fig11": ex.run_fig11,
+                      "fig12": ex.run_fig12}[fig]
+            stats = runner(trials=args.trials)
+            titles = {
+                "fig10": "Fig. 10 — subgroup leader re-election",
+                "fig11": "Fig. 11 — re-election + FedAvg join",
+                "fig12": "Fig. 12 — FedAvg leader crash, full recovery",
+            }
+            print(ex.format_recovery_table(stats, titles[fig]))
+            from .experiments.csv_export import write_recovery_stats
+
+            maybe_csv(write_recovery_stats, stats, f"{fig}_recovery.csv")
+        elif fig == "fig13":
+            points = ex.run_fig13()
+            print(ex.format_fig13(points))
+            from .experiments.csv_export import write_cost_points
+
+            maybe_csv(write_cost_points, points, "fig13_costs.csv")
+        elif fig == "fig14":
+            series = ex.run_fig14()
+            print(ex.format_fig14(series))
+            from .experiments.csv_export import write_cost_points
+
+            maybe_csv(write_cost_points, series, "fig14_costs.csv")
+        elif fig == "multilayer":
+            points = ex.run_multilayer_table()
+            print(ex.format_multilayer(points))
+            from .experiments.csv_export import write_cost_points
+
+            maybe_csv(write_cost_points, points, "multilayer_costs.csv")
+        print()
+    return 0
 
 
 if __name__ == "__main__":

@@ -376,10 +376,13 @@ def run_campaign(
                 fault_plan is not None and bool(fault_plan.schedule.events)
             )
             quiesced = quiesced and not has_faults
+            # Round seeds overlap across plans (plan seed + index), so
+            # the trace id names plan and round: one causal DAG each.
+            trace_id = f"campaign:s{seed}:r{index}"
             if has_faults:
                 result = run_two_layer_wire_round(
                     topology, models, k=k, seed=seed + index,
-                    schedule=fault_plan.schedule,
+                    trace_id=trace_id, schedule=fault_plan.schedule,
                     transport=transport,
                     transport_opts=dict(TRIAL_TRANSPORT_OPTS)
                     if transport == "reliable" else None,
@@ -394,6 +397,7 @@ def run_campaign(
             else:
                 result = run_two_layer_wire_round(
                     topology, models, k=k, seed=seed + index,
+                    trace_id=trace_id,
                 )
                 # A fault-free round is its own reference.
                 status, detail = _grade(result, lambda: result.average)

@@ -301,8 +301,9 @@ class FaultSchedule:
         armed = ArmedSchedule(schedule=self, sim=sim, network=network)
         obs = _obs.OBS
         if obs.enabled:
-            # node=None instant: visible on /status ("armed_chaos")
-            # without perturbing per-node profiles or straggler joins.
+            # node=None instant: in the event log (and an incident's
+            # ring) without perturbing per-node profiles or straggler
+            # joins.
             obs.emit(
                 "chaos.armed", t_ms=sim.now, node=None,
                 description=self.describe(), faults=len(self.events),

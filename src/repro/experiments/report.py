@@ -99,7 +99,7 @@ def generate_report(
 ) -> tuple[str, str]:
     """The full report as markdown, and its paper-against-measured table."""
     runs67 = run_fig6_fig7(n_peers=peers, rounds=rounds, dataset=dataset)
-    runs89 = run_fig8_fig9(rounds=rounds, dataset=dataset)
+    runs89 = run_fig8_fig9(n_peers=peers, rounds=rounds, dataset=dataset)
     s10 = run_fig10(trials=trials)
     s11 = run_fig11(trials=trials)
     s12 = run_fig12(trials=trials)

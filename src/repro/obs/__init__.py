@@ -10,20 +10,18 @@ This package is that instrumentation as a first-class subsystem:
 - :mod:`.metrics` — counters, gauges, and one exact histogram type
   with labels, rendered in Prometheus text exposition format;
 - :mod:`.spans` — phase timers over the virtual and wall clocks;
-- :mod:`.export` — JSONL event logs and Chrome ``trace_event`` JSON
-  (renders as a timeline in ``about://tracing`` / Perfetto);
+- :mod:`.export` — JSONL event logs (written and read back) and Chrome
+  ``trace_event`` JSON (renders as a timeline in ``about://tracing`` /
+  Perfetto);
 - :mod:`.runtime` — the process-global on/off switch: instrumented hot
   paths guard on ``runtime.OBS.enabled`` and cost nothing when off;
 - :mod:`.logging` — a leveled logger that doubles as an event source;
 - :mod:`.prof` — phase-attributed profiler over the span stream: call
   tree with self/total time, per-phase byte counts, straggler stats;
 - :mod:`.causal` — trace contexts attached to every simnet message
-  (``observe(causal=True)``), the causal DAG they form, and the
-  critical-path extractor over it;
-- :mod:`.link` — per-(src, dst) EWMA/windowed latency, loss, and
-  retransmit estimators fed from the causal net events;
-- :mod:`.serve` — a stdlib HTTP ``/metrics`` + ``/status`` endpoint
-  (``python -m repro serve-metrics``, ``--metrics-port``);
+  (``observe(causal=True)``), the causal DAG they form, the
+  critical-path extractor over it, and the per-link table
+  (``python -m repro explain``) reduced from it;
 - :mod:`.flight` — a bounded flight-recorder ring that dumps the events
   leading up to safety violations and typed failures;
 - :mod:`.scale` — process/simnet/obs resource accounting and the live
@@ -43,19 +41,21 @@ from .bus import Event, EventBus
 from .causal import (
     CausalDag,
     CriticalPath,
+    LinkRow,
     TraceContext,
     build_dag,
     critical_path,
     critical_paths_by_trace,
+    link_table,
 )
 from .export import (
     EventCollector,
+    read_events_jsonl,
     to_chrome_trace,
     write_chrome_trace,
     write_events_jsonl,
 )
 from .flight import FlightRecorder
-from .link import LinkStats, LinkTelemetry
 from .logging import ObsLogger, get_logger, set_level
 from .metrics import (
     Counter,
@@ -71,7 +71,6 @@ from .scale import (
     obs_self_accounting,
     resource_snapshot,
 )
-from .serve import MetricsBindError, MetricsServer, StatusBoard
 from .spans import NullSpan, Span
 
 __all__ = [
@@ -79,17 +78,14 @@ __all__ = [
     "CriticalPath",
     "TraceContext",
     "ResourceProfiler",
-    "MetricsBindError",
     "format_resource_report",
     "obs_self_accounting",
     "resource_snapshot",
     "build_dag",
     "critical_path",
     "critical_paths_by_trace",
-    "LinkStats",
-    "LinkTelemetry",
-    "MetricsServer",
-    "StatusBoard",
+    "LinkRow",
+    "link_table",
     "FlightRecorder",
     "PhaseStats",
     "ProfileReport",
@@ -98,6 +94,7 @@ __all__ = [
     "Event",
     "EventBus",
     "EventCollector",
+    "read_events_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_events_jsonl",

@@ -27,14 +27,16 @@ stream (:func:`build_dag`) and extract the longest causal chain per
 round (:func:`critical_path`) — the true round-latency decomposition,
 hop by hop.  With every root send at virtual time 0 (``start_round``)
 and handlers running at delivery instants, the critical path's end
-timestamp *is* the simulated round latency.
+timestamp *is* the simulated round latency.  :func:`link_table` reduces
+the same events per ``(src, dst)`` pair: counts from the ``net.*``
+events, first-delivery latency from the DAG's spans.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bus import Event
@@ -50,6 +52,8 @@ __all__ = [
     "CriticalPath",
     "critical_path",
     "critical_paths_by_trace",
+    "LinkRow",
+    "link_table",
 ]
 
 
@@ -202,20 +206,17 @@ class CausalDag:
         return CriticalPath(trace_id=terminal.trace_id, hops=hops)
 
 
-def build_dag(
-    events: Iterable[Event], trace: Optional[str] = None
-) -> CausalDag:
+def build_dag(events: Iterable[Event]) -> CausalDag:
     """Reassemble the causal DAG from span-carrying ``net.*`` events.
 
-    ``trace`` filters to one round's trace id (pass ``None`` to accept
-    everything — fine when the stream holds a single round).
+    The stream should hold one round: span ids restart with every
+    network, so :func:`critical_paths_by_trace` and :func:`link_table`
+    build one DAG per trace id.
     """
     spans: Dict[str, MessageSpan] = {}
     for e in events:
         span_id = e.fields.get("span")
         if span_id is None:
-            continue
-        if trace is not None and e.fields.get("trace") != trace:
             continue
         if e.name == "net.send":
             spans[span_id] = MessageSpan(
@@ -322,28 +323,99 @@ class CriticalPath:
         return "\n".join(lines)
 
 
-def critical_path(
-    events: Iterable[Event], trace: Optional[str] = None
-) -> Optional[CriticalPath]:
+def critical_path(events: Iterable[Event]) -> Optional[CriticalPath]:
     """Shortcut: build the DAG and extract its critical path."""
-    return build_dag(events, trace=trace).critical_path()
+    return build_dag(events).critical_path()
+
+
+def _dags_by_trace(events: Iterable[Event]) -> Dict[str, CausalDag]:
+    """One DAG per trace id, in trace-id order, from one pass."""
+    by_trace: Dict[str, List[Event]] = {}
+    for e in events:
+        if "span" in e.fields:
+            by_trace.setdefault(e.fields.get("trace", ""), []).append(e)
+    return {tid: build_dag(by_trace[tid]) for tid in sorted(by_trace)}
 
 
 def critical_paths_by_trace(
     events: Iterable[Event],
 ) -> Dict[str, CriticalPath]:
     """One critical path per distinct trace id in the stream."""
-    events = list(events)
-    traces = sorted(
-        {
-            e.fields["trace"]
-            for e in events
-            if e.name == "net.send" and "trace" in e.fields
-        }
-    )
     out: Dict[str, CriticalPath] = {}
-    for tid in traces:
-        path = critical_path(events, trace=tid)
+    for tid, dag in _dags_by_trace(events).items():
+        path = dag.critical_path()
         if path is not None:
             out[tid] = path
     return out
+
+
+# --------------------------------------------------------------------------
+# Per-link table.
+# --------------------------------------------------------------------------
+
+#: per-message ``net.*`` event -> the :class:`LinkRow` count it adds to.
+_LINK_COUNTS = {
+    "net.send": "sends",
+    "net.deliver": "delivered",
+    "net.drop": "dropped",
+    "net.retransmit": "retransmits",
+}
+
+
+@dataclass
+class LinkRow:
+    """One directed ``(src, dst)`` pair's traffic over a finished run."""
+
+    src: int
+    dst: int
+    sends: int = field(default=0, init=False)
+    delivered: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
+    retransmits: int = field(default=0, init=False)
+    #: send-to-first-delivery time of each delivered span (causal runs).
+    latencies_ms: List[float] = field(default_factory=list, init=False)
+
+    @property
+    def loss_rate(self) -> float:
+        """Dropped physical copies over all that were delivered or dropped."""
+        attempts = self.delivered + self.dropped
+        return self.dropped / attempts if attempts else 0.0
+
+    @property
+    def mean_latency_ms(self) -> Optional[float]:
+        if not self.latencies_ms:
+            return None
+        return sum(self.latencies_ms) / len(self.latencies_ms)
+
+    @property
+    def max_latency_ms(self) -> Optional[float]:
+        return max(self.latencies_ms, default=None)
+
+
+def link_table(events: Iterable[Event]) -> Dict[Tuple[int, int], LinkRow]:
+    """Per-``(src, dst)`` counts and latencies of a run's non-ACK traffic.
+
+    Counts come from every per-message ``net.*`` event; latency is a
+    span's send to its first delivery (:func:`build_dag`), so only a log
+    written under ``observe(causal=True)`` has any.  Transport ACKs are
+    left out: their latency repeats the data frame's and they would
+    halve the apparent loss.  The wave engine's count-carrying
+    aggregates name no pair and are left out too.
+    """
+    events = list(events)
+    rows: Dict[Tuple[int, int], LinkRow] = {}
+    for e in events:
+        count = _LINK_COUNTS.get(e.name)
+        dst = e.fields.get("dst")
+        if (count is None or e.node is None or dst is None
+                or e.fields.get("kind") == "net.ack"):
+            continue
+        link = rows.setdefault((e.node, dst), LinkRow(e.node, dst))
+        setattr(link, count, getattr(link, count) + 1)
+    for dag in _dags_by_trace(events).values():
+        for span in dag.spans.values():
+            if span.delivered and span.kind != "net.ack":
+                link = rows.setdefault((span.src, span.dst),
+                                       LinkRow(span.src, span.dst))
+                link.latencies_ms.append(span.flight_ms)
+    return rows

@@ -3,7 +3,8 @@
 Three artifact formats cover the three consumption modes:
 
 - **JSONL** — one event per line, greppable and loadable with any tool;
-  the machine-readable ground truth of a run.
+  the machine-readable ground truth of a run, read back into events by
+  :func:`read_events_jsonl` (``python -m repro explain``).
 - **Chrome trace JSON** — the ``trace_event`` format understood by
   ``about://tracing`` and https://ui.perfetto.dev: span events become
   duration slices (``ph: "X"``), instants become instant events
@@ -69,6 +70,32 @@ def write_events_jsonl(path: str, events: Iterable[Event]) -> str:
             fh.write(json.dumps(event.to_dict(), default=_json_default))
             fh.write("\n")
     return path
+
+
+#: the :class:`Event` slots :meth:`Event.to_dict` writes as top-level keys;
+#: every other key of a JSONL record is one of the event's fields.
+_SLOTS = ("seq", "name", "t_ms", "wall_s", "node", "dur_ms")
+
+
+def read_events_jsonl(path: str) -> list[Event]:
+    """The inverse of :func:`write_events_jsonl`: one event per line.
+
+    A line that is not a JSON event record raises ``ValueError`` naming
+    the file and the line number (a log cut off mid-write ends in one).
+    """
+    events = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not a JSON event ({exc.msg})") from None
+            if not isinstance(record, dict) or not {"seq", "name"} <= record.keys():
+                raise ValueError(f"{path}:{lineno}: not an event record")
+            slots = {key: record.pop(key, None) for key in _SLOTS}
+            events.append(Event(**slots, fields=record))
+    return events
 
 
 #: span-carrying net events that anchor Chrome flow arrows: a message's

@@ -8,7 +8,6 @@ trigger event arrives dumps an incident directory:
 
 - ``events.jsonl`` — the ring (the last-N events, trigger included);
 - ``metrics.prom`` — the Prometheus snapshot at dump time;
-- ``link_matrix.json`` — the per-link telemetry matrix (when attached);
 - ``manifest.json`` — trigger event, virtual time, counts, the causal
   critical path reconstructed from the ring's span-carrying events
   (when tracing was on), and a resource snapshot of the incident
@@ -26,7 +25,8 @@ Triggers (all typed failures, never the happy path):
   frame.
 
 Attach via :meth:`repro.obs.runtime.Observability.attach_flight`, which
-fills ``metrics``/``link`` from the pipeline.
+fills ``metrics`` from the pipeline (the CLI's ``--incident-dir``), and
+read an incident back with ``python -m repro explain <incident dir>``.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import json
 import os
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 from .bus import Event, EventBus
-from .export import _json_default
+from .export import _json_default, write_events_jsonl
 from .metrics import MetricsRegistry
 
 __all__ = ["FlightRecorder", "DEFAULT_TRIGGERS"]
@@ -64,12 +64,10 @@ class FlightRecorder:
         self,
         out_dir: str = "incident_out",
         metrics: Optional[MetricsRegistry] = None,
-        link: Any = None,
         resources: Optional[Callable[[], dict]] = None,
     ) -> None:
         self.out_dir = out_dir
         self.metrics = metrics
-        self.link = link
         #: optional provider of a resource snapshot for the manifest
         #: (``attach_flight`` wires :func:`repro.obs.scale.resource_snapshot`).
         self.resources = resources
@@ -117,17 +115,10 @@ class FlightRecorder:
         os.makedirs(inc_dir, exist_ok=True)
 
         events = list(self.ring)
-        with open(os.path.join(inc_dir, "events.jsonl"), "w") as fh:
-            for e in events:
-                fh.write(json.dumps(e.to_dict(), default=_json_default))
-                fh.write("\n")
+        write_events_jsonl(os.path.join(inc_dir, "events.jsonl"), events)
         if self.metrics is not None:
             with open(os.path.join(inc_dir, "metrics.prom"), "w") as fh:
                 fh.write(self.metrics.render_prometheus())
-        if self.link is not None:
-            with open(os.path.join(inc_dir, "link_matrix.json"), "w") as fh:
-                json.dump(self.link.snapshot(), fh, default=_json_default,
-                          indent=2)
         manifest = {
             "trigger": event.to_dict(),
             "ring_capacity": DEFAULT_CAPACITY,

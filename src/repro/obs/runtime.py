@@ -64,9 +64,7 @@ class Observability:
         self.bus = EventBus()
         self.metrics = MetricsRegistry()
         self.collector: Optional[EventCollector] = None
-        #: optional attached sinks (see :meth:`attach_link` /
-        #: :meth:`attach_flight`).
-        self.link = None
+        #: the flight recorder, once :meth:`attach_flight` ran.
         self.flight = None
         if enabled:
             self.collector = EventCollector()
@@ -116,21 +114,12 @@ class Observability:
         return write_text(path, self.metrics.render_prometheus())
 
     # ------------------------------------------------------- attached sinks
-    def attach_link(self):
-        """Attach a :class:`~repro.obs.link.LinkTelemetry` to this bus."""
-        from .link import LinkTelemetry  # lazy: keep import-time cost off
-
-        self.link = LinkTelemetry()
-        self.link.attach(self.bus)
-        return self.link
-
     def attach_flight(self, **kwargs: Any):
         """Attach a :class:`~repro.obs.flight.FlightRecorder` to this bus."""
         from .flight import FlightRecorder  # lazy: keep import-time cost off
         from .scale import resource_snapshot
 
         kwargs.setdefault("metrics", self.metrics)
-        kwargs.setdefault("link", self.link)
         kwargs.setdefault("resources", lambda: resource_snapshot(obs=self))
         self.flight = FlightRecorder(**kwargs)
         self.flight.attach(self.bus)

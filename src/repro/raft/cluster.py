@@ -73,6 +73,7 @@ class RaftCluster:
             self.sim, latency=FixedLatency(DEFAULT_DELAY_MS), rng=self.rng,
             trace=self.trace,
         )
+        self.network.trace_id = f"raft:s{seed}"
         timing = RaftTiming(
             timeout_base_ms=timeout_base_ms, pre_election_wait=pre_election_wait
         )

@@ -174,6 +174,7 @@ class TwoLayerRaftSystem:
             self.sim, latency=FixedLatency(DEFAULT_DELAY_MS), rng=self.rng,
             trace=self.trace,
         )
+        self.network.trace_id = f"two_layer_raft:s{seed}"
         self.timing = RaftTiming(
             timeout_base_ms=timeout_base_ms,
             pre_election_wait=pre_election_wait,

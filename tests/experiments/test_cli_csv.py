@@ -109,8 +109,8 @@ class TestCli:
         ["fig10", "--trials", "0"],
         ["chaos", "--scale", "0"],
         ["fig6", "--rounds", "-3", "--peers", "4"],
-        ["serve-metrics", "--serve-rounds", "0"],
-        ["serve-metrics", "--serve-rounds", "-2"],
+        ["prof", "--top", "0"],
+        ["explain", "events.jsonl", "--top", "-2"],
     ])
     def test_count_flags_reject_zero_and_negatives(self, argv):
         # An explicit 0 used to fall back to the default count
@@ -128,8 +128,8 @@ class TestCli:
         ["chaos", "--profiles", "bogus"],
         ["chaos", "--layers", "bogus"],
         ["campaign", "--profiles", "nope"],
-        ["fig10", "--metrics-port", "70000"],
-        ["serve-metrics", "--serve-interval", "-1"],
+        ["fig13", "stray/events.jsonl"],  # only 'explain' takes a path
+        ["explain"],  # ... and it needs one
         ["plan", "--plan-peers", "2"],
         ["plan", "--plan-dropouts", "-1"],
         ["plan", "--plan-bandwidth", "-5"],
@@ -140,30 +140,6 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["serve-metrics"],
-        ["fig13", "--metrics-port", "0"],
-    ])
-    def test_unbindable_serve_host_exits_2_without_traceback(
-        self, argv, capsys, tmp_path,
-    ):
-        # "::1" cannot resolve for the IPv4 server; getaddrinfo fails
-        # on the literal itself, so no name server is asked.
-        code = main([*argv, "--serve-host", "::1",
-                     "--incident-dir", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "cannot bind metrics server to ::1:0" in err
-        assert "Traceback" not in err
-
-    def test_serve_metrics_runs_its_rounds(self, capsys, tmp_path):
-        assert main(["serve-metrics", "--serve-rounds", "2",
-                     "--serve-interval", "0",
-                     "--incident-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "metrics port: " in out
-        assert " over 2 round(s): " in out
 
     def test_prof_resources_report(self, capsys):
         assert main(["prof", "--resources"]) == 0

@@ -44,6 +44,28 @@ class TestReport:
         for figure in ("Fig. 13", "Fig. 14", "Eq. 10"):
             assert f"  {figure:<11}in band " in table
 
+    def test_peers_reach_both_fl_runners(self, monkeypatch):
+        from repro.experiments import report as report_mod
+
+        class Recorded(Exception):
+            pass
+
+        seen = {}
+
+        def fig6_fig7(**kw):
+            seen["fig6_fig7"] = kw["n_peers"]
+            return []
+
+        def fig8_fig9(**kw):
+            seen["fig8_fig9"] = kw["n_peers"]
+            raise Recorded  # the rest of the report is not under test
+
+        monkeypatch.setattr(report_mod, "run_fig6_fig7", fig6_fig7)
+        monkeypatch.setattr(report_mod, "run_fig8_fig9", fig8_fig9)
+        with pytest.raises(Recorded):
+            generate_report(rounds=1, trials=1, peers=4)
+        assert seen == {"fig6_fig7": 4, "fig8_fig9": 4}
+
     def test_write_report(self, tmp_path):
         path = str(tmp_path / "r.md")
         table = write_report(path, rounds=2, trials=2, peers=4)

@@ -77,15 +77,6 @@ class TestIncidents:
         assert len(rec.incidents) == DEFAULT_MAX_INCIDENTS
         assert rec.suppressed == 1
 
-    def test_link_matrix_included_when_attached(self, tmp_path):
-        with _runtime.observe(causal=True) as obs:
-            obs.attach_link()
-            rec = obs.attach_flight(out_dir=str(tmp_path))
-            obs.emit("net.retransmit_exhausted", t_ms=1.0, node=0, dst=1)
-        (inc_dir,) = rec.incidents
-        matrix = json.load(open(os.path.join(inc_dir, "link_matrix.json")))
-        assert "pairs" in matrix
-
     def test_manifest_carries_resource_snapshot(self, tmp_path):
         # attach_flight wires resource_snapshot(obs=...) as the default
         # provider, so every manifest records what the pipeline held.
