@@ -23,8 +23,8 @@ Subpackages
     Discrete-event network simulator with crash/partition injection and
     per-message byte accounting.
 ``repro.obs``
-    Unified observability: typed event bus, metrics registry, span
-    timers, and JSONL / Prometheus / Chrome-trace exporters.
+    Unified observability: typed event bus, span timers, and JSONL /
+    Prometheus / Chrome-trace exporters over the collected events.
 ``repro.analysis``
     Closed-form fault-tolerance thresholds (paper Sec. VII-D) and Monte
     Carlo validation.

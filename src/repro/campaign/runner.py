@@ -343,10 +343,6 @@ def run_campaign(
                         moves=reshard_moves, groups=len(plan.groups),
                         reason=plan.reason,
                     )
-                    obs.metrics.counter(
-                        "campaign_reshards_total",
-                        "re-sharding plans applied between campaign rounds",
-                    ).inc()
 
         feasible = (
             bool(groups)
@@ -433,19 +429,6 @@ def run_campaign(
                 outcome=outcome.status, status=status, n_alive=n_alive,
                 groups=len(groups), resharded=resharded, quiesced=quiesced,
             )
-            obs.metrics.counter(
-                "campaign_round_outcome_total",
-                "campaign rounds by outcome status",
-                labels=("outcome",),
-            ).labels(outcome=outcome.status).inc()
-            obs.metrics.gauge(
-                "campaign_membership_size",
-                "alive stable peers entering the current campaign round",
-            ).set(n_alive)
-            obs.metrics.gauge(
-                "campaign_groups",
-                "subgroups in the current campaign topology",
-            ).set(len(groups))
 
         # -- checkpoint the round boundary ----------------------------------
         if ckpt_path is not None:

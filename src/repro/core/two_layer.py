@@ -78,11 +78,6 @@ class TwoLayerAggregator:
     def _group_failed(group: int, reason: str) -> None:
         if _obs.OBS.enabled:
             _obs.OBS.emit("agg.group_failed", group=group, reason=reason)
-            _obs.OBS.metrics.counter(
-                "agg_group_failures_total",
-                "Subgroups excluded from an aggregation round.",
-                labels=("reason",),
-            ).labels(reason=reason).inc()
 
     def aggregate(
         self,

@@ -87,11 +87,6 @@ class _TwoLayerPeer(SacProtocolPeer):
                 "round.subgroup_done", t_ms=self.sim.now,
                 node=self.node_id, group=self.group,
             )
-            _obs.OBS.metrics.histogram(
-                "subgroup_sac_complete_ms",
-                "Virtual time at which each subgroup's SAC average lands.",
-                labels=("group",),
-            ).labels(group=str(self.group)).observe(self.sim.now)
         upload = _Upload(self.group, average, weight=float(self.n))
         if self.node_id == ctx.fed_leader:
             self._accept_upload(upload)

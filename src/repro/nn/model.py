@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
-from ..obs import runtime as _obs
 from .layers import Layer, Param, Softmax
 from .loss import CategoricalCrossEntropy
 
@@ -49,23 +47,8 @@ class Sequential:
 
     # -------------------------------------------------------------- compute
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if _obs.OBS.enabled:
-            return self._forward_timed(x, training)
         for layer in self.layers:
             x = layer.forward(x, training=training)
-        return x
-
-    def _forward_timed(self, x: np.ndarray, training: bool) -> np.ndarray:
-        hist = _obs.OBS.metrics.histogram(
-            "nn_layer_forward_ms",
-            "Wall-clock per-layer forward pass time.", labels=("layer",),
-        )
-        for i, layer in enumerate(self.layers):
-            t0 = time.perf_counter()
-            x = layer.forward(x, training=training)
-            hist.labels(layer=f"{i}:{layer.name}").observe(
-                (time.perf_counter() - t0) * 1e3
-            )
         return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -89,22 +72,8 @@ class Sequential:
         else:
             grad = self.loss.gradient(out, labels)
             layers = self.layers
-        if _obs.OBS.enabled:
-            hist = _obs.OBS.metrics.histogram(
-                "nn_layer_backward_ms",
-                "Wall-clock per-layer backward pass time.", labels=("layer",),
-            )
-            for i, layer in zip(
-                reversed(range(len(layers))), reversed(layers)
-            ):
-                t0 = time.perf_counter()
-                grad = layer.backward(grad)
-                hist.labels(layer=f"{i}:{layer.name}").observe(
-                    (time.perf_counter() - t0) * 1e3
-                )
-        else:
-            for layer in reversed(layers):
-                grad = layer.backward(grad)
+        for layer in reversed(layers):
+            grad = layer.backward(grad)
         return loss_value
 
     def evaluate(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

@@ -10,9 +10,10 @@ Three artifact formats cover the three consumption modes:
   duration slices (``ph: "X"``), instants become instant events
   (``ph: "i"``), and each event category gets its own process track with
   one thread row per node, so a two-layer round renders as a timeline.
-- **Prometheus text** — rendered by
-  :meth:`repro.obs.metrics.MetricsRegistry.render_prometheus`; this
-  module only adds the file-writing convenience.
+- **Prometheus text** — :func:`to_prometheus` reduces the same event
+  list to counters, gauges and summaries, so a run's metrics are a
+  function of its event log (``to_prometheus(read_events_jsonl(p))``
+  rebuilds the ``metrics.prom`` written beside it).
 
 The virtual simulation clock is the primary time base: events that carry
 ``t_ms`` are placed at that timestamp, and events from purely functional
@@ -25,6 +26,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .bus import Event
 
@@ -44,19 +47,11 @@ class EventCollector:
     def __call__(self, event: Event) -> None:
         self.events.append(event)
 
-    def clear(self) -> None:
-        self.events.clear()
-
 
 def _json_default(obj: object) -> object:
     # numpy scalars, sets, and other non-JSON types degrade to strings.
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.generic):
-            return obj.item()
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        pass
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, (set, frozenset, tuple)):
         return sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
     return str(obj)
@@ -203,3 +198,126 @@ def write_text(path: str, text: str) -> str:
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+#: Every metric family and the events it reduces: (family, kind, event
+#: name, {label: event key}, value key, help).  Counters sum the value
+#: (``count`` is 1 on a per-message event; a wave event's ``count``
+#: carries its run), gauges keep the last, summaries observe each one.
+#: ``span_duration_ms`` reads every span (:func:`_is_span`), whatever
+#: its name.
+_FAMILIES = (
+    ("trace_spans_total", "counter", "net.send", {"kind": "kind"}, "count",
+     "Causal message spans by kind."),
+    ("net_messages_total", "counter", "net.deliver", {"kind": "kind"},
+     "count", "Delivered messages by kind."),
+    ("net_bits_total", "counter", "net.deliver", {"kind": "kind"}, "bits",
+     "Delivered bits by kind."),
+    ("net_dropped_total", "counter", "net.drop",
+     {"reason": "reason", "kind": "kind"}, "count",
+     "Dropped messages by reason and kind."),
+    ("net_retransmits_total", "counter", "net.retransmit", {"kind": "kind"},
+     "count", "Data-frame retransmissions by kind."),
+    ("net_retransmit_exhausted_total", "counter", "net.retransmit_exhausted",
+     {"kind": "kind"}, "count",
+     "Frames abandoned after the retransmit budget."),
+    ("net_crashes_total", "counter", "net.crash", {}, "count",
+     "Crash injections."),
+    ("raft_elections_total", "counter", "raft.election.start",
+     {"cluster": "cluster"}, "count", "Elections started."),
+    ("raft_term", "gauge", "raft.election.win",
+     {"cluster": "cluster", "node": "node"}, "term", "Current term."),
+    ("sac_recoveries_total", "counter", "sac.recover.request", {}, "count",
+     "Share-recovery fetches issued by SAC leaders."),
+    ("sac_round_ms", "summary", "sac.complete", {"group": "group"}, "dur_ms",
+     "Virtual-time duration of SAC rounds, share-out to average."),
+    ("subgroup_sac_complete_ms", "summary", "round.subgroup_done",
+     {"group": "group"}, "t_ms",
+     "Virtual time at which each subgroup's SAC average lands."),
+    ("agg_group_failures_total", "counter", "agg.group_failed",
+     {"reason": "reason"}, "count",
+     "Subgroups excluded from an aggregation round."),
+    ("campaign_reshards_total", "counter", "campaign.reshard", {}, "count",
+     "re-sharding plans applied between campaign rounds"),
+    ("campaign_round_outcome_total", "counter", "campaign.round",
+     {"outcome": "outcome"}, "count", "campaign rounds by outcome status"),
+    ("campaign_membership_size", "gauge", "campaign.round", {}, "n_alive",
+     "alive stable peers entering the current campaign round"),
+    ("campaign_groups", "gauge", "campaign.round", {}, "groups",
+     "subgroups in the current campaign topology"),
+    ("span_duration_ms", "summary", None, {"span": "name"}, "dur_ms",
+     "Phase durations by span name."),
+)
+
+#: quantiles included in the Prometheus exposition of a summary.
+EXPORT_QUANTILES = (0.5, 0.9, 0.99)
+
+
+def _is_span(event: Event) -> bool:
+    """Whether ``event`` is what a :class:`~repro.obs.spans.Span` emits:
+    a duration with its wall time beside a sim clock, or on the wall
+    clock alone (``sac.complete`` carries a sim duration, no span)."""
+    return event.dur_ms is not None and (
+        "wall_ms" in event.fields or event.t_ms is None)
+
+
+def _value(event: Event, key: str):
+    if key in _SLOTS:
+        return getattr(event, key)
+    return event.fields.get(key, 1 if key == "count" else None)
+
+
+_ESCAPES = str.maketrans({"\\": r"\\", '"': r"\"", "\n": r"\n"})
+
+
+def _labels(pairs: list[tuple[str, str]]) -> str:
+    body = ",".join(f'{k}="{v.translate(_ESCAPES)}"' for k, v in pairs)
+    return "{" + body + "}" if body else ""
+
+
+def to_prometheus(events: Iterable[Event]) -> str:
+    """Prometheus text exposition 0.0.4 of the families in ``_FAMILIES``.
+
+    Series are sorted by label values; summary quantiles are
+    ``np.quantile(..., method="linear")`` of the observed values.
+    """
+    rows_of: dict = {}
+    for i, row in enumerate(_FAMILIES):
+        rows_of.setdefault(row[2], []).append(i)
+    span_rows = rows_of.pop(None)
+    series: list[dict] = [{} for _ in _FAMILIES]
+    for event in events:
+        rows = rows_of.get(event.name, [])
+        if _is_span(event):
+            rows = rows + span_rows
+        for i in rows:
+            _fam, kind, _name, labels, key, _help = _FAMILIES[i]
+            value = _value(event, key)
+            if value is None:  # an event without the family's value
+                continue
+            label_key = tuple(str(_value(event, k)) for k in labels.values())
+            children = series[i]
+            if kind == "summary":
+                children.setdefault(label_key, []).append(float(value))
+            elif kind == "counter":
+                children[label_key] = children.get(label_key, 0.0) + value
+            else:
+                children[label_key] = float(value)
+    lines: list[str] = []
+    for (fam, kind, _name, labels, _key, help_text), children in zip(
+            _FAMILIES, series):
+        if not children:
+            continue
+        lines += [f"# HELP {fam} {help_text}", f"# TYPE {fam} {kind}"]
+        for label_key, value in sorted(children.items()):
+            pairs = list(zip(labels, label_key))
+            base = _labels(pairs)
+            if kind != "summary":
+                lines.append(f"{fam}{base} {value:g}")
+                continue
+            quantiles = np.quantile(value, EXPORT_QUANTILES, method="linear")
+            lines += [f"{fam}{_labels(pairs + [('quantile', str(q))])} {at:g}"
+                      for q, at in zip(EXPORT_QUANTILES, quantiles)]
+            lines += [f"{fam}_sum{base} {sum(value):g}",
+                      f"{fam}_count{base} {len(value)}"]
+    return "\n".join(lines) + "\n"

@@ -1,15 +1,16 @@
-"""Flight recorder: a bounded event ring that dumps on incidents.
+"""Flight recorder: dumps the events leading up to an incident.
 
-A long chaos campaign cannot keep every event of every round, but when
-something goes wrong the events *leading up to it* are exactly what a
-post-mortem needs.  :class:`FlightRecorder` subscribes to the bus,
-keeps the last :data:`DEFAULT_CAPACITY` events in a ring, and when a
-trigger event arrives dumps an incident directory:
+When something goes wrong, the events *leading up to it* are what a
+post-mortem needs.  :class:`FlightRecorder` subscribes to the bus after
+the pipeline's collector, so a trigger event is already the collected
+list's last; the list's last :data:`DEFAULT_CAPACITY` events are the
+incident's window, dumped as an incident directory:
 
-- ``events.jsonl`` — the ring (the last-N events, trigger included);
-- ``metrics.prom`` — the Prometheus snapshot at dump time;
+- ``events.jsonl`` — the window (the last-N events, trigger included);
+- ``metrics.prom`` — :func:`~repro.obs.export.to_prometheus` of the
+  window, i.e. the reduction of the incident's own ``events.jsonl``;
 - ``manifest.json`` — trigger event, virtual time, counts, the causal
-  critical path reconstructed from the ring's span-carrying events
+  critical path reconstructed from the window's span-carrying events
   (when tracing was on), and a resource snapshot of the incident
   window (when a provider is attached).
 
@@ -25,8 +26,9 @@ Triggers (all typed failures, never the happy path):
   frame.
 
 Attach via :meth:`repro.obs.runtime.Observability.attach_flight`, which
-fills ``metrics`` from the pipeline (the CLI's ``--incident-dir``), and
-read an incident back with ``python -m repro explain <incident dir>``.
+hands the recorder the pipeline's collected list (the CLI's
+``--incident-dir``), and read an incident back with
+``python -m repro explain <incident dir>``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from .bus import Event, EventBus
-from .export import _json_default, write_events_jsonl
-from .metrics import MetricsRegistry
+from .bus import Event
+from .export import (_json_default, to_prometheus, write_events_jsonl,
+                     write_text)
 
 __all__ = ["FlightRecorder", "DEFAULT_TRIGGERS"]
 
@@ -50,7 +51,7 @@ DEFAULT_TRIGGERS: Tuple[str, ...] = (
     "campaign.invariant_violation",
 )
 
-#: default ring capacity (events).
+#: events in an incident's window.
 DEFAULT_CAPACITY = 512
 #: default ceiling on dumps per recorder (a chaotic campaign must not
 #: fill the disk; suppressed incidents are counted in the manifest).
@@ -58,36 +59,25 @@ DEFAULT_MAX_INCIDENTS = 16
 
 
 class FlightRecorder:
-    """Bounded ring of recent events + incident dumping."""
+    """Incident dumping over the tail of a collected event list."""
 
     def __init__(
         self,
+        events: list,
         out_dir: str = "incident_out",
-        metrics: Optional[MetricsRegistry] = None,
         resources: Optional[Callable[[], dict]] = None,
     ) -> None:
+        #: the pipeline's collected events, which the window slices.
+        self.events = events
         self.out_dir = out_dir
-        self.metrics = metrics
         #: optional provider of a resource snapshot for the manifest
         #: (``attach_flight`` wires :func:`repro.obs.scale.resource_snapshot`).
         self.resources = resources
-        self.ring: Deque[Event] = deque(maxlen=DEFAULT_CAPACITY)
-        self.events_seen = 0
         #: incident directories written, in order.
         self.incidents: list = []
         self.suppressed = 0
 
-    # ----------------------------------------------------------- subscription
-    def attach(self, bus: EventBus) -> "FlightRecorder":
-        bus.subscribe(self)
-        return self
-
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(self)
-
     def __call__(self, event: Event) -> None:
-        self.events_seen += 1
-        self.ring.append(event)
         if self._is_trigger(event):
             self.record_incident(event)
 
@@ -102,7 +92,7 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------ dumps
     def record_incident(self, event: Event) -> Optional[str]:
-        """Dump the ring + snapshots into a fresh incident directory."""
+        """Dump the window + snapshots into a fresh incident directory."""
         if len(self.incidents) >= DEFAULT_MAX_INCIDENTS:
             self.suppressed += 1
             return None
@@ -114,16 +104,15 @@ class FlightRecorder:
         )
         os.makedirs(inc_dir, exist_ok=True)
 
-        events = list(self.ring)
+        events = self.events[-DEFAULT_CAPACITY:]
         write_events_jsonl(os.path.join(inc_dir, "events.jsonl"), events)
-        if self.metrics is not None:
-            with open(os.path.join(inc_dir, "metrics.prom"), "w") as fh:
-                fh.write(self.metrics.render_prometheus())
+        write_text(os.path.join(inc_dir, "metrics.prom"),
+                   to_prometheus(events))
         manifest = {
             "trigger": event.to_dict(),
             "ring_capacity": DEFAULT_CAPACITY,
             "ring_events": len(events),
-            "events_seen": self.events_seen,
+            "events_seen": len(self.events),
             "incident_index": len(self.incidents),
             "suppressed_so_far": self.suppressed,
             "created_wall_s": time.time(),
@@ -137,21 +126,15 @@ class FlightRecorder:
             json.dump(manifest, fh, default=_json_default, indent=2)
 
         self.incidents.append(inc_dir)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "flight_incidents_total",
-                "Flight-recorder incident dumps by trigger event.",
-                labels=("trigger",),
-            ).labels(trigger=event.name).inc()
         return inc_dir
 
     @staticmethod
     def _critical_path(events: list) -> Optional[dict]:
-        """Causal critical path over the ring's span-carrying events.
+        """Causal critical path over the window's span-carrying events.
 
-        The ring is a *window*, so the reconstructed path covers the
-        incident's lead-up, not necessarily the whole round; ``None``
-        when tracing was off (no span fields in the window).
+        The path covers the incident's lead-up, not necessarily the
+        whole round; ``None`` when tracing was off (no span fields in
+        the window).
         """
         from .causal import critical_path  # lazy: avoid import cycles
 

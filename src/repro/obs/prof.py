@@ -43,8 +43,11 @@ spans from concurrent simulated actors genuinely overlap):
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .bus import Event
 
@@ -250,6 +253,25 @@ class ProfileReport:
         return "\n".join(lines)
 
 
+def _straggler(last_by_node: dict[int, float]) -> Optional[StragglerStats]:
+    """Slowest-vs-median spread of per-node last activity; ``None``
+    under two nodes."""
+    if len(last_by_node) < 2:
+        return None
+    finishes = sorted((t, node) for node, t in last_by_node.items())
+    times = [t for t, _ in finishes]
+    mid = times[len(times) // 2] if len(times) % 2 else (
+        (times[len(times) // 2 - 1] + times[len(times) // 2]) / 2.0
+    )
+    slowest_t, slowest_node = finishes[-1]
+    return StragglerStats(
+        nodes=len(finishes),
+        slowest_node=slowest_node,
+        gap_ms=slowest_t - mid,
+        spread_ms=slowest_t - times[0],
+    )
+
+
 def profile_events(events: Iterable[Event]) -> ProfileReport:
     """Build a :class:`ProfileReport` from a run's collected events."""
     events = list(events)
@@ -307,29 +329,25 @@ def profile_events(events: Iterable[Event]) -> ProfileReport:
 
     # ------------------------------------------------- message-plane join
     # Attribute each delivered/dropped message to the deepest span whose
-    # window contains its timestamp (ties: latest start, lowest seq).
-    def deepest_at(t: float) -> Optional[_SpanInstance]:
-        best: Optional[_SpanInstance] = None
-        for inst in sim_spans:
-            if inst.start <= t <= inst.end:
-                if (
-                    best is None
-                    or inst.depth > best.depth
-                    or (inst.depth == best.depth and inst.start > best.start)
-                    or (
-                        inst.depth == best.depth
-                        and inst.start == best.start
-                        and inst.seq < best.seq
-                    )
-                ):
-                    best = inst
-        return best
+    # window contains its timestamp (ties: latest start, lowest seq):
+    # over the time-sorted messages, paint each span's range with its
+    # index, weakest span first, so the last paint is the winner's.
+    msg_t = np.array([float(msg.t_ms) for msg in messages])
+    by_time = np.argsort(msg_t, kind="stable")
+    sorted_t = msg_t[by_time]
+    painted = np.full(len(messages), -1)
+    for j in sorted(range(len(sim_spans)), key=lambda j: (
+            sim_spans[j].depth, sim_spans[j].start, -sim_spans[j].seq)):
+        inst = sim_spans[j]
+        painted[np.searchsorted(sorted_t, inst.start, "left"):
+                np.searchsorted(sorted_t, inst.end, "right")] = j
+    owner = np.empty_like(painted)
+    owner[by_time] = painted
 
-    for msg in messages:
-        inst = deepest_at(float(msg.t_ms))
-        if inst is None:
+    for msg, j in zip(messages, owner.tolist()):
+        if j < 0:
             continue
-        ps = stats[inst.path]
+        ps = stats[sim_spans[j].path]
         bits = float(msg.fields.get("bits", 0.0))
         kind = str(msg.fields.get("kind", "msg"))
         # Delivery-wave events aggregate a whole run: ``count`` carries
@@ -345,30 +363,21 @@ def profile_events(events: Iterable[Event]) -> ProfileReport:
     # ------------------------------------------------------ straggler join
     # For every instance: each node's last activity timestamp inside the
     # window; the phase's straggler gap is slowest-vs-median of those.
+    # The window's points are a slice of the time-sorted activity (so
+    # the last write per node is its latest), cut once per window.
+    activity.sort()
+    activity_t = [t for t, _ in activity]
+    by_window: dict[tuple[float, float], Optional[StragglerStats]] = {}
     per_path_gaps: dict[tuple[str, ...], list[StragglerStats]] = {}
     for inst in sim_spans:
-        last_by_node: dict[int, float] = {}
-        for t, node in activity:
-            if inst.start <= t <= inst.end:
-                prev = last_by_node.get(node)
-                if prev is None or t > prev:
-                    last_by_node[node] = t
-        if len(last_by_node) < 2:
-            continue
-        finishes = sorted(
-            (t, node) for node, t in last_by_node.items()
-        )
-        times = [t for t, _ in finishes]
-        mid = times[len(times) // 2] if len(times) % 2 else (
-            (times[len(times) // 2 - 1] + times[len(times) // 2]) / 2.0
-        )
-        slowest_t, slowest_node = finishes[-1]
-        per_path_gaps.setdefault(inst.path, []).append(StragglerStats(
-            nodes=len(finishes),
-            slowest_node=slowest_node,
-            gap_ms=slowest_t - mid,
-            spread_ms=slowest_t - times[0],
-        ))
+        window = (inst.start, inst.end)
+        if window not in by_window:
+            by_window[window] = _straggler(dict(
+                (node, t) for t, node in activity[
+                    bisect_left(activity_t, inst.start):
+                    bisect_right(activity_t, inst.end)]))
+        if by_window[window] is not None:
+            per_path_gaps.setdefault(inst.path, []).append(by_window[window])
     for path, gaps in per_path_gaps.items():
         worst = max(gaps, key=lambda g: (g.gap_ms, g.spread_ms))
         stats[path].straggler = worst

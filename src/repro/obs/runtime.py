@@ -16,7 +16,7 @@ When nothing is installed, ``OBS`` is a disabled instance and the whole
 emission costs one module-attribute read and one bool check — that is
 the "zero overhead when disabled" guarantee the tier-1 timings rely on
 (``tests/obs/test_disabled_path.py`` pins that a default run emits no
-event, allocates no trace context and registers no metric).
+event and allocates no trace context).
 
 Use :func:`observe` as a context manager to install a fresh pipeline
 for a scenario and write its artifacts afterwards::
@@ -34,23 +34,24 @@ from typing import Any, Callable, Iterator, Optional
 from .bus import Event, EventBus
 from .export import (
     EventCollector,
+    to_prometheus,
     write_chrome_trace,
     write_events_jsonl,
     write_text,
 )
-from .metrics import MetricsRegistry
 from .spans import NULL_SPAN, NullSpan, Span
 
 
 class Observability:
-    """One observability pipeline: event bus + metrics + collected events.
+    """One observability pipeline: an event bus and its collected events.
 
     ``enabled=False`` builds an inert instance whose ``emit``/``span``
     are no-ops; instrumentation sites additionally guard on ``enabled``
     so the disabled path does no argument packing at all.  An enabled
     pipeline keeps every event in an
-    :class:`~repro.obs.export.EventCollector` and every histogram keeps
-    its raw values (exact, numpy-identical quantiles).
+    :class:`~repro.obs.export.EventCollector`: that list is the run's
+    one record, and every artifact (JSONL, Chrome trace, Prometheus
+    text, a flight-recorder window) is written from it.
     """
 
     def __init__(self, enabled: bool = True, causal: bool = False) -> None:
@@ -62,7 +63,6 @@ class Observability:
         #: is unchanged.
         self.causal = bool(causal)
         self.bus = EventBus()
-        self.metrics = MetricsRegistry()
         self.collector: Optional[EventCollector] = None
         #: the flight recorder, once :meth:`attach_flight` ran.
         self.flight = None
@@ -111,18 +111,19 @@ class Observability:
         return write_chrome_trace(path, self.events)
 
     def write_prometheus(self, path: str) -> str:
-        return write_text(path, self.metrics.render_prometheus())
+        return write_text(path, to_prometheus(self.events))
 
     # ------------------------------------------------------- attached sinks
     def attach_flight(self, **kwargs: Any):
-        """Attach a :class:`~repro.obs.flight.FlightRecorder` to this bus."""
+        """Attach a :class:`~repro.obs.flight.FlightRecorder` to this bus;
+        its window is the tail of :attr:`events`."""
         from .flight import FlightRecorder  # lazy: keep import-time cost off
         from .scale import resource_snapshot
 
-        kwargs.setdefault("metrics", self.metrics)
+        kwargs.setdefault("events", self.events)
         kwargs.setdefault("resources", lambda: resource_snapshot(obs=self))
         self.flight = FlightRecorder(**kwargs)
-        self.flight.attach(self.bus)
+        self.bus.subscribe(self.flight)
         return self.flight
 
 

@@ -1,8 +1,8 @@
 """Resource accounting for the obs pipeline and the simulator.
 
 - :func:`obs_self_accounting` — how many bytes the obs subsystem
-  itself is holding (events, metrics), so "obs is cheap enough" is a
-  measured claim.
+  itself is holding (its collected events), so "obs is cheap enough" is
+  a measured claim.
 - :func:`resource_snapshot` — one JSON-able picture of process +
   simnet + obs resource usage: peak RSS, tracemalloc (when tracing),
   simulator heap occupancy, live message objects, self-accounting.
@@ -44,18 +44,15 @@ def obs_self_accounting(obs: Any) -> dict:
     """Bytes/objects the obs pipeline itself retains right now.
 
     Works on any :class:`~repro.obs.runtime.Observability`-shaped
-    object; each component reports its own deterministic bound (see
-    ``Event.approx_bytes`` / ``MetricsRegistry.approx_bytes``).
+    object: the collected events are everything it holds, each bounded
+    by ``Event.approx_bytes``.
     """
     events = obs.events
     event_bytes = sum(e.approx_bytes() for e in events)
-    metric_bytes = obs.metrics.approx_bytes()
     return {
         "events_held": len(events),
         "event_bytes": event_bytes,
-        "metric_bytes": metric_bytes,
-        "metric_observations": obs.metrics.observation_count(),
-        "telemetry_bytes": event_bytes + metric_bytes,
+        "telemetry_bytes": event_bytes,
     }
 
 
@@ -119,9 +116,7 @@ def format_resource_report(snap: dict) -> str:
     if o:
         lines.append(
             f"  obs                 "
-            f"{o['events_held']} events ({_mb(o['event_bytes'])}), "
-            f"metrics {_mb(o['metric_bytes'])} "
-            f"({o['metric_observations']} observations)"
+            f"{o['events_held']} events ({_mb(o['event_bytes'])})"
         )
         lines.append(
             f"  telemetry total     {_mb(o['telemetry_bytes'])}"

@@ -1,9 +1,10 @@
 """Span timers for phase profiling.
 
 A span measures one named phase — a wire round, a SAC share exchange, a
-layer's backward pass — and on exit emits a single span event (rendered
-as a duration slice by the Chrome trace exporter) plus an observation in
-the ``span_duration_ms`` histogram, labeled by span name.
+share reconstruction — and on exit emits a single span event: the
+Chrome trace exporter renders it as a duration slice, and
+:func:`~repro.obs.export.to_prometheus` reduces it into the
+``span_duration_ms`` summary, labeled by span name.
 
 Spans carry two clocks: the wall clock always, and the virtual
 simulation clock when the caller supplies one (``clock=lambda: sim.now``).
@@ -70,10 +71,6 @@ class Span:
             dur_ms=self.dur_ms,
             **self.fields,
         )
-        self._obs.metrics.histogram(
-            "span_duration_ms", "Phase durations by span name.",
-            labels=("span",),
-        ).labels(span=self.name).observe(self.dur_ms)
 
 
 class NullSpan:

@@ -320,10 +320,6 @@ class RaftNode:
         self.elections_started += 1
         if _obs.OBS.enabled:
             self._emit("raft.election.start")
-            _obs.OBS.metrics.counter(
-                "raft_elections_total", "Elections started.",
-                labels=("cluster",),
-            ).labels(cluster=self.trace_kind).inc()
         msg = RequestVote(
             term=self.current_term,
             candidate_id=self.node_id,
@@ -351,11 +347,6 @@ class RaftNode:
         self.became_leader_at = self.transport.now
         if _obs.OBS.enabled:
             self._emit("raft.election.win", votes=len(self._votes))
-            _obs.OBS.metrics.gauge(
-                "raft_term", "Current term.", labels=("cluster", "node"),
-            ).labels(cluster=self.trace_kind, node=self.node_id).set(
-                self.current_term
-            )
         next_idx = self.log.last_index + 1
         self._next_index = {p: next_idx for p in self.members if p != self.node_id}
         self._match_index = {p: 0 for p in self.members if p != self.node_id}

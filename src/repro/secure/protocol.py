@@ -336,10 +336,6 @@ class SacProtocolPeer(SimNode):
                     holder=self.members[holder],
                     attempt=self._recovery_attempts[idx],
                 )
-                _obs.OBS.metrics.counter(
-                    "sac_recoveries_total",
-                    "Share-recovery fetches issued by SAC leaders.",
-                ).inc()
             req = RecoveryRequest(idx)
             self.send(
                 self.members[holder], req,
@@ -368,11 +364,6 @@ class SacProtocolPeer(SimNode):
                 dur_ms=dur, group=self.group,
                 n=self.n, k=self.k, recovered=sorted(self.recovered),
             )
-            _obs.OBS.metrics.histogram(
-                "sac_round_ms",
-                "Virtual-time duration of SAC rounds, share-out to average.",
-                labels=("group",),
-            ).labels(group=str(self.group)).observe(dur)
         self.on_average(total)
 
     def on_average(self, average: np.ndarray) -> None:

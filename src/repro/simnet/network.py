@@ -228,8 +228,6 @@ class Network:
         obs = _obs.OBS
         if obs.enabled:
             obs.emit("net.crash", t_ms=self.sim.now, node=node_id)
-            obs.metrics.counter(
-                "net_crashes_total", "Crash injections.").inc()
         node = self._nodes.get(node_id)
         if node is not None and hasattr(node, "on_crash"):
             node.on_crash()
@@ -414,10 +412,6 @@ class Network:
         if obs.enabled:
             obs.emit("net.send", t_ms=self.sim.now, node=src, dst=dst,
                      kind=kind, bits=size_bits, **ctx.child_fields())
-            obs.metrics.counter(
-                "trace_spans_total", "Causal message spans by kind.",
-                labels=("kind",),
-            ).labels(kind=kind).inc()
         return ctx
 
     def physical_send(
@@ -468,14 +462,6 @@ class Network:
                 else:
                     obs.emit("net.deliver", t_ms=self.sim.now, node=src,
                              dst=dst, kind=kind, bits=size_bits)
-                obs.metrics.counter(
-                    "net_messages_total", "Delivered messages by kind.",
-                    labels=("kind",),
-                ).labels(kind=kind).inc()
-                obs.metrics.counter(
-                    "net_bits_total", "Delivered bits by kind.",
-                    labels=("kind",),
-                ).labels(kind=kind).inc(size_bits)
             if ctx is not None:
                 # Run the handler with this span as the causal parent:
                 # whatever it sends in response is a child of this hop.
@@ -529,7 +515,3 @@ class Network:
             else:
                 obs.emit("net.drop", t_ms=self.sim.now, node=src, dst=dst,
                          kind=kind, bits=size_bits, reason=reason)
-            obs.metrics.counter(
-                "net_dropped_total", "Dropped messages by reason and kind.",
-                labels=("reason", "kind"),
-            ).labels(reason=reason, kind=kind).inc()

@@ -18,8 +18,10 @@ Semantics
   (``base_rto_ms * BACKOFF**attempt``) until the ACK lands or
   ``max_attempts`` transmissions have been made.
 - Accounting is honest: every physical (re)transmission and every ACK
-  is traced with its real size and shows up in the obs metrics
-  (``net_retransmits_total`` / ``net_acks_total``), so the cost of
+  is traced with its real size; ``retransmits`` / ``acks_sent`` count
+  them on the transport, and the obs metrics count retransmissions
+  (``net_retransmits_total``) and ACK fates (``net_messages_total`` /
+  ``net_dropped_total`` with ``kind="net.ack"``), so the cost of
   reliability is measured, never hidden.
 - A sender that crashes for good abandons its pending frames (a dead
   process retransmits nothing); a sender with a recovery scheduled
@@ -146,7 +148,7 @@ class ReliableTransport:
         self._next_seq = 0
         self._pending: dict[int, _Pending] = {}
         self._delivered_seqs: set[int] = set()
-        # counters surfaced on per-round results and obs metrics
+        # counters surfaced on per-round results
         self.retransmits = 0
         self.acks_sent = 0
         self.duplicates_suppressed = 0
@@ -210,11 +212,6 @@ class ReliableTransport:
                     kind=pending.frame.kind, attempts=pending.attempts,
                     delivered=delivered, **extra,
                 )
-                obs.metrics.counter(
-                    "net_retransmit_exhausted_total",
-                    "Frames abandoned after the retransmit budget.",
-                    labels=("kind",),
-                ).labels(kind=pending.frame.kind).inc()
             return
         self.retransmits += 1
         obs = _obs.OBS
@@ -228,10 +225,6 @@ class ReliableTransport:
                 kind=pending.frame.kind, attempt=pending.attempts + 1,
                 **extra,
             )
-            obs.metrics.counter(
-                "net_retransmits_total", "Data-frame retransmissions by kind.",
-                labels=("kind",),
-            ).labels(kind=pending.frame.kind).inc()
         self._transmit(pending)
 
     # ---------------------------------------------------------------- receiver
@@ -240,10 +233,6 @@ class ReliableTransport:
         # ACK unconditionally (duplicates included) so the sender stops.
         self.acks_sent += 1
         obs = _obs.OBS
-        if obs.enabled:
-            obs.metrics.counter(
-                "net_acks_total", "Transport ACK frames sent.",
-            ).inc()
         ack_ctx = (
             self.network.alloc_context(dst, src, "net.ack", ACK_BITS)
             if obs.enabled and obs.causal else None

@@ -173,14 +173,6 @@ class DeliveryWave:
         if obs.enabled:
             obs.emit("net.deliver", t_ms=t_end, kind=self.kind, bits=bits,
                      count=count)
-            obs.metrics.counter(
-                "net_messages_total", "Delivered messages by kind.",
-                labels=("kind",),
-            ).labels(kind=self.kind).inc(count)
-            obs.metrics.counter(
-                "net_bits_total", "Delivered bits by kind.",
-                labels=("kind",),
-            ).labels(kind=self.kind).inc(bits)
 
     def _deliver_one(self, i: int) -> None:
         """Deliver message ``i`` with full per-message semantics."""
@@ -193,7 +185,7 @@ class DeliveryWave:
         dst = int(self._dst[idx])
         if not net.link_up(src, dst):
             # Mid-flight crash: same silent-drop semantics as the
-            # scalar ``send`` path (obs event + counter, no MessageRecord).
+            # scalar ``send`` path (obs event, no MessageRecord).
             net._drop(src, dst, self.kind, self.size_bits, "in_flight",
                       silent=True)
             return
@@ -205,14 +197,6 @@ class DeliveryWave:
         if obs.enabled:
             obs.emit("net.deliver", t_ms=t, node=src, dst=dst,
                      kind=self.kind, bits=self.size_bits)
-            obs.metrics.counter(
-                "net_messages_total", "Delivered messages by kind.",
-                labels=("kind",),
-            ).labels(kind=self.kind).inc()
-            obs.metrics.counter(
-                "net_bits_total", "Delivered bits by kind.",
-                labels=("kind",),
-            ).labels(kind=self.kind).inc(self.size_bits)
 
 
 def _report_drops(
@@ -234,10 +218,6 @@ def _report_drops(
     if obs.enabled:
         obs.emit("net.drop", t_ms=t, kind=kind, bits=bits, count=count,
                  reason=reason)
-        obs.metrics.counter(
-            "net_dropped_total", "Dropped messages by reason and kind.",
-            labels=("reason", "kind"),
-        ).labels(reason=reason, kind=kind).inc(count)
 
 
 def send_batch(
@@ -785,16 +765,6 @@ def _send_batch_items(
     return wave
 
 
-def _count_delivered(obs, kind: str, count: int, bits: float) -> None:
-    """Bump the delivered-message and delivered-bit counters of ``kind``."""
-    obs.metrics.counter(
-        "net_messages_total", "Delivered messages by kind.", labels=("kind",),
-    ).labels(kind=kind).inc(count)
-    obs.metrics.counter(
-        "net_bits_total", "Delivered bits by kind.", labels=("kind",),
-    ).labels(kind=kind).inc(bits)
-
-
 class ItemWave:
     """A reliable / timeline-mode delivery wave and its replay state.
 
@@ -881,10 +851,6 @@ class ItemWave:
             if obs.enabled:
                 obs.emit("net.retransmit", t_ms=t, node=src, dst=dst,
                          kind=self.kind, attempt=int(self._sent[i]))
-                obs.metrics.counter(
-                    "net_retransmits_total",
-                    "Data-frame retransmissions by kind.", labels=("kind",),
-                ).labels(kind=self.kind).inc()
         elif typ == _T_LINKDOWN:
             net._drop(src, dst, self.kind, self.frame_bits, "link_down")
         elif typ == _T_LOST:
@@ -903,13 +869,8 @@ class ItemWave:
             if obs.enabled:
                 obs.emit("net.deliver", t_ms=t, node=src, dst=dst,
                          kind=self.kind, bits=self.frame_bits)
-                _count_delivered(obs, self.kind, 1, self.frame_bits)
             if typ != _T_ARR_PLAIN:
                 rel.acks_sent += 1
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "net_acks_total", "Transport ACK frames sent.",
-                    ).inc()
                 if typ == _T_ARR_ACKLOST:
                     net._drop(dst, src, "net.ack", ACK_BITS, "loss")
             if not self._it_flag[p] and typ != _T_ARR_PLAIN:
@@ -927,7 +888,6 @@ class ItemWave:
             if obs.enabled:
                 obs.emit("net.deliver", t_ms=t, node=dst, dst=src,
                          kind="net.ack", bits=ACK_BITS)
-                _count_delivered(obs, "net.ack", 1, ACK_BITS)
         else:  # _T_EXHAUST
             self._exhaust(t, i)
         self._pos += 1
@@ -945,11 +905,6 @@ class ItemWave:
             obs.emit("net.retransmit_exhausted", t_ms=t, node=src,
                      dst=dst, kind=self.kind,
                      attempts=int(self.attempts[i]), delivered=delivered)
-            obs.metrics.counter(
-                "net_retransmit_exhausted_total",
-                "Frames abandoned after the retransmit budget.",
-                labels=("kind",),
-            ).labels(kind=self.kind).inc()
 
 
 def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1173,14 +1128,6 @@ class _ItemLedger:
             fields = {} if reason is None else {"reason": reason}
             obs.emit("net.deliver" if reason is None else "net.drop", t_ms=t,
                      kind=dkind, bits=count * bits, count=count, **fields)
-            if reason is None:
-                _count_delivered(obs, dkind, count, count * bits)
-            else:
-                obs.metrics.counter(
-                    "net_dropped_total",
-                    "Dropped messages by reason and kind.",
-                    labels=("reason", "kind"),
-                ).labels(reason=reason, kind=dkind).inc(count)
 
         n_re = counts[_T_RETRANS]
         if n_re:
@@ -1188,10 +1135,6 @@ class _ItemLedger:
             if obs.enabled:
                 obs.emit("net.retransmit", t_ms=last[_T_RETRANS],
                          kind=wave.kind, count=n_re)
-                obs.metrics.counter(
-                    "net_retransmits_total",
-                    "Data-frame retransmissions by kind.", labels=("kind",),
-                ).labels(kind=wave.kind).inc(n_re)
         account((_T_LINKDOWN,), wave.kind, wave.frame_bits, "link_down")
         account((_T_LOST,), wave.kind, wave.frame_bits, "loss")
         account((_T_FRAME_MID,), wave.kind, wave.frame_bits, "in_flight",
@@ -1200,10 +1143,6 @@ class _ItemLedger:
         n_acked = counts[_T_ARR_ACKUP] + counts[_T_ARR_ACKLOST]
         if n_acked:
             rel.acks_sent += n_acked
-            if obs.enabled:
-                obs.metrics.counter(
-                    "net_acks_total", "Transport ACK frames sent.",
-                ).inc(n_acked)
         account((_T_ARR_ACKLOST,), "net.ack", ACK_BITS, "loss")
         account((_T_ACK_MID,), "net.ack", ACK_BITS, "in_flight", silent=True)
         account((_T_ACK_ARR,), "net.ack", ACK_BITS)

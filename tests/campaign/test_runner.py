@@ -204,12 +204,13 @@ class TestMatrixFormatting:
 class TestObservability:
     def test_campaign_metrics_and_events_emitted(self):
         from repro.obs import runtime as _runtime
+        from repro.obs import to_prometheus
 
         with _runtime.observe() as obs:
             run_campaign(seed=7, profile="mixed", rounds=4, raft=False)
-            rendered = obs.metrics.render_prometheus()
-            assert "campaign_round_outcome_total" in rendered
-            assert "campaign_membership_size" in rendered
+        rendered = to_prometheus(obs.events)
+        assert 'campaign_round_outcome_total{outcome="' in rendered
+        assert "campaign_membership_size" in rendered
         rounds = obs.events_named("campaign.round")
         assert len(rounds) == 4
         assert rounds[-1].fields["index"] == 3
@@ -219,11 +220,15 @@ class TestObservability:
         from repro.obs.bus import Event
         from repro.obs.flight import FlightRecorder
 
-        rec = FlightRecorder(out_dir=str(tmp_path))
-        rec(Event(seq=0, name="campaign.round", t_ms=0.0, wall_s=0.0))
+        events = []
+        rec = FlightRecorder(events, out_dir=str(tmp_path))
+        events.append(Event(seq=0, name="campaign.round", t_ms=0.0, wall_s=0.0))
+        rec(events[-1])
         assert not rec.incidents
-        rec(Event(seq=1, name="campaign.invariant_violation", t_ms=1.0,
-                  wall_s=0.0, fields={"detail": "round 3 did not recover"}))
+        events.append(Event(seq=1, name="campaign.invariant_violation",
+                            t_ms=1.0, wall_s=0.0,
+                            fields={"detail": "round 3 did not recover"}))
+        rec(events[-1])
         assert len(rec.incidents) == 1
 
 

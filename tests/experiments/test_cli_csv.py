@@ -162,3 +162,18 @@ class TestCli:
             timeout=30, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode != 0
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # 'plan' prints ~14 KB; into a one-page pipe the writer blocks
+        # until the reader, gone after one line, breaks the pipe.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "plan", "--plan-peers", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+            pipesize=4096, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline().startswith(b"Feasible plans")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err

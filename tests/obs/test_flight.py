@@ -1,6 +1,8 @@
-"""Flight recorder: the ring stays bounded, typed failures and safety
-violations dump incident directories with the events leading up to
-them, and the dump ceiling suppresses rather than filling the disk."""
+"""Flight recorder: an incident's window is the tail of the collected
+events, typed failures and safety violations dump incident directories
+with the events leading up to them (and their metrics reduced from
+those events), and the dump ceiling suppresses rather than filling the
+disk."""
 
 import json
 import os
@@ -10,6 +12,7 @@ import numpy as np
 from repro.chaos import Crash, FaultSchedule
 from repro.core.topology import Topology
 from repro.core.wire_round import run_two_layer_wire_round
+from repro.obs import read_events_jsonl, to_prometheus
 from repro.obs import runtime as _runtime
 from repro.obs.flight import DEFAULT_CAPACITY, DEFAULT_MAX_INCIDENTS, FlightRecorder
 
@@ -21,18 +24,22 @@ def _read_jsonl(path):
 
 class TestRing:
     def test_ring_is_bounded(self, tmp_path):
+        # The dumped window is the collected list's tail, trigger last.
         with _runtime.observe() as obs:
-            rec = FlightRecorder(out_dir=str(tmp_path))
-            rec.attach(obs.bus)
+            rec = FlightRecorder(obs.events, out_dir=str(tmp_path))
+            obs.bus.subscribe(rec)
             n = DEFAULT_CAPACITY + 100
             for i in range(n):
                 obs.emit("tick", t_ms=float(i), node=0)
-        assert rec.events_seen == n
-        assert len(rec.ring) == DEFAULT_CAPACITY
-        assert [e.t_ms for e in rec.ring] == [
-            float(i) for i in range(100, n)
+            assert not rec.incidents  # nothing triggered
+            obs.emit("chaos.safety_violation", t_ms=None, detail="x")
+        assert len(obs.events) == n + 1
+        (inc_dir,) = rec.incidents
+        window = _read_jsonl(os.path.join(inc_dir, "events.jsonl"))
+        assert [e["seq"] for e in window] == [
+            e.seq for e in obs.events[-DEFAULT_CAPACITY:]
         ]
-        assert not rec.incidents  # nothing triggered
+        assert window[-1]["name"] == "chaos.safety_violation"
 
     def test_happy_path_rounds_do_not_trigger(self, tmp_path):
         with _runtime.observe() as obs:
@@ -57,11 +64,7 @@ class TestIncidents:
         manifest = json.load(open(os.path.join(inc_dir, "manifest.json")))
         assert manifest["trigger"]["name"] == "chaos.safety_violation"
         assert manifest["ring_capacity"] == DEFAULT_CAPACITY
-        # The pipeline wires its own registry in: the dump has metrics
-        # and the registry counts the incident.
-        assert os.path.exists(os.path.join(inc_dir, "metrics.prom"))
-        assert 'flight_incidents_total{trigger="chaos.safety_violation"}' \
-            in obs.metrics.render_prometheus()
+        assert manifest["events_seen"] == DEFAULT_CAPACITY + 41
 
     def test_retransmit_exhaustion_triggers(self, tmp_path):
         with _runtime.observe() as obs:
@@ -92,7 +95,7 @@ class TestIncidents:
 
     def test_manifest_critical_path_when_tracing(self, tmp_path):
         # With causal tracing on, the manifest reconstructs the causal
-        # critical path over the ring window; without it there is none.
+        # critical path over the window; without it there is none.
         from repro.core.topology import Topology
 
         topo = Topology.by_group_size(6, 3)
@@ -141,5 +144,11 @@ class TestEndToEnd:
         trigger = events[-1]
         assert trigger["name"] == "round.complete"
         assert trigger["completed"] is False
-        # The ring holds the causal context: the crash that caused it.
+        # The window holds the causal context: the crash that caused it.
         assert any(e["name"] == "net.crash" for e in events)
+        # The incident's metrics are the reduction of its own events.
+        with open(os.path.join(inc_dir, "metrics.prom")) as fh:
+            metrics = fh.read()
+        assert metrics == to_prometheus(
+            read_events_jsonl(os.path.join(inc_dir, "events.jsonl")))
+        assert "net_crashes_total 1\n" in metrics

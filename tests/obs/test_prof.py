@@ -2,8 +2,15 @@
 the message-plane byte join, and the straggler statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.prof import _interval_union_ms, profile_events
+from repro.obs.prof import (
+    _build_tree,
+    _interval_union_ms,
+    _SpanInstance,
+    profile_events,
+)
 from repro.obs.runtime import Observability
 
 
@@ -224,6 +231,74 @@ def test_profiler_on_real_wire_round_is_deterministic():
     assert sac_phase["straggler"] is not None
 
 
+def _scanning_joins(events):
+    """The joins by full scan, the reference for ``profile_events``: per
+    path, (bits, messages, dropped) of the messages whose deepest
+    containing span (ties: latest start, lowest seq) has that path, and
+    the worst straggler over the path's instances."""
+    spans = [_SpanInstance(e.seq, e.name, e.t_ms, e.t_ms + e.dur_ms, None,
+                           e.node) for e in events if e.dur_ms is not None]
+    _build_tree(spans)
+    joins, worst = {}, {}
+    for e in events:
+        if e.name not in ("net.deliver", "net.drop"):
+            continue
+        best = None
+        for inst in spans:
+            if inst.start <= e.t_ms <= inst.end and (
+                    best is None
+                    or (inst.depth, inst.start, -inst.seq)
+                    > (best.depth, best.start, -best.seq)):
+                best = inst
+        if best is not None:
+            bits, msgs, dropped = joins.get(best.path, (0.0, 0, 0))
+            if e.name == "net.deliver":
+                joins[best.path] = (bits + e.fields["bits"], msgs + 1, dropped)
+            else:
+                joins[best.path] = (bits, msgs, dropped + 1)
+    for inst in spans:
+        last = {}
+        for e in events:
+            if (e.node is not None and inst.start <= e.t_ms <= inst.end
+                    and e.t_ms > last.get(e.node, -1.0)):
+                last[e.node] = e.t_ms
+        if len(last) < 2:
+            continue
+        times = sorted(last.values())
+        n = len(times)
+        mid = times[n // 2] if n % 2 else (times[n // 2 - 1] + times[n // 2]) / 2
+        slowest = max((t, node) for node, t in last.items())
+        stats = (slowest[0] - mid, slowest[0] - times[0], slowest[1], n)
+        worst[inst.path] = max(worst.get(inst.path, stats), stats,
+                               key=lambda g: g[:2])
+    return joins, worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spans=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 8),
+                             st.integers(0, 6)), min_size=1, max_size=12),
+    points=st.lists(st.tuples(
+        st.sampled_from(["net.deliver", "net.drop", "tick"]),
+        st.integers(0, 28), st.integers(0, 4)), max_size=40),
+)
+def test_joins_equal_the_scanning_reference(spans, points):
+    """Windows on a small lattice: identical, nested, overlapping and
+    disjoint spans, messages and activity on their edges."""
+    obs = Observability()
+    for name, start, length in spans:
+        _span(obs, name, float(start), float(start + length))
+    for name, half_ms, node in points:
+        obs.emit(name, t_ms=half_ms / 2, node=node, kind="k", bits=8.0)
+    joins, worst = _scanning_joins(obs.events)
+    for phase in profile_events(obs.events).phases:
+        assert (phase.bits, phase.messages, phase.dropped) == joins.get(
+            phase.path, (0.0, 0, 0))
+        strag = phase.straggler
+        assert worst.get(phase.path) == (strag and (
+            strag.gap_ms, strag.spread_ms, strag.slowest_node, strag.nodes))
+
+
 class TestResourceProfiler:
     def test_phases_record_alloc_deltas(self):
         import numpy as np
@@ -292,20 +367,17 @@ class TestResourceSnapshot:
         models = [rng.normal(size=16) for _ in range(topo.n_peers)]
         run_two_layer_wire_round(topo, models, k=2, seed=0)
 
-    def test_self_accounting_sums_events_and_metrics(self):
+    def test_self_accounting_sums_events(self):
         from repro.obs import runtime as _runtime
         from repro.obs.scale import obs_self_accounting
 
         with _runtime.observe() as obs:
             self._round()
         acct = obs_self_accounting(obs)
-        assert set(acct) == {"events_held", "event_bytes", "metric_bytes",
-                             "metric_observations", "telemetry_bytes"}
+        assert set(acct) == {"events_held", "event_bytes", "telemetry_bytes"}
         assert acct["events_held"] == len(obs.events) > 0
-        assert acct["event_bytes"] == sum(
+        assert acct["event_bytes"] == acct["telemetry_bytes"] == sum(
             e.approx_bytes() for e in obs.events)
-        assert acct["telemetry_bytes"] == (
-            acct["event_bytes"] + acct["metric_bytes"])
 
     def test_resource_snapshot_sections(self):
         import numpy as np

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.obs import read_events_jsonl, to_prometheus
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,12 @@ def test_prometheus_dump_has_per_subgroup_histograms(artifacts):
     assert "# TYPE net_dropped_total counter" in text
     assert "# TYPE span_duration_ms summary" in text
     assert 'span_duration_ms{span="scenario.wire_round"' in text
+
+
+def test_prometheus_dump_is_the_reduction_of_the_event_log(artifacts):
+    events_path, metrics_path, _ = artifacts
+    with open(metrics_path) as fh:
+        assert to_prometheus(read_events_jsonl(events_path)) == fh.read()
 
 
 def test_chrome_trace_artifact_is_valid(artifacts):

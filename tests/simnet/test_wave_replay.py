@@ -30,7 +30,7 @@ from repro.chaos import (
     Recover,
 )
 from repro.obs import runtime as _runtime
-from repro.obs.metrics import Histogram
+from repro.obs import to_prometheus
 from repro.simnet import (
     FixedLatency,
     Network,
@@ -197,16 +197,6 @@ def _expected_records(waves, run):
     return out
 
 
-def _metric_values(obs):
-    """Every metric child's value; a histogram's raw observations in
-    insertion order."""
-    return {
-        fam.name: {key: list(child._values) if isinstance(child, Histogram)
-                   else child.value for key, child in fam.children()}
-        for fam in obs.metrics.families()
-    }
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**20),
@@ -222,7 +212,8 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
     or several, with exhaustions, mid-flight kills and (timeline mode)
     plain arrivals — leave the network, the transport, the trace and the
     batches' ``done`` flags where item-by-item replay in ``(time, batch,
-    creation)`` order leaves them; with obs on, the same metrics."""
+    creation)`` order leaves them; with obs on, the same metrics reduced
+    from each side's events."""
     def replay(bulk):
         net, waves, ledger = _random_batches(seed, reliable, sizes,
                                              n_instants, merged=bulk)
@@ -267,7 +258,9 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
     with _runtime.observe() as obs_item:
         item = replay(bulk=False)
     assert bulk == item
-    assert _metric_values(obs_bulk) == _metric_values(obs_item)
+    # A bulk run's events carry ``count``: their counters sum to the
+    # per-item events' ones.
+    assert to_prometheus(obs_bulk.events) == to_prometheus(obs_item.events)
 
 
 # ---------------------------------------------------- ledger == per-item
@@ -385,14 +378,14 @@ def test_merged_replay_equals_scalar_engine(mode, lat, steps, seed):
     the drained end — the merged replay has the clock, gauge, peak,
     trace totals by kind, transport counters and ``exhausted`` list of
     the per-item model, and unique heap keys that are item keys; under
-    obs, the same metrics."""
+    obs, the same metrics reduced from each side's events."""
     reliable, timeline = mode
     keys, got = {}, {}
     for side, replay in REPLAYS:
         with _runtime.observe() as obs:
             keys[side], got[side] = _play(replay, reliable, timeline, lat,
                                           steps, seed)
-        got[side] += (_metric_values(obs),)
+        got[side] += (to_prometheus(obs.events),)
     assert got["wave"] == got["per_item"]
     # The ledger only ever queues at keys the model gives items.
     assert keys["wave"] <= keys["per_item"]
