@@ -582,6 +582,11 @@ def main(argv: list[str] | None = None) -> int:
             and args.transport == "fire_and_forget"):
         parser.error("'chaos --scale' runs a lossy round, which needs the "
                      "reliable transport")
+    # scale_topology's smallest tree has 2 peers.
+    if args.figure == "xlayer" and args.peers is not None and args.peers < 2:
+        parser.error("'xlayer' needs --peers >= 2")
+    if args.figure == "chaos" and args.scale is not None and args.scale < 2:
+        parser.error("'chaos --scale' needs >= 2 peers")
     # run_campaign's subgroups have 4 peers.
     if args.figure == "campaign" and args.peers is not None and args.peers < 4:
         parser.error("'campaign' needs --peers >= 4 (one subgroup of 4)")

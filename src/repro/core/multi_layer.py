@@ -19,13 +19,28 @@ additional and keeps the result exact for uneven subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..secure.batched import batched_divide
 from ..secure.sac import DEFAULT_BITS_PER_PARAM, check_same_shape
 from .costs import multi_layer_total_peers
+
+
+class LayerWirePlan(NamedTuple):
+    """One layer's wave endpoints, group-major: read-only int64 arrays.
+
+    The layer's ``xl.share`` wave is ``share[0] -> share[1]``: every
+    group's ``n (n-1)`` ordered member pairs ``(i, j != i)`` in
+    owner-major order.  Its ``xl.subtotal`` wave is ``followers ->
+    leaders`` (``leaders`` repeats each group's leader once per
+    follower) and its ``xl.bcast`` wave the same pairs swapped.
+    """
+
+    share: np.ndarray  #: (2, G n (n-1)): src row, dst row
+    followers: np.ndarray  #: (G (n-1),)
+    leaders: np.ndarray  #: (G (n-1),)
 
 
 class MultiLayerTopology:
@@ -52,6 +67,7 @@ class MultiLayerTopology:
             multi_layer_total_peers(n, k) for k in range(depth + 1)
         ]
         self._member_matrix_cache: dict[int, np.ndarray] = {}
+        self._wire_plan_cache: dict[int, LayerWirePlan] = {}
 
     @property
     def n_peers(self) -> int:
@@ -85,6 +101,33 @@ class MultiLayerTopology:
             ).reshape(g, n - 1)
             self._member_matrix_cache[layer] = cached
         return cached
+
+    def wire_plan(self, layer: int) -> LayerWirePlan:
+        """The src/dst ids of layer ``layer``'s waves, derived from
+        :meth:`member_matrix`.  Built on first use and cached per layer,
+        so rounds repeated on one topology object ship the same arrays;
+        they are read-only because every such round shares them.
+        """
+        plan = self._wire_plan_cache.get(layer)
+        if plan is None:
+            members = self.member_matrix(layer)
+            g, n = members.shape
+            share = np.empty((2, g * n * (n - 1)), dtype=np.int64)
+            # Ordered pairs (i, j != i), owner-major: src row i, dst row j.
+            # The columns are in range, and mode="clip" writes straight
+            # into ``out`` where the default mode buffers a copy.
+            for row, pair in zip(share, np.where(~np.eye(n, dtype=bool))):
+                members.take(pair, axis=1, out=row.reshape(g, -1),
+                             mode="clip")
+            plan = LayerWirePlan(
+                share=share,
+                followers=members[:, 1:].reshape(-1),
+                leaders=np.repeat(members[:, 0], n - 1),
+            )
+            for ids in plan:
+                ids.setflags(write=False)
+            self._wire_plan_cache[layer] = plan
+        return plan
 
 
 @dataclass(frozen=True)

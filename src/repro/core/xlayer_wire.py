@@ -26,7 +26,10 @@ axis innermost:
 - the wire traffic of a layer is a handful of
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
   (``xl.share``, ``xl.subtotal``, then a top-down ``xl.bcast``), each
-  one heap entry regardless of group count.
+  one heap entry regardless of group count; their src/dst ids are the
+  layer's :meth:`~repro.core.multi_layer.MultiLayerTopology.wire_plan`,
+  built once per topology object, so rounds repeated on one tree ship
+  the same read-only arrays instead of deriving them again.
 
 Peers are modelled by their ids alone (accounting waves, no actor
 objects), which is what makes 10^5-10^6 simulated peers tractable.
@@ -219,8 +222,8 @@ def run_xlayer_wire_round(
     layer_stats: list[XLayerLayerStats] = []
     obs = _obs.OBS
 
-    # Share pairs (i, j != i) in owner-major order, fixed per layer.
-    pair_i, pair_j = np.where(~np.eye(n, dtype=bool))
+    # Share receivers in the owner-major pair order of the plans' waves.
+    pair_j = np.where(~np.eye(n, dtype=bool))[1]
 
     with obs.span("xlayer.round", clock=lambda: sim.now,
                   peers=n_peers, depth=topology.depth):
@@ -232,9 +235,9 @@ def run_xlayer_wire_round(
         carry = None
         for layer in range(topology.depth, 0, -1):
             members = topology.member_matrix(layer)  # (G, n)
+            plan = topology.wire_plan(layer)
             g = members.shape[0]
-            leaders = members[:, 0]
-            lo = int(leaders[0])  # ids: g leaders, then their followers
+            lo = int(members[0, 0])  # ids: g leaders, then their followers
             k = 0 if carry is None else n if layer == 1 else n - 1
             vals = np.empty((n, d, g))  # owner i of group g: vals[i, :, g]
             gcnt = np.full(g, n - k, dtype=np.int64)
@@ -256,9 +259,7 @@ def run_xlayer_wire_round(
             # Shares: every ordered pair within each group, all
             # departing when the group's last input is ready.
             share_wave = net.send_batch(
-                members.take(pair_i, axis=1).reshape(-1),
-                members.take(pair_j, axis=1).reshape(-1),
-                size_bits=w_bits, kind="xl.share",
+                *plan.share, size_bits=w_bits, kind="xl.share",
                 at_times=np.repeat(start, n * (n - 1)),
             )
             arrivals = _landed(share_wave.delivery_times).reshape(
@@ -270,8 +271,7 @@ def run_xlayer_wire_round(
             for p, j in enumerate(pair_j):
                 np.maximum(bundle[j], arrivals[:, p], out=bundle[j])
             sub_wave = net.send_batch(
-                members[:, 1:].reshape(-1),
-                np.repeat(leaders, n - 1),
+                plan.followers, plan.leaders,
                 size_bits=w_bits, kind="xl.subtotal",
                 at_times=bundle[1:].T.reshape(-1),
             )
@@ -292,11 +292,10 @@ def run_xlayer_wire_round(
         # Arrivals come down by position, as the sums went up.
         reached = [np.array([agg_done])]  # root, then layer followers
         for layer in range(1, topology.depth + 1):
-            members = topology.member_matrix(layer)
+            plan = topology.wire_plan(layer)
             lead = np.concatenate(reached) if layer == 2 else reached[-1]
             bcast_wave = net.send_batch(
-                np.repeat(members[:, 0], n - 1),
-                members[:, 1:].reshape(-1),
+                plan.leaders, plan.followers,
                 size_bits=w_bits, kind="xl.bcast",
                 at_times=np.repeat(lead, n - 1),
             )

@@ -34,7 +34,7 @@ class LatencyModel(Protocol):
     RNG stream exactly as ``len(src)`` sequential ``sample`` calls would
     (numpy fills batch draws element-by-element from the same stream),
     so a round produces bit-identical delays whichever API the sender
-    used.
+    used.  Callers only read a batch, so it may be a read-only view.
     """
 
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float: ...
@@ -61,7 +61,9 @@ class FixedLatency:
     def sample_batch(
         self, src_ids: np.ndarray, dst_ids: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        return np.full(len(src_ids), self.delay_ms, dtype=np.float64)
+        """The delay broadcast to ``len(src_ids)``: a read-only view,
+        as every caller only adds it to departure times."""
+        return np.broadcast_to(np.float64(self.delay_ms), len(src_ids))
 
 
 class Network:

@@ -241,8 +241,10 @@ def send_batch(
         dep = np.asarray(at_times, dtype=np.float64)
         if dep.shape != src.shape:
             raise ValueError("at_times must match src_ids in length")
-        # Scalar scheduling clamps negative delays to "now"; same here.
-        dep = np.maximum(dep, sim.now)
+        # Scalar scheduling clamps negative delays to "now"; same here,
+        # copying only when some departure precedes it.
+        if m and dep.min() < sim.now:
+            dep = np.maximum(dep, sim.now)
 
     if net.reliable is not None or net.fault_timeline is not None:
         # Reliable transport and/or time-varying faults: the per-message

@@ -2,6 +2,7 @@
 forms, to the in-memory :func:`multi_layer_aggregate` reference and to
 the per-item replay model (``tests/simnet/per_item.py``)."""
 
+import contextlib
 import itertools
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.chaos.scale import run_scale_trial, scale_topology
+from repro.chaos.scale import run_scale_trial, scale_schedule, scale_topology
 from repro.core import (
     MultiLayerTopology,
     multi_layer_aggregate,
@@ -170,15 +171,78 @@ class TestEngines:
         assert a.heap_stats["events_processed"] < b.messages_sent / 10
 
 
+class TestWirePlan:
+    """A topology builds its layers' wave endpoints once; every round on
+    it ships the same read-only arrays and measures what a round on a
+    fresh topology does."""
+
+    def test_plan_is_cached_read_only_and_matches_the_members(self):
+        topo = MultiLayerTopology(3, 3)
+        pair_i, pair_j = np.where(~np.eye(3, dtype=bool))
+        for layer in (1, 2, 3):
+            plan = topo.wire_plan(layer)
+            assert topo.wire_plan(layer) is plan
+            members = topo.member_matrix(layer)
+            np.testing.assert_array_equal(plan.share, [
+                members.take(pair_i, axis=1).reshape(-1),
+                members.take(pair_j, axis=1).reshape(-1),
+            ])
+            np.testing.assert_array_equal(plan.followers,
+                                          members[:, 1:].reshape(-1))
+            np.testing.assert_array_equal(plan.leaders,
+                                          np.repeat(members[:, 0], 2))
+            for ids in plan:
+                assert ids.dtype == np.int64
+                with pytest.raises(ValueError):
+                    ids[0] = -1
+
+    @staticmethod
+    def _fingerprint(r):
+        return (
+            r.finish_time_ms, r.agg_done_ms, r.bits_sent, r.messages_sent,
+            r.layer_stats, r.bits_by_kind, r.heap_stats, r.outcome,
+            r.retransmits, r.acks, r.duplicates, r.exhausted,
+            r.exhausted_undelivered, r.dropped,
+        )
+
+    @pytest.mark.parametrize("lossy", [False, True],
+                             ids=["fault_free", "lossy"])
+    @pytest.mark.parametrize("replay", ["wave", "per_item"])
+    def test_reused_plan_changes_nothing(self, lossy, replay):
+        def kw(topo, seed):
+            if not lossy:
+                return dict(seed=seed, latency=FixedLatency(15.0))
+            return dict(seed=seed, latency=FixedLatency(10.0),
+                        loss_rate=0.2, transport="reliable",
+                        schedule=scale_schedule(topo))
+
+        reused = MultiLayerTopology(3, 4)
+        models = _models(reused, seed=8)
+        with per_item() if replay == "per_item" else contextlib.nullcontext():
+            again = [run_xlayer_wire_round(reused, models, **kw(reused, s))
+                     for s in (5, 6)]
+            fresh = []
+            for s in (5, 6):
+                topo = MultiLayerTopology(3, 4)
+                fresh.append(run_xlayer_wire_round(topo, models, **kw(topo, s)))
+        assert again[0].outcome.ok and (again[0].retransmits > 0) == lossy
+        for a, b in zip(again, fresh):
+            np.testing.assert_array_equal(a.average, b.average)
+            assert self._fingerprint(a) == self._fingerprint(b)
+
+
 class TestPeakMemory:
     def test_round_peak_per_peer(self):
         """Perf pin: after a warm-up round, an ``xlayer_wide`` round
         (118,096 peers, d = 8, ``FixedLatency(15)``) peaks at no more
-        than 320 bytes a peer.  The waves' id, time and seq arrays are
-        most of it; layers hand their group sums up by position, so no
-        ``(d, N)`` copy of the models and no length-N sums, counts or
-        readiness exist, and waves issued in time order keep no sort
-        order or sorted copy."""
+        than 240 bytes a peer (measured: 195).  The waves' time and seq
+        arrays are most of it; layers hand their group sums up by
+        position, so no ``(d, N)`` copy of the models and no length-N
+        sums, counts or readiness exist, and waves issued in time order
+        keep no sort order or sorted copy.  The waves' src/dst ids are
+        the topology's cached wire plans, built by the warm-up round, and
+        no wave fills a per-message delay or clamped departure array:
+        rebuilding the ids every round, with those fills, peaked at 262."""
         topo = MultiLayerTopology(4, 10)
         models = _models(topo, d=8)
         kw = dict(latency=FixedLatency(15.0))
@@ -191,7 +255,7 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert result.outcome.ok and result.n_peers == 118_096
-        assert peak <= 320 * result.n_peers, peak / result.n_peers
+        assert peak <= 240 * result.n_peers, peak / result.n_peers
 
 
 class TestChaosRound:

@@ -133,6 +133,8 @@ class TestCli:
         ["plan", "--plan-peers", "2"],
         ["plan", "--plan-dropouts", "-1"],
         ["plan", "--plan-bandwidth", "-5"],
+        ["xlayer", "--peers", "1"],  # no tree has fewer than 2 peers
+        ["chaos", "--scale", "1"],
     ])
     def test_bad_flag_values_are_usage_errors(self, argv, capsys):
         # Each used to reach the library and exit 1 with a traceback.

@@ -262,10 +262,12 @@ class TestFaultFreeIssue:
 
     def test_issue_peak_memory_per_message(self):
         """Perf pin: issuing xlayer_wide's bottom share wave (26,244
-        groups of 4, 314,928 messages) peaks at no more than 42 bytes a
-        message — departures, delays, arrival times, heap seqs and the
+        groups of 4, 314,928 messages) peaks at no more than 24 bytes a
+        message (measured: 17) — arrival times, heap seqs and the
         delivered flags: no mask, and its times already ascend, so no
-        sort order or sorted copy."""
+        sort order or sorted copy.  Departures no earlier than ``now``
+        are used as given, and ``FixedLatency`` adds a broadcast delay:
+        a clamped departure copy and a filled delay array took 33."""
         members = MultiLayerTopology(4, 10).member_matrix(10)
         pair_i, pair_j = np.where(~np.eye(4, dtype=bool))
         src = members[:, pair_i].reshape(-1)
@@ -280,7 +282,7 @@ class TestFaultFreeIssue:
         finally:
             tracemalloc.stop()
         assert wave.count == len(src) == 314_928
-        assert peak <= 42 * len(src), peak / len(src)
+        assert peak <= 24 * len(src), peak / len(src)
 
 
 class TestValidation:
