@@ -67,6 +67,19 @@ class _PartitionSpan:
         return out
 
 
+def _one_span(edges: np.ndarray, times: np.ndarray):
+    """The index of the span between consecutive ``edges`` (the number
+    of edges at or below) that holds every one of ``times``; ``None``
+    when they straddle an edge, are empty or hold a NaN."""
+    if not times.size:
+        return None
+    lo, hi = times.min(), times.max()
+    if not lo <= hi:
+        return None
+    a, b = edges.searchsorted((lo, hi), "right")
+    return int(a) if a == b else None
+
+
 class _DelaySpan:
     __slots__ = ("t_start", "t_end", "extra", "nodes")
 
@@ -124,18 +137,20 @@ class FaultTimeline:
                 recoveries.setdefault(event.node, []).append(event.t_ms)
         for node, start in open_at.items():
             intervals.setdefault(node, []).append((start, np.inf))
-        self._crash = {
-            node: (
-                np.array([s for s, _ in spans], dtype=np.float64),
-                np.array([e for _, e in spans], dtype=np.float64),
-            )
-            for node, spans in intervals.items()
-        }
-        self._recovery = {
-            node: np.array(sorted(times), dtype=np.float64)
-            for node, times in recoveries.items()
-        }
-        self._crash_nodes = np.array(sorted(self._crash), dtype=np.int64)
+        # One row per crashed node, ascending: its intervals, padded with
+        # [inf, inf), which no time falls in, and its last recovery (NaN:
+        # none, which no time is at or below).
+        self._crash_nodes = np.array(sorted(intervals), dtype=np.int64)
+        width = max(map(len, intervals.values()), default=0)
+        self._crash_start = np.full((len(intervals), width), np.inf)
+        self._crash_end = np.full((len(intervals), width), np.inf)
+        self._last_recovery = np.full(len(intervals), np.nan)
+        for row, node in enumerate(self._crash_nodes.tolist()):
+            spans = intervals[node]
+            self._crash_start[row, :len(spans)] = [s for s, _ in spans]
+            self._crash_end[row, :len(spans)] = [e for _, e in spans]
+            if node in recoveries:
+                self._last_recovery[row] = max(recoveries[node])
 
         self._partitions = [
             _PartitionSpan(e)
@@ -145,6 +160,21 @@ class FaultTimeline:
         self._spikes = [
             _DelaySpan(e) for e in schedule.events if isinstance(e, DelaySpike)
         ]
+        # The extra delay of every message sent inside each span between
+        # consecutive spike edges (NaN while a node-scoped spike is on),
+        # summed as :meth:`extra_delay_at` sums it.
+        self._delay_edges = np.unique(
+            [t for sp in self._spikes for t in (sp.t_start, sp.t_end)])
+        self._span_delay = []
+        for t in (-np.inf, *self._delay_edges.tolist()):
+            extra = 0.0
+            for sp in self._spikes:
+                on = sp.t_start <= t < sp.t_end
+                if on and sp.nodes is not None:
+                    extra = np.nan
+                    break
+                extra += on * sp.extra
+            self._span_delay.append(extra)
 
     @property
     def max_loss_rate(self) -> float:
@@ -158,13 +188,17 @@ class FaultTimeline:
 
     # ------------------------------------------------------------- queries
     def loss_rate_at(self, times: np.ndarray) -> np.ndarray:
-        """Effective loss rate at each instant (base outside windows)."""
+        """Effective loss rate at each instant (base outside windows);
+        a read-only broadcast when every instant falls in one span."""
         times = np.asarray(times, dtype=np.float64)
         # The span index is the number of edges at or below each time
         # (a shared window edge counts twice, landing in the later
         # window): one compare pass per edge, where a binary search per
         # unsorted time costs several.  The bool masks add as bytes.
         edges = self._loss_edges[1:]
+        span = _one_span(edges, times)
+        if span is not None:
+            return np.broadcast_to(self._loss_rates[span], times.shape)
         pos = np.zeros(times.shape, dtype=np.min_scalar_type(len(edges)))
         for edge in edges:
             pos += (times >= edge).view(np.uint8)
@@ -172,19 +206,26 @@ class FaultTimeline:
 
     def crashed_at(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Whether ``nodes[i]`` is down at ``times[i]``."""
-        nodes = np.asarray(nodes)
         times = np.asarray(times, dtype=np.float64)
+        row, sel = self._crash_rows(nodes)
         out = np.zeros(len(nodes), dtype=bool)
-        for node, (starts, ends) in self._crash.items():
-            sel = nodes == node
-            if not sel.any():
-                continue
-            t = times[sel]
-            hit = np.zeros(len(t), dtype=bool)
-            for s, e in zip(starts, ends):
-                hit |= (t >= s) & (t < e)
-            out[sel] = hit
+        if len(sel):
+            t = times[sel][:, None]
+            out[sel] = ((t >= self._crash_start[row])
+                        & (t < self._crash_end[row])).any(axis=1)
         return out
+
+    def _crash_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of ``nodes`` the script crashes, and their rows
+        in ``_crash_nodes``: one binary search per node, as
+        :meth:`_PartitionSpan.group_of` looks nodes up."""
+        nodes = np.asarray(nodes)
+        crashed = self._crash_nodes
+        if not len(crashed):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        row = np.minimum(crashed.searchsorted(nodes), len(crashed) - 1)
+        sel = np.flatnonzero(crashed.take(row) == nodes)
+        return row.take(sel), sel
 
     def can_go_down(self, nodes: np.ndarray) -> np.ndarray:
         """Whether the script can ever take ``nodes[i]`` down: it crashes
@@ -200,13 +241,10 @@ class FaultTimeline:
     ) -> np.ndarray:
         """Whether ``nodes[i]`` has a Recover at ``t >= times[i]``
         (the ``may_recover`` oracle, vectorized)."""
-        nodes = np.asarray(nodes)
         times = np.asarray(times, dtype=np.float64)
+        row, sel = self._crash_rows(nodes)
         out = np.zeros(len(nodes), dtype=bool)
-        for node, recs in self._recovery.items():
-            sel = nodes == node
-            if sel.any():
-                out[sel] = times[sel] <= recs[-1]
+        out[sel] = times[sel] <= self._last_recovery[row]
         return out
 
     def link_up_at(
@@ -230,10 +268,15 @@ class FaultTimeline:
     def extra_delay_at(
         self, src: np.ndarray, dst: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
-        """Total straggler delay (ms) for messages *sent* at each instant."""
+        """Total straggler delay (ms) for messages *sent* at each instant;
+        a read-only broadcast when every instant falls in one span free of
+        node-scoped spikes."""
         src = np.asarray(src)
         dst = np.asarray(dst)
         times = np.asarray(times, dtype=np.float64)
+        span = _one_span(self._delay_edges, times)
+        if span is not None and not np.isnan(self._span_delay[span]):
+            return np.broadcast_to(self._span_delay[span], times.shape)
         extra = np.zeros(len(times), dtype=np.float64)
         for span in self._spikes:
             sel = (times >= span.t_start) & (times < span.t_end)

@@ -382,7 +382,10 @@ class Network:
 
         Returns the :class:`~repro.simnet.waves.DeliveryWave`, whose
         ``delivery_times`` gives each message's arrival (NaN if dropped
-        at issue).
+        at issue) — or, as an item wave, the
+        :class:`~repro.simnet.waves.ItemWave`, whose ``delivery_times``
+        gives each message's first frame arrival (NaN if the payload
+        never landed) and ``attempts`` its transmissions.
         """
         from .waves import send_batch as _send_batch
 

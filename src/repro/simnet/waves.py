@@ -268,10 +268,7 @@ def send_batch(
         if net._fault_free:
             up = np.ones(m, dtype=bool)
         else:
-            up = np.fromiter(
-                (net.link_up(int(s), int(d)) for s, d in zip(src, dst)),
-                dtype=bool, count=m,
-            )
+            up = _frozen_faults(net, src, dst)[0]
         alive = up.copy()
         if net.loss_rate > 0.0 and up.any():
             lost_up = net.rng.random(int(up.sum())) < net.loss_rate
@@ -389,14 +386,19 @@ def _serialized_times(
 # no longer one delivery: it is a stop-and-wait state machine of
 # attempts, drops, ACKs and timers.  ``_send_batch_items`` unrolls that
 # machine for the whole batch in one numpy pass per backoff epoch,
-# producing a flat list of *items* — atomic accounting steps (a
-# departure, a frame arrival, an ACK arrival, a drop, a retransmission,
-# a budget exhaustion), each with an absolute time — as four columns
-# (time, int8 type, int32 message index, first-arrival flag), item ``p``
-# of the stable time order taking seq ``seq0 + p`` of one reserved block.
-# Batches replay in bulk runs from the network's ``_ItemLedger`` — the
-# ``(time, seq)`` order, counters and trace totals of the per-item
-# replay (``tests/simnet/per_item.py``).
+# producing *items* — atomic accounting steps (a departure, a frame
+# arrival, an ACK arrival, a drop, a retransmission, a budget
+# exhaustion), each with an absolute time — in *blocks*: one
+# ``(times, type, message ids, first-arrival flags)`` tuple per emission,
+# in creation order, with a scalar type except for the interleaved
+# ACKed/ACK-lost arrival block (an int8 per item) and flags on ACKed
+# arrival blocks only.  Item ``p`` of the batch's stable time order takes
+# seq ``seq0 + p`` of one reserved block.  The network's ``_ItemLedger``
+# reduces the blocks to per-instant entries as the batch is issued, so
+# no per-item column outlives ``send_batch``, and replays them in bulk
+# runs — the ``(time, seq)`` order, counters and trace totals of the
+# per-item replay (``tests/simnet/per_item.py``, which builds its
+# replay-order columns from the same blocks).
 #
 # Fate/RNG contract, fixed before replay: per epoch, in message-
 # enumeration order — (1) one Bernoulli uniform per link-up frame under
@@ -494,6 +496,34 @@ def _apply_holds(
     return times, abandoned
 
 
+def _frozen_faults(
+    net: "Network", src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Network.link_up`` and ``is_crashed`` (of the sender) per message,
+    from the crash set and the partition map in a few array passes."""
+    crashed = np.fromiter(net._crashed, dtype=np.int64,
+                          count=len(net._crashed))
+    src_crashed = np.isin(src, crashed)
+    up = ~(src_crashed | np.isin(dst, crashed))
+    part = net._partition
+    if part is not None:
+        # Group per node, ``-1`` outside every group (isolated).
+        nodes = np.fromiter(part, dtype=np.int64, count=len(part))
+        groups = np.fromiter(part.values(), dtype=np.int64, count=len(part))
+        order = np.argsort(nodes)
+        nodes, groups = nodes[order], groups[order]
+
+        def group_of(ids):
+            if not len(nodes):
+                return np.full(len(ids), -1)
+            pos = np.minimum(nodes.searchsorted(ids), len(nodes) - 1)
+            return np.where(nodes.take(pos) == ids, groups.take(pos), -1)
+
+        gs = group_of(src)
+        up &= (gs == group_of(dst)) & (gs >= 0)
+    return up, src_crashed
+
+
 def _find(idx: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Positions in ascending ``idx`` of those of ascending ``ids`` it holds."""
     if not len(idx) or not len(ids):
@@ -556,13 +586,7 @@ def _send_batch_items(
     elif net._fault_free:
         reach = np.empty(0, dtype=np.intp)
     else:
-        up_static = np.fromiter(
-            (net.link_up(int(s), int(d)) for s, d in zip(src, dst)),
-            dtype=bool, count=m,
-        )
-        src_crashed = np.fromiter(
-            (net.is_crashed(int(s)) for s in src), dtype=bool, count=m,
-        )
+        up_static, src_crashed = _frozen_faults(net, src, dst)
         reach = np.flatnonzero(~up_static | src_crashed)
     everyone = len(reach) == m
 
@@ -635,25 +659,17 @@ def _send_batch_items(
         lost[draw] = net.rng.random(len(draw)) < rates.take(draw)
         return lost
 
-    # Item blocks in creation order; the empty seeds fix the dtypes and
-    # keep an empty batch concatenable.
-    buf_t = [np.empty(0, dtype=np.float64)]
-    buf_type = [np.empty(0, dtype=np.int8)]
-    buf_idx = [np.empty(0, dtype=np.int32)]
-    emitted = 0
-    #: creation index of each message's first frame arrival so far.
-    first_item = np.full(m, -1, dtype=np.int64)
+    # Item blocks in creation order, as emitted; ``arrivals`` lists the
+    # ACKed arrival blocks (position, epoch), which get their flags once
+    # every epoch has run.
+    blocks = []
+    arrivals = []
+    #: epoch of each message's first frame arrival so far (0: none).
+    first_k = np.zeros(m, dtype=np.int32)
 
     def emit(t, typ, idx):
-        nonlocal emitted
         if len(idx):
-            buf_t.append(t)
-            buf_type.append(
-                typ if isinstance(typ, np.ndarray)
-                else np.full(len(idx), typ, dtype=np.int8)
-            )
-            buf_idx.append(idx)
-            emitted += len(idx)
+            blocks.append((t, typ, idx, None))
 
     def drop(idx, t, gone, typ):
         """Emit cohort positions ``gone`` as ``typ``; return the rest."""
@@ -676,22 +692,23 @@ def _send_batch_items(
         lat = net.latency.sample_batch(s_go, d_go, net.rng)
         if tl is not None:
             lat = lat + tl.extra_delay_at(s_go, d_go, t_go)
-        t_arr = t_go + lat + frame_tx
+        t_arr = t_go + lat
+        if frame_tx:
+            t_arr += frame_tx
         emit(t_go, _T_DEPART, go)
         if tl is not None:
             go, t_arr = drop(go, t_arr, link_down(go, t_arr), _T_FRAME_MID)
         # The first arrival per message in global (time, creation) order
         # carries the payload, later ones are transport duplicates; the
         # strict ``<`` keeps the earlier epoch on a time tie, as replay
-        # order (creation order within an instant) does.  The arrival
-        # block is emitted next.
+        # order (creation order within an instant) does.  An epoch emits
+        # one arrival block.
         if k == 1:
-            first_item[go] = emitted + np.arange(len(go))
+            first_k[go] = 1
             first_arr[go] = t_arr
         else:
             prev = first_arr.take(go)
-            earlier = np.flatnonzero(~(t_arr >= prev))
-            first_item[go.take(earlier)] = emitted + earlier
+            first_k[go.take(np.flatnonzero(~(t_arr >= prev)))] = k
             first_arr[go] = np.fmin(prev, t_arr)
         if rel is None:
             emit(t_arr, _T_ARR_PLAIN, go)
@@ -704,6 +721,8 @@ def _send_batch_items(
         # arrivals at a shared destination away from the actor loop's
         # (time, seq) delivery order.
         ack_lost = loss_mask(t_arr)
+        if len(go):
+            arrivals.append((len(blocks), k))
         if ack_lost is None:
             emit(t_arr, _T_ARR_ACKUP, go)
             af, t_af = go, t_arr
@@ -715,7 +734,9 @@ def _send_batch_items(
         alat = net.latency.sample_batch(d_af, s_af, net.rng)
         if tl is not None:
             alat = alat + tl.extra_delay_at(d_af, s_af, t_af)
-        t_ack = t_af + alat + ack_tx
+        t_ack = t_af + alat
+        if ack_tx:
+            t_ack += ack_tx
         if tl is not None:
             af, t_ack = drop(af, t_ack, link_down(af, t_ack, back=True),
                              _T_ACK_MID)
@@ -742,28 +763,25 @@ def _send_batch_items(
         emit(t_fin, _T_EXHAUST, idx)
 
     # ---------------------------------------------------------- assembly
-    it_t = np.concatenate(buf_t)
-    it_type = np.concatenate(buf_type, dtype=np.int8)
-    it_idx = np.concatenate(buf_idx, dtype=np.int32)
-    it_flag = np.zeros(len(it_t), dtype=bool)
-    it_flag[first_item[first_item >= 0]] = True
+    # A message's arrival is its first iff no other epoch's came sooner.
+    for b, k in arrivals:
+        t_b, typ, ids, _ = blocks[b]
+        blocks[b] = t_b, typ, ids, first_k.take(ids) == k
     # Replay order is a stable sort on time: creation order (= epoch
     # order, categories in scalar decision order within an epoch) breaks
     # ties, and the contiguous reserved seq block makes that order the
-    # global one.  The items stay in creation order here: the ledger
-    # never orders items, only per-instant entries.
-    wave = ItemWave(
-        net, kind, size_bits, frame_bits, first_arr,
-        ~np.isnan(first_arr), attempts, src, dst,
-        it_t, it_type, it_idx, it_flag,
-    )
+    # global one.  Nothing here orders items: the ledger reduces each
+    # block to per-instant entries and orders those.
+    n_items = sum(len(b[2]) for b in blocks)
+    wave = ItemWave(net, kind, size_bits, frame_bits, first_arr,
+                    ~np.isnan(first_arr), attempts, src, dst, n_items)
     obs = _obs.OBS
     if obs.enabled:
         obs.emit("net.wave", t_ms=sim.now, kind=kind, count=m,
                  bits=m * size_bits, dropped=0,
                  transport=net.transport_mode)
-    if len(it_t):
-        wave._launch(sim._queue.reserve(len(it_t)))
+    if n_items:
+        wave._launch(sim._queue.reserve(n_items), blocks)
     return wave
 
 
@@ -775,21 +793,19 @@ class ItemWave:
     payload never landed; ``count``/``dropped``/``done``) and adds
     ``attempts`` (transmissions per message).  Unlike the fire-and-forget
     wave, the in-flight gauge moves at item times (departures/arrivals),
-    not at issue.  The item columns are in creation order until the
-    network's :class:`_ItemLedger` merges them into entries and releases
-    them.
+    not at issue.  The wave holds no items: ``_launch`` hands its blocks
+    to the network's :class:`_ItemLedger`, which keeps per-instant
+    entries only, and the wave counts the items replayed so far.
     """
 
     __slots__ = (
         "net", "kind", "size_bits", "frame_bits",
         "delivery_times", "delivered", "count", "dropped", "attempts",
-        "_src", "_dst", "_it_t", "_it_type", "_it_idx",
-        "_it_flag", "_n_items", "_sent", "_pos",
+        "_src", "_dst", "_n_items", "_sent", "_pos",
     )
 
     def __init__(self, net, kind, size_bits, frame_bits,
-                 delivery_times, delivered, attempts, src, dst,
-                 it_t, it_type, it_idx, it_flag):
+                 delivery_times, delivered, attempts, src, dst, n_items):
         self.net = net
         self.kind = kind
         self.size_bits = size_bits
@@ -801,11 +817,7 @@ class ItemWave:
         self.attempts = attempts
         self._src = src
         self._dst = dst
-        self._it_t = it_t
-        self._it_type = it_type
-        self._it_idx = it_idx      # message index per item (int32)
-        self._it_flag = it_flag    # the message's first frame arrival
-        self._n_items = len(it_t)
+        self._n_items = n_items
         self._sent = None     # per-message transmissions replayed so far
         self._pos = 0         # items replayed so far
 
@@ -815,26 +827,25 @@ class ItemWave:
         return self._pos >= self._n_items
 
     # ------------------------------------------------------------- firing
-    def _launch(self, seq0: int) -> None:
-        """Queue the replay of items at seqs ``seq0...`` on the network's
-        ledger."""
+    def _launch(self, seq0: int, blocks: list) -> None:
+        """Queue the replay of the items of ``blocks`` at seqs
+        ``seq0...`` on the network's ledger."""
         net = self.net
         ledger = net._ledger
         # None pending — or ``sim.clear()`` took its entry off the heap.
         if ledger is None or ledger._event._queue is None:
             ledger = net._ledger = _ItemLedger(net)
-        ledger.add(self, seq0)
+        ledger.add(self, seq0, blocks)
 
     # -------------------------------------------------- per-item semantics
-    def _apply_item(self, p: int) -> None:
-        """Replay item ``p``: the per-item semantics that bulk runs must
-        add up to (one heap entry each under ``tests/simnet/per_item.py``)."""
+    def _apply_item(self, t: float, typ: int, i: int, first: bool) -> None:
+        """Replay one item of type ``typ`` at ``t`` for message ``i``
+        (``first``: its first frame arrival): the per-item semantics that
+        bulk runs must add up to (one heap entry each under
+        ``tests/simnet/per_item.py``)."""
         net = self.net
         rel = net.reliable
-        t = float(self._it_t[p])
         net.sim.advance_to(t)
-        typ = int(self._it_type[p])
-        i = int(self._it_idx[p])
         src = int(self._src[i])
         dst = int(self._dst[i])
         obs = _obs.OBS
@@ -875,7 +886,7 @@ class ItemWave:
                 rel.acks_sent += 1
                 if typ == _T_ARR_ACKLOST:
                     net._drop(dst, src, "net.ack", ACK_BITS, "loss")
-            if not self._it_flag[p] and typ != _T_ARR_PLAIN:
+            if not first and typ != _T_ARR_PLAIN:
                 rel.duplicates_suppressed += 1
         elif typ == _T_ACK_MID:
             net.in_flight -= 1
@@ -913,13 +924,14 @@ def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``x`` ascending, and how often each occurs.
 
     One sort at most: none when ``x`` is already in order, as a block
-    holding a single instant is.
+    holding a single instant is.  The values are a copy, never a view
+    that would keep ``x`` alive.
     """
     n = len(x)
     if n > 1 and not (x[1:] >= x[:-1]).all():
         x = np.sort(x)
     elif not n or x[0] == x[-1]:
-        return x[:1], np.full(min(n, 1), n, dtype=np.intp)
+        return x[:1].copy(), np.full(min(n, 1), n, dtype=np.intp)
     last = np.append(np.flatnonzero(x[1:] != x[:-1]), n - 1)
     counts = np.empty(len(last), dtype=np.intp)
     counts[0] = last[0] + 1
@@ -938,20 +950,19 @@ class _ItemLedger:
     entry adds its own; the replay meets the older one at its batch's
     first key and resumes from it).
 
-    The first firing merges without ordering items.  Each batch's items
-    stay in creation order, and every maximal block of one item type
-    (the interleaved ACKed/ACK-lost arrivals count as one) shrinks to
-    *entries*: one ``(time, kind, count)`` per distinct instant, plus,
-    for ACKed arrivals, one of kind ``_FIRST`` per instant counting
-    first-arrival flags.  One stable time sort of the entries,
-    concatenated in (batch, block) order, puts them in replay order, and
-    a *row* is a run of equal ``(time, batch)`` entries: the items of one
-    seq block at one instant, which no foreign key can split.  Every block is
-    sign-homogeneous in ``_IF_DELTA`` (all +1 or all <= 0), so inside
-    an instant the gauge peaks at the end of an entry.  Every firing
-    replays the maximal run of rows up to the next heap head in
-    O(entries) numpy work and re-queues at the next row's own key.  A
-    batch issued after the merge opens the next ledger.
+    :meth:`add` reduces a batch as it is issued: each emitted block of
+    one item type (the interleaved ACKed/ACK-lost arrivals count as one)
+    shrinks to *entries*, one ``(time, kind, count)`` per distinct
+    instant, plus, for ACKed arrivals, one of kind ``_FIRST`` per instant
+    counting first-arrival flags.  The first firing merges: one stable
+    time sort of the entries, concatenated in (batch, block) order, puts
+    them in replay order, and a *row* is a run of equal ``(time, batch)``
+    entries: the items of one seq block at one instant, which no foreign
+    key can split.  Every block is sign-homogeneous in ``_IF_DELTA``
+    (all +1 or all <= 0), so inside an instant the gauge peaks at the end
+    of an entry.  Every firing replays the maximal run of rows up to the
+    next heap head in O(entries) numpy work and re-queues at the next
+    row's own key.  A batch issued after the merge opens the next ledger.
     """
 
     def __init__(self, net: "Network") -> None:
@@ -960,76 +971,77 @@ class _ItemLedger:
         self.seq0: list[int] = []        # their reserved block starts
         self._event = None    # the earliest heap entry, until the merge
         self._own = set()     # keys ``add`` queued, fired or not
+        self._entries = []    # per batch: (time, key, count) columns
+        self._ex = []         # exhaustions: (times, batch, messages)
         self._row_t = None    # per row: its time, then batch and bounds
         self._pos = 0
 
-    def add(self, wave: ItemWave, seq0: int) -> None:
+    def add(self, wave: ItemWave, seq0: int, blocks: list) -> None:
+        """Queue batch ``wave`` (items at seqs ``seq0...``) as the entries
+        of its ``blocks``, with ``key = batch * _KINDS + kind``; its
+        exhaustions go to ``_ex`` in creation order."""
+        w = len(self.waves)
         self.waves.append(wave)
         self.seq0.append(seq0)
-        # The batch's earliest item holds seq ``seq0``, above every earlier
-        # batch's, so only an earlier time precedes the pending entry.
-        t0 = float(wave._it_t.min())
+        ts, kinds, ns = [], [], []
+        for t, typ, idx, first in blocks:
+            u, n = _runs(t)
+            if first is not None:
+                if isinstance(typ, np.ndarray):
+                    # ACKed = all arrivals less the ACK-lost ones per
+                    # instant (a subset's instants are among the block's).
+                    ul, nl = _runs(t[typ == _T_ARR_ACKLOST])
+                    n_up = n.copy()
+                    n_up[u.searchsorted(ul)] -= nl
+                    up = np.flatnonzero(n_up)
+                    ts += (u.take(up), ul)
+                    ns += (n_up.take(up), nl)
+                    kinds += (_T_ARR_ACKUP, _T_ARR_ACKLOST)
+                else:
+                    ts.append(u)
+                    ns.append(n)
+                    kinds.append(typ)
+                # The first arrivals are all of them unless a retransmit
+                # epoch's.
+                if not first.all():
+                    u, n = _runs(t[first])
+                typ = _FIRST
+            elif typ == _T_EXHAUST:
+                self._ex.append((t, np.full(len(t), w), idx))
+            ts.append(u)
+            ns.append(n)
+            kinds.append(typ)
+        t = np.concatenate(ts)
+        self._entries.append((
+            t, np.repeat(np.array(kinds, dtype=np.int32) + w * _KINDS,
+                         [len(u) for u in ts]),
+            np.concatenate(ns, dtype=np.int32)))
+        # The batch's earliest item (a departure: every message's first
+        # item sits at its departure time) holds seq ``seq0``, above every
+        # earlier batch's, so only an earlier time precedes the pending
+        # entry.
+        t0 = float(t.min())
         if self._event is None or t0 < self._event.time:
             self._event = self.net.sim._queue.push_at(t0, seq0, self._fire)
             self._own.add((t0, seq0))
 
-    def _reduce(self, w: int):
-        """Batch ``w``'s entries in block order, as (time, key, count)
-        columns with ``key = w * _KINDS + kind``; its exhaustions go to
-        ``_ex`` as (times, batch, messages) in creation order."""
-        wave = self.waves[w]
-        t, typ = wave._it_t, wave._it_type
-        # Block ends: where the type changes, the arrival pair as one.
-        ends = np.flatnonzero(np.diff(typ - (typ == _T_ARR_ACKLOST))) + 1
-        ts, kinds, ns = [], [], []
-        a = 0
-        for b in [*ends.tolist(), len(t)]:
-            c, tb = int(typ[a]), t[a:b]
-            u, n = _runs(tb)
-            if c in (_T_ARR_ACKUP, _T_ARR_ACKLOST):
-                # ACKed = all arrivals less the ACK-lost ones per instant
-                # (a subset's instants are among the block's); the first
-                # arrivals are all of them unless a retransmit epoch's.
-                ul, nl = _runs(tb[typ[a:b] == _T_ARR_ACKLOST])
-                n_up = n.copy()
-                n_up[u.searchsorted(ul)] -= nl
-                up = np.flatnonzero(n_up)
-                ts += (u.take(up), ul)
-                ns += (n_up.take(up), nl)
-                kinds += (_T_ARR_ACKUP, _T_ARR_ACKLOST)
-                flag = wave._it_flag[a:b]
-                if not flag.all():
-                    u, n = _runs(tb[flag])
-                c = _FIRST
-            elif c == _T_EXHAUST:
-                self._ex.append((tb, np.full(b - a, w), wave._it_idx[a:b]))
-            ts.append(u)
-            ns.append(n)
-            kinds.append(c)
-            a = b
-        keys = np.array(kinds, dtype=np.int32) + w * _KINDS
-        # Nothing reads the batch's creation-order columns after this.
-        wave._it_t = wave._it_type = wave._it_idx = wave._it_flag = None
-        return (np.concatenate(ts), keys.repeat([len(u) for u in ts]),
-                np.concatenate(ns, dtype=np.int32))
-
     def _merge(self) -> None:
         self.net._ledger = self._event = None
-        self._ex = []
-        # One column at a time, the batches' parts released as merged.
-        cols = dict(zip("tkn", zip(*map(self._reduce,
-                                        range(len(self.waves))))))
         if self._ex:
             # Exhaustions replay one by one, in (time, batch, creation)
             # order: a run's are the next ones in this list.
             ex = [np.concatenate(col) for col in zip(*self._ex)]
             order = np.argsort(ex[0], kind="stable")
             self._ex = list(zip(*(col[order].tolist() for col in ex)))
-        t = np.concatenate(cols.pop("t"))
+        # One column at a time, the batches' parts released as merged.
+        t, key, n = zip(*self._entries)
+        del self._entries
+        t = np.concatenate(t)
         order = np.argsort(t, kind="stable")
         self._t = t = t[order]
-        self._n = np.concatenate(cols.pop("n"))[order]
-        key = np.concatenate(cols.pop("k"))[order]
+        self._n = np.concatenate(n)[order]
+        del n
+        key = np.concatenate(key)[order]
         del order
         w = key // _KINDS
         self._bounds = np.flatnonzero(np.r_[True, (t[1:] != t[:-1])

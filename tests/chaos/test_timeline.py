@@ -31,6 +31,10 @@ from repro.chaos import (
 from repro.simnet import FixedLatency, Network, Simulator, TraceRecorder
 from tests.simnet.per_item import REPLAYS, actor_arrivals
 
+#: NaN (never arrived) and ``inf`` (never landed) are sentinels here: an
+#: arithmetic warning on them is a bug, not noise.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _ids(*xs):
     return np.asarray(xs, dtype=np.int64)
@@ -162,6 +166,75 @@ def _scripts(draw):
             (tuple(range(cut)), tuple(range(cut, 11))),  # 11: an outsider
         ))
     return FaultSchedule(events)
+
+
+#: crash and recover instants: on and between the other scripts' edges.
+_CRASH_TIMES = (0.0, 5.0, 10.0, 45.0, 90.0, 130.0, 400.0, 2000.0)
+
+
+@st.composite
+def _crash_scripts(draw):
+    """Crash / recover alternations on nodes 0..11: up to three crash
+    intervals per node, the last one open or closed."""
+    events = []
+    for node in draw(st.sets(st.integers(0, 11), max_size=5)):
+        times = sorted(draw(st.sets(st.sampled_from(_CRASH_TIMES),
+                                    min_size=1, max_size=6)))
+        events += [(Crash if k % 2 == 0 else Recover)(t, node)
+                   for k, t in enumerate(times)]
+    return FaultSchedule(events)
+
+
+def _crash_loops(schedule):
+    """``crashed_at`` and ``recovery_at_or_after`` as one ``nodes ==
+    node`` pass per scripted node: the reference the timeline's one
+    lookup per id must equal."""
+    open_at, intervals, recoveries = {}, {}, {}
+    for event in schedule.events:
+        if isinstance(event, Crash):
+            open_at[event.node] = event.t_ms
+        elif isinstance(event, Recover):
+            intervals.setdefault(event.node, []).append(
+                (open_at.pop(event.node), event.t_ms))
+            recoveries.setdefault(event.node, []).append(event.t_ms)
+    for node, start in open_at.items():
+        intervals.setdefault(node, []).append((start, np.inf))
+
+    def crashed_at(nodes, times):
+        out = np.zeros(len(nodes), dtype=bool)
+        for node, spans in intervals.items():
+            sel = nodes == node
+            t = times[sel]
+            hit = np.zeros(len(t), dtype=bool)
+            for s, e in spans:
+                hit |= (t >= s) & (t < e)
+            out[sel] = hit
+        return out
+
+    def recovery_at_or_after(nodes, times):
+        out = np.zeros(len(nodes), dtype=bool)
+        for node, recs in recoveries.items():
+            sel = nodes == node
+            out[sel] = times[sel] <= max(recs)
+        return out
+
+    return crashed_at, recovery_at_or_after
+
+
+class TestQueriesEqualTheirLoops:
+    @given(_crash_scripts(), st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_crash_lookups_equal_per_node_passes(self, schedule, seed):
+        tl = schedule.timeline()
+        crashed_at, recovery_at_or_after = _crash_loops(schedule)
+        rng = np.random.default_rng(seed)
+        nodes = rng.integers(-1, 14, size=300)
+        times = rng.choice([*_CRASH_TIMES, 4.9, 44.9, 129.9, 1e9, np.inf,
+                            np.nan], size=300)
+        np.testing.assert_array_equal(tl.crashed_at(nodes, times),
+                                      crashed_at(nodes, times))
+        np.testing.assert_array_equal(tl.recovery_at_or_after(nodes, times),
+                                      recovery_at_or_after(nodes, times))
 
 
 class TestFaultReach:
@@ -360,6 +433,42 @@ def _hold_free(draw):
                                      nodes=spike_nodes))
     loss = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
     return FaultSchedule(events), loss, spike_nodes
+
+
+@given(_hold_free(), st.integers(0, 2**16),
+       st.sampled_from(["spread", "one instant", "near"]))
+@settings(max_examples=200, deadline=None)
+def test_loss_and_delay_equal_per_instant_sums(script, seed, how):
+    """Batches inside one span of the script (returned without a
+    per-message pass) and across edges read the rate the windows set
+    and the spikes' delays summed in script order."""
+    schedule, loss, _ = script
+    tl = schedule.timeline(loss)
+    rng = np.random.default_rng(seed)
+    n = 60
+    if how == "spread":
+        times = rng.choice([*_EDGES, 2.5, 45.0, 250.0, 1e6], size=n)
+    else:
+        times = np.full(n, rng.choice(_EDGES))
+        if how == "near":
+            times += rng.random(n) * 12.0
+    src, dst = rng.integers(0, 12, size=(2, n))
+    windows = [e for e in schedule.events if isinstance(e, LossWindow)]
+    spikes = [e for e in schedule.events if isinstance(e, DelaySpike)]
+    rates, extras = [], []
+    for s, d, t in zip(src.tolist(), dst.tolist(), times.tolist()):
+        rate, extra = loss, 0.0
+        for w in windows:
+            if w.t_start_ms <= t < w.t_end_ms:
+                rate = w.loss_rate
+        for sp in spikes:
+            on = sp.t_start_ms <= t < sp.t_end_ms and (
+                sp.nodes is None or s in sp.nodes or d in sp.nodes)
+            extra += on * sp.extra_delay_ms
+        rates.append(rate)
+        extras.append(extra)
+    assert tl.loss_rate_at(times).tolist() == rates
+    assert tl.extra_delay_at(src, dst, times).tolist() == extras
 
 
 @given(_hold_free(), st.integers(1, 6), st.integers(0, 2**16))

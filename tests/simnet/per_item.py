@@ -8,7 +8,9 @@ that replay in one ``_launch`` method.  Inside :func:`per_item` the
 launch is swapped for plain discrete-event scheduling: one heap entry
 per delivered message and per item, each at the ``(time, seq)`` key the
 wave reserved for it, each running the wave's own one-step semantics
-(``DeliveryWave._deliver_one``, ``ItemWave._apply_item``).  Fates, RNG
+(``DeliveryWave._deliver_one``, ``ItemWave._apply_item``); an item
+batch's replay-order columns come from the very blocks the wave would
+hand its ledger (:func:`item_columns`).  Fates, RNG
 draws, delivery times and seq blocks are all fixed before launch, so
 running one workload both ways compares only the waves' runs, merges
 and cuts against one-event-per-step replay: clock, in-flight gauge and
@@ -29,9 +31,6 @@ import numpy as np
 
 from repro.simnet import waves as W
 
-_ITEM_COLUMNS = ("_it_t", "_it_type", "_it_idx", "_it_flag")
-
-
 def _deliver(wave, i):
     wave._deliver_one(i)
     wave._pos += 1
@@ -45,17 +44,33 @@ def _launch_messages(wave):
              partial(_deliver, wave, i))
 
 
-def _launch_items(wave, seq0):
+def item_columns(blocks):
+    """The items of a batch's emitted ``blocks`` as replay-order columns
+    (time, type, message, first-arrival flag): a stable sort on time of
+    the blocks' creation order."""
+    n = [len(b[2]) for b in blocks]
+    t = np.concatenate([b[0] for b in blocks])
+    typ = np.concatenate([np.broadcast_to(np.int8(b[1]), k)
+                          for b, k in zip(blocks, n)])
+    idx = np.concatenate([b[2] for b in blocks])
+    first = np.concatenate([np.ones(k, dtype=bool) if b[3] is None else b[3]
+                            for b, k in zip(blocks, n)])
+    order = np.argsort(t, kind="stable")
+    return t[order], typ[order], idx[order], first[order]
+
+
+def _apply(wave, cols, p):
+    t, typ, idx, first = cols
+    wave._apply_item(float(t[p]), int(typ[p]), int(idx[p]), bool(first[p]))
+
+
+def _launch_items(wave, seq0, blocks):
     """One heap entry per item: item ``p`` of the batch's stable time
     order at seq ``seq0 + p``, the key the ledger gives it."""
-    # The batch keeps creation order for the ledger's merge; put it in
-    # replay order.
-    order = np.argsort(wave._it_t, kind="stable")
-    for name in _ITEM_COLUMNS:
-        setattr(wave, name, getattr(wave, name)[order])
+    cols = item_columns(blocks)
     push = wave.net.sim._queue.push_at
-    for p in range(wave._n_items):
-        push(float(wave._it_t[p]), seq0 + p, partial(wave._apply_item, p))
+    for p, t in enumerate(cols[0].tolist()):
+        push(t, seq0 + p, partial(_apply, wave, cols, p))
 
 
 @contextmanager

@@ -17,8 +17,10 @@ import gc
 import time
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +43,11 @@ from repro.simnet import waves as W
 from repro.simnet.reliable import ACK_BITS
 
 from .latency import UniformLatency
-from .per_item import REPLAYS
+from .per_item import REPLAYS, item_columns
+
+#: NaN (never arrived) and ``inf`` (never landed) are sentinels here: an
+#: arithmetic warning on them is a bug, not noise.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------- the cut
@@ -110,12 +116,34 @@ _PLAIN_TYPES = [
 ]
 
 
-def _random_batches(seed, reliable, sizes, n_instants, merged):
-    """Accounting batches over random item mixes, on a fresh network.
+def _emitted_blocks(it_t, it_type, it_idx, it_flag):
+    """Creation-order items cut into the blocks ``_send_batch_items``
+    emits: maximal runs of one type, the ACKed/ACK-lost arrivals as one
+    block (typed per item unless all ACKed), first-arrival flags on
+    ACKed arrival blocks only."""
+    acked = (W._T_ARR_ACKUP, W._T_ARR_ACKLOST)
+    ends = np.flatnonzero(np.diff(it_type - (it_type == W._T_ARR_ACKLOST)))
+    bounds = [0, *(ends + 1).tolist(), len(it_t)]
+    blocks = []
+    for a, b in zip(bounds, bounds[1:]):
+        typ = it_type[a:b]
+        if typ[0] not in acked:
+            blocks.append((it_t[a:b], int(typ[0]), it_idx[a:b], None))
+            continue
+        if (typ == W._T_ARR_ACKUP).all():
+            typ = W._T_ARR_ACKUP
+        blocks.append((it_t[a:b], typ, it_idx[a:b], it_flag[a:b]))
+    return blocks
 
-    ``merged``: the batches sit in one merged ledger (fed their columns
-    in creation order, as ``_send_batch_items`` does); otherwise each
-    holds its own columns in replay order, for ``_apply_item``.
+
+def _random_batches(seed, reliable, sizes, n_instants, merged):
+    """Accounting batches over random item mixes, on a fresh network,
+    and each batch's replay-order item columns.
+
+    The items are fed as emitted blocks (:func:`_emitted_blocks`).
+    ``merged``: the batches sit in one merged ledger, as
+    ``_send_batch_items`` hands them over; otherwise they replay
+    through ``_apply_item`` from their columns.
     """
     rng = np.random.default_rng(seed)
     m, n_nodes = 12, 6
@@ -126,7 +154,7 @@ def _random_batches(seed, reliable, sizes, n_instants, merged):
     )
     net.trace.keep_records = True
     ledger = W._ItemLedger(net)
-    waves = []
+    waves, items = [], []
     for w, n_items in enumerate(sizes):
         src = rng.integers(0, n_nodes, size=m)
         dst = (src + 1 + rng.integers(0, n_nodes - 1, size=m)) % n_nodes
@@ -138,21 +166,19 @@ def _random_batches(seed, reliable, sizes, n_instants, merged):
         it_flag = np.isin(it_type, W._ARR_TYPES) & (rng.random(n_items) < 0.6)
         first_arr = np.where(rng.random(m) < 0.3, np.nan,
                              rng.integers(0, n_instants + 2, size=m) * 5.0)
-        if not merged:
-            order = np.argsort(it_t, kind="stable")
-            it_t, it_type = it_t[order], it_type[order]
-            it_idx, it_flag = it_idx[order], it_flag[order]
+        blocks = _emitted_blocks(it_t, it_type, it_idx, it_flag)
         wave = W.ItemWave(
             net, f"k{w}", 64.0, 128.0 + w, first_arr,
             ~np.isnan(first_arr), rng.integers(1, 9, size=m), src, dst,
-            it_t, it_type, it_idx, it_flag,
+            n_items,
         )
         waves.append(wave)
+        items.append([col.tolist() for col in item_columns(blocks)])
         if merged:
-            ledger.add(wave, sim._queue.reserve(n_items))
+            ledger.add(wave, sim._queue.reserve(n_items), blocks)
     if merged:
         ledger._merge()
-    return net, waves, ledger
+    return net, waves, ledger, items
 
 
 def _state(net):
@@ -182,17 +208,18 @@ _RECORDED = [
 ]
 
 
-def _expected_records(waves, run):
+def _expected_records(waves, items, run):
     """One ``WaveRecord`` per (batch, category) present among ``run``'s
     ``(batch, position)`` items, stamped with the category's last time."""
     out = []
     for w, wave in enumerate(waves):
+        it_t, it_type = items[w][:2]
         for typs, ack, delivered in _RECORDED:
-            at = [p for b, p in run if b == w and wave._it_type[p] in typs]
+            at = [p for b, p in run if b == w and it_type[p] in typs]
             if at:
                 kind, bits = (("net.ack", ACK_BITS) if ack
                               else (wave.kind, wave.frame_bits))
-                out.append(WaveRecord(float(wave._it_t[at[-1]]), kind,
+                out.append(WaveRecord(float(it_t[at[-1]]), kind,
                                       len(at), len(at) * bits, delivered))
     return out
 
@@ -215,17 +242,12 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
     creation)`` order leaves them; with obs on, the same metrics reduced
     from each side's events."""
     def replay(bulk):
-        net, waves, ledger = _random_batches(seed, reliable, sizes,
-                                             n_instants, merged=bulk)
-        if bulk:
-            _, ref, _ = _random_batches(seed, reliable, sizes, n_instants,
-                                        merged=False)
-        else:
-            ref = waves
+        net, waves, ledger, items = _random_batches(seed, reliable, sizes,
+                                                    n_instants, merged=bulk)
         # Each batch's columns are in replay order, so sorting on
         # (time, batch, position) is the per-item replay's global order.
-        order = sorted((float(t), w, p) for w, wave in enumerate(ref)
-                       for p, t in enumerate(wave._it_t))
+        order = sorted((t, w, p) for w, cols in enumerate(items)
+                       for p, t in enumerate(cols[0]))
         # A run ends between rows, (time, batch) groups: cut there.
         rows = np.flatnonzero([k == 0 or order[k][:2] != order[k - 1][:2]
                                for k in range(len(order))])
@@ -242,10 +264,10 @@ def test_bulk_run_equals_item_replay(seed, reliable, sizes, n_instants,
                 net.trace.records.clear()
                 ledger._bulk_run(a, b)
                 assert net.trace.records == _expected_records(
-                    ref, order[rows[a]:rows[b]])
+                    waves, items, order[rows[a]:rows[b]])
             else:
                 for w, p in order[rows[a]:rows[b]]:
-                    waves[w]._apply_item(p)
+                    waves[w]._apply_item(*(col[p] for col in items[w]))
             states.append((_state(net), [wave.done for wave in waves]))
         assert all(wave.done for wave in waves)
         return states
@@ -482,7 +504,16 @@ def test_close_drops_a_pending_and_a_half_replayed_ledger():
 def test_drained_ledger_is_freed_without_the_cyclic_collector():
     """The network lets go of its ledger at the merge and nothing else
     holds it once drained, so refcounting frees its entries; each
-    batch's creation-order items go at the merge, before any replays."""
+    batch's items are gone when ``send_batch`` returns, before any
+    replays: the ledger keeps per-instant entries, and exhaustions (none
+    here) alone."""
+    blocks = []
+    add = W._ItemLedger.add
+
+    def spy(ledger, wave, seq0, emitted):
+        add(ledger, wave, seq0, emitted)
+        blocks.extend(emitted)
+
     gc.collect()
     gc.disable()
     try:
@@ -490,11 +521,17 @@ def test_drained_ledger_is_freed_without_the_cyclic_collector():
         net = Network(sim, latency=FixedLatency(10.0), transport="reliable",
                       rng=np.random.default_rng(0), loss_rate=0.2)
         ids = np.arange(50)
-        waves = [net.send_batch(ids, ids + 1, kind=k) for k in "ab"]
-        ledger = net._ledger
-        ledger._merge()  # what its first firing does
-        assert all(w._it_t is None and not w.done for w in waves)
-        ledger = weakref.ref(ledger)
+        with mock.patch.object(W._ItemLedger, "add", spy):
+            waves = [net.send_batch(ids, ids + 1, kind=k) for k in "ab"]
+        assert len(blocks) > 10
+        assert W._T_EXHAUST not in [b[1] for b in blocks
+                                    if not isinstance(b[1], np.ndarray)]
+        items = [weakref.ref(col) for block in blocks for col in block
+                 if isinstance(col, np.ndarray)]
+        del blocks[:]
+        assert all(item() is None for item in items)
+        assert not any(w.done for w in waves)
+        ledger = weakref.ref(net._ledger)
         sim.run()
         assert ledger() is None and all(w.done for w in waves)
     finally:

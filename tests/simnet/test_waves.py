@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MultiLayerTopology
 from repro.simnet import (
@@ -20,10 +22,15 @@ from repro.simnet import (
     Simulator,
     WaveRecord,
 )
+from repro.simnet import waves as W
 from repro.simnet.trace import MessageRecord
 
 from .latency import GaussianLatency, UniformLatency
 from .per_item import REPLAYS, per_item
+
+#: NaN (never arrived) and ``inf`` (never landed) are sentinels here: an
+#: arithmetic warning on them is a bug, not noise.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _net(seed=0, latency=None, loss_rate=0.0, **kw):
@@ -195,6 +202,34 @@ class TestWaveAccounting:
         sim.run()
         assert net.in_flight == 0
         assert net.peak_in_flight >= 500
+
+
+class TestFrozenFaults:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        crashed=st.sets(st.integers(0, 11), max_size=4),
+        # Per node 0..9 its partition group, -1 for none; nodes 10 and
+        # 11 are in no group.  ``None``: no partition.
+        groups=st.none() | st.lists(st.integers(-1, 2), min_size=10,
+                                    max_size=10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_masks_equal_link_up_per_message(self, crashed, groups, seed):
+        """The frozen-fault masks both wave paths build at issue are
+        ``Network.link_up`` and the sender's ``is_crashed``, message by
+        message, over any crash set and partition (empty groups, and
+        nodes outside every group, included)."""
+        sim, net = _net()
+        for node in crashed:
+            net.crash(node)
+        if groups is not None:
+            net.set_partition([[n for n, g in enumerate(groups) if g == gi]
+                               for gi in range(3)])
+        src, dst = np.random.default_rng(seed).integers(0, 12, size=(2, 200))
+        up, src_crashed = W._frozen_faults(net, src, dst)
+        assert up.tolist() == [net.link_up(int(s), int(d))
+                               for s, d in zip(src, dst)]
+        assert src_crashed.tolist() == [net.is_crashed(int(s)) for s in src]
 
 
 class TestFaultFreeIssue:
