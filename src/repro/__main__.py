@@ -226,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=_positive_int, default=6,
                         help="'xlayer': tree depth X (default: 6)")
     parser.add_argument("--delay-ms", default=15.0,
-                        type=_checked(float, lambda v: v >= 0, ">= 0"),
+                        type=_checked(float, lambda v: 0 <= v < float("inf"),
+                                      "finite and >= 0"),
                         help="'xlayer': fixed per-hop latency in "
                         "virtual ms (default: 15)")
     parser.add_argument("--dim", type=_positive_int, default=64,
@@ -397,7 +398,8 @@ def _run_xlayer(args: argparse.Namespace) -> int:
           f"closed form {closed_ms:.3f} sim-ms, "
           f"delta {result.finish_time_ms - closed_ms:+.3f}")
     exact = (
-        result.bits_sent == closed_bits
+        result.outcome.ok
+        and result.bits_sent == closed_bits
         and result.messages_sent == closed_msgs
         and result.finish_time_ms == closed_ms
     )

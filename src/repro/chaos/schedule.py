@@ -130,16 +130,6 @@ class _SpikedLatency:
             delay += self.spike.extra_delay_ms
         return delay
 
-    def sample_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        delays = self.base.sample_batch(src_ids, dst_ids, rng)
-        if self._affected is None:
-            return delays + self.spike.extra_delay_ms
-        affected = np.fromiter(self._affected, dtype=np.int64)
-        hit = np.isin(src_ids, affected) | np.isin(dst_ids, affected)
-        return delays + np.where(hit, self.spike.extra_delay_ms, 0.0)
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
@@ -292,11 +282,10 @@ class FaultSchedule:
 
         Also installs the returned applier as the network's
         ``fault_oracle`` so failure detectors can distinguish permanent
-        crashes from ones with a recovery pending, and a compiled
-        :class:`FaultTimeline` as ``network.fault_timeline`` so
-        ``send_batch`` waves issued on the same network see the same
-        faults (the timeline captures the network's current ambient
-        loss rate; it is inert for the per-message actor path).
+        crashes from ones with a recovery pending.  An armed network
+        runs the per-message actor path only: ``send_batch`` rejects it
+        (a wave reads its faults from a :meth:`timeline` installed as
+        ``network.fault_timeline`` instead).
         """
         armed = ArmedSchedule(schedule=self, sim=sim, network=network)
         obs = _obs.OBS
@@ -340,7 +329,6 @@ class FaultSchedule:
                     event.t_end_ms, lambda e=event: armed._close_spike(e)
                 )
         network.fault_oracle = armed
-        network.fault_timeline = self.timeline(network.loss_rate)
         return armed
 
 

@@ -22,9 +22,11 @@ Semantics mirror the armed event callbacks exactly:
   jointly affected endpoints (the armed path nests ``_SpikedLatency``
   wrappers, which also sums).
 
-The timeline is installed on a network as ``net.fault_timeline``; it is
-inert for the actor path (``physical_send`` never consults it) and
-switches ``send_batch`` into item mode.
+The X-layer wire round installs the timeline on its network as
+``net.fault_timeline``: it switches ``send_batch`` into item mode and is
+the only fault source a wave reads.  The actor path (``physical_send``)
+never consults it; its faults come from an armed schedule, on which
+``send_batch`` raises.
 """
 
 from __future__ import annotations

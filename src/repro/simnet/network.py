@@ -146,10 +146,9 @@ class Network:
         self.fault_oracle: Any = None
         #: optional :class:`repro.chaos.FaultTimeline`: a closed-form
         #: view of a fault schedule (loss/partition/crash/delay windows
-        #: as functions of time) consulted by ``send_batch`` so whole
-        #: waves can be fate-resolved without arming per-event callbacks.
-        #: Installed by :meth:`repro.chaos.FaultSchedule.arm` and the
-        #: X-layer chaos path.
+        #: as functions of time), the only fault source ``send_batch``
+        #: reads, so whole waves are fate-resolved without arming
+        #: per-event callbacks.  Installed by the X-layer wire round.
         self.fault_timeline: Any = None
         #: trace id stamped on every TraceContext this network allocates
         #: (one id per round/scenario; set by the round runners).
@@ -363,11 +362,10 @@ class Network:
 
         ``src_ids``/``dst_ids`` are equal-length integer arrays; message
         ``i`` departs at ``at_times[i]`` (default: now, and never before
-        now) and arrives after an independently sampled latency.  Fate
-        masks (link state, loss) and latency draws are single vectorized
-        passes.  The wave is pure accounting, carrying no payloads: peers
-        are modelled by their ids alone, which is what lets X-layer
-        rounds run at 10^5+ simulated peers.
+        now) and arrives after an independently sampled latency, drawn
+        in one vectorized pass.  The wave is pure accounting, carrying
+        no payloads: peers are modelled by their ids alone, which is
+        what lets X-layer rounds run at 10^5+ simulated peers.
 
         The batch takes one heap entry (see :mod:`repro.simnet.waves`)
         and replays exactly as one entry per message would: wave ==
@@ -376,13 +374,17 @@ class Network:
         batch becomes an *item wave*: the whole stop-and-wait
         ACK/retransmit state machine (attempt cohorts, backoff epochs,
         ACK traffic, budget exhaustion) is precomputed vectorized;
-        item batches pending on a network share one heap entry.  Without
-        a timeline, fault state is frozen at issue time for the whole
-        wave.  Causal spans are not allocated for wave messages.
+        item batches pending on a network share one heap entry.  Causal
+        spans are not allocated for wave messages.
+
+        The timeline is a wave's only fault source: live ``crash()`` /
+        ``set_partition`` state, an armed schedule, a bandwidth and
+        loss without ``transport="reliable"`` raise ``ValueError``
+        (the per-message ``send`` path models them all).
 
         Returns the :class:`~repro.simnet.waves.DeliveryWave`, whose
-        ``delivery_times`` gives each message's arrival (NaN if dropped
-        at issue) — or, as an item wave, the
+        ``delivery_times`` gives each message's arrival — or, as an
+        item wave, the
         :class:`~repro.simnet.waves.ItemWave`, whose ``delivery_times``
         gives each message's first frame arrival (NaN if the payload
         never landed) and ``attempts`` its transmissions.

@@ -11,9 +11,8 @@ entry.
 :func:`send_batch` (surfaced as ``Network.send_batch``) does exactly
 that:
 
-- departure/link/loss masks and latency draws are whole-array ops
-  (``LatencyModel.sample_batch``);
-- delivered messages get a **contiguous reserved seq block**
+- latency draws are one whole-array op (``LatencyModel.sample_batch``);
+- messages get a **contiguous reserved seq block**
   (:meth:`EventQueue.reserve`), message ``i`` taking ``seq0 + i`` — the
   very numbers per-message ``send`` calls would have consumed — so the
   global ``(time, seq)`` delivery order is that of one heap entry per
@@ -37,7 +36,13 @@ next *foreign* heap head.  Firings are the cuts by events that can
 observe the network — one for a whole X-layer round — not (instant,
 wave) pairs, let alone items.
 
-Accounting: a fault-free wave records one aggregate
+Faults come from an installed :class:`~repro.chaos.timeline.FaultTimeline`
+and nowhere else: ``send_batch`` raises ``ValueError`` on live
+``crash()`` / ``set_partition`` state, an armed schedule, a bandwidth or
+loss without ``transport="reliable"``, so a fire-and-forget wave runs on
+a fault-free, lossless network and drops nothing.
+
+Accounting: a wave records one aggregate
 :class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
 (with a ``count`` field) per category per run — per batch too, on the
 ledger — and totals match per-message records exactly.  Waves carry no
@@ -46,11 +51,11 @@ actor payloads: peers are modelled by their ids alone.
 Determinism contract (see ``docs/performance.md``): wave == per-item
 replay (``tests/simnet/per_item.py``, which swaps each wave class's
 ``_launch`` for one heap entry per message or item at its reserved key).
-The RNG is consumed before launch — loss uniforms for link-up messages
-first (one batch draw), then latency draws for surviving messages in
-enumeration order.  ``send_batch`` differs from a loop of scalar
-``send`` calls only in RNG interleaving (``send`` draws loss and latency
-alternately) and in skipping per-message causal span allocation.
+The RNG is consumed before launch — a fire-and-forget wave draws one
+latency per message in enumeration order.  ``send_batch`` differs from
+a loop of scalar ``send`` calls only in RNG interleaving (an item wave
+draws per attempt epoch, ``send`` per message) and in skipping
+per-message causal span allocation.
 """
 
 from __future__ import annotations
@@ -91,15 +96,13 @@ class DeliveryWave:
     """One batch of same-kind messages moving through the simulated wire.
 
     Returned by ``Network.send_batch``; ``delivery_times[i]`` is the
-    absolute arrival time of message ``i`` (``NaN`` if it was dropped at
-    issue).  The object is also the live heap participant that replays
-    the deliveries.
+    absolute arrival time of message ``i``.  The object is also the live
+    heap participant that replays the deliveries.
     """
 
     __slots__ = (
-        "net", "kind", "size_bits", "delivery_times", "delivered",
-        "count", "dropped", "_src", "_dst", "_times", "_seqs",
-        "_order", "_pos",
+        "net", "kind", "size_bits", "delivery_times", "count", "dropped",
+        "_src", "_dst", "_times", "_seqs", "_order", "_pos",
     )
 
     def __init__(
@@ -108,21 +111,18 @@ class DeliveryWave:
         kind: str,
         size_bits: float,
         delivery_times: np.ndarray,
-        delivered: np.ndarray,
-        count: int,
     ) -> None:
         self.net = net
         self.kind = kind
         self.size_bits = size_bits
         self.delivery_times = delivery_times
-        self.delivered = delivered
-        self.count = count
-        self.dropped = len(delivered) - count
+        self.count = len(delivery_times)
+        self.dropped = 0
         self._pos = 0
 
     @property
     def done(self) -> bool:
-        """Whether every surviving message has been delivered."""
+        """Whether every message has been delivered."""
         return self._pos >= self.count
 
     # -------------------------------------------------------------- firing
@@ -140,13 +140,6 @@ class DeliveryWave:
         while i < n:
             j = _cut(times, seqs, i, queue.peek_event())
             if j > i:
-                if not net._fault_free:
-                    # On degraded links each message re-checks its link
-                    # at delivery (a mid-flight crash drops it), one at a
-                    # time as the scalar path does.
-                    self._deliver_one(i)
-                    i += 1
-                    continue
                 # A bulk run pushes nothing, so the head is unchanged and
                 # the next cut is ``j`` itself: re-queue there directly.
                 self._bulk_run(i, j)
@@ -175,7 +168,8 @@ class DeliveryWave:
                      count=count)
 
     def _deliver_one(self, i: int) -> None:
-        """Deliver message ``i`` with full per-message semantics."""
+        """Deliver message ``i`` alone: the step bulk runs must add up to
+        (one heap entry each under ``tests/simnet/per_item.py``)."""
         net = self.net
         t = float(self._times[i])
         net.sim.advance_to(t)
@@ -183,12 +177,6 @@ class DeliveryWave:
         idx = self._order[i]
         src = int(self._src[idx])
         dst = int(self._dst[idx])
-        if not net.link_up(src, dst):
-            # Mid-flight crash: same silent-drop semantics as the
-            # scalar ``send`` path (obs event, no MessageRecord).
-            net._drop(src, dst, self.kind, self.size_bits, "in_flight",
-                      silent=True)
-            return
         net.trace.record(
             MessageRecord(t, src, dst, self.kind, self.size_bits,
                           delivered=True)
@@ -197,27 +185,6 @@ class DeliveryWave:
         if obs.enabled:
             obs.emit("net.deliver", t_ms=t, node=src, dst=dst,
                      kind=self.kind, bits=self.size_bits)
-
-
-def _report_drops(
-    net: "Network",
-    kind: str,
-    size_bits: float,
-    dep: np.ndarray,
-    mask: np.ndarray,
-    reason: str,
-) -> None:
-    """Aggregate issue-time drop accounting for one reason."""
-    count = int(mask.sum())
-    if count == 0:
-        return
-    t = float(dep[mask].max())
-    bits = count * size_bits
-    net.trace.record(WaveRecord(t, kind, count, bits, delivered=False))
-    obs = _obs.OBS
-    if obs.enabled:
-        obs.emit("net.drop", t_ms=t, kind=kind, bits=bits, count=count,
-                 reason=reason)
 
 
 def send_batch(
@@ -246,136 +213,52 @@ def send_batch(
         if m and dep.min() < sim.now:
             dep = np.maximum(dep, sim.now)
 
+    reason = (
+        "live crash or partition state" if not net._fault_free
+        else "an armed fault schedule" if net.fault_oracle is not None
+        else "a bandwidth" if net.bandwidth_bps is not None
+        else "loss without the reliable transport"
+        if net.loss_rate > 0.0 and net.reliable is None
+        else None
+    )
+    if reason is not None:
+        raise ValueError(
+            f"send_batch cannot model {reason}: a wave reads its faults "
+            "from an installed FaultTimeline only"
+        )
     if net.reliable is not None or net.fault_timeline is not None:
         # Reliable transport and/or time-varying faults: the per-message
         # fate is a whole attempt/ACK state machine, precomputed as a
         # flat *item* schedule and replayed from it.
-        if net.serialize_uplink:
-            raise ValueError(
-                "send_batch cannot combine serialize_uplink with the "
-                "reliable transport or a fault timeline"
-            )
         return _send_batch_items(net, src, dst, dep, size_bits, kind)
 
-    # Issue-time fate, in the scalar path's decision order: link state
-    # first, then one loss uniform per link-up message, then one latency
-    # draw per surviving message — a single batch draw each.  When
-    # nothing can drop, every message survives: ``alive`` selects all of
-    # them as a slice, so no mask is built and no gather copies.
-    if net._fault_free and net.loss_rate == 0.0:
-        alive, n_alive = slice(None), m
-    else:
-        if net._fault_free:
-            up = np.ones(m, dtype=bool)
-        else:
-            up = _frozen_faults(net, src, dst)[0]
-        alive = up.copy()
-        if net.loss_rate > 0.0 and up.any():
-            lost_up = net.rng.random(int(up.sum())) < net.loss_rate
-            alive[up] = ~lost_up
-        _report_drops(net, kind, size_bits, dep, ~up, "link_down")
-        _report_drops(net, kind, size_bits, dep, up & ~alive, "loss")
-        n_alive = int(alive.sum())
-    delays = net.latency.sample_batch(src[alive], dst[alive], net.rng)
-    if net.bandwidth_bps is not None and size_bits > 0:
-        transfer = 1000.0 * size_bits / net.bandwidth_bps
-        if net.serialize_uplink and n_alive:
-            times_alive = _serialized_times(
-                net, src[alive], dep[alive], delays, transfer
-            )
-        else:
-            times_alive = dep[alive] + delays + transfer
-    else:
-        times_alive = dep[alive] + delays
-
-    if n_alive == m:
-        delivery_times, delivered = times_alive, np.ones(m, dtype=bool)
-    else:
-        delivery_times = np.full(m, np.nan, dtype=np.float64)
-        delivery_times[alive] = times_alive
-        delivered = alive
-    wave = DeliveryWave(net, kind, size_bits, delivery_times, delivered,
-                        n_alive)
+    # Fault-free and lossless: every message is delivered, after one
+    # batch latency draw in enumeration order.
+    times = dep + net.latency.sample_batch(src, dst, net.rng)
+    wave = DeliveryWave(net, kind, size_bits, times)
     obs = _obs.OBS
     if obs.enabled:
-        obs.emit("net.wave", t_ms=sim.now, kind=kind, count=n_alive,
-                 bits=n_alive * size_bits, dropped=m - n_alive)
-    net.in_flight += n_alive
+        obs.emit("net.wave", t_ms=sim.now, kind=kind, count=m,
+                 bits=m * size_bits, dropped=0)
+    net.in_flight += m
     if net.in_flight > net.peak_in_flight:
         net.peak_in_flight = net.in_flight
-    if n_alive == 0:
-        # Every message dropped at issue: a done wave, nothing to replay.
+    if m == 0:
         return wave
 
-    seq0 = sim._queue.reserve(n_alive)
+    seq0 = sim._queue.reserve(m)
     wave._src, wave._dst = src, dst
     # Replay order is a stable sort on time, which is the identity on
     # times already non-decreasing: such a wave keeps its arrays.
-    if (times_alive[1:] >= times_alive[:-1]).all():
-        order, wave._times = range(n_alive), times_alive
-        wave._seqs = np.arange(seq0, seq0 + n_alive, dtype=np.int64)
+    if (times[1:] >= times[:-1]).all():
+        wave._order, wave._times = range(m), times
+        wave._seqs = np.arange(seq0, seq0 + m, dtype=np.int64)
     else:
-        order = np.argsort(times_alive, kind="stable")
-        wave._times = times_alive[order]
+        wave._order = order = np.argsort(times, kind="stable")
+        wave._times = times[order]
         wave._seqs = seq0 + order.astype(np.int64, copy=False)
-    wave._order = order if n_alive == m else np.flatnonzero(alive)[order]
     wave._launch()
     return wave
-
-
-# --------------------------------------------------------------------------
-# Serialized uplinks: per-destination busy-time prefix scan
-# --------------------------------------------------------------------------
-
-def _serialized_times(
-    net: "Network",
-    src_alive: np.ndarray,
-    dep_alive: np.ndarray,
-    delays: np.ndarray,
-    transfer_ms: float,
-) -> np.ndarray:
-    """Vectorized ``serialize_uplink`` delivery times for one wave.
-
-    Semantics: each sender's transfers queue FIFO on its uplink in
-    ``(departure, enumeration)`` order, exactly as a loop of
-    ``physical_send`` calls would have it — ``end_j = max(dep_j,
-    end_{j-1}) + T`` with ``end_0`` seeded from the network's persistent
-    ``_uplink_free`` state, and ``delivery_j = end_j + latency_j``.  The
-    recurrence is a segmented (per-source) cumulative max: writing
-    ``c_j = dep_j - rank_j * T`` (rank = position within the source's
-    queue), ``end_j = (rank_j + 1) * T + max(c_0..c_j)``.
-    """
-    n = len(src_alive)
-    order = np.lexsort((np.arange(n), dep_alive, src_alive))
-    so_src = src_alive[order]
-    so_dep = dep_alive[order]
-    new_grp = np.empty(n, dtype=bool)
-    new_grp[0] = True
-    new_grp[1:] = so_src[1:] != so_src[:-1]
-    grp_id = np.cumsum(new_grp) - 1
-    starts = np.flatnonzero(new_grp)
-    sizes = np.diff(np.append(starts, n))
-    rank = np.arange(n) - np.repeat(starts, sizes)
-    c = so_dep - rank * transfer_ms
-    busy0 = np.fromiter(
-        (net._uplink_free.get(int(s), 0.0) for s in so_src[starts]),
-        dtype=np.float64, count=len(starts),
-    )
-    c[starts] = np.maximum(c[starts], busy0)
-    # Segmented cummax via the offset trick on the integer ranks of ``c``:
-    # shifting each group into its own disjoint rank range keeps one
-    # global accumulate from leaking a maximum across group boundaries,
-    # and integer offsets cannot round the values they carry.
-    values, rank_c = np.unique(c, return_inverse=True)
-    span = grp_id * len(values)
-    seg = values[np.maximum.accumulate(rank_c + span) - span]
-    end = (rank + 1) * transfer_ms + seg
-    last = np.append(starts[1:], n) - 1
-    for s, e in zip(so_src[starts], end[last]):
-        net._uplink_free[int(s)] = float(e)
-    times = np.empty(n, dtype=np.float64)
-    times[order] = end + delays[order]
-    return times
 
 
 # --------------------------------------------------------------------------
@@ -407,13 +290,9 @@ def _serialized_times(
 # (4) one ``sample_batch`` draw per flying ACK.  Link-down attempts
 # consume no randomness (matching ``physical_send``).
 #
-# Without a fault timeline, link state and crash flags are frozen at
-# issue time: item waves never observe *live* ``crash()`` /
-# ``set_partition`` calls made after the batch was issued (use a
-# ``FaultTimeline`` for time-varying faults).  A sender crashed at issue
-# burns attempt 1 against the dead link and is then silently abandoned
-# at its first RTO — no exhaustion record — mirroring the scalar
-# transport's crash-before-exhaustion check order.
+# Link state, loss windows, delay spikes and crashed-sender holds
+# (``_apply_holds``) come from the installed ``FaultTimeline`` alone;
+# without one every link is up and the loss rate is the network's.
 
 _T_RETRANS = 0     # retransmission fires (attempt k >= 2 leaves the sender)
 _T_LINKDOWN = 1    # frame dropped at send: link down / endpoint crashed
@@ -496,34 +375,6 @@ def _apply_holds(
     return times, abandoned
 
 
-def _frozen_faults(
-    net: "Network", src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``Network.link_up`` and ``is_crashed`` (of the sender) per message,
-    from the crash set and the partition map in a few array passes."""
-    crashed = np.fromiter(net._crashed, dtype=np.int64,
-                          count=len(net._crashed))
-    src_crashed = np.isin(src, crashed)
-    up = ~(src_crashed | np.isin(dst, crashed))
-    part = net._partition
-    if part is not None:
-        # Group per node, ``-1`` outside every group (isolated).
-        nodes = np.fromiter(part, dtype=np.int64, count=len(part))
-        groups = np.fromiter(part.values(), dtype=np.int64, count=len(part))
-        order = np.argsort(nodes)
-        nodes, groups = nodes[order], groups[order]
-
-        def group_of(ids):
-            if not len(nodes):
-                return np.full(len(ids), -1)
-            pos = np.minimum(nodes.searchsorted(ids), len(nodes) - 1)
-            return np.where(nodes.take(pos) == ids, groups.take(pos), -1)
-
-        gs = group_of(src)
-        up &= (gs == group_of(dst)) & (gs >= 0)
-    return up, src_crashed
-
-
 def _find(idx: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Positions in ascending ``idx`` of those of ascending ``ids`` it holds."""
     if not len(idx) or not len(ids):
@@ -568,9 +419,6 @@ def _send_batch_items(
         base_rto = backoff = 0.0
         max_att = 1
         frame_bits = size_bits
-    bw = net.bandwidth_bps
-    frame_tx = 1000.0 * frame_bits / bw if (bw is not None and frame_bits > 0) else 0.0
-    ack_tx = 1000.0 * ACK_BITS / bw if bw is not None else 0.0
 
     attempts = np.zeros(m, dtype=np.int64)
     first_arr = np.full(m, np.nan, dtype=np.float64)
@@ -579,15 +427,12 @@ def _send_batch_items(
     # Fault reach: the messages whose link can ever be down or whose
     # sender can be held.  A script only touches the links of the nodes
     # it names, so each query asks it about those messages alone; every
-    # other link is up and every other sender is never held.  Frozen
-    # faults (no timeline) reach the messages down or crashed at issue.
+    # other link is up and every other sender is never held.  Without a
+    # timeline nothing is reached.
     if tl is not None:
         reach = np.flatnonzero(tl.can_go_down(src) | tl.can_go_down(dst))
-    elif net._fault_free:
-        reach = np.empty(0, dtype=np.intp)
     else:
-        up_static, src_crashed = _frozen_faults(net, src, dst)
-        reach = np.flatnonzero(~up_static | src_crashed)
+        reach = np.empty(0, dtype=np.intp)
     everyone = len(reach) == m
 
     def reached(idx, t):
@@ -611,11 +456,8 @@ def _send_batch_items(
         pos, ids, t_r = reached(idx, t)
         if not len(ids):
             return ids
-        if tl is None:
-            up = up_static.take(ids)
-        else:
-            s, d = src.take(ids), dst.take(ids)
-            up = tl.link_up_at(*((d, s) if back else (s, d)), t_r)
+        s, d = src.take(ids), dst.take(ids)
+        up = tl.link_up_at(*((d, s) if back else (s, d)), t_r)
         down = np.flatnonzero(~up)
         return down if pos is None else pos.take(down)
 
@@ -625,14 +467,11 @@ def _send_batch_items(
         pos, ids, t_r = reached(idx, t)
         if not len(ids):
             return idx, t
-        if tl is None:
-            gone = src_crashed.take(ids)
+        t_r, gone = _apply_holds(tl, src.take(ids), t_r, rto)
+        if pos is None:
+            t = t_r
         else:
-            t_r, gone = _apply_holds(tl, src.take(ids), t_r, rto)
-            if pos is None:
-                t = t_r
-            else:
-                t[pos] = t_r
+            t[pos] = t_r
         gone = np.flatnonzero(gone)
         return cut(idx, t, gone if pos is None else pos.take(gone))
 
@@ -693,8 +532,6 @@ def _send_batch_items(
         if tl is not None:
             lat = lat + tl.extra_delay_at(s_go, d_go, t_go)
         t_arr = t_go + lat
-        if frame_tx:
-            t_arr += frame_tx
         emit(t_go, _T_DEPART, go)
         if tl is not None:
             go, t_arr = drop(go, t_arr, link_down(go, t_arr), _T_FRAME_MID)
@@ -735,8 +572,6 @@ def _send_batch_items(
         if tl is not None:
             alat = alat + tl.extra_delay_at(d_af, s_af, t_af)
         t_ack = t_af + alat
-        if ack_tx:
-            t_ack += ack_tx
         if tl is not None:
             af, t_ack = drop(af, t_ack, link_down(af, t_ack, back=True),
                              _T_ACK_MID)

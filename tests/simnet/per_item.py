@@ -6,11 +6,13 @@ batches (:class:`~repro.simnet.waves.ItemWave`) from their network's
 ``_ItemLedger``.  Each wave class queues
 that replay in one ``_launch`` method.  Inside :func:`per_item` the
 launch is swapped for plain discrete-event scheduling: one heap entry
-per delivered message and per item, each at the ``(time, seq)`` key the
-wave reserved for it, each running the wave's own one-step semantics
+per message and per item, each at the ``(time, seq)`` key the wave
+reserved for it, each running the wave's own one-step semantics
 (``DeliveryWave._deliver_one``, ``ItemWave._apply_item``); an item
 batch's replay-order columns come from the very blocks the wave would
-hand its ledger (:func:`item_columns`).  Fates, RNG
+hand its ledger (:func:`item_columns`).  A fire-and-forget wave drops
+nothing (its faults, like an item wave's, come from a ``FaultTimeline``
+only), so every message is one delivery.  Fates, RNG
 draws, delivery times and seq blocks are all fixed before launch, so
 running one workload both ways compares only the waves' runs, merges
 and cuts against one-event-per-step replay: clock, in-flight gauge and
@@ -37,7 +39,7 @@ def _deliver(wave, i):
 
 
 def _launch_messages(wave):
-    """One heap entry per delivered message, at its reserved key."""
+    """One heap entry per message, at its reserved key."""
     push = wave.net.sim._queue.push_at
     for i in range(wave.count):
         push(float(wave._times[i]), int(wave._seqs[i]),

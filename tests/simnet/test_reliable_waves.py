@@ -13,11 +13,7 @@ numpy, then replayed through the heap.  The contract under test:
   per-message actor loop and the per-epoch cohort loop see the same
   uniform stream) the item wave reproduces the live
   ``net.send``-per-message transport's arrival times, clock and
-  counters bit for bit;
-- **serialized uplinks** — the per-destination busy-time prefix scan is
-  shared by the wave and the model (exact) and matches the actor path's
-  sequential recurrence to IEEE rounding order (rtol 1e-12 — see
-  ``docs/performance.md``).
+  counters bit for bit.
 """
 
 import numpy as np
@@ -245,94 +241,6 @@ def test_wave_uses_fewer_heap_events_under_reliable():
     # departure + arrival, plus retransmit/ACK traffic).
     assert counts["per_item"] > 2000
     assert counts["wave"] < counts["per_item"] / 10
-
-
-class TestSerializedUplinks:
-    def _workload(self):
-        rng = np.random.default_rng(11)
-        src = rng.integers(0, 10, size=200)
-        dst = (src + 1 + rng.integers(0, 9, size=200)) % 10
-        return src, dst
-
-    def _net(self):
-        sim = Simulator()
-        net = Network(
-            sim, latency=UniformLatency(2.0, 12.0),
-            rng=np.random.default_rng(4), bandwidth_bps=1e5,
-            serialize_uplink=True,
-        )
-        nodes = [Stub(i, sim) for i in range(10)]
-        for nd in nodes:
-            net.register(nd)
-        return sim, net, nodes
-
-    def test_prefix_scan_identical_across_engines(self):
-        src, dst = self._workload()
-        times = {}
-        for side, replay in REPLAYS:
-            with replay():
-                sim, net, _ = self._net()
-                wave = net.send_batch(src, dst, size_bits=400.0, kind="s")
-                sim.run()
-            times[side] = wave.delivery_times
-        np.testing.assert_array_equal(times["wave"], times["per_item"])
-
-    def test_prefix_scan_matches_actor_recurrence(self):
-        """The actor path computes ``end = fl(max(dep, busy) + T)``
-        sequentially; the wave's segmented prefix scan reorders the
-        IEEE additions.  Measured divergence is ~5e-15 relative; the
-        pin is rtol 1e-12 (documented in docs/performance.md)."""
-        src, dst = self._workload()
-
-        sim_a, net_a, nodes_a = self._net()
-        for i, (s, d) in enumerate(zip(src, dst)):
-            net_a.send(int(s), int(d), i, size_bits=400.0, kind="s")
-        sim_a.run()
-
-        sim_w, net_w, _ = self._net()
-        wave = net_w.send_batch(src, dst, size_bits=400.0, kind="s")
-        sim_w.run()
-
-        actor = actor_arrivals(nodes_a, len(src))
-        assert not np.isnan(actor).any()
-        np.testing.assert_allclose(wave.delivery_times, actor, rtol=1e-12)
-
-    def test_prefix_scan_exact_with_many_senders(self):
-        """1,000 senders, three 4 ms transfers each, departures spread
-        over 10 s: the batched scan equals a loop of the documented
-        recurrence ``end_j = max(dep_j, end_{j-1}) + T`` at rtol 1e-12.
-        A float per-sender offset (~1e7 ms here) rounds it to ~3e-11."""
-        rng = np.random.default_rng(5)
-        src = np.repeat(np.arange(1000), 3)
-        dep = rng.uniform(0.0, 10_000.0, size=len(src))
-        sim = Simulator()
-        net = Network(sim, latency=FixedLatency(5.0),
-                      rng=np.random.default_rng(4), bandwidth_bps=1e5,
-                      serialize_uplink=True)
-        wave = net.send_batch(src, (src + 1) % 1000, size_bits=400.0,
-                              at_times=dep)
-        expect, busy = np.empty(len(src)), {}
-        for j in sorted(range(len(src)), key=lambda j: (src[j], dep[j], j)):
-            busy[src[j]] = max(dep[j], busy.get(src[j], 0.0)) + 4.0
-            expect[j] = busy[src[j]] + 5.0
-        np.testing.assert_allclose(wave.delivery_times, expect, rtol=1e-12)
-
-    def test_busy_state_carries_across_batches(self):
-        """`_uplink_free` must persist: a second batch on the same
-        uplink queues behind the first, identically under the model."""
-        times = {}
-        for side, replay in REPLAYS:
-            with replay():
-                sim, net, _ = self._net()
-                w1 = net.send_batch([0, 0, 0], [1, 2, 3], size_bits=400.0)
-                sim.run()
-                w2 = net.send_batch([0], [4], size_bits=400.0)
-                sim.run()
-            times[side] = (w1.delivery_times, w2.delivery_times)
-            # Three 4ms transfers serialized: the 4th leaves at >= 12ms.
-            assert w2.delivery_times[0] >= 12.0
-        np.testing.assert_array_equal(times["wave"][0], times["per_item"][0])
-        np.testing.assert_array_equal(times["wave"][1], times["per_item"][1])
 
 
 def test_in_flight_gauge_under_reliable_waves():

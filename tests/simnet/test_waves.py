@@ -11,18 +11,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import MultiLayerTopology
 from repro.simnet import (
     FixedLatency,
     Network,
-    SimNode,
     Simulator,
     WaveRecord,
 )
-from repro.simnet import waves as W
 from repro.simnet.trace import MessageRecord
 
 from .latency import GaussianLatency, UniformLatency
@@ -46,22 +42,13 @@ def _pair_batch(rng, n_nodes, m):
     return src, dst
 
 
-class Recorder(SimNode):
-    def __init__(self, node_id, sim, network):
-        super().__init__(node_id, sim, network)
-        self.received = []
-
-    def on_message(self, src, msg):
-        self.received.append((self.sim.now, src, msg))
-
-
 class TestEngineEquality:
     @pytest.mark.parametrize("latency", [
         FixedLatency(12.0),
         UniformLatency(5.0, 25.0),
         GaussianLatency(20.0, 6.0),
     ])
-    @pytest.mark.parametrize("loss", [0.0, 0.15])
+    @pytest.mark.parametrize("loss", [0.0])
     def test_identical_delivery_times_and_totals(self, latency, loss):
         rng = np.random.default_rng(42)
         src, dst = _pair_batch(rng, 50, 4000)
@@ -136,63 +123,6 @@ class TestWaveAccounting:
         recs = [r for r in net.trace.records if isinstance(r, MessageRecord)]
         assert len(recs) == 2
 
-    def test_loss_drops_counted_once(self):
-        sim, net = _net(seed=11, loss_rate=0.5)
-        wave = net.send_batch(np.zeros(1000, dtype=int),
-                              np.ones(1000, dtype=int), size_bits=8.0)
-        sim.run()
-        assert wave.count + wave.dropped == 1000
-        assert 300 < wave.dropped < 700  # ~50%
-        assert net.trace.total_dropped == wave.dropped
-        assert np.isnan(wave.delivery_times).sum() == wave.dropped
-
-    def test_all_dropped_batch_is_done_at_issue(self):
-        """m > 0 messages, every one dropped at issue (the destination
-        crashed, or all lost — ``loss_rate`` < 1, so the seed is picked
-        to lose all four): a done wave, no heap entry, an empty gauge
-        and each drop counted once."""
-        for loss, crash in ((0.9, False), (0.0, True)):
-            sim, net = _net(seed=0, loss_rate=loss)
-            if crash:
-                for node in range(3):
-                    Recorder(node, sim, net)
-                net.crash(2)
-            before = sim.heap_stats()
-            wave = net.send_batch([0, 1, 0, 1], [2, 2, 2, 2], size_bits=8.0)
-            assert wave.done and wave.count == 0 and wave.dropped == 4
-            assert np.isnan(wave.delivery_times).all()
-            assert sim.heap_stats() == before
-            assert net.in_flight == 0
-            assert net.trace.total_dropped == 4
-            assert net.trace.total_messages == 0
-            sim.run()
-            assert sim.now == 0.0 and sim.events_processed == 0
-
-    def test_link_down_drops_at_issue(self):
-        sim, net = _net()
-        Recorder(0, sim, net)
-        Recorder(1, sim, net)
-        net.crash(1)
-        wave = net.send_batch([0, 0], [1, 0], size_bits=4.0)
-        sim.run()
-        assert wave.dropped == 1 and wave.count == 1
-        assert np.isnan(wave.delivery_times[0])
-
-    def test_mid_flight_crash_drops_wave_message(self):
-        """A crash scheduled between issue and arrival kills the message
-        under the wave and the model (per-message link re-check)."""
-        for _, replay in REPLAYS:
-            with replay():
-                sim, net = _net(latency=FixedLatency(10.0))
-                net.send_batch([0], [1], size_bits=8.0)
-                sim.schedule(5.0, lambda: net.crash(1))
-                sim.run()
-            # In-flight drops are silent in the trace (same as the
-            # scalar ``send`` path): no record either way.
-            assert net.trace.total_messages == 0
-            assert net.trace.total_dropped == 0
-            assert net.in_flight == 0
-
     def test_in_flight_gauge_returns_to_zero(self):
         sim, net = _net(seed=2, latency=GaussianLatency(10.0, 3.0))
         rng = np.random.default_rng(0)
@@ -204,64 +134,9 @@ class TestWaveAccounting:
         assert net.peak_in_flight >= 500
 
 
-class TestFrozenFaults:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        crashed=st.sets(st.integers(0, 11), max_size=4),
-        # Per node 0..9 its partition group, -1 for none; nodes 10 and
-        # 11 are in no group.  ``None``: no partition.
-        groups=st.none() | st.lists(st.integers(-1, 2), min_size=10,
-                                    max_size=10),
-        seed=st.integers(0, 2**16),
-    )
-    def test_masks_equal_link_up_per_message(self, crashed, groups, seed):
-        """The frozen-fault masks both wave paths build at issue are
-        ``Network.link_up`` and the sender's ``is_crashed``, message by
-        message, over any crash set and partition (empty groups, and
-        nodes outside every group, included)."""
-        sim, net = _net()
-        for node in crashed:
-            net.crash(node)
-        if groups is not None:
-            net.set_partition([[n for n, g in enumerate(groups) if g == gi]
-                               for gi in range(3)])
-        src, dst = np.random.default_rng(seed).integers(0, 12, size=(2, 200))
-        up, src_crashed = W._frozen_faults(net, src, dst)
-        assert up.tolist() == [net.link_up(int(s), int(d))
-                               for s, d in zip(src, dst)]
-        assert src_crashed.tolist() == [net.is_crashed(int(s)) for s in src]
-
-
 class TestFaultFreeIssue:
-    """With nothing able to drop at issue, ``send_batch`` builds no link
-    or loss mask and gathers nothing."""
-
-    def test_mask_free_issue_equals_the_mask_path(self):
-        """The same wave on a fault-free network and on one whose only
-        fault is a crashed node no message touches (the mask path):
-        same delivery times, reserved ``(time, seq)`` heap keys and
-        trace totals."""
-        rng = np.random.default_rng(5)
-        src, dst = _pair_batch(rng, 40, 3000)
-        at = rng.uniform(0.0, 30.0, size=3000)
-        seen = []
-        for crash in (False, True):
-            sim, net = _net(seed=3, latency=FixedLatency(12.0))
-            sim.schedule(20.0, lambda: None)  # a foreign entry mid-wave
-            if crash:
-                net.crash(99)
-            assert net._fault_free is not crash
-            wave = net.send_batch(src, dst, size_bits=64.0, kind="k",
-                                  at_times=at)
-            keys = (wave._times.tolist(), wave._seqs.tolist())
-            sim.run()
-            seen.append((
-                wave.delivery_times.tolist(), keys, wave.count,
-                wave.dropped, sim.now, net.trace.total_bits,
-                net.trace.total_messages, net.trace.total_dropped,
-            ))
-        assert seen[0] == seen[1]
-        assert seen[0][2] == 3000 and seen[0][3] == 0
+    """A fire-and-forget wave drops nothing: ``send_batch`` builds no
+    mask and gathers nothing."""
 
     @pytest.mark.parametrize("in_order", [True, False])
     def test_time_ordered_wave_skips_the_sort(self, in_order):
@@ -298,9 +173,9 @@ class TestFaultFreeIssue:
     def test_issue_peak_memory_per_message(self):
         """Perf pin: issuing xlayer_wide's bottom share wave (26,244
         groups of 4, 314,928 messages) peaks at no more than 24 bytes a
-        message (measured: 17) — arrival times, heap seqs and the
-        delivered flags: no mask, and its times already ascend, so no
-        sort order or sorted copy.  Departures no earlier than ``now``
+        message (measured: 16) — arrival times and heap seqs: no mask
+        or flags, and its times already ascend, so no sort order or
+        sorted copy.  Departures no earlier than ``now``
         are used as given, and ``FixedLatency`` adds a broadcast delay:
         a clamped departure copy and a filled delay array took 33."""
         members = MultiLayerTopology(4, 10).member_matrix(10)
@@ -340,26 +215,42 @@ class TestValidation:
         assert wave.count == 1 and wave.dropped == 0
         assert net.reliable.acks_sent == 1
 
-    def test_serialized_uplink_with_reliable_rejected(self):
-        # Stop-and-wait retransmissions re-enter the shared uplink
-        # queue; the prefix-scan serializer cannot model that yet.
-        sim = Simulator()
-        net = Network(sim, rng=np.random.default_rng(0), bandwidth_bps=1e6,
-                      serialize_uplink=True, transport="reliable")
-        with pytest.raises(ValueError):
-            net.send_batch([0], [1])
+    @pytest.mark.parametrize("case", [
+        "crashed", "partition", "armed", "bandwidth", "lossy",
+        "uplink_reliable", "uplink_timeline",
+    ])
+    def test_faults_outside_a_timeline_rejected(self, case):
+        """A wave reads its faults from an installed ``FaultTimeline``
+        only.  Live crash or partition state, an armed schedule, a
+        bandwidth (serialized uplinks included, under the reliable
+        transport or a timeline) and fire-and-forget loss raise, and
+        nothing is issued.  An armed schedule's faults are live network
+        state (its spike wraps the latency model) that only the
+        per-message path reads."""
+        from repro.chaos import DelaySpike, FaultSchedule, LossWindow
 
-    def test_serialized_uplink_with_timeline_rejected(self):
-        from repro.chaos import FaultSchedule, LossWindow
-
-        sim = Simulator()
-        net = Network(sim, rng=np.random.default_rng(0), bandwidth_bps=1e6,
-                      serialize_uplink=True)
-        net.fault_timeline = FaultSchedule(
-            [LossWindow(0.0, 10.0, 0.5)]
-        ).timeline()
-        with pytest.raises(ValueError):
-            net.send_batch([0], [1])
+        kw = {
+            "bandwidth": dict(bandwidth_bps=1e6),
+            "lossy": dict(loss_rate=0.2),
+            "uplink_reliable": dict(bandwidth_bps=1e6, serialize_uplink=True,
+                                    transport="reliable"),
+            "uplink_timeline": dict(bandwidth_bps=1e6, serialize_uplink=True),
+        }.get(case, {})
+        sim, net = _net(latency=FixedLatency(10.0), **kw)
+        if case == "crashed":
+            net.crash(1)
+        elif case == "partition":
+            net.set_partition([[0], [1]])
+        elif case == "armed":
+            FaultSchedule([DelaySpike(0.0, 100.0, 25.0)]).arm(sim, net)
+            sim.run_until(1.0)
+        elif case == "uplink_timeline":
+            net.fault_timeline = FaultSchedule(
+                [LossWindow(0.0, 10.0, 0.5)]).timeline()
+        before = sim.heap_stats()
+        with pytest.raises(ValueError, match="FaultTimeline"):
+            net.send_batch([0], [1], size_bits=8.0)
+        assert sim.heap_stats() == before and net.in_flight == 0
 
     def test_shape_mismatch_rejected(self):
         sim, net = _net()
@@ -384,12 +275,6 @@ class TestScheduling:
         np.testing.assert_array_equal(wave.delivery_times, [10.0, 110.0])
         sim.run()
         assert sim.now == 110.0
-
-    def test_bandwidth_transfer_time_added(self):
-        sim, net = _net(latency=FixedLatency(5.0), bandwidth_bps=1000.0)
-        wave = net.send_batch([0], [1], size_bits=10.0)
-        # 10 bits at 1000 b/s = 10 ms transfer + 5 ms propagation.
-        assert wave.delivery_times[0] == pytest.approx(15.0)
 
     def test_empty_batch(self):
         sim, net = _net()
