@@ -9,7 +9,7 @@ The paper's thresholds are ``ARTEFACTS["Sec. VII-D"]``.
 import numpy as np
 from conftest import emit
 
-from repro.analysis import (
+from repro.core.resharding import (
     fedavg_layer_tolerance,
     optimistic_max_faults,
     subgroup_tolerance,

@@ -645,7 +645,7 @@ def _run_figures(args: argparse.Namespace) -> int:
         return 0
 
     if args.figure == "plan":
-        from .core.planner import PlanRequirements, enumerate_plans
+        from .core.resharding import PlanRequirements, enumerate_plans
         from .nn.zoo import PAPER_CNN_PARAMS
 
         req = PlanRequirements(sac_dropouts=args.plan_dropouts)

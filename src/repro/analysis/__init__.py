@@ -1,6 +1,7 @@
-"""Fault-tolerance analysis for the two-layer Raft (paper Sec. VII-D)."""
+"""Analysis: the privacy bounds (:mod:`.privacy`); the Sec. VII-D fault
+thresholds live with the planner in :mod:`repro.core.resharding`."""
 
-from .fault_tolerance import (
+from ..core.resharding import (
     fedavg_layer_tolerance,
     optimistic_max_faults,
     subgroup_tolerance,

@@ -31,6 +31,8 @@ never consults it; its faults come from an armed schedule, on which
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .schedule import (
@@ -69,13 +71,10 @@ class _PartitionSpan:
         return out
 
 
-def _one_span(edges: np.ndarray, times: np.ndarray):
+def _one_span(edges: np.ndarray, lo: float, hi: float):
     """The index of the span between consecutive ``edges`` (the number
-    of edges at or below) that holds every one of ``times``; ``None``
-    when they straddle an edge, are empty or hold a NaN."""
-    if not times.size:
-        return None
-    lo, hi = times.min(), times.max()
+    of edges at or below) that holds all of ``[lo, hi]``; ``None`` when
+    it straddles an edge, is empty or holds a NaN."""
     if not lo <= hi:
         return None
     a, b = edges.searchsorted((lo, hi), "right")
@@ -189,18 +188,33 @@ class FaultTimeline:
         return float(self._loss_rates.min())
 
     # ------------------------------------------------------------- queries
+    @staticmethod
+    def time_bounds(times: np.ndarray) -> tuple[float, float]:
+        """``(min, max)`` of ``times``; ``(inf, -inf)`` when empty.  A
+        cohort's bounds also bound every subset of it, so one pair serves
+        its loss query and its survivors' delay query."""
+        if not times.size:
+            return np.inf, -np.inf
+        return times.min(), times.max()
+
     def loss_rate_at(self, times: np.ndarray) -> np.ndarray:
-        """Effective loss rate at each instant (base outside windows);
-        a read-only broadcast when every instant falls in one span."""
+        """Effective loss rate at each instant (base outside windows)."""
         times = np.asarray(times, dtype=np.float64)
+        return self.loss_rate_within(times, *self.time_bounds(times))
+
+    def loss_rate_within(
+        self, times: np.ndarray, lo: float, hi: float
+    ) -> np.ndarray:
+        """:meth:`loss_rate_at` for ``times`` known to lie in ``[lo, hi]``;
+        one fill when that range falls in one span."""
         # The span index is the number of edges at or below each time
         # (a shared window edge counts twice, landing in the later
         # window): one compare pass per edge, where a binary search per
         # unsorted time costs several.  The bool masks add as bytes.
         edges = self._loss_edges[1:]
-        span = _one_span(edges, times)
+        span = _one_span(edges, lo, hi)
         if span is not None:
-            return np.broadcast_to(self._loss_rates[span], times.shape)
+            return np.full(times.shape, self._loss_rates[span])
         pos = np.zeros(times.shape, dtype=np.min_scalar_type(len(edges)))
         for edge in edges:
             pos += (times >= edge).view(np.uint8)
@@ -270,15 +284,22 @@ class FaultTimeline:
     def extra_delay_at(
         self, src: np.ndarray, dst: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
-        """Total straggler delay (ms) for messages *sent* at each instant;
-        a read-only broadcast when every instant falls in one span free of
+        """Total straggler delay (ms) for messages *sent* at each instant."""
+        times = np.asarray(times, dtype=np.float64)
+        return self.extra_delay_within(src, dst, times, *self.time_bounds(times))
+
+    def extra_delay_within(
+        self, src: np.ndarray, dst: np.ndarray, times: np.ndarray,
+        lo: float, hi: float,
+    ) -> np.ndarray:
+        """:meth:`extra_delay_at` for ``times`` known to lie in ``[lo,
+        hi]``; one fill when that range falls in one span free of
         node-scoped spikes."""
         src = np.asarray(src)
         dst = np.asarray(dst)
-        times = np.asarray(times, dtype=np.float64)
-        span = _one_span(self._delay_edges, times)
-        if span is not None and not np.isnan(self._span_delay[span]):
-            return np.broadcast_to(self._span_delay[span], times.shape)
+        span = _one_span(self._delay_edges, lo, hi)
+        if span is not None and not math.isnan(self._span_delay[span]):
+            return np.full(times.shape, self._span_delay[span])
         extra = np.zeros(len(times), dtype=np.float64)
         for span in self._spikes:
             sel = (times >= span.t_start) & (times < span.t_end)

@@ -37,12 +37,14 @@ from .latency import (
     two_layer_round_latency_ms,
 )
 from .multi_layer import MultiLayerTopology, multi_layer_aggregate
-from .planner import Plan, PlanRequirements, enumerate_plans, recommend
 from .resharding import (
     Move,
+    Plan,
+    PlanRequirements,
     ReshardError,
     ReshardPlan,
     dense_topology,
+    enumerate_plans,
     needs_reshard,
     plan_reshard,
 )
@@ -92,7 +94,6 @@ __all__ = [
     "Plan",
     "PlanRequirements",
     "enumerate_plans",
-    "recommend",
     "run_two_layer_wire_round",
     "two_layer_reference_average",
     "run_xlayer_wire_round",

@@ -9,6 +9,9 @@ exactly (7.12 Gb at N=30, m=6; 196.13 Gb baseline at N=50).
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
+
 from ..secure.replicated import seeded_exchange_entry_counts
 from ..secure.seedshare import SEED_SHARE_BITS
 from .topology import Topology
@@ -104,18 +107,28 @@ def two_layer_cost_from_topology(topology: Topology, w_params: int) -> float:
     return (sac + bcast + 2 * (m - 1)) * w
 
 
-def two_layer_ft_cost_from_topology(topology: Topology, k: int, w_params: int) -> float:
-    """Exact k-out-of-n cost for uneven subgroup sizes (Sec. VII-B terms)."""
+def two_layer_ft_cost_from_sizes(
+    sizes: Mapping[int, int], k: int, w_params: int
+) -> float:
+    """Exact k-out-of-n cost of a subgroup-size multiset (size -> count),
+    Sec. VII-B terms: per subgroup of ``s`` peers, ``s (s-1) (s-k+1) +
+    (k-1)`` for SAC and ``s - 1`` for the broadcast; ``2 (m - 1)`` for
+    FedAvg among the ``m`` leaders.  The sum is an exact integer, so the
+    order of the groups does not move a bit."""
     w = _w_bits(w_params)
-    m = topology.n_groups
-    total = 0.0
-    for s in topology.group_sizes:
+    total = 0
+    for s, count in sizes.items():
         if k > s:
             raise ValueError(f"threshold k={k} exceeds subgroup size {s}")
-        total += s * (s - 1) * (s - k + 1) + (k - 1)  # SAC k-out-of-n
-        total += s - 1  # broadcast of the global model within the subgroup
-    total += 2 * (m - 1)  # FedAvg among the leaders
-    return total * w
+        total += count * (s * (s - 1) * (s - k + 1) + (k - 1) + (s - 1))
+    return (total + 2 * (sum(sizes.values()) - 1)) * w
+
+
+def two_layer_ft_cost_from_topology(topology: Topology, k: int, w_params: int) -> float:
+    """Exact k-out-of-n cost for uneven subgroup sizes (Sec. VII-B terms)."""
+    return two_layer_ft_cost_from_sizes(
+        Counter(topology.group_sizes), k, w_params
+    )
 
 
 def multi_layer_cost_bits(n: int, depth: int, w_params: int) -> float:

@@ -24,6 +24,8 @@ phases, which is what makes it slow in wall-clock as well as in volume.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..secure.sac import DEFAULT_BITS_PER_PARAM
@@ -100,13 +102,27 @@ def two_layer_round_latency_ms(
     w_params: int,
     bandwidth_bps: float,
 ) -> RoundLatency:
-    """Wall-clock of one full two-layer aggregation round.
+    """Wall-clock of one full two-layer aggregation round."""
+    return two_layer_round_latency_from_sizes(
+        Counter(topology.group_sizes), k, w_params, bandwidth_bps
+    )
+
+
+def two_layer_round_latency_from_sizes(
+    sizes: Mapping[int, int],
+    k: int | None,
+    w_params: int,
+    bandwidth_bps: float,
+) -> RoundLatency:
+    """Wall-clock of one two-layer round over a subgroup-size multiset
+    (size -> count).
 
     Subgroups run SAC concurrently (the slowest gates the round); then
     leaders upload to the FedAvg leader and the result is re-broadcast
     through the leaders to every member.
     """
     t_w = _transfer_ms(w_params, bandwidth_bps)
+    m = sum(sizes.values())
     sac = max(
         ft_sac_latency_ms(
             size,
@@ -114,15 +130,15 @@ def two_layer_round_latency_ms(
             w_params,
             bandwidth_bps,
         )
-        for size in topology.group_sizes
+        for size in sizes
     )
     # Leaders upload concurrently; the FedAvg leader's own value is local.
     delay_ms = DEFAULT_DELAY_MS
-    fedavg = (t_w + delay_ms) if topology.n_groups > 1 else 0.0
+    fedavg = (t_w + delay_ms) if m > 1 else 0.0
     # Two-hop broadcast: FedAvg leader -> leaders -> members.  The FedAvg
     # leader pushes m-1 copies down its uplink; each leader then pushes
     # n_i - 1 copies concurrently with its peers.
-    down1 = (topology.n_groups - 1) * t_w + delay_ms if topology.n_groups > 1 else 0.0
-    max_followers = max(size - 1 for size in topology.group_sizes)
+    down1 = (m - 1) * t_w + delay_ms if m > 1 else 0.0
+    max_followers = max(sizes) - 1
     down2 = (max_followers * t_w + delay_ms) if max_followers > 0 else 0.0
     return RoundLatency(sac_ms=sac, fedavg_ms=fedavg, broadcast_ms=down1 + down2)

@@ -1,47 +1,199 @@
-"""Dynamic re-sharding: rebalance subgroups after membership churn.
+"""The planner: subgroup shapes (n, k, m) by Eq. 5, under Sec. VII-D.
 
-Between campaign rounds peers join, leave, and rejoin; the subgroup
-assignment that was cost-optimal for the old membership can drift below
-the k-of-n fault-tolerance floor (a group with fewer than ``k`` members
-cannot run k-of-n SAC at all) or become badly unbalanced (skewed groups
-pay the largest group's latency and weaken the smallest group's
-tolerance).  :func:`plan_reshard` repairs both, emitting a typed
-:class:`ReshardPlan`: the minimal member moves, the new dense
-:class:`~repro.core.topology.Topology`, and the predicted communication
-cost delta from the Eq. 5 closed forms (:mod:`repro.core.costs`) — the
-same objective :mod:`repro.core.planner` ranks deployments by.
+One scan over the group size ``n`` (:func:`_scan`) serves both entry
+points: :func:`enumerate_plans` lists every feasible deployment of N
+peers, cheapest volume first (what ``repro plan`` prints), and
+:func:`plan_reshard` repairs a campaign's grouping after churn with the
+cheapest shape for the survivors.  The scan builds no
+:class:`~repro.core.topology.Topology`: ``Topology.by_group_size(N, n)``
+has ``m = N // n`` groups, ``N mod m`` of them one member larger than
+``N // m``, and Eq. 5 and the round latency are read off that size
+multiset, so a candidate costs O(1).
 
-Grouping here is expressed over *stable* peer ids (campaign identities
-that survive churn); the emitted topology is over dense ids ``0..N-1``
-(position in the sorted member list), which is what the wire round and
-the Raft deployment consume.
+Sec. VII-D: a subgroup of ``n`` tolerates ``floor((n-1)/2)`` crashes
+(Raft majority) and the FedAvg layer of ``m`` leaders ``floor((m-1)/2)``;
+with every leader up, a subgroup keeps aggregating past its quorum, so
+the system optimistically survives ``m * (floor((n-1)/2) + 1)`` faults;
+it stops when a majority of the FedAvg layer is gone.  A deployment
+needs ``n >= 3`` (with n = 2 "the weight of the other peer can be easily
+inferred", Sec. VII-A), ``k >= 2`` (k = 1 hands every peer a complete
+share set), ``n - k`` at least the required dropouts, and the required
+Raft tolerance in each subgroup (and in the FedAvg layer).
 
-Invariant (property-tested): a returned plan never contains a group
-smaller than ``k`` — churn that leaves fewer than ``k`` peers alive in
-total is not reshardable and raises the typed :class:`ReshardError`
-instead.
+Re-shards are expressed over *stable* peer ids (campaign identities that
+survive churn); the emitted topology is over dense ids ``0..N-1`` (rank
+in the sorted member list), which the wire round and the Raft deployment
+consume.  A returned plan never holds a group smaller than ``k``
+(property-tested); fewer than ``k`` survivors raise :class:`ReshardError`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .costs import two_layer_ft_cost_from_topology
+import numpy as np
+
+from .costs import one_layer_sac_cost_bits, two_layer_ft_cost_from_sizes
+from .latency import two_layer_round_latency_from_sizes
 from .topology import Topology
 
 #: the widest group-size skew a grouping may have before it is resharded.
 BALANCE_BOUND = 2
 
-__all__ = [
-    "Move",
-    "ReshardPlan",
-    "ReshardError",
-    "needs_reshard",
-    "plan_reshard",
-    "dense_topology",
-]
+
+# ------------------------------------------------ Sec. VII-D thresholds
+def subgroup_tolerance(n: int) -> int:
+    """Crashes one subgroup's Raft quorum survives: ``floor((n-1)/2)``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (n - 1) // 2
 
 
+def fedavg_layer_tolerance(m: int) -> int:
+    """Crashes the FedAvg-layer Raft survives: ``floor((m-1)/2)``."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return (m - 1) // 2
+
+
+def optimistic_max_faults(m: int, n: int) -> int:
+    """Sec. VII-D's optimistic bound: ``m (floor((n-1)/2) + 1)``: all
+    leaders stay alive and each subgroup loses up to its Raft tolerance
+    plus one follower."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    return m * (subgroup_tolerance(n) + 1)
+
+
+def system_operational(topology: Topology, crashed: set[int]) -> bool:
+    """Whether aggregation can proceed under ``crashed`` peers (Sec. V):
+    a majority of the FedAvg layer (the subgroup leaders) is alive, and
+    every subgroup's leader is alive or a majority of it can elect one."""
+    fedavg_members = set(topology.leaders)
+    alive_fed = [p for p in fedavg_members if p not in crashed]
+    if len(alive_fed) < len(fedavg_members) // 2 + 1:
+        return False
+    for gi, group in enumerate(topology.groups):
+        if topology.leaders[gi] not in crashed:
+            continue
+        alive = [p for p in group if p not in crashed]
+        if len(alive) < len(group) // 2 + 1:
+            return False
+    return True
+
+
+def tolerance_curve(
+    topology: Topology,
+    rng: np.random.Generator,
+    trials_per_point: int = 200,
+) -> list[tuple[int, float]]:
+    """Monte Carlo availability: fraction of random f-crash sets that
+    leave the system operational, for f = 0 .. N."""
+    peers = np.arange(topology.n_peers)
+    curve: list[tuple[int, float]] = []
+    for f in range(topology.n_peers + 1):
+        ok = 0
+        for _ in range(trials_per_point):
+            crashed = set(rng.choice(peers, size=f, replace=False).tolist())
+            if system_operational(topology, crashed):
+                ok += 1
+        curve.append((f, ok / trials_per_point))
+    return curve
+
+
+# ------------------------------------------------------ the Eq. 5 scan
+@dataclass(frozen=True)
+class PlanRequirements:
+    """What the deployment must tolerate."""
+
+    #: mid-SAC dropouts each subgroup must survive (n - k >= this)
+    sac_dropouts: int = 1
+    #: simultaneous crashes each subgroup's Raft must survive
+    raft_crashes: int = 1
+    #: whether the FedAvg layer must survive a leader crash (m >= 3)
+    fedavg_leader_crash: bool = True
+
+    def __post_init__(self) -> None:
+        if self.sac_dropouts < 0 or self.raft_crashes < 0:
+            raise ValueError("tolerances must be non-negative")
+
+
+@dataclass(frozen=True, slots=True)
+class Plan:
+    """One candidate shape with its predicted costs."""
+
+    n: int
+    k: int
+    m: int
+    volume_bits: float
+    latency_ms: float | None
+    reduction_vs_baseline: float
+
+    @property
+    def volume_gb(self) -> float:
+        return self.volume_bits / 1e9
+
+
+def _group_sizes(n_peers: int, m: int) -> dict[int, int]:
+    """The size multiset (size -> count, largest first) of ``n_peers``
+    spread over ``m`` groups as :class:`Topology` spreads them."""
+    base, extra = divmod(n_peers, m)
+    return {base + 1: extra, base: m - extra} if extra else {base: m}
+
+
+def _scan(
+    n_peers: int,
+    w_params: int,
+    n_min: int,
+    threshold: Callable[[int, int], int | None],
+    bandwidth_bps: float | None,
+) -> Iterator[Plan]:
+    """Every candidate ``n = n_min .. n_peers`` in order of n, as
+    ``Topology.by_group_size(n_peers, n)`` would shape it;
+    ``threshold(n, m)`` is the candidate's k, or None to skip it."""
+    baseline = one_layer_sac_cost_bits(n_peers, w_params)
+    for n in range(n_min, n_peers + 1):
+        m = n_peers // n
+        k = threshold(n, m)
+        if k is None:
+            continue
+        sizes = _group_sizes(n_peers, m)
+        volume = two_layer_ft_cost_from_sizes(sizes, k, w_params)
+        latency = None
+        if bandwidth_bps is not None:
+            latency = two_layer_round_latency_from_sizes(
+                sizes, k, w_params, bandwidth_bps
+            ).total_ms
+        yield Plan(n=n, k=k, m=m, volume_bits=volume, latency_ms=latency,
+                   reduction_vs_baseline=baseline / volume)
+
+
+def enumerate_plans(
+    n_peers: int,
+    w_params: int,
+    requirements: PlanRequirements | None = None,
+    bandwidth_bps: float | None = None,
+) -> list[Plan]:
+    """All feasible (n, k) plans for ``n_peers``, cheapest volume first."""
+    req = requirements if requirements is not None else PlanRequirements()
+    if n_peers < 3:
+        raise ValueError("a secure deployment needs at least 3 peers")
+
+    def threshold(n: int, m: int) -> int | None:
+        k = n - req.sac_dropouts
+        if (k < 2 or subgroup_tolerance(n) < req.raft_crashes
+                or req.fedavg_leader_crash and fedavg_layer_tolerance(m) < 1):
+            return None
+        return k
+
+    plans = list(_scan(n_peers, w_params, 3, threshold, bandwidth_bps))
+    plans.sort(key=lambda p: p.volume_bits)
+    return plans
+
+
+# -------------------------------------------------------- re-sharding
 class ReshardError(ValueError):
     """The surviving membership cannot satisfy the k-of-n floor."""
 
@@ -123,25 +275,14 @@ def dense_topology(groups: tuple[tuple[int, ...], ...]) -> Topology:
     return Topology(groups=dense, leaders=tuple(g[0] for g in dense))
 
 
-def _target_group_size(n_alive: int, k: int, w_params: int) -> int:
-    """The cheapest (Eq. 5) feasible group size for ``n_alive`` members."""
-    floor = max(k, 3) if n_alive >= max(k, 3) else k
-    best_n, best_cost = floor, None
-    for n in range(floor, n_alive + 1):
-        topo = Topology.by_group_size(n_alive, n)
-        cost = two_layer_ft_cost_from_topology(topo, k, w_params)
-        if best_cost is None or cost < best_cost:
-            best_n, best_cost = n, cost
-    return best_n
-
-
 def plan_reshard(
     groups: tuple[tuple[int, ...], ...],
     k: int,
     reason: str | None = None,
     w_params: int = 1024,
 ) -> ReshardPlan:
-    """Rebalance a stable-id grouping into the cheapest feasible shape.
+    """Rebalance a stable-id grouping into the cheapest (Eq. 5) shape
+    with groups of at least ``k`` (and 3, when that many survive).
 
     Raises :class:`ReshardError` when fewer than ``k`` (or fewer than 2)
     peers survive — no grouping can satisfy the floor then.
@@ -156,10 +297,11 @@ def plan_reshard(
     if reason is None:
         reason = needs_reshard(groups, k) or "requested"
 
-    n_target = _target_group_size(n_alive, k, w_params)
-    sizes = sorted(
-        Topology.by_group_size(n_alive, n_target).group_sizes, reverse=True
-    )
+    n_min = max(k, 3) if n_alive >= max(k, 3) else k
+    best = min(_scan(n_alive, w_params, n_min, lambda n, m: k, None),
+               key=lambda p: p.volume_bits)
+    sizes = [size for size, count in _group_sizes(n_alive, best.m).items()
+             for _ in range(count)]
 
     # Minimal-move assignment: match the new groups (largest first) to
     # the old groups in descending size order, keep each matched core in
@@ -203,20 +345,17 @@ def plan_reshard(
     )
 
     stable_groups = tuple(tuple(g) for g in new_groups)
-    topology = dense_topology(stable_groups)
-    predicted = two_layer_ft_cost_from_topology(topology, k, w_params)
     previous = None
     if groups and min(len(g) for g in groups) >= k:
-        previous = two_layer_ft_cost_from_topology(
-            dense_topology(tuple(tuple(sorted(g)) for g in groups)),
-            k, w_params,
+        previous = two_layer_ft_cost_from_sizes(
+            Counter(map(len, groups)), k, w_params
         )
     return ReshardPlan(
         members=tuple(members),
         groups=stable_groups,
-        topology=topology,
+        topology=dense_topology(stable_groups),
         moves=moves,
         reason=reason,
-        predicted_cost_bits=predicted,
+        predicted_cost_bits=best.volume_bits,
         previous_cost_bits=previous,
     )

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from ..analysis.fault_tolerance import optimistic_max_faults, tolerance_curve
+from ..core.resharding import optimistic_max_faults, tolerance_curve
 from ..core.topology import Topology
 from .cost_experiments import (
     eq10_measured,

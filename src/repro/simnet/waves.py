@@ -480,15 +480,16 @@ def _send_batch_items(
     else:
         lossy, all_lossy = tl.max_loss_rate > 0.0, tl.min_loss_rate > 0.0
 
-    def loss_mask(t_send):
+    def loss_mask(t_send, bounds):
         """Lost-at-send flags: one uniform per message under a positive
-        loss rate, in cohort order; None when nothing can be lost."""
+        loss rate, in cohort order; None when nothing can be lost.
+        ``bounds`` are the timeline's bounds of ``t_send``."""
         n = len(t_send)
         if not (n and lossy):
             return None
         if tl is None:
             return net.rng.random(n) < net.loss_rate
-        rates = tl.loss_rate_at(t_send)
+        rates = tl.loss_rate_within(t_send, *bounds)
         if all_lossy:
             return net.rng.random(n) < rates
         draw = np.flatnonzero(rates > 0.0)
@@ -524,13 +525,16 @@ def _send_batch_items(
         if k >= 2:
             emit(t, _T_RETRANS, idx)
         go, t_go = drop(idx, t, link_down(idx, t), _T_LINKDOWN)
-        lost = loss_mask(t_go)
+        # A cohort's time bounds serve its loss query and its survivors'
+        # delay query: one min and max per cohort.
+        bounds = None if tl is None else tl.time_bounds(t_go)
+        lost = loss_mask(t_go, bounds)
         if lost is not None:
             go, t_go = drop(go, t_go, np.flatnonzero(lost), _T_LOST)
         s_go, d_go = src.take(go), dst.take(go)
         lat = net.latency.sample_batch(s_go, d_go, net.rng)
         if tl is not None:
-            lat = lat + tl.extra_delay_at(s_go, d_go, t_go)
+            lat = lat + tl.extra_delay_within(s_go, d_go, t_go, *bounds)
         t_arr = t_go + lat
         emit(t_go, _T_DEPART, go)
         if tl is not None:
@@ -557,7 +561,8 @@ def _send_batch_items(
         # split (all ACKLOST, then all ACKUP) would reorder same-instant
         # arrivals at a shared destination away from the actor loop's
         # (time, seq) delivery order.
-        ack_lost = loss_mask(t_arr)
+        bounds = None if tl is None else tl.time_bounds(t_arr)
+        ack_lost = loss_mask(t_arr, bounds)
         if len(go):
             arrivals.append((len(blocks), k))
         if ack_lost is None:
@@ -570,7 +575,7 @@ def _send_batch_items(
         s_af, d_af = src.take(af), dst.take(af)
         alat = net.latency.sample_batch(d_af, s_af, net.rng)
         if tl is not None:
-            alat = alat + tl.extra_delay_at(d_af, s_af, t_af)
+            alat = alat + tl.extra_delay_within(d_af, s_af, t_af, *bounds)
         t_ack = t_af + alat
         if tl is not None:
             af, t_ack = drop(af, t_ack, link_down(af, t_ack, back=True),

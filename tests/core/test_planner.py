@@ -1,8 +1,16 @@
-"""Tests for the deployment planner."""
+"""Tests for the deployment plans of the one planner (core/resharding.py)."""
+
+import io
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
-from repro.core.planner import Plan, PlanRequirements, enumerate_plans, recommend
+from repro.__main__ import main
+from repro.core import Topology
+from repro.core.costs import two_layer_ft_cost_from_topology
+from repro.core.latency import two_layer_round_latency_ms
+from repro.core.resharding import PlanRequirements, enumerate_plans
 from repro.nn.zoo import PAPER_CNN_PARAMS
 
 
@@ -56,37 +64,94 @@ class TestEnumerate:
             PlanRequirements(sac_dropouts=-1)
 
 
+class TestScan:
+    """The scan reads Eq. 5 and the latency model off a size multiset;
+    the topology forms sum the same terms group by group."""
+
+    def test_equals_the_topology_closed_forms(self):
+        """Bits and latency of every plan with n >= 3 and k = n - d for
+        every N <= 300, d = N mod 3 taking k from n down to n - 2."""
+        w, bw = PAPER_CNN_PARAMS, 1e8
+        for n_peers in range(3, 301):
+            d = n_peers % 3
+            req = PlanRequirements(sac_dropouts=d, raft_crashes=0,
+                                   fedavg_leader_crash=False)
+            plans = enumerate_plans(n_peers, w, req, bandwidth_bps=bw)
+            assert sorted(p.n for p in plans) == list(
+                range(max(3, d + 2), n_peers + 1))
+            for p in plans:
+                topo = Topology.by_group_size(n_peers, p.n)
+                assert (p.m, p.k) == (topo.n_groups, p.n - d)
+                assert p.volume_bits == two_layer_ft_cost_from_topology(
+                    topo, p.k, w)
+                assert p.latency_ms == two_layer_round_latency_ms(
+                    topo, p.k, w, bw).total_ms
+
+    def test_topology_form_keeps_its_per_group_float_sum(self):
+        """The multiset sum is an exact integer, so it equals the float
+        accumulation group by group that the topology form had."""
+        for n_peers, n, k in ((30, 3, 2), (31, 4, 3), (299, 17, 9),
+                              (118_096, 7, 5)):
+            topo = Topology.by_group_size(n_peers, n)
+            total = 0.0
+            for s in topo.group_sizes:
+                total += s * (s - 1) * (s - k + 1) + (k - 1)
+                total += s - 1
+            total += 2 * (topo.n_groups - 1)
+            assert two_layer_ft_cost_from_topology(topo, k, PAPER_CNN_PARAMS) \
+                == total * float(PAPER_CNN_PARAMS * 32)
+
+    def test_plan_at_paper_scale_holds_no_topology(self):
+        """``repro plan`` at the 118,096-peer X-layer size runs in bounded
+        memory.  The traced peak measured 12.3 MB (Python 3.11, output
+        held in a StringIO) when the one-scan planner replaced the
+        per-candidate topologies, which held 5.3 M peer ids at N = 4,000
+        and did not fit a 3 GB address space at N = 20,000.  A small
+        warm-up run keeps first-import allocations out of the peak."""
+        with redirect_stdout(io.StringIO()):
+            assert main(["plan", "--plan-peers", "30"]) == 0
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out):
+                assert main(["plan", "--plan-peers", "118096"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue().count("\n") == 2 + 39_363
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 class TestRecommend:
+    """A recommendation is read off enumerate_plans' list: its head by
+    volume, its least latency when a bandwidth is given."""
+
     def test_volume_objective_picks_cheapest(self):
-        best = recommend(30, PAPER_CNN_PARAMS)
         plans = enumerate_plans(30, PAPER_CNN_PARAMS)
-        assert best.volume_bits == plans[0].volume_bits
+        assert plans[0].volume_bits == min(p.volume_bits for p in plans)
+        assert (plans[0].n, plans[0].k, plans[0].m) == (3, 2, 10)
 
     def test_latency_objective(self):
-        best = recommend(
-            30, PAPER_CNN_PARAMS, objective="latency", bandwidth_bps=1e8
-        )
         plans = enumerate_plans(30, PAPER_CNN_PARAMS, bandwidth_bps=1e8)
-        assert best.latency_ms == min(p.latency_ms for p in plans)
+        best = min(plans, key=lambda p: p.latency_ms)
+        assert (best.n, best.k, best.m) == (3, 2, 10)
+        assert best.latency_ms == pytest.approx(6879.66752)
 
     def test_objectives_can_differ(self):
         """Min-volume and min-latency plans genuinely diverge: volume
         favors tiny n; latency weighs the replication on the uplink."""
-        vol = recommend(30, PAPER_CNN_PARAMS, PlanRequirements(sac_dropouts=2))
-        lat = recommend(
+        plans = enumerate_plans(
             30, PAPER_CNN_PARAMS, PlanRequirements(sac_dropouts=2),
-            objective="latency", bandwidth_bps=1e8,
+            bandwidth_bps=1e8,
         )
-        assert (vol.n, vol.k) != (lat.n, lat.k) or vol.latency_ms is None
+        vol = plans[0]
+        lat = min(plans, key=lambda p: p.latency_ms)
+        assert (vol.n, vol.k, vol.m) == (4, 2, 7)
+        assert (lat.n, lat.k, lat.m) == (5, 3, 6)
 
     def test_latency_requires_bandwidth(self):
-        with pytest.raises(ValueError):
-            recommend(30, 1000, objective="latency")
-
-    def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            recommend(30, 1000, objective="beauty")
+        plans = enumerate_plans(30, 1000)
+        assert plans and all(p.latency_ms is None for p in plans)
 
     def test_infeasible_requirements(self):
-        with pytest.raises(ValueError, match="no feasible"):
-            recommend(6, 1000, PlanRequirements(raft_crashes=5))
+        assert enumerate_plans(6, 1000, PlanRequirements(raft_crashes=5)) == []
