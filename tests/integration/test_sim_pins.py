@@ -1,4 +1,4 @@
-"""Seed-exact sim pins: 14 small scenarios, byte-identical by seed.
+"""Seed-exact sim pins: 15 small scenarios, byte-identical by seed.
 
 Each scenario runs once under a fresh observability pipeline; its
 ``params``, its ``sim`` block (virtual time, bits, messages, transport
@@ -28,7 +28,7 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.chaos import Crash, FaultSchedule, LossWindow, Recover
-from repro.chaos.scale import run_scale_trial
+from repro.chaos.scale import run_scale_trial, scale_schedule
 from repro.core.costs import multi_layer_cost_bits, multi_layer_message_count
 from repro.core.latency import multi_layer_round_latency_ms
 from repro.core.multi_layer import MultiLayerTopology
@@ -45,6 +45,7 @@ from repro.secure.protocol import run_sac_protocol
 from repro.secure.replicated import shares_held_by
 from repro.simnet import FixedLatency
 from repro.twolayer_raft.system import TwoLayerRaftSystem
+from tests.simnet.latency import UniformLatency
 from tests.simnet.per_item import per_item
 
 SEED = 0
@@ -319,6 +320,42 @@ def _chaos_scale(p: dict, seed: int) -> dict:
     }
 
 
+def _xlayer_lossy_uniform(p: dict, seed: int) -> dict:
+    # The item-wave path that keeps per-message arrays: a lossy reliable
+    # X-layer round under the scale fault script with a random latency,
+    # so every epoch draws one delay per message and its cohorts
+    # straddle the loss window's and the delay spike's edges.  Wave ==
+    # per-item replay of the same fates; the pin holds the fates' bits.
+    topo = MultiLayerTopology(p["n"], p["depth"])
+    models = np.random.default_rng([seed, 7]).normal(
+        size=(topo.n_peers, p["model_params"]))
+    kw = dict(
+        seed=seed, latency=UniformLatency(p["lo_ms"], p["hi_ms"]),
+        loss_rate=p["loss_rate"], transport="reliable",
+        transport_opts={"max_attempts": p["max_attempts"]},
+        schedule=scale_schedule(topo),
+    )
+    wave = run_xlayer_wire_round(topo, models, **kw)
+    with runtime.OBS.span("bench.xlayer_lossy_scalar", peers=topo.n_peers):
+        with runtime.observe(enabled=False), per_item():
+            scalar = run_xlayer_wire_round(topo, models, **kw)
+    names = ("finish_time_ms", "bits_sent", "messages_sent", "retransmits",
+             "acks", "duplicates", "exhausted", "dropped")
+    sim = {name: getattr(wave, name) for name in names}
+    assert {name: getattr(scalar, name) for name in names} == sim
+    assert np.array_equal(scalar.average, wave.average)
+    assert wave.outcome.ok
+    # Past the spike's end: the round's epochs cross every scripted edge.
+    assert wave.finish_time_ms > 300.0
+    return {
+        **sim,
+        "n_peers": topo.n_peers,
+        "average_sum": float(wave.average.sum()),
+        "wave_heap_events": wave.heap_stats["events_processed"],
+        "scalar_heap_events": scalar.heap_stats["events_processed"],
+    }
+
+
 _SAC = {"n": 4, "k": 3, "model_params": 32}
 _TWO_LAYER = {"k": 2, "model_params": 32}
 
@@ -349,6 +386,9 @@ SCENARIOS = {
     "chaos_scale": (
         {"target_peers": 40, "depth": 3, "loss_rate": 0.2,
          "max_attempts": 10}, _chaos_scale),
+    "xlayer_lossy_uniform": (
+        {"n": 4, "depth": 6, "model_params": 8, "lo_ms": 10.0, "hi_ms": 20.0,
+         "loss_rate": 0.2, "max_attempts": 32}, _xlayer_lossy_uniform),
 }
 
 
@@ -410,7 +450,7 @@ def test_pin(sid, side):
 
 def test_pin_file_holds_exactly_the_scenarios_run():
     assert list(pins()) == list(SCENARIOS)
-    assert len(SCENARIOS) == 14
+    assert len(SCENARIOS) == 15
 
 
 #: one pinned number moved / one pinned phase row dropped.
