@@ -656,12 +656,18 @@ def _run_figures(args: argparse.Namespace) -> int:
         print(f"Feasible plans for N={args.plan_peers} "
               f"(tolerating {args.plan_dropouts} dropout/subgroup), "
               "Fig. 5 CNN:")
-        print(f"{'n':>4}{'k':>4}{'m':>4}{'Gb/round':>10}{'gain':>8}"
-              f"{'latency s':>11}")
-        for p in plans:
-            lat = f"{p.latency_ms / 1e3:10.2f}" if p.latency_ms else f"{'-':>10}"
-            print(f"{p.n:>4}{p.k:>4}{p.m:>4}{p.volume_gb:>10.2f}"
-                  f"{p.reduction_vs_baseline:>7.2f}x{lat:>11}")
+        rows = [("n", "k", "m", "Gb/round", "gain", "latency s")] + [
+            (str(p.n), str(p.k), str(p.m), f"{p.volume_gb:.2f}",
+             f"{p.reduction_vs_baseline:.2f}x",
+             f"{p.latency_ms / 1e3:.2f}" if p.latency_ms else "-")
+            for p in plans
+        ]
+        # Each column as wide as its widest value plus a space, and no
+        # narrower than the header's layout.
+        widths = [max(least, 1 + max(map(len, col)))
+                  for least, col in zip((4, 4, 4, 10, 8, 11), zip(*rows))]
+        for row in rows:
+            print("".join(f"{cell:>{w}}" for cell, w in zip(row, widths)))
         return 0
 
     csv_dir = args.csv

@@ -150,24 +150,28 @@ def _scan(
     threshold: Callable[[int, int], int | None],
     bandwidth_bps: float | None,
 ) -> Iterator[Plan]:
-    """Every candidate ``n = n_min .. n_peers`` in order of n, as
-    ``Topology.by_group_size(n_peers, n)`` would shape it;
-    ``threshold(n, m)`` is the candidate's k, or None to skip it."""
+    """One candidate per group count ``m`` that some ``n = n_min ..
+    n_peers`` gives ``Topology.by_group_size(n_peers, n)``, in order of
+    n: every such n builds the same groups, so the candidate's n is the
+    smallest group, ``n_peers // m``.  ``threshold(n, m)`` is the
+    candidate's k, or None to skip it."""
     baseline = one_layer_sac_cost_bits(n_peers, w_params)
-    for n in range(n_min, n_peers + 1):
+    n = n_min
+    while n <= n_peers:
         m = n_peers // n
+        n = n_peers // m
         k = threshold(n, m)
-        if k is None:
-            continue
-        sizes = _group_sizes(n_peers, m)
-        volume = two_layer_ft_cost_from_sizes(sizes, k, w_params)
-        latency = None
-        if bandwidth_bps is not None:
-            latency = two_layer_round_latency_from_sizes(
-                sizes, k, w_params, bandwidth_bps
-            ).total_ms
-        yield Plan(n=n, k=k, m=m, volume_bits=volume, latency_ms=latency,
-                   reduction_vs_baseline=baseline / volume)
+        if k is not None:
+            sizes = _group_sizes(n_peers, m)
+            volume = two_layer_ft_cost_from_sizes(sizes, k, w_params)
+            latency = None
+            if bandwidth_bps is not None:
+                latency = two_layer_round_latency_from_sizes(
+                    sizes, k, w_params, bandwidth_bps
+                ).total_ms
+            yield Plan(n=n, k=k, m=m, volume_bits=volume, latency_ms=latency,
+                       reduction_vs_baseline=baseline / volume)
+        n += 1
 
 
 def enumerate_plans(

@@ -30,21 +30,20 @@ class LatencyModel(Protocol):
 
     ``sample`` draws one delay; ``sample_batch`` draws a whole wave's
     worth in a single vectorized pass.  The stream contract every model
-    in this module honours: ``sample_batch(src, dst, rng)`` consumes the
-    RNG stream exactly as ``len(src)`` sequential ``sample`` calls would
+    in this module honours: ``sample_batch(count, rng)`` consumes the
+    RNG stream exactly as ``count`` sequential ``sample`` calls would
     (numpy fills batch draws element-by-element from the same stream),
     so a round produces bit-identical delays whichever API the sender
-    used.  Callers only read a batch, so it may be a read-only view.
+    used.  A batch takes no ids, so no model may read them, and callers
+    only add it to departure times: a model whose every delay is the
+    same answers with that one float.
     """
 
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float: ...
 
     def sample_batch(
-        self,
-        src_ids: np.ndarray,
-        dst_ids: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray: ...
+        self, count: int, rng: np.random.Generator
+    ) -> float | np.ndarray: ...
 
 
 class FixedLatency:
@@ -58,12 +57,10 @@ class FixedLatency:
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
         return self.delay_ms
 
-    def sample_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The delay broadcast to ``len(src_ids)``: a read-only view,
-        as every caller only adds it to departure times."""
-        return np.broadcast_to(np.float64(self.delay_ms), len(src_ids))
+    def sample_batch(self, count: int, rng: np.random.Generator) -> float:
+        """The delay itself, whatever ``count``: callers add it to their
+        departure times by broadcasting."""
+        return float(self.delay_ms)
 
 
 class Network:

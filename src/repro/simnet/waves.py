@@ -11,7 +11,8 @@ entry.
 :func:`send_batch` (surfaced as ``Network.send_batch``) does exactly
 that:
 
-- latency draws are one whole-array op (``LatencyModel.sample_batch``);
+- latency draws are one whole-array op (``LatencyModel.sample_batch``),
+  or one float for a fixed delay;
 - messages get a **contiguous reserved seq block**
   (:meth:`EventQueue.reserve`), message ``i`` taking ``seq0 + i`` — the
   very numbers per-message ``send`` calls would have consumed — so the
@@ -234,7 +235,7 @@ def send_batch(
 
     # Fault-free and lossless: every message is delivered, after one
     # batch latency draw in enumeration order.
-    times = dep + net.latency.sample_batch(src, dst, net.rng)
+    times = dep + net.latency.sample_batch(m, net.rng)
     wave = DeliveryWave(net, kind, size_bits, times)
     obs = _obs.OBS
     if obs.enabled:
@@ -285,10 +286,14 @@ def send_batch(
 #
 # Fate/RNG contract, fixed before replay: per epoch, in message-
 # enumeration order — (1) one Bernoulli uniform per link-up frame under
-# a positive loss rate, (2) one ``sample_batch`` latency draw per flying
-# frame, (3) one uniform per ACK issued under a positive loss rate,
-# (4) one ``sample_batch`` draw per flying ACK.  Link-down attempts
-# consume no randomness (matching ``physical_send``).
+# a positive loss rate, (2) one ``sample_batch(count)`` latency draw per
+# flying frame, (3) one uniform per ACK issued under a positive loss
+# rate, (4) one ``sample_batch(count)`` draw per flying ACK.  Link-down
+# attempts consume no randomness (matching ``physical_send``).  An
+# answer that is one number for a whole cohort — a fixed latency, a
+# one-span loss rate or extra delay — is a float and reaches the cohort
+# by broadcasting: it draws what an array of it would, and an arrival is
+# ``t + (delay + extra)``, the delay and extra folded first, either way.
 #
 # Link state, loss windows, delay spikes and crashed-sender holds
 # (``_apply_holds``) come from the installed ``FaultTimeline`` alone;
@@ -487,9 +492,10 @@ def _send_batch_items(
         n = len(t_send)
         if not (n and lossy):
             return None
-        if tl is None:
-            return net.rng.random(n) < net.loss_rate
-        rates = tl.loss_rate_within(t_send, *bounds)
+        rates = (float(net.loss_rate) if tl is None
+                 else tl.loss_rate_within(t_send, *bounds))
+        if isinstance(rates, float):  # one rate for the whole cohort
+            return net.rng.random(n) < rates if rates > 0.0 else None
         if all_lossy:
             return net.rng.random(n) < rates
         draw = np.flatnonzero(rates > 0.0)
@@ -531,10 +537,12 @@ def _send_batch_items(
         lost = loss_mask(t_go, bounds)
         if lost is not None:
             go, t_go = drop(go, t_go, np.flatnonzero(lost), _T_LOST)
-        s_go, d_go = src.take(go), dst.take(go)
-        lat = net.latency.sample_batch(s_go, d_go, net.rng)
+        # Latency and extra delay are floats where they are one number
+        # for the cohort, so ``lat`` folds once and each arrival is
+        # ``t + (delay + extra)`` either way.
+        lat = net.latency.sample_batch(len(go), net.rng)
         if tl is not None:
-            lat = lat + tl.extra_delay_within(s_go, d_go, t_go, *bounds)
+            lat = lat + tl.extra_delay_within(src, dst, go, t_go, *bounds)
         t_arr = t_go + lat
         emit(t_go, _T_DEPART, go)
         if tl is not None:
@@ -572,10 +580,9 @@ def _send_batch_items(
             emit(t_arr, ack_lost.view(np.int8) + np.int8(_T_ARR_ACKUP), go)
             kept = np.flatnonzero(~ack_lost)
             af, t_af = go.take(kept), t_arr.take(kept)
-        s_af, d_af = src.take(af), dst.take(af)
-        alat = net.latency.sample_batch(d_af, s_af, net.rng)
+        alat = net.latency.sample_batch(len(af), net.rng)
         if tl is not None:
-            alat = alat + tl.extra_delay_within(d_af, s_af, t_af, *bounds)
+            alat = alat + tl.extra_delay_within(dst, src, af, t_af, *bounds)
         t_ack = t_af + alat
         if tl is not None:
             af, t_ack = drop(af, t_ack, link_down(af, t_ack, back=True),

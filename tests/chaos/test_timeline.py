@@ -471,6 +471,83 @@ def test_loss_and_delay_equal_per_instant_sums(script, seed, how):
     assert tl.extra_delay_at(src, dst, times).tolist() == extras
 
 
+@st.composite
+def _span_scripts(draw):
+    """Two loss windows sharing an edge, three overlapping global delay
+    spikes (three, so their float sum depends on its order) and a
+    node-scoped spike, at generated times and values, and a base loss
+    rate."""
+    t = st.floats(0.0, 500.0)
+    a, b, c = sorted(draw(st.lists(t, min_size=3, max_size=3, unique=True)))
+    # s1 < s2 < s3 < e1 < e2 < e3: all three overlap on [s3, e1).
+    s1, s2, s3, e1, e2, e3 = sorted(draw(st.lists(t, min_size=6, max_size=6,
+                                                  unique=True)))
+    s4, e4 = sorted(draw(st.lists(t, min_size=2, max_size=2, unique=True)))
+    rate, extra = st.floats(0.01, 0.99), st.floats(0.01, 50.0)
+    nodes = tuple(sorted(draw(st.sets(st.integers(0, 11), min_size=1,
+                                      max_size=3))))
+    return FaultSchedule([
+        LossWindow(a, b, draw(rate)), LossWindow(b, c, draw(rate)),
+        DelaySpike(s1, e1, draw(extra)), DelaySpike(s2, e2, draw(extra)),
+        DelaySpike(s3, e3, draw(extra)),
+        DelaySpike(s4, e4, draw(extra), nodes=nodes),
+    ]), draw(st.sampled_from([0.0, 0.2]))
+
+
+def _inside(edges, span, rng, n):
+    """``n`` times in span ``span`` between consecutive ``edges`` (the
+    number of edges at or below them), its closed start among them."""
+    lo = edges[span - 1] if span else edges[0] - 100.0
+    hi = edges[span] if span < len(edges) else edges[-1] + 100.0
+    times = rng.uniform(lo, hi, n)
+    times[0] = lo
+    return np.minimum(times, np.nextafter(hi, -np.inf)), lo
+
+
+def _bits(x, n):
+    return np.broadcast_to(np.float64(x), n).view(np.int64).tolist()
+
+
+@given(_span_scripts(), st.integers(0, 2**16), st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_span_answers_are_floats_equal_to_per_message_answers(
+        script, seed, data):
+    """Times inside one span get a loss rate and (outside node-scoped
+    spikes) an extra delay as one float, bit for bit every per-message
+    answer: ``loss_rate_at`` / ``extra_delay_at`` and the per-edge path
+    that bounds straddling every edge force."""
+    schedule, loss = script
+    tl = schedule.timeline(loss)
+    rng = np.random.default_rng(seed)
+    n = 40
+    windows = [e for e in schedule.events if isinstance(e, LossWindow)]
+    edges = sorted({t for w in windows for t in (w.t_start_ms, w.t_end_ms)})
+    times, _ = _inside(edges, data.draw(st.integers(0, len(edges))), rng, n)
+    rate = tl.loss_rate_within(times, times.min(), times.max())
+    assert isinstance(rate, float)
+    assert tl.loss_rate_at(times).view(np.int64).tolist() == _bits(rate, n)
+    per_edge = tl.loss_rate_within(times, -np.inf, np.inf)
+    assert per_edge.view(np.int64).tolist() == _bits(rate, n)
+
+    spikes = [e for e in schedule.events if isinstance(e, DelaySpike)]
+    edges = sorted({t for sp in spikes for t in (sp.t_start_ms, sp.t_end_ms)})
+    span = data.draw(st.integers(0, len(edges)))
+    times, start = _inside(edges, span, rng, n)
+    # A wave's endpoints, of which the cohort is every other message.
+    src, dst = rng.integers(0, 12, size=(2, 2 * n))
+    ids = np.arange(0, 2 * n, 2)
+    extra = tl.extra_delay_within(src, dst, ids, times, times.min(),
+                                  times.max())
+    node_spike = next(sp for sp in spikes if sp.nodes is not None)
+    assert isinstance(extra, float) == (
+        not span or not node_spike.t_start_ms <= start < node_spike.t_end_ms)
+    at = tl.extra_delay_at(src[ids], dst[ids], times)
+    per_edge = tl.extra_delay_within(src, dst, ids, times, -np.inf, np.inf)
+    assert per_edge.view(np.int64).tolist() == at.view(np.int64).tolist()
+    if isinstance(extra, float):
+        assert at.view(np.int64).tolist() == _bits(extra, n)
+
+
 @given(_hold_free(), st.integers(1, 6), st.integers(0, 2**16))
 @settings(max_examples=200, deadline=None)
 def test_armed_actor_matches_timeline_wave_without_crash_holds(

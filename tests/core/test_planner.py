@@ -70,17 +70,20 @@ class TestScan:
 
     def test_equals_the_topology_closed_forms(self):
         """Bits and latency of every plan with n >= 3 and k = n - d for
-        every N <= 300, d = N mod 3 taking k from n down to n - 2."""
+        every N <= 300, d = N mod 3 taking k from n down to n - 2.  The
+        scan lists each grouping once, under its smallest group."""
         w, bw = PAPER_CNN_PARAMS, 1e8
         for n_peers in range(3, 301):
             d = n_peers % 3
             req = PlanRequirements(sac_dropouts=d, raft_crashes=0,
                                    fedavg_leader_crash=False)
             plans = enumerate_plans(n_peers, w, req, bandwidth_bps=bw)
-            assert sorted(p.n for p in plans) == list(
-                range(max(3, d + 2), n_peers + 1))
+            assert sorted(p.n for p in plans) == sorted({
+                n_peers // (n_peers // n)
+                for n in range(max(3, d + 2), n_peers + 1)})
             for p in plans:
                 topo = Topology.by_group_size(n_peers, p.n)
+                assert min(topo.group_sizes) == p.n
                 assert (p.m, p.k) == (topo.n_groups, p.n - d)
                 assert p.volume_bits == two_layer_ft_cost_from_topology(
                     topo, p.k, w)
@@ -103,11 +106,13 @@ class TestScan:
 
     def test_plan_at_paper_scale_holds_no_topology(self):
         """``repro plan`` at the 118,096-peer X-layer size runs in bounded
-        memory.  The traced peak measured 12.3 MB (Python 3.11, output
-        held in a StringIO) when the one-scan planner replaced the
-        per-candidate topologies, which held 5.3 M peer ids at N = 4,000
-        and did not fit a 3 GB address space at N = 20,000.  A small
-        warm-up run keeps first-import allocations out of the peak."""
+        memory and prints one row per group count.  The traced peak
+        measured 12.3 MB (Python 3.11, output held in a StringIO) when
+        the one-scan planner replaced the per-candidate topologies, which
+        held 5.3 M peer ids at N = 4,000 and did not fit a 3 GB address
+        space at N = 20,000; it printed 39,363 rows then, one per n.  A
+        small warm-up run keeps first-import allocations out of the
+        peak."""
         with redirect_stdout(io.StringIO()):
             assert main(["plan", "--plan-peers", "30"]) == 0
         out = io.StringIO()
@@ -118,8 +123,27 @@ class TestScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.getvalue().count("\n") == 2 + 39_363
+        assert out.getvalue().count("\n") == 2 + 682
         assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_each_grouping_is_one_row(self):
+        """Every n from 8 to 10 splits 30 peers into three groups of 10,
+        so N = 30 lists m = 3 once, as (10, 9, 3)."""
+        plans = enumerate_plans(30, PAPER_CNN_PARAMS)
+        ms = [p.m for p in plans]
+        assert len(ms) == len(set(ms))
+        assert [(p.n, p.k) for p in plans if p.m == 3] == [(10, 9)]
+
+    def test_columns_fit_their_widest_value(self):
+        """At N = 30,000 m reaches five digits and the gain 10,588x, and
+        every row still splits into its six fields."""
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["plan", "--plan-peers", "30000"]) == 0
+        rows = out.getvalue().splitlines()[2:]
+        assert rows and all(len(row.split()) == 6 for row in rows)
+        assert rows[0].split() == ["3", "2", "10000", "6804.59", "10588.01x",
+                                   "-"]
 
 
 class TestRecommend:

@@ -6,8 +6,8 @@ the only model the program runs; with it every wave's delivery times
 already ascend.  These two draw per-message delays, so waves arrive out
 of order and interleave.  Both honour the
 :class:`~repro.simnet.network.LatencyModel` stream contract:
-``sample_batch`` consumes the RNG stream exactly as ``len(src)``
-sequential ``sample`` calls would.
+``sample_batch(count, rng)`` consumes the RNG stream exactly as
+``count`` sequential ``sample`` calls would.
 """
 
 import numpy as np
@@ -25,10 +25,8 @@ class UniformLatency:
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo_ms, self.hi_ms))
 
-    def sample_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return rng.uniform(self.lo_ms, self.hi_ms, size=len(src_ids))
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.lo_ms, self.hi_ms, size=count)
 
 
 class GaussianLatency:
@@ -42,8 +40,6 @@ class GaussianLatency:
     def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
         return max(self.floor_ms, float(rng.normal(self.mean_ms, self.std_ms)))
 
-    def sample_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        draws = rng.normal(self.mean_ms, self.std_ms, size=len(src_ids))
+    def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        draws = rng.normal(self.mean_ms, self.std_ms, size=count)
         return np.maximum(self.floor_ms, draws)

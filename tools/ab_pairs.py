@@ -1,9 +1,15 @@
 """Alternating parent/change benchmark pairs (choosing-metrics guide, section 8).
 
-    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload paper_round \\
+    python3 tools/ab_pairs.py PARENT_REV CHANGE_REV --workload paper_round \\
         --pairs 10 --seconds 22 --seed0 61
 
-Pair ``i`` runs each checkout's own ``bench/run.py --workload W --seed seed0+i
+Each side is a git revision of this repository (``HEAD~1``, a branch, a
+hash), exported with ``git archive`` into a fresh temporary directory; the
+two exports sit at paths of equal depth and length, so neither side runs
+from a working tree (whose stray files and path read differently for the
+same code).  Commit a change before measuring it.
+
+Pair ``i`` runs each export's own ``bench/run.py --workload W --seed seed0+i
 --seconds S --trace 0`` (stdlib only), parent first on even pairs, change first
 on odd ones.  Per end-to-end metric of the parent's ``BENCHMARK.json``: change /
 parent per pair, each side's median and quartiles, pairs won (ties count for
@@ -16,7 +22,22 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract revision ``rev`` of the repository into ``dest``; its hash."""
+    git = ["git", "-C", str(REPO)]
+    commit = subprocess.run(git + ["rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            check=True, text=True, stdout=subprocess.PIPE).stdout.strip()
+    tar = subprocess.run(git + ["archive", commit], check=True,
+                         stdout=subprocess.PIPE).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+    return commit
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -45,20 +66,26 @@ def verdict(parent: list, change: list, wins: int, higher: bool, bound: float) -
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
+    ap.add_argument("parent", help="git revision of the parent side")
+    ap.add_argument("change", help="git revision of the change side")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=22)
     ap.add_argument("--seed0", type=int, default=61)
     args = ap.parse_args()
-    spec = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
-    for seed in range(args.seed0, args.seed0 + args.pairs):
-        for side in ("parent", "change")[:: -1 if (seed - args.seed0) % 2 else 1]:
-            r = run(getattr(args, side), args.workload, seed, args.seconds)
-            runs[side].append(r)
-            print(f"seed {seed} {side}: failed {r['failed']}/{r['attempted']}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        # "parent" and "change" are equally long: equal paths but for a name.
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        for side, tree in trees.items():
+            print(f"{side}: {export(getattr(args, side), tree)}", flush=True)
+        spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+        runs = {"parent": [], "change": []}
+        for seed in range(args.seed0, args.seed0 + args.pairs):
+            for side in ("parent", "change")[:: -1 if (seed - args.seed0) % 2 else 1]:
+                r = run(trees[side], args.workload, seed, args.seconds)
+                runs[side].append(r)
+                print(f"seed {seed} {side}: failed {r['failed']}/{r['attempted']}",
+                      flush=True)
     for m in spec:
         name, higher = m["name"], m["better"] == "higher"
         p, c = ([r["metrics"][name]["value"] for r in runs[s]] for s in runs)
