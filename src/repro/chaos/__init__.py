@@ -29,7 +29,6 @@ from .runner import (
 )
 from .scale import ScaleReport, run_scale_trial
 from .schedule import (
-    ArmedSchedule,
     Crash,
     DelaySpike,
     FaultEvent,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FaultTimeline",
-    "ArmedSchedule",
     "ChaosProfile",
     "ChaosPlan",
     "ChurnDraw",

@@ -1,43 +1,43 @@
-"""Declarative fault schedules and the applier that arms them.
+"""Declarative fault schedules and how they reach a network.
 
 A :class:`FaultSchedule` is a value object — a validated, sorted tuple
 of typed fault events — that can be armed on any
 (:class:`~repro.simnet.events.Simulator`,
 :class:`~repro.simnet.network.Network`) pair.  The same schedule can
 therefore hit a standalone SAC round, a two-layer wire round, or a
-two-layer Raft deployment: the injection mechanics (crash, recover,
-partition, loss, latency spike) all live in the network layer the three
-stacks share.
+two-layer Raft deployment, and the X-layer wave round reads it too.
 
 Event types
 -----------
 - :class:`Crash` / :class:`Recover` — point events on one node.
-- :class:`PartitionWindow` — ``set_partition(groups)`` at ``t_start_ms``
-  and heal at ``t_end_ms``.
-- :class:`LossWindow` — raise ``loss_rate`` for the window, then restore
-  whatever rate the network had before.
+- :class:`PartitionWindow` — the network splits into ``groups`` for the
+  window; a node outside every group talks to nobody.
+- :class:`LossWindow` — the loss rate is ``loss_rate`` for the window,
+  the network's own rate outside it.
 - :class:`DelaySpike` — a straggler window: affected nodes' messages
   take ``extra_delay_ms`` longer (both directions) until the window
   closes.
 
-Arming returns an :class:`ArmedSchedule`, which doubles as the
-network's ``fault_oracle``: protocol-level failure detectors ask it
-whether a crashed node still has a :class:`Recover` pending before
-declaring a round unrecoverable (a god's-eye shortcut for the failure
-detector a real deployment would build from timeouts and NACKs).
+Every window reaches a round through the schedule's
+:class:`~repro.chaos.timeline.FaultTimeline`, whose module states the
+semantics; :meth:`FaultSchedule.arm` installs it and schedules the
+events that need node callbacks, ``Crash`` and ``Recover``.  Failure
+detectors ask the timeline, through ``network.may_recover(node)``,
+whether a crashed node still has a :class:`Recover` pending (a
+god's-eye shortcut for the detector a real deployment would build from
+timeouts and NACKs).
 """
 
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
-
-import numpy as np
 
 from ..obs import runtime as _obs
 from ..simnet import Network, Simulator
-from ..simnet.network import LatencyModel
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,10 @@ class PartitionWindow:
             raise ValueError("partition window must have t_start < t_end")
         if len(self.groups) < 2:
             raise ValueError("a partition needs at least two groups")
+        counts = Counter(node for group in self.groups for node in group)
+        twice = sorted(node for node, c in counts.items() if c > 1)
+        if twice:
+            raise ValueError(f"node {twice[0]} in multiple partition groups")
 
 
 @dataclass(frozen=True)
@@ -109,26 +113,8 @@ class DelaySpike:
 
 FaultEvent = Union[Crash, Recover, PartitionWindow, LossWindow, DelaySpike]
 
-_WINDOW_TYPES = (PartitionWindow, LossWindow, DelaySpike)
-
-
 def _start_time(event: FaultEvent) -> float:
     return event.t_ms if isinstance(event, (Crash, Recover)) else event.t_start_ms
-
-
-class _SpikedLatency:
-    """Wraps a latency model, adding spike delay for affected endpoints."""
-
-    def __init__(self, base: LatencyModel, spike: DelaySpike) -> None:
-        self.base = base
-        self.spike = spike
-        self._affected = None if spike.nodes is None else set(spike.nodes)
-
-    def sample(self, src: int, dst: int, rng: np.random.Generator) -> float:
-        delay = self.base.sample(src, dst, rng)
-        if self._affected is None or src in self._affected or dst in self._affected:
-            delay += self.spike.extra_delay_ms
-        return delay
 
 
 @dataclass(frozen=True)
@@ -265,29 +251,27 @@ class FaultSchedule:
             raise ValueError(f"schedule touches unknown nodes {unknown}")
 
     def timeline(self, base_loss_rate: float = 0.0):
-        """Compile the schedule into a vectorized :class:`FaultTimeline`.
+        """Compile the schedule into a :class:`FaultTimeline`.
 
         ``base_loss_rate`` is the network's ambient loss rate outside
-        every :class:`LossWindow` (the armed path restores it when a
-        window closes).  The timeline powers the wave engine's
-        issue-time fault queries; see :mod:`repro.chaos.timeline`.
+        every :class:`LossWindow`.  The timeline answers every window
+        query of both the wave engine and the actor path; see
+        :mod:`repro.chaos.timeline`.
         """
         from .timeline import FaultTimeline
 
         return FaultTimeline(self, base_loss_rate=base_loss_rate)
 
     # ----------------------------------------------------------------- arming
-    def arm(self, sim: Simulator, network: Network) -> "ArmedSchedule":
-        """Schedule every event on ``sim`` against ``network``.
-
-        Also installs the returned applier as the network's
-        ``fault_oracle`` so failure detectors can distinguish permanent
-        crashes from ones with a recovery pending.  An armed network
-        runs the per-message actor path only: ``send_batch`` rejects it
-        (a wave reads its faults from a :meth:`timeline` installed as
-        ``network.fault_timeline`` instead).
-        """
-        armed = ArmedSchedule(schedule=self, sim=sim, network=network)
+    def arm(self, sim: Simulator, network: Network) -> None:
+        """Install the :meth:`timeline` as ``network.fault_timeline`` and
+        schedule ``network.crash`` / ``recover`` at each :class:`Crash` /
+        :class:`Recover`.  A second ``arm`` on the same network merges
+        its events into the installed schedule, validated together."""
+        installed = network.fault_timeline
+        merged = self if installed is None else FaultSchedule(
+            (*installed.schedule.events, *self.events))
+        network.fault_timeline = merged.timeline(network.loss_rate)
         obs = _obs.OBS
         if obs.enabled:
             # node=None instant: in the event log (and an incident's
@@ -299,78 +283,7 @@ class FaultSchedule:
             )
         for event in self.events:
             if isinstance(event, Crash):
-                sim.schedule_at(
-                    event.t_ms, lambda e=event: network.crash(e.node)
-                )
+                sim.schedule_at(event.t_ms, partial(network.crash, event.node))
             elif isinstance(event, Recover):
-                sim.schedule_at(
-                    event.t_ms, lambda e=event: network.recover(e.node)
-                )
-            elif isinstance(event, PartitionWindow):
-                sim.schedule_at(
-                    event.t_start_ms,
-                    lambda e=event: network.set_partition(
-                        [list(g) for g in e.groups]
-                    ),
-                )
-                sim.schedule_at(
-                    event.t_end_ms, lambda: network.set_partition(None)
-                )
-            elif isinstance(event, LossWindow):
-                sim.schedule_at(
-                    event.t_start_ms, lambda e=event: armed._open_loss(e)
-                )
-                sim.schedule_at(event.t_end_ms, armed._close_loss)
-            elif isinstance(event, DelaySpike):
-                sim.schedule_at(
-                    event.t_start_ms, lambda e=event: armed._open_spike(e)
-                )
-                sim.schedule_at(
-                    event.t_end_ms, lambda e=event: armed._close_spike(e)
-                )
-        network.fault_oracle = armed
-        return armed
-
-
-@dataclass
-class ArmedSchedule:
-    """Live injection state for one armed :class:`FaultSchedule`."""
-
-    schedule: FaultSchedule
-    sim: Simulator
-    network: Network
-    _saved_loss_rate: float | None = field(default=None, init=False, repr=False)
-    _base_latency: LatencyModel | None = field(default=None, init=False, repr=False)
-    _open_spikes: list = field(default_factory=list, init=False, repr=False)
-
-    # ------------------------------------------------------------ window glue
-    def _open_loss(self, window: LossWindow) -> None:
-        self._saved_loss_rate = self.network.loss_rate
-        self.network.set_loss_rate(window.loss_rate)
-
-    def _close_loss(self) -> None:
-        self.network.set_loss_rate(self._saved_loss_rate or 0.0)
-        self._saved_loss_rate = None
-
-    def _open_spike(self, spike: DelaySpike) -> None:
-        if not self._open_spikes:
-            self._base_latency = self.network.latency
-        self._open_spikes.append(spike)
-        self.network.latency = _SpikedLatency(self.network.latency, spike)
-
-    def _close_spike(self, spike: DelaySpike) -> None:
-        # Re-wrap the base in the spikes still open, in opening order:
-        # overlapping spikes sum, and each close removes only its own.
-        self._open_spikes.remove(spike)
-        latency = self._base_latency
-        for other in self._open_spikes:
-            latency = _SpikedLatency(latency, other)
-        self.network.latency = latency
-
-    # ---------------------------------------------------------------- oracle
-    def may_recover(self, node_id: int, now_ms: float) -> bool:
-        """Whether ``node_id`` has a :class:`Recover` at or after ``now_ms``."""
-        return any(
-            isinstance(e, Recover) and e.node == node_id and e.t_ms >= now_ms
-            for e in self.schedule.events
-        )
+                sim.schedule_at(event.t_ms,
+                                partial(network.recover, event.node))

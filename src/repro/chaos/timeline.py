@@ -1,37 +1,34 @@
-"""Vectorized fault timelines: a :class:`FaultSchedule` as array queries.
+"""Fault timelines: a :class:`FaultSchedule` as pure functions of time.
 
-The armed schedule (:meth:`FaultSchedule.arm`) injects faults by
-mutating live network state from simulator callbacks — correct for
-actor-driven rounds, but useless to the wave engine, which computes a
-whole batch of delivery fates *at issue time* in numpy.  A
-:class:`FaultTimeline` is the same schedule compiled into piecewise
-state functions over virtual time, so `repro.simnet.waves` can ask
-"was this link up at t?" or "what was the loss rate at t?" for a
-million (src, dst, t) triples in one vectorized pass.
+A :class:`FaultTimeline` is a schedule compiled into piecewise state
+functions over virtual time.  It is the one source of fault *windows*
+on both paths: :mod:`repro.simnet.waves` asks it "was this link up at
+t?" or "what was the loss rate at t?" for a million (src, dst, t)
+triples in one vectorized pass, and the per-message actor path
+(``Network.physical_send``) asks :meth:`FaultTimeline.span_at` for the
+windows in force at ``sim.now``, one binary search a send.
+:meth:`FaultSchedule.arm` installs it as ``network.fault_timeline`` and
+schedules only the node callbacks (``Crash`` / ``Recover``).
 
-Semantics mirror the armed event callbacks exactly:
+Semantics, the same for a wave and for an actor send:
 
-- Every window is closed-start / open-end ``[t_start, t_end)``: an
-  armed event scheduled at ``t`` holds a smaller heap sequence number
-  than any message activity scheduled later at the same instant, so
-  state changes at ``t`` are visible to sends *at* ``t``.
+- Every window is closed-start / open-end ``[t_start, t_end)``: a send
+  *at* ``t_start`` is inside the window, whatever else happens at that
+  instant, and a send at ``t_end`` is outside it.
 - ``Crash`` without a matching ``Recover`` keeps the node down forever.
-- ``LossWindow`` overrides — not adds to — the base loss rate, exactly
-  like the armed ``set_loss_rate`` swap.
+- ``LossWindow`` overrides — not adds to — the base loss rate.
 - Overlapping :class:`DelaySpike` windows sum their extra delays for
-  jointly affected endpoints (the armed path nests ``_SpikedLatency``
-  wrappers, which also sums).
-
-The X-layer wire round installs the timeline on its network as
-``net.fault_timeline``: it switches ``send_batch`` into item mode and is
-the only fault source a wave reads.  The actor path (``physical_send``)
-never consults it; its faults come from an armed schedule, on which
-``send_batch`` raises.
+  jointly affected endpoints, in script order, starting from ``0.0``;
+  a message arrives at ``t + (latency + extra)``.
+- During a :class:`PartitionWindow` a link is up only between two nodes
+  of one group; a node outside every group is isolated.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +60,7 @@ class _PartitionSpan:
 
     def group_of(self, ids: np.ndarray) -> np.ndarray:
         """Group index per node; ``-1`` for nodes outside every group
-        (those are isolated, matching ``Network.set_partition``)."""
+        (those are isolated)."""
         pos = np.searchsorted(self.nodes, ids)
         pos = np.minimum(pos, len(self.nodes) - 1)
         out = self.groups[pos]
@@ -92,6 +89,30 @@ class _DelaySpan:
             None if spike.nodes is None
             else np.array(sorted(spike.nodes), dtype=np.int64)
         )
+
+
+class _Span(NamedTuple):
+    """The windows in force between two consecutive edges of the script,
+    all one actor send asks (see :meth:`FaultTimeline.span_at`)."""
+
+    loss_rate: float
+    #: the spikes' summed delay; NaN while a node-scoped one is on, when
+    #: ``spikes`` lists every spike on as ``(nodes or None, extra)``.
+    extra: float
+    spikes: tuple
+    #: node -> group of the partition on, if any.
+    groups: dict | None
+
+    def extra_delay(self, src: int, dst: int) -> float:
+        """The straggler delay of one ``src -> dst`` message, summed as
+        :meth:`FaultTimeline.extra_delay_at` sums it."""
+        if not self.spikes:
+            return self.extra
+        extra = 0.0
+        for nodes, e in self.spikes:
+            if nodes is None or src in nodes or dst in nodes:
+                extra += e
+        return extra
 
 
 class FaultTimeline:
@@ -161,21 +182,40 @@ class FaultTimeline:
         self._spikes = [
             _DelaySpan(e) for e in schedule.events if isinstance(e, DelaySpike)
         ]
+        # One span between each two consecutive edges of any window.
+        windows = [e for e in schedule.events
+                   if not isinstance(e, (Crash, Recover))]
+        self._edges = sorted({t for w in windows
+                              for t in (w.t_start_ms, w.t_end_ms)})
+        groups = {id(w): {n: g for g, grp in enumerate(w.groups) for n in grp}
+                  for w in windows if isinstance(w, PartitionWindow)}
+        self._spans = []
+        for t in (-np.inf, *self._edges):
+            on = [w for w in windows if w.t_start_ms <= t < w.t_end_ms]
+            spikes = [w for w in on if isinstance(w, DelaySpike)]
+            extra = 0.0
+            for sp in spikes:  # summed as :meth:`extra_delay_at` sums
+                extra += sp.extra_delay_ms
+            if any(sp.nodes is not None for sp in spikes):
+                extra, spikes = math.nan, tuple(
+                    (None if sp.nodes is None else frozenset(sp.nodes),
+                     sp.extra_delay_ms) for sp in spikes)
+            else:
+                spikes = ()
+            self._spans.append(_Span(
+                next((w.loss_rate for w in on if isinstance(w, LossWindow)),
+                     self.base_loss_rate),
+                extra, spikes,
+                next((groups[id(w)] for w in on if id(w) in groups), None),
+            ))
         # The extra delay of every message sent inside each span between
-        # consecutive spike edges (NaN while a node-scoped spike is on),
-        # summed as :meth:`extra_delay_at` sums it.
+        # consecutive spike edges (NaN while a node-scoped spike is on).
         self._delay_edges = np.unique(
             [t for sp in self._spikes for t in (sp.t_start, sp.t_end)])
-        self._span_delay = []
-        for t in (-np.inf, *self._delay_edges.tolist()):
-            extra = 0.0
-            for sp in self._spikes:
-                on = sp.t_start <= t < sp.t_end
-                if on and sp.nodes is not None:
-                    extra = np.nan
-                    break
-                extra += on * sp.extra
-            self._span_delay.append(extra)
+        self._span_delay = [self.span_at(t).extra
+                            for t in (-np.inf, *self._delay_edges.tolist())]
+        self._recovers_until = dict(zip(self._crash_nodes.tolist(),
+                                        self._last_recovery.tolist()))
 
     @property
     def max_loss_rate(self) -> float:
@@ -188,6 +228,16 @@ class FaultTimeline:
         return float(self._loss_rates.min())
 
     # ------------------------------------------------------------- queries
+    def span_at(self, t: float) -> _Span:
+        """The windows in force at instant ``t``: loss rate, extra delay
+        and partition for one actor send, from one binary search."""
+        return self._spans[bisect_right(self._edges, t)]
+
+    def may_recover(self, node: int, t: float) -> bool:
+        """Whether ``node`` has a Recover at or after ``t`` (the scalar
+        :meth:`recovery_at_or_after`)."""
+        return t <= self._recovers_until.get(node, math.nan)
+
     @staticmethod
     def time_bounds(times: np.ndarray) -> tuple[float, float]:
         """``(min, max)`` of ``times``; ``(inf, -inf)`` when empty.  A
@@ -257,7 +307,7 @@ class FaultTimeline:
         self, nodes: np.ndarray, times: np.ndarray
     ) -> np.ndarray:
         """Whether ``nodes[i]`` has a Recover at ``t >= times[i]``
-        (the ``may_recover`` oracle, vectorized)."""
+        (:meth:`may_recover`, vectorized)."""
         times = np.asarray(times, dtype=np.float64)
         row, sel = self._crash_rows(nodes)
         out = np.zeros(len(nodes), dtype=bool)

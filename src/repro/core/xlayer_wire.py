@@ -175,7 +175,9 @@ def run_xlayer_wire_round(
 
     ``loss_rate`` drops each physical frame i.i.d.; it requires
     ``transport="reliable"`` (stop-and-wait ACK/retransmit, vectorized
-    into attempt cohorts — see ``docs/performance.md``).  ``schedule``
+    into attempt cohorts — see ``docs/performance.md``); its RTO is two
+    round trips of ``latency.delay_ms`` or, for a latency without one,
+    ``transport_opts["base_rto_ms"]``.  ``schedule``
     is an optional :class:`repro.chaos.FaultSchedule`; it is compiled to
     a :class:`repro.chaos.FaultTimeline` so crashes, partitions, loss
     windows and delay spikes apply to every wave at issue time.  A
@@ -201,7 +203,8 @@ def run_xlayer_wire_round(
     sim = Simulator()
     if transport == "reliable":
         transport_opts = reliable_transport_opts(
-            getattr(latency, "delay_ms", DEFAULT_DELAY_MS), transport_opts
+            DEFAULT_DELAY_MS if latency is None
+            else getattr(latency, "delay_ms", None), transport_opts
         )
     net = Network(sim, latency=latency, rng=net_rng, loss_rate=loss_rate,
                   transport=transport, transport_opts=transport_opts)

@@ -249,6 +249,8 @@ class SacProtocolPeer(SimNode):
                     self.members[j], msg, size_bits=msg.size_bits(),
                     kind="sac.share",
                 )
+        if self.position == self.leader_pos:
+            self.set_timer(self.subtotal_timeout_ms, self._check_stalled)
         self._accept_bundle(self.position, my_bundle)
 
     def _accept_bundle(self, origin: int, shares: dict) -> None:
@@ -306,6 +308,20 @@ class SacProtocolPeer(SimNode):
             self._maybe_finish()
 
     # ------------------------------------------------- phase 3 (leader only)
+    def _check_stalled(self) -> None:
+        """Armed at share-out: a bundle whose origin died for good never
+        comes, so the bundles never complete to arm :meth:`_check_missing`;
+        the leader then fetches from the live holders at once."""
+        if self.average is not None or len(self._bundles) == self.n:
+            return
+        if any(
+            _gone_for_good(self.network, self.members[o])
+            for o in range(self.n) if o not in self._bundles
+        ):
+            self._check_missing()
+        else:
+            self.set_timer(self.subtotal_timeout_ms, self._check_stalled)
+
     def _check_missing(self) -> None:
         if self.average is not None:
             return
@@ -435,7 +451,7 @@ class FatalWatch:
         if self._done():
             return
         out = _exhausted_outcome(self._network)
-        if out is None and not self._network._fault_free:
+        if out is None and self._network._crashed:  # crash permanence only
             out = self._classify()
         if out is not None:
             self.outcome = out
@@ -530,7 +546,8 @@ def classify_timeout(
     ``"FedAvg leader 0"``), ``waiting`` the alive peers it still needs or
     that still need it, ``stalled`` what the round was left waiting for.
     """
-    partition = network._partition
+    tl = network.fault_timeline
+    partition = None if tl is None else tl.span_at(network.sim.now).groups
     if partition is not None:
         side = partition.get(leader_id)
         cut_off = [p for p in waiting if partition.get(p) != side]
@@ -548,11 +565,17 @@ def classify_timeout(
 
 
 def reliable_transport_opts(
-    delay_ms: float, transport_opts: dict | None
+    delay_ms: float | None, transport_opts: dict | None
 ) -> dict:
-    """Default the reliable channel's RTO to two round trips."""
+    """Default the reliable channel's RTO to two round trips of a fixed
+    ``delay_ms``; with none (``None``) the caller must set it."""
     opts = dict(transport_opts or {})
-    opts.setdefault("base_rto_ms", 4.0 * delay_ms)
+    if "base_rto_ms" not in opts:
+        if delay_ms is None:
+            raise ValueError(
+                "a latency model without a fixed delay_ms sizes no RTO: "
+                "pass transport_opts['base_rto_ms']")
+        opts["base_rto_ms"] = 4.0 * delay_ms
     return opts
 
 
@@ -648,21 +671,21 @@ class ActorRound:
     ) -> RoundOutcome:
         """Arm the round, run it, and say how it ended.
 
-        Armed, in this order: the ``starters``' t=0 share-out, the
-        ``crash_at`` injections, the chaos schedule, and the
-        :class:`FatalWatch` running ``classify`` — the round's early
-        unrecoverability check — every ``period_ms``.  The simulator then
-        runs to ``done()``, the round timeout or a fatal verdict;
-        ``stalled()`` supplies the :func:`classify_timeout` arguments if
-        the round idles out.
+        Armed, in this order: the chaos schedule (a ``Crash`` at t=0 is
+        in force for the t=0 sends), the ``starters``' t=0 share-out,
+        the ``crash_at`` injections, and the :class:`FatalWatch` running
+        ``classify`` — the round's early unrecoverability check — every
+        ``period_ms``.  The simulator then runs to ``done()``, the round
+        timeout or a fatal verdict; ``stalled()`` supplies the
+        :func:`classify_timeout` arguments if the round idles out.
         """
         sim, network = self.sim, self.network
+        if self.schedule is not None:
+            self.schedule.arm(sim, network)
         for peer in starters:
             sim.schedule(0.0, peer.start_round)
         for pid, t in self.crash_at.items():
             sim.schedule(t, partial(network.crash, pid))
-        if self.schedule is not None:
-            self.schedule.arm(sim, network)
         watch = FatalWatch(sim, network, period_ms, done, classify)
         sim.run_while(
             lambda: not done()

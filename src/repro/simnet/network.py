@@ -136,16 +136,9 @@ class Network:
             ReliableTransport(self, **(transport_opts or {}))
             if transport == "reliable" else None
         )
-        #: optional god's-eye fault oracle installed by an armed chaos
-        #: schedule (see :meth:`repro.chaos.FaultSchedule.arm`); when
-        #: present, protocol-level failure detectors may ask it whether a
-        #: crashed node has a recovery still pending.
-        self.fault_oracle: Any = None
-        #: optional :class:`repro.chaos.FaultTimeline`: a closed-form
-        #: view of a fault schedule (loss/partition/crash/delay windows
-        #: as functions of time), the only fault source ``send_batch``
-        #: reads, so whole waves are fate-resolved without arming
-        #: per-event callbacks.  Installed by the X-layer wire round.
+        #: optional :class:`repro.chaos.FaultTimeline` (installed by
+        #: ``FaultSchedule.arm`` or the X-layer round): the one source of
+        #: loss, delay and partition windows, and of :meth:`may_recover`.
         self.fault_timeline: Any = None
         #: trace id stamped on every TraceContext this network allocates
         #: (one id per round/scenario; set by the round runners).
@@ -157,14 +150,10 @@ class Network:
         self._uplink_free: Dict[int, float] = {}
         self._nodes: Dict[int, Any] = {}
         self._crashed: set[int] = set()
-        self._partition: Optional[dict[int, int]] = None
         # send() is the simulator's hottest path: cache the sorted id
-        # lists (invalidated on register/crash/recover) and keep a flag
-        # for the overwhelmingly common fault-free case so link_up()
-        # is a single attribute check per message.
+        # lists (invalidated on register/crash/recover).
         self._node_ids_cache: Optional[list[int]] = None
         self._alive_ids_cache: Optional[list[int]] = None
-        self._fault_free = True
         #: live message-object accounting for the resource profiler:
         #: messages scheduled but not yet delivered/dropped, and the
         #: high-water mark.  Two integer ops per message, taken whether
@@ -201,9 +190,9 @@ class Network:
         """Release the actor graph once a run's results have been read.
 
         Nodes hold their network and the node table holds them; pending
-        deliveries and timers close over both; the reliable channel, an
-        armed fault schedule and a pending wave ledger point back here.
-        Dropping the table, those three and the simulator's pending
+        deliveries, timers and armed crash callbacks close over both;
+        the reliable channel and a pending wave ledger point back here.
+        Dropping the table, those two and the simulator's pending
         events (a half-replayed ledger lives only in one of them) leaves
         no reference cycle, so refcounting frees the run's state —
         peers, bundles, every payload array — as soon as the caller lets
@@ -214,7 +203,6 @@ class Network:
         self._nodes.clear()
         self._node_ids_cache = self._alive_ids_cache = None
         self.reliable = None
-        self.fault_oracle = None
         self._ledger = None
 
     # ----------------------------------------------------------------- faults
@@ -222,7 +210,6 @@ class Network:
         """Crash a node: it stops sending and receiving until recovered."""
         self._crashed.add(node_id)
         self._alive_ids_cache = None
-        self._fault_free = False
         obs = _obs.OBS
         if obs.enabled:
             obs.emit("net.crash", t_ms=self.sim.now, node=node_id)
@@ -234,7 +221,6 @@ class Network:
         """Bring a crashed node back (it rejoins with its durable state)."""
         self._crashed.discard(node_id)
         self._alive_ids_cache = None
-        self._fault_free = not self._crashed and self._partition is None
         obs = _obs.OBS
         if obs.enabled:
             obs.emit("net.recover", t_ms=self.sim.now, node=node_id)
@@ -252,63 +238,29 @@ class Network:
             ]
         return self._alive_ids_cache
 
-    def set_partition(self, groups: list[list[int]] | None) -> None:
-        """Partition the network into isolated groups (``None`` heals it).
-
-        Nodes not listed in any group can talk to nobody.
-        """
-        obs = _obs.OBS
-        if groups is None:
-            self._partition = None
-            self._fault_free = not self._crashed
-            if obs.enabled:
-                obs.emit("net.partition", t_ms=self.sim.now, healed=True)
-            return
-        mapping: dict[int, int] = {}
-        for gi, group in enumerate(groups):
-            for node_id in group:
-                if node_id in mapping:
-                    raise ValueError(f"node {node_id} in multiple partition groups")
-                mapping[node_id] = gi
-        self._partition = mapping
-        self._fault_free = False
-        if obs.enabled:
-            obs.emit("net.partition", t_ms=self.sim.now, healed=False,
-                     groups=[list(g) for g in groups])
-
-    def set_loss_rate(self, loss_rate: float) -> None:
-        """Change the message-loss probability (chaos ``LossWindow``)."""
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        self.loss_rate = loss_rate
-        obs = _obs.OBS
-        if obs.enabled:
-            obs.emit("net.loss_rate", t_ms=self.sim.now, rate=loss_rate)
-
     def may_recover(self, node_id: int) -> bool:
-        """Whether a crashed node has a recovery still scheduled.
-
-        Without an armed chaos schedule crashes are permanent (the seed
-        semantics of ``crash_at``), so the answer is ``False`` unless a
-        fault oracle says otherwise.
-        """
-        oracle = self.fault_oracle
-        if oracle is None:
-            return False
-        return bool(oracle.may_recover(node_id, self.sim.now))
+        """Whether a crashed node has a recovery still scheduled: a
+        ``Recover`` at or after now on the fault timeline (without one,
+        crashes are permanent, the seed semantics of ``crash_at``)."""
+        tl = self.fault_timeline
+        return tl is not None and tl.may_recover(node_id, self.sim.now)
 
     def link_up(self, src: int, dst: int) -> bool:
-        """Whether a message from ``src`` can currently reach ``dst``."""
-        if self._fault_free:
-            return True
-        if src in self._crashed or dst in self._crashed:
+        """Whether a message from ``src`` can currently reach ``dst``:
+        both alive and, inside a partition window, on one side."""
+        tl = self.fault_timeline
+        return self._link_up(
+            src, dst, None if tl is None else tl.span_at(self.sim.now))
+
+    def _link_up(self, src: int, dst: int, span: Any) -> bool:
+        """:meth:`link_up` given the timeline's span at now (or None)."""
+        crashed = self._crashed
+        if crashed and (src in crashed or dst in crashed):
             return False
-        if self._partition is not None:
-            gs = self._partition.get(src)
-            gd = self._partition.get(dst)
-            if gs is None or gd is None or gs != gd:
-                return False
-        return True
+        if span is None or span.groups is None:
+            return True
+        side = span.groups.get(src)  # outside every group: isolated
+        return side is not None and side == span.groups.get(dst)
 
     # ------------------------------------------------------------------- send
     def send(
@@ -374,10 +326,10 @@ class Network:
         item batches pending on a network share one heap entry.  Causal
         spans are not allocated for wave messages.
 
-        The timeline is a wave's only fault source: live ``crash()`` /
-        ``set_partition`` state, an armed schedule, a bandwidth and
-        loss without ``transport="reliable"`` raise ``ValueError``
-        (the per-message ``send`` path models them all).
+        The timeline is a wave's only fault source: live ``crash()``
+        state, a bandwidth and loss without ``transport="reliable"``
+        raise ``ValueError`` (the per-message ``send`` path models them
+        all).
 
         Returns the :class:`~repro.simnet.waves.DeliveryWave`, whose
         ``delivery_times`` gives each message's arrival — or, as an
@@ -427,16 +379,23 @@ class Network:
         kind: str = "msg",
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        """One physical transmission attempt (no transport semantics)."""
+        """One physical transmission attempt (no transport semantics):
+        one timeline lookup gives the partition, loss rate and extra
+        delay at now, and the frame lands ``latency + extra`` later."""
         if dst not in self._nodes:
             raise KeyError(f"unknown destination node {dst}")
-        if not self.link_up(src, dst):
+        tl = self.fault_timeline
+        span = None if tl is None else tl.span_at(self.sim.now)
+        if not self._link_up(src, dst, span):
             self._drop(src, dst, kind, size_bits, "link_down", ctx=ctx)
             return
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        rate = self.loss_rate if span is None else span.loss_rate
+        if rate > 0.0 and self.rng.random() < rate:
             self._drop(src, dst, kind, size_bits, "loss", ctx=ctx)
             return
         delay = self.latency.sample(src, dst, self.rng)
+        if span is not None:
+            delay += span.extra_delay(src, dst)
         if self.bandwidth_bps is not None and size_bits > 0:
             transfer_ms = 1000.0 * size_bits / self.bandwidth_bps
             if self.serialize_uplink:

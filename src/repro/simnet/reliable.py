@@ -272,17 +272,11 @@ class ReliableTransport:
         )
 
     def _dst_crashed(self, dst: int) -> bool:
-        """Crash state at inspection time, whichever injection mode ran.
-
-        Armed schedules mutate ``network._crashed`` live; wave rounds
-        driven by a :class:`~repro.chaos.timeline.FaultTimeline` leave
-        the network untouched, so the timeline is consulted at the
-        current virtual time instead.
-        """
-        if self.network.is_crashed(dst):
+        """Crash state now: live ``crash()`` state, or the fault
+        timeline's (a wave round runs no crash callbacks)."""
+        net = self.network
+        if net.is_crashed(dst):
             return True
-        tl = getattr(self.network, "fault_timeline", None)
-        if tl is None:
-            return False
-        now = np.array([self.network.sim.now])
-        return bool(tl.crashed_at(np.array([dst]), now)[0])
+        tl = net.fault_timeline
+        return tl is not None and bool(
+            tl.crashed_at(np.array([dst]), np.array([net.sim.now]))[0])

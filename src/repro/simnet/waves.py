@@ -38,10 +38,11 @@ observe the network — one for a whole X-layer round — not (instant,
 wave) pairs, let alone items.
 
 Faults come from an installed :class:`~repro.chaos.timeline.FaultTimeline`
-and nowhere else: ``send_batch`` raises ``ValueError`` on live
-``crash()`` / ``set_partition`` state, an armed schedule, a bandwidth or
-loss without ``transport="reliable"``, so a fire-and-forget wave runs on
-a fault-free, lossless network and drops nothing.
+and nowhere else — the same timeline the per-message actor path reads:
+``send_batch`` raises ``ValueError`` on live ``crash()`` state, a
+bandwidth or loss without ``transport="reliable"``, so a
+fire-and-forget wave without a timeline runs on a fault-free, lossless
+network and drops nothing.
 
 Accounting: a wave records one aggregate
 :class:`~repro.simnet.trace.WaveRecord` and one ``net.*`` obs event
@@ -215,8 +216,7 @@ def send_batch(
             dep = np.maximum(dep, sim.now)
 
     reason = (
-        "live crash or partition state" if not net._fault_free
-        else "an armed fault schedule" if net.fault_oracle is not None
+        "live crash state" if net._crashed
         else "a bandwidth" if net.bandwidth_bps is not None
         else "loss without the reliable transport"
         if net.loss_rate > 0.0 and net.reliable is None

@@ -147,7 +147,7 @@ class TestTwoLayerUnderChaos:
             assert result.finish_time_ms <= 8_000.0
 
     @given(loss_rate=st.floats(0.01, 0.3), seed=st.integers(0, 1_000))
-    @example(loss_rate=0.3, seed=1699)
+    @example(loss_rate=0.3, seed=763)
     @settings(max_examples=10, deadline=None)
     def test_pure_loss_always_completes_bit_identical(self, loss_rate, seed):
         topology = Topology.by_group_size(8, 4)
@@ -165,16 +165,16 @@ class TestTwoLayerUnderChaos:
         assert np.array_equal(result.average, reference.average)
 
     def test_default_budget_times_out_where_the_sized_one_completes(self):
-        """Loss 0.3 at seed 1699: under the default 8 attempts and an 8 s
+        """Loss 0.3 at seed 763: under the default 8 attempts and an 8 s
         deadline the round degrades to a typed timeout; the budget sized
         for five chained hops completes it."""
         topology = Topology.by_group_size(8, 4)
-        models = sac_models(topology.n_peers, seed=1699)
-        reference = run_two_layer_wire_round(topology, models, k=3, seed=1699)
+        models = sac_models(topology.n_peers, seed=763)
+        reference = run_two_layer_wire_round(topology, models, k=3, seed=763)
         attempts, deadline = sized_budget(
             0.3, reference.messages_sent, hops=5)
         lossy = dict(
-            k=3, seed=1699, transport="reliable",
+            k=3, seed=763, transport="reliable",
             schedule=FaultSchedule([LossWindow(0.0, deadline, 0.3)]),
         )
         default = run_two_layer_wire_round(

@@ -16,9 +16,15 @@ from repro.chaos import (
 from repro.simnet import FixedLatency, Network, SimNode, Simulator
 
 
-class Silent(SimNode):
+class Recorder(SimNode):
+    """Records ``(time, src, msg)`` of everything it receives."""
+
+    def __init__(self, node_id, sim, network):
+        super().__init__(node_id, sim, network)
+        self.received = []
+
     def on_message(self, src, msg):
-        pass
+        self.received.append((self.sim.now, src, msg))
 
 
 def make_net(n=4, loss_rate=0.0):
@@ -28,7 +34,7 @@ def make_net(n=4, loss_rate=0.0):
         loss_rate=loss_rate,
     )
     for i in range(n):
-        Silent(i, sim, network)
+        Recorder(i, sim, network)
     return sim, network
 
 
@@ -118,11 +124,14 @@ class TestArming:
         assert not network.is_crashed(1)
 
     def test_loss_window_restores_prior_rate(self):
+        """A send reads the rate in force at its instant from the
+        timeline: the window's inside it, the network's own outside."""
         sim, network = make_net(loss_rate=0.05)
         FaultSchedule([LossWindow(10.0, 50.0, 0.4)]).arm(sim, network)
-        sim.run_until(20.0)
-        assert network.loss_rate == 0.4
-        sim.run_until(60.0)
+        tl = network.fault_timeline
+        for t, rate in ((0.0, 0.05), (10.0, 0.4), (20.0, 0.4), (50.0, 0.05)):
+            sim.run_until(t)
+            assert tl.span_at(sim.now).loss_rate == rate
         assert network.loss_rate == 0.05
 
     def test_partition_window_heals(self):
@@ -138,17 +147,22 @@ class TestArming:
 
     def test_delay_spike_slows_affected_nodes_then_restores(self):
         sim, network = make_net()
-        base = network.latency
+        nodes = [network.node(i) for i in range(3)]
         FaultSchedule([DelaySpike(10.0, 50.0, 25.0, nodes=(2,))]).arm(
             sim, network
         )
         sim.run_until(20.0)
-        rng = np.random.default_rng(0)
-        assert network.latency.sample(2, 0, rng) == 35.0  # affected src
-        assert network.latency.sample(0, 2, rng) == 35.0  # affected dst
-        assert network.latency.sample(0, 1, rng) == 10.0  # untouched pair
+        nodes[2].send(0, "affected src")
+        nodes[0].send(2, "affected dst")
+        nodes[0].send(1, "untouched pair")
         sim.run_until(60.0)
-        assert network.latency is base
+        nodes[0].send(2, "after")
+        sim.run()
+        assert [n.received for n in nodes] == [
+            [(55.0, 2, "affected src")],
+            [(30.0, 0, "untouched pair")],
+            [(55.0, 0, "affected dst"), (70.0, 0, "after")],
+        ]
 
     @pytest.mark.parametrize("spikes,probes", [
         # nested: the outer spike outlives the inner one
@@ -159,28 +173,53 @@ class TestArming:
          {15.0: 5.0, 25.0: 12.0, 30.0: 7.0, 35.0: 7.0, 40.0: 0.0}),
     ])
     def test_overlapping_spikes_close_their_own_delay(self, spikes, probes):
-        """The armed latency adds ``FaultTimeline.extra_delay_at`` at every
-        instant, edges included, and the base model is back at the end."""
+        """An actor send at each instant, edges included, arrives
+        ``FaultTimeline.extra_delay_at`` late, and the latency model is
+        never touched."""
         sim, network = make_net()
         base = network.latency
+        nodes = [network.node(i) for i in range(2)]
         schedule = FaultSchedule(spikes)
         timeline = schedule.timeline(0.0)
         schedule.arm(sim, network)
-        rng = np.random.default_rng(0)
         for t, extra in probes.items():
             sim.run_until(t)
-            got = network.latency.sample(0, 1, rng) - 10.0
-            assert got == extra == timeline.extra_delay_at([0], [1], [t])[0]
-        sim.run_until(100.0)
+            nodes[0].send(1, t)
+            assert extra == timeline.extra_delay_at([0], [1], [t])[0]
+        sim.run()
+        assert sorted(nodes[1].received) == sorted(
+            (t + (10.0 + extra), 0, t) for t, extra in probes.items())
         assert network.latency is base
 
-    def test_armed_schedule_is_the_fault_oracle(self):
+    def test_armed_timeline_answers_may_recover(self):
         sim, network = make_net()
         FaultSchedule([Crash(10.0, 1), Recover(50.0, 1)]).arm(sim, network)
         sim.run_until(20.0)
         assert network.may_recover(1)       # recovery still pending
         sim.run_until(60.0)
         assert not network.may_recover(1)   # already happened
+
+    def test_second_arm_merges_into_the_installed_schedule(self):
+        sim, network = make_net()
+        first = FaultSchedule([
+            Crash(10.0, 1), Recover(30.0, 1), LossWindow(0.0, 50.0, 0.2)])
+        second = FaultSchedule([Crash(20.0, 2), DelaySpike(20.0, 40.0, 5.0)])
+        first.arm(sim, network)
+        second.arm(sim, network)
+        tl = network.fault_timeline
+        assert tl.schedule == FaultSchedule(first.events + second.events)
+        sim.run_until(20.0)
+        assert network.is_crashed(1) and network.may_recover(1)
+        assert network.is_crashed(2) and not network.may_recover(2)
+        assert tl.span_at(20.0).loss_rate == 0.2
+        assert tl.span_at(20.0).extra_delay(0, 3) == 5.0
+        sim.run_until(30.0)
+        assert not network.is_crashed(1)
+        # Validated together: each is valid alone, not merged.
+        for bad in ([LossWindow(40.0, 60.0, 0.3)], [Crash(60.0, 2)]):
+            with pytest.raises(ValueError, match="overlapping|twice"):
+                FaultSchedule(bad).arm(sim, network)
+        assert network.fault_timeline is tl
 
     def test_without_oracle_crashes_are_permanent(self):
         sim, network = make_net()

@@ -3,14 +3,15 @@
 Two layers of contract:
 
 - **query semantics** — every piecewise state function (loss edges,
-  crash intervals, partition groups, delay spikes) mirrors the armed
-  callbacks' closed-start / open-end windows exactly;
+  crash intervals, partition groups, delay spikes) has closed-start /
+  open-end windows;
 - **engine equivalence** — under ``FixedLatency`` (no per-draw RNG) the
-  armed per-message actor loop, the timeline-driven item wave and the
-  per-item replay of the same items (``tests/simnet/per_item.py``)
-  produce bit-identical delivery order, finish time, transport
-  counters and trace records for generated crash-free scripts; under
-  crashes the wave equals the per-item replay.
+  per-message actor loop under the armed schedule, the timeline-driven
+  item wave and the per-item replay of the same items
+  (``tests/simnet/per_item.py``) read one timeline and produce
+  bit-identical delivery order, finish time, transport counters and
+  trace records for generated crash-free scripts; under crashes the
+  wave equals the per-item replay.
 """
 
 from dataclasses import astuple
@@ -59,7 +60,7 @@ class TestLossEdges:
         tl = FaultSchedule([LossWindow(0.0, 10.0, 0.05)]).timeline(
             base_loss_rate=0.2
         )
-        # Armed set_loss_rate swaps the rate; a window can *lower* it.
+        # The window's rate replaces the base; it can *lower* it.
         assert tl.loss_rate_at(_ts(5.0))[0] == 0.05
         assert tl.max_loss_rate == 0.2
 
@@ -109,7 +110,7 @@ class TestPartitionsAndSpikes:
         np.testing.assert_array_equal(
             tl.link_up_at(src, dst, t),
             # same-group up; cross-group down; outside-every-group node
-            # 4 is isolated (matches Network.set_partition); window is
+            # 4 is isolated, talking to nobody; window is
             # [100, 200) so t=99 and t=200 are unaffected.
             [True, False, True, True, False, True],
         )
@@ -386,19 +387,19 @@ _EXTRA = (5.0, 15.0, 20.0, 25.0)
 def _hold_free(draw):
     """A crash-free script and a base loss rate: up to two loss windows
     (possibly sharing an edge), a partition with an isolated outsider,
-    and up to two delay spikes (disjoint, adjacent or overlapping), the
-    second on a node set.
+    a global delay spike, a second global spike overlapping it with an
+    off-grid delay (so the order of its float sums shows in the last
+    bit), and a spike on a node set (disjoint, adjacent or overlapping).
 
-    The armed actor loop draws its loss uniforms per send, in ``(time,
-    seq)`` order; the wave draws them per epoch in enumeration order.
-    The two orders agree while every epoch's cohort leaves at one
-    instant, each frame lands before the next RTO (a spike adds at most
-    25 ms to a 10 ms hop against a 40 ms first RTO — overlapping spikes
-    add up, so their sum stays within that) and the messages a node
-    spike delays come last in enumeration order.  A crash would
-    break the first: a held frame's attempt moves to the recovery
-    instant, where the actor draws its uniform, while the wave draws it
-    in cohort position.
+    The actor loop draws its loss uniforms per send, in ``(time, seq)``
+    order; the wave draws them per epoch in enumeration order.  The two
+    orders agree while every epoch's cohort leaves at one instant, each
+    frame lands before the next RTO (a spike adds at most 25 ms to a
+    10 ms hop against a 40 ms first RTO — overlapping spikes add up, so
+    their sum stays within that) and the messages a node spike delays
+    come last in enumeration order.  A crash would break the first: a
+    held frame's attempt moves to the recovery instant, where the actor
+    draws its uniform, while the wave draws it in cohort position.
     """
     events = []
     a, b, c = sorted(draw(st.lists(st.sampled_from(_EDGES), min_size=3,
@@ -417,22 +418,37 @@ def _hold_free(draw):
         ))
     window = st.lists(st.sampled_from(_EDGES), min_size=2, max_size=2,
                       unique=True).map(sorted)
+    spikes = []
+
+    def room(s, e):
+        """What a spike on ``[s, e)`` may add: each spike leaves the
+        next the budget minus every earlier spike it overlaps, so no
+        instant sums more than 25 ms."""
+        return 25.0 - sum(sp.extra_delay_ms for sp in spikes
+                          if s < sp.t_end_ms and sp.t_start_ms < e)
+
     spike_nodes, first = None, None
     if draw(st.booleans()):
         first = DelaySpike(*draw(window), draw(st.sampled_from(_EXTRA)))
-        events.append(first)
+        spikes.append(first)
+        if draw(st.booleans()) and first.extra_delay_ms < 25.0:
+            # Overlaps ``first`` on [max(s, first start), min(e, first end)).
+            s = draw(st.sampled_from(
+                [t for t in _EDGES if t < first.t_end_ms]))
+            e = draw(st.sampled_from(
+                [t for t in _EDGES if t > max(s, first.t_start_ms)]))
+            spikes.append(DelaySpike(s, e, draw(st.floats(
+                0.1, room(s, e), allow_nan=False))))
     if draw(st.booleans()):
         s, e = draw(window)
-        overlap = first is not None and s < first.t_end_ms and first.t_start_ms < e
-        room = 25.0 - (first.extra_delay_ms if overlap else 0.0)
-        extras = [v for v in _EXTRA if v <= room]
+        extras = [v for v in _EXTRA if v <= room(s, e)]
         if extras:
             spike_nodes = tuple(sorted(draw(st.sets(
                 st.integers(0, 11), min_size=1, max_size=3))))
-            events.append(DelaySpike(s, e, draw(st.sampled_from(extras)),
+            spikes.append(DelaySpike(s, e, draw(st.sampled_from(extras)),
                                      nodes=spike_nodes))
     loss = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
-    return FaultSchedule(events), loss, spike_nodes
+    return FaultSchedule(events + spikes), loss, spike_nodes
 
 
 @given(_hold_free(), st.integers(0, 2**16),
@@ -552,13 +568,16 @@ def test_one_span_answers_are_floats_equal_to_per_message_answers(
 @settings(max_examples=200, deadline=None)
 def test_armed_actor_matches_timeline_wave_without_crash_holds(
         script, max_attempts, seed):
-    """Hold-free scripts, three executions: the armed actor loop, the
-    timeline item wave and its per-item replay.  FixedLatency draws
-    nothing and every message departs at t=0, so all three agree bit
-    for bit on arrival times, clock, transport counters and trace
-    totals, exhausted sends included, and the per-item replay on every
-    trace record — an independent check of the wave's precomputed fates
-    (the per-item replay shares them)."""
+    """Hold-free scripts, three executions: the actor loop under the
+    armed schedule, the timeline item wave and its per-item replay —
+    one timeline, two paths.  FixedLatency draws nothing and every
+    message departs at t=0, from a callback scheduled before the
+    schedule is armed, so a window opening at t=0 must hold it all the
+    same.  All three agree bit for bit on arrival times (each
+    ``t + (latency + extra)``, overlapping spikes summed first), clock,
+    transport counters and trace totals, exhausted sends included, and
+    the per-item replay on every trace record — an independent check of
+    the wave's precomputed fates (the per-item replay shares them)."""
     schedule, loss, spike_nodes = script
     rng = np.random.default_rng(seed)
     src = rng.integers(0, 12, size=60)
@@ -568,7 +587,7 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
         order = np.argsort(hit, kind="stable")
         src, dst = src[order], dst[order]
 
-    def net_for(arm):
+    def net_for():
         sim = Simulator()
         net = Network(
             sim, latency=FixedLatency(10.0),
@@ -581,12 +600,6 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
         nodes = [Stub(i, sim) for i in range(12)]
         for nd in nodes:
             net.register(nd)
-        if arm:
-            schedule.arm(sim, net)
-        else:
-            net.fault_timeline = schedule.timeline(net.loss_rate)
-            # The armed script's last event moves the clock there too.
-            sim.schedule_at(schedule.end_ms(), lambda: None)
         return sim, net, nodes
 
     def records(net):
@@ -595,11 +608,11 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
         category, so they compare as a sorted list)."""
         return sorted(astuple(r) for r in net.trace.records)
 
-    sim, net, nodes = net_for(arm=True)
-    # Sent after the script's own t=0 events, as the timeline sees them.
+    sim, net, nodes = net_for()
     sim.schedule_at(0.0, lambda: [
         net.send(int(s), int(d), i, size_bits=64.0, kind="x")
         for i, (s, d) in enumerate(zip(src, dst))])
+    schedule.arm(sim, net)
     sim.run()
     arrivals = actor_arrivals(nodes, len(src))
     actor = _fingerprint(sim, net)
@@ -607,7 +620,8 @@ def test_armed_actor_matches_timeline_wave_without_crash_holds(
 
     for side, replay in REPLAYS:
         with replay():
-            sim, net, _ = net_for(arm=False)
+            sim, net, _ = net_for()
+            net.fault_timeline = schedule.timeline(net.loss_rate)
             wave = net.send_batch(src, dst, size_bits=64.0, kind="x")
             sim.run()
         np.testing.assert_array_equal(wave.delivery_times, arrivals)

@@ -235,8 +235,11 @@ class TestRoundStateIsReleased:
         ({"transport": "reliable",
           "schedule": FaultSchedule([LossWindow(0, 10_000, 0.2)])}, 12),
         ({"schedule": FaultSchedule([Crash(20.0, 5)])}, 12),
+        # The window holds the t=0 share-out: at 0.2 a bundle of the
+        # victim's is lost and dies with it before its 60 ms RTO (a typed
+        # unrecoverable_dropout); at 0.1 the round completes.
         ({"transport": "reliable",
-          "schedule": FaultSchedule([Crash(20.0, 5), LossWindow(0, 90, 0.2)])},
+          "schedule": FaultSchedule([Crash(20.0, 5), LossWindow(0, 90, 0.1)])},
          12),
         (UNRECOVERABLE, 12),
     ])

@@ -310,7 +310,7 @@ class TestChaosRound:
         13,120-peer round (344k items).  Accounting batches replay from
         one merged ledger, which only a foreign event can cut."""
         kw = dict(seed=3, latency=UniformLatency(10.0, 20.0), loss_rate=0.2,
-                  transport="reliable")
+                  transport="reliable", transport_opts={"base_rto_ms": 60.0})
         topo = MultiLayerTopology(4, 8)
         big = run_xlayer_wire_round(topo, _models(topo, d=2), **kw)
         assert big.n_peers == 13_120 and big.retransmits > 10_000
@@ -405,6 +405,19 @@ class TestChaosRound:
         topo = MultiLayerTopology(2, 2)
         with pytest.raises(ValueError):
             run_xlayer_wire_round(topo, _models(topo), loss_rate=0.1)
+
+    def test_random_latency_needs_an_explicit_rto(self):
+        """A reliable round sizes its RTO from a fixed ``delay_ms``; a
+        random latency has none, and guessing the default 15 ms under
+        ``UniformLatency(20, 40)`` sent thousands of spurious
+        retransmits, so the RTO must be given."""
+        topo = MultiLayerTopology(2, 3)
+        kw = dict(latency=UniformLatency(20.0, 40.0), transport="reliable")
+        with pytest.raises(ValueError, match="base_rto_ms"):
+            run_xlayer_wire_round(topo, _models(topo), **kw)
+        result = run_xlayer_wire_round(
+            topo, _models(topo), transport_opts={"base_rto_ms": 160.0}, **kw)
+        assert result.outcome.ok and result.retransmits == 0
 
 
 class TestValidation:

@@ -332,7 +332,10 @@ def _xlayer_lossy_uniform(p: dict, seed: int) -> dict:
     kw = dict(
         seed=seed, latency=UniformLatency(p["lo_ms"], p["hi_ms"]),
         loss_rate=p["loss_rate"], transport="reliable",
-        transport_opts={"max_attempts": p["max_attempts"]},
+        # A random latency sizes no RTO: two round trips of the
+        # default 15 ms delay, as the scale rounds use.
+        transport_opts={"max_attempts": p["max_attempts"],
+                        "base_rto_ms": 60.0},
         schedule=scale_schedule(topo),
     )
     wave = run_xlayer_wire_round(topo, models, **kw)

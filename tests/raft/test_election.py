@@ -3,6 +3,7 @@
 import pytest
 
 from repro.raft import RaftCluster, Role
+from tests.simnet.faults import partition
 
 
 class TestBasicElection:
@@ -124,7 +125,7 @@ class TestElectionSafety:
         lid = cluster.run_until_leader()
         minority = [lid, (lid + 1) % 5]
         majority = [i for i in range(5) if i not in minority]
-        cluster.network.set_partition([minority, majority])
+        partition(cluster.sim, cluster.network, [minority, majority], 5_000.0)
         cluster.run_for(5_000.0)
         majority_leaders = [
             i for i in majority if cluster.node(i).is_leader
@@ -132,7 +133,6 @@ class TestElectionSafety:
         assert len(majority_leaders) == 1
         # The old leader may still think it leads (stale term) but cannot
         # commit anything; after healing it steps down.
-        cluster.network.set_partition(None)
         cluster.run_for(3_000.0)
         assert cluster.leader_id() == majority_leaders[0] or (
             cluster.node(majority_leaders[0]).current_term

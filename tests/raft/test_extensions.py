@@ -5,6 +5,7 @@ import pytest
 
 from repro.raft import RaftCluster, RaftTiming, Role
 from repro.raft.cluster import RaftHost
+from tests.simnet.faults import partition
 
 
 class PreVoteCluster(RaftCluster):
@@ -36,13 +37,12 @@ class TestPreVote:
         lid = cluster.run_until_leader()
         victim = next(i for i in range(5) if i != lid)
         others = [i for i in range(5) if i != victim]
-        cluster.network.set_partition([[victim], others])
+        partition(cluster.sim, cluster.network, [[victim], others], 10_000.0)
         cluster.run_for(10_000.0)  # victim times out ~dozens of times
         term_before_heal = cluster.node(lid).current_term
         # Isolated: every prevote fails, so its term never moved.
         assert cluster.node(victim).current_term == term_before_heal
-        cluster.network.set_partition(None)
-        cluster.run_for(2_000.0)
+        cluster.run_for(2_000.0)  # healed
         # The healthy leader is still the leader, same term.
         assert cluster.leader_id() == lid
         assert cluster.node(lid).current_term == term_before_heal
@@ -53,7 +53,7 @@ class TestPreVote:
         lid = cluster.run_until_leader()
         victim = next(i for i in range(5) if i != lid)
         others = [i for i in range(5) if i != victim]
-        cluster.network.set_partition([[victim], others])
+        partition(cluster.sim, cluster.network, [[victim], others], 10_000.0)
         cluster.run_for(10_000.0)
         assert cluster.node(victim).current_term > cluster.node(lid).current_term
 

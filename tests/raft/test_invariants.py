@@ -13,9 +13,12 @@ the four safety properties of the Raft paper:
    the same index.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.chaos import FaultSchedule, PartitionWindow
 from repro.raft import RaftCluster
 from tests.raft.test_extensions import PreVoteCluster
 
@@ -52,14 +55,41 @@ def random_schedule(
 ) -> None:
     """Drive a random fault/proposal schedule; with ``membership`` a
     tenth of the steps are pairs of single-server changes, every removed
-    node is re-added after the heal, and ten more proposals follow."""
+    node is re-added after the heal, and ten more proposals follow.
+
+    No draw depends on the cluster, so the whole plan is drawn up front,
+    in step order: a random two-way partition holds from its step to the
+    next partition or heal step (the last one to the final heal), and
+    the partitions are armed as one schedule of windows."""
     rng = np.random.default_rng(seed)
     n = len(cluster.hosts)
-    proposal = 0
+    plan, windows, cut = [], [], None  # cut: the open (start, groups)
+    t = cluster.sim.now
     for _ in range(steps):
-        cluster.run_for(float(rng.uniform(80.0, 400.0)))
+        t += float(rng.uniform(80.0, 400.0))
         action = rng.random()
         victim = int(rng.integers(n))
+        second = None
+        if 0.50 <= action < 0.75 and cut is not None:
+            windows.append(PartitionWindow(cut[0], t, cut[1]))
+            cut = None
+        if 0.50 <= action < 0.62:
+            # Random two-way partition for a while.
+            members = list(range(n))
+            rng.shuffle(members)
+            at = int(rng.integers(1, n))
+            cut = (t, (tuple(members[:at]), tuple(members[at:])))
+        elif membership and action >= 0.90:
+            second = int(rng.integers(n))
+        plan.append((t, action, victim, second))
+    if cut is not None:
+        # The final heal comes after the last step's own sends.
+        windows.append(PartitionWindow(cut[0], math.nextafter(t, math.inf),
+                                       cut[1]))
+    FaultSchedule(windows).arm(cluster.sim, cluster.network)
+    proposal = 0
+    for t, action, victim, second in plan:
+        cluster.sim.run_until(t)
         if action < 0.30:
             alive = len(cluster.network.alive_ids())
             if alive > (n // 2 + 1) and not cluster.network.is_crashed(victim):
@@ -67,25 +97,19 @@ def random_schedule(
         elif action < 0.50:
             if cluster.network.is_crashed(victim):
                 cluster.recover(victim)
-        elif action < 0.62:
-            # Random two-way partition for a while.
-            members = list(range(n))
-            rng.shuffle(members)
-            cut = int(rng.integers(1, n))
-            cluster.network.set_partition([members[:cut], members[cut:]])
         elif action < 0.75:
-            cluster.network.set_partition(None)
-        elif membership and action >= 0.90:
+            pass  # a partition window opens or closes here
+        elif second is not None:
             # Two changes at one instant, as a FedAvg leader swapping a
             # subgroup's seat-holder issues them.
             change_membership(cluster, victim)
-            change_membership(cluster, int(rng.integers(n)))
+            change_membership(cluster, second)
         else:
             idx = cluster.propose(("op", proposal))
             if idx is not None:
                 proposal += 1
-    # Heal everything and let the cluster converge.
-    cluster.network.set_partition(None)
+    # Heal everything (the last window has closed) and let the cluster
+    # converge.
     for i in range(n):
         if cluster.network.is_crashed(i):
             cluster.recover(i)

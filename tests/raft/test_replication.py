@@ -4,6 +4,7 @@ import pytest
 
 from repro.raft import RaftCluster
 from repro.raft.node import ADD_SERVER, NOOP
+from tests.simnet.faults import partition
 
 
 def committed_commands(cluster, node_id):
@@ -54,7 +55,8 @@ class TestReplication:
         lid = cluster.run_until_leader()
         # Isolate the leader with one follower: quorum of 3 unreachable.
         keeper = next(i for i in range(5) if i != lid)
-        cluster.network.set_partition([[lid, keeper], [i for i in range(5) if i not in (lid, keeper)]])
+        rest = [i for i in range(5) if i not in (lid, keeper)]
+        partition(cluster.sim, cluster.network, [[lid, keeper], rest], 10_000.0)
         cluster.node(lid).propose(("stranded",))
         cluster.run_for(3_000.0)
         assert ("stranded",) not in committed_commands(cluster, lid)
@@ -97,14 +99,13 @@ class TestReplication:
         cluster = RaftCluster(5, seed=7)
         lid = cluster.run_until_leader()
         others = [i for i in range(5) if i != lid]
-        cluster.network.set_partition([[lid], others])
+        partition(cluster.sim, cluster.network, [[lid], others], 6_000.0)
         cluster.node(lid).propose(("stale-entry",))
         # Majority side elects a new leader and commits new entries.
         cluster.run_for(4_000.0)
         new_lid = next(i for i in others if cluster.node(i).is_leader)
         cluster.node(new_lid).propose(("fresh-entry",))
-        cluster.run_for(2_000.0)
-        cluster.network.set_partition(None)
+        cluster.run_for(2_000.0)  # the partition heals here
         cluster.run_for(4_000.0)
         # The stale entry must not be applied anywhere; the fresh one
         # must be applied everywhere, including the healed old leader.

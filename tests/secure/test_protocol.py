@@ -104,6 +104,26 @@ class TestDropouts:
         assert not result.outcome.ok
         assert result.average is None
 
+    def test_lost_bundle_of_a_dead_peer_starts_the_fetches(self):
+        """Peer 1's bundle to the leader is lost and peer 1 dies for good
+        at 16 ms, before its retransmission: the leader's bundles never
+        complete.  Its stall timer sees a missing origin gone for good and
+        fetches every subtotal it lacks from the live holders, so the
+        round completes with the reference aggregate instead of idling
+        to the round timeout."""
+        models = [np.random.default_rng([0, i]).normal(size=16)
+                  for i in range(6)]
+        result = run_sac_protocol(
+            models, k=4, seed=0, crash_at={1: 16.0}, loss_rate=0.1,
+            transport="reliable", transport_opts={"max_attempts": 6},
+            round_timeout_ms=5_000.0,
+        )
+        assert result.outcome.ok, result.outcome
+        assert result.finish_time_ms == 230.0
+        assert result.recovered_shares == (0, 1, 2, 3)
+        np.testing.assert_array_equal(
+            result.average, sac_reference_average(models, 0))
+
     @pytest.mark.parametrize("share_codec", ["dense", "seed"])
     @pytest.mark.parametrize("transport,bits_over_clean,retransmits", [
         # The replica's reply (|w|) stands in for the primary that died

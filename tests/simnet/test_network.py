@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos import PartitionWindow
 from repro.simnet import (
     FixedLatency,
     Network,
@@ -11,6 +12,7 @@ from repro.simnet import (
     TraceRecorder,
 )
 
+from .faults import partition
 from .latency import GaussianLatency, UniformLatency
 
 
@@ -104,7 +106,7 @@ class TestFaults:
 
     def test_partition_blocks_cross_group(self, net):
         sim, network, nodes = net
-        network.set_partition([[0, 1], [2, 3]])
+        partition(sim, network, [[0, 1], [2, 3]])
         nodes[0].send(1, "same-side")
         nodes[0].send(2, "cross")
         sim.run()
@@ -113,23 +115,23 @@ class TestFaults:
 
     def test_partition_heal(self, net):
         sim, network, nodes = net
-        network.set_partition([[0, 1], [2, 3]])
-        network.set_partition(None)
+        partition(sim, network, [[0, 1], [2, 3]], ms=10.0)
+        sim.run_until(10.0)
         nodes[0].send(2, "x")
         sim.run()
         assert len(nodes[2].received) == 1
 
     def test_node_absent_from_partition_isolated(self, net):
         sim, network, nodes = net
-        network.set_partition([[0, 1]])
+        partition(sim, network, [[0, 1], [2]])
         nodes[2].send(3, "x")
+        nodes[3].send(2, "x")
         sim.run()
-        assert nodes[3].received == []
+        assert nodes[3].received == nodes[2].received == []
 
-    def test_overlapping_partition_groups_rejected(self, net):
-        sim, network, nodes = net
-        with pytest.raises(ValueError):
-            network.set_partition([[0, 1], [1, 2]])
+    def test_overlapping_partition_groups_rejected(self):
+        with pytest.raises(ValueError, match="node 1 in multiple"):
+            PartitionWindow(0.0, 10.0, ((0, 1), (1, 2)))
 
     def test_loss_rate_drops_messages(self):
         sim = Simulator()
@@ -213,42 +215,43 @@ class TestLatencyModels:
 
 class TestHotPathCaches:
     """The send() fast path and the cached id lists must stay coherent
-    with register/crash/recover/partition state changes."""
+    with register/crash/recover state changes and partition windows."""
 
     def test_fault_free_fast_path(self, net):
         sim, network, nodes = net
-        assert network._fault_free
+        assert not network._crashed and network.fault_timeline is None
         assert network.link_up(0, 1)
 
     def test_crash_and_recover_toggle_fast_path(self, net):
         sim, network, nodes = net
         network.crash(1)
-        assert not network._fault_free
+        assert network._crashed == {1}
         assert not network.link_up(0, 1)
         assert network.link_up(0, 2)
         network.recover(1)
-        assert network._fault_free
+        assert not network._crashed
         assert network.link_up(0, 1)
 
     def test_partition_toggles_fast_path(self, net):
         sim, network, nodes = net
-        network.set_partition([[0, 1], [2, 3]])
-        assert not network._fault_free
+        partition(sim, network, [[0, 1], [2, 3]], ms=50.0)
+        assert not network._crashed
         assert network.link_up(0, 1)
         assert not network.link_up(0, 2)
-        network.set_partition(None)
-        assert network._fault_free
+        sim.run_until(50.0)
         assert network.link_up(0, 2)
 
     def test_heal_with_crashed_node_keeps_slow_path(self, net):
         sim, network, nodes = net
         network.crash(3)
-        network.set_partition([[0, 1], [2, 3]])
-        network.set_partition(None)
-        assert not network._fault_free  # node 3 is still down
+        partition(sim, network, [[0, 1], [2, 3]], ms=50.0)
+        sim.run_until(50.0)
+        assert network._crashed == {3}  # node 3 is still down
         assert not network.link_up(0, 3)
+        assert network.link_up(0, 2)
         network.recover(3)
-        assert network._fault_free
+        assert not network._crashed
+        assert network.link_up(0, 3)
 
     def test_alive_ids_cache_invalidation(self, net):
         sim, network, nodes = net

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos import Crash, FaultSchedule, Recover
 from repro.simnet import FixedLatency, Network, SimNode, Simulator
 from repro.simnet.reliable import (
     ACK_BITS,
@@ -160,14 +161,6 @@ class TestExhaustion:
         assert rt.exhausted_undelivered == 1
 
 
-class _Oracle:
-    def __init__(self, answer):
-        self.answer = answer
-
-    def may_recover(self, node_id, now_ms):
-        return self.answer
-
-
 class TestSenderCrash:
     def test_permanently_dead_sender_abandons_pending(self):
         sim, network, nodes = make_net(base_rto_ms=20.0)
@@ -182,11 +175,9 @@ class TestSenderCrash:
 
     def test_recovering_sender_holds_and_resends_after_rejoin(self):
         sim, network, nodes = make_net(base_rto_ms=20.0)
-        network.fault_oracle = _Oracle(True)
+        FaultSchedule([Crash(5.0, 0), Recover(100.0, 0)]).arm(sim, network)
         network.physical_send = DroppingSend(network, {"msg": 1})
         nodes[0].send(1, "payload", size_bits=64.0)
-        sim.schedule_at(5.0, lambda: network.crash(0))
-        sim.schedule_at(100.0, lambda: network.recover(0))
         sim.run()
         # frame held through the outage (attempts unburned) and resent
         assert [msg for _, _, msg in nodes[1].received] == ["payload"]

@@ -247,18 +247,14 @@ class TestValidation:
         assert net.reliable.acks_sent == 1
 
     @pytest.mark.parametrize("case", [
-        "crashed", "partition", "armed", "bandwidth", "lossy",
-        "uplink_reliable", "uplink_timeline",
+        "crashed", "bandwidth", "lossy", "uplink_reliable", "uplink_timeline",
     ])
     def test_faults_outside_a_timeline_rejected(self, case):
         """A wave reads its faults from an installed ``FaultTimeline``
-        only.  Live crash or partition state, an armed schedule, a
-        bandwidth (serialized uplinks included, under the reliable
-        transport or a timeline) and fire-and-forget loss raise, and
-        nothing is issued.  An armed schedule's faults are live network
-        state (its spike wraps the latency model) that only the
-        per-message path reads."""
-        from repro.chaos import DelaySpike, FaultSchedule, LossWindow
+        only.  Live crash state, a bandwidth (serialized uplinks
+        included, under the reliable transport or a timeline) and
+        fire-and-forget loss raise, and nothing is issued."""
+        from repro.chaos import FaultSchedule, LossWindow
 
         kw = {
             "bandwidth": dict(bandwidth_bps=1e6),
@@ -270,11 +266,6 @@ class TestValidation:
         sim, net = _net(latency=FixedLatency(10.0), **kw)
         if case == "crashed":
             net.crash(1)
-        elif case == "partition":
-            net.set_partition([[0], [1]])
-        elif case == "armed":
-            FaultSchedule([DelaySpike(0.0, 100.0, 25.0)]).arm(sim, net)
-            sim.run_until(1.0)
         elif case == "uplink_timeline":
             net.fault_timeline = FaultSchedule(
                 [LossWindow(0.0, 10.0, 0.5)]).timeline()
@@ -282,6 +273,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="FaultTimeline"):
             net.send_batch([0], [1], size_bits=8.0)
         assert sim.heap_stats() == before and net.in_flight == 0
+
+    def test_an_armed_schedule_is_the_timeline_a_wave_reads(self):
+        """Arming installs the timeline: a wave sent inside an armed
+        partition and spike reads both, as an actor send would."""
+        from repro.chaos import DelaySpike, FaultSchedule, PartitionWindow
+
+        sim, net = _net(latency=FixedLatency(10.0))
+        FaultSchedule([
+            DelaySpike(0.0, 100.0, 25.0),
+            PartitionWindow(0.0, 100.0, ((0, 1), (2,))),
+        ]).arm(sim, net)
+        wave = net.send_batch([0, 0], [1, 2], size_bits=8.0)
+        sim.run()
+        np.testing.assert_array_equal(wave.delivery_times, [35.0, np.nan])
 
     def test_shape_mismatch_rejected(self):
         sim, net = _net()
